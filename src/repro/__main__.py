@@ -25,11 +25,10 @@ from .eval import (evaluate_suite, figure6a_execution_time,
                    figure8_power_traces, render_figure6, render_figure7,
                    render_figure8, render_table1, render_table2,
                    render_table3, render_table4, render_table5)
-from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE,
-                    DEFAULT_ENGINE, SCHEDULER_ENGINES, Autoscaler,
-                    AutoscalerOptions, DeviceSpec, PoolOptions, SeedFanout,
-                    ServerPool, ServerSpec, arrival_offsets,
-                    make_scheduler)
+from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
+                    AutoscalerOptions, DeviceSpec, FleetScheduler,
+                    PoolOptions, SeedFanout, ServerPool, ServerSpec,
+                    arrival_offsets)
 from .frontend import compile_c
 from .offload import CompilerOptions, NativeOffloaderCompiler
 from .profiler import profile_module
@@ -56,18 +55,37 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _compile(name):
-    spec = workload(name)
+def _usage_error(message) -> int:
+    """Report a bad command-line value the way argparse reports a bad
+    flag: one ``repro: error:`` line on stderr, exit code 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _lookup_workload(name: str):
+    """The registry spec a workload name refers to (None + stderr note
+    when the registry does not know it)."""
+    try:
+        return workload(name)
+    except KeyError as exc:     # the registry's unknown-workload error
+        _usage_error(exc.args[0])
+        return None
+
+
+def _compile(spec):
     module = spec.module()
     profile = profile_module(module, stdin=spec.profile_stdin,
                              files=spec.profile_files)
     program = NativeOffloaderCompiler(CompilerOptions()).compile(
         module, profile)
-    return spec, module, profile, program
+    return module, profile, program
 
 
 def cmd_compile(args) -> int:
-    spec, module, profile, program = _compile(args.workload)
+    spec = _lookup_workload(args.workload)
+    if spec is None:
+        return 2
+    module, profile, program = _compile(spec)
     print(f"{spec.name}: {spec.description}")
     print(f"  offload targets : {', '.join(program.target_names())}")
     print(f"  outlined loops  : {program.outlined_loops or '-'}")
@@ -85,14 +103,15 @@ def _resolve_network(name: str):
     error message cannot drift between subcommands."""
     network = NETWORKS.get(name)
     if network is None:
-        print(f"unknown network {name!r}; "
-              f"available: {sorted(NETWORKS)}", file=sys.stderr)
+        _usage_error(f"unknown network {name!r}; "
+                     f"available: {sorted(NETWORKS)}")
     return network
 
 
 def _fault_plan(args):
     """Build the FaultPlan the CLI flags describe (None when every fault
-    knob is at its default — the bit-identical fault-free path)."""
+    knob is at its default — the bit-identical fault-free path).
+    Raises the dataclass's ValueError on an out-of-range knob."""
     plan = FaultPlan(seed=args.seed,
                      drop_rate=args.drop_rate,
                      max_jitter_s=args.jitter,
@@ -100,6 +119,25 @@ def _fault_plan(args):
                      disconnect_rate=args.disconnect_rate,
                      reconnect_rate=args.reconnect_rate)
     return None if plan.is_empty else plan
+
+
+def _session_inputs(args):
+    """What ``run`` and ``trace`` share: the network, the workload and
+    the fault plan their flags name — ``(network, plan, name, module,
+    stdin, files, program)``, or None after a stderr note when a flag
+    value is bad."""
+    network = _resolve_network(args.network)
+    if network is None:
+        return None
+    try:
+        plan = _fault_plan(args)
+    except ValueError as exc:
+        _usage_error(exc)
+        return None
+    built = _workload_program(args.workload)
+    if built is None:
+        return None
+    return (network, plan) + built
 
 
 def _print_fault_summary(result) -> None:
@@ -137,12 +175,11 @@ def _print_uva_summary(result) -> None:
 
 
 def cmd_run(args) -> int:
-    network = _resolve_network(args.network)
-    if network is None:
+    inputs = _session_inputs(args)
+    if inputs is None:
         return 2
-    name, module, stdin, files, program = _workload_program(args.workload)
+    network, plan, name, module, stdin, files, program = inputs
     local = run_local(module, stdin=stdin, files=files)
-    plan = _fault_plan(args)
     session = OffloadSession(program, network,
                              options=SessionOptions(fault_plan=plan,
                                                     shards=args.shards),
@@ -190,11 +227,10 @@ def _print_scatter_summary(result) -> None:
 def cmd_trace(args) -> int:
     """Run one workload with structured tracing and print its timeline
     (docs/observability.md walks through reading this output)."""
-    network = _resolve_network(args.network)
-    if network is None:
+    inputs = _session_inputs(args)
+    if inputs is None:
         return 2
-    name, module, stdin, files, program = _workload_program(args.workload)
-    plan = _fault_plan(args)
+    network, plan, name, module, stdin, files, program = inputs
     options = SessionOptions(enable_tracing=True,
                              trace_capacity=args.capacity,
                              fault_plan=plan,
@@ -342,7 +378,8 @@ _PARALLEL_MICRO_STDIN = b"4000\n"
 
 def _workload_program(name: str):
     """(display name, module, stdin, files, program) for any workload a
-    subcommand names: the paper suite plus the built-in micro kernels."""
+    subcommand names: the paper suite plus the built-in micro kernels
+    (None + stderr note for a name neither knows)."""
     if name == FLEET_MICRO_WORKLOAD:
         module = compile_c(_FLEET_MICRO_SRC, FLEET_MICRO_WORKLOAD)
         profile = profile_module(module, stdin=_FLEET_MICRO_STDIN)
@@ -357,14 +394,11 @@ def _workload_program(name: str):
             CompilerOptions(forced_targets=["smooth"])).compile(
                 module, profile)
         return name, module, _PARALLEL_MICRO_STDIN, None, program
-    spec, module, profile, program = _compile(name)
+    spec = _lookup_workload(name)
+    if spec is None:
+        return None
+    module, profile, program = _compile(spec)
     return spec.name, module, spec.eval_stdin, spec.eval_files, program
-
-
-def _fleet_program(name: str):
-    """(module, stdin, files, program) for a fleet workload name."""
-    _, module, stdin, files, program = _workload_program(name)
-    return module, stdin, files, program
 
 
 def _pool_options(args) -> PoolOptions:
@@ -372,7 +406,7 @@ def _pool_options(args) -> PoolOptions:
     this is the historical homogeneous form (byte-identical pools);
     with it, the pool is a two-tier edge/cloud topology where cloud
     servers are faster but sit behind the cloud-wan link."""
-    cloud = getattr(args, "cloud_servers", 0) or 0
+    cloud = args.cloud_servers
     if cloud <= 0:
         return PoolOptions(servers=args.servers, capacity=args.capacity,
                            queue_limit=args.queue_limit)
@@ -387,16 +421,11 @@ def _pool_options(args) -> PoolOptions:
                        queue_limit=args.queue_limit, specs=edge + far)
 
 
-def _autoscaler(args, engine: str):
+def _autoscaler(args):
     """The Autoscaler the CLI flags ask for (None without --autoscale).
-    Scale-up clones the homogeneous edge spec; only the event engine
-    runs the control-plane ticks."""
-    if not getattr(args, "autoscale", False):
+    Scale-up clones the homogeneous edge spec."""
+    if not args.autoscale:
         return None
-    if engine != "event":
-        print("--autoscale requires the event scheduler engine",
-              file=sys.stderr)
-        raise SystemExit(2)
     template = ServerSpec(capacity=args.capacity,
                           queue_limit=args.queue_limit)
     return Autoscaler(AutoscalerOptions(
@@ -408,35 +437,37 @@ def _run_fleet(args, network, enable_tracing: bool):
     """Build and run the fleet the CLI flags describe — shared by
     ``fleet`` and ``report`` so the two subcommands simulate the exact
     same system.  Returns ``(FleetResult, base_plan, module, stdin,
-    files)``."""
-    module, stdin, files, program = _fleet_program(args.workload)
+    files)``, or None after a stderr note when a flag value is bad."""
     # Every random draw in the run — arrival process, per-device fault
     # plans — fans out from the one --seed (docs/fleet.md, "Determinism").
     fan = SeedFanout(args.seed)
-    offsets = arrival_offsets(args.arrival, args.devices, args.spacing,
-                              fan.rng("arrivals"))
-    base_plan = _fault_plan(args)
+    # Validation lives in the dataclasses; only building them is guarded.
+    try:
+        offsets = arrival_offsets(args.arrival, args.devices, args.spacing,
+                                  fan.rng("arrivals"))
+        base_plan = _fault_plan(args)
+        pool = ServerPool(_pool_options(args), engine=args.engine)
+        autoscaler = _autoscaler(args)
+    except ValueError as exc:
+        _usage_error(exc)
+        return None
+    built = _workload_program(args.workload)
+    if built is None:
+        return None
+    _, module, stdin, files, program = built
     devices = []
     for i in range(args.devices):
         device_id = f"dev{i:02d}"
         plan = (dataclasses.replace(base_plan, seed=fan.seed("fault", i))
                 if base_plan is not None else None)
         options = SessionOptions(enable_tracing=enable_tracing,
-                                 fault_plan=plan,
-                                 shards=getattr(args, "shards", 1))
+                                 fault_plan=plan, shards=args.shards)
         devices.append(DeviceSpec(device_id=device_id, program=program,
                                   network=network, stdin=stdin,
                                   files=files, start_offset_s=offsets[i],
                                   options=options,
-                                  deadline_s=getattr(args, "deadline",
-                                                     None)))
-    pool = ServerPool(_pool_options(args),
-                      engine=getattr(args, "engine",
-                                     DEFAULT_DECISION_ENGINE))
-    engine = getattr(args, "scheduler", DEFAULT_ENGINE)
-    autoscaler = _autoscaler(args, engine)
-    result = make_scheduler(devices, pool, engine=engine,
-                            autoscaler=autoscaler).run()
+                                  deadline_s=args.deadline))
+    result = FleetScheduler(devices, pool, autoscaler=autoscaler).run()
     return result, base_plan, module, stdin, files
 
 
@@ -446,8 +477,10 @@ def cmd_fleet(args) -> int:
     network = _resolve_network(args.network)
     if network is None:
         return 2
-    result, base_plan, module, stdin, files = _run_fleet(
-        args, network, enable_tracing=bool(args.jsonl))
+    fleet = _run_fleet(args, network, enable_tracing=bool(args.jsonl))
+    if fleet is None:
+        return 2
+    result, base_plan, module, stdin, files = fleet
     local = run_local(module, stdin=stdin, files=files)
 
     summary = result.summary()
@@ -455,19 +488,18 @@ def cmd_fleet(args) -> int:
                      for d in result.devices)
     inv = summary["invocations"]
     queue = summary["queue"]
-    cloud = getattr(args, "cloud_servers", 0) or 0
+    cloud = args.cloud_servers
     tiers = (f"{args.servers} edge + {cloud} cloud server(s)"
-             if cloud else f"{args.servers} server(s)")
+             if cloud > 0 else f"{args.servers} server(s)")
     print(f"fleet: {args.devices} devices over {network.name}, "
           f"{tiers} x {args.capacity} slot(s), "
           f"queue limit {args.queue_limit}, "
           f"engine {summary['engine']}, "
           f"{args.arrival} arrivals, seed {args.seed}"
           + (f", {args.shards} shards/invocation"
-             if getattr(args, "shards", 1) > 1 else "")
+             if args.shards > 1 else "")
           + (" (faulty links)" if base_plan is not None else "")
-          + (" (autoscaled)" if getattr(args, "autoscale", False)
-             else ""))
+          + (" (autoscaled)" if args.autoscale else ""))
     print(f"  makespan  : {summary['makespan_s'] * 1e3:9.2f} ms   "
           f"throughput "
           f"{summary['throughput_invocations_per_s']:.1f} invocations/s")
@@ -577,8 +609,10 @@ def cmd_report(args) -> int:
         network = _resolve_network(args.network)
         if network is None:
             return 2
-        result, base_plan, _, _, _ = _run_fleet(args, network,
-                                                enable_tracing=True)
+        fleet = _run_fleet(args, network, enable_tracing=True)
+        if fleet is None:
+            return 2
+        result, base_plan = fleet[:2]
         report = build_report(
             result.merged_events(),
             source=_fleet_source(args, base_plan is not None),
@@ -674,7 +708,7 @@ def _positive_shards(text: str) -> int:
 
 
 def _add_parallel_args(p) -> None:
-    """Scatter/gather knobs shared by the run/trace/fleet/report
+    """The scatter/gather knob shared by the run/trace/fleet/report
     subcommands (docs/parallel-offload.md).  The default keeps every
     invocation on the historical single-server path byte for byte."""
     p.add_argument("--shards", type=_positive_shards, default=1,
@@ -685,10 +719,34 @@ def _add_parallel_args(p) -> None:
                         "at 1)")
 
 
-def _add_placement_args(p) -> None:
-    """Placement-layer knobs shared by the fleet/report subcommands
-    (docs/placement.md).  All defaults reproduce the historical
-    homogeneous fifo pool byte for byte."""
+def _add_fleet_args(p) -> None:
+    """Every knob that shapes a simulated fleet — declared once, so the
+    ``fleet`` and ``report`` subcommands cannot drift apart: the fleet
+    and pool shape, then the scatter/gather, placement
+    (docs/placement.md) and fault knobs.  All defaults reproduce the
+    historical homogeneous fifo pool byte for byte."""
+    p.add_argument("--devices", type=int, default=20,
+                   help="number of mobile devices (default 20)")
+    p.add_argument("--servers", type=int, default=2,
+                   help="number of offload servers (default 2)")
+    p.add_argument("--capacity", type=int, default=1,
+                   help="execution slots per server (default 1)")
+    p.add_argument("--queue-limit", type=int, default=4, metavar="N",
+                   help="max invocations waiting per server before "
+                        "admission is refused (default 4)")
+    p.add_argument("--arrival", default="uniform",
+                   choices=["uniform", "poisson", "burst"],
+                   help="device start pattern (default uniform)")
+    p.add_argument("--spacing", type=float, default=0.002,
+                   metavar="SECONDS",
+                   help="mean gap between device starts (default 2 ms)")
+    p.add_argument("--workload", default=FLEET_MICRO_WORKLOAD,
+                   help=f"workload every device runs (default "
+                        f"{FLEET_MICRO_WORKLOAD!r}, a built-in hot "
+                        f"kernel; any `list` name works)")
+    p.add_argument("--network", default="802.11ac",
+                   help=f"one of {sorted(NETWORKS)}")
+    _add_parallel_args(p)
     p.add_argument("--engine", default=DEFAULT_DECISION_ENGINE,
                    choices=list(DECISION_ENGINES),
                    help="placement decision engine (default "
@@ -708,13 +766,14 @@ def _add_placement_args(p) -> None:
                         "deadline-aware engine)")
     p.add_argument("--autoscale", action="store_true",
                    help="let an SLO-driven autoscaler resize the pool "
-                        "mid-run (event engine only)")
+                        "mid-run")
     p.add_argument("--autoscale-interval", type=float, default=0.005,
                    metavar="SECONDS",
                    help="autoscaler evaluation tick (default 5 ms)")
     p.add_argument("--autoscale-max", type=int, default=8, metavar="N",
                    help="pool size the autoscaler may grow to "
                         "(default 8)")
+    _add_fault_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -761,42 +820,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fleet", help="simulate many devices sharing a "
                                      "contended server pool")
-    p.add_argument("--devices", type=int, default=20,
-                   help="number of mobile devices (default 20)")
-    p.add_argument("--servers", type=int, default=2,
-                   help="number of offload servers (default 2)")
-    p.add_argument("--capacity", type=int, default=1,
-                   help="execution slots per server (default 1)")
-    p.add_argument("--queue-limit", type=int, default=4, metavar="N",
-                   help="max invocations waiting per server before "
-                        "admission is refused (default 4)")
-    p.add_argument("--arrival", default="uniform",
-                   choices=["uniform", "poisson", "burst"],
-                   help="device start pattern (default uniform)")
-    p.add_argument("--spacing", type=float, default=0.002,
-                   metavar="SECONDS",
-                   help="mean gap between device starts (default 2 ms)")
-    p.add_argument("--workload", default=FLEET_MICRO_WORKLOAD,
-                   help=f"workload every device runs (default "
-                        f"{FLEET_MICRO_WORKLOAD!r}, a built-in hot "
-                        f"kernel; any `list` name works)")
-    p.add_argument("--network", default="802.11ac",
-                   help=f"one of {sorted(NETWORKS)}")
-    p.add_argument("--scheduler", default=DEFAULT_ENGINE,
-                   choices=list(SCHEDULER_ENGINES),
-                   help="fleet execution engine (default "
-                        f"{DEFAULT_ENGINE!r}): 'event' is the single-"
-                        "threaded discrete-event core; 'lockstep' is "
-                        "the deprecated one-thread-per-device "
-                        "reference engine (byte-identical results, "
-                        "unusable beyond tens of devices)")
     p.add_argument("--json", metavar="PATH",
                    help="write the fleet summary as JSON")
     p.add_argument("--jsonl", metavar="PATH",
                    help="write the merged fleet trace as JSON Lines")
-    _add_parallel_args(p)
-    _add_placement_args(p)
-    _add_fault_args(p)
+    _add_fleet_args(p)
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser("report", help="analyze a trace (live seeded "
@@ -821,33 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also gate a BENCH_*.json pair (repeatable)")
     p.add_argument("--tolerance", type=float, default=0.10,
                    help="relative regression tolerance (default 0.10)")
-    p.add_argument("--devices", type=int, default=20,
-                   help="fleet size for live runs (default 20)")
-    p.add_argument("--servers", type=int, default=2,
-                   help="servers for live runs (default 2)")
-    p.add_argument("--capacity", type=int, default=1,
-                   help="slots per server (default 1)")
-    p.add_argument("--queue-limit", type=int, default=4, metavar="N",
-                   help="per-server queue limit (default 4)")
-    p.add_argument("--arrival", default="uniform",
-                   choices=["uniform", "poisson", "burst"],
-                   help="device start pattern (default uniform)")
-    p.add_argument("--spacing", type=float, default=0.002,
-                   metavar="SECONDS",
-                   help="mean gap between device starts (default 2 ms)")
-    p.add_argument("--workload", default=FLEET_MICRO_WORKLOAD,
-                   help=f"workload for live runs (default "
-                        f"{FLEET_MICRO_WORKLOAD!r})")
-    p.add_argument("--network", default="802.11ac",
-                   help=f"one of {sorted(NETWORKS)}")
-    p.add_argument("--scheduler", default=DEFAULT_ENGINE,
-                   choices=list(SCHEDULER_ENGINES),
-                   help="fleet execution engine for live runs "
-                        f"(default {DEFAULT_ENGINE!r}; 'lockstep' is "
-                        "deprecated)")
-    _add_parallel_args(p)
-    _add_placement_args(p)
-    _add_fault_args(p)
+    _add_fleet_args(p)    # shape of the live run (no --from-jsonl)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("table", help="regenerate a paper table")

@@ -7,10 +7,10 @@ logic.  Devices are plain :class:`~repro.runtime.session.OffloadSession`
 instances wired to a shared :class:`~repro.fleet.pool.ServerPool`
 through the :class:`~repro.runtime.backend.OffloadDispatcher` seam, and
 a single-threaded discrete-event :class:`FleetScheduler` serializes
-their interactions (docs/fleet.md, docs/simulator.md).  The deprecated
-one-thread-per-device engine is retained as
-:class:`LockstepFleetScheduler` — the reference the differential test
-checks the event core against.
+their interactions (docs/fleet.md, docs/simulator.md).  It is the only
+engine; the one-thread-per-device engine it replaced is kept in
+:mod:`repro.fleet.lockstep`, un-re-exported, as the reference the
+differential test checks it against.
 
 Placement is a swappable layer (docs/placement.md): the pool ranks
 eligible servers through a :class:`~repro.fleet.engines.DecisionEngine`
@@ -27,13 +27,11 @@ from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Candidate,
                       DecisionEngine, PlacementRequest, make_engine)
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      EVENT_KINDS, DeviceState)
-from .lockstep import LockstepFleetScheduler
 from .pool import TIERS, PoolOptions, ServerPool, ServerSpec, ServerStats
 from .replay import (OutcomeProjection, ScriptedDispatcher, Segment,
                      SegmentBoundary, SegmentCache, behavior_key)
 from .result import DeviceOutcome, FleetResult
-from .scheduler import (DEFAULT_ENGINE, SCHEDULER_ENGINES, FleetScheduler,
-                        make_scheduler)
+from .scheduler import FleetScheduler
 from .seeding import SeedFanout, derive_seed
 from .spec import DeviceSpec, arrival_offsets
 
@@ -48,8 +46,6 @@ __all__ = [
     "OutcomeProjection", "ScriptedDispatcher", "Segment",
     "SegmentBoundary", "SegmentCache", "behavior_key",
     "DeviceOutcome", "DeviceSpec", "FleetResult",
-    "FleetScheduler", "LockstepFleetScheduler",
-    "DEFAULT_ENGINE", "SCHEDULER_ENGINES", "make_scheduler",
-    "arrival_offsets",
+    "FleetScheduler", "arrival_offsets",
     "SeedFanout", "derive_seed",
 ]

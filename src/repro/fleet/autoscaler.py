@@ -18,10 +18,9 @@ server, but only once it is idle — ``pool.remove_server`` refuses
 otherwise and the autoscaler simply retries later.  Actions are
 surfaced in ``FleetResult.summary()["autoscale"]``.
 
-The autoscaler only exists in the event-driven engine: it is pool
-control-plane work scheduled *as an event*, which the deprecated
-lockstep engine has no slot for (docs/placement.md, "Autoscaler").
-Determinism is preserved — ticks fire at fixed simulated times with a
+The autoscaler is pool control-plane work scheduled *as an event*
+(docs/placement.md, "Autoscaler"), which the test-only lockstep
+reference engine has no slot for.  Determinism is preserved — ticks fire at fixed simulated times with a
 fixed tie-break index, so the same seed yields the same scaling story.
 """
 

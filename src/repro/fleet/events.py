@@ -32,7 +32,7 @@ A fourth kind belongs to the control plane, not to any device:
 Simultaneous events order by ``(time, device index)`` through the
 :class:`~repro.fleet.clock.EventQueue` — the same tie-break the lockstep
 scheduler applied to admission requests, which is what makes the two
-engines byte-identical (docs/fleet.md, "Lockstep vs event-driven").
+engines byte-identical (docs/fleet.md, "Reference engine").
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
-"""The retained thread-lockstep scheduler (deprecated).
+"""The thread-lockstep scheduler: a test-only reference engine.
 
 This is the fleet's original execution engine: one OS thread per device
 session, with the scheduler keeping the whole fleet in *lockstep* — at
 most one device thread ever runs, and control passes at exactly the
-points where devices interact (admission requests).  It is superseded
-by the event-driven :class:`~repro.fleet.scheduler.FleetScheduler`,
-which produces byte-identical results with no threads and no
-per-device thread cost; the lockstep engine is retained as the
-reference implementation the differential test
-(``tests/test_fleet_differential.py``) checks the event core against,
-and is reachable via ``--scheduler lockstep`` on the CLI.  It caps out
-at tens of devices (one OS thread each) — do not use it for scale.
+points where devices interact (admission requests).  The event-driven
+:class:`~repro.fleet.scheduler.FleetScheduler` replaced it and is the
+only engine the package exports or the CLI runs; this module is kept,
+un-re-exported, purely as the independent reference implementation
+``tests/test_fleet_differential.py`` checks the event core against,
+byte for byte.  It caps out at tens of devices (one OS thread each),
+takes no autoscaler, and refuses scatter/gather plans (``shards > 1``)
+at construction — that path is pinned by golden fingerprints instead
+(``tests/test_parallel_offload.py``).
 
 The rendezvous protocol:
 
@@ -27,8 +28,8 @@ Because a device's requests are monotone in time and its release always
 precedes its next request, every ``admit`` observes fully-resolved slot
 times — the pool never guesses (pool.py's hindsight-exactness).  The
 event-driven core preserves exactly this pool call order, which is why
-the two engines agree byte-for-byte (docs/fleet.md, "Lockstep vs
-event-driven").
+the two engines agree byte-for-byte (docs/fleet.md, "Reference
+engine").
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import threading
 from dataclasses import replace
 from typing import List, Optional
 
-from ..runtime.backend import Admission, OffloadDispatcher
+from ..runtime.backend import Admission, OffloadDispatcher, Rejection
 from ..runtime.session import OffloadSession, SessionOptions, SessionResult
 from .clock import EventQueue, SimClock
 from .pool import ServerPool
@@ -56,8 +57,10 @@ class _PooledDispatcher(OffloadDispatcher):
     def __init__(self, worker: "_DeviceWorker"):
         self.worker = worker
 
-    def admit(self, target_name: str, now_s: float):
-        return self.worker.request_admission(target_name, now_s)
+    def admit(self, target_name: str, now_s: float, shards: int = 1):
+        # always a grant of one: shards > 1 is refused at construction
+        outcome = self.worker.request_admission(target_name, now_s)
+        return outcome if isinstance(outcome, Rejection) else [outcome]
 
     def release(self, admission: Admission, now_s: float) -> None:
         self.worker.release_slot(admission, now_s)
@@ -132,19 +135,25 @@ class _DeviceWorker:
 
 
 class LockstepFleetScheduler:
-    """Run a fleet on the deprecated one-thread-per-device engine.
+    """Run a fleet on the one-thread-per-device reference engine.
 
     Same inputs, same outputs as the event-driven
     :class:`~repro.fleet.scheduler.FleetScheduler` — byte-identical
     summaries, merged traces and per-device results for the same seed —
     but wall-clock and memory scale with one OS thread per device.
-    Kept as the differential-test reference; prefer the event core.
+    Test-only: the differential test's reference.
     """
 
     def __init__(self, devices: List[DeviceSpec], pool: ServerPool,
                  rendezvous_timeout_s: float = RENDEZVOUS_TIMEOUT_S):
         if not devices:
             raise ValueError("a fleet needs at least one device")
+        if any(spec.options is not None and spec.options.shards > 1
+               for spec in devices):
+            raise ValueError(
+                "the lockstep reference engine cannot run scatter/gather "
+                "plans (shards > 1); use FleetScheduler "
+                "(docs/parallel-offload.md)")
         self.pool = pool
         self.clock = SimClock()
         self._workers = [_DeviceWorker(i, spec, pool,

@@ -3,13 +3,14 @@ device without a thread.
 
 The guest interpreter is deeply recursive (one Python frame per guest
 frame), so a device session cannot be suspended mid-stack and resumed
-later — the lockstep scheduler parked each session on its own OS
-thread precisely to get that suspension.  The event-driven core takes
-the opposite route: a device is advanced by *re-running its session
-from program start* against a :class:`ScriptedDispatcher` that replays
-the admission outcomes the pool already granted, verbatim, and stops
-the session at the first admission request the script does not cover
-(docs/simulator.md, "Replay, not resumption").
+later — the test-only reference engine (:mod:`repro.fleet.lockstep`)
+parks each session on its own OS thread precisely to get that
+suspension.  The event-driven core takes the opposite route: a device
+is advanced by *re-running its session from program start* against a
+:class:`ScriptedDispatcher` that replays the admission outcomes the
+pool already granted, verbatim, and stops the session at the first
+admission request the script does not cover (docs/simulator.md,
+"Replay, not resumption").
 
 This is exact, not approximate, because a session is a deterministic
 function of the *projection* of its admission outcomes — the only
@@ -47,11 +48,15 @@ from .spec import DeviceSpec
 
 @dataclass(frozen=True)
 class OutcomeProjection:
-    """The session-visible part of one admission outcome.
+    """The session-visible part of one admission or rejection.
 
     This is the *entire* channel from the pool into a device session;
     everything else on :class:`~repro.runtime.backend.Admission` is
-    pool-internal.  Hashable, so outcome scripts can key the
+    pool-internal.  One script entry — the outcome of one admission
+    request — is a tuple of these: one projection per granted
+    admission (a scatter/gather plan's gang is simply a longer tuple,
+    docs/parallel-offload.md), or the single projection of a
+    rejection.  Hashable, so outcome scripts can key the
     :class:`SegmentCache`.
     """
 
@@ -94,26 +99,9 @@ class OutcomeProjection:
         return Rejection(estimated_wait_s=self.estimated_wait_s)
 
 
-@dataclass(frozen=True)
-class GangProjection:
-    """The session-visible part of one gang admission (k >= 2 members)
-    granted to a scatter/gather plan (docs/parallel-offload.md).
-
-    A tuple of per-member projections: sessions read exactly the same
-    fields of each member they read of a single admission, so replaying
-    the members verbatim replays the plan exactly.  Hashable, so gang
-    outcomes key the :class:`SegmentCache` like any other outcome.
-    """
-
-    members: Tuple[OutcomeProjection, ...]
-
-    @classmethod
-    def of(cls, admissions) -> "GangProjection":
-        return cls(members=tuple(OutcomeProjection.of(a)
-                                 for a in admissions))
-
-    def materialize(self) -> List[Admission]:
-        return [m.materialize() for m in self.members]
+#: One device's history with the pool: per admission request, the
+#: projections of what it was granted (or of the rejection).
+Script = Tuple[Tuple[OutcomeProjection, ...], ...]
 
 
 class SegmentBoundary(BaseException):
@@ -130,9 +118,9 @@ class SegmentBoundary(BaseException):
         super().__init__(target_name, now_s, shards)
         self.target_name = target_name
         self.now_s = now_s
-        # >1 when the unscripted request was a gang admission for a
-        # scatter/gather plan — the scheduler must ask the real pool
-        # for the same gang width when it serves this request.
+        # The gang width the unscripted request asked for — the
+        # scheduler must ask the real pool for the same width when it
+        # serves this request.
         self.shards = shards
 
 
@@ -143,77 +131,49 @@ class ScriptedDispatcher(OffloadDispatcher):
     request past the end of the script raises :class:`SegmentBoundary`.
     Releases are recorded as ``(admission, session-local time)`` pairs
     so the scheduler can hand each *real* pool slot back at exactly the
-    instant the lockstep device thread would have.  Identity matters:
-    a plan's members do not all release at one instant — the backend
-    hands a zero-share member's slot back at sizing time while the rest
-    release at plan end — so chronological release order is not grant
-    order, and pairing by position would free the wrong server's slot.
+    instant the device itself would have.  Identity matters: a plan's
+    members do not all release at one instant — the backend hands a
+    zero-share member's slot back at sizing time while the rest release
+    at plan end — so chronological release order is not grant order,
+    and pairing by position would free the wrong server's slot.
     """
 
-    def __init__(self, script: Tuple[OutcomeProjection, ...]):
+    def __init__(self, script: Script):
         self._script = script
         self._cursor = 0
         self._admissions_granted = 0
         self._last_grant: List[Admission] = []
         self.release_log: List[Tuple[Admission, float]] = []
 
-    def admit(self, target_name: str, now_s: float):
+    def admit(self, target_name: str, now_s: float, shards: int = 1):
         if self._cursor >= len(self._script):
-            raise SegmentBoundary(target_name, now_s)
-        outcome = self._script[self._cursor]
+            raise SegmentBoundary(target_name, now_s, shards)
+        outcome = [member.materialize()
+                   for member in self._script[self._cursor]]
         self._cursor += 1
-        if not outcome.admitted:
-            return outcome.materialize()
-        admission = outcome.materialize()
-        self._admissions_granted += 1
-        self._last_grant = [admission]
-        return admission
-
-    def admit_gang(self, target_name: str, now_s: float, shards: int):
-        if self._cursor >= len(self._script):
-            raise SegmentBoundary(target_name, now_s, shards=shards)
-        outcome = self._script[self._cursor]
-        self._cursor += 1
-        if isinstance(outcome, GangProjection):
-            members = outcome.materialize()
-            self._admissions_granted += len(members)
-            self._last_grant = list(members)
-            return members
-        if outcome.admitted:
-            # the pool degraded the gang to one classic admission
-            admission = outcome.materialize()
-            self._admissions_granted += 1
-            self._last_grant = [admission]
-            return [admission]
-        return outcome.materialize()   # a Rejection
+        if isinstance(outcome[0], Rejection):
+            self._last_grant = []
+            return outcome[0]
+        self._admissions_granted += len(outcome)
+        self._last_grant = outcome
+        return outcome
 
     def release(self, admission: Admission, now_s: float) -> None:
         self.release_log.append((admission, now_s))
 
-    def _check_balanced(self) -> None:
+    @property
+    def last_release_ts(self) -> Tuple[float, ...]:
+        """Session-local release times of the script's final grant, in
+        GRANT order (empty when the script is empty or ends in a
+        rejection) — matched by admission identity (the log holds every
+        released admission alive, so ``id`` is collision-free), which is
+        what lets the scheduler zip them against the real pool's grant
+        list even when a zero-share member released early."""
         if len(self.release_log) != self._admissions_granted:
             raise RuntimeError(
                 "replayed session ended with an unreleased admission "
                 f"({len(self.release_log)} releases for "
                 f"{self._admissions_granted} admissions)")
-
-    @property
-    def last_release_t(self) -> Optional[float]:
-        """Session-local release time of the script's final admission
-        (None when the script is empty or ends in a rejection)."""
-        ts = self.last_release_ts
-        return ts[-1] if ts else None
-
-    @property
-    def last_release_ts(self) -> Optional[Tuple[float, ...]]:
-        """Session-local release times of the final grant's members,
-        in GRANT order — matched by admission identity (the log holds
-        every released admission alive, so ``id`` is collision-free),
-        which is what lets the scheduler zip them against the real
-        pool's grant list even when a zero-share member released early."""
-        if not self._admissions_granted or not self._last_grant:
-            return None
-        self._check_balanced()
         times = {id(a): t for a, t in self.release_log}
         return tuple(times[id(m)] for m in self._last_grant)
 
@@ -223,23 +183,19 @@ class Segment:
     """What one replayed execution segment produced.
 
     Either the device stopped at its next admission request
-    (``target``/``local_t`` set) or it ran to completion (``result``
-    set).  ``release_local_t`` is the session-local time the script's
-    final admission was released — the scheduler applies it to the real
-    pool before serving anyone else, preserving the lockstep pool call
-    order admit(k), release(k), admit(k+1).
+    (``target``/``local_t``/``shards`` set) or it ran to completion
+    (``result`` set).  ``release_local_ts`` holds the session-local
+    times the members of the script's final grant were released, in
+    grant order — the scheduler applies them to the real pool before
+    serving anyone else, preserving the pool call order admit(k),
+    release(k), admit(k+1).
     """
 
     target: Optional[str] = None
     local_t: Optional[float] = None
     result: Optional[SessionResult] = None
-    release_local_t: Optional[float] = None
-    # Gang-admission extensions (docs/parallel-offload.md): the width
-    # of the gang the boundary request asked for (1 = classic), and the
-    # per-member release times of the script's final grant, in grant
-    # order (identity-matched — zero-share members release early).
-    shards: int = 1
-    release_local_ts: Optional[Tuple[float, ...]] = None
+    shards: int = 1     # gang width the boundary request asked for
+    release_local_ts: Tuple[float, ...] = ()
 
     @property
     def done(self) -> bool:
@@ -288,8 +244,7 @@ def behavior_key(spec: DeviceSpec, engine: str = "fifo") -> tuple:
             bytes(spec.stdin), spec.deadline_s, files_key, tuple(parts))
 
 
-def run_segment(spec: DeviceSpec,
-                script: Tuple[OutcomeProjection, ...]) -> Segment:
+def run_segment(spec: DeviceSpec, script: Script) -> Segment:
     """Run one fresh session for ``spec`` under ``script`` and capture
     where it stops."""
     dispatcher = ScriptedDispatcher(script)
@@ -304,10 +259,8 @@ def run_segment(spec: DeviceSpec,
         return Segment(target=boundary.target_name,
                        local_t=boundary.now_s,
                        shards=boundary.shards,
-                       release_local_t=dispatcher.last_release_t,
                        release_local_ts=dispatcher.last_release_ts)
     return Segment(result=result,
-                   release_local_t=dispatcher.last_release_t,
                    release_local_ts=dispatcher.last_release_ts)
 
 
@@ -327,8 +280,7 @@ class SegmentCache:
         self.session_runs = 0
         self.shared_hits = 0
 
-    def advance(self, spec: DeviceSpec,
-                script: Tuple[OutcomeProjection, ...]) -> Segment:
+    def advance(self, spec: DeviceSpec, script: Script) -> Segment:
         """The segment ``spec`` executes after ``script`` — from cache
         when a behaviorally identical device already ran it."""
         base = spec.options or SessionOptions()

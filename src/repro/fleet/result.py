@@ -1,11 +1,11 @@
 """Fleet run results: per-device outcomes, the fleet summary, and the
 merged global trace.
 
-Both schedulers (the event-driven :class:`~repro.fleet.scheduler.
-FleetScheduler` and the retained :class:`~repro.fleet.lockstep.
-LockstepFleetScheduler`) produce exactly this structure — the
-differential test in ``tests/test_fleet_differential.py`` holds them to
-byte-identical serializations of it.
+:class:`~repro.fleet.scheduler.FleetScheduler` and the test-only
+reference :class:`~repro.fleet.lockstep.LockstepFleetScheduler` both
+produce exactly this structure — the differential test in
+``tests/test_fleet_differential.py`` holds them to byte-identical
+serializations of it.
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ only when one of its events fires:
 1. an :data:`~repro.fleet.events.ARRIVAL` event at ``start_offset_s``
    runs the device to its first admission request (or completion);
 2. an :data:`~repro.fleet.events.ADMISSION_REQUEST` event — popped in
-   ``(global time, device index)`` order, the same tie-break the
-   lockstep engine applied — is served against the
+   ``(global time, device index)`` order — is served against the
    :class:`~repro.fleet.pool.ServerPool`, the outcome is appended to
    the device's script, and the device is advanced by scripted replay
-   (:mod:`repro.fleet.replay`); the admission's slot is released at the
+   (:mod:`repro.fleet.replay`); every granted slot is released at the
    exact session-local instant the replay observed, before any other
    device runs;
 3. a :data:`~repro.fleet.events.COMPLETION` event marks the device
@@ -34,49 +33,24 @@ never guesses (pool.py's hindsight-exactness).  Global time is session-
 local time plus the device's start offset, so one merged trace covers
 the fleet (``FleetResult.merged_events``).
 
-The retained thread-per-device engine lives in
-:mod:`repro.fleet.lockstep`; the differential test holds the two to
-byte-identical output.
+This is the only fleet engine.  The thread-per-device engine it replaced
+survives in :mod:`repro.fleet.lockstep` purely as the reference
+``tests/test_fleet_differential.py`` holds this one to, byte for byte.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..runtime.backend import Admission
+from ..runtime.backend import Rejection
 from .autoscaler import Autoscaler
 from .clock import EventQueue, SimClock
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      TRANSITIONS, DeviceState)
-from .lockstep import LockstepFleetScheduler
 from .pool import ServerPool
-from .replay import (GangProjection, OutcomeProjection, Segment,
-                     SegmentCache)
+from .replay import OutcomeProjection, Script, Segment, SegmentCache
 from .result import DeviceOutcome, FleetResult
 from .spec import DeviceSpec, arrival_offsets  # noqa: F401  (re-export)
-
-#: Engine names accepted by :func:`make_scheduler` and the CLI's
-#: ``--scheduler`` flag.  ``event`` is the default; ``lockstep`` is the
-#: deprecated reference engine.
-SCHEDULER_ENGINES = ("event", "lockstep")
-DEFAULT_ENGINE = "event"
-
-#: One-per-process latch for the lockstep deprecation warning
-#: (tests/test_fleet_differential.py asserts exactly-once semantics).
-_LOCKSTEP_WARNED = False
-
-
-def _warn_lockstep_deprecated() -> None:
-    global _LOCKSTEP_WARNED
-    if _LOCKSTEP_WARNED:
-        return
-    _LOCKSTEP_WARNED = True
-    warnings.warn(
-        "the 'lockstep' fleet scheduler engine is deprecated and kept "
-        "only as a byte-identical reference; use the default 'event' "
-        "engine (docs/fleet.md, 'Lockstep vs event-driven')",
-        DeprecationWarning, stacklevel=3)
 
 
 class _DeviceProcess:
@@ -90,7 +64,7 @@ class _DeviceProcess:
         self.spec = spec
         self.offset = spec.start_offset_s
         self.state = DeviceState.IDLE
-        self.script: Tuple[OutcomeProjection, ...] = ()
+        self.script: Script = ()
         self.pending_target: Optional[str] = None
         self.pending_shards = 1
         self.result = None
@@ -106,8 +80,8 @@ class _DeviceProcess:
 class FleetScheduler:
     """Run a fleet of device sessions against one server pool.
 
-    The event-driven engine: single-threaded, deterministic, and
-    byte-identical to the retained lockstep engine for the same seed
+    Single-threaded and deterministic: the same seed gives the same
+    bytes, and the same bytes as the thread-per-device reference
     (tests/test_fleet_differential.py).  An empty device list is a
     legal degenerate fleet — zero events, an empty result.
 
@@ -183,52 +157,35 @@ class FleetScheduler:
     def _serve(self, p: _DeviceProcess, t: float,
                queue: EventQueue) -> None:
         """Serve one admission request: the only point where a device
-        touches shared state, in exactly the lockstep order —
-        admit(k), then release(k) before anyone else's admit."""
-        if p.pending_shards > 1:
-            # A scatter/gather plan asks for a gang of zero-wait slots
-            # (docs/parallel-offload.md); the pool may degrade it.
-            outcome = self.pool.admit_gang(p.pending_target, t,
-                                           p.pending_shards,
-                                           priority=p.spec.priority,
-                                           deadline_s=p.spec.deadline_s)
-        else:
-            outcome = self.pool.admit(p.pending_target, t,
-                                      priority=p.spec.priority,
-                                      deadline_s=p.spec.deadline_s)
+        touches shared state, in a fixed pool call order — admit(k),
+        then release(k) before anyone else's admit."""
+        # A scatter/gather plan asks for a gang of zero-wait slots
+        # (docs/parallel-offload.md); the pool may degrade it, down to
+        # the one classic admission every other request gets.
+        granted = self.pool.admit_gang(p.pending_target, t,
+                                       p.pending_shards,
+                                       priority=p.spec.priority,
+                                       deadline_s=p.spec.deadline_s)
+        admissions = [] if isinstance(granted, Rejection) else granted
+        outcomes = admissions or [granted]
         if self.autoscaler is not None:
-            if isinstance(outcome, list):
-                for member in outcome:
-                    self.autoscaler.observe(t, member)
-            else:
+            for outcome in outcomes:
                 self.autoscaler.observe(t, outcome)
         p.pending_target = None
         p.pending_shards = 1
-        if isinstance(outcome, list) and len(outcome) > 1:
-            projection = GangProjection.of(outcome)
-        elif isinstance(outcome, list):
-            projection = OutcomeProjection.of(outcome[0])
-        else:
-            projection = OutcomeProjection.of(outcome)
-        p.script = p.script + (projection,)
+        p.script = p.script + (
+            tuple(map(OutcomeProjection.of, outcomes)),)
         segment = self._advance(p, queue)
-        admitted = (outcome if isinstance(outcome, list)
-                    else [outcome] if isinstance(outcome, Admission)
-                    else [])
-        if len(admitted) == 1:
-            # The replay observed the session-local instant the slot
-            # was handed back; apply it to the real pool now, so the
-            # next admit (any device) sees fully-resolved slot times.
-            self.pool.release(admitted[0],
-                              p.offset + segment.release_local_t)
-        elif admitted:
-            # release_local_ts is in grant order (identity-matched by
-            # the ScriptedDispatcher), the same order as the real
-            # pool's gang list — so member k gets member k's release
-            # instant even when a zero-share member released early.
-            for member, release_t in zip(admitted,
-                                         segment.release_local_ts):
-                self.pool.release(member, p.offset + release_t)
+        # The replay observed the session-local instant each slot was
+        # handed back; apply them to the real pool now, so the next
+        # admit (any device) sees fully-resolved slot times.
+        # release_local_ts is in grant order (identity-matched by the
+        # ScriptedDispatcher), the same order as the real pool's grant
+        # — so member k gets member k's release instant even when a
+        # zero-share member released early.
+        for member, release_t in zip(admissions,
+                                     segment.release_local_ts):
+            self.pool.release(member, p.offset + release_t)
 
     def _advance(self, p: _DeviceProcess, queue: EventQueue) -> Segment:
         """Advance the device to its next admission request or to
@@ -247,35 +204,3 @@ class FleetScheduler:
             queue.push(p.offset + segment.local_t, p.index,
                        ADMISSION_REQUEST)
         return segment
-
-
-def make_scheduler(devices: List[DeviceSpec], pool: ServerPool,
-                   engine: str = DEFAULT_ENGINE,
-                   autoscaler: Optional[Autoscaler] = None):
-    """Build a fleet scheduler by engine name.
-
-    ``event`` (the default) is the single-threaded discrete-event core;
-    ``lockstep`` is the deprecated one-thread-per-device reference
-    engine, byte-identical but unusable beyond tens of devices (its
-    first selection per process emits a ``DeprecationWarning``).  Only
-    the event engine supports an ``autoscaler`` — elasticity is
-    control-plane work scheduled as events.
-    """
-    if engine == "event":
-        return FleetScheduler(devices, pool, autoscaler=autoscaler)
-    if engine == "lockstep":
-        if autoscaler is not None:
-            raise ValueError(
-                "the lockstep engine does not support an autoscaler; "
-                "use the event engine (docs/placement.md)")
-        if any(spec.options is not None and spec.options.shards > 1
-               for spec in devices):
-            raise ValueError(
-                "the lockstep engine does not support scatter/gather "
-                "plans (shards > 1); use the event engine "
-                "(docs/parallel-offload.md)")
-        _warn_lockstep_deprecated()
-        return LockstepFleetScheduler(devices, pool)
-    raise ValueError(
-        f"unknown scheduler engine {engine!r}; "
-        f"expected one of {SCHEDULER_ENGINES}")

@@ -53,6 +53,10 @@ def arrival_offsets(pattern: str, devices: int, spacing_s: float,
       drawn from ``rng`` (a fan-out child, never a shared global);
     * ``burst`` — everyone at t=0, the worst case for the pool.
     """
+    if devices < 0:
+        raise ValueError(f"devices must be >= 0; got {devices!r}")
+    if spacing_s < 0:
+        raise ValueError(f"spacing must be >= 0; got {spacing_s!r}")
     if pattern == "uniform":
         return [i * spacing_s for i in range(devices)]
     if pattern == "poisson":

@@ -18,10 +18,16 @@ server.  This module extracts that machinery behind a small protocol:
   transport/UVA/communication stack, bit-identical to the pre-seam
   session (guarded by the differential test in ``tests/test_fleet.py``).
 
-The remote backend additionally consults an :class:`OffloadDispatcher`
-before starting an invocation.  The default (``dispatcher=None`` — the
-paper's one-device/one-server world) performs no admission work at all;
-a fleet run substitutes a dispatcher wired to a shared
+Every invocation the remote backend starts flows through one skeleton:
+admit → request phase → server execution → return phase → complete,
+with one abort path around it.  Admission goes through an
+:class:`OffloadDispatcher` and is list-shaped: a grant is a list of
+:class:`Admission` objects, one per index-range shard of a
+scatter/gather plan (docs/parallel-offload.md), and the paper's
+single-server invocation is the plan of one.  The default
+(``dispatcher=None`` — the paper's one-device/one-server world)
+resolves to :class:`DirectDispatcher`, whose grants are immediate and
+free; a fleet run substitutes a dispatcher wired to a shared
 :class:`repro.fleet.pool.ServerPool`, so admission can carry a queueing
 delay (charged to the device timeline and battery exactly as link time
 is) or be refused outright, in which case the invocation degrades to
@@ -153,31 +159,21 @@ def _signed32(value: int) -> int:
 
 
 class OffloadDispatcher:
-    """Where :class:`RemoteBackend` asks for a server.
+    """Where :class:`RemoteBackend` asks for servers.
 
-    ``admit`` receives the target name and the *session-local* current
-    time and returns an :class:`Admission` or a :class:`Rejection`;
-    ``release`` hands the slot back at the session-local end time.  Fleet
-    dispatchers translate session-local time to global fleet time by
-    adding the device's start offset.
+    ``admit`` receives the target name, the *session-local* current
+    time and how many index-range shards the invocation could use, and
+    returns a :class:`Rejection` or a grant: a list of one to ``shards``
+    :class:`Admission` objects.  Fewer than asked is the
+    degrade-to-fewer ladder of docs/parallel-offload.md; ``shards=1`` is
+    the paper's single-server invocation.  ``release`` hands one granted
+    slot back at the session-local end time.  Fleet dispatchers
+    translate session-local time to global fleet time by adding the
+    device's start offset.
     """
 
-    def admit(self, target_name: str, now_s: float):
+    def admit(self, target_name: str, now_s: float, shards: int = 1):
         raise NotImplementedError
-
-    def admit_gang(self, target_name: str, now_s: float, shards: int):
-        """Ask for up to ``shards`` zero-wait slots for one
-        scatter/gather plan (docs/parallel-offload.md).
-
-        Returns a list of admissions — possibly fewer than requested,
-        the degrade-to-fewer ladder — or a :class:`Rejection`.  The
-        default degrades straight to a single classic admission, so
-        dispatchers that predate plans behave exactly as before.
-        """
-        outcome = self.admit(target_name, now_s)
-        if isinstance(outcome, Rejection):
-            return outcome
-        return [outcome]
 
     def release(self, admission: Admission, now_s: float) -> None:
         raise NotImplementedError
@@ -186,11 +182,8 @@ class OffloadDispatcher:
 class DirectDispatcher(OffloadDispatcher):
     """The paper's dedicated server: admission is immediate and free."""
 
-    def admit(self, target_name: str, now_s: float) -> Admission:
-        return Admission(server_id=0, queue_seconds=0.0, start_s=now_s)
-
-    def admit_gang(self, target_name: str, now_s: float,
-                   shards: int) -> List[Admission]:
+    def admit(self, target_name: str, now_s: float,
+              shards: int = 1) -> List[Admission]:
         # The dedicated server runs every shard itself; the plan's
         # speedup model is k slots of the same machine.
         return [Admission(server_id=0, queue_seconds=0.0, start_s=now_s)
@@ -243,16 +236,25 @@ class LocalBackend(ExecutionBackend):
     def estimate(self, target: OffloadTarget) -> Optional["GainEstimate"]:
         return None  # local execution is the gain baseline
 
-    def execute(self, target: OffloadTarget, interp: Interpreter,
-                args: List, record: Optional[InvocationRecord] = None):
+    def replay(self, fn_name: str, interp: Interpreter, args: List):
+        """Run one function of the mobile module on the sub-interpreter
+        and charge it to ``interp``; returns ``(sub-interpreter,
+        return value)``.  Shared by whole-target fallbacks and the
+        per-range replay of a plan's abandoned shards."""
         session = self.session
-        fn = session.mobile.module.function(target.name)
+        fn = session.mobile.module.function(fn_name)
         sub = Interpreter(session.mobile, observer=interp.observer,
                           max_instructions=session.options.max_instructions)
         sub.sp = interp.sp
         result = sub.call_function(fn, args)
         interp.charge_raw_cycles(sub.cycles)
         session._replay_instructions += sub.instruction_count
+        return sub, result
+
+    def execute(self, target: OffloadTarget, interp: Interpreter,
+                args: List, record: Optional[InvocationRecord] = None):
+        session = self.session
+        sub, result = self.replay(target.name, interp, args)
         if record is not None:
             record.fallback_local = True
             record.local_seconds = sub.time_seconds
@@ -278,11 +280,9 @@ class RemoteBackend(ExecutionBackend):
     def __init__(self, session: "OffloadSession",
                  dispatcher: Optional[OffloadDispatcher] = None):
         self.session = session
-        # None (the default) is the dedicated-server fast path: no
-        # admission bookkeeping at all, preserving bit-identical
-        # single-session arithmetic.  Fleet runs substitute a pooled
-        # dispatcher here.
-        self.dispatcher = dispatcher
+        # None (the default) is the paper's dedicated server; fleet
+        # runs substitute a pooled dispatcher here.
+        self.dispatcher = dispatcher or DirectDispatcher()
 
     def estimate(self, target: OffloadTarget) -> Optional["GainEstimate"]:
         return self.session.estimator.estimate(target)
@@ -291,64 +291,25 @@ class RemoteBackend(ExecutionBackend):
     def execute(self, target: OffloadTarget, interp: Interpreter,
                 args: List):
         session = self.session
-        opts = session.options
-        zero = opts.zero_overhead
         tr = session.tracer
         session._mark_compute()
         record = InvocationRecord(target=target.name, offloaded=True)
-        comm_before = session.comm.stats
-        bytes_s0 = comm_before.bytes_to_server
-        bytes_m0 = comm_before.bytes_to_mobile
-        faults0 = session.uva.stats.cod_faults
 
-        # ---- scatter/gather plan gating ---------------------------
-        # A shardable target with shards > 1 requested asks for a gang
-        # of zero-wait slots and scatters its index range across them
+        # ---- admit ------------------------------------------------
+        # A shardable target asks for a gang of zero-wait slots and
+        # scatters its index range across the ones it gets
         # (docs/parallel-offload.md).  Every other outcome — target not
         # shardable, trip count too small, gang degraded to one slot —
-        # falls through to the classic single-server path below, which
-        # keeps k=1 byte-identical to the pre-plan protocol.
-        admission: Optional[Admission] = None
-        plan = self._plan_shards(target, args)
-        if plan is not None:
-            spec, trip = plan
-            k = min(opts.shards, trip)
-            if self.dispatcher is None:
-                gang = [Admission(server_id=0, queue_seconds=0.0,
-                                  start_s=session.now())
-                        for _ in range(k)]
-            else:
-                gang = self.dispatcher.admit_gang(target.name,
-                                                  session.now(), k)
-            if isinstance(gang, Rejection):
-                return self._rejected(target, interp, args, record, gang)
-            members = None
-            if len(gang) >= 2:
-                sizes = session.estimator.plan_shard_sizes(trip, gang)
-                members = []
-                for adm, rng in zip(gang,
-                                    contiguous_ranges(spec.iv_init,
-                                                      sizes)):
-                    if rng[1] > rng[0]:
-                        members.append((adm, rng))
-                    else:
-                        # a zero share: hand the slot straight back
-                        self._release(adm)
-                if len(members) < 2:
-                    gang = [m[0] for m in members]
-                    members = None
-            if members is not None:
-                return self._plan_protocol(target, interp, args, record,
-                                           spec, members, bytes_s0,
-                                           bytes_m0, faults0)
-            admission = gang[0]
-        elif self.dispatcher is not None:
-            outcome = self.dispatcher.admit(target.name, session.now())
-            if isinstance(outcome, Rejection):
-                return self._rejected(target, interp, args, record,
-                                      outcome)
-            admission = outcome
-        if admission is not None:
+        # is the plan of one: the paper's single-server invocation.
+        spec, trip = self._plan_shards(target, args)
+        grant = self.dispatcher.admit(target.name, session.now(),
+                                      min(session.options.shards, trip))
+        if isinstance(grant, Rejection):
+            return self._rejected(target, interp, args, record, grant)
+        shards = self._size_shards(spec, trip, grant)
+        override = None
+        if len(shards) == 1:
+            admission = shards[0][0]
             record.server_id = admission.server_id
             record.tier = admission.tier
             record.deadline_s = admission.deadline_s
@@ -361,8 +322,14 @@ class RemoteBackend(ExecutionBackend):
                             server=admission.server_id)
                     tr.metrics.counter("offload.queue_seconds").inc(
                         admission.queue_seconds)
-                if not zero:
+                if not session.options.zero_overhead:
                     session._advance(admission.queue_seconds, "queue")
+            # gang members never carry one: a plan speaks one link
+            override = admission.network
+        else:
+            record.shards = len(shards)
+            record.shard_servers = [a.server_id for a, _ in shards]
+            record.shard_sizes = [hi - lo for _, (lo, hi) in shards]
 
         # ---- tier network override (docs/placement.md) ------------
         # A cloud-tier admission carries the WAN NetworkModel the
@@ -370,27 +337,81 @@ class RemoteBackend(ExecutionBackend):
         # for the protocol body and restore the device's own link
         # afterwards — the finally runs even when the body returns
         # through the abort/local-fallback paths.
-        override = admission.network if admission is not None else None
         if override is None or override is session.network:
-            return self._offload_protocol(target, interp, args, record,
-                                          admission, bytes_s0, bytes_m0,
-                                          faults0)
+            return self._protocol(target, interp, args, record, spec,
+                                  shards)
         saved = session.network
         session.network = override
         session.comm.set_network(override)
         try:
-            return self._offload_protocol(target, interp, args, record,
-                                          admission, bytes_s0, bytes_m0,
-                                          faults0)
+            return self._protocol(target, interp, args, record, spec,
+                                  shards)
         finally:
             session.network = saved
             session.comm.set_network(saved)
 
-    def _offload_protocol(self, target: OffloadTarget, interp: Interpreter,
-                          args: List, record: InvocationRecord,
-                          admission: Optional[Admission],
-                          bytes_s0: int, bytes_m0: int, faults0: int):
-        """The admitted protocol body: init → server exec → finalize.
+    def _plan_shards(self, target: OffloadTarget, args: List):
+        """The ``(spec, trip_count)`` of a scatterable invocation, or
+        ``(None, 1)`` for the plan of one: the target was not proven
+        shardable at compile time, the session did not ask for shards,
+        or the runtime trip count is too small to split."""
+        session = self.session
+        spec = session.program.shard_specs.get(target.name)
+        if session.options.shards <= 1 or spec is None:
+            return None, 1
+        trip = spec.static_trip_count()
+        if trip is None:
+            if spec.bound_global is not None:
+                addr = session.mobile.address_of_global(spec.bound_global)
+                bound = int.from_bytes(
+                    session.mobile.memory.read(addr, 4), "little",
+                    signed=True)
+            else:
+                bound = _signed32(int(args[spec.bound_arg]))
+            trip = max(0, bound - spec.iv_init)
+        if trip < 2:
+            return None, 1
+        return spec, trip
+
+    def _size_shards(self, spec, trip: int, grant: List[Admission]):
+        """Pair each granted slot with the ``[lo, hi)`` index range it
+        serves.  A grant of one — or a gang whose speed/queue-aware
+        sizing left fewer than two non-empty shares — is the plan of
+        one: ``[(admission, None)]``, the whole target on one server."""
+        if len(grant) >= 2:
+            sizes = self.session.estimator.plan_shard_sizes(trip, grant)
+            shards = []
+            for admission, rng in zip(
+                    grant, contiguous_ranges(spec.iv_init, sizes)):
+                if rng[1] > rng[0]:
+                    shards.append((admission, rng))
+                else:
+                    # a zero share: hand the slot straight back
+                    self._release([admission])
+            if len(shards) >= 2:
+                return shards
+            grant = [admission for admission, _ in shards]
+        return [(grant[0], None)]
+
+    def _protocol(self, target: OffloadTarget, interp: Interpreter,
+                  args: List, record: InvocationRecord, spec, shards):
+        """The admitted protocol body: request → server execution →
+        return → complete, for a plan of any width.
+
+        The plan of one is Figure 5 verbatim (init → offloading
+        execution → finalize): the target itself runs on the admitting
+        server, and the return message carries its dirty pages and the
+        allocator state.  A wider plan runs the compile-time
+        ``__no_shard_`` wrapper once per ``[lo, hi)`` slice.  Its
+        shards share the invocation's read-only pages through the
+        ordinary UVA copy-on-demand machinery and write disjoint index
+        ranges (the shard analysis proves stores are affine in the
+        induction variable), so their dirty deltas merge without
+        conflict at gather time.  The mobile device charges the scatter
+        once, waits through the *slowest surviving* shard (that is the
+        whole speedup) and replays abandoned shards locally.  Shardable
+        targets cannot call, so a wide plan has no remote I/O, no
+        function-pointer window and no allocator state to pull back.
 
         Runs under the admitting tier's network override when one is in
         effect; ``admission.speed`` divides server compute time (a 1.0
@@ -399,7 +420,13 @@ class RemoteBackend(ExecutionBackend):
         opts = session.options
         zero = opts.zero_overhead
         tr = session.tracer
-        speed = admission.speed if admission is not None else 1.0
+        wide = len(shards) > 1
+        admissions = [admission for admission, _ in shards]
+        request_phase, return_phase = (("scatter", "gather") if wide
+                                       else ("init", "finalize"))
+        bytes_s0 = session.comm.stats.bytes_to_server
+        bytes_m0 = session.comm.stats.bytes_to_mobile
+        faults0 = session.uva.stats.cod_faults
 
         # Observable-state snapshot for abort-and-replay: remote I/O
         # mutates the mobile environment mid-execution, so a failed
@@ -415,295 +442,76 @@ class RemoteBackend(ExecutionBackend):
             writeback_pages0 = session.uva.stats.written_back_pages
             writeback_bytes0 = session.uva.stats.written_back_bytes
 
-        # ---- initialization (Figure 5) ----------------------------
-        # One batched message carries the offload request, the page
-        # table, the allocator state and the prefetched pages.
-        session.uva.begin_invocation(target.name)
-        comm_phase0 = session.comm.stats.comm_seconds
-        session.comm.begin_batch(to_server=True)
-        try:
-            init_seconds = session.uva.synchronize_page_table()
-            init_seconds += session.uva.push_allocator_state()
-            if opts.enable_prefetch:
-                init_seconds += session.uva.prefetch(
-                    session._prefetch_pages(target.name, interp.sp))
-            # offload request: target id, stack pointer, argument regs
-            request = 32 + 16 * len(args)
-            init_seconds += session.comm.send_to_server(
-                [b"\x00" * request]).seconds
-            init_seconds += session.comm.flush_batch().seconds
-        except LinkDownError:
-            return self._abort(
-                target, interp, args, record, "init",
-                session.comm.stats.comm_seconds - comm_phase0,
-                "transmit", io_snapshot, admission)
-        if zero:
-            init_seconds = 0.0
-        record.init_seconds = init_seconds
-        if tr.enabled:
-            tr.emit("offload.init", target.name, dur=init_seconds,
-                    prefetch_pages=(session.uva.stats.prefetched_pages
-                                    - prefetch_pages0),
-                    bytes_to_server=(session.comm.stats.bytes_to_server
-                                     - bytes_s0),
-                    args=len(args))
-            tr.metrics.counter("offload.invocations").inc()
-            tr.metrics.histogram("offload.init_seconds").observe(
-                init_seconds)
-        session._advance(init_seconds, "transmit",
-                         session.meter.transmit_power(
-                             0.9, session.network.slow))
-
-        # ---- offloading execution ---------------------------------
-        session.server.memory.clear_dirty()
-        server_interp = Interpreter(
-            session.server, max_instructions=opts.max_instructions)
-        session._current_server_interp = server_interp
-        rio0 = session._rio_pending
-        session._rio_pending = 0.0
-        cod0 = session.uva.stats.cod_seconds
-        comm_phase0 = session.comm.stats.comm_seconds
-        fn = session.server.module.function(target.name)
-        try:
-            result = server_interp.call_function(fn, args)
-        except LinkDownError:
-            # A CoD fault or remote I/O burst hit a dead link while the
-            # server was computing.  The partial server work is real
-            # wall time the mobile device waited through; charge it,
-            # then abort and replay.
-            session._current_server_interp = None
-            session._rio_pending = rio0
-            partial = server_interp.time_seconds
-            if speed != 1.0:
-                partial /= speed
-            record.server_seconds = partial
-            session.server_instructions += server_interp.instruction_count
-            session.server_compute_seconds += partial
-            if not zero:
-                session._advance(partial, "wait")
-            return self._abort(
-                target, interp, args, record, "exec",
-                session.comm.stats.comm_seconds - comm_phase0,
-                "receive", io_snapshot, admission)
-        session._current_server_interp = None
-        cod_seconds = (0.0 if zero
-                       else session.uva.stats.cod_seconds - cod0)
-        rio_seconds = session._rio_pending
-        session._rio_pending = rio0
-        server_seconds = server_interp.time_seconds
-        if speed != 1.0:
-            server_seconds /= speed
-        session.server_instructions += server_interp.instruction_count
-        session.server_compute_seconds += server_seconds
-        record.server_seconds = server_seconds
-        record.cod_seconds = cod_seconds
-        record.remote_io_seconds = rio_seconds
-        if tr.enabled:
-            tr.emit("offload.exec", target.name, dur=server_seconds,
-                    instructions=server_interp.instruction_count,
-                    cod_faults=session.uva.stats.cod_faults - faults0,
-                    cod_seconds=cod_seconds,
-                    remote_io_seconds=rio_seconds)
-            tr.metrics.histogram("offload.server_seconds").observe(
-                server_seconds)
-            fnptr_lookups = session._fnptr_lookups - fnptr_lookups0
-            if fnptr_lookups:
-                tr.emit("fnptr.window", target.name,
-                        lookups=fnptr_lookups,
-                        seconds=session.fnptr_seconds - fnptr_seconds0)
-                tr.metrics.counter("fnptr.lookups").inc(fnptr_lookups)
-        # the mobile waits while the server computes; it receives during
-        # CoD transfers and services remote I/O bursts
-        session._advance(server_seconds, "wait")
-        session._advance(cod_seconds, "receive")
-        session._advance(rio_seconds, "remote_io")
-
-        # ---- finalization -----------------------------------------
-        # One batched, compressed message carries the termination
-        # signal, the return value, the dirty pages and the allocator
-        # state.  Transactional: the dirty pages and allocator state are
-        # staged (defer_commit) and applied only after the whole message
-        # survives the transport — a mid-finalize link death leaves
-        # mobile memory untouched (abort-and-replay invariant,
-        # DESIGN.md §5).
-        comm_phase0 = session.comm.stats.comm_seconds
-        session.comm.begin_batch(to_server=False)
-        try:
-            fin_seconds, _ = session.uva.write_back(defer_commit=True)
-            fin_seconds += session.uva.pull_allocator_state(
-                defer_commit=True)
-            fin_seconds += session.comm.send_to_mobile(
-                [b"\x00" * 64]).seconds
-            fin_seconds += session.comm.flush_batch().seconds
-        except LinkDownError:
-            return self._abort(
-                target, interp, args, record, "finalize",
-                session.comm.stats.comm_seconds - comm_phase0,
-                "receive", io_snapshot, admission)
-        session.uva.commit_finalize()
-        session.uva.end_invocation()
-        if zero:
-            fin_seconds = 0.0
-        record.finalize_seconds = fin_seconds
-        if tr.enabled:
-            tr.emit("offload.finalize", target.name, dur=fin_seconds,
-                    writeback_pages=(session.uva.stats.written_back_pages
-                                     - writeback_pages0),
-                    writeback_bytes=(session.uva.stats.written_back_bytes
-                                     - writeback_bytes0),
-                    bytes_to_server=(session.comm.stats.bytes_to_server
-                                     - bytes_s0),
-                    bytes_to_mobile=(session.comm.stats.bytes_to_mobile
-                                     - bytes_m0))
-            tr.metrics.histogram("offload.finalize_seconds").observe(
-                fin_seconds)
-        session._advance(fin_seconds, "receive")
-
-        record.bytes_to_server = (session.comm.stats.bytes_to_server
-                                  - bytes_s0)
-        record.bytes_to_mobile = (session.comm.stats.bytes_to_mobile
-                                  - bytes_m0)
-        record.cod_faults = session.uva.stats.cod_faults - faults0
-        if session.predictor is not None:
-            if init_seconds > 0:
-                session.predictor.observe_transfer(record.bytes_to_server,
-                                                   init_seconds)
-            if fin_seconds > 0:
-                session.predictor.observe_transfer(record.bytes_to_mobile,
-                                                   fin_seconds)
-        session.invocations.append(record)
-        session.estimator.record_offload_traffic(
-            target.name, record.traffic_bytes)
-        self._release(admission)
-        return result
-
-    # -- scatter/gather plans (docs/parallel-offload.md) ---------------
-    def _plan_shards(self, target: OffloadTarget, args: List):
-        """The ``(spec, trip_count)`` of a scatterable invocation, or
-        None to degrade to the classic single-server path: the target
-        was not proven shardable at compile time, the session did not
-        ask for shards, or the runtime trip count is too small to
-        split."""
-        session = self.session
-        if session.options.shards <= 1:
-            return None
-        spec = session.program.shard_specs.get(target.name)
-        if spec is None:
-            return None
-        trip = spec.static_trip_count()
-        if trip is None:
-            if spec.bound_global is not None:
-                addr = session.mobile.address_of_global(spec.bound_global)
-                bound = int.from_bytes(
-                    session.mobile.memory.read(addr, 4), "little",
-                    signed=True)
-            else:
-                bound = _signed32(int(args[spec.bound_arg]))
-            trip = max(0, bound - spec.iv_init)
-        if trip < 2:
-            return None
-        return spec, trip
-
-    def _plan_protocol(self, target: OffloadTarget, interp: Interpreter,
-                       args: List, record: InvocationRecord,
-                       spec, members, bytes_s0: int, bytes_m0: int,
-                       faults0: int):
-        """One invocation as k index-range shards: scatter, per-shard
-        server execution, straggler replay, gather-and-merge.
-
-        Every shard runs the compile-time ``__no_shard_`` wrapper over
-        its own ``[lo, hi)`` slice of the loop's index range.  The
-        shards of a plan share the invocation's read-only pages through
-        the ordinary UVA copy-on-demand machinery and write disjoint
-        index ranges (the shard analysis proves stores are affine in
-        the induction variable), so their dirty deltas merge without
-        conflict at gather time.  The mobile device charges scatter
-        once, waits through the *slowest surviving* shard (that is the
-        whole speedup), receives every CoD transfer and the gathered
-        deltas, and replays abandoned shards locally on the mobile copy
-        of the wrapper.  Shardable targets cannot call, so there is no
-        remote I/O, no function-pointer window and no allocator state
-        to pull back — the gather carries dirty pages and a termination
-        record only."""
-        session = self.session
-        opts = session.options
-        zero = opts.zero_overhead
-        tr = session.tracer
-        admissions = [m[0] for m in members]
-        ranges = [m[1] for m in members]
-        k = len(members)
-        record.shards = k
-        record.shard_servers = [a.server_id for a in admissions]
-        record.shard_sizes = [hi - lo for lo, hi in ranges]
-
-        io_snapshot = (session.mobile.io.snapshot()
-                       if session._faulty else None)
-        if tr.enabled:
-            prefetch_pages0 = session.uva.stats.prefetched_pages
-
-        # ---- scatter ----------------------------------------------
+        # ---- request phase (Figure 5 initialization) --------------
         # One batched message carries the page table, the allocator
         # state, the prefetched pages and one offload request per
-        # shard (target id, stack pointer, argument registers plus the
-        # shard's [lo, hi) bounds).  The simulated link is a single
-        # medium, so the scatter is broadcast-priced: shards on
-        # different servers still share the one uplink.
+        # shard (target id, stack pointer, argument registers; a wide
+        # plan adds each shard's [lo, hi) bounds).  The simulated link
+        # is a single medium, so a scatter is broadcast-priced: shards
+        # on different servers still share the one uplink.
         session.uva.begin_invocation(target.name)
         comm_phase0 = session.comm.stats.comm_seconds
         session.comm.begin_batch(to_server=True)
         try:
-            scatter_s = session.uva.synchronize_page_table()
-            scatter_s += session.uva.push_allocator_state()
+            request_s = session.uva.synchronize_page_table()
+            request_s += session.uva.push_allocator_state()
             if opts.enable_prefetch:
-                scatter_s += session.uva.prefetch(
+                request_s += session.uva.prefetch(
                     session._prefetch_pages(target.name, interp.sp))
-            request = (32 + 16 * (len(args) + 2)) * k
-            scatter_s += session.comm.send_to_server(
+            request = ((32 + 16 * (len(args) + 2)) * len(shards) if wide
+                       else 32 + 16 * len(args))
+            request_s += session.comm.send_to_server(
                 [b"\x00" * request]).seconds
-            scatter_s += session.comm.flush_batch().seconds
+            request_s += session.comm.flush_batch().seconds
         except LinkDownError:
             return self._abort(
-                target, interp, args, record, "scatter",
+                target, interp, args, record, request_phase,
                 session.comm.stats.comm_seconds - comm_phase0,
                 "transmit", io_snapshot, admissions)
         if zero:
-            scatter_s = 0.0
-        record.init_seconds = scatter_s
+            request_s = 0.0
+        record.init_seconds = request_s
         if tr.enabled:
-            tr.emit("offload.scatter", target.name, dur=scatter_s,
-                    shards=k,
-                    ranges=[list(rng) for rng in ranges],
+            fields = (dict(shards=len(shards),
+                           ranges=[list(rng) for _, rng in shards])
+                      if wide else {})
+            tr.emit("offload." + request_phase, target.name,
+                    dur=request_s, **fields,
                     prefetch_pages=(session.uva.stats.prefetched_pages
                                     - prefetch_pages0),
                     bytes_to_server=(session.comm.stats.bytes_to_server
                                      - bytes_s0),
                     args=len(args))
             tr.metrics.counter("offload.invocations").inc()
-            tr.metrics.counter("offload.plans").inc()
+            if wide:
+                tr.metrics.counter("offload.plans").inc()
             tr.metrics.histogram("offload.init_seconds").observe(
-                scatter_s)
-        session._advance(scatter_s, "transmit",
+                request_s)
+        session._advance(request_s, "transmit",
                          session.meter.transmit_power(
                              0.9, session.network.slow))
 
-        # ---- per-shard server execution ---------------------------
-        # The simulator has one server Machine; shard executions run on
-        # it sequentially and the parallel wall time is reconstructed
-        # analytically below (max over surviving shards).  Each shard's
-        # dirty pages are captured and staged between executions so the
-        # shards never observe each other's writes — exactly the
-        # isolation k independent servers would give.
-        injected = frozenset(opts.shard_faults or ())
-        wrapper_fn = session.server.module.function(spec.wrapper)
+        # ---- server execution -------------------------------------
+        # The simulator has one server Machine; a wide plan's shards
+        # run on it sequentially and the parallel wall time is
+        # reconstructed analytically below (max over surviving shards).
+        # Each shard's dirty pages are captured and staged between
+        # executions so the shards never observe each other's writes —
+        # exactly the isolation k independent servers would give.
+        injected = frozenset(opts.shard_faults or () if wide else ())
+        fn = session.server.module.function(
+            spec.wrapper if wide else target.name)
+        rio0 = session._rio_pending
+        session._rio_pending = 0.0
         comm_phase0 = session.comm.stats.comm_seconds
-        executions: List[Optional[dict]] = []
+        runs: List[Optional[dict]] = []
         server_interp: Optional[Interpreter] = None
-        admission: Optional[Admission] = None
+        result = None
         try:
-            for index, (admission, (lo, hi)) in enumerate(members):
+            for index, (admission, rng) in enumerate(shards):
                 if index in injected:
                     # injected shard fault: this server never answered
-                    executions.append(None)
+                    runs.append(None)
                     server_interp = None
                     continue
                 session.server.memory.clear_dirty()
@@ -713,45 +521,45 @@ class RemoteBackend(ExecutionBackend):
                 session._current_server_interp = server_interp
                 cod_before = session.uva.stats.cod_seconds
                 faults_before = session.uva.stats.cod_faults
-                server_interp.call_function(wrapper_fn,
-                                            list(args) + [lo, hi])
+                result = server_interp.call_function(
+                    fn, list(args) + list(rng) if wide else args)
                 session._current_server_interp = None
                 session.server_instructions += (
                     server_interp.instruction_count)
-                exec_s = server_interp.time_seconds
-                if admission.speed != 1.0:
-                    exec_s /= admission.speed
-                cap_idx, payloads = session.uva.capture_shard_writeback()
-                executions.append({
-                    "exec": exec_s,
+                run = {
+                    "index": index,
+                    "exec": server_interp.time_seconds / admission.speed,
                     "instructions": server_interp.instruction_count,
                     "cod": (0.0 if zero
                             else session.uva.stats.cod_seconds
                             - cod_before),
                     "faults": (session.uva.stats.cod_faults
                                - faults_before),
-                    "capture": cap_idx,
-                    "payloads": payloads,
-                })
+                }
+                if wide:
+                    run["capture"], run["payloads"] = (
+                        session.uva.capture_shard_writeback())
+                runs.append(run)
         except LinkDownError:
-            # A CoD fault hit a dead link mid-shard.  Every shard
-            # executed so far — including the partial one — is real
-            # server work the mobile waited through in parallel: charge
-            # the max as wall time, account the sum as server compute,
-            # and report the overlap so the trace buckets reconcile.
+            # A CoD fault or remote I/O burst hit a dead link while a
+            # server was computing.  Every execution so far — including
+            # the partial one — is real server work the mobile waited
+            # through in parallel: charge the max as wall time, account
+            # the sum as server compute, and report the overlap so the
+            # trace buckets reconcile; then abort and replay.
             session._current_server_interp = None
-            executed = [e["exec"] for e in executions if e]
+            session._rio_pending = rio0
+            executed = [run["exec"] for run in runs if run]
             if server_interp is not None:
-                partial = server_interp.time_seconds
-                if admission is not None and admission.speed != 1.0:
-                    partial /= admission.speed
                 session.server_instructions += (
                     server_interp.instruction_count)
-                executed.append(partial)
+                executed.append(
+                    server_interp.time_seconds / admission.speed)
             total_exec = sum(executed)
             wall = max(executed, default=0.0)
             record.server_seconds = total_exec
-            record.shard_wall_seconds = wall
+            if wide:
+                record.shard_wall_seconds = wall
             session.server_compute_seconds += total_exec
             if not zero:
                 session._advance(wall, "wait")
@@ -760,97 +568,132 @@ class RemoteBackend(ExecutionBackend):
                 session.comm.stats.comm_seconds - comm_phase0,
                 "receive", io_snapshot, admissions,
                 overlap_seconds=max(total_exec - wall, 0.0))
+        rio_seconds = session._rio_pending
+        session._rio_pending = rio0
 
         # ---- straggler decision -----------------------------------
         # A shard is a straggler when its fault was injected or when it
-        # ran longer than straggler_factor x the fastest shard.  Its
-        # captured delta is discarded (never applied, never priced) and
-        # its index range is replayed locally after the merge; a *late*
-        # straggler's server time is wasted work, not wall time.
-        done = [e["exec"] for e in executions if e]
+        # ran longer than straggler_factor x the fastest shard (never
+        # true of a plan of one).  Its captured delta is discarded
+        # (never applied, never priced) and its index range is replayed
+        # locally after the merge; a *late* straggler's server time is
+        # wasted work, not wall time.
+        done = [run["exec"] for run in runs if run]
         fastest = min(done) if done else 0.0
         factor = opts.straggler_factor
-        stragglers = []
-        for index, entry in enumerate(executions):
-            if entry is None:
-                stragglers.append(index)
-            elif factor > 0.0 and entry["exec"] > factor * fastest:
-                stragglers.append(index)
-        straggler_set = frozenset(stragglers)
+        stragglers = [
+            index for index, run in enumerate(runs)
+            if run is None or (factor > 0.0
+                               and run["exec"] > factor * fastest)]
         for index in stragglers:
-            entry = executions[index]
-            if entry is not None:
-                session.uva.discard_shard_writeback(entry["capture"])
-                record.wasted_seconds += entry["exec"]
+            run = runs[index]
+            if run is not None:
+                session.uva.discard_shard_writeback(run["capture"])
+                record.wasted_seconds += run["exec"]
         record.stragglers = len(stragglers)
-        survivors = [i for i in range(k) if i not in straggler_set]
+        survivors = [run for run in runs
+                     if run and run["index"] not in stragglers]
 
         # ---- survivors become the invocation's server compute -----
         wall_wait = 0.0
         server_total = 0.0
         cod_total = 0.0
-        for index in survivors:
-            entry = executions[index]
-            wall_wait = max(wall_wait, entry["exec"])
-            server_total += entry["exec"]
-        for entry in executions:
-            if entry is not None:
-                cod_total += entry["cod"]
+        for run in survivors:
+            wall_wait = max(wall_wait, run["exec"])
+            server_total += run["exec"]
+        for run in runs:
+            if run is not None:
+                cod_total += run["cod"]
         overlap = max(server_total - wall_wait, 0.0)
         session.server_compute_seconds += server_total
         record.server_seconds = server_total
         record.cod_seconds = cod_total
-        record.shard_wall_seconds = wall_wait
+        record.remote_io_seconds = rio_seconds
+        if wide:
+            record.shard_wall_seconds = wall_wait
         if tr.enabled:
-            for index in survivors:
-                entry = executions[index]
-                lo, hi = ranges[index]
-                tr.emit("offload.exec", target.name, dur=entry["exec"],
-                        shard=index, lo=lo, hi=hi,
-                        server=admissions[index].server_id,
-                        instructions=entry["instructions"],
-                        cod_faults=entry["faults"],
-                        cod_seconds=entry["cod"])
+            for run in survivors:
+                fields = dict(instructions=run["instructions"],
+                              cod_faults=run["faults"],
+                              cod_seconds=run["cod"])
+                if wide:
+                    index = run["index"]
+                    lo, hi = shards[index][1]
+                    fields = dict(shard=index, lo=lo, hi=hi,
+                                  server=admissions[index].server_id,
+                                  **fields)
+                else:
+                    fields["remote_io_seconds"] = rio_seconds
+                tr.emit("offload.exec", target.name, dur=run["exec"],
+                        **fields)
                 tr.metrics.histogram("offload.server_seconds").observe(
-                    entry["exec"])
+                    run["exec"])
+            fnptr_lookups = session._fnptr_lookups - fnptr_lookups0
+            if fnptr_lookups:
+                tr.emit("fnptr.window", target.name,
+                        lookups=fnptr_lookups,
+                        seconds=session.fnptr_seconds - fnptr_seconds0)
+                tr.metrics.counter("fnptr.lookups").inc(fnptr_lookups)
 
-        # ---- gather ----------------------------------------------
-        # One batched, compressed message per the finalize discipline:
-        # every surviving shard's staged dirty delta plus a single
-        # termination record.  Transactional exactly as finalize is —
-        # a mid-gather link death leaves mobile memory untouched and
-        # the whole target replays locally (DESIGN.md §5).
+        def charge_waits() -> None:
+            # the mobile waits while the servers compute (through the
+            # slowest surviving shard of a wide plan); it receives
+            # during CoD transfers and services remote I/O bursts
+            session._advance(wall_wait, "wait")
+            session._advance(cod_total, "receive")
+            session._advance(rio_seconds, "remote_io")
+
+        # The plan of one charges its waits before the return message;
+        # a wide plan after its gather — the order each path's trace
+        # timestamps were pinned with, kept byte for byte.
+        if not wide:
+            charge_waits()
+
+        # ---- return phase (Figure 5 finalization) -----------------
+        # One batched, compressed message carries the dirty pages (a
+        # wide plan: every surviving shard's staged delta), the
+        # allocator state (plan of one only) and a termination record
+        # with the return value.  Transactional: everything is staged
+        # (defer_commit / shard captures) and applied only after the
+        # whole message survives the transport — a mid-return link
+        # death leaves mobile memory untouched and the whole target
+        # replays locally (abort-and-replay invariant, DESIGN.md §5).
         comm_phase0 = session.comm.stats.comm_seconds
         session.comm.begin_batch(to_server=False)
-        gather_s = 0.0
         try:
-            for index in survivors:
-                entry = executions[index]
-                if entry["payloads"]:
-                    gather_s += session.comm.send_to_mobile(
-                        entry["payloads"]).seconds
-            gather_s += session.comm.send_to_mobile(
+            if wide:
+                return_s = 0.0
+                for run in survivors:
+                    if run["payloads"]:
+                        return_s += session.comm.send_to_mobile(
+                            run["payloads"]).seconds
+            else:
+                return_s, _ = session.uva.write_back(defer_commit=True)
+                return_s += session.uva.pull_allocator_state(
+                    defer_commit=True)
+            return_s += session.comm.send_to_mobile(
                 [b"\x00" * 64]).seconds
-            gather_s += session.comm.flush_batch().seconds
+            return_s += session.comm.flush_batch().seconds
         except LinkDownError:
-            # the parallel wait already happened before the gather
-            if not zero:
-                session._advance(wall_wait, "wait")
-                session._advance(cod_total, "receive")
+            if wide and not zero:
+                charge_waits()   # the parallel wait already happened
+            # A wide plan's offload.exec events already carry its
+            # compute, so its abort reports none.
             return self._abort(
-                target, interp, args, record, "gather",
+                target, interp, args, record, return_phase,
                 session.comm.stats.comm_seconds - comm_phase0,
                 "receive", io_snapshot, admissions,
-                abort_server_seconds=0.0, overlap_seconds=overlap)
-        session.uva.stats.writeback_seconds += gather_s
+                abort_server_seconds=0.0 if wide else None,
+                overlap_seconds=overlap)
+        if wide:
+            # write_back() books this itself on the plan of one
+            session.uva.stats.writeback_seconds += return_s
         if zero:
-            gather_s = 0.0
-        record.finalize_seconds = gather_s
-        # the mobile waits through the slowest surviving shard, then
-        # receives every CoD transfer and the gathered deltas
-        session._advance(wall_wait, "wait")
-        session._advance(cod_total, "receive")
-        session._advance(gather_s, "receive")
+            return_s = 0.0
+        record.finalize_seconds = return_s
+        if wide:
+            charge_waits()
+            session._advance(return_s, "receive")
         session.uva.commit_finalize()
         session.uva.end_invocation()
 
@@ -861,60 +704,69 @@ class RemoteBackend(ExecutionBackend):
         # writes the same elements a healthy shard would have, which
         # also re-dirties those pages mobile-side — the next
         # synchronization invalidates any stale server copy.
-        replay_total = 0.0
-        if stragglers:
-            mobile_wrapper = session.mobile.module.function(spec.wrapper)
-            for index in stragglers:
-                lo, hi = ranges[index]
-                sub = Interpreter(
-                    session.mobile, observer=interp.observer,
-                    max_instructions=opts.max_instructions)
-                sub.sp = interp.sp
-                sub.call_function(mobile_wrapper, list(args) + [lo, hi])
-                interp.charge_raw_cycles(sub.cycles)
-                session._replay_instructions += sub.instruction_count
-                replay_total += sub.time_seconds
-                if tr.enabled:
-                    tr.emit("offload.straggler", target.name,
-                            dur=sub.time_seconds,
-                            seconds=sub.time_seconds,
-                            shard=index, lo=lo, hi=hi,
-                            reason=("fault" if index in injected
-                                    else "late"),
-                            instructions=sub.instruction_count)
-                    tr.metrics.counter("offload.stragglers").inc()
-            record.local_seconds = replay_total
+        for index in stragglers:
+            lo, hi = shards[index][1]
+            sub, _ = session.local_backend.replay(
+                spec.wrapper, interp, list(args) + [lo, hi])
+            record.local_seconds += sub.time_seconds
+            if tr.enabled:
+                tr.emit("offload.straggler", target.name,
+                        dur=sub.time_seconds,
+                        seconds=sub.time_seconds,
+                        shard=index, lo=lo, hi=hi,
+                        reason=("fault" if index in injected
+                                else "late"),
+                        instructions=sub.instruction_count)
+                tr.metrics.counter("offload.stragglers").inc()
 
-        # offload.gather closes the invocation span; overlap_seconds
-        # is what the parallel wait saved versus serial execution and
-        # is what lets the critical-path buckets sum to charged wall.
+        # The return event closes the invocation span.  A gather's
+        # overlap_seconds is what the parallel wait saved versus serial
+        # execution and is what lets the critical-path buckets sum to
+        # charged wall.
         if tr.enabled:
-            tr.emit("offload.gather", target.name, dur=gather_s,
-                    shards=k, survivors=len(survivors),
-                    stragglers=len(stragglers),
-                    overlap_seconds=overlap,
-                    bytes_to_mobile=(session.comm.stats.bytes_to_mobile
-                                     - bytes_m0))
+            bytes_to_mobile = (session.comm.stats.bytes_to_mobile
+                               - bytes_m0)
+            if wide:
+                tr.emit("offload.gather", target.name, dur=return_s,
+                        shards=len(shards), survivors=len(survivors),
+                        stragglers=len(stragglers),
+                        overlap_seconds=overlap,
+                        bytes_to_mobile=bytes_to_mobile)
+            else:
+                tr.emit("offload.finalize", target.name, dur=return_s,
+                        writeback_pages=(
+                            session.uva.stats.written_back_pages
+                            - writeback_pages0),
+                        writeback_bytes=(
+                            session.uva.stats.written_back_bytes
+                            - writeback_bytes0),
+                        bytes_to_server=(
+                            session.comm.stats.bytes_to_server
+                            - bytes_s0),
+                        bytes_to_mobile=bytes_to_mobile)
             tr.metrics.histogram("offload.finalize_seconds").observe(
-                gather_s)
+                return_s)
+        if not wide:
+            session._advance(return_s, "receive")
 
+        # ---- complete ---------------------------------------------
         record.bytes_to_server = (session.comm.stats.bytes_to_server
                                   - bytes_s0)
         record.bytes_to_mobile = (session.comm.stats.bytes_to_mobile
                                   - bytes_m0)
         record.cod_faults = session.uva.stats.cod_faults - faults0
         if session.predictor is not None:
-            if scatter_s > 0:
+            if request_s > 0:
                 session.predictor.observe_transfer(record.bytes_to_server,
-                                                   scatter_s)
-            if gather_s > 0:
+                                                   request_s)
+            if return_s > 0:
                 session.predictor.observe_transfer(record.bytes_to_mobile,
-                                                   gather_s)
+                                                   return_s)
         session.invocations.append(record)
         session.estimator.record_offload_traffic(
             target.name, record.traffic_bytes)
         self._release(admissions)
-        return spec.ret_const
+        return spec.ret_const if wide else result
 
     # -- admission refused: degrade to local execution ----------------
     def _rejected(self, target: OffloadTarget, interp: Interpreter,
@@ -957,7 +809,7 @@ class RemoteBackend(ExecutionBackend):
                args: List, record: InvocationRecord, phase: str,
                wasted_seconds: float, power_state: str,
                io_snapshot: Optional[dict],
-               admission,
+               admissions: List[Admission],
                abort_server_seconds: Optional[float] = None,
                overlap_seconds: float = 0.0):
         """The transport declared the link dead mid-invocation: discard
@@ -981,7 +833,7 @@ class RemoteBackend(ExecutionBackend):
                         if power_state == "transmit" else None)
             session._advance(wasted_seconds, power_state, power_mw)
         session.estimator.record_offload_failure(target.name)
-        self._release(admission)
+        self._release(admissions)
         tr = session.tracer
         if tr.enabled:
             # server_seconds: partial server execution a mid-exec abort
@@ -1007,20 +859,15 @@ class RemoteBackend(ExecutionBackend):
         session.invocations.append(record)
         return session.local_backend.execute(target, interp, args, record)
 
-    def _release(self, admission) -> None:
-        """Hand the server slot(s) back and feed the observed queueing
-        delay into the estimator (the contention feedback loop of
-        docs/fleet.md).  Accepts a single :class:`Admission`, a gang
-        (list of admissions — a plan releases every member at the same
-        session-local instant), or None."""
-        if admission is None or self.dispatcher is None:
-            return
+    def _release(self, admissions: List[Admission]) -> None:
+        """Hand the granted slots back — a plan releases every member
+        at the same session-local instant — and feed the observed
+        queueing delay into the estimator (the contention feedback loop
+        of docs/fleet.md)."""
         session = self.session
-        members = (admission if isinstance(admission, list)
-                   else [admission])
         now_s = session.now()
-        for member in members:
-            self.dispatcher.release(member, now_s)
+        for admission in admissions:
+            self.dispatcher.release(admission, now_s)
             session.estimator.record_queue_delay(
-                member.server_id, member.queue_seconds,
-                speed=member.speed)
+                admission.server_id, admission.queue_seconds,
+                speed=admission.speed)

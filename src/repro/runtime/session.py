@@ -84,11 +84,11 @@ class SessionOptions:
     # Transport retry/backoff/reconnect budget; None uses the defaults.
     retry_policy: Optional[RetryPolicy] = None
     # Fleet wiring (docs/fleet.md).  `dispatcher` is where the remote
-    # backend asks for a server before each invocation — None (the
-    # default) is the paper's dedicated server and performs no admission
-    # work at all; a fleet scheduler substitutes a pooled dispatcher so
-    # admission can queue or refuse.  `session_id` tags every trace
-    # event so one merged timeline can cover a whole fleet.
+    # backend asks for servers before each invocation — None (the
+    # default) is the paper's dedicated server, whose grants are
+    # immediate and free; a fleet scheduler substitutes a pooled
+    # dispatcher so admission can queue or refuse.  `session_id` tags
+    # every trace event so one merged timeline can cover a whole fleet.
     dispatcher: Optional[OffloadDispatcher] = None
     session_id: Optional[str] = None
     # Scatter/gather parallel offload (docs/parallel-offload.md).
@@ -309,8 +309,7 @@ class OffloadSession:
         # backend owns the offload protocol over the stack wired above;
         # the local backend is the degradation path (aborts, pool
         # rejections).  A fleet scheduler passes a pooled dispatcher
-        # through SessionOptions; None keeps the dedicated-server path
-        # bit-identical to the pre-seam session.
+        # through SessionOptions; None is the dedicated server.
         self.local_backend = LocalBackend(self)
         self.remote_backend = RemoteBackend(self, dispatcher=opts.dispatcher)
 

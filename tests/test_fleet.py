@@ -1,5 +1,5 @@
 """Fleet-scale runtime tests: the ExecutionBackend seam, the server
-pool, the lockstep scheduler, the estimator's contention term, and the
+pool, the fleet scheduler, the estimator's contention term, and the
 seed fan-out (docs/fleet.md)."""
 
 from __future__ import annotations
@@ -76,19 +76,40 @@ def _run_fleet(program, devices=1, offsets=None, pool_options=None,
     return FleetScheduler(specs, pool).run()
 
 
+# The configurations several tests look at are interpreted once per
+# module: every run below is deterministic and the tests only read it.
+@pytest.fixture(scope="module")
+def solo_traced(fleet_program):
+    """The plain traced single-session run."""
+    _, program, _ = fleet_program
+    return OffloadSession(program, FAST_WIFI,
+                          options=SessionOptions(enable_tracing=True),
+                          stdin=STDIN).run()
+
+
+@pytest.fixture(scope="module")
+def fleet_of_one(fleet_program):
+    """The traced 1-device/1-server fleet."""
+    _, program, _ = fleet_program
+    return _run_fleet(program, devices=1)
+
+
+@pytest.fixture(scope="module")
+def alone_untraced(fleet_program):
+    """The untraced 1-device baseline contended devices compare with."""
+    _, program, _ = fleet_program
+    return _run_fleet(program, devices=1, tracing=False)
+
+
 class TestBackendSeamDifferential:
     """A 1-device/1-server fleet must be bit-identical to the plain
     single-session path (ISSUE 4 acceptance criterion)."""
 
-    def test_fleet_of_one_is_bit_identical(self, fleet_program):
-        _, program, local = fleet_program
-        session = OffloadSession(program, FAST_WIFI,
-                                 options=SessionOptions(
-                                     enable_tracing=True),
-                                 stdin=STDIN)
-        solo = session.run()
-        fleet = _run_fleet(program, devices=1)
-        dev = fleet.devices[0].result
+    def test_fleet_of_one_is_bit_identical(self, fleet_program,
+                                           solo_traced, fleet_of_one):
+        _, _, local = fleet_program
+        solo = solo_traced
+        dev = fleet_of_one.devices[0].result
 
         assert dev.stdout == solo.stdout == local.stdout
         assert dev.exit_code == solo.exit_code
@@ -100,16 +121,10 @@ class TestBackendSeamDifferential:
         assert dev.offloaded_invocations == solo.offloaded_invocations
         assert dev.breakdown() == solo.breakdown()
 
-    def test_trace_stream_identical_modulo_sid(self, fleet_program):
-        _, program, _ = fleet_program
-        session = OffloadSession(program, FAST_WIFI,
-                                 options=SessionOptions(
-                                     enable_tracing=True),
-                                 stdin=STDIN)
-        solo = session.run()
-        fleet = _run_fleet(program, devices=1)
-        solo_events = solo.trace.events()
-        fleet_events = fleet.devices[0].result.trace.events()
+    def test_trace_stream_identical_modulo_sid(self, solo_traced,
+                                               fleet_of_one):
+        solo_events = solo_traced.trace.events()
+        fleet_events = fleet_of_one.devices[0].result.trace.events()
         assert len(solo_events) == len(fleet_events)
         for a, b in zip(solo_events, fleet_events):
             assert (a.t, a.seq, a.category, a.name, a.dur, a.payload) == \
@@ -118,8 +133,8 @@ class TestBackendSeamDifferential:
         assert all(e.sid == "dev00" for e in fleet_events)
 
     def test_direct_dispatcher_is_also_identical(self, fleet_program):
-        """The explicit dedicated-server dispatcher adds no arithmetic
-        either — admission with zero wait changes nothing."""
+        """``dispatcher=None`` resolves to the dedicated-server
+        dispatcher; passing one explicitly is the same session."""
         _, program, _ = fleet_program
         plain = OffloadSession(program, FAST_WIFI, stdin=STDIN).run()
         direct = OffloadSession(
@@ -245,12 +260,12 @@ class TestContention:
         assert (big.summary()["decline_rate"]
                 > small.summary()["decline_rate"])
 
-    def test_queue_seconds_charged_to_device_timeline(self, fleet_program):
+    def test_queue_seconds_charged_to_device_timeline(self, fleet_program,
+                                                      alone_untraced):
         """Queueing delay lands on the device clock and battery exactly
         like link time: a queued device finishes later and spends more
         energy than the same device alone."""
         _, program, _ = fleet_program
-        alone = _run_fleet(program, devices=1, tracing=False)
         contended = _run_fleet(
             program, devices=4,
             pool_options=PoolOptions(servers=1, capacity=1),
@@ -258,7 +273,7 @@ class TestContention:
         queued = [d for d in contended.devices
                   if d.result.queue_seconds > 0.0]
         assert queued, "burst arrivals must queue somewhere"
-        baseline = alone.devices[0].result
+        baseline = alone_untraced.devices[0].result
         for device in queued:
             r = device.result
             assert r.total_seconds > baseline.total_seconds

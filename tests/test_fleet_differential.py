@@ -1,8 +1,8 @@
 """Differential and event-ordering tests for the event-driven fleet
-core (docs/fleet.md, "Lockstep vs event-driven").
+core (docs/fleet.md, "Reference engine").
 
 The event-driven :class:`~repro.fleet.scheduler.FleetScheduler` must be
-byte-identical to the retained :class:`~repro.fleet.lockstep.
+byte-identical to the test-only reference :class:`~repro.fleet.lockstep.
 LockstepFleetScheduler` — same merged trace, same FleetResult, same
 summary JSON — for the same seed.  This file holds the two engines to
 that contract on fleets of 1, 2 and 8 devices (the ISSUE 6 acceptance
@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 
 import pytest
 
@@ -26,9 +25,10 @@ from repro.profiler import profile_module
 from repro.runtime import FAST_WIFI, FaultPlan, SessionOptions
 from repro.fleet import (ADMISSION_REQUEST, COMPLETION, DeviceSpec,
                          DeviceState, EventQueue, FleetScheduler,
-                         LockstepFleetScheduler, PoolOptions, SeedFanout,
-                         ServerPool, arrival_offsets, make_scheduler)
+                         PoolOptions, SeedFanout, ServerPool,
+                         arrival_offsets)
 from repro.fleet.events import TRANSITIONS
+from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.replay import run_segment
 from repro.fleet.scheduler import _DeviceProcess
 from repro.trace.export import events_to_jsonl
@@ -145,16 +145,6 @@ class TestDifferential:
                                 arrival="uniform")
         assert _fingerprint(event) == _fingerprint(lockstep)
 
-    def test_make_scheduler_selects_engine(self, program):
-        specs = _specs(program, 1)
-        assert isinstance(make_scheduler(specs, _pool()),
-                          FleetScheduler)
-        assert isinstance(make_scheduler(specs, _pool(),
-                                         engine="lockstep"),
-                          LockstepFleetScheduler)
-        with pytest.raises(ValueError, match="unknown scheduler engine"):
-            make_scheduler(specs, _pool(), engine="threads")
-
 
 class TestEngineByteIdentity:
     """Explicit ``engine="fifo"`` on a homogeneous pool is byte-identical
@@ -184,23 +174,6 @@ class TestEngineByteIdentity:
                                           fifo_pool()).run()
         assert _fingerprint(default) == _fingerprint(explicit)
         assert _fingerprint(explicit) == _fingerprint(lockstep)
-
-
-class TestLockstepDeprecation:
-    """Selecting the lockstep engine warns exactly once per process
-    (ISSUE 7 satellite)."""
-
-    def test_warning_fires_exactly_once(self, program, monkeypatch):
-        from repro.fleet import scheduler as scheduler_module
-        monkeypatch.setattr(scheduler_module, "_LOCKSTEP_WARNED", False)
-        specs = _specs(program, 1)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            make_scheduler(specs, _pool(), engine="lockstep")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_scheduler(specs, _pool(), engine="lockstep")
-        assert [w for w in caught
-                if issubclass(w.category, DeprecationWarning)] == []
 
 
 class TestEventOrdering:

@@ -21,24 +21,28 @@ The load-bearing guarantees, in test form:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
-from repro.fleet import (DeviceSpec, PoolOptions, ServerPool, ServerSpec,
-                         behavior_key, make_scheduler)
+from repro.__main__ import PARALLEL_MICRO_WORKLOAD, _workload_program
+from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
+                         ServerPool, ServerSpec, behavior_key)
+from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.pool import Rejection
-from repro.fleet.replay import (GangProjection, OutcomeProjection,
-                                ScriptedDispatcher)
+from repro.fleet.replay import OutcomeProjection, ScriptedDispatcher
 from repro.frontend import compile_c
 from repro.offload import CompilerOptions, NativeOffloaderCompiler
 from repro.offload.shard import contiguous_ranges
 from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, NETWORKS, SessionOptions, run_local
+from repro.runtime import (FAST_WIFI, NETWORKS, FaultPlan, SessionOptions,
+                           run_local)
 from repro.runtime.backend import Admission
 from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
 from repro.trace import write_jsonl
+from repro.trace.export import events_to_jsonl
 from repro.trace.analysis import reconstruct_sessions, validate_sessions
 from repro.trace.analysis.critical_path import attribute_session
 
@@ -316,11 +320,10 @@ class TestScriptedReleasePairing:
     server's slot."""
 
     def test_gang_release_times_come_back_in_grant_order(self):
-        gang = GangProjection.of([Admission(server_id=0),
-                                  Admission(server_id=1),
-                                  Admission(server_id=2)])
+        gang = tuple(OutcomeProjection.of(Admission(server_id=i))
+                     for i in range(3))
         dispatcher = ScriptedDispatcher((gang,))
-        members = dispatcher.admit_gang("smooth", 0.0, 3)
+        members = dispatcher.admit("smooth", 0.0, 3)
         # zero-share middle member releases early, the rest at plan end
         dispatcher.release(members[1], 0.25)
         dispatcher.release(members[0], 9.0)
@@ -328,18 +331,17 @@ class TestScriptedReleasePairing:
         assert dispatcher.last_release_ts == (9.0, 0.25, 9.0)
 
     def test_single_grant_release(self):
-        script = (OutcomeProjection(admitted=True, server_id=3),)
+        script = ((OutcomeProjection(admitted=True, server_id=3),),)
         dispatcher = ScriptedDispatcher(script)
-        admission = dispatcher.admit("smooth", 0.0)
+        [admission] = dispatcher.admit("smooth", 0.0)
         dispatcher.release(admission, 4.0)
-        assert dispatcher.last_release_t == 4.0
         assert dispatcher.last_release_ts == (4.0,)
 
     def test_unreleased_admission_raises(self):
-        gang = GangProjection.of([Admission(server_id=0),
-                                  Admission(server_id=1)])
+        gang = tuple(OutcomeProjection.of(Admission(server_id=i))
+                     for i in range(2))
         dispatcher = ScriptedDispatcher((gang,))
-        members = dispatcher.admit_gang("smooth", 0.0, 2)
+        members = dispatcher.admit("smooth", 0.0, 2)
         dispatcher.release(members[0], 1.0)
         with pytest.raises(RuntimeError, match="unreleased"):
             dispatcher.last_release_ts
@@ -470,7 +472,7 @@ class TestFleetGangs:
                             start_offset_s=i * 0.001,
                             options=SessionOptions(shards=shards))
                  for i in range(devices)]
-        return make_scheduler(specs, pool).run()
+        return FleetScheduler(specs, pool).run()
 
     def test_event_scheduler_runs_gangs(self, compiled):
         program, local = compiled
@@ -502,7 +504,7 @@ class TestFleetGangs:
         specs = [DeviceSpec(device_id="d0", program=program,
                             network=FAST_WIFI, stdin=b"2\n",
                             options=SessionOptions(shards=2))]
-        result = make_scheduler(specs, pool).run()
+        result = FleetScheduler(specs, pool).run()
         assert result.devices[0].result.stdout == local.stdout
         detail = result.summary()["servers_detail"]
         assert sum(r["shard_admissions"] for r in detail) == 2
@@ -513,7 +515,65 @@ class TestFleetGangs:
                             network=FAST_WIFI, stdin=b"600\n",
                             options=SessionOptions(shards=2))]
         with pytest.raises(ValueError, match="lockstep"):
-            make_scheduler(specs, ServerPool(), engine="lockstep")
+            LockstepFleetScheduler(specs, ServerPool())
+
+
+class TestPlanGoldens:
+    """The plan path is the one the lockstep reference cannot run, so
+    it is pinned by fingerprints instead: sha256 of the summary JSON
+    plus the merged trace JSONL of ``parallel-micro`` fleets, captured
+    at the last commit that carried a separate plan protocol body
+    (29be705).  A digest moves only if a simulated number or a trace
+    byte moves."""
+
+    GOLDENS = {
+        "k2": (SessionOptions(shards=2),
+               "6b6f7ef3bcea4db14219fd96083eea20"
+               "7c3286d8e8ea4414dddd4d1365a86c19"),
+        "k4": (SessionOptions(shards=4),
+               "6834c14e774e940a767711e67615372b"
+               "5f242265d198b0f878b7f0d3420342ff"),
+        "k4-shard-fault": (
+            SessionOptions(shards=4, shard_faults=(1,)),
+            "c8b8436b033072a1f4448a530ff58b42"
+            "960a51809f4bc67678292775d589a656"),
+        # No prefetch, so every page is a copy-on-demand message: the
+        # ninth one finds the link dead after device 0's first shard
+        # finished (a plan abort with overlap) and in the middle of
+        # device 1's degraded single-server execution.
+        "k4-link-abort-mid-exec": (
+            SessionOptions(shards=4, enable_prefetch=False,
+                           fault_plan=FaultPlan(
+                               seed=5, disconnect_after_messages=9)),
+            "5c004dbfb7b8cc48dee5b2c068e621cd"
+            "d98050363ae352177d92589af23428cd"),
+    }
+
+    @pytest.fixture(scope="class")
+    def micro(self):
+        _, _, stdin, _, program = _workload_program(
+            PARALLEL_MICRO_WORKLOAD)
+        return program, stdin
+
+    @pytest.mark.parametrize("case", list(GOLDENS))
+    def test_fleet_fingerprint(self, micro, case):
+        program, stdin = micro
+        options, golden = self.GOLDENS[case]
+        specs = [DeviceSpec(device_id=f"dev{i:02d}", program=program,
+                            network=FAST_WIFI, stdin=stdin,
+                            start_offset_s=i * 0.001,
+                            options=dataclasses.replace(
+                                options, enable_tracing=True))
+                 for i in range(2)]
+        result = FleetScheduler(
+            specs, ServerPool(PoolOptions(servers=4, capacity=1))).run()
+        if options.fault_plan is not None:
+            aborted = [(r.abort_phase, r.shards) for d in result.devices
+                       for r in d.result.invocations if r.aborted]
+            assert aborted == [("exec", 4), ("exec", 1)]
+        text = (json.dumps(result.summary(), sort_keys=False)
+                + events_to_jsonl(result.merged_events()))
+        assert hashlib.sha256(text.encode()).hexdigest() == golden
 
 
 class TestPlanTraces:

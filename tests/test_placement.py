@@ -16,7 +16,7 @@ from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
 from repro.fleet import (Autoscaler, AutoscalerOptions, Candidate,
                          DeviceSpec, FleetScheduler, PoolOptions,
                          ServerPool, ServerSpec, ServerStats,
-                         behavior_key, make_engine, make_scheduler)
+                         behavior_key, make_engine)
 from repro.fleet.engines import (BestFitEngine, DeadlineAwareEngine,
                                  DecisionEngine, FifoEngine,
                                  WorstFitEngine)
@@ -449,11 +449,6 @@ class TestAutoscaler:
         summary = scaler.summary()
         assert summary["scale_ups"] == 1
         assert summary["scale_downs"] == 1
-
-    def test_lockstep_refuses_an_autoscaler(self, program):
-        with pytest.raises(ValueError, match="lockstep"):
-            make_scheduler([_spec(program)], ServerPool(PoolOptions()),
-                           engine="lockstep", autoscaler=Autoscaler())
 
     def test_autoscaled_burst_fleet_grows_the_pool(self, program):
         # Six devices arriving at once against one single-slot server:

@@ -99,6 +99,27 @@ class TestCLI:
         from repro.__main__ import main
         assert main(["run", "chess", "--network", "carrier-pigeon"]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "fleet --servers 0 --devices 2",
+        "fleet --devices 2 --capacity 0",
+        "fleet --devices 2 --cloud-servers 1 --cloud-speed 0",
+        "fleet --devices 2 --autoscale --autoscale-max 0",
+        "fleet --devices 2 --spacing -1",
+        "fleet --devices -3",
+        "run nosuch",
+        "fleet --devices 2 --workload nosuch",
+    ])
+    def test_bad_value_is_a_one_line_error(self, line, capsys):
+        """A bad flag value exits 2 with one ``repro: error:`` line —
+        never a traceback, never a silently empty simulation."""
+        from repro.__main__ import main
+        assert main(line.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_table_2_and_5(self, capsys):
         from repro.__main__ import main
         assert main(["table", "2"]) == 0
