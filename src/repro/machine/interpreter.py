@@ -9,11 +9,22 @@ server profile — the gap the paper's Table 1 measures.
 The interpreter also charges and counts the two memory-unification
 overheads the paper discusses: address-size conversion (negligible) and
 endianness translation (zero on the default little/little pair).
+
+A function is *decoded* the first time an interpreter calls it: every
+instruction becomes one closure with everything that is constant for the
+(function, machine) pair already bound, and a call runs those closures
+over a list-shaped frame (docs/architecture.md, "Interpreter: decode once,
+then run closures").
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+import struct
 import sys
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir import instructions as inst
@@ -21,7 +32,7 @@ from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, UndefValue, Value)
 from .machine import Machine, STACK_SIZE
-from .values import decode_scalar, encode_scalar, scalar_size, to_signed, to_unsigned
+from .values import scalar_size, to_signed, to_unsigned
 
 
 class InterpreterError(Exception):
@@ -80,6 +91,9 @@ class Observer:
 
 
 _DIV_OPS = {"sdiv", "udiv", "srem", "urem", "fdiv", "frem"}
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# What a frame slot holds until the instruction that defines it has run.
+_UNDEFINED = object()
 
 
 class Interpreter:
@@ -98,7 +112,6 @@ class Interpreter:
         self.sp = machine.stack_top
         self.instruction_count = 0
         self.cycles = 0.0
-        self.cycles_by_class: Dict[str, float] = {}
         self.call_depth = 0
         # Deep guest recursion needs several Python frames per guest
         # frame; lift the interpreter limit so the *simulated* stack (or
@@ -109,42 +122,19 @@ class Interpreter:
         self._scale = CYCLE_TIME_SCALE
         self._cycle_table = {k: v * self._scale
                              for k, v in machine.arch.cycles.items()}
-        # Per-instruction execution plans (layout-dependent constants are
-        # resolved once; the data layout is fixed for an interpreter's
-        # lifetime).
-        self._access_plans: Dict[int, tuple] = {}
-        self._gep_plans: Dict[int, list] = {}
-        # Precomputed opcode dispatch for every straight-line opcode:
-        # one dict lookup + bound-method call per instruction instead of
-        # walking an if/elif chain.  Control flow (br/condbr/switch/ret)
-        # stays inline in _run_blocks because it owes the loop a
-        # next-block / return-value answer.
-        self._dispatch: Dict[str, Callable] = {
-            "binop": self._do_binop,
-            "cmp": self._do_cmp,
-            "load": self._do_load,
-            "store": self._exec_store,
-            "gep": self._do_gep,
-            "cast": self._do_cast,
-            "call": self._do_call,
-            "alloca": self._do_alloca,
-            "select": self._do_select,
-            "asm": self._do_asm,
-            "syscall": self._do_syscall,
-        }
+        # Function -> (decoded blocks, frame size), filled on first call.
+        # Layout, addresses and observer are fixed for an interpreter's
+        # lifetime, so a decoded function never goes stale.
+        self._decoded: Dict[Function, tuple] = {}
 
     # -- accounting -----------------------------------------------------
+    # ``cycles`` is a running sum of non-dyadic floats: one add per charge,
+    # in program order, or every simulated number moves.
     def charge(self, inst_class: str, count: float = 1.0) -> None:
-        amount = self._cycle_table[inst_class] * count
-        self.cycles += amount
-        self.cycles_by_class[inst_class] = (
-            self.cycles_by_class.get(inst_class, 0.0) + amount)
+        self.cycles += self._cycle_table[inst_class] * count
 
     def charge_cycles(self, cycles: float, inst_class: str = "alu") -> None:
-        scaled = cycles * self._scale
-        self.cycles += scaled
-        self.cycles_by_class[inst_class] = (
-            self.cycles_by_class.get(inst_class, 0.0) + scaled)
+        self.cycles += cycles * self._scale
 
     def charge_raw_cycles(self, cycles: float,
                           inst_class: str = "alu") -> None:
@@ -152,8 +142,6 @@ class Interpreter:
         real machine-cycle figure (e.g. a hash-table lookup), not an
         IR-operation bundle."""
         self.cycles += cycles
-        self.cycles_by_class[inst_class] = (
-            self.cycles_by_class.get(inst_class, 0.0) + cycles)
 
     @property
     def time_seconds(self) -> float:
@@ -191,11 +179,8 @@ class Interpreter:
             self.observer.enter_function(fn, self.cycles)
         saved_sp = self.sp
         self.call_depth += 1
-        frame: Dict[int, object] = {}
-        for arg, value in zip(fn.args, args):
-            frame[id(arg)] = value
         try:
-            result = self._run_blocks(fn, frame)
+            result = self._run(fn, args)
         finally:
             self.call_depth -= 1
             self.sp = saved_sp
@@ -211,420 +196,480 @@ class Interpreter:
         self.charge("call")
         return builtin(self, args)
 
-    # -- the dispatch loop ------------------------------------------------
-    def _do_binop(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_binop(instruction, frame)
-
-    def _do_cmp(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_cmp(instruction, frame)
-
-    def _do_load(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_load(instruction, frame)
-
-    def _do_gep(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_gep(instruction, frame)
-
-    def _do_cast(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_cast(instruction, frame)
-
-    def _do_call(self, instruction, frame) -> None:
-        result = self._exec_call(instruction, frame)
-        if not instruction.type.is_void:
-            frame[id(instruction)] = result
-
-    def _do_alloca(self, instruction, frame) -> None:
-        frame[id(instruction)] = self._exec_alloca(instruction)
-
-    def _do_select(self, instruction, frame) -> None:
-        self.charge("alu")
-        cond = self._value(instruction.operands[0], frame)
-        picked = (instruction.operands[1] if cond
-                  else instruction.operands[2])
-        frame[id(instruction)] = self._value(picked, frame)
-
-    def _do_asm(self, instruction, frame) -> None:
-        # Inline assembly executes natively on its home machine;
-        # charge a token cost.
-        self.charge("alu")
-
-    def _do_syscall(self, instruction, frame) -> None:
-        self.charge("call")
-        frame[id(instruction)] = 0
-
-    def _run_blocks(self, fn: Function, frame: Dict[int, object]):
-        dispatch_get = self._dispatch.get
-        max_instructions = self.max_instructions
-        block = fn.entry
+    # -- the run loop ---------------------------------------------------
+    def _run(self, fn: Function, args: Sequence):
+        decoded = self._decoded.get(fn)
+        if decoded is None:
+            decoded = self._decoded[fn] = _Decoder(self, fn).decode()
+        blocks, frame_size = decoded
+        frame = [_UNDEFINED] * frame_size
+        passed = min(len(args), len(fn.args))
+        frame[:passed] = args[:passed]
+        observer = self._block_observer
+        limit = self.max_instructions
+        index = 0
         while True:
-            if self._block_observer is not None:
-                self._block_observer.enter_block(block, self.cycles)
-            next_block = None
-            for instruction in block.instructions:
-                self.instruction_count += 1
-                if self.instruction_count > max_instructions:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {self.max_instructions} instructions")
-                op = instruction.opcode
-                handler = dispatch_get(op)
-                if handler is not None:
-                    handler(instruction, frame)
-                    continue
-                if op == "br":
-                    self.charge("branch")
-                    next_block = instruction.target
-                    break
-                elif op == "condbr":
-                    self.charge("branch")
-                    cond = self._value(instruction.cond, frame)
-                    next_block = (instruction.if_true if cond
-                                  else instruction.if_false)
-                    break
-                elif op == "switch":
-                    self.charge("branch")
-                    value = self._value(instruction.value, frame)
-                    next_block = instruction.default
-                    for const, target in instruction.cases:
-                        if to_unsigned(const, 64) == to_unsigned(value, 64):
-                            next_block = target
-                            break
-                    break
-                elif op == "ret":
-                    self.charge("branch")
-                    if instruction.value is None:
-                        return None
-                    return self._value(instruction.value, frame)
-                elif op == "unreachable":
-                    raise InterpreterError(
-                        f"reached unreachable in {fn.name}")
-                else:
-                    raise InterpreterError(f"unknown opcode {op}")
-            if next_block is None:
-                raise InterpreterError(
-                    f"block {block.name} in {fn.name} fell through")
-            block = next_block
-
-    # -- operand evaluation ------------------------------------------------
-    def _value(self, value: Value, frame: Dict[int, object]):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, (inst.Instruction, Argument)):
+            steps, count, block, returns = blocks[index]
+            if observer is not None:
+                observer.enter_block(block, self.cycles)
+            allowed = limit - self.instruction_count
+            if count > allowed:
+                # Instruction ``allowed + 1`` is counted and raises, as a
+                # per-instruction check would.
+                steps = steps[:max(allowed, 0)] + [(0.0, 0, _limit_exceeded)]
+            # The block is counted on entry; whatever unwinds out of it
+            # (exit(), a fleet segment boundary, a link fault, a guest
+            # error) gives back the instructions that never started, and a
+            # call gives them back while the callee runs (decode_call), so
+            # the count is exact wherever it can be read.
+            self.instruction_count += count
+            step = None
             try:
-                return frame[id(value)]
-            except KeyError:
-                raise InterpreterError(
-                    f"use of undefined value {value.short()}") from None
-        if isinstance(value, GlobalVariable):
-            return self.machine.global_addresses[value.name]
-        if isinstance(value, Function):
-            return self.machine.function_addresses[value.name]
-        if isinstance(value, UndefValue):
-            return 0
-        raise InterpreterError(f"cannot evaluate {value!r}")
+                for step in steps:
+                    cost, dst, op = step
+                    self.cycles += cost
+                    frame[dst] = op(self, frame)
+            except BaseException:
+                started = 0 if step is None else steps.index(step) + 1
+                self.instruction_count -= count - min(started, count)
+                raise
+            if returns:
+                return frame[dst]
+            index = frame[dst]  # the terminator's result
 
-    # -- instruction execution ----------------------------------------
-    def _exec_binop(self, instruction: inst.BinOp, frame):
-        op = instruction.op
-        self.charge("div" if op in _DIV_OPS
-                    else "fpu" if op.startswith("f") else "alu")
-        lhs = self._value(instruction.lhs, frame)
-        rhs = self._value(instruction.rhs, frame)
-        type_ = instruction.type
-        if isinstance(type_, FloatType):
-            return _float_binop(op, lhs, rhs)
-        bits = type_.bits
-        return _int_binop(op, lhs, rhs, bits)
 
-    def _exec_cmp(self, instruction: inst.Cmp, frame):
-        pred = instruction.pred
-        self.charge("fpu" if pred.startswith("f") else "alu")
-        lhs = self._value(instruction.lhs, frame)
-        rhs = self._value(instruction.rhs, frame)
-        type_ = instruction.lhs.type
-        if pred.startswith("f"):
-            return 1 if _float_cmp(pred, lhs, rhs) else 0
-        if pred in ("eq", "ne", "ult", "ule", "ugt", "uge") and not isinstance(
-                type_, IntType):
-            # pointer comparison: unsigned
-            bits = self.machine.layout.pointer_bytes * 8
+def _limit_exceeded(interp: Interpreter, frame: list):
+    raise ExecutionLimitExceeded(
+        f"exceeded {interp.max_instructions} instructions")
+
+
+def _unknown(message: str) -> Callable:
+    """Stands in for an op, operand getter or value function that does not
+    exist: malformed IR is reported if and when it is reached."""
+    def fail(*_):
+        raise InterpreterError(message)
+    return fail
+
+
+class _Decoder:
+    """Turns one function into closures for one interpreter's machine.
+
+    Every argument and instruction gets a frame slot.  An operand becomes a
+    getter ``get(frame)``: an immediate or a slot read.  An instruction
+    becomes a step ``(cost, slot, op)``: the run loop charges ``cost`` —
+    bound as :meth:`Interpreter.charge` computes it — and stores
+    ``op(interp, frame)`` in the slot; masks, sizes, codecs, scales and the
+    memory's ``read``/``write`` are bound in ``op``.  A terminator's value
+    is the next block's index, or what the function returns.  Ops take the
+    interpreter as an argument and never capture it: it owns the decoded
+    program, so a captured interpreter is a reference cycle that keeps
+    every dropped interpreter's program alive until a generation-2
+    collection.
+    """
+
+    def __init__(self, interp: Interpreter, fn: Function):
+        self.fn = fn
+        self.machine = interp.machine
+        self.layout = interp.machine.layout
+        self.costs = interp._cycle_table
+        self.mem_observer = interp._mem_observer
+        self.slots = {value: slot for slot, value in enumerate(
+            (*fn.args, *fn.instructions()))}
+        self.block_index = {block: i for i, block in enumerate(fn.blocks)}
+        self.defined: set = set()  # values a slot read need not check
+        self.after = 0  # instructions of the block after the current one
+
+    def decode(self) -> tuple:
+        """(blocks, frame size); a block is (steps, instruction count, the
+        ``BasicBlock``, whether its terminator returns from the function)."""
+        fn = self.fn
+        # The entry block has run to its terminator before any other block
+        # starts, and a block's earlier instructions before its later ones.
+        entry_defined = set(fn.entry.instructions)
+        blocks = []
+        for block in fn.blocks:
+            self.defined = set() if block is fn.entry else set(entry_defined)
+            instructions = block.instructions
+            count = next((i + 1 for i, instruction in enumerate(instructions)
+                          if instruction.is_terminator), len(instructions))
+            steps = []
+            for position, instruction in enumerate(instructions[:count]):
+                self.after = count - position - 1
+                build = getattr(self, "decode_" + instruction.opcode, None)
+                cost, op = (build(instruction) if build else (0.0, _unknown(
+                    f"unknown opcode {instruction.opcode}")))
+                steps.append((cost, self.slots[instruction], op))
+                self.defined.add(instruction)
+            last = instructions[count - 1] if count else None
+            if last is None or not last.is_terminator:
+                steps.append((0.0, 0, _unknown(
+                    f"block {block.name} in {fn.name} fell through")))
+            blocks.append((steps, count, block,
+                           last is not None and last.opcode == "ret"))
+        return blocks, len(self.slots)
+
+    def operand(self, value: Value) -> Callable[[list], object]:
+        if isinstance(value, Constant):
+            immediate = value.value
+        elif isinstance(value, (inst.Instruction, Argument)):
+            slot = self.slots[value]
+            if value in self.defined:
+                return itemgetter(slot)
+            # The verifier does not check dominance, so a use the block
+            # structure does not prove defined is checked when it is read
+            # (and every argument: the caller may pass too few).
+            message = f"use of undefined value {value.short()}"
+
+            def checked(frame):
+                result = frame[slot]
+                if result is _UNDEFINED:
+                    raise InterpreterError(message)
+                return result
+            return checked
+        elif isinstance(value, GlobalVariable):
+            immediate = self.machine.global_addresses[value.name]
+        elif isinstance(value, Function):
+            immediate = self.machine.function_addresses[value.name]
+        elif isinstance(value, UndefValue):
+            immediate = 0
         else:
-            bits = type_.bits if isinstance(type_, IntType) else (
-                self.machine.layout.pointer_bytes * 8)
-        return 1 if _int_cmp(pred, lhs, rhs, bits) else 0
+            return _unknown(f"cannot evaluate {value!r}")
+        return lambda frame: immediate
 
-    def _access_overheads(self, type_, size: int) -> None:
-        machine = self.machine
-        layout = machine.layout
-        if isinstance(type_, PointerType) and (
-                layout.pointer_bytes != machine.arch.pointer_bytes):
-            # Address-size conversion (Section 3.2): zero/trunc-extend on
-            # every pointer-sized memory access.  Negligible cost, counted.
-            machine.pointer_conversions += 1
-            self.charge("alu", 0.5)
-        if size > 1 and layout.byte_order != machine.arch.endianness:
-            # Endianness translation (Section 3.2): byte swap per access.
-            machine.endian_swaps += 1
-            self.charge("alu", 1.0)
+    # -- one method per opcode: (leading charge, op) ---------------------
+    def decode_binop(self, instruction: inst.BinOp) -> tuple:
+        name = instruction.op
+        cost = self.costs["div" if name in _DIV_OPS
+                          else "fpu" if name.startswith("f") else "alu"]
+        lhs = self.operand(instruction.lhs)
+        rhs = self.operand(instruction.rhs)
+        if isinstance(instruction.type, FloatType):
+            table, kind = _FLOAT_BINOPS, "float"
+        else:
+            table, kind = _int_binops(instruction.type.bits), "int"
+        compute = table.get(name) or _unknown(f"unknown {kind} binop {name}")
+        return cost, lambda interp, frame: compute(lhs(frame), rhs(frame))
 
-    def _access_plan(self, instruction, type_) -> tuple:
-        """(size, kind, extra_overhead) for a load/store; kind is 'i'
-        (int/pointer) or a struct.Struct for floats."""
-        plan = self._access_plans.get(id(instruction))
-        if plan is not None:
-            return plan
+    def decode_cmp(self, instruction: inst.Cmp) -> tuple:
+        pred = instruction.pred
+        lhs = self.operand(instruction.lhs)
+        rhs = self.operand(instruction.rhs)
+        if pred.startswith("f"):
+            cost = self.costs["fpu"]
+            test = _FLOAT_CMPS.get(pred) or _unknown(
+                f"unknown float predicate {pred}")
+        else:
+            cost = self.costs["alu"]
+            type_ = instruction.lhs.type  # pointers compare at their width
+            test = _int_cmp(pred, type_.bits if isinstance(type_, IntType)
+                            else self.layout.pointer_bytes * 8)
+        return cost, (lambda interp, frame:
+                      1 if test(lhs(frame), rhs(frame)) else 0)
+
+    def _access(self, type_) -> tuple:
+        """How this machine loads or stores a ``type_``: (size, the
+        ``struct.Struct`` of a float else None, cost of the address-size
+        conversion or None, cost of the byte swap or None)."""
+        machine, layout = self.machine, self.layout
         if not type_.is_scalar:
             raise InterpreterError(
                 f"aggregate access of {type_}; the frontend must lower "
                 "struct copies to memcpy")
-        machine = self.machine
-        layout = machine.layout
         size = scalar_size(type_, layout)
+        codec = None
         if type_.is_float:
-            import struct as _struct
-            fmt = ("<" if layout.byte_order == "little" else ">") + (
-                "f" if type_.bits == 32 else "d")
-            kind = _struct.Struct(fmt)
-        else:
-            kind = "i"
-        is_ptr_conv = (isinstance(type_, PointerType)
-                       and layout.pointer_bytes != machine.arch.pointer_bytes)
-        is_swap = (size > 1
-                   and layout.byte_order != machine.arch.endianness)
-        plan = (size, kind, is_ptr_conv, is_swap, layout.byte_order)
-        self._access_plans[id(instruction)] = plan
-        return plan
+            codec = struct.Struct(
+                ("<" if layout.byte_order == "little" else ">")
+                + ("f" if type_.bits == 32 else "d"))
+        # Address-size conversion (Section 3.2): zero/trunc-extend on every
+        # pointer-sized memory access.  Negligible cost, counted.
+        converts = (isinstance(type_, PointerType)
+                    and layout.pointer_bytes != machine.arch.pointer_bytes)
+        # Endianness translation (Section 3.2): byte swap per access.
+        swaps = size > 1 and layout.byte_order != machine.arch.endianness
+        return (size, codec, self.costs["alu"] * 0.5 if converts else None,
+                self.costs["alu"] * 1.0 if swaps else None)
 
-    def _exec_load(self, instruction: inst.Load, frame):
-        self.charge("mem")
-        address = self._value(instruction.pointer, frame)
-        size, kind, ptr_conv, swap, order = self._access_plan(
-            instruction, instruction.type)
-        if self._mem_observer is not None:
-            self._mem_observer.memory_access(address, size, False)
-        data = self.machine.memory.read(address, size)
-        if ptr_conv:
-            self.machine.pointer_conversions += 1
-            self.charge("alu", 0.5)
-        if swap:
-            self.machine.endian_swaps += 1
-            self.charge("alu", 1.0)
-        if kind == "i":
-            return int.from_bytes(data, order)
-        return kind.unpack(data)[0]
+    def decode_load(self, instruction: inst.Load) -> tuple:
+        try:
+            size, codec, convert_cost, swap_cost = self._access(
+                instruction.type)
+        except InterpreterError as error:
+            return self.costs["mem"], _unknown(str(error))
+        pointer = self.operand(instruction.pointer)
+        machine, observer = self.machine, self.mem_observer
+        read, order = machine.memory.read, self.layout.byte_order
+        from_bytes = int.from_bytes
+        unpack = None if codec is None else codec.unpack
 
-    def _exec_store(self, instruction: inst.Store, frame):
-        self.charge("mem")
-        address = self._value(instruction.pointer, frame)
-        value = self._value(instruction.value, frame)
-        size, kind, ptr_conv, swap, order = self._access_plan(
-            instruction, instruction.value.type)
-        if self._mem_observer is not None:
-            self._mem_observer.memory_access(address, size, True)
-        if ptr_conv:
-            self.machine.pointer_conversions += 1
-            self.charge("alu", 0.5)
-        if swap:
-            self.machine.endian_swaps += 1
-            self.charge("alu", 1.0)
-        if kind == "i":
-            if value >= (1 << (size * 8)):
+        def op(interp, frame):
+            address = pointer(frame)
+            if observer is not None:
+                observer.memory_access(address, size, False)
+            data = read(address, size)
+            if convert_cost is not None:
+                machine.pointer_conversions += 1
+                interp.cycles += convert_cost
+            if swap_cost is not None:
+                machine.endian_swaps += 1
+                interp.cycles += swap_cost
+            return from_bytes(data, order) if unpack is None else unpack(
+                data)[0]
+        return self.costs["mem"], op
+
+    def decode_store(self, instruction: inst.Store) -> tuple:
+        try:
+            size, codec, convert_cost, swap_cost = self._access(
+                instruction.value.type)
+        except InterpreterError as error:
+            return self.costs["mem"], _unknown(str(error))
+        pointer = self.operand(instruction.pointer)
+        source = self.operand(instruction.value)
+        machine, observer = self.machine, self.mem_observer
+        write, order = machine.memory.write, self.layout.byte_order
+        too_wide = 1 << (size * 8)
+        pack = None if codec is None else codec.pack
+
+        def op(interp, frame):
+            address = pointer(frame)
+            value = source(frame)
+            if observer is not None:
+                observer.memory_access(address, size, True)
+            if convert_cost is not None:
+                machine.pointer_conversions += 1
+                interp.cycles += convert_cost
+            if swap_cost is not None:
+                machine.endian_swaps += 1
+                interp.cycles += swap_cost
+            if pack is not None:
+                data = pack(value)
+            elif value < too_wide:
+                data = value.to_bytes(size, order)
+            else:
                 raise OverflowError(
                     f"pointer {value:#x} does not fit in {size} bytes; "
                     "UVA addresses must stay below the unified pointer "
                     "range")
-            data = value.to_bytes(size, order)
-        else:
-            data = kind.pack(value)
-        self.machine.memory.write(address, data)
+            write(address, data)
+        return self.costs["mem"], op
 
-    def _gep_plan(self, instruction: inst.Gep) -> list:
-        plan = self._gep_plans.get(id(instruction))
-        if plan is not None:
-            return plan
-        layout = self.machine.layout
-        pointee = instruction.base.type.pointee
-        indices = instruction.indices
-        bits0 = (indices[0].type.bits
-                 if isinstance(indices[0].type, IntType) else 64)
-        plan = [("first", layout.size_of(pointee), bits0, indices[0])]
-        current = pointee
-        for index in indices[1:]:
-            if isinstance(current, StructType):
+    def decode_gep(self, instruction: inst.Gep) -> tuple:
+        cost = self.costs["alu"]
+        layout = self.layout
+        base = self.operand(instruction.base)
+        current = instruction.base.type.pointee
+        constant = 0  # struct field offsets and constant indices, folded
+        scaled = []   # (index getter, mask, sign bit, scale)
+        for position, index in enumerate(instruction.indices):
+            if position and isinstance(current, StructType):
                 field = int(index.value)  # verified constant
-                plan.append(
-                    ("const",
-                     layout.struct_layout(current).offset_of(field)))
+                constant += layout.struct_layout(current).offset_of(field)
                 current = current.field_types[field]
-            elif isinstance(current, ArrayType):
-                ibits = (index.type.bits
-                         if isinstance(index.type, IntType) else 64)
-                plan.append(
-                    ("index", layout.size_of(current.element), ibits,
-                     index))
+                continue
+            if position:  # the first index scales by whole pointees
+                if not isinstance(current, ArrayType):
+                    return cost, _unknown(
+                        f"gep into non-aggregate {current}")
                 current = current.element
+            scale = layout.size_of(current)
+            bits = index.type.bits if isinstance(index.type, IntType) else 64
+            if isinstance(index, Constant):
+                constant += to_signed(index.value, bits) * scale
             else:
-                raise InterpreterError(f"gep into non-aggregate {current}")
-        self._gep_plans[id(instruction)] = plan
-        return plan
+                scaled.append((self.operand(index), (1 << bits) - 1,
+                               1 << (bits - 1), scale))
 
-    def _exec_gep(self, instruction: inst.Gep, frame):
-        self.charge("alu")
-        base = self._value(instruction.base, frame)
-        offset = 0
-        for step in self._gep_plan(instruction):
-            tag = step[0]
-            if tag == "const":
-                offset += step[1]
-            else:
-                _, scale, bits, index = step
-                offset += to_signed(self._value(index, frame),
-                                    bits) * scale
-        return (base + offset) & 0xFFFFFFFFFFFFFFFF
+        def op(interp, frame):
+            address = base(frame) + constant
+            for index, mask, sign, scale in scaled:
+                address += (((index(frame) & mask) ^ sign) - sign) * scale
+            return address & _MASK64
+        return cost, op
 
-    def _exec_cast(self, instruction: inst.Cast, frame):
-        self.charge("alu")
-        value = self._value(instruction.value, frame)
-        op = instruction.op
-        src = instruction.value.type
-        dst = instruction.type
-        if op == "trunc":
-            return to_unsigned(value, dst.bits)
-        if op == "zext":
-            return to_unsigned(value, dst.bits)
-        if op == "sext":
-            return to_unsigned(to_signed(value, src.bits), dst.bits)
-        if op == "fptrunc" or op == "fpext":
-            return float(value)
-        if op == "fptosi":
-            return to_unsigned(int(value), dst.bits)
-        if op == "fptoui":
-            return to_unsigned(int(abs(value)), dst.bits)
-        if op == "sitofp":
-            return float(to_signed(value, src.bits))
-        if op == "uitofp":
-            return float(value)
-        if op == "ptrtoint":
-            return to_unsigned(value, dst.bits)
-        if op == "inttoptr":
-            return to_unsigned(value, 64)
-        if op == "bitcast":
-            return value
-        raise InterpreterError(f"unknown cast {op}")
+    def decode_cast(self, instruction: inst.Cast) -> tuple:
+        value = self.operand(instruction.value)
+        convert = _cast(instruction.op, instruction.value.type,
+                        instruction.type)
+        return self.costs["alu"], lambda interp, frame: convert(value(frame))
 
-    def _exec_alloca(self, instruction: inst.Alloca) -> int:
-        self.charge("alu")
-        size = max(1, self.machine.layout.size_of(instruction.allocated_type))
+    def decode_alloca(self, instruction: inst.Alloca) -> tuple:
+        size = max(1, self.layout.size_of(instruction.allocated_type))
         size = (size + 15) // 16 * 16
-        self.sp -= size
-        if self.sp < self.machine.stack_top - STACK_SIZE:
-            raise StackOverflow("simulated stack exhausted")
-        self.machine.map_range(self.sp, size)
-        return self.sp
+        floor = self.machine.stack_top - STACK_SIZE
+        map_range = self.machine.map_range
 
-    def _exec_call(self, instruction: inst.Call, frame):
-        args = [self._value(a, frame) for a in instruction.args]
+        def op(interp, frame):
+            interp.sp = sp = interp.sp - size
+            if sp < floor:
+                raise StackOverflow("simulated stack exhausted")
+            map_range(sp, size)
+            return sp
+        return self.costs["alu"], op
+
+    def decode_call(self, instruction: inst.Call) -> tuple:
+        args = [self.operand(arg) for arg in instruction.args]
         callee = instruction.callee
-        if isinstance(callee, Function):
-            return self.call_function(callee, args)
-        # Indirect call: resolve the runtime address to a function on
-        # *this* machine.  Untranslated foreign addresses fault here.
-        address = self._value(callee, frame)
-        fn = self.machine.function_at(address)
-        if fn is None:
-            raise BadFunctionPointer(address)
-        return self.call_function(fn, args)
+        direct = callee if isinstance(callee, Function) else None
+        target = None if direct is not None else self.operand(callee)
+        function_at = self.machine.function_at
+        after = self.after
+
+        def op(interp, frame):
+            values = [arg(frame) for arg in args]
+            fn = direct
+            if fn is None:
+                # Indirect call: resolve the runtime address to a function
+                # on *this* machine.  Untranslated foreign addresses fault
+                # here.
+                address = target(frame)
+                fn = function_at(address)
+                if fn is None:
+                    raise BadFunctionPointer(address)
+            # The rest of this block is counted but has not started: the
+            # callee's limit check and builtins must not see it.
+            interp.instruction_count -= after
+            try:
+                return interp.call_function(fn, values)
+            finally:
+                interp.instruction_count += after
+        return 0.0, op  # call_function charges
+
+    def decode_select(self, instruction: inst.Select) -> tuple:
+        cond, if_true, if_false = map(self.operand, instruction.operands)
+        return self.costs["alu"], (
+            lambda interp, frame:
+            (if_true if cond(frame) else if_false)(frame))
+
+    def decode_asm(self, instruction: inst.InlineAsm) -> tuple:
+        # Inline assembly executes natively on its home machine; charge a
+        # token cost.
+        return self.costs["alu"], lambda interp, frame: None
+
+    def decode_syscall(self, instruction: inst.Syscall) -> tuple:
+        return self.costs["call"], lambda interp, frame: 0
+
+    def decode_br(self, instruction: inst.Br) -> tuple:
+        target = self.block_index[instruction.target]
+        return self.costs["branch"], lambda interp, frame: target
+
+    def decode_condbr(self, instruction: inst.CondBr) -> tuple:
+        cond = self.operand(instruction.cond)
+        if_true = self.block_index[instruction.if_true]
+        if_false = self.block_index[instruction.if_false]
+        return self.costs["branch"], (
+            lambda interp, frame: if_true if cond(frame) else if_false)
+
+    def decode_switch(self, instruction: inst.Switch) -> tuple:
+        value = self.operand(instruction.value)
+        default = self.block_index[instruction.default]
+        targets: Dict[int, int] = {}
+        for const, block in instruction.cases:  # the first match wins
+            targets.setdefault(const & _MASK64, self.block_index[block])
+        return self.costs["branch"], (
+            lambda interp, frame:
+            targets.get(value(frame) & _MASK64, default))
+
+    def decode_ret(self, instruction: inst.Ret) -> tuple:
+        if instruction.value is None:
+            return self.costs["branch"], lambda interp, frame: None
+        value = self.operand(instruction.value)
+        return self.costs["branch"], lambda interp, frame: value(frame)
+
+    def decode_unreachable(self, instruction: inst.Unreachable) -> tuple:
+        return 0.0, _unknown(f"reached unreachable in {self.fn.name}")
 
 
-# -- pure helpers ---------------------------------------------------------
+# -- value functions, chosen once per instruction at decode time ----------
 
-def _int_binop(op: str, lhs: int, rhs: int, bits: int) -> int:
-    if op == "add":
-        return to_unsigned(lhs + rhs, bits)
-    if op == "sub":
-        return to_unsigned(lhs - rhs, bits)
-    if op == "mul":
-        return to_unsigned(lhs * rhs, bits)
-    if op == "sdiv":
-        a, b = to_signed(lhs, bits), to_signed(rhs, bits)
-        if b == 0:
-            raise InterpreterError("integer division by zero")
-        return to_unsigned(int(a / b), bits)
-    if op == "udiv":
-        if rhs == 0:
-            raise InterpreterError("integer division by zero")
-        return to_unsigned(lhs // rhs, bits)
-    if op == "srem":
-        a, b = to_signed(lhs, bits), to_signed(rhs, bits)
-        if b == 0:
-            raise InterpreterError("integer remainder by zero")
-        return to_unsigned(a - int(a / b) * b, bits)
-    if op == "urem":
-        if rhs == 0:
-            raise InterpreterError("integer remainder by zero")
-        return to_unsigned(lhs % rhs, bits)
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "shl":
-        return to_unsigned(lhs << (rhs % bits), bits)
-    if op == "lshr":
-        return lhs >> (rhs % bits)
-    if op == "ashr":
-        return to_unsigned(to_signed(lhs, bits) >> (rhs % bits), bits)
-    raise InterpreterError(f"unknown int binop {op}")
+@functools.lru_cache(maxsize=None)
+def _int_binops(bits: int) -> Dict[str, Callable[[int, int], int]]:
+    """The integer binops at one width (a handful of widths exist)."""
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
 
+    def signed(value):
+        return ((value & mask) ^ sign) - sign
 
-def _float_binop(op: str, lhs: float, rhs: float) -> float:
-    if op == "fadd":
-        return lhs + rhs
-    if op == "fsub":
-        return lhs - rhs
-    if op == "fmul":
-        return lhs * rhs
-    if op == "fdiv":
-        if rhs == 0.0:
-            return float("inf") if lhs > 0 else (
-                float("-inf") if lhs < 0 else float("nan"))
-        return lhs / rhs
-    if op == "frem":
-        import math
-        return math.fmod(lhs, rhs)
-    raise InterpreterError(f"unknown float binop {op}")
+    def divides(compute, what):
+        def checked(lhs, rhs):
+            if rhs & mask == 0:
+                raise InterpreterError(f"integer {what} by zero")
+            return compute(lhs, rhs) & mask
+        return checked
+
+    def sdiv(lhs, rhs):
+        # C truncates toward zero.  ``int(a / b)`` goes through a float
+        # and is wrong above 2**53.
+        a, b = signed(lhs), signed(rhs)
+        quotient = abs(a) // abs(b)
+        return -quotient if (a < 0) != (b < 0) else quotient
+
+    def srem(lhs, rhs):  # the sign follows the dividend
+        a = signed(lhs)
+        remainder = abs(a) % abs(signed(rhs))
+        return -remainder if a < 0 else remainder
+
+    return {
+        "add": lambda lhs, rhs: (lhs + rhs) & mask,
+        "sub": lambda lhs, rhs: (lhs - rhs) & mask,
+        "mul": lambda lhs, rhs: (lhs * rhs) & mask,
+        "sdiv": divides(sdiv, "division"),
+        "udiv": divides(operator.floordiv, "division"),
+        "srem": divides(srem, "remainder"),
+        "urem": divides(operator.mod, "remainder"),
+        "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+        "shl": lambda lhs, rhs: (lhs << (rhs % bits)) & mask,
+        "lshr": lambda lhs, rhs: lhs >> (rhs % bits),
+        "ashr": lambda lhs, rhs: (signed(lhs) >> (rhs % bits)) & mask,
+    }
 
 
-def _int_cmp(pred: str, lhs: int, rhs: int, bits: int) -> bool:
-    if pred == "eq":
-        return lhs == rhs
-    if pred == "ne":
-        return lhs != rhs
-    if pred in ("slt", "sle", "sgt", "sge"):
-        a, b = to_signed(lhs, bits), to_signed(rhs, bits)
-    else:
-        a, b = lhs, rhs
-    if pred in ("slt", "ult"):
-        return a < b
-    if pred in ("sle", "ule"):
-        return a <= b
-    if pred in ("sgt", "ugt"):
-        return a > b
-    if pred in ("sge", "uge"):
-        return a >= b
-    raise InterpreterError(f"unknown int predicate {pred}")
+def _fdiv(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        return float("inf") if lhs > 0 else (
+            float("-inf") if lhs < 0 else float("nan"))
+    return lhs / rhs
 
 
-def _float_cmp(pred: str, lhs: float, rhs: float) -> bool:
-    if pred == "feq":
-        return lhs == rhs
-    if pred == "fne":
-        return lhs != rhs
-    if pred == "flt":
-        return lhs < rhs
-    if pred == "fle":
-        return lhs <= rhs
-    if pred == "fgt":
-        return lhs > rhs
-    if pred == "fge":
-        return lhs >= rhs
-    raise InterpreterError(f"unknown float predicate {pred}")
+_FLOAT_BINOPS = {"fadd": operator.add, "fsub": operator.sub,
+                 "fmul": operator.mul, "fdiv": _fdiv, "frem": math.fmod}
+_FLOAT_CMPS = {"feq": operator.eq, "fne": operator.ne, "flt": operator.lt,
+               "fle": operator.le, "fgt": operator.gt, "fge": operator.ge}
+_UNSIGNED_CMPS = {"eq": operator.eq, "ne": operator.ne, "ult": operator.lt,
+                  "ule": operator.le, "ugt": operator.gt, "uge": operator.ge}
+_SIGNED_CMPS = {"slt": operator.lt, "sle": operator.le,
+                "sgt": operator.gt, "sge": operator.ge}
+
+
+def _int_cmp(pred: str, bits: int) -> Callable[[int, int], bool]:
+    if pred in _UNSIGNED_CMPS:
+        return _UNSIGNED_CMPS[pred]
+    test = _SIGNED_CMPS.get(pred)
+    if test is None:
+        return _unknown(f"unknown int predicate {pred}")
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    # Flipping the sign bit maps signed order onto unsigned order.
+    return lambda lhs, rhs: test((lhs & mask) ^ sign, (rhs & mask) ^ sign)
+
+
+def _cast(name: str, src, dst) -> Callable:
+    if name in ("trunc", "zext", "sext", "ptrtoint", "fptosi", "fptoui"):
+        mask = (1 << dst.bits) - 1
+        if name == "sext":
+            narrow, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
+            return lambda value: (((value & narrow) ^ sign) - sign) & mask
+        if name == "fptosi":
+            return lambda value: int(value) & mask
+        if name == "fptoui":
+            return lambda value: int(abs(value)) & mask
+        return lambda value: value & mask
+    if name in ("fptrunc", "fpext", "uitofp"):
+        return float
+    if name == "sitofp":
+        return lambda value: float(to_signed(value, src.bits))
+    if name == "inttoptr":
+        return lambda value: value & _MASK64
+    if name == "bitcast":
+        return lambda value: value
+    return _unknown(f"unknown cast {name}")

@@ -7,7 +7,7 @@ semantics, promotion, and pointer indexing.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.frontend import compile_c
 from repro.machine import Interpreter, Machine, install_libc, to_signed
@@ -64,6 +64,37 @@ def test_division_truncates_toward_zero(a, b):
     assert q == int(a / b)
     assert r == a - int(a / b) * b
     assert q * b + r == a
+
+
+DIV64_SRC = r"""
+long div64(long a, long b) { return a / b; }
+long rem64(long a, long b) { return a % b; }
+int main() { return 0; }
+"""
+i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@given(i64, i64)
+@example(2**62 + 1, 3)
+@example(-(2**62) - 1, 3)
+@example(2**63 - 1, -1)
+@settings(max_examples=80, deadline=None)
+def test_64_bit_division_truncates_toward_zero(a, b):
+    """``long`` is 64 bits on X86_64: quotients above 2**53 must not go
+    through a float."""
+    assume(b != 0)
+    assume(not (a == -(2**63) and b == -1))  # UB in C
+    module = compile_c(DIV64_SRC, "diff", target=X86_64)
+    machine = Machine(X86_64, "server")
+    install_libc(machine)
+    machine.load(module)
+    args = [a & (2**64 - 1), b & (2**64 - 1)]
+    q = to_signed(Interpreter(machine).call_by_name("div64", args), 64)
+    r = to_signed(Interpreter(machine).call_by_name("rem64", args), 64)
+    expected = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    assert q == expected
+    assert r == a - expected * b  # takes the dividend's sign
+    assert abs(r) < abs(b) and (r == 0 or (r < 0) == (a < 0))
 
 
 @given(i32, i32)

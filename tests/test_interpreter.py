@@ -44,6 +44,18 @@ class TestIntegerSemantics:
         # -7 % 2 == -1 in C
         assert to_signed(eval_expr("srem", 0xFFFFFFF9, 2), 32) == -1
 
+    def test_sdiv_srem_are_exact_at_64_bits(self):
+        # above 2**53 a quotient computed through a float is wrong
+        big = 2**62 + 1
+        assert eval_expr("sdiv", big, 1, I64) == big
+        assert eval_expr("sdiv", big, 3, I64) == 1537228672809129301
+        assert eval_expr("srem", big, 3, I64) == 2
+        minus_big = (1 << 64) - big
+        assert to_signed(eval_expr("sdiv", minus_big, 3, I64), 64) == \
+            -1537228672809129301
+        assert to_signed(eval_expr("srem", minus_big, 3, I64), 64) == -2
+        assert to_signed(eval_expr("srem", big, (1 << 64) - 3, I64), 64) == 2
+
     def test_udiv(self):
         assert eval_expr("udiv", 0xFFFFFFFE, 2) == 0x7FFFFFFF
 
