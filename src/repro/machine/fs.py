@@ -155,6 +155,14 @@ class IOEnvironment:
     def write_stderr(self, data: bytes) -> None:
         self.stderr.extend(data)
 
+    def write_std(self, handle: int, data: bytes) -> None:
+        """Write to a handle that is not an open file: handles 1/2
+        behave as stdout/stderr, anything else falls to stdout."""
+        if handle == 2:
+            self.write_stderr(data)
+        else:
+            self.write_stdout(data)
+
     def read_stdin(self, size: int) -> bytes:
         return self.stdin.read(size)
 

@@ -476,11 +476,7 @@ def _fprintf(interp: Interpreter, args: List) -> int:
     text = format_printf(interp, fmt, args[2:])
     f = interp.machine.io.file(handle)
     if f is None:
-        # handles 1/2 behave as stdout/stderr
-        if handle == 2:
-            interp.machine.io.write_stderr(text)
-        else:
-            interp.machine.io.write_stdout(text)
+        interp.machine.io.write_std(handle, text)
         return len(text)
     interp.machine.io.file_ops += 1
     return f.write(text)

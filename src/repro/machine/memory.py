@@ -45,10 +45,7 @@ class AddressSpace:
         self.pages: Dict[int, bytearray] = {}
         self.dirty: Set[int] = set()
         self.fault_handler: Optional[FaultHandler] = None
-        # Statistics consumed by the runtime and the evaluation harness.
         self.fault_count = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
         # Sub-page dirty-block masks (bit i covers bytes
         # [i*block_size, (i+1)*block_size) of the page).  Off by default;
         # the UVA manager enables it on the server space so write-back
@@ -106,7 +103,6 @@ class AddressSpace:
 
     # -- raw byte access ------------------------------------------------
     def read(self, address: int, size: int) -> bytes:
-        self.bytes_read += size
         # Fast path: access within one page (the overwhelmingly common
         # case for scalar loads).
         off = address & (self.page_size - 1)
@@ -135,7 +131,6 @@ class AddressSpace:
 
     def write(self, address: int, data: bytes) -> None:
         size = len(data)
-        self.bytes_written += size
         off = address & (self.page_size - 1)
         if off + size <= self.page_size:
             pidx = address // self.page_size

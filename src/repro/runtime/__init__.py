@@ -16,9 +16,9 @@ from .uva import PrefetchAdvisor, UVAManager, UVAStats
 from .dynamic_estimator import (DynamicPerformanceEstimator, GainEstimate,
                                 TargetRuntimeState)
 from .prediction import BandwidthPredictor, PredictionRecord
-from .backend import (Admission, DirectDispatcher, ExecutionBackend,
-                      InvocationRecord, LocalBackend, OffloadDispatcher,
-                      Rejection, RemoteBackend)
+from .backend import (Admission, DirectDispatcher, InvocationRecord,
+                      LocalBackend, OffloadDispatcher, Rejection,
+                      RemoteBackend)
 from .session import OffloadSession, SessionOptions, SessionResult
 from .local import LocalRunResult, run_local
 
@@ -37,8 +37,8 @@ __all__ = [
     "UnmappableFunctionPointer",
     "PrefetchAdvisor", "UVAManager", "UVAStats",
     "DynamicPerformanceEstimator", "GainEstimate", "TargetRuntimeState",
-    "Admission", "DirectDispatcher", "ExecutionBackend",
-    "LocalBackend", "OffloadDispatcher", "Rejection", "RemoteBackend",
+    "Admission", "DirectDispatcher", "LocalBackend", "OffloadDispatcher",
+    "Rejection", "RemoteBackend",
     "InvocationRecord", "OffloadSession", "SessionOptions", "SessionResult",
     "LocalRunResult", "run_local",
 ]

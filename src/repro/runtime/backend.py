@@ -5,11 +5,10 @@ Historically :class:`repro.runtime.session.OffloadSession` hard-wired the
 whole offload protocol — initialization, server execution, finalization,
 abort-and-replay — inside one private method, which made it impossible to
 point the same session logic at anything other than its single dedicated
-server.  This module extracts that machinery behind a small protocol:
+server.  This module extracts that machinery into two backends, each
+with an ``execute`` that runs one invocation of a target (they share no
+code and are never called polymorphically, so there is no base class):
 
-* :class:`ExecutionBackend` — the surface every backend implements:
-  ``estimate`` (what would running here gain?), ``execute`` (run one
-  invocation of a target) and ``abort`` (tear down a failed invocation).
 * :class:`LocalBackend` — executes the target on the mobile device using
   a sub-interpreter that shares the suspended caller's stack.  Used for
   the replay after a mid-invocation link failure and for invocations the
@@ -60,7 +59,6 @@ from ..offload.shard import contiguous_ranges
 from .transport import LinkDownError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .dynamic_estimator import GainEstimate
     from .session import OffloadSession
 
 
@@ -193,30 +191,7 @@ class DirectDispatcher(OffloadDispatcher):
         pass
 
 
-class ExecutionBackend:
-    """One way of executing an offload target's invocation."""
-
-    name = "backend"
-
-    def estimate(self, target: OffloadTarget) -> Optional["GainEstimate"]:
-        """The gain of executing ``target`` on this backend (None when
-        the backend has no gain model — local execution is the
-        baseline every estimate is relative to)."""
-        raise NotImplementedError
-
-    def execute(self, target: OffloadTarget, interp: Interpreter,
-                args: List):
-        """Run one invocation of ``target``; returns its return value."""
-        raise NotImplementedError
-
-    def abort(self, target: OffloadTarget, interp: Interpreter,
-              args: List, record: InvocationRecord) -> None:
-        """Tear down a failed invocation (no-op for backends without
-        distributed state)."""
-        raise NotImplementedError
-
-
-class LocalBackend(ExecutionBackend):
+class LocalBackend:
     """Execute the target on the mobile device itself.
 
     The invocation runs on a sub-interpreter sharing the suspended
@@ -228,13 +203,8 @@ class LocalBackend(ExecutionBackend):
     local execution time for the target.
     """
 
-    name = "local"
-
     def __init__(self, session: "OffloadSession"):
         self.session = session
-
-    def estimate(self, target: OffloadTarget) -> Optional["GainEstimate"]:
-        return None  # local execution is the gain baseline
 
     def replay(self, fn_name: str, interp: Interpreter, args: List):
         """Run one function of the mobile module on the sub-interpreter
@@ -266,16 +236,10 @@ class LocalBackend(ExecutionBackend):
             tr.metrics.counter("offload.fallbacks").inc()
         return result
 
-    def abort(self, target: OffloadTarget, interp: Interpreter,
-              args: List, record: InvocationRecord) -> None:
-        pass  # nothing distributed to tear down
 
-
-class RemoteBackend(ExecutionBackend):
+class RemoteBackend:
     """The full offload protocol of the paper's Figure 5, over the
     session's transport/UVA/communication stack."""
-
-    name = "remote"
 
     def __init__(self, session: "OffloadSession",
                  dispatcher: Optional[OffloadDispatcher] = None):
@@ -283,9 +247,6 @@ class RemoteBackend(ExecutionBackend):
         # None (the default) is the paper's dedicated server; fleet
         # runs substitute a pooled dispatcher here.
         self.dispatcher = dispatcher or DirectDispatcher()
-
-    def estimate(self, target: OffloadTarget) -> Optional["GainEstimate"]:
-        return self.session.estimator.estimate(target)
 
     # -- the offload protocol -----------------------------------------
     def execute(self, target: OffloadTarget, interp: Interpreter,
@@ -457,7 +418,7 @@ class RemoteBackend(ExecutionBackend):
             request_s += session.uva.push_allocator_state()
             if opts.enable_prefetch:
                 request_s += session.uva.prefetch(
-                    session._prefetch_pages(target.name, interp.sp))
+                    session._prefetch_pages(interp.sp))
             request = ((32 + 16 * (len(args) + 2)) * len(shards) if wide
                        else 32 + 16 * len(args))
             request_s += session.comm.send_to_server(
@@ -654,10 +615,11 @@ class RemoteBackend(ExecutionBackend):
         # wide plan: every surviving shard's staged delta), the
         # allocator state (plan of one only) and a termination record
         # with the return value.  Transactional: everything is staged
-        # (defer_commit / shard captures) and applied only after the
-        # whole message survives the transport — a mid-return link
-        # death leaves mobile memory untouched and the whole target
-        # replays locally (abort-and-replay invariant, DESIGN.md §5).
+        # on the UVA manager's one list and applied by commit_finalize
+        # only after the whole message survives the transport — a
+        # mid-return link death leaves mobile memory untouched and the
+        # whole target replays locally (abort-and-replay invariant,
+        # DESIGN.md §5).
         comm_phase0 = session.comm.stats.comm_seconds
         session.comm.begin_batch(to_server=False)
         try:
@@ -668,9 +630,8 @@ class RemoteBackend(ExecutionBackend):
                         return_s += session.comm.send_to_mobile(
                             run["payloads"]).seconds
             else:
-                return_s, _ = session.uva.write_back(defer_commit=True)
-                return_s += session.uva.pull_allocator_state(
-                    defer_commit=True)
+                return_s, _ = session.uva.write_back()
+                return_s += session.uva.pull_allocator_state()
             return_s += session.comm.send_to_mobile(
                 [b"\x00" * 64]).seconds
             return_s += session.comm.flush_batch().seconds
@@ -796,15 +757,6 @@ class RemoteBackend(ExecutionBackend):
         return session.local_backend.execute(target, interp, args, record)
 
     # -- mid-invocation failure: abort and replay locally --------------
-    def abort(self, target: OffloadTarget, interp: Interpreter,
-              args: List, record: InvocationRecord) -> None:
-        """Tear down the distributed state of a failed invocation:
-        discard the staged batch and every server-side effect."""
-        session = self.session
-        session._current_server_interp = None
-        session.comm.discard_batch()
-        session.uva.abort_invocation()
-
     def _abort(self, target: OffloadTarget, interp: Interpreter,
                args: List, record: InvocationRecord, phase: str,
                wasted_seconds: float, power_state: str,
@@ -822,7 +774,11 @@ class RemoteBackend(ExecutionBackend):
         record.aborted = True
         record.abort_phase = phase
         record.wasted_seconds = wasted_seconds
-        self.abort(target, interp, args, record)
+        # tear down the distributed state: the open batch and every
+        # staged or server-side UVA effect
+        session._current_server_interp = None
+        session.comm.discard_batch()
+        session.uva.abort_invocation()
         if io_snapshot is not None:
             session.mobile.io.restore(io_snapshot)
         if not session.options.zero_overhead:

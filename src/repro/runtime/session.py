@@ -23,7 +23,7 @@ from ..machine.energy import EnergyMeter, PowerTrace
 from ..machine.fs import IOEnvironment
 from ..machine.interpreter import ExitProgram, Interpreter
 from ..machine.libc import format_printf, install_libc
-from ..machine.machine import MOBILE_STACK_TOP, Machine
+from ..machine.machine import MOBILE_STACK_TOP, UVA_HEAP_BASE, Machine
 from ..offload.partition import OffloadTarget, OFFLOAD_PREFIX, SHOULD_OFFLOAD
 from ..offload.pipeline import OffloadProgram
 from ..offload.server_opt import M2S_FCN_MAP, S2M_FCN_MAP
@@ -375,8 +375,7 @@ class OffloadSession:
             total_seconds=total,
             mobile_compute_seconds=interp.time_seconds,
             server_compute_seconds=max(
-                self.server_compute_seconds - self.fnptr_seconds
-                - self._server_side_io_seconds(), 0.0),
+                self.server_compute_seconds - self.fnptr_seconds, 0.0),
             comm_seconds=(0.0 if self.options.zero_overhead
                           else self.comm.stats.comm_seconds),
             remote_io_seconds=self.remote_io_seconds,
@@ -424,9 +423,6 @@ class OffloadSession:
         start = self.now()
         self.extra_seconds += seconds
         self.meter.charge(start, start + seconds, state, power_mw)
-
-    def _server_side_io_seconds(self) -> float:
-        return 0.0  # remote I/O time is tracked separately already
 
     # ------------------------------------------------------------------
     # Runtime builtins
@@ -552,7 +548,7 @@ class OffloadSession:
             handle = int(args[0])
             f = mobile_io.file(handle)
             if f is None:
-                mobile_io.write_stdout(text)
+                mobile_io.write_std(handle, text)
             else:
                 f.write(text)
             seconds = self.comm.stream_to_mobile(text).seconds
@@ -626,18 +622,11 @@ class OffloadSession:
             tr.metrics.counter("rio.bytes").inc(io_bytes)
         return result
 
-    def _prefetch_pages(self, target_name: str, stack_pointer: int) -> set:
-        """The "most likely used" page set pushed at initialization.
-
-        The profiler recorded which pages the target touched under the
-        *profiling* input; heap pages from that run are translated into
-        the UVA heap (allocation order is deterministic, so offsets
-        carry over, give or take a page).  The live mobile stack and the
-        UVA-globals pages join the set.  Anything the evaluation input
-        touches beyond this is served by copy-on-demand."""
-        from ..machine.machine import (NATIVE_HEAP_BASES, NATIVE_HEAP_SIZE,
-                                       MOBILE_STACK_TOP, STACK_SIZE,
-                                       UVA_HEAP_BASE)
+    def _prefetch_pages(self, stack_pointer: int) -> set:
+        """The "most likely used" page set pushed at initialization: the
+        mobile's mapped UVA-heap pages, the UVA-globals pages and the
+        live mobile stack.  Anything the evaluation input touches beyond
+        this is served by copy-on-demand."""
         psize = self.options.page_size
         uva_base = UVA_HEAP_BASE // psize
         stack_high = MOBILE_STACK_TOP // psize

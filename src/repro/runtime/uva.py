@@ -24,31 +24,30 @@ The incremental data plane makes repeated offloads cheap:
   frequently-faulted pages into the next invocation's prefetch set and
   demotes pages that were shipped but never touched.
 
-Finalization is transactional with respect to link failure: the
-write-back and allocator-state transfers are *staged* first
-(``defer_commit=True``) and applied to mobile memory only by
-:meth:`UVAManager.commit_finalize` once every byte is on the wire.  If
-the transport dies mid-finalize (:class:`LinkDownError` out of the
-communication manager), the session calls
-:meth:`UVAManager.abort_invocation` instead and no staged state ever
-touches the mobile device; server pages dirtied by the failed run are
-dropped from the cache so a replayed invocation sees pre-offload state —
-the abort-and-replay semantics invariant of DESIGN.md §5.
+Finalization is stage -> send -> commit over one list: each server
+execution's dirty pages are *staged* (one entry for the plan of one, one
+per shard for a gang), the payloads and the allocator state are sent,
+and only :meth:`UVAManager.commit_finalize` — once every byte is on the
+wire — applies them to mobile memory.  If the transport dies
+mid-finalize (:class:`LinkDownError` out of the communication manager),
+the session calls :meth:`UVAManager.abort_invocation` instead and no
+staged state ever touches the mobile device; server pages dirtied by the
+failed run are dropped from the cache so a replayed invocation sees
+pre-offload state — the abort-and-replay semantics invariant of
+DESIGN.md §5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Set, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..machine.machine import (Machine, CODE_BASES, GLOBAL_BASES,
-                               NATIVE_HEAP_BASES, NATIVE_HEAP_SIZE,
-                               MOBILE_STACK_TOP, SERVER_STACK_TOP,
-                               STACK_SIZE, UVA_HEAP_BASE, UVA_HEAP_SIZE)
+                               MOBILE_STACK_TOP, STACK_SIZE, UVA_HEAP_BASE,
+                               UVA_HEAP_SIZE)
 from ..trace import NULL_TRACER, Tracer
-from .comm import (CommunicationManager, DELTA_RECORD_HEADER_BYTES,
-                   delta_records_size, encode_delta_records)
+from .comm import (CommunicationManager, delta_records_size,
+                   encode_delta_records)
 
 PAGE_TABLE_ENTRY_BYTES = 8
 # A delta encoding at or above this fraction of the page size falls back
@@ -184,17 +183,17 @@ class UVAManager:
         self.page_size = mobile.memory.page_size
         self.stats = UVAStats()
         self._server_private = self._private_ranges(server)
-        # Staged finalization state (see commit_finalize / abort_invocation).
-        self._pending_writeback: Optional[Dict[int, WritebackEntry]] = None
-        self._pending_alloc_state: Optional[dict] = None
-        # Scatter/gather shard captures (docs/parallel-offload.md): one
-        # staged write-back dict per executed shard, in shard order.
+        # Staged finalization state (see commit_finalize /
+        # abort_invocation): one write-back dict per server execution of
+        # the invocation, in execution order — one entry for the plan of
+        # one, one per shard for a gang (docs/parallel-offload.md).
         # Commit applies them in that order — later shards ran against
         # server memory that already held earlier shards' writes, so
         # in-order application reproduces the sequential k=1 content
         # byte for byte.  A discarded (straggler) capture becomes an
         # empty dict; its writes are re-created by the local replay.
-        self._shard_writebacks: List[Dict[int, WritebackEntry]] = []
+        self._staged: List[Dict[int, WritebackEntry]] = []
+        self._pending_alloc_state: Optional[dict] = None
         # Cross-invocation page cache: per-page content versions on the
         # mobile side, the version of the clean base each server copy
         # corresponds to, and the versions last announced to the server
@@ -228,12 +227,10 @@ class UVAManager:
             (machine.stack_top - STACK_SIZE, STACK_SIZE + self.page_size),
         ]
 
-    def is_server_private(self, address: int) -> bool:
-        return any(base <= address < base + size
-                   for base, size in self._server_private)
-
     def shareable(self, page_index: int) -> bool:
-        return not self.is_server_private(page_index * self.page_size)
+        address = page_index * self.page_size
+        return not any(base <= address < base + size
+                       for base, size in self._server_private)
 
     # -- invocation window (adaptive prefetch) -------------------------
     def begin_invocation(self, target: str) -> None:
@@ -279,12 +276,6 @@ class UVAManager:
             tracer.metrics.counter("uva.prefetch_wasted").inc(wasted)
 
     # -- delta encoding helpers ----------------------------------------
-    def _records_size(self, records: DeltaRecords) -> int:
-        return delta_records_size(records)
-
-    def _encode_wire(self, records: DeltaRecords) -> bytes:
-        return encode_delta_records(records)
-
     def _mask_records(self, data: bytes, mask: int) -> DeltaRecords:
         """Runs of dirty sub-page blocks -> (offset, bytes) records."""
         block = self.server.memory.block_size
@@ -321,10 +312,37 @@ class UVAManager:
                 start = None
         if start is not None:
             records.append((start, data[start:]))
-        if self._records_size(records) >= int(
+        if delta_records_size(records) >= int(
                 len(data) * DELTA_BREAK_EVEN):
             return None
         return records
+
+    def _refill_records(self, page_index: int,
+                        data: bytes) -> Optional[DeltaRecords]:
+        """The delta that refills a page (re-prefetch or CoD fault)
+        against the stale base synchronization retained — only ever with
+        the page cache and delta transfer both on; consumes the base.
+        None ships the whole page."""
+        base = self._stale_base.pop(page_index, None)
+        return None if base is None else self._diff_records(data, base)
+
+    def _book_deltas(self, kind: str, deltas: List[DeltaRecords]) -> None:
+        """Account the pages one transfer shipped as deltas."""
+        if not deltas:
+            return
+        records = sum(len(d) for d in deltas)
+        encoded = sum(delta_records_size(d) for d in deltas)
+        saved = len(deltas) * self.page_size - encoded
+        self.stats.delta_pages += len(deltas)
+        self.stats.delta_records += records
+        self.stats.delta_bytes += encoded
+        self.stats.delta_saved_bytes += saved
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit("uva.delta", kind, pages=len(deltas),
+                        records=records, encoded_bytes=encoded,
+                        saved_bytes=saved)
+            tracer.metrics.counter("uva.delta_saved_bytes").inc(saved)
 
     def _mark_server_clean(self, page_index: int) -> None:
         """The server just received (or kept) a copy identical to the
@@ -376,19 +394,17 @@ class UVAManager:
                 self._server_sourced.add(pidx)
                 continue
             invalidated += 1
-            base = None
             if (self.enable_delta_transfer
                     and pidx in self._server_version
                     and pidx in mobile_pages
                     and len(self._stale_base) < MAX_STALE_PAGES):
                 # keep the known-version copy as a delta base for the
                 # refill (CoD fault or re-prefetch) of this page
-                base = self.server.memory.page_bytes(pidx)
+                self._stale_base[pidx] = self.server.memory.page_bytes(
+                    pidx)
+                retained += 1
             self.server.memory.unmap_page(pidx)
             self._server_version.pop(pidx, None)
-            if base is not None:
-                self._stale_base[pidx] = base
-                retained += 1
         # Version-vector delta: one entry per page whose version differs
         # from what the server last heard (plus one header entry).
         changed = [p for p in shared_mobile_pages
@@ -443,7 +459,7 @@ class UVAManager:
         payloads = []
         installed = {}
         skipped = 0
-        delta_pages = delta_records = delta_bytes = delta_saved = 0
+        deltas: List[DeltaRecords] = []
         for pidx in sorted(candidate):
             if not self.shareable(pidx):
                 continue
@@ -457,16 +473,10 @@ class UVAManager:
                 continue
             data = self.mobile.memory.page_bytes(pidx)
             payload = data
-            if self.enable_page_cache and self.enable_delta_transfer:
-                base = self._stale_base.pop(pidx, None)
-                if base is not None:
-                    records = self._diff_records(data, base)
-                    if records is not None:
-                        payload = self._encode_wire(records)
-                        delta_pages += 1
-                        delta_records += len(records)
-                        delta_bytes += len(payload)
-                        delta_saved += len(data) - len(payload)
+            records = self._refill_records(pidx, data)
+            if records is not None:
+                payload = encode_delta_records(records)
+                deltas.append(records)
             payloads.append(payload)
             installed[pidx] = data
         if skipped:
@@ -484,25 +494,14 @@ class UVAManager:
         self.stats.prefetched_pages += len(installed)
         prefetch_bytes = sum(len(p) for p in payloads)
         self.stats.prefetch_bytes += prefetch_bytes
-        if delta_pages:
-            self.stats.delta_pages += delta_pages
-            self.stats.delta_records += delta_records
-            self.stats.delta_bytes += delta_bytes
-            self.stats.delta_saved_bytes += delta_saved
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit("uva.prefetch", "push", pages=len(installed),
                         bytes=prefetch_bytes, cache_skipped=skipped,
-                        delta_pages=delta_pages)
+                        delta_pages=len(deltas))
             tracer.metrics.counter("uva.prefetch_pages").inc(len(installed))
             tracer.metrics.counter("uva.prefetch_bytes").inc(prefetch_bytes)
-            if delta_pages:
-                tracer.emit("uva.delta", "prefetch", pages=delta_pages,
-                            records=delta_records,
-                            encoded_bytes=delta_bytes,
-                            saved_bytes=delta_saved)
-                tracer.metrics.counter("uva.delta_saved_bytes").inc(
-                    delta_saved)
+        self._book_deltas("prefetch", deltas)
         seconds = self.comm.send_to_server(payloads).seconds
         self.stats.prefetch_seconds += seconds
         return seconds
@@ -519,17 +518,9 @@ class UVAManager:
         if page_index not in self.mobile.memory.pages:
             return False
         data = self.mobile.memory.page_bytes(page_index)
-        response_bytes = len(data)
-        delta_records_n = 0
-        delta_saved = 0
-        if self.enable_page_cache and self.enable_delta_transfer:
-            base = self._stale_base.pop(page_index, None)
-            if base is not None:
-                records = self._diff_records(data, base)
-                if records is not None:
-                    response_bytes = self._records_size(records)
-                    delta_records_n = len(records)
-                    delta_saved = len(data) - response_bytes
+        records = self._refill_records(page_index, data)
+        response_bytes = (len(data) if records is None
+                          else delta_records_size(records))
         result = self.comm.round_trip(PAGE_TABLE_ENTRY_BYTES,
                                       response_bytes)
         self.server.memory.map_page(page_index, data)
@@ -539,11 +530,6 @@ class UVAManager:
         self.stats.cod_faults += 1
         self.stats.cod_bytes += response_bytes
         self.stats.cod_seconds += result.seconds
-        if delta_saved:
-            self.stats.delta_pages += 1
-            self.stats.delta_records += delta_records_n
-            self.stats.delta_bytes += response_bytes
-            self.stats.delta_saved_bytes += delta_saved
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit("uva.fault", f"page-{page_index:#x}",
@@ -553,71 +539,16 @@ class UVAManager:
             tracer.metrics.counter("uva.cod_bytes").inc(response_bytes)
             tracer.metrics.histogram("uva.fault_seconds").observe(
                 result.seconds)
-            if delta_saved:
-                tracer.emit("uva.delta", "cod-refill", pages=1,
-                            records=delta_records_n,
-                            encoded_bytes=response_bytes,
-                            saved_bytes=delta_saved)
-                tracer.metrics.counter("uva.delta_saved_bytes").inc(
-                    delta_saved)
+        self._book_deltas("cod-refill",
+                          [] if records is None else [records])
         return True
 
-    def write_back(self, defer_commit: bool = False) -> Tuple[float, int]:
-        """Finalization: send all server dirty pages (in the shared region)
-        back to the mobile device, batched and compressed.  Pages whose
-        base the mobile already holds ship as sub-page deltas when that
-        beats the break-even threshold.  Returns (seconds, payload_bytes).
-
-        With ``defer_commit`` the pages are transmitted (or queued on an
-        open batching window) but **not** applied to mobile memory until
-        :meth:`commit_finalize` — the session commits only after the
-        whole finalization message survives the transport.
-        """
-        server_mem = self.server.memory
-        masks = (dict(server_mem.dirty_blocks)
-                 if self.enable_delta_transfer else {})
-        dirty = server_mem.collect_dirty_pages()
-        full_mask = server_mem.full_block_mask
-        threshold = int(self.page_size * DELTA_BREAK_EVEN)
-        payloads = []
-        staged: Dict[int, WritebackEntry] = {}
-        for pidx, data in dirty.items():
-            if not self.shareable(pidx):
-                continue
-            entry: WritebackEntry = data
-            payload = data
-            if (self.enable_delta_transfer
-                    and pidx in self._server_sourced
-                    and pidx in self.mobile.memory.pages):
-                mask = masks.get(pidx, full_mask)
-                if mask != full_mask:
-                    records = self._mask_records(data, mask)
-                    if self._records_size(records) < threshold:
-                        entry = records
-                        payload = self._encode_wire(records)
-            payloads.append(payload)
-            staged[pidx] = entry
-        bytes_back = sum(len(p) for p in payloads)
-        seconds = (self.comm.send_to_mobile(payloads).seconds
-                   if payloads else 0.0)
-        self.stats.writeback_seconds += seconds
-        if defer_commit:
-            self._pending_writeback = staged
-        else:
-            self._apply_writeback(staged)
-        if not payloads:
-            return 0.0, 0
-        return seconds, bytes_back
-
-    def capture_shard_writeback(self) -> Tuple[int, List[bytes]]:
-        """Stage one shard's dirty pages without touching the wire.
-
-        The staging half of :meth:`write_back`: snapshot the server's
-        dirty pages (delta-encoded where that beats break-even), append
-        the staged entries to the plan's ordered capture sequence, and
-        return ``(capture_index, wire_payloads)``.  The gather step
-        transmits the payloads itself; :meth:`commit_finalize` applies
-        every surviving capture in shard order."""
+    def _stage_dirty_pages(self) -> List[bytes]:
+        """Stage one server execution's dirty pages: snapshot and clear
+        the server's dirty set, encode pages whose base the mobile
+        already holds as sub-page deltas when that beats break-even,
+        append the entries to the invocation's staged list and return
+        their wire payloads."""
         server_mem = self.server.memory
         masks = (dict(server_mem.dirty_blocks)
                  if self.enable_delta_transfer else {})
@@ -637,14 +568,34 @@ class UVAManager:
                 mask = masks.get(pidx, full_mask)
                 if mask != full_mask:
                     records = self._mask_records(data, mask)
-                    if self._records_size(records) < threshold:
+                    if delta_records_size(records) < threshold:
                         entry = records
-                        payload = self._encode_wire(records)
+                        payload = encode_delta_records(records)
             payloads.append(payload)
             staged[pidx] = entry
-        index = len(self._shard_writebacks)
-        self._shard_writebacks.append(staged)
-        return index, payloads
+        self._staged.append(staged)
+        return payloads
+
+    def write_back(self) -> Tuple[float, int]:
+        """Finalization of the plan of one: stage the server's dirty
+        pages (in the shared region) and send them to the mobile device
+        — transmitted, or queued on an open batching window, but applied
+        only by :meth:`commit_finalize`, once the whole finalization
+        message survived.  Returns (seconds, payload_bytes)."""
+        payloads = self._stage_dirty_pages()
+        if not payloads:
+            return 0.0, 0
+        seconds = self.comm.send_to_mobile(payloads).seconds
+        self.stats.writeback_seconds += seconds
+        return seconds, sum(len(p) for p in payloads)
+
+    def capture_shard_writeback(self) -> Tuple[int, List[bytes]]:
+        """Stage one shard's dirty pages without touching the wire and
+        return ``(capture_index, wire_payloads)``.  The gather step
+        transmits the payloads itself; :meth:`commit_finalize` applies
+        every surviving capture in shard order."""
+        payloads = self._stage_dirty_pages()
+        return len(self._staged) - 1, payloads
 
     def discard_shard_writeback(self, index: int) -> None:
         """Drop a straggler shard's capture: nothing it staged may reach
@@ -654,12 +605,12 @@ class UVAManager:
         synchronization bumps their versions and invalidates the
         diverged server copies (no stale read is possible within this
         invocation: shards never read shard-written data)."""
-        self._shard_writebacks[index] = {}
+        self._staged[index] = {}
 
     def _apply_writeback(self, staged: Dict[int, WritebackEntry]) -> None:
         full: Dict[int, bytes] = {}
         bytes_back = 0
-        delta_pages = delta_records = delta_bytes = delta_saved = 0
+        deltas: List[DeltaRecords] = []
         for pidx, entry in staged.items():
             if isinstance(entry, (bytes, bytearray)):
                 full[pidx] = bytes(entry)
@@ -667,12 +618,8 @@ class UVAManager:
             else:
                 self.mobile.memory.apply_delta(pidx, entry,
                                                mark_dirty=True)
-                size = self._records_size(entry)
-                bytes_back += size
-                delta_pages += 1
-                delta_records += len(entry)
-                delta_bytes += size
-                delta_saved += self.page_size - size
+                bytes_back += delta_records_size(entry)
+                deltas.append(entry)
         self.mobile.memory.install_pages(full, mark_dirty=True)
         if self.enable_page_cache:
             # Both sides now hold identical content: bump the page
@@ -686,37 +633,23 @@ class UVAManager:
                 self.mobile.memory.dirty.discard(pidx)
         self.stats.written_back_pages += len(staged)
         self.stats.written_back_bytes += bytes_back
-        if delta_pages:
-            self.stats.delta_pages += delta_pages
-            self.stats.delta_records += delta_records
-            self.stats.delta_bytes += delta_bytes
-            self.stats.delta_saved_bytes += delta_saved
         tracer = self.tracer
-        if tracer.enabled and staged:
+        if tracer.enabled:
             tracer.emit("uva.writeback", "dirty-pages",
                         pages=len(staged), bytes=bytes_back,
-                        delta_pages=delta_pages)
+                        delta_pages=len(deltas))
             tracer.metrics.counter("uva.writeback_pages").inc(
                 len(staged))
             tracer.metrics.counter("uva.writeback_bytes").inc(bytes_back)
-            if delta_pages:
-                tracer.emit("uva.delta", "writeback", pages=delta_pages,
-                            records=delta_records,
-                            encoded_bytes=delta_bytes,
-                            saved_bytes=delta_saved)
-                tracer.metrics.counter("uva.delta_saved_bytes").inc(
-                    delta_saved)
+        self._book_deltas("writeback", deltas)
 
     def commit_finalize(self) -> None:
-        """Apply staged finalization state after the transfer succeeded."""
-        if self._shard_writebacks:
-            for staged in self._shard_writebacks:
-                if staged:
-                    self._apply_writeback(staged)
-            self._shard_writebacks = []
-        if self._pending_writeback is not None:
-            self._apply_writeback(self._pending_writeback)
-            self._pending_writeback = None
+        """Apply staged finalization state, in staging order, after the
+        transfer succeeded."""
+        for staged in self._staged:
+            if staged:
+                self._apply_writeback(staged)
+        self._staged = []
         if self._pending_alloc_state is not None:
             self.mobile.uva_heap.restore(self._pending_alloc_state)
             self._pending_alloc_state = None
@@ -726,17 +659,11 @@ class UVAManager:
         failed invocation may reach the mobile device, and server pages
         the failed run dirtied are dropped from the cache (their content
         diverged from every mobile version)."""
-        staged = self._pending_writeback or {}
-        dirtied = set(self.server.memory.dirty) | set(staged)
-        for shard_staged in self._shard_writebacks:
-            dirtied |= set(shard_staged)
-        self._shard_writebacks = []
-        self._pending_writeback = None
+        dirtied = set(self.server.memory.dirty).union(*self._staged)
+        self._staged = []
         self._pending_alloc_state = None
         if self.enable_page_cache or self.enable_delta_transfer:
-            for pidx in dirtied:
-                if not self.shareable(pidx):
-                    continue
+            for pidx in filter(self.shareable, dirtied):
                 self.server.memory.unmap_page(pidx)
                 self._server_version.pop(pidx, None)
                 self._server_sourced.discard(pidx)
@@ -753,12 +680,11 @@ class UVAManager:
         approx = 32 + 16 * len(state["free_list"])
         return self.comm.send_to_server([b"\x00" * approx]).seconds
 
-    def pull_allocator_state(self, defer_commit: bool = False) -> float:
+    def pull_allocator_state(self) -> float:
+        """Ship the allocator state server->mobile; staged like the
+        write-back and restored by :meth:`commit_finalize`."""
         state = self.server.uva_heap.snapshot()
         approx = 32 + 16 * len(state["free_list"])
         seconds = self.comm.send_to_mobile([b"\x00" * approx]).seconds
-        if defer_commit:
-            self._pending_alloc_state = state
-        else:
-            self.mobile.uva_heap.restore(state)
+        self._pending_alloc_state = state
         return seconds

@@ -1,4 +1,4 @@
-"""Fleet-scale runtime tests: the ExecutionBackend seam, the server
+"""Fleet-scale runtime tests: the execution-backend seam, the server
 pool, the fleet scheduler, the estimator's contention term, and the
 seed fan-out (docs/fleet.md)."""
 
@@ -99,6 +99,46 @@ def alone_untraced(fleet_program):
     """The untraced 1-device baseline contended devices compare with."""
     _, program, _ = fleet_program
     return _run_fleet(program, devices=1, tracing=False)
+
+
+@pytest.fixture(scope="module")
+def burst_traced(fleet_program):
+    """The traced burst: 6 devices at once on one bounded-queue slot —
+    some queue, some are refused."""
+    _, program, _ = fleet_program
+    return _run_fleet(
+        program, devices=6,
+        pool_options=PoolOptions(servers=1, capacity=1, queue_limit=2))
+
+
+@pytest.fixture(scope="module")
+def saturated_untraced(fleet_program):
+    """The untraced saturated pool: 8 devices at once on one slot with
+    an unbounded queue — everyone is admitted, most of them late."""
+    _, program, _ = fleet_program
+    return _run_fleet(
+        program, devices=8,
+        pool_options=PoolOptions(servers=1, capacity=1), tracing=False)
+
+
+def _seeded_faulty_fleet(program):
+    """Every seeded input a fleet has: poisson arrivals and a 5 %-drop
+    fault plan per device, 4 traced devices on a bounded 2-server
+    pool."""
+    fan = SeedFanout(7)
+    offsets = arrival_offsets("poisson", 4, 0.001, fan.rng("arrivals"))
+    plans = [FaultPlan(seed=fan.seed("fault", i), drop_rate=0.05)
+             for i in range(4)]
+    return _run_fleet(
+        program, devices=4, offsets=offsets,
+        pool_options=PoolOptions(servers=2, capacity=1, queue_limit=2),
+        fault_plans=plans)
+
+
+@pytest.fixture(scope="module")
+def seeded_faulty(fleet_program):
+    _, program, _ = fleet_program
+    return _seeded_faulty_fleet(program)
 
 
 class TestBackendSeamDifferential:
@@ -230,12 +270,10 @@ class TestServerPool:
 
 
 class TestContention:
-    def test_burst_fleet_queues_and_degrades(self, fleet_program):
-        _, program, local = fleet_program
-        result = _run_fleet(
-            program, devices=6,
-            pool_options=PoolOptions(servers=1, capacity=1,
-                                     queue_limit=2))
+    def test_burst_fleet_queues_and_degrades(self, fleet_program,
+                                             burst_traced):
+        _, _, local = fleet_program
+        result = burst_traced
         summary = result.summary()
         # Everyone still computes the right answer...
         assert all(d.result.stdout == local.stdout
@@ -246,30 +284,19 @@ class TestContention:
         assert summary["invocations"]["local_fallbacks"] > 0
         assert 0.0 < summary["servers_detail"][0]["utilization"] <= 1.0
 
-    def test_decline_rate_rises_with_fleet_size(self, fleet_program):
-        _, program, _ = fleet_program
-        small = _run_fleet(program, devices=2,
-                           pool_options=PoolOptions(servers=1,
-                                                    capacity=1,
-                                                    queue_limit=2),
-                           tracing=False)
-        big = _run_fleet(program, devices=8,
-                         pool_options=PoolOptions(servers=1, capacity=1,
-                                                  queue_limit=2),
-                         tracing=False)
+    def test_decline_rate_rises_with_fleet_size(self, alone_untraced,
+                                                saturated_untraced):
+        # same one-slot pool, 1 device against 8
+        small, big = alone_untraced, saturated_untraced
         assert (big.summary()["decline_rate"]
                 > small.summary()["decline_rate"])
 
-    def test_queue_seconds_charged_to_device_timeline(self, fleet_program,
-                                                      alone_untraced):
+    def test_queue_seconds_charged_to_device_timeline(
+            self, saturated_untraced, alone_untraced):
         """Queueing delay lands on the device clock and battery exactly
         like link time: a queued device finishes later and spends more
         energy than the same device alone."""
-        _, program, _ = fleet_program
-        contended = _run_fleet(
-            program, devices=4,
-            pool_options=PoolOptions(servers=1, capacity=1),
-            tracing=False)
+        contended = saturated_untraced
         queued = [d for d in contended.devices
                   if d.result.queue_seconds > 0.0]
         assert queued, "burst arrivals must queue somewhere"
@@ -284,56 +311,41 @@ class TestContention:
 
 
 class TestDeterminism:
-    def _summary_and_trace(self, program, tmp_path, tag):
-        fan = SeedFanout(7)
-        offsets = arrival_offsets("poisson", 4, 0.001,
-                                  fan.rng("arrivals"))
-        plans = [FaultPlan(seed=fan.seed("fault", i), drop_rate=0.05)
-                 for i in range(4)]
-        result = _run_fleet(
-            program, devices=4, offsets=offsets,
-            pool_options=PoolOptions(servers=2, capacity=1,
-                                     queue_limit=2),
-            fault_plans=plans)
+    def _summary_and_trace(self, result, tmp_path, tag):
         payload = json.dumps(result.summary(), sort_keys=False)
         trace_path = tmp_path / f"fleet-{tag}.jsonl"
         write_jsonl(result.merged_events(), trace_path)
         return payload, trace_path.read_bytes()
 
     def test_same_seed_runs_are_byte_identical(self, fleet_program,
-                                               tmp_path):
+                                               seeded_faulty, tmp_path):
         _, program, _ = fleet_program
-        payload1, trace1 = self._summary_and_trace(program, tmp_path, "a")
-        payload2, trace2 = self._summary_and_trace(program, tmp_path, "b")
+        payload1, trace1 = self._summary_and_trace(
+            seeded_faulty, tmp_path, "a")
+        payload2, trace2 = self._summary_and_trace(
+            _seeded_faulty_fleet(program), tmp_path, "b")
         assert payload1 == payload2
         assert trace1 == trace2
 
 
 class TestMergedTrace:
     def test_merged_events_are_globally_ordered_and_tagged(
-            self, fleet_program):
-        _, program, _ = fleet_program
-        result = _run_fleet(
-            program, devices=3, offsets=[0.0, 0.005, 0.010],
-            pool_options=PoolOptions(servers=1, capacity=1))
-        events = result.merged_events()
+            self, seeded_faulty):
+        events = seeded_faulty.merged_events()
         assert events
-        assert {e.sid for e in events} == {"dev00", "dev01", "dev02"}
+        assert {e.sid for e in events} == {"dev00", "dev01", "dev02",
+                                           "dev03"}
         times = [e.t for e in events]
         assert times == sorted(times)
         # offset shift: a later device's session.start lands later
         starts = {e.sid: e.t for e in events
                   if e.category == "session.start"}
-        assert starts["dev00"] < starts["dev01"] < starts["dev02"]
+        assert (starts["dev00"] < starts["dev01"] < starts["dev02"]
+                < starts["dev03"])
         assert all(e.category in CATEGORIES for e in events)
 
-    def test_queue_and_reject_events_emitted(self, fleet_program):
-        _, program, _ = fleet_program
-        result = _run_fleet(
-            program, devices=6,
-            pool_options=PoolOptions(servers=1, capacity=1,
-                                     queue_limit=1))
-        cats = {e.category for e in result.merged_events()}
+    def test_queue_and_reject_events_emitted(self, burst_traced):
+        cats = {e.category for e in burst_traced.merged_events()}
         assert "offload.queue" in cats
         assert "offload.reject" in cats
 
@@ -406,16 +418,11 @@ class TestQueueingAwareEstimator:
         assert est.last_reason == "queue_pressure"
         assert est.last_estimate.t_queue == pytest.approx(100.0)
 
-    def test_saturated_fleet_declines_offload(self, fleet_program):
+    def test_saturated_fleet_declines_offload(self, saturated_untraced):
         """End to end: devices arriving into a saturated pool start
         declining (the generalized Equation 1 at work)."""
-        _, program, _ = fleet_program
-        result = _run_fleet(
-            program, devices=8,
-            pool_options=PoolOptions(servers=1, capacity=1),
-            tracing=False)
         declined = sum(d.result.declined_invocations
-                       for d in result.devices)
+                       for d in saturated_untraced.devices)
         assert declined > 0
 
 

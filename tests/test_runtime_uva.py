@@ -87,6 +87,9 @@ class TestSynchronizeAndWriteBack:
         server.memory.write(addr, b"MODIFIED")
         seconds, payload = uva.write_back()
         assert seconds > 0 and payload > 0
+        # staged, not applied: only the commit touches mobile memory
+        assert mobile.memory.read(addr, 8) == b"original"
+        uva.commit_finalize()
         assert mobile.memory.read(addr, 8) == b"MODIFIED"
 
     def test_write_back_skips_private_pages(self):
@@ -145,6 +148,7 @@ class TestAllocatorSync:
         a2 = server.uva_heap.alloc(100)
         assert a2 > a1
         uva.pull_allocator_state()
+        uva.commit_finalize()
         a3 = mobile.uva_heap.alloc(100)
         assert a3 > a2
 

@@ -3,9 +3,12 @@ decision making, overhead accounting, and the unification ablations."""
 
 import pytest
 
-from repro.offload import CompilerOptions
+from repro.frontend import compile_c
+from repro.offload import CompilerOptions, NativeOffloaderCompiler
+from repro.profiler import profile_module
 from repro.runtime import (FAST_WIFI, IDEAL_NETWORK, SLOW_WIFI,
-                           NetworkModel, SessionOptions)
+                           NetworkModel, OffloadSession, SessionOptions,
+                           run_local)
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
 
@@ -79,6 +82,31 @@ class TestSemanticsPreservation:
         assert program.remote_io_sites > 0
         assert result.stdout == local.stdout
         assert result.remote_io_seconds > 0
+
+    def test_remote_fprintf_to_stderr_stays_off_stdout(self):
+        """``fprintf((void*)2, ...)`` in an offloaded target lands on
+        the mobile's stderr, exactly where local libc routes handle 2 —
+        not in the offloaded run's stdout."""
+        src = HOT_KERNEL_SRC.replace(
+            "    return acc;\n",
+            '    fprintf((void*)2, "diag %d\\n", acc);\n    return acc;\n')
+        assert "diag" in src
+        module = compile_c(src, "test")
+        profile = profile_module(module, stdin=HOT_KERNEL_STDIN)
+        program = NativeOffloaderCompiler(
+            CompilerOptions(forced_targets=["crunch"])).compile(
+                module, profile)
+        local = run_local(module, stdin=HOT_KERNEL_STDIN)
+        session = OffloadSession(
+            program, FAST_WIFI, stdin=HOT_KERNEL_STDIN,
+            options=SessionOptions(enable_tracing=True))
+        result = session.run()
+        assert result.offloaded_invocations == 1
+        assert result.stdout == local.stdout
+        acc = local.stdout.split()[1]
+        assert bytes(session.mobile.io.stderr) == b"diag %s\n" % acc.encode()
+        ops = result.trace.events("rio.op")
+        assert [e.name for e in ops] == ["fprintf"]
 
     def test_mutated_heap_written_back(self):
         src = r"""

@@ -46,7 +46,7 @@ def offload_cycle(uva, pages, target="kernel"):
 
 
 def finish_cycle(uva):
-    uva.write_back(defer_commit=True)
+    uva.write_back()
     uva.commit_finalize()
     uva.end_invocation()
 
@@ -173,7 +173,7 @@ class TestAbortRollback:
         pidx = mobile.memory.page_index(PAGE0)
         offload_cycle(uva, [pidx])
         server.memory.write(PAGE0, b"poisoned")
-        uva.write_back(defer_commit=True)
+        uva.write_back()
         uva.abort_invocation()
         # nothing from the failed run reached the mobile device
         assert mobile.memory.read(PAGE0, 8) == b"original"
@@ -193,9 +193,97 @@ class TestAbortRollback:
         snapshot = bytes(mobile.memory.pages[pidx])
         offload_cycle(uva, [pidx])
         server.memory.write(PAGE0 + 100, b"garbage")
-        uva.write_back(defer_commit=True)
+        uva.write_back()
         uva.abort_invocation()
         assert bytes(mobile.memory.pages[pidx]) == snapshot
+
+
+@pytest.mark.parametrize("k", [1, 3])
+class TestStagedWriteback:
+    """One staged list serves the plan of one (k=1, staged by
+    ``write_back``) and the gang (k=3, one ``capture_shard_writeback``
+    per execution): stage -> commit in order, or discard, or abort."""
+
+    SHARED = PAGE0 + 8          # every execution overwrites this word
+
+    def _open(self, k):
+        """An open invocation over k+1 prefetched pages: page 0 holds
+        the shared word, page i+1 belongs to execution i."""
+        mobile, server, comm, uva = make_pair()
+        mobile.map_range(PAGE0, uva.page_size * (k + 1))
+        mobile.memory.write(PAGE0, b"pre-offload state")
+        first = mobile.memory.page_index(PAGE0)
+        pages = list(range(first, first + k + 1))
+        offload_cycle(uva, pages)
+        return mobile, server, uva, pages
+
+    def _execute(self, server, uva, i):
+        server.memory.write(self.SHARED, bytes([i + 1]) * 4)
+        server.memory.write(PAGE0 + uva.page_size * (i + 1) + 64,
+                            b"exec-%d" % i)
+
+    def _stage(self, server, uva, k):
+        """Run and stage k server executions; returns the captures."""
+        captures = []
+        for i in range(k):
+            self._execute(server, uva, i)
+            if k == 1:
+                uva.write_back()
+                captures.append(0)
+            else:
+                captures.append(uva.capture_shard_writeback()[0])
+        return captures
+
+    def _snapshot(self, memory, pages):
+        return [memory.page_bytes(p) for p in pages]
+
+    def test_commit_applies_in_staging_order(self, k):
+        mobile, server, uva, pages = self._open(k)
+        before = self._snapshot(mobile.memory, pages)
+        assert self._stage(server, uva, k) == list(range(k))
+        assert self._snapshot(mobile.memory, pages) == before  # staged only
+        uva.commit_finalize()
+        uva.end_invocation()
+        # the last staged entry wins the word every execution wrote
+        assert mobile.memory.read(self.SHARED, 4) == bytes([k]) * 4
+        assert uva.stats.written_back_pages == 2 * k
+        # byte-identical to one sequential execution of the same writes
+        ref_mobile, ref_server, ref_uva, _ = self._open(k)
+        for i in range(k):
+            self._execute(ref_server, ref_uva, i)
+        finish_cycle(ref_uva)
+        assert (self._snapshot(mobile.memory, pages)
+                == self._snapshot(ref_mobile.memory, pages))
+
+    def test_discarded_capture_contributes_nothing(self, k):
+        mobile, server, uva, pages = self._open(k)
+        before = self._snapshot(mobile.memory, pages)
+        captures = self._stage(server, uva, k)
+        dropped = captures[k // 2]
+        uva.discard_shard_writeback(dropped)
+        uva.commit_finalize()
+        uva.end_invocation()
+        after = self._snapshot(mobile.memory, pages)
+        assert after[dropped + 1] == before[dropped + 1]
+        assert uva.stats.written_back_pages == 2 * (k - 1)
+        if k == 1:
+            assert after == before
+        else:
+            assert mobile.memory.read(self.SHARED, 4) == bytes([k]) * 4
+
+    def test_abort_after_staging_purges_every_staged_page(self, k):
+        mobile, server, uva, pages = self._open(k)
+        before = self._snapshot(mobile.memory, pages)
+        self._stage(server, uva, k)
+        uva.abort_invocation()
+        uva.commit_finalize()        # nothing left to apply
+        assert self._snapshot(mobile.memory, pages) == before
+        assert uva.stats.written_back_pages == 0
+        assert not set(pages) & set(server.memory.pages)
+        # a replayed invocation re-ships pre-offload state
+        offload_cycle(uva, pages)
+        assert self._snapshot(server.memory, pages) == before
+        finish_cycle(uva)
 
 
 class TestAdaptivePrefetch:
