@@ -259,8 +259,8 @@ class _Decoder:
     becomes a step ``(cost, slot, op)``: the run loop charges ``cost`` —
     bound as :meth:`Interpreter.charge` computes it — and stores
     ``op(interp, frame)`` in the slot; masks, sizes, codecs, scales and the
-    memory's ``read``/``write`` are bound in ``op``.  A terminator's value
-    is the next block's index, or what the function returns.  Ops take the
+    memory's page table are bound in ``op``.  A terminator's value is the
+    next block's index, or what the function returns.  Ops take the
     interpreter as an argument and never capture it: it owns the decoded
     program, so a captured interpreter is a reference cycle that keeps
     every dropped interpreter's program alive until a generation-2
@@ -273,6 +273,9 @@ class _Decoder:
         self.layout = interp.machine.layout
         self.costs = interp._cycle_table
         self.mem_observer = interp._mem_observer
+        page_size = interp.machine.memory.page_size
+        self.page_shift = page_size.bit_length() - 1
+        self.offset_mask = page_size - 1
         self.slots = {value: slot for slot, value in enumerate(
             (*fn.args, *fn.instructions()))}
         self.block_index = {block: i for i, block in enumerate(fn.blocks)}
@@ -398,7 +401,10 @@ class _Decoder:
             return self.costs["mem"], _unknown(str(error))
         pointer = self.operand(instruction.pointer)
         machine, observer = self.machine, self.mem_observer
-        read, order = machine.memory.read, self.layout.byte_order
+        memory, order = machine.memory, self.layout.byte_order
+        read, page_at = memory.read, memory.pages.get
+        shift, offset_mask = self.page_shift, self.offset_mask
+        in_page = memory.page_size - size  # the last offset that fits
         from_bytes = int.from_bytes
         unpack = None if codec is None else codec.unpack
 
@@ -406,7 +412,16 @@ class _Decoder:
             address = pointer(frame)
             if observer is not None:
                 observer.memory_access(address, size, False)
-            data = read(address, size)
+            index = address >> shift
+            offset = address & offset_mask
+            page = page_at(index)
+            if page is None or offset > in_page:
+                data = read(address, size)  # fault, or straddles two pages
+            else:
+                touched = memory.touched
+                if touched is not None:
+                    touched.add(index)
+                data = page[offset:offset + size]
             if convert_cost is not None:
                 machine.pointer_conversions += 1
                 interp.cycles += convert_cost
@@ -426,7 +441,12 @@ class _Decoder:
         pointer = self.operand(instruction.pointer)
         source = self.operand(instruction.value)
         machine, observer = self.machine, self.mem_observer
-        write, order = machine.memory.write, self.layout.byte_order
+        memory, order = machine.memory, self.layout.byte_order
+        write, page_at = memory.write, memory.pages.get
+        mark_dirty, dirty_blocks = memory.dirty.add, memory.dirty_blocks
+        mark_blocks, block_shift = memory.mark_blocks, memory.block_shift
+        shift, offset_mask = self.page_shift, self.offset_mask
+        in_page = memory.page_size - size  # the last offset that fits
         too_wide = 1 << (size * 8)
         pack = None if codec is None else codec.pack
 
@@ -450,7 +470,24 @@ class _Decoder:
                     f"pointer {value:#x} does not fit in {size} bytes; "
                     "UVA addresses must stay below the unified pointer "
                     "range")
-            write(address, data)
+            index = address >> shift
+            offset = address & offset_mask
+            page = page_at(index)
+            if page is None or offset > in_page:
+                write(address, data)  # fault, or straddles two pages
+                return
+            page[offset:offset + size] = data
+            mark_dirty(index)
+            if memory.track_subpage:
+                block = offset >> block_shift
+                if (offset + size - 1) >> block_shift == block:
+                    dirty_blocks[index] = (dirty_blocks.get(index, 0)
+                                           | 1 << block)
+                else:
+                    mark_blocks(index, offset, size)
+            touched = memory.touched
+            if touched is not None:
+                touched.add(index)
         return self.costs["mem"], op
 
     def decode_gep(self, instruction: inst.Gep) -> tuple:

@@ -54,7 +54,7 @@ class AddressSpace:
         self.block_size = min(SUBPAGE_BLOCK_BYTES, page_size)
         self.blocks_per_page = self.page_size // self.block_size
         self.dirty_blocks: Dict[int, int] = {}
-        self._block_shift = self.block_size.bit_length() - 1
+        self.block_shift = self.block_size.bit_length() - 1
         # Optional touched-page recording (reads and writes).  None means
         # no tracking; the UVA manager installs a set for the duration of
         # one offloaded invocation to drive adaptive prefetch.
@@ -102,7 +102,13 @@ class AddressSpace:
         raise SegmentationFault(address, size)
 
     # -- raw byte access ------------------------------------------------
+    # The interpreter's decoded load/store ops do the in-page, page-mapped
+    # case of read/write themselves (docs/architecture.md, "The memory
+    # path"), binding ``pages``, ``dirty`` and ``dirty_blocks`` once: those
+    # three containers are only ever mutated, never replaced.
     def read(self, address: int, size: int) -> bytes:
+        if not size:
+            return b""  # touches nothing: no fault, no touched page
         # Fast path: access within one page (the overwhelmingly common
         # case for scalar loads).
         off = address & (self.page_size - 1)
@@ -131,6 +137,8 @@ class AddressSpace:
 
     def write(self, address: int, data: bytes) -> None:
         size = len(data)
+        if not size:
+            return  # touches nothing: no fault, no dirty or touched page
         off = address & (self.page_size - 1)
         if off + size <= self.page_size:
             pidx = address // self.page_size
@@ -140,7 +148,7 @@ class AddressSpace:
             page[off:off + size] = data
             self.dirty.add(pidx)
             if self.track_subpage:
-                self._mark_blocks(pidx, off, size)
+                self.mark_blocks(pidx, off, size)
             if self.touched is not None:
                 self.touched.add(pidx)
             return
@@ -155,7 +163,7 @@ class AddressSpace:
             page[off:off + chunk] = data[pos:pos + chunk]
             self.dirty.add(pidx)
             if self.track_subpage:
-                self._mark_blocks(pidx, off, chunk)
+                self.mark_blocks(pidx, off, chunk)
             if self.touched is not None:
                 self.touched.add(pidx)
             addr += chunk
@@ -163,22 +171,29 @@ class AddressSpace:
             remaining -= chunk
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
-        """Read a NUL-terminated byte string."""
+        """Read a NUL-terminated byte string, a page at a time."""
         out = bytearray()
         addr = address
         while len(out) < limit:
-            byte = self.read(addr, 1)
-            if byte == b"\x00":
+            pidx = addr // self.page_size
+            page = self._page_for(pidx, addr, 1)
+            if self.touched is not None:
+                self.touched.add(pidx)
+            off = addr - pidx * self.page_size
+            stop = min(self.page_size, off + limit - len(out))
+            nul = page.find(0, off, stop)
+            if nul >= 0:
+                out += page[off:nul]
                 return bytes(out)
-            out += byte
-            addr += 1
+            out += page[off:stop]
+            addr += stop - off
         raise ValueError(f"unterminated string at {address:#x}")
 
     # -- dirty-page machinery (write-back) ----------------------------------
-    def _mark_blocks(self, page_index: int, offset: int,
-                     length: int) -> None:
-        b0 = offset >> self._block_shift
-        b1 = (offset + length - 1) >> self._block_shift
+    def mark_blocks(self, page_index: int, offset: int,
+                    length: int) -> None:
+        b0 = offset >> self.block_shift
+        b1 = (offset + length - 1) >> self.block_shift
         mask = ((1 << (b1 + 1)) - 1) & ~((1 << b0) - 1)
         self.dirty_blocks[page_index] = (
             self.dirty_blocks.get(page_index, 0) | mask)

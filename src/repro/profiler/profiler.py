@@ -35,39 +35,57 @@ class _LoopActivation:
         self.accounting = accounting
 
 
-class _FrameState:
-    __slots__ = ("fn", "loop_stack", "loop_info")
-
-    def __init__(self, fn: Function, loop_info: Optional[LoopInfo]):
-        self.fn = fn
-        self.loop_info = loop_info
-        self.loop_stack: List[_LoopActivation] = []
-
-
 class ProfilingObserver(Observer):
     """Interpreter observer that attributes time, invocations and touched
-    pages to functions and natural loops."""
+    pages to functions and natural loops.
+
+    A candidate's ``pages_touched`` is inclusive: every page accessed
+    while one of its activations is live, callees included.  Activations
+    nest, so they are kept as a *scope stack*: entering a function or a
+    loop pushes an empty page set, an access adds its page(s) to the top
+    set only, and leaving a scope unions its set into the candidate's
+    ``pages_touched`` and into the enclosing scope.  Every scope is popped
+    on the way out — ``exit_function`` also runs when ``exit()`` or an
+    error unwinds the guest stack — so the sets are exactly what updating
+    every live activation on every access would give, for one set
+    operation per access whatever the call and loop depth.
+    """
 
     def __init__(self, module: Module, arch: TargetArch, page_size: int):
+        if page_size <= 0 or page_size & (page_size - 1):
+            raise ValueError("page size must be a positive power of two")
         self.arch = arch
         self.page_size = page_size
+        self._page_shift = page_size.bit_length() - 1
         self.profiles: Dict[str, CandidateProfile] = {}
-        self._loop_infos: Dict[str, LoopInfo] = {}
+        # Block -> the innermost loop containing it (blocks outside every
+        # loop are absent).
+        self._innermost: Dict[BasicBlock, Loop] = {}
         for fn in module.defined_functions():
             self.profiles[fn.name] = CandidateProfile(
                 fn.name, "function", fn.name, page_size=page_size)
             info = LoopInfo(fn)
-            self._loop_infos[fn.name] = info
             for loop in info.loops:
                 self.profiles[loop.name] = CandidateProfile(
                     loop.name, "loop", fn.name, page_size=page_size)
-        self._frames: List[_FrameState] = []
+            for block in fn.blocks:
+                loop = info.innermost_loop_of(block)
+                if loop is not None:
+                    self._innermost[block] = loop
+        # One entry per live guest frame: its stack of active loops.
+        self._frames: List[List[_LoopActivation]] = []
         self._fn_entry_cycles: Dict[str, List[float]] = {}
         self._active_fn_depth: Dict[str, int] = {}
         self._active_loop_depth: Dict[str, int] = {}
-        # Scopes currently interested in page-touch events: function
-        # profiles of every active (outermost) activation + active loops.
+        # The scope stack: one page set per live function or loop
+        # activation, innermost last.
         self._touch_scopes: List[Set[int]] = []
+
+    def _pop_scope(self, profile: CandidateProfile) -> None:
+        pages = self._touch_scopes.pop()
+        profile.pages_touched |= pages
+        if self._touch_scopes:
+            self._touch_scopes[-1] |= pages
 
     # -- function events --------------------------------------------------
     def enter_function(self, fn: Function, cycles: float) -> None:
@@ -79,16 +97,18 @@ class ProfilingObserver(Observer):
         self._active_fn_depth[fn.name] = depth + 1
         if depth == 0:
             self._fn_entry_cycles.setdefault(fn.name, []).append(cycles)
-        self._frames.append(
-            _FrameState(fn, self._loop_infos.get(fn.name)))
+        self._frames.append([])
+        self._touch_scopes.append(set())
 
     def exit_function(self, fn: Function, cycles: float) -> None:
         profile = self.profiles.get(fn.name)
         if profile is None:
             return
-        frame = self._frames.pop()
-        while frame.loop_stack:
-            self._pop_loop(frame, cycles)
+        loop_stack = self._frames[-1]
+        while loop_stack:
+            self._pop_loop(loop_stack, cycles)
+        self._frames.pop()
+        self._pop_scope(profile)
         depth = self._active_fn_depth.get(fn.name, 1)
         self._active_fn_depth[fn.name] = depth - 1
         if depth == 1:
@@ -99,29 +119,28 @@ class ProfilingObserver(Observer):
     def enter_block(self, block: BasicBlock, cycles: float) -> None:
         if not self._frames:
             return
-        frame = self._frames[-1]
-        info = frame.loop_info
-        if info is None or not info.loops:
+        loop_stack = self._frames[-1]
+        innermost = self._innermost.get(block)
+        # The common case: still in the same loop, or outside every loop.
+        if (loop_stack[-1].loop if loop_stack else None) is innermost:
             return
         # Leave loops that do not contain this block.
-        while frame.loop_stack and not frame.loop_stack[-1].loop.contains(
-                block):
-            self._pop_loop(frame, cycles)
+        while loop_stack and not loop_stack[-1].loop.contains(block):
+            self._pop_loop(loop_stack, cycles)
         # Enter loops: the chain from the current innermost down to the
         # innermost loop containing the block.
-        innermost = info.innermost_loop_of(block)
         if innermost is None:
             return
         chain: List[Loop] = []
-        active = frame.loop_stack[-1].loop if frame.loop_stack else None
+        active = loop_stack[-1].loop if loop_stack else None
         node: Optional[Loop] = innermost
         while node is not None and node is not active:
             chain.append(node)
             node = node.parent
         if node is not active:
             # block jumped into a disjoint loop nest; unwind fully
-            while frame.loop_stack:
-                self._pop_loop(frame, cycles)
+            while loop_stack:
+                self._pop_loop(loop_stack, cycles)
             chain = []
             node = innermost
             while node is not None:
@@ -132,39 +151,33 @@ class ProfilingObserver(Observer):
             profile.invocations += 1
             depth = self._active_loop_depth.get(loop.name, 0)
             self._active_loop_depth[loop.name] = depth + 1
-            activation = _LoopActivation(loop, cycles, profile,
-                                         accounting=depth == 0)
-            frame.loop_stack.append(activation)
-            self._touch_scopes.append(profile.pages_touched)
+            loop_stack.append(_LoopActivation(loop, cycles, profile,
+                                              accounting=depth == 0))
+            self._touch_scopes.append(set())
 
-    def _pop_loop(self, frame: _FrameState, cycles: float) -> None:
-        activation = frame.loop_stack.pop()
+    def _pop_loop(self, loop_stack: List[_LoopActivation],
+                  cycles: float) -> None:
+        activation = loop_stack.pop()
         name = activation.loop.name
         self._active_loop_depth[name] = (
             self._active_loop_depth.get(name, 1) - 1)
         if activation.accounting:
             activation.profile.total_seconds += (
                 (cycles - activation.start_cycles) / self.arch.clock_hz)
-        # Remove by identity: distinct activations may reference equal (or
-        # the same) sets, and list.remove compares by equality.
-        scopes = self._touch_scopes
-        target = activation.profile.pages_touched
-        for i in range(len(scopes) - 1, -1, -1):
-            if scopes[i] is target:
-                del scopes[i]
-                break
+        self._pop_scope(activation.profile)
 
     # -- memory events ----------------------------------------------------
     def memory_access(self, address: int, size: int, is_write: bool) -> None:
-        first = address // self.page_size
-        last = (address + max(size, 1) - 1) // self.page_size
-        pages = range(first, last + 1)
-        for frame in self._frames:
-            profile = self.profiles.get(frame.fn.name)
-            if profile is not None:
-                profile.pages_touched.update(pages)
-        for scope in self._touch_scopes:
-            scope.update(pages)
+        scopes = self._touch_scopes
+        if not scopes:
+            return
+        shift = self._page_shift
+        first = address >> shift
+        last = (address + size - 1) >> shift
+        if last <= first:  # one page; a zero-size access counts as one byte
+            scopes[-1].add(first)
+        else:
+            scopes[-1].update(range(first, last + 1))
 
 
 def profile_module(module: Module,

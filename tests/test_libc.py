@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import run_c
+from conftest import interp_for, run_c
 
 
 class TestPrintf:
@@ -235,3 +235,40 @@ class TestMathAndMisc:
     def test_puts_putchar(self):
         src = r'int main(){puts("line"); putchar(88); putchar(10);return 0;}'
         assert run_c(src)[1] == "line\nX\n"
+
+
+class TestZeroLength:
+    """n = 0 copies and writes touch no memory, at NULL or one past a
+    page-aligned buffer."""
+
+    SRC = r"""
+    int main() {
+        char *buf = (char*) malloc(4096);
+        void *f = fopen("out.bin", "w");
+        int w;
+        buf[0] = 1;
+        w = (int) fwrite((void*) 0, 1, 0, f);
+        w += (int) fwrite(buf + 4096, 1, 0, f);
+        strncpy((char*) 0, "abc", 0);
+        strncpy(buf + 4096, "abc", 0);
+        memcpy((void*) 0, buf, 0);
+        memcpy(buf + 4096, (void*) 0, 0);
+        fclose(f);
+        printf("%d %ld\n", w, (long) buf);
+        return 0;
+    }
+    """
+
+    def test_fwrite_strncpy_memcpy_of_nothing(self):
+        interp = interp_for(self.SRC)
+        memory = interp.machine.memory
+        memory.touched = set()
+        assert interp.run_main() == 0
+        written, buf = map(int, interp.machine.io.stdout_text().split())
+        assert written == 0
+        assert buf % memory.page_size == 0
+        past = memory.page_index(buf + 4096)
+        assert memory.fault_count == 0
+        assert not memory.is_mapped(0) and past not in memory.pages
+        assert 0 not in memory.dirty and past not in memory.dirty
+        assert 0 not in memory.touched and past not in memory.touched

@@ -199,6 +199,122 @@ class TestFaultHandler:
         assert mem.dirty_pages() == []
 
 
+def _snapshot(mem):
+    return (mem.fault_count, set(mem.dirty), dict(mem.dirty_blocks),
+            None if mem.touched is None else set(mem.touched),
+            sorted(mem.pages))
+
+
+class TestZeroLengthAccess:
+    """A zero-length access touches nothing: no fault, no fault handler
+    call, no dirty page or block, no touched page."""
+
+    def make(self):
+        mem = AddressSpace(page_size=256)
+        mem.track_subpage = True
+        mem.touched = set()
+        mem.map_page(1)
+        return mem
+
+    @pytest.mark.parametrize("address", [0, 256, 300, 511, 512, 10_000])
+    def test_read_and_write_are_no_ops(self, address):
+        mem = self.make()
+        calls = []
+        mem.fault_handler = lambda pidx: calls.append(pidx) or False
+        before = _snapshot(mem)
+        assert mem.read(address, 0) == b""
+        mem.write(address, b"")
+        assert _snapshot(mem) == before
+        assert calls == []
+
+    def test_read_past_a_page_aligned_buffer_pulls_nothing_in(self):
+        # Copy-on-demand must not fetch the page after the buffer.
+        mem = self.make()
+        mem.fault_handler = lambda pidx: bool(mem.map_page(pidx)) or True
+        assert mem.read(512, 0) == b""
+        assert mem.fault_count == 0 and not mem.is_mapped(512)
+
+
+class TestCString:
+    """read_cstring scans a page at a time and behaves as one read(addr, 1)
+    per byte would."""
+
+    def make(self, pages=(0, 1, 2)):
+        mem = AddressSpace(page_size=256)
+        for pidx in pages:
+            mem.map_page(pidx)
+        mem.touched = set()
+        return mem
+
+    @pytest.mark.parametrize("start,length", [
+        (250, 20),      # straddles two pages
+        (200, 400),     # straddles three pages
+        (100, 155),     # NUL is the last byte of page 0
+        (100, 156),     # NUL is the first byte of page 1
+        (255, 0),       # empty string at the last byte of a page
+    ])
+    def test_straddling_strings(self, start, length):
+        mem = self.make()
+        text = bytes(1 + i % 255 for i in range(length))
+        mem.write(start, text + b"\x00tail")
+        mem.touched = set()
+        assert mem.read_cstring(start) == text
+        assert mem.touched == set(range(start // 256,
+                                        (start + length) // 256 + 1))
+        assert mem.fault_count == 0
+
+    def test_unterminated_into_unmapped_faults_at_the_first_unmapped_byte(
+            self):
+        mem = self.make(pages=(0, 1))
+        mem.write(300, b"\x01" * 212)
+        with pytest.raises(SegmentationFault) as err:
+            mem.read_cstring(300)
+        assert (err.value.address, err.value.size) == (512, 1)
+        assert str(err.value) == "segmentation fault at 0x200 (size 1)"
+        assert mem.fault_count == 1 and mem.touched == {1}
+
+    def test_unmapped_start_faults_at_the_start(self):
+        mem = self.make(pages=())
+        with pytest.raises(SegmentationFault) as err:
+            mem.read_cstring(777)
+        assert (err.value.address, err.value.size) == (777, 1)
+
+    def test_handler_mapped_page_mid_string(self):
+        mem = self.make(pages=(0,))
+        mem.write(0, b"a" * 256)
+        fetched = []
+
+        def handler(pidx):
+            fetched.append(pidx)
+            mem.map_page(pidx, b"b" * 10 + b"\x00" * 246)
+            return True
+
+        mem.fault_handler = handler
+        assert mem.read_cstring(250) == b"a" * 6 + b"b" * 10
+        assert fetched == [1] and mem.fault_count == 1
+        assert mem.touched == {0, 1}
+
+    @pytest.mark.parametrize("length,limit,ok", [
+        (9, 10, True), (10, 10, False), (300, 300, False), (299, 300, True)])
+    def test_limit_counts_the_bytes_before_the_nul(self, length, limit, ok):
+        mem = self.make()
+        mem.write(5, b"x" * length + b"\x00")
+        if ok:
+            assert mem.read_cstring(5, limit=limit) == b"x" * length
+        else:
+            with pytest.raises(ValueError, match="unterminated string at 0x5"):
+                mem.read_cstring(5, limit=limit)
+
+    def test_limit_stops_before_an_unmapped_page(self):
+        # The byte-at-a-time scan never read byte ``limit``, so it never
+        # faulted on the page holding it.
+        mem = self.make(pages=(0,))
+        mem.write(0, b"y" * 256)
+        with pytest.raises(ValueError):
+            mem.read_cstring(0, limit=256)
+        assert mem.fault_count == 0
+
+
 # -- hypothesis round trips -------------------------------------------------
 
 @given(st.integers(min_value=0, max_value=2**20),

@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of the host-time benchmark.
+
+    python3 tools/bench_pairs.py <parent-ref> [--pairs 10] [--smoke]
+
+Exports ``<parent-ref>`` into a temporary directory, then makes N pairs
+of complete ``bench/run.py`` sets — the parent's committed files against
+this checkout's, pair *i* on seed *i*, alternating which side goes first
+— plus one traced pair on seed 0 for the per-layer counts.  It prints
+``bench/run.py --compare`` for both and, per workload and end-to-end
+metric, how many pairs the change won, lost and tied beside each side's
+median and quartiles (the choosing-metrics rule: a gain needs nine pairs
+in ten and a median shift beyond the parent's inter-quartile distance).
+
+Exit status 1 when a same-seed pair disagrees on a simulated fingerprint
+or a count, or an op failed; 0 otherwise — timing verdicts are for the
+reader.  ``--smoke`` shrinks every run (self-test sizes, half a second)
+so CI can keep the tool working; its numbers mean nothing.  Each side
+runs its own ``bench/``; nothing under ``bench/`` is touched.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(ref: str, into: Path) -> None:
+    """The committed files of ``ref``, as ``git archive`` gives them."""
+    into.mkdir()
+    git = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref],
+                           stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=git.stdout,
+                   check=True)
+    if git.wait():
+        raise SystemExit(f"bench_pairs: cannot export {ref!r}")
+
+
+def run_set(checkout: Path, out: Path, seed: int, trace: int,
+            smoke: bool) -> None:
+    command = [sys.executable, str(checkout / "bench" / "run.py"),
+               "--seed", str(seed), "--trace", str(trace), "--out", str(out)]
+    if smoke:
+        command += ["--smoke", "--seconds", "0.5"]
+    with open(out.with_suffix(".log"), "a", encoding="utf-8") as log:
+        # a failed op is recorded in the set; judged below
+        subprocess.run(command, stdout=log, stderr=subprocess.STDOUT)
+    if not out.exists():
+        raise SystemExit(f"bench_pairs: no result from {checkout}; see "
+                         f"{out.with_suffix('.log')}")
+
+
+def spread(values: list) -> str:
+    if len(values) < 2:
+        return f"{statistics.median(values):10.4f}"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{statistics.median(values):10.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def wins_table(contract: dict, parent: list, change: list) -> None:
+    print(f"\n{'workload':<17s}{'metric':<13s}{'won':>4s}{'lost':>5s}"
+          f"{'tied':>5s}   parent median [q1, q3] -> change median [q1, q3]")
+    for workload in (w["name"] for w in contract["workloads"]):
+        for metric in contract["end_to_end"]:
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            old, new = ([s[workload]["metrics"][metric["name"]]["value"]
+                         for s in sets if workload in s]
+                        for sets in (parent, change))
+            if not old or len(old) != len(new):
+                continue
+            gains = [sign * (b - a) for a, b in zip(old, new)]
+            print(f"{workload:<17s}{metric['name']:<13s}"
+                  f"{sum(g > 0 for g in gains):4d}"
+                  f"{sum(g < 0 for g in gains):5d}"
+                  f"{sum(g == 0 for g in gains):5d}   "
+                  f"{spread(old)} -> {spread(new)}  "
+                  f"({statistics.median(new) / statistics.median(old) - 1:+.1%})")
+
+
+def drifted(parent: list, change: list) -> list:
+    """What must be identical between same-seed sets and is not, and
+    every failed op."""
+    problems = []
+    for index, (old, new) in enumerate(zip(parent, change)):
+        for workload in sorted(set(old) | set(new)):
+            a, b = old.get(workload), new.get(workload)
+            if a is None or b is None:
+                problems.append(f"pair {index}: {workload} has no result")
+                continue
+            for side, result in (("parent", a), ("change", b)):
+                if result["failed"]:
+                    problems.append(f"pair {index}: {workload}: "
+                                    f"{result['failed']} failed op(s) on "
+                                    f"the {side} side")
+            for key in ("fingerprints", "counts"):
+                if a.get(key) != b.get(key):
+                    problems.append(f"pair {index}: {workload}: {key} differ")
+    return problems
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", metavar="parent-ref")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--smoke", action="store_true",
+                        help="self-test sizes; not for reported numbers")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    checkouts = {"parent": work / "parent", "change": ROOT}
+    export(args.parent, checkouts["parent"])
+    files = {(side, trace): work / f"{side}{'-traced' if trace else ''}.json"
+             for side in checkouts for trace in (0, 1)}
+    try:
+        for pair in range(args.pairs + 1):
+            # the last pair is the traced one
+            trace, seed = (1, 0) if pair == args.pairs else (0, pair)
+            order = ("parent", "change") if pair % 2 == 0 else ("change",
+                                                                "parent")
+            print(f"pair {pair}: seed {seed}, "
+                  f"{'traced' if trace else 'untraced'}, {order[0]} first",
+                  flush=True)
+            for side in order:
+                run_set(checkouts[side], files[side, trace], seed, trace,
+                        args.smoke)
+    finally:
+        shutil.rmtree(checkouts["parent"])
+
+    problems = []
+    for trace in (0, 1):
+        old, new = (json.loads(files[side, trace].read_text())
+                    for side in ("parent", "change"))
+        print(f"\n-- {'traced' if trace else 'untraced'} sets --", flush=True)
+        subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"),
+                        "--compare", str(files["parent", trace]),
+                        str(files["change", trace])])
+        if not trace:
+            contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+            wins_table(contract, old, new)
+        problems += drifted(old, new)
+    print(f"\nsets and logs: {work}")
+    for problem in problems:
+        print(f"FAILED: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
