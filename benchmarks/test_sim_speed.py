@@ -1,15 +1,15 @@
-"""Simulator-speed benchmark: wall-clock cost of the event-driven
-fleet core, swept to 10k devices (docs/simulator.md).
+"""Simulator-scale benchmark: the event-driven fleet core swept to 10k
+devices (docs/simulator.md).
 
-Simulator speed is a gated metric alongside bytes-on-wire and decline
-rate: the sweep records wall-clock per fleet run, per device and per
-simulated invocation into ``BENCH_simspeed.json``, together with the
-*deterministic* replay accounting (session runs beyond the theoretical
-minimum, segment-cache hits) that CI gates via ``python -m repro report
---bench`` — wall-clock keys are deliberately named so the generic bench
-differ treats them as informational (machine noise must not fail CI),
-while a broken segment cache shows up as ``session_runs_wasted > 0``
-and fails deterministically.
+The sweep records what makes that scale affordable, all of it
+deterministic: the simulated makespan and the replay accounting (session
+runs beyond the theoretical minimum, segment-cache hits) go into
+``BENCH_simspeed.json`` and CI gates them via ``python -m repro report
+--bench`` — a broken segment cache shows up as ``session_runs_wasted >
+0`` and fails the same way on every machine.  Host seconds are not
+recorded here: the ``fleet-shared`` workload of ``bench/`` (20 000
+devices through this same core) is the calibrated, paired measurement
+of ``wall_s``.
 
 ``SIM_SPEED_SMOKE=1`` shrinks the sweep for the CI smoke job;
 ``SIM_SPEED_OUT`` redirects the output file.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
@@ -97,9 +96,7 @@ def _specs(program, devices: int):
 def _measure(program, devices: int):
     scheduler = FleetScheduler(_specs(program, devices),
                                ServerPool(PoolOptions(**POOL)))
-    t0 = time.perf_counter()
     result = scheduler.run()
-    wall_s = time.perf_counter() - t0
     invocations = sum(len(d.result.invocations) for d in result.devices)
     stats = scheduler.replay.stats()
     point = {
@@ -107,11 +104,6 @@ def _measure(program, devices: int):
         "invocations": invocations,
         # Deterministic (gated): simulation output must not drift.
         "makespan_s": result.makespan_s,
-        # Informational (never gated): machine-dependent wall clock.
-        "wall_ms": wall_s * 1e3,
-        "wall_ms_per_device": wall_s * 1e3 / devices,
-        "wall_ms_per_invocation": (wall_s * 1e3 / invocations
-                                   if invocations else 0.0),
         # Deterministic (gated): replays beyond the k+1 theoretical
         # minimum mean the segment cache broke.
         "session_runs_wasted": (stats["session_runs"]
@@ -125,7 +117,6 @@ def test_sim_speed_sweep(compiled):
     program, local = compiled
 
     event_points = {}
-    event_walls = {}
     for n in EVENT_SIZES:
         point, result = _measure(program, n)
         # Spot-check correctness on the cheapest fleet only — verifying
@@ -136,7 +127,6 @@ def test_sim_speed_sweep(compiled):
         assert point["session_runs_wasted"] == 0, \
             f"segment cache broke at {n} devices: {point}"
         event_points[str(n)] = point
-        event_walls[n] = point["wall_ms"]
 
     payload = {
         "workload": "sim-speed (3x crunch per device, uncontended pool)",
@@ -147,13 +137,5 @@ def test_sim_speed_sweep(compiled):
         "smoke": SMOKE,
         "event": event_points,
     }
-
-    if not SMOKE:
-        # Acceptance bar (ISSUE 6): sub-linear wall-clock growth
-        # through 10k devices.
-        growth = event_walls[10000] / event_walls[1000]
-        payload["wall_growth_1000_to_10000"] = growth
-        assert growth < 5.0, \
-            f"wall-clock grew {growth:.1f}x for 10x devices (super-linear)"
 
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -227,6 +227,8 @@ def _print_scatter_summary(result) -> None:
 def cmd_trace(args) -> int:
     """Run one workload with structured tracing and print its timeline
     (docs/observability.md walks through reading this output)."""
+    if args.capacity < 1:
+        return _usage_error(f"--capacity must be >= 1; got {args.capacity}")
     inputs = _session_inputs(args)
     if inputs is None:
         return 2
@@ -576,30 +578,42 @@ def _gate(regressions, tolerance: float) -> int:
 
 
 def _load_json(path: str) -> dict:
+    """A saved report or ``BENCH_*.json`` file; ValueError naming the
+    file when it does not hold a JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return data
 
 
 def cmd_report(args) -> int:
     """Analyze a trace — from a live seeded fleet run or a saved JSONL
     file — into the deterministic report, or diff two saved reports
     (docs/observability.md, "Report and baseline workflow")."""
-    bench_pairs = args.bench or []
+    if args.current and not args.baseline:
+        return _usage_error("--current requires --baseline")
+    # Every file the flags name is read before anything is simulated.
+    try:
+        baseline = _load_json(args.baseline) if args.baseline else None
+        current = _load_json(args.current) if args.current else None
+        bench_pairs = [(_load_json(old), _load_json(new))
+                       for old, new in args.bench or []]
+        if args.from_jsonl and current is None:
+            events = load_jsonl(args.from_jsonl)
+    except ValueError as exc:
+        return _usage_error(exc)
+    bench_regressions = [r for old, new in bench_pairs
+                         for r in diff_bench(old, new, args.tolerance)]
     # Pure diff mode: two saved reports, no simulation at all.
-    if args.current:
-        if not args.baseline:
-            print("--current requires --baseline", file=sys.stderr)
-            return 2
-        regressions = diff_reports(_load_json(args.baseline),
-                                   _load_json(args.current),
-                                   args.tolerance)
-        for old, new in bench_pairs:
-            regressions += diff_bench(_load_json(old), _load_json(new),
-                                      args.tolerance)
-        return _gate(regressions, args.tolerance)
+    if current is not None:
+        return _gate(diff_reports(baseline, current, args.tolerance)
+                     + bench_regressions, args.tolerance)
 
     if args.from_jsonl:
-        events = load_jsonl(args.from_jsonl)
         meta = read_jsonl_meta(args.from_jsonl)
         report = build_report(
             events,
@@ -633,16 +647,11 @@ def cmd_report(args) -> int:
             fh.write(render_html(report))
         print(f"wrote HTML report to {args.html}")
 
-    regressions = []
-    if args.baseline:
-        regressions += diff_reports(_load_json(args.baseline), report,
-                                    args.tolerance)
-    for old, new in bench_pairs:
-        regressions += diff_bench(_load_json(old), _load_json(new),
-                                  args.tolerance)
-    if args.baseline or bench_pairs:
-        return _gate(regressions, args.tolerance)
-    return 0
+    if baseline is None and not bench_pairs:
+        return 0
+    regressions = (diff_reports(baseline, report, args.tolerance)
+                   if baseline is not None else [])
+    return _gate(regressions + bench_regressions, args.tolerance)
 
 
 def cmd_table(args) -> int:
@@ -653,8 +662,8 @@ def cmd_table(args) -> int:
         return 0
     renderer = renderers.get(args.number)
     if renderer is None:
-        print("tables: 1, 2, 3, 4, 5", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown table {args.number!r}; "
+                            f"tables: 1, 2, 3, 4, 5")
     print(renderer())
     return 0
 
@@ -672,8 +681,8 @@ def cmd_figure(args) -> int:
     elif key == "8":
         print(render_figure8())
     else:
-        print("figures: 6a, 6b, 7, 8", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown figure {args.name!r}; "
+                            f"figures: 6a, 6b, 7, 8")
     return 0
 
 
@@ -697,6 +706,20 @@ def _add_fault_args(p) -> None:
     p.add_argument("--reconnect-rate", type=float, default=0.0,
                    metavar="P", help="per-probe reconnect success "
                    "probability (0..1)")
+
+
+def _add_network_arg(p) -> None:
+    p.add_argument("--network", default="802.11ac",
+                   help=f"one of {sorted(NETWORKS)}")
+
+
+def _add_session_args(p) -> None:
+    """What ``run`` and ``trace`` share: one workload over one network,
+    with the scatter/gather and fault knobs."""
+    p.add_argument("workload")
+    _add_network_arg(p)
+    _add_parallel_args(p)
+    _add_fault_args(p)
 
 
 def _positive_shards(text: str) -> int:
@@ -744,8 +767,7 @@ def _add_fleet_args(p) -> None:
                    help=f"workload every device runs (default "
                         f"{FLEET_MICRO_WORKLOAD!r}, a built-in hot "
                         f"kernel; any `list` name works)")
-    p.add_argument("--network", default="802.11ac",
-                   help=f"one of {sorted(NETWORKS)}")
+    _add_network_arg(p)
     _add_parallel_args(p)
     p.add_argument("--engine", default=DEFAULT_DECISION_ENGINE,
                    choices=list(DECISION_ENGINES),
@@ -791,19 +813,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="offload one workload end to end")
-    p.add_argument("workload")
-    p.add_argument("--network", default="802.11ac",
-                   help=f"one of {sorted(NETWORKS)}")
-    _add_parallel_args(p)
-    _add_fault_args(p)
+    _add_session_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="offload one workload with "
                                      "structured tracing and print the "
                                      "event timeline + metrics")
-    p.add_argument("workload")
-    p.add_argument("--network", default="802.11ac",
-                   help=f"one of {sorted(NETWORKS)}")
+    _add_session_args(p)
     p.add_argument("--jsonl", metavar="PATH",
                    help="also write the trace as JSON Lines")
     p.add_argument("--chrome", metavar="PATH",
@@ -814,8 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the timeline to these event categories")
     p.add_argument("--capacity", type=int, default=262_144,
                    help="trace ring-buffer capacity (events)")
-    _add_parallel_args(p)
-    _add_fault_args(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("fleet", help="simulate many devices sharing a "
@@ -865,7 +879,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # The simulator does no host I/O of its own: this is a file the
+        # command line named that cannot be read or written.
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

@@ -62,9 +62,8 @@ class IOEnvironment:
         self.stderr = bytearray()
         self.open_files: Dict[int, SimFile] = {}
         self._next_handle = 16  # 0-2 reserved for stdio, keep a gap
-        # Counters for the evaluation harness.
+        # Counter for the evaluation harness.
         self.stdout_ops = 0
-        self.file_ops = 0
 
     # -- files ----------------------------------------------------------
     def add_file(self, path: str, data: bytes) -> None:
@@ -72,7 +71,6 @@ class IOEnvironment:
 
     def open(self, path: str, mode: str) -> int:
         """Returns a handle (>0) or 0 on failure, like fopen's NULL."""
-        self.file_ops += 1
         reading = "r" in mode
         writable = any(m in mode for m in ("w", "a", "+"))
         if reading and path not in self.files and "+" not in mode:
@@ -122,7 +120,6 @@ class IOEnvironment:
             "stdin_pos": self.stdin.tell(),
             "next_handle": self._next_handle,
             "stdout_ops": self.stdout_ops,
-            "file_ops": self.file_ops,
         }
 
     def restore(self, snap: dict) -> None:
@@ -145,7 +142,6 @@ class IOEnvironment:
         self.stdin.seek(snap["stdin_pos"])
         self._next_handle = snap["next_handle"]
         self.stdout_ops = snap["stdout_ops"]
-        self.file_ops = snap["file_ops"]
 
     # -- standard streams ---------------------------------------------------
     def write_stdout(self, data: bytes) -> None:

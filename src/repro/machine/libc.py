@@ -2,18 +2,22 @@
 
 External functions in the IR are bound to these Python implementations by
 name.  The offload function filter classifies them (I/O, allocation, pure
-math, ...) via the tables in :mod:`repro.offload.filter`; the remote I/O
-manager wraps the output functions with network-forwarding variants on the
-server (paper, Section 3.4).
+math, ...) via the tables in :mod:`repro.offload.filter`; the stdio calls
+of the ``STDIO`` table are also what the remote I/O manager runs, bound to
+the mobile's environment, for the server partition (paper, Section 3.4).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+import struct
+from operator import attrgetter
+from typing import Callable, List, NamedTuple
 
+from .fs import IOEnvironment
 from .interpreter import ExitProgram, Interpreter, InterpreterError
 from .machine import Machine
+from .memory import AddressSpace
 from .values import to_signed, to_unsigned
 
 
@@ -32,93 +36,53 @@ def map_range(machine: Machine, address: int, size: int) -> None:
 # Allocation
 # ---------------------------------------------------------------------------
 
-def _malloc(interp: Interpreter, args: List) -> int:
-    size = int(args[0])
-    addr = interp.machine.heap_for_malloc.alloc(size)
-    map_range(interp.machine, addr, size)
-    interp.charge("alu", 20)
-    if interp.observer is not None:
-        interp.observer.heap_alloc(size)
-    return addr
+def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
+    """malloc/free/calloc/realloc over one of a machine's heaps.  The
+    ``u_`` family serves the UVA heap (Section 3.2's heap allocation
+    replacement target) and pays two more cycles per allocation."""
 
+    def malloc(interp: Interpreter, args: List) -> int:
+        size = int(args[0])
+        addr = heap_of(interp.machine).alloc(size)
+        map_range(interp.machine, addr, size)
+        interp.charge("alu", setup_cycles)
+        if interp.observer is not None:
+            interp.observer.heap_alloc(size)
+        return addr
 
-def _free(interp: Interpreter, args: List) -> None:
-    addr = int(args[0])
-    if addr:
-        interp.machine.heap_for_malloc.free(addr)
-    interp.charge("alu", 10)
+    def free(interp: Interpreter, args: List) -> None:
+        addr = int(args[0])
+        if addr:
+            heap_of(interp.machine).free(addr)
+        interp.charge("alu", 10)
 
+    def calloc(interp: Interpreter, args: List) -> int:
+        count, size = int(args[0]), int(args[1])
+        total = count * size
+        addr = heap_of(interp.machine).alloc(total)
+        map_range(interp.machine, addr, total)
+        interp.machine.memory.write(addr, b"\x00" * total)
+        interp.charge("mem", total / 8 + setup_cycles)
+        if interp.observer is not None:
+            interp.observer.heap_alloc(total)
+        return addr
 
-def _calloc(interp: Interpreter, args: List) -> int:
-    count, size = int(args[0]), int(args[1])
-    total = count * size
-    addr = interp.machine.heap_for_malloc.alloc(total)
-    map_range(interp.machine, addr, total)
-    interp.machine.memory.write(addr, b"\x00" * total)
-    interp.charge("mem", total / 8 + 20)
-    if interp.observer is not None:
-        interp.observer.heap_alloc(total)
-    return addr
+    def realloc(interp: Interpreter, args: List) -> int:
+        addr, size = int(args[0]), int(args[1])
+        heap = heap_of(interp.machine)
+        new_addr = heap.alloc(size)
+        map_range(interp.machine, new_addr, size)
+        if addr:
+            old_size = heap.size_of(addr) or 0
+            data = interp.machine.memory.read(addr, min(old_size, size))
+            interp.machine.memory.write(new_addr, data)
+            heap.free(addr)
+            interp.charge("mem", min(old_size, size) / 8)
+        interp.charge("alu", 30)
+        return new_addr
 
-
-def _realloc(interp: Interpreter, args: List) -> int:
-    addr, size = int(args[0]), int(args[1])
-    heap = interp.machine.heap_for_malloc
-    new_addr = heap.alloc(size)
-    map_range(interp.machine, new_addr, size)
-    if addr:
-        old_size = heap.size_of(addr) or 0
-        data = interp.machine.memory.read(addr, min(old_size, size))
-        interp.machine.memory.write(new_addr, data)
-        heap.free(addr)
-        interp.charge("mem", min(old_size, size) / 8)
-    interp.charge("alu", 30)
-    return new_addr
-
-
-def _u_malloc(interp: Interpreter, args: List) -> int:
-    """UVA allocation (Section 3.2's heap allocation replacement target)."""
-    size = int(args[0])
-    addr = interp.machine.uva_heap.alloc(size)
-    map_range(interp.machine, addr, size)
-    interp.charge("alu", 22)
-    if interp.observer is not None:
-        interp.observer.heap_alloc(size)
-    return addr
-
-
-def _u_free(interp: Interpreter, args: List) -> None:
-    addr = int(args[0])
-    if addr:
-        interp.machine.uva_heap.free(addr)
-    interp.charge("alu", 10)
-
-
-def _u_calloc(interp: Interpreter, args: List) -> int:
-    count, size = int(args[0]), int(args[1])
-    total = count * size
-    addr = interp.machine.uva_heap.alloc(total)
-    map_range(interp.machine, addr, total)
-    interp.machine.memory.write(addr, b"\x00" * total)
-    interp.charge("mem", total / 8 + 22)
-    if interp.observer is not None:
-        interp.observer.heap_alloc(total)
-    return addr
-
-
-def _u_realloc(interp: Interpreter, args: List) -> int:
-    addr, size = int(args[0]), int(args[1])
-    heap = interp.machine.uva_heap
-    new_addr = heap.alloc(size)
-    map_range(interp.machine, new_addr, size)
-    if addr:
-        old_size = heap.size_of(addr) or 0
-        data = interp.machine.memory.read(addr, min(old_size, size))
-        interp.machine.memory.write(new_addr, data)
-        heap.free(addr)
-        interp.charge("mem", min(old_size, size) / 8)
-    interp.charge("alu", 30)
-    return new_addr
+    return {prefix + fn.__name__: fn
+            for fn in (malloc, free, calloc, realloc)}
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +180,9 @@ def _atoi(interp: Interpreter, args: List) -> int:
 # printf / scanf machinery
 # ---------------------------------------------------------------------------
 
-def format_printf(interp: Interpreter, fmt: bytes, args: List) -> bytes:
-    """A C printf formatter over default-promoted varargs."""
+def format_printf(memory: AddressSpace, fmt: bytes, args: List) -> bytes:
+    """A C printf formatter over default-promoted varargs; ``%s``
+    arguments are read from ``memory``."""
     out = bytearray()
     arg_iter = iter(args)
     i = 0
@@ -243,14 +208,18 @@ def format_printf(interp: Interpreter, fmt: bytes, args: List) -> bytes:
             break
         conv = fmt[j:j + 1]
         i = j + 1
-        text = _format_one(interp, spec.decode(), length.decode(),
+        text = _format_one(memory, spec.decode(), length.decode(),
                            conv.decode(), arg_iter)
         out += text.encode("utf-8", errors="replace")
-    interp.charge("alu", len(out) / 2 + 4)
     return bytes(out)
 
 
-def _format_one(interp, spec: str, length: str, conv: str, arg_iter) -> str:
+def _format_cycles(text: bytes) -> float:
+    """"alu" cycles formatting ``text`` cost the CPU that made the call."""
+    return len(text) / 2 + 4
+
+
+def _format_one(memory, spec: str, length: str, conv: str, arg_iter) -> str:
     if conv == "%":
         return "%"
     value = next(arg_iter, 0)
@@ -269,39 +238,19 @@ def _format_one(interp, spec: str, length: str, conv: str, arg_iter) -> str:
     if conv == "c":
         return chr(int(value) & 0xFF)
     if conv == "s":
-        data = interp.machine.memory.read_cstring(int(value))
+        data = memory.read_cstring(int(value))
         return f"%{pyspec}s" % data.decode("utf-8", errors="replace")
     if conv == "p":
         return f"0x{int(value):x}"
     raise InterpreterError(f"unsupported printf conversion %{conv}")
 
 
-def _printf(interp: Interpreter, args: List) -> int:
-    fmt = interp.machine.memory.read_cstring(int(args[0]))
-    text = format_printf(interp, fmt, args[1:])
-    interp.machine.io.write_stdout(text)
-    return len(text)
-
-
 def _sprintf(interp: Interpreter, args: List) -> int:
-    buf = int(args[0])
-    fmt = interp.machine.memory.read_cstring(int(args[1]))
-    text = format_printf(interp, fmt, args[2:])
-    interp.machine.memory.write(buf, text + b"\x00")
+    memory = interp.machine.memory
+    text = format_printf(memory, memory.read_cstring(int(args[1])), args[2:])
+    memory.write(int(args[0]), text + b"\x00")
+    interp.charge("alu", _format_cycles(text))
     return len(text)
-
-
-def _puts(interp: Interpreter, args: List) -> int:
-    s = interp.machine.memory.read_cstring(int(args[0]))
-    interp.machine.io.write_stdout(s + b"\n")
-    interp.charge("mem", len(s) / 8 + 1)
-    return len(s) + 1
-
-
-def _putchar(interp: Interpreter, args: List) -> int:
-    interp.machine.io.write_stdout(bytes([int(args[0]) & 0xFF]))
-    interp.charge("alu", 1)
-    return int(args[0])
 
 
 def _skip_space(stdin) -> bytes:
@@ -366,16 +315,9 @@ def _scanf(interp: Interpreter, args: List) -> int:
                 memory.write(ptr, to_unsigned(value, size * 8)
                              .to_bytes(size, memory_order(interp)))
             elif conv in (b"f", b"e", b"g"):
-                import struct as _s
-                value = float(token)
-                if length == b"l":
-                    memory.write(ptr, _s.pack(
-                        ("<" if memory_order(interp) == "little" else ">") + "d",
-                        value))
-                else:
-                    memory.write(ptr, _s.pack(
-                        ("<" if memory_order(interp) == "little" else ">") + "f",
-                        value))
+                order = "<" if memory_order(interp) == "little" else ">"
+                memory.write(ptr, struct.pack(
+                    order + ("d" if length == b"l" else "f"), float(token)))
             elif conv == b"s":
                 memory.write(ptr, token + b"\x00")
             elif conv == b"c":
@@ -401,85 +343,137 @@ def _getchar(interp: Interpreter, args: List) -> int:
 
 
 # ---------------------------------------------------------------------------
-# File I/O
+# stdio: the calls the remote I/O manager can forward (Section 3.4)
 # ---------------------------------------------------------------------------
+#
+# Each op is written once, against the memory its pointer arguments live
+# in and the IOEnvironment it acts on, and returns
+#
+#     (C result, bytes that crossed between the two, local cycles)
+#
+# A program running on one machine binds both to that machine and pays
+# the cycles (`_local_stdio`); the offload runtime binds the server's
+# memory to the *mobile's* environment and prices the byte count by the
+# op's forwarding class instead (`OffloadSession._remote_io`).  A handle
+# that is not an open file costs no cycles.
 
-def _fopen(interp: Interpreter, args: List) -> int:
-    path = interp.machine.memory.read_cstring(int(args[0])).decode()
-    mode = interp.machine.memory.read_cstring(int(args[1])).decode()
-    interp.charge("alu", 50)
-    return interp.machine.io.open(path, mode)
+def _printf(memory: AddressSpace, io: IOEnvironment, args: List):
+    text = format_printf(memory, memory.read_cstring(int(args[0])), args[1:])
+    io.write_stdout(text)
+    return len(text), len(text), _format_cycles(text)
 
 
-def _fclose(interp: Interpreter, args: List) -> int:
-    interp.charge("alu", 20)
-    return to_unsigned(interp.machine.io.close(int(args[0])), 32)
+def _fprintf(memory: AddressSpace, io: IOEnvironment, args: List):
+    handle = int(args[0])
+    text = format_printf(memory, memory.read_cstring(int(args[1])), args[2:])
+    f = io.file(handle)
+    if f is None:
+        io.write_std(handle, text)
+        written = len(text)
+    else:
+        written = f.write(text)
+    return written, len(text), _format_cycles(text)
 
 
-def _fread(interp: Interpreter, args: List) -> int:
+def _puts(memory: AddressSpace, io: IOEnvironment, args: List):
+    s = memory.read_cstring(int(args[0]))
+    io.write_stdout(s + b"\n")
+    return len(s) + 1, len(s) + 1, len(s) / 8 + 1
+
+
+def _putchar(memory: AddressSpace, io: IOEnvironment, args: List):
+    io.write_stdout(bytes([int(args[0]) & 0xFF]))
+    return int(args[0]), 1, 1
+
+
+def _fwrite(memory: AddressSpace, io: IOEnvironment, args: List):
     ptr, size, count, handle = (int(args[0]), int(args[1]), int(args[2]),
                                 int(args[3]))
-    f = interp.machine.io.file(handle)
+    f = io.file(handle)
     if f is None:
-        return 0
+        return 0, 0, 0
+    data = memory.read(ptr, size * count)
+    written = f.write(data)
+    return (written // size if size else 0), len(data), written / 8 + 10
+
+
+def _fopen(memory: AddressSpace, io: IOEnvironment, args: List):
+    path = memory.read_cstring(int(args[0])).decode()
+    mode = memory.read_cstring(int(args[1])).decode()
+    return io.open(path, mode), len(path), 50
+
+
+def _fclose(memory: AddressSpace, io: IOEnvironment, args: List):
+    return to_unsigned(io.close(int(args[0])), 32), 0, 20
+
+
+def _fread(memory: AddressSpace, io: IOEnvironment, args: List):
+    ptr, size, count, handle = (int(args[0]), int(args[1]), int(args[2]),
+                                int(args[3]))
+    f = io.file(handle)
+    if f is None:
+        return 0, 0, 0
     data = f.read(size * count)
     if data:
-        interp.machine.memory.write(ptr, data)
-    interp.charge("mem", len(data) / 8 + 10)
-    interp.machine.io.file_ops += 1
-    return len(data) // size if size else 0
+        memory.write(ptr, data)
+    return (len(data) // size if size else 0), len(data), len(data) / 8 + 10
 
 
-def _fwrite(interp: Interpreter, args: List) -> int:
-    ptr, size, count, handle = (int(args[0]), int(args[1]), int(args[2]),
-                                int(args[3]))
-    f = interp.machine.io.file(handle)
-    if f is None:
-        return 0
-    data = interp.machine.memory.read(ptr, size * count)
-    written = f.write(data)
-    interp.charge("mem", written / 8 + 10)
-    interp.machine.io.file_ops += 1
-    return written // size if size else 0
-
-
-def _fgets(interp: Interpreter, args: List) -> int:
+def _fgets(memory: AddressSpace, io: IOEnvironment, args: List):
     ptr, limit, handle = int(args[0]), int(args[1]), int(args[2])
-    f = interp.machine.io.file(handle)
+    f = io.file(handle)
     if f is None or f.at_eof:
-        return 0
+        return 0, 16, 0     # forwarded, the NULL is a 16-byte status reply
     line = f.read_line(limit)
-    interp.machine.memory.write(ptr, line + b"\x00")
-    interp.charge("mem", len(line) / 8 + 6)
-    interp.machine.io.file_ops += 1
-    return ptr
+    memory.write(ptr, line + b"\x00")
+    return ptr, len(line), len(line) / 8 + 6
 
 
-def _fgetc(interp: Interpreter, args: List) -> int:
-    f = interp.machine.io.file(int(args[0]))
-    interp.charge("alu", 3)
-    if f is None:
-        return to_unsigned(-1, 32)
-    ch = f.read(1)
-    return to_unsigned(ch[0] if ch else -1, 32)
+def _fgetc(memory: AddressSpace, io: IOEnvironment, args: List):
+    f = io.file(int(args[0]))
+    ch = f.read(1) if f is not None else b""
+    return to_unsigned(ch[0] if ch else -1, 32), 1, 3
 
 
-def _feof(interp: Interpreter, args: List) -> int:
-    f = interp.machine.io.file(int(args[0]))
-    interp.charge("alu", 2)
-    return 1 if (f is None or f.at_eof) else 0
+def _feof(memory: AddressSpace, io: IOEnvironment, args: List):
+    f = io.file(int(args[0]))
+    return (1 if f is None or f.at_eof else 0), 1, 2
 
 
-def _fprintf(interp: Interpreter, args: List) -> int:
-    handle = int(args[0])
-    fmt = interp.machine.memory.read_cstring(int(args[1]))
-    text = format_printf(interp, fmt, args[2:])
-    f = interp.machine.io.file(handle)
-    if f is None:
-        interp.machine.io.write_std(handle, text)
-        return len(text)
-    interp.machine.io.file_ops += 1
-    return f.write(text)
+class StdioOp(NamedTuple):
+    fn: Callable    # (memory, io, args) -> (result, bytes moved, cycles)
+    # How the remote I/O manager prices the bytes moved: "output" streams
+    # them to the mobile, "control" is a small request/reply round trip,
+    # "input" a pipelined read of the mobile's file data.
+    forward: str
+    unit: str       # cycle class of the local cycles
+    # The cycles are formatting work on the arguments, so the CPU that
+    # makes the call pays them even when the I/O itself is forwarded.
+    formats: bool = False
+
+
+STDIO = {
+    "printf": StdioOp(_printf, "output", "alu", formats=True),
+    "fprintf": StdioOp(_fprintf, "output", "alu", formats=True),
+    "puts": StdioOp(_puts, "output", "mem"),
+    "putchar": StdioOp(_putchar, "output", "alu"),
+    "fwrite": StdioOp(_fwrite, "output", "mem"),
+    "fopen": StdioOp(_fopen, "control", "alu"),
+    "fclose": StdioOp(_fclose, "control", "alu"),
+    "fread": StdioOp(_fread, "input", "mem"),
+    "fgets": StdioOp(_fgets, "input", "mem"),
+    "fgetc": StdioOp(_fgetc, "input", "alu"),
+    "feof": StdioOp(_feof, "input", "alu"),
+}
+
+
+def _local_stdio(op: StdioOp):
+    def builtin(interp: Interpreter, args: List):
+        machine = interp.machine
+        result, _, cycles = op.fn(machine.memory, machine.io, args)
+        interp.charge(op.unit, cycles)
+        return result
+    return builtin
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +538,8 @@ def _clock_ms(interp: Interpreter, args: List) -> int:
 
 
 _BUILTINS = {
-    "malloc": _malloc,
-    "free": _free,
-    "calloc": _calloc,
-    "realloc": _realloc,
-    "u_malloc": _u_malloc,
-    "u_free": _u_free,
-    "u_calloc": _u_calloc,
-    "u_realloc": _u_realloc,
+    **_allocator("", attrgetter("heap_for_malloc"), 20),
+    **_allocator("u_", attrgetter("uva_heap"), 22),
     "memcpy": _memcpy,
     "memmove": _memmove,
     "memset": _memset,
@@ -562,20 +550,10 @@ _BUILTINS = {
     "strncmp": _strncmp,
     "strcat": _strcat,
     "atoi": _atoi,
-    "printf": _printf,
+    **{name: _local_stdio(op) for name, op in STDIO.items()},
     "sprintf": _sprintf,
-    "puts": _puts,
-    "putchar": _putchar,
     "scanf": _scanf,
     "getchar": _getchar,
-    "fopen": _fopen,
-    "fclose": _fclose,
-    "fread": _fread,
-    "fwrite": _fwrite,
-    "fgets": _fgets,
-    "fgetc": _fgetc,
-    "feof": _feof,
-    "fprintf": _fprintf,
     "sqrt": _math1(math.sqrt),
     "fabs": _math1(abs),
     "sin": _math1(math.sin),

@@ -17,16 +17,18 @@ that timeline into battery energy (Figures 6(b) and 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..machine.energy import EnergyMeter, PowerTrace
 from ..machine.fs import IOEnvironment
 from ..machine.interpreter import ExitProgram, Interpreter
-from ..machine.libc import format_printf, install_libc
+from ..machine.libc import STDIO, StdioOp, install_libc
 from ..machine.machine import MOBILE_STACK_TOP, UVA_HEAP_BASE, Machine
 from ..offload.partition import OffloadTarget, OFFLOAD_PREFIX, SHOULD_OFFLOAD
 from ..offload.pipeline import OffloadProgram
-from ..offload.server_opt import M2S_FCN_MAP, S2M_FCN_MAP
+from ..offload.server_opt import (M2S_FCN_MAP, REMOTE_IO_FUNCTIONS,
+                                  REMOTE_IO_PREFIX, S2M_FCN_MAP)
 from ..offload.unify import unified_data_layout
 from ..runtime.backend import (InvocationRecord, LocalBackend,
                                OffloadDispatcher, RemoteBackend)
@@ -317,7 +319,6 @@ class OffloadSession:
         self.extra_seconds = 0.0      # non-compute wall time so far
         self._compute_mark = 0.0      # mobile interp seconds already traced
         self.remote_io_seconds = 0.0
-        self.remote_io_count = 0
         self.server_instructions = 0
         self.server_compute_seconds = 0.0
         self.fnptr_seconds = 0.0
@@ -435,10 +436,10 @@ class OffloadSession:
                                     self._make_offload_builtin(target))
         server.register_builtin(M2S_FCN_MAP, self._bi_m2s)
         server.register_builtin(S2M_FCN_MAP, self._bi_s2m)
-        for name in ("printf", "puts", "putchar", "fprintf", "fwrite",
-                     "fopen", "fclose", "fread", "fgets", "fgetc", "feof"):
-            server.register_builtin("r_" + name,
-                                    self._make_remote_io(name))
+        for name in REMOTE_IO_FUNCTIONS:
+            server.register_builtin(
+                REMOTE_IO_PREFIX + name,
+                partial(self._remote_io, name, STDIO[name]))
 
     # -- decision ---------------------------------------------------------
     def _bi_should_offload(self, interp: Interpreter, args) -> int:
@@ -491,11 +492,6 @@ class OffloadSession:
         return self.fcn_table.map_s2m(int(args[0]))
 
     # -- remote I/O ------------------------------------------------------
-    def _make_remote_io(self, name: str):
-        def builtin(interp: Interpreter, args):
-            return self._remote_io(name, interp, args)
-        return builtin
-
     def _remote_input_cost(self, nbytes: int) -> float:
         """Cost of one remote *input* operation.
 
@@ -514,101 +510,24 @@ class OffloadSession:
                                  "pipelined_input")
         return pipelined
 
-    def _remote_io(self, name: str, interp: Interpreter, args):
-        """Execute an I/O operation of the server partition on the mobile
-        device, charging the forwarding cost."""
-        mobile_io = self.mobile.io
-        server_mem = self.server.memory
-        self.remote_io_count += 1
-        seconds = 0.0
-        result = 0
-        io_bytes = 0
-        if name == "printf":
-            fmt = server_mem.read_cstring(int(args[0]))
-            text = format_printf(interp, fmt, args[1:])
-            mobile_io.write_stdout(text)
-            seconds = self.comm.stream_to_mobile(text).seconds
-            result = len(text)
-            io_bytes = len(text)
-        elif name == "puts":
-            text = server_mem.read_cstring(int(args[0])) + b"\n"
-            mobile_io.write_stdout(text)
-            seconds = self.comm.stream_to_mobile(text).seconds
-            result = len(text)
-            io_bytes = len(text)
-        elif name == "putchar":
-            ch = bytes([int(args[0]) & 0xFF])
-            mobile_io.write_stdout(ch)
-            seconds = self.comm.stream_to_mobile(ch).seconds
-            result = int(args[0])
-            io_bytes = 1
-        elif name == "fprintf":
-            fmt = server_mem.read_cstring(int(args[1]))
-            text = format_printf(interp, fmt, args[2:])
-            handle = int(args[0])
-            f = mobile_io.file(handle)
-            if f is None:
-                mobile_io.write_std(handle, text)
-            else:
-                f.write(text)
-            seconds = self.comm.stream_to_mobile(text).seconds
-            result = len(text)
-            io_bytes = len(text)
-        elif name == "fwrite":
-            ptr, size, count, handle = (int(args[0]), int(args[1]),
-                                        int(args[2]), int(args[3]))
-            data = server_mem.read(ptr, size * count)
-            f = mobile_io.file(handle)
-            written = f.write(data) if f is not None else 0
-            seconds = self.comm.stream_to_mobile(data).seconds
-            result = written // size if size else 0
-            io_bytes = len(data)
-        elif name == "fopen":
-            path = server_mem.read_cstring(int(args[0])).decode()
-            mode = server_mem.read_cstring(int(args[1])).decode()
-            result = mobile_io.open(path, mode)
-            seconds = self.comm.round_trip(len(path) + 16, 16).seconds
-            io_bytes = len(path) + 32
-        elif name == "fclose":
-            result = mobile_io.close(int(args[0])) & 0xFFFFFFFF
-            seconds = self.comm.round_trip(16, 16).seconds
-            io_bytes = 32
-        elif name == "fread":
-            ptr, size, count, handle = (int(args[0]), int(args[1]),
-                                        int(args[2]), int(args[3]))
-            f = mobile_io.file(handle)
-            data = f.read(size * count) if f is not None else b""
-            if data:
-                server_mem.write(ptr, data)
-            seconds = self._remote_input_cost(len(data))
-            result = len(data) // size if size else 0
-            io_bytes = len(data)
-        elif name == "fgets":
-            ptr, limit, handle = int(args[0]), int(args[1]), int(args[2])
-            f = mobile_io.file(handle)
-            if f is None or f.at_eof:
-                seconds = self._remote_input_cost(16)
-                result = 0
-                io_bytes = 16
-            else:
-                line = f.read_line(limit)
-                server_mem.write(ptr, line + b"\x00")
-                seconds = self._remote_input_cost(len(line))
-                result = ptr
-                io_bytes = len(line)
-        elif name == "fgetc":
-            f = mobile_io.file(int(args[0]))
-            ch = f.read(1) if f is not None else b""
-            seconds = self._remote_input_cost(1)
-            result = ch[0] if ch else 0xFFFFFFFF
-            io_bytes = 1
-        elif name == "feof":
-            f = mobile_io.file(int(args[0]))
-            seconds = self._remote_input_cost(1)
-            result = 1 if (f is None or f.at_eof) else 0
-            io_bytes = 1
+    def _remote_io(self, name: str, op: StdioOp, interp: Interpreter, args):
+        """Execute an I/O call of the server partition on the mobile
+        device: libc's one definition of the op, run on the server's
+        memory against the mobile's environment, then the bytes it moved
+        priced by the op's forwarding class.  The effect comes first so
+        that a link failure while pricing it still finds it in the
+        mobile I/O snapshot the abort path rolls back."""
+        result, moved, cycles = op.fn(self.server.memory, self.mobile.io,
+                                      args)
+        if op.formats:
+            interp.charge(op.unit, cycles)
+        if op.forward == "output":
+            seconds = self.comm.stream_to_mobile(bytes(moved)).seconds
+        elif op.forward == "control":
+            seconds = self.comm.round_trip(moved + 16, 16).seconds
+            moved += 32     # the 16-byte request and reply headers
         else:
-            raise KeyError(f"unknown remote I/O function {name}")
+            seconds = self._remote_input_cost(moved)
         if self.options.zero_overhead:
             seconds = 0.0
         else:
@@ -617,9 +536,9 @@ class OffloadSession:
         self._rio_pending += seconds
         tr = self.tracer
         if tr.enabled:
-            tr.emit("rio.op", name, dur=seconds, bytes=io_bytes)
+            tr.emit("rio.op", name, dur=seconds, bytes=moved)
             tr.metrics.counter("rio.ops").inc()
-            tr.metrics.counter("rio.bytes").inc(io_bytes)
+            tr.metrics.counter("rio.bytes").inc(moved)
         return result
 
     def _prefetch_pages(self, stack_pointer: int) -> set:

@@ -37,13 +37,18 @@ def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
 
 
 def events_from_jsonl(text: str) -> List[TraceEvent]:
-    """Parse a JSONL trace back into :class:`TraceEvent` records."""
+    """Parse a JSONL trace back into :class:`TraceEvent` records;
+    ValueError naming the first line that is not one."""
     events = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        events.append(TraceEvent.from_dict(json.loads(line)))
+        try:
+            events.append(TraceEvent.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"line {number} is not a trace event ({exc!r})") from exc
     return events
 
 

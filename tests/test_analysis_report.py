@@ -247,6 +247,69 @@ class TestReportCLI:
         assert rc == 2
         assert "--current requires --baseline" in captured.err
 
+    @pytest.mark.parametrize("content", [
+        None,                       # no such file
+        "{not json",
+        "[1, 2]",                   # JSON, but not a report
+    ], ids=["missing", "malformed", "not-an-object"])
+    @pytest.mark.parametrize("line", [
+        "--baseline {bad} --current {good}",
+        "--baseline {good} --current {bad}",
+        "--baseline {bad} --from-jsonl {jsonl}",
+        "--baseline {good} --current {good} --bench {good} {bad}",
+        "--from-jsonl {jsonl} --bench {bad} {good}",
+    ])
+    def test_unreadable_json_input_is_a_one_line_error(
+            self, line, content, traced_pair, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        self._write_report(traced_pair, good)
+        if content is not None:
+            bad.write_text(content)
+        jsonl = tmp_path / "trace.jsonl"
+        write_jsonl(traced_pair[0].trace.events(), str(jsonl))
+        rc = main(["report"] + line.format(
+            good=good, bad=bad, jsonl=jsonl).split())
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert str(bad) in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "{not json\n",
+        '{"t": 0.0}\n',              # JSON, but not a trace event
+        "[1, 2]\n",
+    ], ids=["missing", "malformed", "missing-keys", "not-an-object"])
+    def test_unreadable_jsonl_input_is_a_one_line_error(
+            self, content, tmp_path, capsys):
+        jsonl = tmp_path / "trace.jsonl"
+        if content is not None:
+            jsonl.write_text("# repro-trace v1 events=1 dropped=0\n"
+                             + content)
+        rc = main(["report", "--from-jsonl", str(jsonl)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert len(captured.err.splitlines()) == 1
+        if content is not None:
+            assert "line 2 is not a trace event" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--json", "--html"])
+    def test_unwritable_report_output_is_a_one_line_error(
+            self, flag, traced_pair, tmp_path, capsys):
+        jsonl = tmp_path / "trace.jsonl"
+        write_jsonl(traced_pair[0].trace.events(), str(jsonl))
+        path = tmp_path / "no-such-dir" / "report.out"
+        rc = main(["report", "--from-jsonl", str(jsonl),
+                   "--json", str(tmp_path / "r.json"), flag, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro: error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
     def test_bench_pairs_gate(self, traced_pair, tmp_path, capsys):
         base = tmp_path / "base.json"
         self._write_report(traced_pair, base)

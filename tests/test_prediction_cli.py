@@ -108,6 +108,9 @@ class TestCLI:
         "fleet --devices -3",
         "run nosuch",
         "fleet --devices 2 --workload nosuch",
+        "trace chess --capacity 0",
+        "table 9",
+        "figure 9",
     ])
     def test_bad_value_is_a_one_line_error(self, line, capsys):
         """A bad flag value exits 2 with one ``repro: error:`` line —
@@ -119,6 +122,27 @@ class TestCLI:
         assert captured.err.startswith("repro: error: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--jsonl", "--chrome"])
+    def test_unwritable_trace_output_is_a_one_line_error(
+            self, flag, tmp_path, capsys):
+        from repro.__main__ import main
+        path = tmp_path / "no-such-dir" / "trace.out"
+        assert main(["trace", "fleet-micro", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+    def test_run_and_trace_declare_the_same_session_flags(self):
+        """``workload``, ``--network``, ``--shards`` and the fault knobs
+        come from one ``_add_session_args``: whatever ``run`` accepts,
+        ``trace`` accepts with the same defaults."""
+        from repro.__main__ import build_parser
+        parser = build_parser()
+        run = vars(parser.parse_args(["run", "chess"]))
+        trace = vars(parser.parse_args(["trace", "chess"]))
+        run.pop("func"), run.pop("command")
+        assert run and all(trace[key] == run[key] for key in run)
 
     def test_table_2_and_5(self, capsys):
         from repro.__main__ import main

@@ -83,30 +83,61 @@ class TestSemanticsPreservation:
         assert result.stdout == local.stdout
         assert result.remote_io_seconds > 0
 
+    @staticmethod
+    def _offload_crunch_with(statement, files=None, prologue=""):
+        """The hot kernel with ``statement`` run inside the offloaded
+        ``crunch`` (``prologue`` runs in ``main`` before it; both may
+        use the global ``void *ro``): the local result, the traced
+        session and its result."""
+        src = "void *ro;\n" + HOT_KERNEL_SRC.replace(
+            "    return acc;\n", f"    {statement}\n    return acc;\n")
+        src = src.replace("    printf(", f"    {prologue}\n    printf(")
+        assert statement in src and prologue in src
+        module = compile_c(src, "test")
+        profile = profile_module(module, stdin=HOT_KERNEL_STDIN, files=files)
+        program = NativeOffloaderCompiler(
+            CompilerOptions(forced_targets=["crunch"])).compile(
+                module, profile)
+        local = run_local(module, stdin=HOT_KERNEL_STDIN, files=files)
+        session = OffloadSession(
+            program, FAST_WIFI, stdin=HOT_KERNEL_STDIN, files=files,
+            options=SessionOptions(enable_tracing=True))
+        result = session.run()
+        assert result.offloaded_invocations == 1
+        return local, session, result
+
     def test_remote_fprintf_to_stderr_stays_off_stdout(self):
         """``fprintf((void*)2, ...)`` in an offloaded target lands on
         the mobile's stderr, exactly where local libc routes handle 2 —
         not in the offloaded run's stdout."""
-        src = HOT_KERNEL_SRC.replace(
-            "    return acc;\n",
-            '    fprintf((void*)2, "diag %d\\n", acc);\n    return acc;\n')
-        assert "diag" in src
-        module = compile_c(src, "test")
-        profile = profile_module(module, stdin=HOT_KERNEL_STDIN)
-        program = NativeOffloaderCompiler(
-            CompilerOptions(forced_targets=["crunch"])).compile(
-                module, profile)
-        local = run_local(module, stdin=HOT_KERNEL_STDIN)
-        session = OffloadSession(
-            program, FAST_WIFI, stdin=HOT_KERNEL_STDIN,
-            options=SessionOptions(enable_tracing=True))
-        result = session.run()
-        assert result.offloaded_invocations == 1
+        local, session, result = self._offload_crunch_with(
+            'fprintf((void*)2, "diag %d\\n", acc);')
         assert result.stdout == local.stdout
         acc = local.stdout.split()[1]
         assert bytes(session.mobile.io.stderr) == b"diag %s\n" % acc.encode()
         ops = result.trace.events("rio.op")
         assert [e.name for e in ops] == ["fprintf"]
+
+    def test_remote_fprintf_to_read_only_file_returns_zero(self):
+        """``fprintf`` to a file opened ``"r"`` writes nothing and
+        returns 0 — offloaded exactly as locally (the forwarder once
+        returned the formatted length instead)."""
+        local, session, result = self._offload_crunch_with(
+            'acc += 1000 * fprintf(ro, "diag %d\\n", acc);',
+            files={"ro.txt": b"keep\n"},
+            prologue='ro = fopen("ro.txt", "r");')
+        assert result.stdout == local.stdout
+        assert bytes(session.mobile.io.files["ro.txt"]) == b"keep\n"
+
+    def test_remote_fwrite_to_unopened_handle_reads_nothing(self):
+        """``fwrite`` to a handle that is not an open file returns 0
+        without touching its buffer — offloaded as locally, so a wild
+        pointer neither faults on the server nor is billed as output."""
+        local, _, result = self._offload_crunch_with(
+            "acc += fwrite((void*)8, 1, 64, (void*)99);")
+        assert result.stdout == local.stdout
+        [op] = result.trace.events("rio.op")
+        assert (op.name, op.payload["bytes"]) == ("fwrite", 0)
 
     def test_mutated_heap_written_back(self):
         src = r"""

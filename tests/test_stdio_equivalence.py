@@ -1,0 +1,170 @@
+"""Every forwardable stdio call, on every edge input, behaves the same
+offloaded as on the phone alone (paper, Section 3.4: the remote I/O
+manager runs "the same call" against the mobile's environment).
+
+One program runs the whole table inside a function that is forced onto
+the server, recording each call's C return value; stdout, stderr, the
+exit code, those return values and the final file contents must equal a
+plain single-machine run, for a same-endian and a cross-endian pair.
+"""
+
+import pytest
+
+from repro.frontend import compile_c
+from repro.machine import Interpreter, Machine, install_libc
+from repro.machine.fs import IOEnvironment
+from repro.machine.libc import STDIO
+from repro.offload import CompilerOptions, NativeOffloaderCompiler
+from repro.offload.server_opt import REMOTE_IO_FUNCTIONS
+from repro.offload.unify import unified_data_layout
+from repro.profiler import profile_module
+from repro.runtime import FAST_WIFI, OffloadSession, SessionOptions
+from repro.targets import ARM32, MIPS32BE, X86_64
+
+FILES = {"in.txt": b"abcdefgh\nsecond line\nxyz", "ro.txt": b"keep\n",
+         "log.txt": b"old\n"}
+
+# (label, C expression whose int value is the call's observable result).
+# The cases run in order inside the offloaded function and share state:
+# `s` is a string built in the server's own stack frame, `b` a zeroed
+# server-stack buffer, rd/ro/wr/ap files it opens itself; handle 99 is
+# never open, handles 1 and 2 are the standard streams.
+CASES = [
+    ("fopen r", '(rd = fopen("in.txt", "r")) != 0'),
+    ("fopen r read-only", '(ro = fopen("ro.txt", "r")) != 0'),
+    ("fopen w", '(wr = fopen("out.txt", "w")) != 0'),
+    ("fopen a", '(ap = fopen("log.txt", "a")) != 0'),
+    ("fopen missing", 'fopen("missing.txt", "r") == 0'),
+    ("fopen name built on the server", 'fopen(s, "r") == 0'),
+    ("printf %s of a server string", 'printf("n=%d s=%s|%5s|\\n", n, s, s)'),
+    ("printf nothing", 'printf("")'),
+    ("puts server string", "puts(s)"),
+    ("puts empty", 'puts("")'),
+    ("putchar", "putchar(65)"),
+    ("putchar wide", "putchar(266)"),
+    ("fprintf stderr", 'fprintf((void*)2, "err %d %s\\n", n, s)'),
+    ("fprintf stdout handle", 'fprintf((void*)1, "out %d\\n", n)'),
+    ("fprintf unopened", 'fprintf((void*)99, "stray\\n")'),
+    ("fprintf file", 'fprintf(wr, "w %s %d\\n", s, n)'),
+    ("fprintf read-only", 'fprintf(ro, "nope %d\\n", n)'),
+    ("fwrite", "fwrite(s, 1, 3, wr)"),
+    ("fwrite records", "fwrite(s, 2, 2, wr)"),
+    ("fwrite count 0", "fwrite(s, 1, 0, wr)"),
+    ("fwrite size 0", "fwrite(s, 0, 5, wr)"),
+    ("fwrite nothing from NULL", "fwrite((void*)0, 1, 0, wr)"),
+    ("fwrite unopened", "fwrite(s, 1, 3, (void*)99)"),
+    ("fwrite handle 2", "fwrite(s, 1, 3, (void*)2)"),
+    ("fwrite read-only", "fwrite(s, 1, 3, ro)"),
+    ("fwrite append", "fwrite(s, 1, 4, ap)"),
+    ("fread", "fread(b, 1, 3, rd) * 1000 + b[0] + b[2]"),
+    ("fread records", "fread(b, 2, 2, rd) * 1000 + b[3]"),
+    ("fread count 0", "fread(b, 1, 0, rd)"),
+    ("fread size 0", "fread(b, 0, 4, rd)"),
+    ("fread unopened", "fread(b, 1, 4, (void*)99)"),
+    ("fread handle 2", "fread(b, 1, 4, (void*)2)"),
+    ("fread write-only file", "fread(b, 1, 4, wr)"),
+    ("feof mid-file", "feof(rd)"),
+    ("fgetc", "fgetc(rd)"),
+    ("fgets limit 1", "(fgets(b, 1, rd) != 0) * 1000 + b[0]"),
+    ("fgets to newline", "(fgets(b, 32, rd) != 0) * 1000 + b[0] + b[1]"),
+    ("fgets limit cuts", "(fgets(b, 4, rd) != 0) * 1000 + b[2] + b[3]"),
+    ("fgets rest of line", "(fgets(b, 32, rd) != 0) * 1000 + b[0]"),
+    ("fgets unopened", "fgets(b, 32, (void*)99) == 0"),
+    ("fgets handle 2", "fgets(b, 32, (void*)2) == 0"),
+    ("fread short record", "fread(b, 2, 1, rd) * 1000 + b[0]"),
+    ("fread tail", "fread(b, 1, 32, rd) * 1000 + b[0] + b[1]"),
+    ("fread at EOF", "fread(b, 1, 4, rd)"),
+    ("fgets at EOF", "fgets(b, 32, rd) == 0"),
+    ("fgetc at EOF", "fgetc(rd)"),
+    ("feof at EOF", "feof(rd)"),
+    ("fgetc unopened", "fgetc((void*)99)"),
+    ("fgetc handle 2", "fgetc((void*)2)"),
+    ("feof unopened", "feof((void*)99)"),
+    ("fclose", "fclose(rd)"),
+    ("fclose twice", "fclose(rd)"),
+    ("fclose unopened", "fclose((void*)99)"),
+    ("fgetc closed", "fgetc(rd)"),
+    ("fclose written", "fclose(wr) + fclose(ap) + fclose(ro)"),
+]
+
+SOURCE = r"""
+int r[%(count)d];
+void *rd; void *ro; void *wr; void *ap;
+
+int probe(int n) {
+    char s[8];
+    char b[40];
+    int i, k = 0;
+    for (i = 0; i < 40; i++) b[i] = 0;
+    s[0] = 'n'; s[1] = 'o'; s[2] = 'p'; s[3] = 'e'; s[4] = 48 + n; s[5] = 0;
+%(body)s
+    return k;
+}
+
+int main() {
+    int i, n, k;
+    scanf("%%d", &n);
+    k = probe(n);
+    for (i = 0; i < k; i++) printf("%%d\n", r[i]);
+    return k + n;
+}
+""" % {"count": len(CASES),
+       "body": "\n".join(f"    r[k++] = {expr};" for _, expr in CASES)}
+STDIN = b"7\n"
+
+
+def _run_on_phone(module, arch):
+    """The unmodified program on one machine: (exit code, its io)."""
+    machine = Machine(arch, "mobile",
+                      io=IOEnvironment(files=FILES, stdin=STDIN))
+    machine.set_layout(unified_data_layout(module, arch))
+    install_libc(machine)
+    machine.load(module)
+    return Interpreter(machine).run_main(), machine.io
+
+
+def _observed(exit_code, io):
+    """Everything a user could tell two executions apart by; the dumped
+    return values are split off stdout and keyed by case label."""
+    lines = io.stdout_text().split("\n")
+    dumped = lines[-len(CASES) - 1:-1]
+    return {"exit code": exit_code,
+            "stdout": "\n".join(lines[:-len(CASES) - 1]),
+            "stderr": io.stderr_text(),
+            "files": {path: bytes(data) for path, data in io.files.items()},
+            "returns": dict(zip((label for label, _ in CASES), dumped))}
+
+
+@pytest.mark.parametrize("mobile_arch", [ARM32, MIPS32BE],
+                         ids=lambda arch: f"{arch.name}->x86_64")
+def test_every_stdio_op_offloaded_equals_phone_only(mobile_arch):
+    module = compile_c(SOURCE, "stdio-table")
+    expected = _observed(*_run_on_phone(module, mobile_arch))
+    assert len(expected["returns"]) == len(CASES)
+    assert expected["returns"]["fprintf read-only"] == "0"
+    assert expected["files"]["out.txt"].startswith(b"w nope7 7\nnopno")
+
+    profile = profile_module(module, arch=mobile_arch, stdin=STDIN,
+                             files=FILES)
+    program = NativeOffloaderCompiler(CompilerOptions(
+        mobile_arch=mobile_arch, server_arch=X86_64,
+        forced_targets=["probe"])).compile(module, profile)
+    session = OffloadSession(
+        program, FAST_WIFI, stdin=STDIN, files=FILES,
+        options=SessionOptions(enable_dynamic_estimation=False,
+                               enable_tracing=True))
+    result = session.run()
+    assert result.offloaded_invocations == 1
+    # every op in the table really was forwarded, none ran on the server
+    forwarded = {e.name for e in result.trace.events("rio.op")}
+    assert forwarded == set(STDIO)
+    observed = _observed(result.exit_code, session.mobile.io)
+    assert observed["returns"] == expected["returns"]   # the readable diff
+    assert observed == expected
+
+
+def test_remotable_names_are_the_stdio_table():
+    """A new remotable call is one STDIO row plus one filter entry; a
+    name in only one of them would be a KeyError when a session
+    registers its ``r_*`` builtins."""
+    assert REMOTE_IO_FUNCTIONS == set(STDIO)
