@@ -29,7 +29,7 @@ from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      EVENT_KINDS, DeviceState)
 from .pool import TIERS, PoolOptions, ServerPool, ServerSpec, ServerStats
 from .replay import (OutcomeProjection, ScriptedDispatcher, Segment,
-                     SegmentBoundary, SegmentCache, behavior_key)
+                     SegmentBoundary, SegmentCache, TrieNode, behavior_key)
 from .result import DeviceOutcome, FleetResult
 from .scheduler import FleetScheduler
 from .seeding import SeedFanout, derive_seed
@@ -44,7 +44,7 @@ __all__ = [
     "DECISION_ENGINES", "DEFAULT_DECISION_ENGINE", "make_engine",
     "Autoscaler", "AutoscalerOptions", "DEFAULT_AUTOSCALE_RULES",
     "OutcomeProjection", "ScriptedDispatcher", "Segment",
-    "SegmentBoundary", "SegmentCache", "behavior_key",
+    "SegmentBoundary", "SegmentCache", "TrieNode", "behavior_key",
     "DeviceOutcome", "DeviceSpec", "FleetResult",
     "FleetScheduler", "arrival_offsets",
     "SeedFanout", "derive_seed",

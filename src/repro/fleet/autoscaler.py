@@ -26,11 +26,13 @@ fixed tie-break index, so the same seed yields the same scaling story.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..runtime.backend import Admission
-from ..trace.analysis.slo import Finding, Observation, SloRule, window_metric
+from ..trace.analysis.slo import (Finding, Observation, SloRule,
+                                  window_metric, window_slice)
 from .pool import ServerPool, ServerSpec
 
 #: The contention subset of the report's DEFAULT_RULES: the two
@@ -77,7 +79,9 @@ class Autoscaler:
         self.options = options or AutoscalerOptions()
         self.findings: List[Finding] = []
         self.actions: List[dict] = []
+        # time-ordered, with the times alongside for window_slice
         self._observations: List[Observation] = []
+        self._times: List[float] = []
         self._added: List[int] = []     # ids of servers we grew, LIFO
         self._healthy_ticks = 0
 
@@ -97,7 +101,11 @@ class Autoscaler:
             obs = Observation(t=t, offloaded=False, fallback=True,
                               queue_wait_s=outcome.estimated_wait_s,
                               retries=0)
-        self._observations.append(obs)
+        # The scheduler observes in event order, so this is an append;
+        # a direct caller may not, and equal times keep arrival order.
+        at = bisect_right(self._times, t)
+        self._times.insert(at, t)
+        self._observations.insert(at, obs)
 
     # -- control plane -------------------------------------------------
     def evaluate(self, t: float, pool: ServerPool) -> None:
@@ -138,8 +146,8 @@ class Autoscaler:
     def _violated_rule(self, t: float):
         """First violated rule over its trailing window at time ``t``."""
         for rule in self.options.rules:
-            window = [o for o in self._observations
-                      if t - rule.window_s <= o.t <= t]
+            window = window_slice(self._observations, self._times,
+                                  t - rule.window_s, t, closed_end=True)
             if len(window) < rule.min_samples:
                 continue
             value = window_metric(rule.metric, window)

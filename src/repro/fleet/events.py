@@ -72,6 +72,11 @@ class DeviceState(enum.Enum):
     EXECUTING = "executing"
     COMPLETE = "complete"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is equivalent to Enum's hash-of-the-name — and C-level, which the
+    # scheduler's nine TRANSITIONS look-ups per device notice.
+    __hash__ = object.__hash__
+
 
 #: Legal state-machine transitions, as (from, to) pairs.  Kept next to
 #: the enum so the scheduler and the tests share one definition.

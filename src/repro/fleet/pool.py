@@ -34,6 +34,7 @@ Autoscaler` may grow or shrink the pool mid-run via ``add_server`` /
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -158,16 +159,24 @@ class _Server:
         self.active = True              # autoscaler may retire a server
 
     def purge(self, arrival_t: float) -> None:
-        self.pending_starts = [s for s in self.pending_starts
-                               if s > arrival_t]
+        if self.pending_starts:
+            self.pending_starts = [s for s in self.pending_starts
+                                   if s > arrival_t]
 
-    def best_slot(self, arrival_t: float):
-        idx = min(range(len(self.slots)), key=lambda i: (self.slots[i], i))
-        return idx, max(0.0, self.slots[idx] - arrival_t)
+    def outlook(self, arrival_t: float):
+        """What a request arriving now finds here: the slot that frees
+        first — lowest ``busy_until``, then lowest index (``list.index``
+        returns the first of equals) — the wait it would face on that
+        slot, and how many slots are free.
 
-    def free_slots(self, arrival_t: float) -> int:
-        return sum(1 for busy_until in self.slots
-                   if busy_until <= arrival_t)
+        Asked once per server per admit, so one C-level sort of the
+        slot times answers all three; a Python loop over the slots here
+        is what made admission cost grow with capacity."""
+        order = sorted(self.slots)
+        busy_until = order[0]
+        return (self.slots.index(busy_until),
+                max(0.0, busy_until - arrival_t),
+                bisect_right(order, arrival_t))
 
 
 class ServerPool:
@@ -211,7 +220,7 @@ class ServerPool:
             if not server.active:
                 continue
             server.purge(arrival_t)
-            slot_idx, wait = server.best_slot(arrival_t)
+            slot_idx, wait, free_slots = server.outlook(arrival_t)
             if min_wait is None or wait < min_wait:
                 min_wait = wait
             if wait > 0.0:
@@ -223,7 +232,7 @@ class ServerPool:
                         continue    # this queue is full for us
             candidates.append(Candidate(
                 server_id=server.id, wait=wait,
-                free_slots=server.free_slots(arrival_t),
+                free_slots=free_slots,
                 queue_len=len(server.pending_starts),
                 spec=server.spec, stats=server.stats,
                 slot_idx=slot_idx, server=server))
@@ -231,7 +240,7 @@ class ServerPool:
             self.total_rejected += 1
             # charge the refusal to the server that was closest to free
             closest = min((s for s in self._servers if s.active),
-                          key=lambda s: (s.best_slot(arrival_t)[1], s.id))
+                          key=lambda s: (s.outlook(arrival_t)[1], s.id))
             closest.stats.rejected += 1
             return Rejection(estimated_wait_s=min_wait or 0.0)
         request = PlacementRequest(

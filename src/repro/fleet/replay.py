@@ -29,25 +29,36 @@ devices whose specs agree on everything behavior-relevant (program,
 network, stdin, files, options minus identity fields) form a *behavior
 class*, and within a class a segment replay is a pure function of the
 outcome script — so N identical devices with identical scripts cost
-k+1 session runs **total**, not per device.  Traced devices share the
-intermediate segments (a request boundary carries no trace) but always
-run their final segment privately, because the finished result embeds
-the device's session id in every trace event.
+k+1 session runs **total**, not per device.
+
+The cache does O(1) work per event whatever the option count or script
+length.  A device's class is *interned* once, when it arrives:
+:func:`behavior_key` is built, looked up, and dropped — what the device
+keeps is a reference to a node of the class's **outcome trie**
+(:class:`TrieNode`), whose edges are the per-request outcome tuples.
+Serving a request steps the device one edge down; the node it lands on
+holds the segment every device of the class executes after that
+history.  A script is therefore never stored per device and never
+re-hashed: it *is* the path from the root, rebuilt by walking parents
+only when a node has to be run (``TrieNode.script``).  Traced devices
+share the intermediate nodes (a request boundary carries no trace) but
+always run their final segment privately, because the finished result
+embeds the device's session id in every trace event.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..runtime.backend import Admission, OffloadDispatcher, Rejection
 from ..runtime.session import OffloadSession, SessionOptions, SessionResult
 from .spec import DeviceSpec
 
 
-@dataclass(frozen=True)
-class OutcomeProjection:
+class OutcomeProjection(NamedTuple):
     """The session-visible part of one admission or rejection.
 
     This is the *entire* channel from the pool into a device session;
@@ -56,8 +67,8 @@ class OutcomeProjection:
     request — is a tuple of these: one projection per granted
     admission (a scatter/gather plan's gang is simply a longer tuple,
     docs/parallel-offload.md), or the single projection of a
-    rejection.  Hashable, so outcome scripts can key the
-    :class:`SegmentCache`.
+    rejection.  A tuple, so the outcome tuples that label the
+    :class:`SegmentCache`'s trie edges hash and compare at C speed.
     """
 
     admitted: bool
@@ -206,6 +217,23 @@ class Segment:
 #: given a fixed outcome script — identity tags and fleet wiring.
 _IDENTITY_FIELDS = ("session_id", "dispatcher")
 
+#: Every other SessionOptions field is behavior-relevant.  The names are
+#: fixed at import, so one C-level attrgetter reads them all.
+_BEHAVIOR_FIELDS = tuple(field.name
+                         for field in dataclasses.fields(SessionOptions)
+                         if field.name not in _IDENTITY_FIELDS)
+_behavior_values = operator.attrgetter(*_BEHAVIOR_FIELDS)
+
+
+def _hashable(value):
+    if isinstance(value, dict):
+        value = tuple(sorted(value.items()))
+    try:
+        hash(value)
+    except TypeError:
+        value = ("id", id(value))
+    return value
+
 
 def behavior_key(spec: DeviceSpec, engine: str = "fifo") -> tuple:
     """The behavior class of a device: a hashable key equal for two
@@ -218,30 +246,23 @@ def behavior_key(spec: DeviceSpec, engine: str = "fifo") -> tuple:
     (docs/placement.md).
 
     Unhashable or stateful option values (fault plans are frozen and
-    hash by value; anything else falls back to object identity) only
-    ever make the key *finer*, never coarser — a too-fine key costs
-    speed, a too-coarse one would cost correctness.
+    hash by value; dicts key by their sorted items; anything else falls
+    back to object identity) only ever make the key *finer*, never
+    coarser — a too-fine key costs speed, a too-coarse one would cost
+    correctness.
     """
-    base = spec.options or SessionOptions()
-    parts = []
-    for field in dataclasses.fields(SessionOptions):
-        if field.name in _IDENTITY_FIELDS:
-            continue
-        value = getattr(base, field.name)
-        if isinstance(value, dict):
-            value = tuple(sorted(value.items()))
-        try:
-            hash(value)
-        except TypeError:
-            value = ("id", id(value))
-        parts.append(value)
+    parts = _behavior_values(spec.options or SessionOptions())
+    try:
+        hash(parts)
+    except TypeError:       # rare: some option value needs converting
+        parts = tuple(map(_hashable, parts))
     if spec.files:
         files_key = tuple(sorted(
             (name, bytes(data)) for name, data in spec.files.items()))
     else:
         files_key = None
     return (engine, id(spec.program), id(spec.network),
-            bytes(spec.stdin), spec.deadline_s, files_key, tuple(parts))
+            bytes(spec.stdin), spec.deadline_s, files_key, parts)
 
 
 def run_segment(spec: DeviceSpec, script: Script) -> Segment:
@@ -264,36 +285,92 @@ def run_segment(spec: DeviceSpec, script: Script) -> Segment:
                    release_local_ts=dispatcher.last_release_ts)
 
 
+class TrieNode:
+    """One point in a behavior class's outcome trie: the history "these
+    outcomes, in this order" of every device of the class that reached
+    it.
+
+    ``segment`` is what such a device executes next, once some device
+    has run it and it is shareable (None until then); ``children`` maps
+    the outcome tuple of the next admission request to the node that
+    history continues at.  ``parent``/``edge`` lead back to the root,
+    so the script is the path and is stored nowhere else.
+    """
+
+    __slots__ = ("parent", "edge", "children", "segment")
+
+    def __init__(self, parent: Optional["TrieNode"] = None,
+                 edge: Tuple[OutcomeProjection, ...] = ()):
+        self.parent = parent
+        self.edge = edge
+        self.children: Dict[Tuple[OutcomeProjection, ...], TrieNode] = {}
+        self.segment: Optional[Segment] = None
+
+    def child(self, outcomes: Tuple[OutcomeProjection, ...]) -> "TrieNode":
+        """The node one admission request further on, the request
+        having been answered with ``outcomes``."""
+        node = self.children.get(outcomes)
+        if node is None:
+            node = self.children[outcomes] = TrieNode(self, outcomes)
+        return node
+
+    def script(self) -> Script:
+        """The outcome script that leads here, rebuilt from the path."""
+        edges = []
+        node = self
+        while node.parent is not None:
+            edges.append(node.edge)
+            node = node.parent
+        return tuple(reversed(edges))
+
+
 class SegmentCache:
     """Cross-device memoization of replayed segments.
 
-    Keyed by ``(behavior class, outcome script)``.  Request boundaries
-    are always shareable (they carry no per-device identity); finished
-    results are shareable only for untraced devices — a traced result
-    embeds the session id in every event, so traced devices always run
-    their final segment themselves.
+    One outcome trie per behavior class.  Request boundaries are always
+    shareable (they carry no per-device identity); finished results are
+    shareable only for untraced devices — a traced result embeds the
+    session id in every event, so traced devices always run their final
+    segment themselves.  Tracing is a behavior-relevant option, so a
+    class is traced or it is not: a node's segment is only ever stored
+    when every device that can reach the node may share it.
     """
 
     def __init__(self, engine: str = "fifo") -> None:
-        self._segments: Dict[tuple, Segment] = {}
+        self._classes: Dict[tuple, TrieNode] = {}
         self.engine = engine
         self.session_runs = 0
         self.shared_hits = 0
+        self.distinct_segments = 0
 
-    def advance(self, spec: DeviceSpec, script: Script) -> Segment:
-        """The segment ``spec`` executes after ``script`` — from cache
+    @property
+    def behavior_classes(self) -> int:
+        """How many behavior classes the fleet's devices fell into."""
+        return len(self._classes)
+
+    def enroll(self, spec: DeviceSpec) -> TrieNode:
+        """The root of ``spec``'s behavior class — where a device that
+        has made no admission request yet stands.  The class key is
+        built here, once per device, and kept once per class."""
+        key = behavior_key(spec, self.engine)
+        root = self._classes.get(key)
+        if root is None:
+            root = self._classes[key] = TrieNode()
+        return root
+
+    def advance(self, spec: DeviceSpec, node: TrieNode) -> Segment:
+        """The segment ``spec`` executes from ``node`` — from cache
         when a behaviorally identical device already ran it."""
-        base = spec.options or SessionOptions()
-        traced = bool(base.enable_tracing)
-        key = (behavior_key(spec, self.engine), script)
-        hit = self._segments.get(key)
-        if hit is not None and (not hit.done or not traced):
+        hit = node.segment
+        if hit is not None:
             self.shared_hits += 1
             return hit
-        segment = run_segment(spec, script)
+        segment = run_segment(spec, node.script())
         self.session_runs += 1
-        if not segment.done or not traced:
-            self._segments[key] = segment
+        traced = (spec.options or SessionOptions()).enable_tracing
+        if not (segment.done and traced):
+            node.segment = segment
+            self.distinct_segments += 1
         return segment
 
     def stats(self) -> dict:
@@ -302,5 +379,5 @@ class SegmentCache:
         return {
             "session_runs": self.session_runs,
             "shared_hits": self.shared_hits,
-            "distinct_segments": len(self._segments),
+            "distinct_segments": self.distinct_segments,
         }

@@ -11,9 +11,10 @@ only when one of its events fires:
    runs the device to its first admission request (or completion);
 2. an :data:`~repro.fleet.events.ADMISSION_REQUEST` event — popped in
    ``(global time, device index)`` order — is served against the
-   :class:`~repro.fleet.pool.ServerPool`, the outcome is appended to
-   the device's script, and the device is advanced by scripted replay
-   (:mod:`repro.fleet.replay`); every granted slot is released at the
+   :class:`~repro.fleet.pool.ServerPool`, the outcome steps the device
+   one edge down its behavior class's outcome trie, and the device is
+   advanced by scripted replay (:mod:`repro.fleet.replay`) from the
+   node it lands on; every granted slot is released at the
    exact session-local instant the replay observed, before any other
    device runs;
 3. a :data:`~repro.fleet.events.COMPLETION` event marks the device
@@ -48,7 +49,7 @@ from .clock import EventQueue, SimClock
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      TRANSITIONS, DeviceState)
 from .pool import ServerPool
-from .replay import OutcomeProjection, Script, Segment, SegmentCache
+from .replay import OutcomeProjection, Segment, SegmentCache, TrieNode
 from .result import DeviceOutcome, FleetResult
 from .spec import DeviceSpec, arrival_offsets  # noqa: F401  (re-export)
 
@@ -56,7 +57,7 @@ from .spec import DeviceSpec, arrival_offsets  # noqa: F401  (re-export)
 class _DeviceProcess:
     """One device's live state inside the event loop."""
 
-    __slots__ = ("index", "spec", "offset", "state", "script",
+    __slots__ = ("index", "spec", "offset", "state", "node",
                  "pending_target", "pending_shards", "result")
 
     def __init__(self, index: int, spec: DeviceSpec):
@@ -64,7 +65,9 @@ class _DeviceProcess:
         self.spec = spec
         self.offset = spec.start_offset_s
         self.state = DeviceState.IDLE
-        self.script: Script = ()
+        # Where the device stands in its behavior class's outcome trie
+        # (its history with the pool); set when it arrives.
+        self.node: Optional[TrieNode] = None
         self.pending_target: Optional[str] = None
         self.pending_shards = 1
         self.result = None
@@ -114,24 +117,26 @@ class FleetScheduler:
             queue.push(self.autoscaler.options.interval_s, tick_index,
                        AUTOSCALE)
 
+        completed = 0
         while queue:
             t, index, kind = queue.pop()
             self.clock.advance_to(t)
             if kind == AUTOSCALE:
                 self.autoscaler.evaluate(t, self.pool)
-                if any(p.state is not DeviceState.COMPLETE
-                       for p in procs):
+                if completed < len(procs):
                     queue.push(t + self.autoscaler.options.interval_s,
                                tick_index, AUTOSCALE)
                 continue
             p = procs[index]
             if kind == ARRIVAL:
                 p.transition(DeviceState.ARRIVED)
+                p.node = self.replay.enroll(p.spec)
                 self._advance(p, queue)
             elif kind == ADMISSION_REQUEST:
                 self._serve(p, t, queue)
             elif kind == COMPLETION:
                 p.transition(DeviceState.COMPLETE)
+                completed += 1
             else:  # pragma: no cover - queue only ever holds the above
                 raise RuntimeError(f"unknown event kind {kind!r}")
 
@@ -173,8 +178,7 @@ class FleetScheduler:
                 self.autoscaler.observe(t, outcome)
         p.pending_target = None
         p.pending_shards = 1
-        p.script = p.script + (
-            tuple(map(OutcomeProjection.of, outcomes)),)
+        p.node = p.node.child(tuple(map(OutcomeProjection.of, outcomes)))
         segment = self._advance(p, queue)
         # The replay observed the session-local instant each slot was
         # handed back; apply them to the real pool now, so the next
@@ -190,14 +194,13 @@ class FleetScheduler:
     def _advance(self, p: _DeviceProcess, queue: EventQueue) -> Segment:
         """Advance the device to its next admission request or to
         completion, and schedule the matching event."""
-        segment = self.replay.advance(p.spec, p.script)
+        segment = self.replay.advance(p.spec, p.node)
+        p.transition(DeviceState.EXECUTING)
         if segment.done:
-            p.transition(DeviceState.EXECUTING)
             p.result = segment.result
             queue.push(p.offset + segment.result.total_seconds,
                        p.index, COMPLETION)
         else:
-            p.transition(DeviceState.EXECUTING)
             p.transition(DeviceState.REQUESTING)
             p.pending_target = segment.target
             p.pending_shards = segment.shards

@@ -24,6 +24,7 @@ exhibit (docs/observability.md, "SLO rules"):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -128,16 +129,35 @@ def _observe(sessions: Sequence[SessionSpan]) -> List[Observation]:
     obs: List[Observation] = []
     for session in sessions:
         for inv in session.invocations:
-            retries = sum(1 for e in inv.events()
-                          if e.category == "transport.retry")
-            fallback = any(e.category == "offload.fallback"
-                           for e in inv.events())
+            retries, fallback = 0, False
+            for e in inv.events():
+                if e.category == "transport.retry":
+                    retries += 1
+                elif e.category == "offload.fallback":
+                    fallback = True
             obs.append(Observation(
                 t=inv.start, offloaded=inv.status == "offloaded",
                 fallback=fallback, queue_wait_s=inv.queue_seconds,
                 retries=retries))
     obs.sort(key=lambda o: o.t)
     return obs
+
+
+def window_slice(observations: Sequence[Observation],
+                 times: Sequence[float], start: float, end: float,
+                 closed_end: bool = False) -> Sequence[Observation]:
+    """The observations made in ``[start, end)`` — ``[start, end]`` with
+    ``closed_end`` — in order.
+
+    ``observations`` must be in time order and ``times`` their ``t``
+    values, index for index: the window is then two bisections and a
+    slice, whatever the length of the timeline.  Shared, like
+    :func:`window_metric`, by the post-hoc rules (half-open windows on a
+    fixed grid) and the live autoscaler (the closed trailing window
+    ``[t - w, t]``)."""
+    lo = bisect_left(times, start)
+    hi = (bisect_right if closed_end else bisect_left)(times, end)
+    return observations[lo:hi]
 
 
 def window_metric(name: str, window: Sequence[Observation]) -> float:
@@ -177,12 +197,13 @@ def evaluate_rules(sessions: Sequence[SessionSpan],
     observations = _observe(sessions)
     findings: List[Finding] = []
     if observations:
-        span_end = max(o.t for o in observations)
+        times = [o.t for o in observations]
+        span_end = times[-1]
         for rule in rules:
             open_finding: Optional[Finding] = None
             for start in _windows(span_end, rule.window_s):
                 end = start + rule.window_s
-                window = [o for o in observations if start <= o.t < end]
+                window = window_slice(observations, times, start, end)
                 if len(window) < rule.min_samples:
                     continue
                 value = _metric(rule.metric, window)

@@ -2,6 +2,7 @@
 """Alternating parent/change runs of the host-time benchmark.
 
     python3 tools/bench_pairs.py <parent-ref> [--pairs 10] [--smoke]
+                                 [--workload NAME ...]
 
 Exports ``<parent-ref>`` into a temporary directory, then makes N pairs
 of complete ``bench/run.py`` sets — the parent's committed files against
@@ -11,6 +12,9 @@ this checkout's, pair *i* on seed *i*, alternating which side goes first
 metric, how many pairs the change won, lost and tied beside each side's
 median and quartiles (the choosing-metrics rule: a gain needs nine pairs
 in ten and a median shift beyond the parent's inter-quartile distance).
+``--workload NAME`` (repeatable) measures only the named workloads — a
+one-workload claim then costs minutes, not the half hour of complete
+sets; everything printed keeps its form.
 
 Exit status 1 when a same-seed pair disagrees on a simulated fingerprint
 or a count, or an op failed; 0 otherwise — timing verdicts are for the
@@ -42,18 +46,46 @@ def export(ref: str, into: Path) -> None:
         raise SystemExit(f"bench_pairs: cannot export {ref!r}")
 
 
+_DETAIL = "#detail "     # bench/run.py's machine-readable detail line
+
+
 def run_set(checkout: Path, out: Path, seed: int, trace: int,
-            smoke: bool) -> None:
+            smoke: bool, workloads: list) -> None:
+    """Append one set of results from ``checkout``'s benchmark to
+    ``out``: the complete set ``bench/run.py --out`` makes, or — given
+    ``workloads`` — the same record assembled from one
+    ``bench/run.py --workload`` run per name."""
     command = [sys.executable, str(checkout / "bench" / "run.py"),
-               "--seed", str(seed), "--trace", str(trace), "--out", str(out)]
+               "--seed", str(seed), "--trace", str(trace)]
     if smoke:
         command += ["--smoke", "--seconds", "0.5"]
-    with open(out.with_suffix(".log"), "a", encoding="utf-8") as log:
+    log_path = out.with_suffix(".log")
+    with open(log_path, "a", encoding="utf-8") as log:
         # a failed op is recorded in the set; judged below
-        subprocess.run(command, stdout=log, stderr=subprocess.STDOUT)
+        if not workloads:
+            subprocess.run(command + ["--out", str(out)], stdout=log,
+                           stderr=subprocess.STDOUT)
+        results = {}
+        for workload in workloads:
+            log.flush()
+            lines = subprocess.run(
+                command + ["--workload", workload], stdout=subprocess.PIPE,
+                stderr=log, text=True).stdout.splitlines()
+            log.write("\n".join(lines) + "\n")
+            if not (len(lines) >= 2 and lines[-1].startswith("{")
+                    and lines[-2].startswith(_DETAIL)):
+                raise SystemExit(f"bench_pairs: no {workload} result from "
+                                 f"{checkout}; see {log_path}")
+            # what run.py's every-workload form stores per workload
+            results[workload] = {**json.loads(lines[-1]),
+                                 **json.loads(lines[-2][len(_DETAIL):])}
+    if workloads:
+        sets = json.loads(out.read_text()) if out.exists() else []
+        out.write_text(json.dumps(sets + [results], indent=1,
+                                  sort_keys=True) + "\n")
     if not out.exists():
         raise SystemExit(f"bench_pairs: no result from {checkout}; see "
-                         f"{out.with_suffix('.log')}")
+                         f"{log_path}")
 
 
 def spread(values: list) -> str:
@@ -105,11 +137,16 @@ def drifted(parent: list, change: list) -> list:
 
 
 def main() -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", metavar="parent-ref")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--smoke", action="store_true",
                         help="self-test sizes; not for reported numbers")
+    parser.add_argument("--workload", action="append", default=[],
+                        choices=[w["name"] for w in contract["workloads"]],
+                        help="measure only this workload (repeatable); "
+                             "default: all of them")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -130,7 +167,7 @@ def main() -> int:
                   flush=True)
             for side in order:
                 run_set(checkouts[side], files[side, trace], seed, trace,
-                        args.smoke)
+                        args.smoke, args.workload)
     finally:
         shutil.rmtree(checkouts["parent"])
 
@@ -143,7 +180,6 @@ def main() -> int:
                         "--compare", str(files["parent", trace]),
                         str(files["change", trace])])
         if not trace:
-            contract = json.loads((ROOT / "BENCHMARK.json").read_text())
             wins_table(contract, old, new)
         problems += drifted(old, new)
     print(f"\nsets and logs: {work}")
