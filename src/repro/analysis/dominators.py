@@ -6,7 +6,7 @@ uses to attribute execution time to loops (paper, Section 3.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..ir.values import BasicBlock
 from .cfg import CFG
@@ -61,11 +61,3 @@ class DominatorTree:
                 return True
             node = self.idom.get(node)
         return False
-
-    def dominators_of(self, block: BasicBlock) -> List[BasicBlock]:
-        chain: List[BasicBlock] = []
-        node: Optional[BasicBlock] = block
-        while node is not None:
-            chain.append(node)
-            node = self.idom.get(node)
-        return chain

@@ -56,9 +56,6 @@ class ProgramResult:
         """Battery consumption normalized to local (Figure 6(b))."""
         return self.sessions[label].energy_mj / self.local.energy_mj
 
-    def battery_saving_pct(self, label: str) -> float:
-        return (1.0 - self.normalized_energy(label)) * 100.0
-
     def outputs_match(self) -> bool:
         return all(s.stdout == self.local.stdout
                    for s in self.sessions.values())

@@ -406,10 +406,6 @@ class ServerPool:
         return [s.stats for s in self._servers]
 
     @property
-    def total_admitted(self) -> int:
-        return sum(s.stats.admitted for s in self._servers)
-
-    @property
     def total_queue_delay_s(self) -> float:
         return sum(s.stats.queue_delay_total for s in self._servers)
 

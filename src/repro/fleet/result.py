@@ -36,11 +36,6 @@ class DeviceOutcome:
         return self.start_offset_s + self.result.total_seconds
 
 
-# The one nearest-rank percentile definition, shared with the report
-# (repro.trace.analysis) so the two can never disagree.
-_percentile = nearest_rank_percentile
-
-
 @dataclass
 class FleetResult:
     """Everything a fleet run produced.
@@ -93,9 +88,10 @@ class FleetResult:
             "throughput_invocations_per_s": (
                 total_inv / self.makespan_s if self.makespan_s > 0
                 else 0.0),
+            # nearest-rank, the report's definition (repro.trace.analysis)
             "completion_s": {
-                "p50": _percentile(completions, 0.50),
-                "p95": _percentile(completions, 0.95),
+                "p50": nearest_rank_percentile(completions, 0.50),
+                "p95": nearest_rank_percentile(completions, 0.95),
                 "max": max(completions) if completions else 0.0,
             },
             "invocations": {

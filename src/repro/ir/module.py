@@ -44,9 +44,6 @@ class Module:
     def global_(self, name: str) -> GlobalVariable:
         return self.globals[name]
 
-    def remove_global(self, name: str) -> None:
-        del self.globals[name]
-
     # -- functions ----------------------------------------------------------
     def add_function(self, fn: Function) -> Function:
         if fn.name in self.functions:
@@ -74,9 +71,6 @@ class Module:
 
     def defined_functions(self) -> Iterator[Function]:
         return (f for f in self.functions.values() if f.is_definition)
-
-    def external_functions(self) -> Iterator[Function]:
-        return (f for f in self.functions.values() if not f.is_definition)
 
     def clone(self, name: Optional[str] = None) -> "Module":
         """Deep-copy the module (used by the partitioner to derive the

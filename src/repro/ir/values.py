@@ -53,11 +53,6 @@ class Constant(Value):
     def null(ptr_type: PointerType) -> "Constant":
         return Constant(ptr_type, 0)
 
-    @staticmethod
-    def bool_(value: bool) -> "Constant":
-        from .types import I1
-        return Constant(I1, 1 if value else 0)
-
 
 class UndefValue(Value):
     """An undefined value of a given type."""
@@ -247,12 +242,6 @@ class Function(Value):
             self.blocks.insert(self.blocks.index(before), block)
         self.is_external = False
         return block
-
-    def block_named(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(f"no block named {name} in {self.name}")
 
     def instructions(self):
         for block in self.blocks:

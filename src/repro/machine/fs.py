@@ -66,9 +66,6 @@ class IOEnvironment:
         self.stdout_ops = 0
 
     # -- files ----------------------------------------------------------
-    def add_file(self, path: str, data: bytes) -> None:
-        self.files[path] = bytearray(data)
-
     def open(self, path: str, mode: str) -> int:
         """Returns a handle (>0) or 0 on failure, like fopen's NULL."""
         reading = "r" in mode

@@ -133,9 +133,6 @@ class Interpreter:
     def charge(self, inst_class: str, count: float = 1.0) -> None:
         self.cycles += self._cycle_table[inst_class] * count
 
-    def charge_cycles(self, cycles: float, inst_class: str = "alu") -> None:
-        self.cycles += cycles * self._scale
-
     def charge_raw_cycles(self, cycles: float,
                           inst_class: str = "alu") -> None:
         """Charge unscaled cycles — for runtime services whose cost is a

@@ -11,9 +11,8 @@ twice per invocation (live-ins out, dirty data back), hence the factor 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
-from ..profiler.profile_data import CandidateProfile, ProfileData
+from ..profiler.profile_data import CandidateProfile
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,6 @@ class StaticPerformanceEstimator:
             invocations=profile.invocations,
             memory_bytes=profile.memory_bytes,
         )
-
-    def estimate_all(self, data: ProfileData,
-                     names: Optional[List[str]] = None
-                     ) -> Dict[str, StaticEstimate]:
-        selected = (data.candidates.keys() if names is None else names)
-        return {name: self.estimate(data.candidates[name])
-                for name in selected}
 
 
 def mbps(megabits_per_second: float) -> float:

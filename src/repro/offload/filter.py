@@ -71,10 +71,6 @@ class FunctionFilter:
     def is_offloadable(self, name: str) -> bool:
         return not self._verdicts[name].machine_specific
 
-    def offloadable_functions(self) -> List[str]:
-        return sorted(n for n, v in self._verdicts.items()
-                      if not v.machine_specific)
-
     def classify_loop(self, loop: Loop) -> FilterVerdict:
         """A loop is machine specific iff its blocks contain a machine
         specific instruction or call a machine specific function

@@ -41,9 +41,6 @@ class SelectionResult:
     candidates: Dict[str, Candidate]
     selected: List[Candidate]
 
-    def selected_names(self) -> List[str]:
-        return [c.name for c in self.selected]
-
 
 class TargetSelector:
     def __init__(self, module: Module, profile: ProfileData,

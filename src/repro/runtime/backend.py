@@ -524,6 +524,9 @@ class RemoteBackend:
             session.server_compute_seconds += total_exec
             if not zero:
                 session._advance(wall, "wait")
+            if tr.enabled:
+                self._trace_fnptr_window(target, fnptr_lookups0,
+                                         fnptr_seconds0)
             return self._abort(
                 target, interp, args, record, "exec",
                 session.comm.stats.comm_seconds - comm_phase0,
@@ -589,12 +592,8 @@ class RemoteBackend:
                         **fields)
                 tr.metrics.histogram("offload.server_seconds").observe(
                     run["exec"])
-            fnptr_lookups = session._fnptr_lookups - fnptr_lookups0
-            if fnptr_lookups:
-                tr.emit("fnptr.window", target.name,
-                        lookups=fnptr_lookups,
-                        seconds=session.fnptr_seconds - fnptr_seconds0)
-                tr.metrics.counter("fnptr.lookups").inc(fnptr_lookups)
+            self._trace_fnptr_window(target, fnptr_lookups0,
+                                     fnptr_seconds0)
 
         def charge_waits() -> None:
             # the mobile waits while the servers compute (through the
@@ -638,13 +637,10 @@ class RemoteBackend:
         except LinkDownError:
             if wide and not zero:
                 charge_waits()   # the parallel wait already happened
-            # A wide plan's offload.exec events already carry its
-            # compute, so its abort reports none.
             return self._abort(
                 target, interp, args, record, return_phase,
                 session.comm.stats.comm_seconds - comm_phase0,
                 "receive", io_snapshot, admissions,
-                abort_server_seconds=0.0 if wide else None,
                 overlap_seconds=overlap)
         if wide:
             # write_back() books this itself on the plan of one
@@ -762,7 +758,6 @@ class RemoteBackend:
                wasted_seconds: float, power_state: str,
                io_snapshot: Optional[dict],
                admissions: List[Admission],
-               abort_server_seconds: Optional[float] = None,
                overlap_seconds: float = 0.0):
         """The transport declared the link dead mid-invocation: discard
         every server-side effect, roll the mobile environment back to
@@ -795,16 +790,15 @@ class RemoteBackend:
             # server_seconds: partial server execution a mid-exec abort
             # already charged into server_compute_seconds — without it
             # here the trace could not reconcile that total
-            # (repro.trace.analysis.spans.validate_sessions).  A plan
-            # abort after its shards' offload.exec events were emitted
-            # overrides it to zero (the events already carry the
-            # compute) and reports the parallel overlap so the
-            # critical-path buckets still sum to charged wall.
+            # (repro.trace.analysis.spans.validate_sessions).  An abort
+            # in the return phase reports none: the offload.exec events
+            # already emitted carry the compute.  A plan abort also
+            # reports the parallel overlap so the critical-path buckets
+            # still sum to charged wall.
             payload = dict(
                 phase=phase, wasted_seconds=wasted_seconds,
                 server_seconds=(record.server_seconds
-                                if abort_server_seconds is None
-                                else abort_server_seconds))
+                                if phase == "exec" else 0.0))
             if record.shards > 1:
                 payload["shards"] = record.shards
                 payload["overlap_seconds"] = overlap_seconds
@@ -814,6 +808,19 @@ class RemoteBackend:
                 wasted_seconds)
         session.invocations.append(record)
         return session.local_backend.execute(target, interp, args, record)
+
+    def _trace_fnptr_window(self, target: OffloadTarget, lookups0: int,
+                            seconds0: float) -> None:
+        """One ``fnptr.window`` event for the look-ups the server made
+        since the invocation began, whether its window completed or was
+        aborted mid-execution."""
+        session = self.session
+        lookups = session._fnptr_lookups - lookups0
+        if lookups:
+            session.tracer.emit("fnptr.window", target.name,
+                                lookups=lookups,
+                                seconds=session.fnptr_seconds - seconds0)
+            session.tracer.metrics.counter("fnptr.lookups").inc(lookups)
 
     def _release(self, admissions: List[Admission]) -> None:
         """Hand the granted slots back — a plan releases every member

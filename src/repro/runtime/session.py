@@ -168,11 +168,6 @@ class SessionResult:
                    if not r.offloaded and not r.aborted and not r.rejected)
 
     @property
-    def rejected_invocations(self) -> int:
-        """Invocations the server pool refused to admit (fleet runs)."""
-        return sum(1 for r in self.invocations if r.rejected)
-
-    @property
     def queue_seconds(self) -> float:
         """Simulated time spent waiting for a server slot (fleet runs)."""
         return sum(r.queue_seconds for r in self.invocations)

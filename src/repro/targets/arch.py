@@ -61,16 +61,6 @@ class TargetArch:
         if missing:
             raise ValueError(f"timing model missing classes: {missing}")
 
-    @property
-    def pointer_bits(self) -> int:
-        return self.pointer_bytes * 8
-
-    def seconds_for_cycles(self, cycles: float) -> float:
-        return cycles / self.clock_hz
-
-    def cycles_for(self, inst_class: str) -> float:
-        return self.cycles[inst_class]
-
     def __str__(self) -> str:
         return self.name
 

@@ -15,8 +15,9 @@ systems ship:
   ``chrome://tracing`` / Perfetto-compatible export.
 * :mod:`repro.trace.timeline` — the human-readable event timeline and
   metrics summary behind ``python -m repro trace``, plus the
-  trace-derived per-phase totals that cross-check
-  :meth:`SessionResult.breakdown`.
+  :class:`Tally` — what each event category contributes to every
+  trace-derived number, defined once — and the per-phase totals it
+  yields to cross-check :meth:`SessionResult.breakdown`.
 * :mod:`repro.trace.analysis` — the analysis engine behind
   ``python -m repro report``: span reconstruction, critical-path
   attribution, fleet aggregation, SLO findings and the
@@ -35,8 +36,8 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .export import (events_from_jsonl, events_to_chrome_json,
                      events_to_jsonl, load_jsonl, read_jsonl_meta,
                      write_chrome_trace, write_jsonl)
-from .timeline import (phase_totals, render_metrics, render_timeline,
-                       traffic_totals)
+from .timeline import (Tally, phase_totals, render_metrics,
+                       render_timeline, traffic_totals)
 
 __all__ = [
     "CATEGORIES", "CORE_CATEGORIES", "NULL_TRACER", "NullTracer",
@@ -44,5 +45,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "events_from_jsonl", "events_to_chrome_json", "events_to_jsonl",
     "load_jsonl", "read_jsonl_meta", "write_chrome_trace", "write_jsonl",
-    "phase_totals", "render_metrics", "render_timeline", "traffic_totals",
+    "Tally", "phase_totals", "render_metrics", "render_timeline",
+    "traffic_totals",
 ]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..metrics import Histogram
-from .critical_path import (BUCKETS, CriticalPath, attribute_session,
-                            bucket_totals, dominant_counts)
+from .critical_path import (BUCKETS, attribute_session, bucket_totals,
+                            dominant_counts)
 from .spans import SessionSpan
 
 #: Histogram metrics the aggregate tracks, in serialization order.
@@ -61,19 +61,6 @@ def invocation_counts(records) -> Dict[str, int]:
     return counts
 
 
-def _invocation_wire_bytes(inv) -> int:
-    total = 0
-    for event in inv.events():
-        p = event.payload
-        cat = event.category
-        if cat in ("comm.send", "comm.stream"):
-            total += p.get("wire_bytes", 0)
-        elif cat == "comm.rtt":
-            total += (p.get("wire_request_bytes", 0)
-                      + p.get("wire_response_bytes", 0))
-    return total
-
-
 @dataclass
 class DeviceRow:
     """One device's line of the report's per-device table."""
@@ -113,7 +100,6 @@ class FleetAggregate:
     devices: List[DeviceRow] = field(default_factory=list)
     servers: Dict[int, Dict[str, float]] = field(default_factory=dict)
     totals: Dict[str, float] = field(default_factory=dict)
-    paths: List[CriticalPath] = field(default_factory=list)
 
     @property
     def decline_rate(self) -> float:
@@ -181,7 +167,6 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
         counts = {"offloaded": 0, "declined": 0, "rejected": 0,
                   "aborted": 0}
         paths = attribute_session(session)
-        agg.paths.extend(paths)
         for name, value in bucket_totals(paths).items():
             agg.critical_path[name] += value
         for name, n in dominant_counts(paths).items():
@@ -193,36 +178,26 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
             if inv.status == "declined" and inv.reason:
                 agg.decline_reasons[inv.reason] = \
                     agg.decline_reasons.get(inv.reason, 0) + 1
-            wire = _invocation_wire_bytes(inv)
+            tally = inv.tally
+            wire = tally.wire_bytes_to_server + tally.wire_bytes_to_mobile
             totals["wire_bytes"] += wire
-            for event in inv.events():
-                cat = event.category
-                if cat == "offload.fallback":
-                    agg.invocations["local_fallbacks"] += 1
-                elif cat == "transport.retry":
-                    totals["retries"] += 1
-                elif cat == "transport.reconnect":
-                    # failed probe sweeps carry failed=True and are
-                    # recovery time, not a re-established link
-                    if not event.payload.get("failed"):
-                        totals["reconnects"] += 1
-                elif cat == "transport.disconnect":
-                    totals["disconnects"] += 1
-                elif cat == "offload.queue":
-                    server = event.payload.get("server")
-                    if server is not None:
-                        row = agg.servers.setdefault(
-                            int(server), {"queued_admissions": 0,
-                                          "queue_delay_s": 0.0})
-                        row["queued_admissions"] += 1
-                        row["queue_delay_s"] += event.dur
+            agg.invocations["local_fallbacks"] += tally.fallbacks
+            totals["retries"] += tally.retries
+            totals["reconnects"] += tally.reconnects
+            totals["disconnects"] += tally.disconnects
+            for server, wait in tally.queue_waits:
+                row = agg.servers.setdefault(
+                    server, {"queued_admissions": 0,
+                             "queue_delay_s": 0.0})
+                row["queued_admissions"] += 1
+                row["queue_delay_s"] += wait
             if inv.status == "offloaded":
                 agg.histograms["invocation_seconds"].observe(
                     inv.wall_seconds)
                 agg.histograms["wire_bytes"].observe(float(wire))
-            if inv.queue_seconds > 0.0:
+            if tally.queue_seconds > 0.0:
                 agg.histograms["queue_wait_seconds"].observe(
-                    inv.queue_seconds)
+                    tally.queue_seconds)
         for key in ("offloaded", "declined", "rejected", "aborted"):
             agg.invocations[key] += counts.get(key, 0)
 

@@ -82,55 +82,24 @@ class CriticalPath:
 
 def attribute_invocation(inv: InvocationSpan) -> CriticalPath:
     """Split one invocation span into the six critical-path buckets."""
-    buckets = {name: 0.0 for name in BUCKETS}
-    comm_event_seconds = 0.0
-    overlap_seconds = 0.0
-    for event in inv.events():
-        cat = event.category
-        if cat == "offload.queue":
-            buckets["queue"] += event.dur
-        elif cat == "offload.exec":
-            buckets["server_compute"] += event.dur
-            buckets["uva"] += event.payload.get("cod_seconds", 0.0)
-        elif cat == "offload.abort":
-            # partial server execution before a mid-exec abort: charged
-            # wall time the device waited through (a plan abort reports
-            # the parallel overlap to subtract, like offload.gather)
-            buckets["server_compute"] += event.payload.get(
-                "server_seconds", 0.0)
-            overlap_seconds += event.payload.get("overlap_seconds", 0.0)
-        elif cat == "offload.gather":
-            # the plan's shards ran in parallel: the device waited only
-            # through the slowest survivor, not the serial sum
-            overlap_seconds += event.payload.get("overlap_seconds", 0.0)
-        elif cat == "offload.straggler":
-            # an abandoned shard's index range, replayed on the device
-            buckets["mobile_compute"] += event.payload.get(
-                "seconds", 0.0)
-        elif cat == "offload.fallback":
-            buckets["mobile_compute"] += event.payload.get("seconds", 0.0)
-        elif cat == "offload.reject":
-            comm_event_seconds += event.payload.get("probe_seconds", 0.0)
-        elif cat in ("comm.send", "comm.stream", "comm.rtt"):
-            comm_event_seconds += event.dur
-        elif cat == "comm.adjust":
-            comm_event_seconds += event.payload.get("delta_seconds", 0.0)
-        elif cat == "transport.retry":
-            buckets["retry_backoff"] += (
-                event.payload.get("timeout_seconds", 0.0)
-                + event.payload.get("backoff_seconds", 0.0))
-        elif cat == "transport.reconnect":
-            buckets["retry_backoff"] += event.payload.get("seconds", 0.0)
-    # Every comm-layer second the invocation charged, minus what is
-    # attributed more specifically (CoD service -> uva, recovery waits
-    # -> retry_backoff).  Remote-I/O forwarding stays here: it is link
-    # time on the device timeline.
-    buckets["comm"] = max(
-        comm_event_seconds - buckets["uva"] - buckets["retry_backoff"],
-        0.0)
-    if overlap_seconds > 0.0:
-        buckets["server_compute"] = max(
-            buckets["server_compute"] - overlap_seconds, 0.0)
+    tally = inv.tally
+    buckets = {
+        "mobile_compute": tally.replay_seconds,
+        # a plan's shards ran in parallel: the device waited only
+        # through the slowest survivor, not the serial sum
+        "server_compute": max(
+            tally.server_seconds - tally.overlap_seconds, 0.0),
+        # Every comm-layer second the invocation charged (a refused
+        # admission's probe round trip included), minus what is
+        # attributed more specifically (CoD service -> uva, recovery
+        # waits -> retry_backoff).  Remote-I/O forwarding stays here:
+        # it is link time on the device timeline.
+        "comm": max(tally.comm_seconds + tally.probe_seconds
+                    - tally.cod_seconds - tally.recovery_seconds, 0.0),
+        "queue": tally.queue_seconds,
+        "uva": tally.cod_seconds,
+        "retry_backoff": tally.recovery_seconds,
+    }
     return CriticalPath(target=inv.target, status=inv.status,
                         buckets=buckets)
 

@@ -18,6 +18,7 @@ import html as _html
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..timeline import _fmt_value as _fmt
 from ..tracer import TraceEvent
 from .aggregate import FleetAggregate, aggregate_sessions
 from .critical_path import BUCKETS
@@ -229,18 +230,6 @@ margin:.4em 0}
 
 def _esc(value) -> str:
     return _html.escape(str(value))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1e-3:
-            return f"{value:.6f}".rstrip("0").rstrip(".")
-        return f"{value:.3e}"
-    return str(value)
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence],

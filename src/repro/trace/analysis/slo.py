@@ -121,24 +121,15 @@ class Observation:
     retries: int
 
 
-#: Backwards-compatible private alias (pre-autoscaler name).
-_Observation = Observation
-
-
 def _observe(sessions: Sequence[SessionSpan]) -> List[Observation]:
     obs: List[Observation] = []
     for session in sessions:
         for inv in session.invocations:
-            retries, fallback = 0, False
-            for e in inv.events():
-                if e.category == "transport.retry":
-                    retries += 1
-                elif e.category == "offload.fallback":
-                    fallback = True
+            tally = inv.tally
             obs.append(Observation(
                 t=inv.start, offloaded=inv.status == "offloaded",
-                fallback=fallback, queue_wait_s=inv.queue_seconds,
-                retries=retries))
+                fallback=tally.fallbacks > 0,
+                queue_wait_s=tally.queue_seconds, retries=tally.retries))
     obs.sort(key=lambda o: o.t)
     return obs
 
@@ -176,10 +167,6 @@ def window_metric(name: str, window: Sequence[Observation]) -> float:
     raise KeyError(f"unknown SLO metric {name!r}")
 
 
-#: Backwards-compatible private alias (pre-autoscaler name).
-_metric = window_metric
-
-
 def _windows(span_end: float, width: float):
     """Half-overlapping window starts covering [0, span_end]."""
     stride = width / 2.0
@@ -206,7 +193,7 @@ def evaluate_rules(sessions: Sequence[SessionSpan],
                 window = window_slice(observations, times, start, end)
                 if len(window) < rule.min_samples:
                     continue
-                value = _metric(rule.metric, window)
+                value = window_metric(rule.metric, window)
                 if not rule.violated(value):
                     if open_finding is not None:
                         findings.append(open_finding)
@@ -239,23 +226,18 @@ def prefetch_waste_findings(sessions: Sequence[SessionSpan],
                             ) -> List[Finding]:
     """Per-device streaks of fully-wasted prefetch windows.
 
-    A ``uva.cache`` adaptive event with ``wasted > 0`` and ``hits == 0``
-    means every page pushed for that invocation went unused; ``streak``
-    of them in a row is sustained wasted uplink the prefetcher should
-    have adapted away.
+    An adaptive-prefetch verdict (``Tally.prefetch_windows``) with
+    ``wasted > 0`` and ``hits == 0`` means every page pushed for that
+    invocation went unused; ``streak`` of them in a row is sustained
+    wasted uplink the prefetcher should have adapted away.
     """
     findings: List[Finding] = []
     for session in sessions:
         run: List = []
         for inv in session.invocations:
-            for event in inv.events():
-                if event.category != "uva.cache":
-                    continue
-                if event.name != "adaptive":
-                    continue
-                if (event.payload.get("wasted", 0) > 0
-                        and event.payload.get("hits", 0) == 0):
-                    run.append(event)
+            for window in inv.tally.prefetch_windows:
+                if window.wasted > 0 and window.hits == 0:
+                    run.append(window)
                 else:
                     if len(run) >= streak:
                         findings.append(_streak_finding(session, run))
@@ -266,7 +248,7 @@ def prefetch_waste_findings(sessions: Sequence[SessionSpan],
 
 
 def _streak_finding(session: SessionSpan, run: List) -> Finding:
-    wasted = sum(e.payload.get("wasted", 0) for e in run)
+    wasted = sum(window.wasted for window in run)
     return Finding(
         rule="prefetch_waste_streak", severity="warning",
         start_s=run[0].t, end_s=run[-1].t, value=float(len(run)),

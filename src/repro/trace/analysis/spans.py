@@ -26,6 +26,13 @@ in ``repro/runtime/backend.py``:
 * ``offload.reject`` / ``offload.abort`` divert to their own phases and
   the closing ``offload.fallback`` ends the invocation.
 
+This module only *routes*: which phase of which invocation an event
+belongs to.  What the event is worth — seconds, bytes, counts — is the
+business of :class:`repro.trace.timeline.Tally`, which each span folds
+its events into as it claims them, in emission order; the rest of the
+analysis is arithmetic over those tallies and never walks the events
+again.
+
 **Lossless invariant**: every event of the input stream is claimed by
 exactly one phase (or by the session span itself, for
 ``session.start``/``session.end``), and per-span duration sums reconcile
@@ -37,17 +44,14 @@ tolerance as :func:`repro.trace.phase_totals` —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
+from ..timeline import Tally
 from ..tracer import TraceEvent
 
 #: Tolerance for duration reconciliation — matches the existing
 #: phase/traffic reconciliation tests (tests/test_trace.py).
 RECONCILE_TOLERANCE = 1e-9
-
-#: Phase names in canonical order (for deterministic serialization).
-PHASES = ("decide", "queue", "init", "exec", "finalize",
-          "reject", "abort", "fallback")
 
 #: Invocation outcome classification.
 STATUSES = ("offloaded", "declined", "rejected", "aborted")
@@ -57,45 +61,19 @@ STATUSES = ("offloaded", "declined", "rejected", "aborted")
 class PhaseSpan:
     """One phase of an invocation and the raw events it claimed."""
 
-    name: str                       # one of PHASES
+    name: str       # decide | queue | init | exec | finalize |
+                    # reject | abort | fallback
     events: List[TraceEvent] = field(default_factory=list)
-
-    @property
-    def start(self) -> float:
-        return min(e.t for e in self.events) if self.events else 0.0
-
-    @property
-    def end(self) -> float:
-        return max(e.t + e.dur for e in self.events) if self.events \
-            else 0.0
-
-    @property
-    def anchor_seconds(self) -> float:
-        """The phase's modeled duration, from its anchor event.
-
-        ``queue``/``init``/``exec``/``finalize`` each carry anchor
-        events (``offload.queue`` / ``offload.init`` or the plan's
-        ``offload.scatter`` / ``offload.exec`` — one per surviving
-        shard of a scatter/gather plan / ``offload.finalize`` or the
-        plan's ``offload.gather``) whose ``dur`` is the phase's charged
-        wall time; phases without an anchor report 0.  For a plan's
-        exec phase the sum over shard anchors is *serial* server time;
-        the charged wall is the max (docs/parallel-offload.md).
-        """
-        anchors = {"queue": ("offload.queue",),
-                   "init": ("offload.init", "offload.scatter"),
-                   "exec": ("offload.exec",),
-                   "finalize": ("offload.finalize", "offload.gather")}
-        categories = anchors.get(self.name)
-        if categories is None:
-            return 0.0
-        return sum(e.dur for e in self.events
-                   if e.category in categories)
 
 
 @dataclass
 class InvocationSpan:
-    """One dynamic offload decision site execution."""
+    """One dynamic offload decision site execution.
+
+    ``tally`` is what the invocation's events add up to
+    (:class:`repro.trace.timeline.Tally`), folded as each event is
+    claimed; everything downstream of reconstruction reads it instead
+    of walking the events again."""
 
     index: int                      # 0-based within the session
     target: str
@@ -105,31 +83,22 @@ class InvocationSpan:
     gain_seconds: Optional[float] = None
     abort_phase: Optional[str] = None
     phases: Dict[str, PhaseSpan] = field(default_factory=dict)
+    tally: Tally = field(default_factory=Tally)
 
-    def phase(self, name: str) -> PhaseSpan:
-        span = self.phases.get(name)
+    def claim(self, phase: str, event: TraceEvent) -> None:
+        span = self.phases.get(phase)
         if span is None:
-            span = PhaseSpan(name)
-            self.phases[name] = span
-        return span
-
-    def events(self) -> List[TraceEvent]:
-        out: List[TraceEvent] = []
-        for name in PHASES:
-            span = self.phases.get(name)
-            if span is not None:
-                out.extend(span.events)
-        return out
+            span = self.phases[phase] = PhaseSpan(phase)
+        span.events.append(event)
+        self.tally.add(event)
 
     @property
     def start(self) -> float:
-        events = self.events()
-        return min(e.t for e in events) if events else 0.0
+        return self.tally.start
 
     @property
     def end(self) -> float:
-        events = self.events()
-        return max(e.t + e.dur for e in events) if events else 0.0
+        return self.tally.end
 
     @property
     def wall_seconds(self) -> float:
@@ -138,11 +107,6 @@ class InvocationSpan:
         dur later re-attributed by ``comm.adjust`` (pipelined remote
         input) can overstate the charged time."""
         return max(self.end - self.start, 0.0)
-
-    @property
-    def queue_seconds(self) -> float:
-        phase = self.phases.get("queue")
-        return phase.anchor_seconds if phase else 0.0
 
 
 @dataclass
@@ -155,28 +119,24 @@ class SessionSpan:
     end: float = 0.0
     partial: bool = False           # stream truncated (no session.start)
     events: List[TraceEvent] = field(default_factory=list)  # own events
+    tally: Tally = field(default_factory=Tally)             # of those
     invocations: List[InvocationSpan] = field(default_factory=list)
     totals: Dict[str, object] = field(default_factory=dict)  # session.end
 
-    def event_count(self) -> int:
-        return len(self.events) + sum(len(inv.events())
-                                      for inv in self.invocations)
+    def claim(self, event: TraceEvent) -> None:
+        self.events.append(event)
+        self.tally.add(event)
 
-
-class SpanReconstructionError(ValueError):
-    """The event stream violates the runtime's emission protocol."""
+    def tallies(self) -> List[Tally]:
+        """Every tally of the tree: the session's own, then one per
+        invocation."""
+        return [self.tally] + [inv.tally for inv in self.invocations]
 
 
 # Categories that always belong to the *exec* window even though the
 # runtime emits them after the ``offload.exec`` anchor (the fn-ptr
 # window is aggregated and flushed once the server returns).
 _TRAILS_EXEC = ("fnptr.window",)
-
-
-def _close_invocation(session: SessionSpan,
-                      inv: Optional[InvocationSpan]) -> None:
-    if inv is not None:
-        session.invocations.append(inv)
 
 
 def reconstruct_session(events: Iterable[TraceEvent],
@@ -190,116 +150,95 @@ def reconstruct_session(events: Iterable[TraceEvent],
     inv: Optional[InvocationSpan] = None
     phase = "decide"
     saw_start = False
-    index = 0
 
     for event in events:
         cat = event.category
         if cat == "session.start":
             session.program = event.name
             session.start = event.t
-            session.events.append(event)
+            session.claim(event)
             saw_start = True
             continue
         if cat == "session.end":
-            if inv is not None:
-                # Truncation or a protocol break left an open invocation.
-                inv.status = inv.status or "declined"
-                _close_invocation(session, inv)
-                inv = None
+            # Truncation or a protocol break may have left an
+            # invocation open: it keeps what it claimed.
+            inv = None
             session.program = session.program or event.name
             session.end = event.t + event.dur
             session.totals = dict(event.payload)
-            session.events.append(event)
+            session.claim(event)
             continue
 
         if inv is None:
             if cat in ("estimate", "decision"):
-                inv = InvocationSpan(index=index, target=event.name,
-                                     sid=sid)
-                index += 1
+                inv = InvocationSpan(index=len(session.invocations),
+                                     target=event.name, sid=sid)
+                session.invocations.append(inv)
                 phase = "decide"
             else:
                 # No open invocation: pre-invocation noise (possible on
                 # a truncated stream) is owned by the session span.
-                session.events.append(event)
+                session.claim(event)
                 continue
 
         if cat == "decision":
             inv.target = event.name
             inv.reason = event.payload.get("reason")
             inv.gain_seconds = event.payload.get("gain_seconds")
-            inv.phase("decide").events.append(event)
+            inv.claim("decide", event)
             if event.payload.get("offloaded"):
                 inv.status = "offloaded"
                 phase = "init"
             else:
                 inv.status = "declined"
-                _close_invocation(session, inv)
                 inv = None
-            continue
-        if cat == "offload.queue":
-            inv.phase("queue").events.append(event)
-            continue
-        if cat in ("offload.init", "offload.scatter"):
+        elif cat == "offload.queue":
+            inv.claim("queue", event)
+        elif cat in ("offload.init", "offload.scatter"):
             # offload.scatter is the plan's init anchor
             # (docs/parallel-offload.md)
-            inv.phase("init").events.append(event)
+            inv.claim("init", event)
             phase = "exec"
-            continue
-        if cat == "offload.exec":
+        elif cat == "offload.exec":
             # A scatter/gather plan emits one exec anchor per surviving
             # shard; each belongs to the exec phase regardless of where
             # the phase cursor already advanced to.
-            inv.phase("exec").events.append(event)
+            inv.claim("exec", event)
             phase = "finalize"
-            continue
-        if cat in _TRAILS_EXEC:
-            inv.phase("exec").events.append(event)
-            continue
-        if cat in ("offload.finalize", "offload.gather"):
+        elif cat in _TRAILS_EXEC:
+            inv.claim("exec", event)
+        elif cat in ("offload.finalize", "offload.gather"):
             # offload.gather closes a plan exactly as offload.finalize
             # closes a classic invocation; the plan's straggler-replay
             # events (offload.straggler) precede it by construction.
-            inv.phase("finalize").events.append(event)
-            _close_invocation(session, inv)
+            inv.claim("finalize", event)
             inv = None
-            continue
-        if cat == "offload.reject":
+        elif cat == "offload.reject":
             inv.status = "rejected"
-            inv.phase("reject").events.append(event)
+            inv.claim("reject", event)
             phase = "fallback"
-            continue
-        if cat == "offload.abort":
+        elif cat == "offload.abort":
             inv.status = "aborted"
             inv.abort_phase = event.payload.get("phase")
-            inv.phase("abort").events.append(event)
+            inv.claim("abort", event)
             phase = "fallback"
-            continue
-        if cat == "offload.fallback":
-            inv.phase("fallback").events.append(event)
-            _close_invocation(session, inv)
+        elif cat == "offload.fallback":
+            inv.claim("fallback", event)
             inv = None
-            continue
-        if cat == "estimate" and phase != "decide":
+        elif cat == "estimate" and phase != "decide":
             # record_offload_failure re-estimates mid-abort: the event
             # belongs to the failing invocation, not a new one.
-            inv.phase("abort").events.append(event)
             inv.status = "aborted"
+            inv.claim("abort", event)
             phase = "fallback"
-            continue
-        # Everything else (uva.*, comm.*, transport.*, rio.op, estimate
-        # in the decide window) rides the current phase.
-        inv.phase(phase).events.append(event)
+        else:
+            # Everything else (uva.*, comm.*, transport.*, rio.op,
+            # estimate in the decide window) rides the current phase.
+            inv.claim(phase, event)
 
-    if inv is not None:         # truncated tail: keep what we saw
-        _close_invocation(session, inv)
     session.partial = not saw_start or not session.totals
-    if not session.events and not session.invocations:
-        session.partial = True
     if session.end == 0.0:
-        ends = [i.end for i in session.invocations] + \
-            [e.t + e.dur for e in session.events]
-        session.end = max(ends) if ends else 0.0
+        session.end = max(t.end for t in session.tallies())
     return session
 
 
@@ -322,14 +261,12 @@ def reconstruct_sessions(events: Iterable[TraceEvent]
     return sessions
 
 
-def _comm_seconds(events: Iterable[TraceEvent]) -> float:
-    total = 0.0
-    for e in events:
-        if e.category in ("comm.send", "comm.stream", "comm.rtt"):
-            total += e.dur
-        elif e.category == "comm.adjust":
-            total += e.payload.get("delta_seconds", 0.0)
-    return total
+#: ``session.end`` totals the spans must reproduce, with the tally field
+#: that re-derives each.
+_RECONCILED = (("comm_seconds", "comm_seconds"),
+               ("fnptr_seconds", "fnptr_seconds"),
+               ("remote_io_seconds", "remote_io_seconds"),
+               ("server_compute_seconds", "server_seconds"))
 
 
 def validate_sessions(sessions: List[SessionSpan],
@@ -343,14 +280,14 @@ def validate_sessions(sessions: List[SessionSpan],
       at most once by design, so equality implies the bijection);
     * per-session duration sums reconcile with the ``session.end``
       accounting: communication, fn-ptr translation, remote I/O and raw
-      server execution re-derived from the spans match the totals the
-      session reported, within ``tolerance``.
+      server execution re-derived from the spans' tallies match the
+      totals the session reported, within ``tolerance``.
 
     Sessions marked ``partial`` (ring-buffer truncation) skip the
     reconciliation checks — their totals are unknowable by construction.
     """
     issues: List[str] = []
-    claimed = sum(s.event_count() for s in sessions)
+    claimed = sum(t.events for s in sessions for t in s.tallies())
     if claimed != len(events):
         issues.append(f"event conservation: {claimed} claimed vs "
                       f"{len(events)} in the stream")
@@ -358,32 +295,10 @@ def validate_sessions(sessions: List[SessionSpan],
         label = session.sid or "session"
         if session.partial:
             continue
-        totals = session.totals
-        all_events = list(session.events)
-        for inv in session.invocations:
-            all_events.extend(inv.events())
-        checks: List[Tuple[str, float, float]] = [
-            ("comm_seconds", _comm_seconds(all_events),
-             float(totals.get("comm_seconds", 0.0))),
-            ("fnptr_seconds",
-             sum(e.payload.get("seconds", 0.0) for e in all_events
-                 if e.category == "fnptr.window"),
-             float(totals.get("fnptr_seconds", 0.0))),
-            ("remote_io_seconds",
-             sum(e.dur for e in all_events if e.category == "rio.op"),
-             float(totals.get("remote_io_seconds", 0.0))),
-            # offload.exec durs, plus the partial execution a mid-exec
-            # abort charged (carried on the offload.abort payload —
-            # the aborted window never emits offload.exec).
-            ("server_compute_seconds",
-             sum(e.dur for e in all_events
-                 if e.category == "offload.exec")
-             + sum(e.payload.get("server_seconds", 0.0)
-                   for e in all_events
-                   if e.category == "offload.abort"),
-             float(totals.get("server_compute_seconds", 0.0))),
-        ]
-        for name, derived, reported in checks:
+        tallies = session.tallies()
+        for name, derived_from in _RECONCILED:
+            derived = sum(getattr(t, derived_from) for t in tallies)
+            reported = float(session.totals.get(name, 0.0))
             if abs(derived - reported) > tolerance:
                 issues.append(f"{label}: {name} {derived!r} from spans "
                               f"vs {reported!r} reported")
@@ -397,8 +312,7 @@ def validate_sessions(sessions: List[SessionSpan],
             # (pipelined remote input) can carry a dur far beyond its
             # charged wall time, so ``t + dur`` may legitimately pass
             # the session end.
-            events = inv.events()
-            last_t = max(e.t for e in events) if events else 0.0
+            last_t = inv.tally.last_t
             if inv.start < session.start - tolerance or \
                     last_t > session.end + tolerance:
                 issues.append(f"{label}: invocation {inv.index} "

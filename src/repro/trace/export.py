@@ -20,7 +20,7 @@ from .tracer import TraceEvent
 # logical actors onto fixed "threads" of one simulated process.
 _CHROME_TRACKS: Dict[str, int] = {
     "session": 0, "decision": 1, "estimate": 1, "offload": 2,
-    "uva": 3, "comm": 4, "rio": 5, "fnptr": 6,
+    "uva": 3, "comm": 4, "rio": 5, "fnptr": 6, "transport": 7,
 }
 
 

@@ -2,16 +2,21 @@
 
 ``render_timeline`` prints the event stream the way edge-offloading
 simulators log their decision engines: one timestamped line per event
-with the load-bearing payload fields inlined.  ``phase_totals`` and
-``traffic_totals`` re-derive the session's per-phase time breakdown and
-byte accounting *from the events alone*, which is what makes the trace
-the single source of truth: ``tests/test_trace.py`` asserts these sums
-match :meth:`SessionResult.breakdown` and ``CommStats`` exactly.
+with the load-bearing payload fields inlined.  :class:`Tally` is the
+one definition of what an event of each category contributes to every
+number derived from the trace; ``phase_totals`` and ``traffic_totals``
+fold a raw stream into one to re-derive the session's per-phase time
+breakdown and byte accounting *from the events alone*, which is what
+makes the trace the single source of truth: ``tests/test_trace.py``
+asserts these sums match :meth:`SessionResult.breakdown` and
+``CommStats`` exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .metrics import MetricsRegistry
 from .tracer import TraceEvent
@@ -106,93 +111,250 @@ def render_metrics(metrics: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-# -- trace-derived aggregates -------------------------------------------
+# -- the tally: the one reader of the trace schema ----------------------
+class PrefetchWindow(NamedTuple):
+    """The adaptive prefetcher's verdict on one invocation's push."""
+
+    t: float
+    hits: int
+    wasted: int
+
+
+@dataclass
+class Tally:
+    """What a set of events adds up to.
+
+    Every number the analysis derives from the trace — phase seconds,
+    byte accounting, critical-path buckets, SLO observations, the span
+    invariant — is arithmetic over these fields; ``_CONTRIBUTIONS``
+    below is the only place that knows which event category feeds
+    which.  Additive in emission order: the span state machine folds an
+    invocation's events into its tally as it claims them, and
+    :func:`phase_totals` / :func:`traffic_totals` fold a raw stream.
+    """
+
+    # extent of the claimed events (category-independent)
+    events: int = 0
+    start: float = 0.0          # earliest t
+    end: float = 0.0            # latest t + dur
+    last_t: float = 0.0         # latest t
+    # seconds
+    comm_seconds: float = 0.0   # comm-manager charges, signed adjusts in
+    remote_io_seconds: float = 0.0
+    fnptr_seconds: float = 0.0
+    server_seconds: float = 0.0     # raw server execution, aborts' too
+    mobile_compute_seconds: float = 0.0     # as session.end reports it
+    cod_seconds: float = 0.0        # CoD service inside the exec window
+    overlap_seconds: float = 0.0    # a plan's serial-minus-parallel wait
+    replay_seconds: float = 0.0     # fallback + straggler local replays
+    probe_seconds: float = 0.0      # a refused admission's round trip
+    recovery_seconds: float = 0.0   # retry timeouts/backoffs, reconnects
+    queue_seconds: float = 0.0
+    # bytes: payload and wire per direction, then UVA-layer attributions
+    # of subsets of that same traffic (docs/trace-schema.md)
+    payload_bytes_to_server: int = 0
+    payload_bytes_to_mobile: int = 0
+    wire_bytes_to_server: int = 0
+    wire_bytes_to_mobile: int = 0
+    messages: int = 0
+    compression_saved_bytes: int = 0
+    uva_prefetch_bytes: int = 0
+    uva_writeback_bytes: int = 0
+    uva_cod_bytes: int = 0
+    rio_bytes: int = 0
+    uva_delta_saved_bytes: int = 0
+    # counts
+    retries: int = 0
+    reconnects: int = 0         # re-established links, not failed probes
+    disconnects: int = 0
+    fallbacks: int = 0
+    queue_waits: Tuple[Tuple[int, float], ...] = ()     # (server, wait)
+    prefetch_windows: Tuple[PrefetchWindow, ...] = ()
+
+    def add(self, event: TraceEvent) -> None:
+        t = event.t
+        if not self.events or t < self.start:
+            self.start = t
+        if t > self.last_t:
+            self.last_t = t
+        end = t + event.dur
+        if end > self.end:
+            self.end = end
+        self.events += 1
+        contribute = _CONTRIBUTIONS.get(event.category)
+        if contribute is not None:
+            contribute(self, event)
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> "Tally":
+        tally = cls()
+        for event in events:
+            tally.add(event)
+        return tally
+
+
+_DUR = object()     # "the event's dur", as a source in the table below
+
+
+def _adds(**sources) -> Callable[[Tally, TraceEvent], None]:
+    """The common contribution: each ``field=source`` adds to that
+    tally field the event's ``dur`` (``_DUR``), a payload value (its
+    key) or a constant count (an int)."""
+    unknown = set(sources) - set(Tally.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"no such tally field(s): {sorted(unknown)}")
+    rows = tuple(sources.items())
+
+    def contribute(tally: Tally, event: TraceEvent) -> None:
+        for field, source in rows:
+            if source is _DUR:
+                amount = event.dur
+            elif isinstance(source, str):
+                amount = event.payload.get(source, 0)
+            else:
+                amount = source
+            setattr(tally, field, getattr(tally, field) + amount)
+    return contribute
+
+
+def _comm_send(tally: Tally, event: TraceEvent) -> None:
+    tally.comm_seconds += event.dur
+    p = event.payload
+    if p.get("failed"):
+        # a failed send costs seconds and moves no bytes
+        return
+    if event.name == "to_server":
+        tally.payload_bytes_to_server += p.get("payload_bytes", 0)
+        tally.wire_bytes_to_server += p.get("wire_bytes", 0)
+    else:
+        tally.payload_bytes_to_mobile += p.get("payload_bytes", 0)
+        tally.wire_bytes_to_mobile += p.get("wire_bytes", 0)
+    tally.messages += p.get("messages", 0)
+    tally.compression_saved_bytes += p.get("saved_bytes", 0)
+
+
+def _offload_queue(tally: Tally, event: TraceEvent) -> None:
+    tally.queue_seconds += event.dur
+    server = event.payload.get("server")
+    if server is not None:
+        tally.queue_waits += ((int(server), event.dur),)
+
+
+def _transport_retry(tally: Tally, event: TraceEvent) -> None:
+    tally.recovery_seconds += (
+        event.payload.get("timeout_seconds", 0.0)
+        + event.payload.get("backoff_seconds", 0.0))
+    tally.retries += 1
+
+
+def _transport_reconnect(tally: Tally, event: TraceEvent) -> None:
+    # a failed probe sweep is recovery time, not a re-established link
+    tally.recovery_seconds += event.payload.get("seconds", 0.0)
+    if not event.payload.get("failed"):
+        tally.reconnects += 1
+
+
+def _uva_cache(tally: Tally, event: TraceEvent) -> None:
+    if event.name == "adaptive":
+        tally.prefetch_windows += (PrefetchWindow(
+            event.t, event.payload.get("hits", 0),
+            event.payload.get("wasted", 0)),)
+
+
+#: What one event of each category contributes — teach the analysis
+#: about a new category here and nowhere else (docs/trace-schema.md,
+#: "Adding a category").
+_CONTRIBUTIONS: Dict[str, Callable[[Tally, TraceEvent], None]] = {
+    "comm.send": _comm_send,
+    "comm.stream": _adds(comm_seconds=_DUR,
+                         payload_bytes_to_mobile="payload_bytes",
+                         wire_bytes_to_mobile="wire_bytes", messages=1),
+    "comm.rtt": _adds(comm_seconds=_DUR,
+                      payload_bytes_to_server="request_bytes",
+                      payload_bytes_to_mobile="response_bytes",
+                      wire_bytes_to_server="wire_request_bytes",
+                      wire_bytes_to_mobile="wire_response_bytes",
+                      messages=2),
+    "comm.adjust": _adds(comm_seconds="delta_seconds"),
+    "rio.op": _adds(remote_io_seconds=_DUR, rio_bytes="bytes"),
+    "fnptr.window": _adds(fnptr_seconds="seconds"),
+    # one per surviving shard of a plan: the sum is *serial* server
+    # time, and the gather's (or a plan abort's) overlap_seconds is what
+    # running in parallel saved (docs/parallel-offload.md)
+    "offload.exec": _adds(server_seconds=_DUR, cod_seconds="cod_seconds"),
+    "offload.gather": _adds(overlap_seconds="overlap_seconds"),
+    # an abort's server_seconds is server compute: the partial
+    # execution of a window that never got to emit offload.exec
+    "offload.abort": _adds(server_seconds="server_seconds",
+                           overlap_seconds="overlap_seconds"),
+    "offload.straggler": _adds(replay_seconds="seconds"),
+    "offload.fallback": _adds(replay_seconds="seconds", fallbacks=1),
+    "offload.reject": _adds(probe_seconds="probe_seconds"),
+    "offload.queue": _offload_queue,
+    "transport.retry": _transport_retry,
+    "transport.reconnect": _transport_reconnect,
+    "transport.disconnect": _adds(disconnects=1),
+    "uva.prefetch": _adds(uva_prefetch_bytes="bytes"),
+    "uva.writeback": _adds(uva_writeback_bytes="bytes"),
+    # dur is the same seconds as the paired comm.rtt: counted there
+    "uva.fault": _adds(uva_cod_bytes="bytes"),
+    "uva.delta": _adds(uva_delta_saved_bytes="saved_bytes"),
+    "uva.cache": _uva_cache,
+    "session.end": _adds(mobile_compute_seconds="mobile_compute_seconds"),
+}
+
+#: Categories that carry no accounted quantity: markers and summaries
+#: whose seconds and bytes the events above already carried.
+UNACCOUNTED = frozenset({
+    "session.start", "estimate", "decision",
+    "offload.init", "offload.scatter", "offload.finalize",
+})
+
+
 def phase_totals(events: Iterable[TraceEvent]) -> Dict[str, float]:
     """Re-derive the Figure 7 phase breakdown from trace events.
 
-    Mirrors :meth:`SessionResult.breakdown` exactly:
+    Mirrors :meth:`SessionResult.breakdown` exactly, on any link:
 
     * ``communication`` — every second the communication manager
-      charged: message sends, output streams, control round trips, plus
-      the signed pipelined-remote-input corrections (``comm.adjust``).
+      charged: message sends (failed ones too), output streams, control
+      round trips, plus the signed pipelined-remote-input corrections
+      (``comm.adjust``).
     * ``remote_io`` — the forwarding cost of each ``rio.op``.
     * ``fn_ptr_translation`` — the per-invocation ``fnptr.window`` sums.
     * ``computation`` — mobile compute (from ``session.end``) plus raw
-      server execution time minus the fn-ptr time charged inside it,
-      clamped at zero like the session does.
+      server execution time (an aborted window's partial execution
+      included) minus the fn-ptr time charged inside it, clamped at
+      zero like the session does.
     """
-    comm = 0.0
-    rio = 0.0
-    fnptr = 0.0
-    server_raw = 0.0
-    mobile = 0.0
-    for event in events:
-        cat = event.category
-        if cat in ("comm.send", "comm.stream", "comm.rtt"):
-            comm += event.dur
-        elif cat == "comm.adjust":
-            comm += event.payload.get("delta_seconds", 0.0)
-        elif cat == "rio.op":
-            rio += event.dur
-        elif cat == "fnptr.window":
-            fnptr += event.payload.get("seconds", 0.0)
-        elif cat == "offload.exec":
-            server_raw += event.dur
-        elif cat == "session.end":
-            mobile = event.payload.get("mobile_compute_seconds", 0.0)
+    tally = Tally.of(events)
     return {
-        "computation": mobile + max(server_raw - fnptr, 0.0),
-        "fn_ptr_translation": fnptr,
-        "remote_io": rio,
-        "communication": comm,
+        "computation": tally.mobile_compute_seconds + max(
+            tally.server_seconds - tally.fnptr_seconds, 0.0),
+        "fn_ptr_translation": tally.fnptr_seconds,
+        "remote_io": tally.remote_io_seconds,
+        "communication": tally.comm_seconds,
     }
+
+
+_TRAFFIC_FIELDS = (
+    "payload_bytes_to_server", "payload_bytes_to_mobile",
+    "wire_bytes_to_server", "wire_bytes_to_mobile",
+    "messages", "compression_saved_bytes",
+    "uva_prefetch_bytes", "uva_writeback_bytes", "uva_cod_bytes",
+    "rio_bytes", "uva_delta_saved_bytes",
+)
 
 
 def traffic_totals(events: Iterable[TraceEvent]) -> Dict[str, int]:
     """Re-derive the byte accounting from trace events.
 
     Every payload byte crosses the communication manager exactly once,
-    so summing the comm-layer events reproduces ``CommStats``; the
-    UVA-layer numbers (prefetch / write-back / CoD) are *attributions*
-    of subsets of that same traffic, not additional bytes.  See
-    ``docs/trace-schema.md`` ("Byte accounting").
+    so summing the comm-layer events reproduces ``CommStats`` (a failed
+    send delivered nothing and counts nothing); the UVA-layer numbers
+    (prefetch / write-back / CoD) are *attributions* of subsets of that
+    same traffic, not additional bytes.  See ``docs/trace-schema.md``
+    ("Byte accounting").
     """
-    totals = {
-        "payload_bytes_to_server": 0, "payload_bytes_to_mobile": 0,
-        "wire_bytes_to_server": 0, "wire_bytes_to_mobile": 0,
-        "messages": 0, "compression_saved_bytes": 0,
-        "uva_prefetch_bytes": 0, "uva_writeback_bytes": 0,
-        "uva_cod_bytes": 0, "rio_bytes": 0,
-        "uva_delta_saved_bytes": 0,
-    }
-    for event in events:
-        p = event.payload
-        cat = event.category
-        if cat == "comm.send":
-            key = "server" if event.name == "to_server" else "mobile"
-            totals[f"payload_bytes_to_{key}"] += p.get("payload_bytes", 0)
-            totals[f"wire_bytes_to_{key}"] += p.get("wire_bytes", 0)
-            totals["messages"] += p.get("messages", 0)
-            totals["compression_saved_bytes"] += p.get("saved_bytes", 0)
-        elif cat == "comm.stream":
-            totals["payload_bytes_to_mobile"] += p.get("payload_bytes", 0)
-            totals["wire_bytes_to_mobile"] += p.get("wire_bytes", 0)
-            totals["messages"] += 1
-        elif cat == "comm.rtt":
-            totals["payload_bytes_to_server"] += p.get("request_bytes", 0)
-            totals["payload_bytes_to_mobile"] += p.get("response_bytes", 0)
-            totals["wire_bytes_to_server"] += p.get("wire_request_bytes", 0)
-            totals["wire_bytes_to_mobile"] += p.get("wire_response_bytes",
-                                                    0)
-            totals["messages"] += 2
-        elif cat == "uva.prefetch":
-            totals["uva_prefetch_bytes"] += p.get("bytes", 0)
-        elif cat == "uva.writeback":
-            totals["uva_writeback_bytes"] += p.get("bytes", 0)
-        elif cat == "uva.fault":
-            totals["uva_cod_bytes"] += p.get("bytes", 0)
-        elif cat == "uva.delta":
-            totals["uva_delta_saved_bytes"] += p.get("saved_bytes", 0)
-        elif cat == "rio.op":
-            totals["rio_bytes"] += p.get("bytes", 0)
-    return totals
+    tally = Tally.of(events)
+    return {name: getattr(tally, name) for name in _TRAFFIC_FIELDS}

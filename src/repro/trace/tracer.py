@@ -46,6 +46,9 @@ CATEGORIES = (
     "offload.init",       # initialization phase of one invocation
     "offload.exec",       # server execution window of one invocation
     "offload.finalize",   # finalization phase of one invocation
+    "offload.scatter",    # a k-shard plan's request phase (its init)
+    "offload.gather",     # a k-shard plan's return phase (its finalize)
+    "offload.straggler",  # an abandoned shard's range replayed locally
     "uva.prefetch",       # likely-used page push at initialization
     "uva.fault",          # one copy-on-demand page fault
     "uva.writeback",      # dirty-page write-back at finalization

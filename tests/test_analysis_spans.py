@@ -5,18 +5,26 @@ The property under test, for seeded single-session and fleet runs —
 including fault schedules that force the abort/fallback path: every
 emitted event is claimed by exactly one span, and per-span durations
 reconcile with the ``session.end`` accounting to 1e-9
-(``validate_sessions`` returns no discrepancies).
+(``validate_sessions`` returns no discrepancies).  ``_assert_lossless``
+checks the trace's other three reconciliations in the same breath (ISSUE
+18): the tally of the raw stream equals the sum of the spans' tallies,
+``phase_totals`` equals ``SessionResult.breakdown()``, and
+``traffic_totals`` payload bytes equal ``SessionResult.bytes_to_*``.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.__main__ import _workload_program
 from repro.fleet import DeviceSpec, FleetScheduler, PoolOptions, ServerPool
 from repro.frontend import compile_c
 from repro.offload import CompilerOptions, NativeOffloaderCompiler
 from repro.profiler import profile_module
 from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
                            SessionOptions, run_local)
+from repro.trace import Tally, phase_totals, traffic_totals
 from repro.trace.analysis import (BUCKETS, aggregate_sessions,
                                   attribute_invocation, invocation_counts,
                                   reconstruct_sessions, validate_sessions)
@@ -59,6 +67,40 @@ int main() {
 SPAN_STDIN = b"1200\n"
 SPAN_FILES = {"nums.txt": b"1\n2\n3\n4\n"}
 
+# Calls through a function-pointer table in UVA memory, so every server
+# execution window translates pointers (``fnptr.window``) — with
+# prefetch off it also faults pages in mid-window, which is where a
+# dying link produces the mid-exec abort SPAN_SRC never reaches with
+# look-ups outstanding.
+FNPTR_SRC = r"""
+typedef int (*OP)(int);
+int *data;
+int add3(int x) { return x + 3; }
+int mul5(int x) { return x * 5; }
+int xor9(int x) { return x ^ 9; }
+OP ops[3] = { add3, mul5, xor9 };
+int kernel(int n) {
+    int i, acc = 0;
+    for (i = 0; i < n; i++) {
+        OP op = ops[i % 3];
+        data[(i * 37) % 2048] = op(data[(i * 37) % 2048] + acc) & 0xFFFF;
+        acc += data[(i * 37) % 2048];
+    }
+    printf("acc %d\n", acc);
+    return acc;
+}
+int main() {
+    int i, n, k, total = 0;
+    scanf("%d", &n);
+    data = (int*) malloc(2048 * sizeof(int));
+    for (i = 0; i < 2048; i++) data[i] = i;
+    for (k = 0; k < 3; k++) total += kernel(n);
+    printf("total %d\n", total);
+    return 0;
+}
+"""
+FNPTR_STDIN = b"900\n"
+
 _PROGRAMS = {}
 
 
@@ -86,17 +128,70 @@ def _run(key, source, stdin, files=None, **session_kwargs):
 
 
 def _assert_lossless(events, *records):
-    """The invariant: reconstruct, validate, and (when SessionResult
-    invocation records are supplied) agree with the runtime's own
-    outcome counting."""
+    """The invariant: reconstruct, validate, and (when SessionResults
+    are supplied, one per session in ``sid`` order) agree with the
+    runtime's own accounting — outcome counts, the Figure 7 phase
+    breakdown and the payload bytes — while the tally of each raw
+    per-session stream equals the sum of its spans' tallies."""
     sessions = reconstruct_sessions(events)
     assert validate_sessions(sessions, events) == []
+    streams = {s.sid: [e for e in events if e.sid == s.sid]
+               for s in sessions}
+    for session in sessions:
+        _assert_tally_additive(Tally.of(streams[session.sid]),
+                               session.tallies())
     if records:
         expected = invocation_counts(r for result in records
                                      for r in result.invocations)
         agg = aggregate_sessions(sessions)
         assert agg.invocations == expected
+        assert len(records) == len(sessions)
+        for session, result in zip(
+                sorted(sessions, key=lambda s: s.sid or ""), records):
+            stream = streams[session.sid]
+            assert phase_totals(stream) == pytest.approx(
+                result.breakdown(), abs=1e-9)
+            traffic = traffic_totals(stream)
+            assert (traffic["payload_bytes_to_server"],
+                    traffic["payload_bytes_to_mobile"]) == (
+                        result.bytes_to_server, result.bytes_to_mobile)
     return sessions
+
+
+def _assert_tally_additive(whole, parts):
+    for f in dataclasses.fields(Tally):
+        values = [getattr(part, f.name) for part in parts]
+        if f.name == "start":
+            expected = min(p.start for p in parts if p.events)
+        elif f.name in ("end", "last_t"):
+            expected = max(values)
+        elif isinstance(f.default, tuple):
+            expected = sorted(sum(values, ()))
+            assert sorted(getattr(whole, f.name)) == expected
+            continue
+        else:
+            expected = sum(values)
+        assert getattr(whole, f.name) == pytest.approx(
+            expected, abs=1e-9), f.name
+
+
+def _gang_fleet(plan):
+    """Three ``parallel-micro`` devices asking a 4-server pool for
+    4-shard gangs half a millisecond apart: the first gets its gang,
+    the next two find servers busy and degrade (to narrower gangs, or
+    to the plan of one behind a queue)."""
+    if "gang" not in _PROGRAMS:
+        _PROGRAMS["gang"] = _workload_program("parallel-micro")[-1]
+    program = _PROGRAMS["gang"]
+    specs = [DeviceSpec(
+        device_id=f"dev{i:02d}", program=program, network=FAST_WIFI,
+        stdin=b"800\n", start_offset_s=i * 0.0005,
+        options=SessionOptions(
+            enable_tracing=True, shards=4,
+            fault_plan=dataclasses.replace(plan, seed=plan.seed + i)))
+        for i in range(3)]
+    pool = ServerPool(PoolOptions(servers=4, capacity=1, queue_limit=4))
+    return FleetScheduler(specs, pool).run()
 
 
 class TestSingleSession:
@@ -126,7 +221,7 @@ class TestSingleSession:
                    if i.status == "offloaded")
         for name in ("decide", "init", "exec", "finalize"):
             assert name in inv.phases, f"missing phase {name}"
-        assert inv.phases["exec"].anchor_seconds > 0.0
+        assert inv.tally.server_seconds > 0.0
         assert inv.start >= session.start
         assert inv.end <= session.end
 
@@ -149,26 +244,39 @@ class TestSingleSession:
         _assert_lossless(res.trace.events(), res)
 
 
-@given(seed=st.integers(0, 2**16),
+@given(program=st.sampled_from(["span", "fnptr", "gang"]),
+       seed=st.integers(0, 2**16),
        disconnect_after=st.one_of(st.none(), st.integers(0, 25)),
        drop_rate=st.sampled_from([0.0, 0.3, 0.7, 0.95]),
        jitter=st.sampled_from([0.0, 5e-4]),
        reconnect_rate=st.sampled_from([0.0, 0.5, 1.0]),
        prefetch=st.booleans())
-@settings(max_examples=20, deadline=None)
-def test_lossless_under_any_fault_schedule(seed, disconnect_after,
+@settings(max_examples=36, deadline=None)
+def test_lossless_under_any_fault_schedule(program, seed, disconnect_after,
                                            drop_rate, jitter,
                                            reconnect_rate, prefetch):
     """Whatever fault schedule the transport injects — disconnects
     landing mid-init, mid-CoD, mid-finalize, retry storms, aborts with
     their mid-stream re-estimates — the span tree stays lossless and
-    its durations reconcile with the session totals.  Dynamic
-    estimation is off so every invocation attempts the offload path,
-    maximizing protocol coverage."""
+    every trace-derived number reconciles with the session's own.
+    Three programs, because each reaches protocol the others cannot:
+    remote I/O in both directions (``span``), fn-ptr windows cut short
+    by a mid-exec abort (``fnptr``), and scatter/gather gangs that
+    degrade on a contended pool (``gang``).  Dynamic estimation is off
+    for the single sessions so every invocation attempts the offload
+    path, maximizing protocol coverage."""
     plan = FaultPlan(seed=seed, drop_rate=drop_rate, max_jitter_s=jitter,
                      disconnect_after_messages=disconnect_after,
                      reconnect_rate=reconnect_rate)
-    _, res = _run("span", SPAN_SRC, SPAN_STDIN, SPAN_FILES,
+    if program == "gang":
+        result = _gang_fleet(plan)
+        _assert_lossless(result.merged_events(),
+                         *[d.result for d in result.devices])
+        return
+    source, stdin, files = {
+        "span": (SPAN_SRC, SPAN_STDIN, SPAN_FILES),
+        "fnptr": (FNPTR_SRC, FNPTR_STDIN, None)}[program]
+    _, res = _run(program, source, stdin, files,
                   enable_dynamic_estimation=False,
                   enable_prefetch=prefetch, fault_plan=plan)
     _assert_lossless(res.trace.events(), res)
@@ -221,7 +329,7 @@ class TestFleetStreams:
             result.merged_events(),
             *[d.result for d in result.devices])
         queued = [i for s in sessions for i in s.invocations
-                  if i.queue_seconds > 0.0]
+                  if i.tally.queue_seconds > 0.0]
         if any(d.result.queue_seconds > 0 for d in result.devices):
             assert queued
 
