@@ -2,9 +2,9 @@
 """Structured tracing demo: watch the runtime offload the chess game.
 
 Runs the paper's Figure 3 chess running example with tracing enabled
-(docs/observability.md), prints the decision timeline and the metrics
-registry, re-derives the Figure 7 phase totals from events alone, and
-writes both export formats (JSON Lines + chrome://tracing).
+(docs/observability.md), prints the decision timeline and the totals
+the events fold into, re-derives the Figure 7 phase totals from events
+alone, and writes both export formats (JSON Lines + chrome://tracing).
 
 Run:  python examples/trace_demo.py [output-directory]
 """
@@ -13,8 +13,8 @@ import sys
 
 from repro.eval.runner import run_program
 from repro.runtime import SessionOptions
-from repro.trace import (phase_totals, render_metrics, render_timeline,
-                         write_chrome_trace, write_jsonl)
+from repro.trace import (load_jsonl, phase_totals, render_metrics,
+                         render_timeline, write_chrome_trace, write_jsonl)
 from repro.workloads import workload
 
 
@@ -42,9 +42,9 @@ def main() -> None:
     print("\ntail of the timeline:")
     print(render_timeline(events, tail=8))
 
-    # Counters / gauges / histograms accumulated alongside the events.
+    # What the events add up to: per-category counts, then the Tally.
     print()
-    print(render_metrics(result.trace.metrics))
+    print(render_metrics(events, dropped=result.trace.dropped))
 
     # Events alone reproduce the Figure 7 phase breakdown.
     derived = phase_totals(events)
@@ -59,6 +59,8 @@ def main() -> None:
     jsonl_path = f"{out_dir}/chess_trace.jsonl"
     chrome_path = f"{out_dir}/chess_trace.json"
     count = write_jsonl(events, jsonl_path)
+    # ... and the saved trace renders the totals the live run printed.
+    assert render_metrics(load_jsonl(jsonl_path)) == render_metrics(events)
     write_chrome_trace(events, chrome_path,
                        process_name=f"{spec.name} over 802.11ac")
     print(f"\nwrote {count} events to {jsonl_path}")

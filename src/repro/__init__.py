@@ -34,7 +34,7 @@ from .offload import CompilerOptions, NativeOffloaderCompiler, OffloadProgram
 from .runtime import (FAST_WIFI, IDEAL_NETWORK, NetworkModel, OffloadSession,
                       SLOW_WIFI, SessionOptions, SessionResult, run_local)
 from .targets import ARM32, ARM64, MIPS32BE, X86, X86_64
-from .trace import MetricsRegistry, TraceEvent, Tracer
+from .trace import TraceEvent, Tracer
 
 __version__ = "1.0.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "FAST_WIFI", "IDEAL_NETWORK", "NetworkModel", "OffloadSession",
     "SLOW_WIFI", "SessionOptions", "SessionResult", "run_local",
     "ARM32", "ARM64", "MIPS32BE", "X86", "X86_64",
-    "MetricsRegistry", "TraceEvent", "Tracer",
+    "TraceEvent", "Tracer",
     "offload_app", "__version__",
 ]
 

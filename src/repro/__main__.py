@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .eval import (evaluate_suite, figure6a_execution_time,
@@ -229,6 +230,11 @@ def cmd_trace(args) -> int:
     (docs/observability.md walks through reading this output)."""
     if args.capacity < 1:
         return _usage_error(f"--capacity must be >= 1; got {args.capacity}")
+    categories = args.categories.split(",") if args.categories else None
+    try:    # the renderer rejects a bad filter; ask before the slow run
+        render_timeline((), categories=categories, tail=args.tail)
+    except ValueError as exc:
+        return _usage_error(exc)
     inputs = _session_inputs(args)
     if inputs is None:
         return 2
@@ -243,19 +249,21 @@ def cmd_trace(args) -> int:
     tracer = result.trace
     events = tracer.events()
 
-    categories = (args.categories.split(",") if args.categories else None)
     print(f"{name} over {network.name} — "
           f"{len(events)} trace events"
           + (f" ({tracer.dropped} dropped by the ring buffer)"
              if tracer.dropped else ""))
     print(render_timeline(events, categories=categories, tail=args.tail))
     print()
-    print(render_metrics(tracer.metrics))
+    print(render_metrics(events, dropped=tracer.dropped))
 
     derived = phase_totals(events)
     reported = result.breakdown()
     print()
-    print("phase totals (trace-derived vs session accounting)")
+    print("phase totals (trace-derived vs session accounting)"
+          + (f" — trace-derived column is partial: {tracer.dropped} "
+             f"events dropped by the ring buffer"
+             if tracer.dropped else ""))
     for key in reported:
         print(f"  {key:<20s} {derived[key]:.9f} s   "
               f"{reported[key]:.9f} s")
@@ -457,18 +465,21 @@ def _run_fleet(args, network, enable_tracing: bool):
     if built is None:
         return None
     _, module, stdin, files, program = built
-    devices = []
-    for i in range(args.devices):
-        device_id = f"dev{i:02d}"
+
+    def device(i: int) -> DeviceSpec:
         plan = (dataclasses.replace(base_plan, seed=fan.seed("fault", i))
                 if base_plan is not None else None)
         options = SessionOptions(enable_tracing=enable_tracing,
                                  fault_plan=plan, shards=args.shards)
-        devices.append(DeviceSpec(device_id=device_id, program=program,
-                                  network=network, stdin=stdin,
-                                  files=files, start_offset_s=offsets[i],
-                                  options=options,
-                                  deadline_s=args.deadline))
+        return DeviceSpec(device_id=f"dev{i:02d}", program=program,
+                          network=network, stdin=stdin, files=files,
+                          start_offset_s=offsets[i], options=options,
+                          deadline_s=args.deadline)
+    try:
+        devices = [device(i) for i in range(args.devices)]
+    except ValueError as exc:
+        _usage_error(exc)
+        return None
     result = FleetScheduler(devices, pool, autoscaler=autoscaler).run()
     return result, base_plan, module, stdin, files
 
@@ -561,8 +572,17 @@ def _fleet_source(args, faulty: bool) -> dict:
     }
 
 
-def _gate(regressions, tolerance: float) -> int:
-    """Print the baseline-gate verdict; non-zero exit on regression."""
+def _gate(baseline, current, bench_pairs, tolerance: float) -> int:
+    """Diff ``current`` against ``baseline`` (when there is one) and
+    every ``BENCH_*.json`` pair, and print the verdict; non-zero exit
+    on regression, 2 when the tolerance is one no gate can apply."""
+    try:
+        regressions = (diff_reports(baseline, current, tolerance)
+                       if baseline is not None else [])
+        regressions += [r for old, new in bench_pairs
+                        for r in diff_bench(old, new, tolerance)]
+    except ValueError as exc:
+        return _usage_error(exc)
     if not regressions:
         print(f"baseline gate: ok (tolerance {tolerance:g})")
         return 0
@@ -606,12 +626,9 @@ def cmd_report(args) -> int:
             events = load_jsonl(args.from_jsonl)
     except ValueError as exc:
         return _usage_error(exc)
-    bench_regressions = [r for old, new in bench_pairs
-                         for r in diff_bench(old, new, args.tolerance)]
     # Pure diff mode: two saved reports, no simulation at all.
     if current is not None:
-        return _gate(diff_reports(baseline, current, args.tolerance)
-                     + bench_regressions, args.tolerance)
+        return _gate(baseline, current, bench_pairs, args.tolerance)
 
     if args.from_jsonl:
         meta = read_jsonl_meta(args.from_jsonl)
@@ -649,9 +666,7 @@ def cmd_report(args) -> int:
 
     if baseline is None and not bench_pairs:
         return 0
-    regressions = (diff_reports(baseline, report, args.tolerance)
-                   if baseline is not None else [])
-    return _gate(regressions + bench_regressions, args.tolerance)
+    return _gate(baseline, report, bench_pairs, args.tolerance)
 
 
 def cmd_table(args) -> int:
@@ -692,18 +707,19 @@ def _add_fault_args(p) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="RNG root seed (deterministic; fleet runs fan "
                         "it out per device/component)")
-    p.add_argument("--drop-rate", type=float, default=0.0,
+    p.add_argument("--drop-rate", type=_finite_float, default=0.0,
                    metavar="P", help="per-message transient loss "
                    "probability (0..1)")
-    p.add_argument("--jitter", type=float, default=0.0, metavar="SECONDS",
+    p.add_argument("--jitter", type=_finite_float, default=0.0,
+                   metavar="SECONDS",
                    help="max uniform extra latency per delivery")
     p.add_argument("--disconnect-after", type=int, default=None,
                    metavar="N", help="hard-disconnect the link after N "
                    "delivered messages")
-    p.add_argument("--disconnect-rate", type=float, default=0.0,
+    p.add_argument("--disconnect-rate", type=_finite_float, default=0.0,
                    metavar="P", help="per-message hard-disconnect "
                    "probability (0..1)")
-    p.add_argument("--reconnect-rate", type=float, default=0.0,
+    p.add_argument("--reconnect-rate", type=_finite_float, default=0.0,
                    metavar="P", help="per-probe reconnect success "
                    "probability (0..1)")
 
@@ -720,6 +736,19 @@ def _add_session_args(p) -> None:
     _add_network_arg(p)
     _add_parallel_args(p)
     _add_fault_args(p)
+
+
+def _finite_float(text: str) -> float:
+    """``type=`` of every float flag: ``nan`` and ``inf`` parse as
+    floats, and no simulation or gate can consume them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
 
 
 def _positive_shards(text: str) -> int:
@@ -760,7 +789,7 @@ def _add_fleet_args(p) -> None:
     p.add_argument("--arrival", default="uniform",
                    choices=["uniform", "poisson", "burst"],
                    help="device start pattern (default uniform)")
-    p.add_argument("--spacing", type=float, default=0.002,
+    p.add_argument("--spacing", type=_finite_float, default=0.002,
                    metavar="SECONDS",
                    help="mean gap between device starts (default 2 ms)")
     p.add_argument("--workload", default=FLEET_MICRO_WORKLOAD,
@@ -778,10 +807,10 @@ def _add_fleet_args(p) -> None:
     p.add_argument("--cloud-servers", type=int, default=0, metavar="N",
                    help="add N cloud-tier servers behind the cloud-wan "
                         "link (default 0: edge-only pool)")
-    p.add_argument("--cloud-speed", type=float, default=2.0,
+    p.add_argument("--cloud-speed", type=_finite_float, default=2.0,
                    metavar="X", help="cloud server speed multiplier "
                    "(default 2.0: twice the edge reference server)")
-    p.add_argument("--deadline", type=float, default=None,
+    p.add_argument("--deadline", type=_finite_float, default=None,
                    metavar="SECONDS",
                    help="per-invocation relative deadline every device "
                         "attaches to its requests (drives the "
@@ -789,8 +818,8 @@ def _add_fleet_args(p) -> None:
     p.add_argument("--autoscale", action="store_true",
                    help="let an SLO-driven autoscaler resize the pool "
                         "mid-run")
-    p.add_argument("--autoscale-interval", type=float, default=0.005,
-                   metavar="SECONDS",
+    p.add_argument("--autoscale-interval", type=_finite_float,
+                   default=0.005, metavar="SECONDS",
                    help="autoscaler evaluation tick (default 5 ms)")
     p.add_argument("--autoscale-max", type=int, default=8, metavar="N",
                    help="pool size the autoscaler may grow to "
@@ -861,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", nargs=2, action="append",
                    metavar=("OLD.json", "NEW.json"),
                    help="also gate a BENCH_*.json pair (repeatable)")
-    p.add_argument("--tolerance", type=float, default=0.10,
+    p.add_argument("--tolerance", type=_finite_float, default=0.10,
                    help="relative regression tolerance (default 0.10)")
     _add_fleet_args(p)    # shape of the live run (no --from-jsonl)
     p.set_defaults(func=cmd_report)

@@ -43,6 +43,11 @@ class DeviceSpec:
     # (docs/placement.md); None = no deadline.
     deadline_s: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError(
+                f"deadline must be > 0 seconds; got {self.deadline_s!r}")
+
 
 def arrival_offsets(pattern: str, devices: int, spacing_s: float,
                     rng) -> List[float]:

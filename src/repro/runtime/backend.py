@@ -233,7 +233,6 @@ class LocalBackend:
             tr.emit("offload.fallback", target.name,
                     seconds=sub.time_seconds,
                     instructions=sub.instruction_count)
-            tr.metrics.counter("offload.fallbacks").inc()
         return result
 
 
@@ -281,8 +280,6 @@ class RemoteBackend:
                     tr.emit("offload.queue", target.name,
                             dur=admission.queue_seconds,
                             server=admission.server_id)
-                    tr.metrics.counter("offload.queue_seconds").inc(
-                        admission.queue_seconds)
                 if not session.options.zero_overhead:
                     session._advance(admission.queue_seconds, "queue")
             # gang members never carry one: a plan speaks one link
@@ -443,11 +440,6 @@ class RemoteBackend:
                     bytes_to_server=(session.comm.stats.bytes_to_server
                                      - bytes_s0),
                     args=len(args))
-            tr.metrics.counter("offload.invocations").inc()
-            if wide:
-                tr.metrics.counter("offload.plans").inc()
-            tr.metrics.histogram("offload.init_seconds").observe(
-                request_s)
         session._advance(request_s, "transmit",
                          session.meter.transmit_power(
                              0.9, session.network.slow))
@@ -590,8 +582,6 @@ class RemoteBackend:
                     fields["remote_io_seconds"] = rio_seconds
                 tr.emit("offload.exec", target.name, dur=run["exec"],
                         **fields)
-                tr.metrics.histogram("offload.server_seconds").observe(
-                    run["exec"])
             self._trace_fnptr_window(target, fnptr_lookups0,
                                      fnptr_seconds0)
 
@@ -674,7 +664,6 @@ class RemoteBackend:
                         reason=("fault" if index in injected
                                 else "late"),
                         instructions=sub.instruction_count)
-                tr.metrics.counter("offload.stragglers").inc()
 
         # The return event closes the invocation span.  A gather's
         # overlap_seconds is what the parallel wait saved versus serial
@@ -701,8 +690,6 @@ class RemoteBackend:
                             session.comm.stats.bytes_to_server
                             - bytes_s0),
                         bytes_to_mobile=bytes_to_mobile)
-            tr.metrics.histogram("offload.finalize_seconds").observe(
-                return_s)
         if not wide:
             session._advance(return_s, "receive")
 
@@ -748,7 +735,6 @@ class RemoteBackend:
             tr.emit("offload.reject", target.name,
                     estimated_wait_s=rejection.estimated_wait_s,
                     probe_seconds=probe)
-            tr.metrics.counter("offload.rejections").inc()
         session.invocations.append(record)
         return session.local_backend.execute(target, interp, args, record)
 
@@ -803,9 +789,6 @@ class RemoteBackend:
                 payload["shards"] = record.shards
                 payload["overlap_seconds"] = overlap_seconds
             tr.emit("offload.abort", target.name, **payload)
-            tr.metrics.counter("offload.aborts").inc()
-            tr.metrics.counter("offload.wasted_seconds").inc(
-                wasted_seconds)
         session.invocations.append(record)
         return session.local_backend.execute(target, interp, args, record)
 
@@ -820,7 +803,6 @@ class RemoteBackend:
             session.tracer.emit("fnptr.window", target.name,
                                 lookups=lookups,
                                 seconds=session.fnptr_seconds - seconds0)
-            session.tracer.metrics.counter("fnptr.lookups").inc(lookups)
 
     def _release(self, admissions: List[Admission]) -> None:
         """Hand the granted slots back — a plan releases every member

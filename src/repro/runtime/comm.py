@@ -207,15 +207,6 @@ class CommunicationManager:
                         items=len(payloads), messages=len(groups),
                         saved_bytes=saved_bytes,
                         compression_seconds=compression_seconds)
-            metrics = tracer.metrics
-            metrics.counter("comm.messages").inc(len(groups))
-            metrics.counter(f"comm.payload_bytes_{direction}").inc(
-                payload_bytes)
-            metrics.counter(f"comm.wire_bytes_{direction}").inc(wire_total)
-            metrics.counter("comm.compression_saved_bytes").inc(saved_bytes)
-            metrics.counter("time.comm_seconds").inc(seconds)
-            metrics.histogram("comm.send_payload_bytes").observe(
-                payload_bytes)
         return TransferResult(seconds, wire_total, payload_bytes)
 
     def stream_to_mobile(self, payload: bytes) -> TransferResult:
@@ -248,11 +239,6 @@ class CommunicationManager:
             tracer.emit("comm.stream", "to_mobile", dur=seconds,
                         payload_bytes=len(payload), wire_bytes=wire,
                         pipelined=self.enable_batching)
-            metrics = tracer.metrics
-            metrics.counter("comm.messages").inc()
-            metrics.counter("comm.payload_bytes_to_mobile").inc(len(payload))
-            metrics.counter("comm.wire_bytes_to_mobile").inc(wire)
-            metrics.counter("time.comm_seconds").inc(seconds)
         return TransferResult(seconds, wire, len(payload))
 
     def round_trip(self, request_bytes: int,
@@ -283,17 +269,6 @@ class CommunicationManager:
                                             + MESSAGE_HEADER_BYTES),
                         wire_response_bytes=(response_bytes
                                              + MESSAGE_HEADER_BYTES))
-            metrics = tracer.metrics
-            metrics.counter("comm.messages").inc(2)
-            metrics.counter("comm.payload_bytes_to_server").inc(
-                request_bytes)
-            metrics.counter("comm.payload_bytes_to_mobile").inc(
-                response_bytes)
-            metrics.counter("comm.wire_bytes_to_server").inc(
-                request_bytes + MESSAGE_HEADER_BYTES)
-            metrics.counter("comm.wire_bytes_to_mobile").inc(
-                response_bytes + MESSAGE_HEADER_BYTES)
-            metrics.counter("time.comm_seconds").inc(seconds)
         return TransferResult(seconds,
                               request_bytes + response_bytes
                               + 2 * MESSAGE_HEADER_BYTES,
@@ -311,9 +286,6 @@ class CommunicationManager:
                         payload_bytes=payload_bytes, wire_bytes=0,
                         items=0, messages=0, saved_bytes=0,
                         compression_seconds=0.0, failed=True)
-            metrics = tracer.metrics
-            metrics.counter("comm.failed_sends").inc()
-            metrics.counter("time.comm_seconds").inc(seconds)
 
     def adjust_seconds(self, delta: float, reason: str = "adjust") -> None:
         """Apply a signed correction to the accumulated communication
@@ -323,4 +295,3 @@ class CommunicationManager:
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit("comm.adjust", reason, delta_seconds=delta)
-            tracer.metrics.counter("time.comm_seconds").inc(delta)

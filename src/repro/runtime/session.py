@@ -144,8 +144,8 @@ class SessionResult:
     bytes_to_mobile: int
     compression_saved_bytes: int
     # The session's tracer when SessionOptions.enable_tracing was set
-    # (None otherwise); carries the event ring buffer and the metrics
-    # registry.  See docs/observability.md.
+    # (None otherwise); carries the event ring buffer.  See
+    # docs/observability.md.
     trace: Optional[Tracer] = None
     # Transport-layer counters (retries, drops, reconnects, backoff);
     # all zeros on a fault-free link.
@@ -355,14 +355,6 @@ class OffloadSession:
                     instructions_mobile=(interp.instruction_count
                                          + self._replay_instructions),
                     instructions_server=self.server_instructions)
-            metrics = tr.metrics
-            metrics.gauge("session.total_seconds").set(total)
-            metrics.gauge("session.energy_mj").set(trace.total_energy_mj)
-            metrics.counter("time.mobile_compute_seconds").inc(
-                interp.time_seconds)
-            metrics.counter("time.remote_io_seconds").inc(
-                self.remote_io_seconds)
-            metrics.counter("time.fnptr_seconds").inc(self.fnptr_seconds)
         return SessionResult(
             program=self.program.name,
             network=self.network.name,
@@ -459,10 +451,6 @@ class OffloadSession:
                     and est is not None else None)
             tr.emit("decision", target.name, offloaded=decision,
                     reason=reason, gain_seconds=gain)
-            metrics = tr.metrics
-            metrics.counter("decisions.total").inc()
-            metrics.counter("decisions.offloaded"
-                            if decision else "decisions.declined").inc()
         return 1 if decision else 0
 
     # -- fn-ptr mapping ---------------------------------------------------
@@ -532,8 +520,6 @@ class OffloadSession:
         tr = self.tracer
         if tr.enabled:
             tr.emit("rio.op", name, dur=seconds, bytes=moved)
-            tr.metrics.counter("rio.ops").inc()
-            tr.metrics.counter("rio.bytes").inc(moved)
         return result
 
     def _prefetch_pages(self, stack_pointer: int) -> set:

@@ -174,13 +174,9 @@ class Transport:
                     self.tracer.emit("transport.disconnect", direction,
                                      attempts=attempts,
                                      elapsed_seconds=elapsed)
-                    self.tracer.metrics.counter(
-                        "transport.disconnects").inc()
                 elapsed += self._reconnect_or_die(direction, elapsed)
             else:
                 self.stats.drops += 1
-                if self.tracer.enabled:
-                    self.tracer.metrics.counter("transport.drops").inc()
             if attempts >= policy.max_attempts:
                 self._give_up(direction, elapsed,
                               f"retry budget exhausted after "
@@ -194,9 +190,6 @@ class Transport:
                                  attempt=attempts,
                                  backoff_seconds=backoff,
                                  timeout_seconds=timeout)
-                metrics = self.tracer.metrics
-                metrics.counter("transport.retries").inc()
-                metrics.counter("transport.backoff_seconds").inc(backoff)
 
     def _reconnect_or_die(self, direction: str,
                           elapsed_before: float) -> float:
@@ -212,8 +205,6 @@ class Transport:
                 if self.tracer.enabled:
                     self.tracer.emit("transport.reconnect", direction,
                                      seconds=spent)
-                    self.tracer.metrics.counter(
-                        "transport.reconnects").inc()
                 return spent
         # failed probes are real recovery time on the device timeline
         # (they ride the failed delivery's comm.send dur); without this
@@ -226,6 +217,4 @@ class Transport:
 
     def _give_up(self, direction: str, elapsed: float, why: str) -> None:
         self.stats.failed_deliveries += 1
-        if self.tracer.enabled:
-            self.tracer.metrics.counter("transport.failed_deliveries").inc()
         raise LinkDownError(f"{why} ({direction})", elapsed)

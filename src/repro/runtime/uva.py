@@ -272,8 +272,6 @@ class UVAManager:
                         hits=hits, wasted=wasted,
                         hit_ratio=(hits / total if total else 0.0),
                         faults=len(faulted))
-            tracer.metrics.counter("uva.prefetch_hits").inc(hits)
-            tracer.metrics.counter("uva.prefetch_wasted").inc(wasted)
 
     # -- delta encoding helpers ----------------------------------------
     def _mask_records(self, data: bytes, mask: int) -> DeltaRecords:
@@ -342,7 +340,6 @@ class UVAManager:
             tracer.emit("uva.delta", kind, pages=len(deltas),
                         records=records, encoded_bytes=encoded,
                         saved_bytes=saved)
-            tracer.metrics.counter("uva.delta_saved_bytes").inc(saved)
 
     def _mark_server_clean(self, page_index: int) -> None:
         """The server just received (or kept) a copy identical to the
@@ -422,9 +419,6 @@ class UVAManager:
                         invalidated=invalidated, stale_retained=retained,
                         table_entries=len(changed),
                         table_bytes=table_bytes)
-            tracer.metrics.counter("uva.cache_kept_pages").inc(kept)
-            tracer.metrics.counter("uva.page_table_bytes").inc(
-                table_bytes)
         return self.comm.send_to_server([b"\x00" * table_bytes]).seconds
 
     def live_mobile_pages(self, stack_pointer: int = 0) -> List[int]:
@@ -482,9 +476,6 @@ class UVAManager:
         if skipped:
             self.stats.cache_skipped_prefetch_pages += skipped
             self.stats.cache_saved_bytes += skipped * self.page_size
-            if self.tracer.enabled:
-                self.tracer.metrics.counter(
-                    "uva.cache_skipped_prefetch").inc(skipped)
         if not payloads:
             return 0.0
         self.server.memory.install_pages(installed)
@@ -499,8 +490,6 @@ class UVAManager:
             tracer.emit("uva.prefetch", "push", pages=len(installed),
                         bytes=prefetch_bytes, cache_skipped=skipped,
                         delta_pages=len(deltas))
-            tracer.metrics.counter("uva.prefetch_pages").inc(len(installed))
-            tracer.metrics.counter("uva.prefetch_bytes").inc(prefetch_bytes)
         self._book_deltas("prefetch", deltas)
         seconds = self.comm.send_to_server(payloads).seconds
         self.stats.prefetch_seconds += seconds
@@ -535,10 +524,6 @@ class UVAManager:
             tracer.emit("uva.fault", f"page-{page_index:#x}",
                         dur=result.seconds, page=page_index,
                         bytes=response_bytes)
-            tracer.metrics.counter("uva.cod_faults").inc()
-            tracer.metrics.counter("uva.cod_bytes").inc(response_bytes)
-            tracer.metrics.histogram("uva.fault_seconds").observe(
-                result.seconds)
         self._book_deltas("cod-refill",
                           [] if records is None else [records])
         return True
@@ -638,9 +623,6 @@ class UVAManager:
             tracer.emit("uva.writeback", "dirty-pages",
                         pages=len(staged), bytes=bytes_back,
                         delta_pages=len(deltas))
-            tracer.metrics.counter("uva.writeback_pages").inc(
-                len(staged))
-            tracer.metrics.counter("uva.writeback_bytes").inc(bytes_back)
         self._book_deltas("writeback", deltas)
 
     def commit_finalize(self) -> None:

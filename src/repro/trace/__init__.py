@@ -8,16 +8,18 @@ systems ship:
 
 * :mod:`repro.trace.tracer` — ring-buffered :class:`TraceEvent` records
   with monotonic simulated time, a category, and a key/value payload,
-  behind a :class:`Tracer` that is a strict no-op when disabled.
-* :mod:`repro.trace.metrics` — a :class:`MetricsRegistry` of named
-  counters, gauges and histograms accumulated alongside the events.
+  behind a :class:`Tracer` that is a strict no-op when disabled.  The
+  runtime states each fact once, as an event; nothing accumulates
+  beside the stream.
+* :mod:`repro.trace.metrics` — the log-bucketed, mergeable
+  :class:`Histogram` the analysis rolls distributions into.
 * :mod:`repro.trace.export` — JSONL import/export and a Chrome
   ``chrome://tracing`` / Perfetto-compatible export.
-* :mod:`repro.trace.timeline` — the human-readable event timeline and
-  metrics summary behind ``python -m repro trace``, plus the
-  :class:`Tally` — what each event category contributes to every
-  trace-derived number, defined once — and the per-phase totals it
-  yields to cross-check :meth:`SessionResult.breakdown`.
+* :mod:`repro.trace.timeline` — the :class:`Tally` — what each event
+  category contributes to every trace-derived number, defined once —
+  and what folds a stream into one: the human-readable event timeline
+  and totals block behind ``python -m repro trace``, and the per-phase
+  totals that cross-check :meth:`SessionResult.breakdown`.
 * :mod:`repro.trace.analysis` — the analysis engine behind
   ``python -m repro report``: span reconstruction, critical-path
   attribution, fleet aggregation, SLO findings and the
@@ -32,7 +34,7 @@ bit-identical with tracing off.  The full event schema is documented in
 
 from .tracer import (CATEGORIES, CORE_CATEGORIES, NULL_TRACER, NullTracer,
                      TraceEvent, Tracer)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram
 from .export import (events_from_jsonl, events_to_chrome_json,
                      events_to_jsonl, load_jsonl, read_jsonl_meta,
                      write_chrome_trace, write_jsonl)
@@ -42,7 +44,7 @@ from .timeline import (Tally, phase_totals, render_metrics,
 __all__ = [
     "CATEGORIES", "CORE_CATEGORIES", "NULL_TRACER", "NullTracer",
     "TraceEvent", "Tracer",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Histogram",
     "events_from_jsonl", "events_to_chrome_json", "events_to_jsonl",
     "load_jsonl", "read_jsonl_meta", "write_chrome_trace", "write_jsonl",
     "Tally", "phase_totals", "render_metrics", "render_timeline",

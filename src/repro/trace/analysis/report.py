@@ -122,12 +122,20 @@ def _lookup(report: dict, path: str):
     return node if isinstance(node, (int, float)) else None
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """NaN switches a gate off (every ``delta > nan`` is False) and a
+    negative tolerance fails a report against itself."""
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0; got {tolerance!r}")
+
+
 def diff_reports(baseline: dict, current: dict,
                  tolerance: float = 0.10) -> List[dict]:
     """Regressions of ``current`` vs ``baseline`` over the gated
     metrics.  A ``rel`` metric regresses when it grew more than
     ``tolerance`` relative to the baseline; an ``abs`` metric when it
     grew more than ``tolerance`` in absolute terms."""
+    _check_tolerance(tolerance)
     regressions: List[dict] = []
     for path, kind in GATED_METRICS:
         base = _lookup(baseline, path)
@@ -187,6 +195,7 @@ def diff_bench(baseline: dict, current: dict,
     ``_LOWER_BETTER`` / ``_HIGHER_BETTER``) regresses when it moved the
     wrong way by more than ``tolerance`` relative; unoriented leaves
     never fail the gate."""
+    _check_tolerance(tolerance)
     base_leaves = _numeric_leaves(baseline)
     cur_leaves = _numeric_leaves(current)
     regressions: List[dict] = []

@@ -1,22 +1,19 @@
-"""Named runtime metrics: counters, gauges and histograms.
+"""The log-bucketed :class:`Histogram` behind the report's distributions.
 
-A :class:`MetricsRegistry` is the aggregate companion of the event
-tracer: where the tracer answers "what happened, in order", the registry
-answers "how much, in total".  Metrics are plain Python objects with no
-locking (the simulator is single-threaded) and no external dependencies.
-
-Metric names are dotted paths (``comm.messages``, ``uva.cod_faults``)
-grouped by their first component when rendered; the canonical set emitted
-by the runtime is documented in ``docs/observability.md``.
+A streaming summary (count / sum / min / max plus logarithmic buckets)
+that answers percentile queries and merges across devices without
+retaining samples; ``repro.trace.analysis.aggregate`` folds every
+per-invocation distribution of a fleet into these.  It is fed by the
+analysis from trace events, never by the runtime: a runtime fact lives
+in the always-on stats objects and in its event, nowhere else
+(``docs/observability.md``, "Totals").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
-
-Number = Union[int, float]
+from typing import Dict
 
 #: Log-bucket growth factor: four buckets per octave (2 ** 0.25), fine
 #: enough that a nearest-rank percentile read from bucket bounds lands
@@ -25,28 +22,6 @@ Number = Union[int, float]
 #: bucket map tiny.
 LOG_BUCKET_GROWTH = 2.0 ** 0.25
 _LOG_GROWTH_LN = math.log(LOG_BUCKET_GROWTH)
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing sum (counts or accumulated seconds)."""
-
-    name: str
-    value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A point-in-time value; remembers its most recent set."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 @dataclass
@@ -126,127 +101,3 @@ class Histogram:
         for idx, n in other.buckets.items():
             self.buckets[idx] = self.buckets.get(idx, 0) + n
         return self
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named metrics.
-
-    ``counter`` / ``gauge`` / ``histogram`` return the existing metric
-    when one with that name is already registered; registering the same
-    name under a different kind raises ``TypeError``.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
-
-    def _get_or_create(self, name: str, kind):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = kind(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{type(metric).__name__}")
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def get(self, name: str):
-        return self._metrics.get(name)
-
-    def value(self, name: str, default: Number = 0) -> Number:
-        """The scalar value of a counter/gauge (histograms: the sum)."""
-        metric = self._metrics.get(name)
-        if metric is None:
-            return default
-        if isinstance(metric, Histogram):
-            return metric.total
-        return metric.value
-
-    def snapshot(self) -> Dict[str, dict]:
-        """A plain-dict dump of every metric (JSON-serializable)."""
-        out: Dict[str, dict] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out[name] = {"kind": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                out[name] = {"kind": "gauge", "value": metric.value}
-            else:
-                out[name] = {"kind": "histogram", "count": metric.count,
-                             "sum": metric.total,
-                             "min": metric.min if metric.count else 0.0,
-                             "max": metric.max if metric.count else 0.0,
-                             "mean": metric.mean,
-                             "p50": metric.percentile(0.50),
-                             "p95": metric.percentile(0.95),
-                             "p99": metric.percentile(0.99)}
-        return out
-
-    def clear(self) -> None:
-        self._metrics.clear()
-
-
-class _NullMetric:
-    """Accepts every update and records nothing (disabled tracing)."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    zeros = 0
-    buckets: Dict[int, int] = {}
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def merge(self, other) -> "_NullMetric":
-        return self
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """Registry variant whose metrics discard all updates.
-
-    Shared by :data:`repro.trace.NULL_TRACER` so that instrumentation
-    sites that forget the ``tracer.enabled`` guard still cannot leak
-    state into the disabled singleton.
-    """
-
-    def counter(self, name: str):  # type: ignore[override]
-        return _NULL_METRIC
-
-    def gauge(self, name: str):  # type: ignore[override]
-        return _NULL_METRIC
-
-    def histogram(self, name: str):  # type: ignore[override]
-        return _NULL_METRIC

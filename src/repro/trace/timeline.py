@@ -9,7 +9,8 @@ fold a raw stream into one to re-derive the session's per-phase time
 breakdown and byte accounting *from the events alone*, which is what
 makes the trace the single source of truth: ``tests/test_trace.py``
 asserts these sums match :meth:`SessionResult.breakdown` and
-``CommStats`` exactly.
+``CommStats`` exactly.  ``render_metrics`` prints the same fold — the
+runtime keeps no totals beside the events for it to read instead.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .metrics import MetricsRegistry
-from .tracer import TraceEvent
+from .tracer import CATEGORIES, TraceEvent
 
 # Payload keys promoted to the front of a timeline line, per category.
 _LEAD_KEYS: Dict[str, Sequence[str]] = {
@@ -75,39 +75,25 @@ def render_timeline(events: Iterable[TraceEvent],
                     tail: Optional[int] = None) -> str:
     """The full human-readable timeline, optionally filtered.
 
-    ``categories`` restricts output to the given event categories;
-    ``tail`` keeps only the last N lines (with an elision marker).
+    ``categories`` restricts output to the given event categories
+    (ValueError naming the vocabulary for one outside it); ``tail``
+    keeps only the last N >= 0 lines (with an elision marker).
     """
+    if categories is not None:
+        categories = {c.strip() for c in categories}
+        unknown = sorted(categories - set(CATEGORIES))
+        if unknown:
+            raise ValueError(f"unknown trace categories {unknown}; "
+                             f"known: {', '.join(CATEGORIES)}")
+    if tail is not None and tail < 0:
+        raise ValueError(f"tail must be >= 0; got {tail}")
     selected = [e for e in events
                 if categories is None or e.category in categories]
     lines = [format_event(e) for e in selected]
     if tail is not None and len(lines) > tail:
         omitted = len(lines) - tail
         lines = [f"... ({omitted} earlier events omitted; "
-                 f"use --jsonl for the full trace)"] + lines[-tail:]
-    return "\n".join(lines)
-
-
-def render_metrics(metrics: MetricsRegistry) -> str:
-    """A grouped ``metric = value`` summary table."""
-    lines: List[str] = ["metrics"]
-    last_group = None
-    for name in metrics.names():
-        group = name.split(".", 1)[0]
-        if group != last_group:
-            lines.append(f"  [{group}]")
-            last_group = group
-        snap = metrics.snapshot()[name]
-        if snap["kind"] == "histogram":
-            lines.append(
-                f"    {name:<32s} count={snap['count']} "
-                f"sum={_fmt_value(snap['sum'])} "
-                f"mean={_fmt_value(snap['mean'])} "
-                f"p95={_fmt_value(snap['p95'])} "
-                f"min={_fmt_value(snap['min'])} "
-                f"max={_fmt_value(snap['max'])}")
-        else:
-            lines.append(f"    {name:<32s} {_fmt_value(snap['value'])}")
+                 f"use --jsonl for the full trace)"] + lines[omitted:]
     return "\n".join(lines)
 
 
@@ -358,3 +344,34 @@ def traffic_totals(events: Iterable[TraceEvent]) -> Dict[str, int]:
     """
     tally = Tally.of(events)
     return {name: getattr(tally, name) for name in _TRAFFIC_FIELDS}
+
+
+def render_metrics(events: Iterable[TraceEvent], dropped: int = 0) -> str:
+    """The totals block of ``python -m repro trace``: per category the
+    event count and summed ``dur``, then every non-zero :class:`Tally`
+    field — a function of ``events`` alone, so a saved trace renders
+    the block its live run printed.  ``dropped`` is the ring buffer's
+    eviction count: above zero the block is labelled partial (the
+    always-on ``SessionResult`` / ``*Stats`` fields are what survives
+    truncation)."""
+    events = list(events)
+    per_category: Dict[str, List[float]] = {}
+    for event in events:
+        row = per_category.setdefault(event.category, [0, 0.0])
+        row[0] += 1
+        row[1] += event.dur
+    tally = Tally.of(events)
+    totals = dict(vars(tally), queue_waits=len(tally.queue_waits))
+    windows = totals.pop("prefetch_windows")
+    totals["prefetch_hits"] = sum(w.hits for w in windows)
+    totals["prefetch_wasted"] = sum(w.wasted for w in windows)
+    lines = [f"metrics (folded from {len(events)} events"
+             + (f"; partial — {dropped} earlier events dropped by the "
+                f"ring buffer)" if dropped else ")"),
+             "  [events]"]
+    lines += [f"    {category:<32s} count={count} dur={_fmt_value(dur)}"
+              for category, (count, dur) in sorted(per_category.items())]
+    lines.append("  [totals]")
+    lines += [f"    {name:<32s} {_fmt_value(value)}"
+              for name, value in totals.items() if value]
+    return "\n".join(lines)

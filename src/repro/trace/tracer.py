@@ -32,8 +32,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .metrics import MetricsRegistry, NullMetricsRegistry
-
 DEFAULT_CAPACITY = 262_144
 
 # The full event vocabulary.  docs/trace-schema.md documents each
@@ -113,20 +111,18 @@ class TraceEvent:
 
 
 class Tracer:
-    """Ring-buffered structured event sink with attached metrics."""
+    """Ring-buffered structured event sink."""
 
     enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  sid: Optional[str] = None):
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
         self.sid = sid
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._events: deque = deque(maxlen=capacity)
         self._seq = 0
         self._last_t = 0.0
@@ -187,7 +183,7 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(capacity=1, metrics=NullMetricsRegistry())
+        super().__init__(capacity=1)
 
     def emit(self, category: str, name: str, t: Optional[float] = None,
              dur: float = 0.0, **payload) -> Optional[TraceEvent]:

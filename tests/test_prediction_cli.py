@@ -109,6 +109,10 @@ class TestCLI:
         "run nosuch",
         "fleet --devices 2 --workload nosuch",
         "trace chess --capacity 0",
+        "trace chess --tail -2",
+        "trace chess --categories nosuch",
+        "trace chess --categories decision,,estimate",
+        "fleet --devices 2 --deadline -1",
         "table 9",
         "figure 9",
     ])
@@ -122,6 +126,69 @@ class TestCLI:
         assert captured.err.startswith("repro: error: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("line", [
+        f"fleet --{flag}=nan"
+        for flag in ("drop-rate", "jitter", "disconnect-rate",
+                     "reconnect-rate", "spacing", "cloud-speed",
+                     "deadline", "autoscale-interval")
+    ] + ["report --tolerance=nan", "fleet --jitter=inf",
+         "fleet --spacing=-inf", "run chess --jitter=1e999",
+         "trace chess --drop-rate=often"])
+    def test_float_flags_must_be_finite(self, line, capsys):
+        """``nan`` and ``inf`` are floats no simulation can consume
+        (a NaN tick runs the clock backwards, a NaN tolerance switches
+        the gate off): argparse refuses them, naming the flag."""
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as refused:
+            main(line.split())
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        flag = line.split("--")[-1].split("=")[0]
+        assert f"error: argument --{flag}: " in last
+        assert "must be a finite number" in last
+        assert "Traceback" not in captured.err
+
+    def test_no_flag_parses_a_bare_float(self):
+        """A float flag added later takes the shared type too."""
+        import inspect
+
+        import repro.__main__ as cli
+        assert "type=float" not in inspect.getsource(cli)
+
+    @pytest.mark.parametrize("tolerance", ["-0.5", "-1e-9"])
+    def test_negative_gate_tolerance_is_a_one_line_error(
+            self, tolerance, tmp_path, capsys):
+        """A negative tolerance fails a report against itself."""
+        from repro.__main__ import main
+        path = tmp_path / "r.json"
+        path.write_text('{"fleet": {"decline_rate": 0.25}}')
+        argv = ["report", "--baseline", str(path), "--current", str(path),
+                "--bench", str(path), str(path)]
+        assert main(argv) == 0
+        assert "baseline gate: ok" in capsys.readouterr().out
+        assert main(argv + [f"--tolerance={tolerance}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro: error: tolerance must be >= 0")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_gate_and_device_validate_where_the_value_is_consumed(self):
+        from repro.fleet import DeviceSpec
+        from repro.trace.analysis import diff_bench, diff_reports
+        for bad in (float("nan"), -0.5):
+            with pytest.raises(ValueError, match="tolerance"):
+                diff_reports({}, {}, bad)
+            with pytest.raises(ValueError, match="tolerance"):
+                diff_bench({}, {}, bad)
+        for bad in (float("nan"), -1.0, 0.0):
+            with pytest.raises(ValueError, match="deadline"):
+                DeviceSpec("dev", None, None, deadline_s=bad)
+        assert diff_reports({}, {}, 0.0) == diff_bench({}, {}, 0.0) == []
+        assert DeviceSpec("dev", None, None, deadline_s=0.5).deadline_s
 
     @pytest.mark.parametrize("flag", ["--jsonl", "--chrome"])
     def test_unwritable_trace_output_is_a_one_line_error(

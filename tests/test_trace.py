@@ -1,10 +1,11 @@
 """Tests for the repro.trace observability subsystem.
 
-Covers the tracer/metrics primitives, the JSONL and Chrome exports, the
-runtime instrumentation (event ordering, category coverage, the
-tracing-disabled no-op invariant), and the reconciliation tests that make
-the trace the single source of truth for the session's time and byte
-accounting (including the chess workload of the paper's running example).
+Covers the tracer and histogram primitives, the JSONL and Chrome
+exports, the runtime instrumentation (event ordering, category coverage,
+the tracing-disabled no-op invariant), and the reconciliation tests that
+make the trace the single source of truth for the session's time and
+byte accounting (including the chess workload of the paper's running
+example).
 """
 
 import json
@@ -15,7 +16,7 @@ from repro.eval.runner import run_program
 from repro.runtime import SessionOptions
 from repro.runtime.comm import (MESSAGE_HEADER_BYTES, PER_ITEM_HEADER_BYTES)
 from repro.trace import (CATEGORIES, CORE_CATEGORIES, NULL_TRACER,
-                         Histogram, MetricsRegistry, TraceEvent, Tracer,
+                         Histogram, TraceEvent, Tracer,
                          events_from_jsonl, events_to_chrome_json,
                          events_to_jsonl, phase_totals, render_metrics,
                          render_timeline, traffic_totals)
@@ -70,7 +71,7 @@ def chess_traced():
 
 
 # ---------------------------------------------------------------------------
-# Tracer / metrics primitives
+# Tracer / histogram primitives
 # ---------------------------------------------------------------------------
 class TestTracer:
     def test_timestamps_clamped_monotonic(self):
@@ -105,44 +106,6 @@ class TestTracer:
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.emit("decision", "x") is None
         assert len(NULL_TRACER) == 0
-        NULL_TRACER.metrics.counter("leak").inc(5)
-        assert len(NULL_TRACER.metrics.names()) == 0
-
-
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.counter("a").inc(2.5)
-        reg.gauge("b").set(7)
-        for v in (1.0, 3.0):
-            reg.histogram("h").observe(v)
-        assert reg.value("a") == 3.5
-        assert reg.value("b") == 7.0
-        hist = reg.get("h")
-        assert (hist.count, hist.total, hist.min, hist.max,
-                hist.mean) == (2, 4.0, 1.0, 3.0, 2.0)
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_snapshot_is_json_serializable(self):
-        reg = MetricsRegistry()
-        reg.counter("n").inc(3)
-        reg.histogram("h").observe(0.5)
-        snap = json.loads(json.dumps(reg.snapshot()))
-        assert snap["n"] == {"kind": "counter", "value": 3}
-        assert snap["h"]["count"] == 1
-
-    def test_render_metrics_lists_every_name(self):
-        reg = MetricsRegistry()
-        reg.counter("comm.messages").inc(4)
-        reg.histogram("uva.fault_seconds").observe(0.25)
-        text = render_metrics(reg)
-        assert "comm.messages" in text and "uva.fault_seconds" in text
 
 
 class TestHistogramPercentiles:
@@ -231,10 +194,15 @@ class TestHistogramPercentiles:
         assert (h.count, h.min, h.max) == (1, 2.0, 2.0)
 
     def test_snapshot_carries_percentiles(self):
-        reg = MetricsRegistry()
+        """The histogram's serialized form is the report's
+        ``distributions`` section."""
+        from repro.trace.analysis import aggregate_sessions
+        agg = aggregate_sessions([])
         for v in (0.1, 0.2, 0.4):
-            reg.histogram("h").observe(v)
-        snap = reg.snapshot()["h"]
+            agg.histograms["invocation_seconds"].observe(v)
+        snap = json.loads(json.dumps(agg.to_json()))[
+            "distributions"]["invocation_seconds"]
+        assert (snap["count"], snap["min"], snap["max"]) == (3, 0.1, 0.4)
         assert set(("p50", "p95", "p99")) <= set(snap)
         assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
 
@@ -292,7 +260,6 @@ class TestSessionTracing:
         assert result.trace is None
         assert result.trace_events() == []
         assert len(NULL_TRACER) == before == 0
-        assert len(NULL_TRACER.metrics.names()) == 0
 
     def test_tracing_does_not_change_results(self, traced_kernel):
         _, traced, _ = traced_kernel
@@ -332,10 +299,13 @@ class TestSessionTracing:
         assert len(decisions) == len(result.invocations)
         offloaded = [e for e in decisions if e.payload["offloaded"]]
         assert len(offloaded) == result.offloaded_invocations
-        metrics = result.trace.metrics
-        assert metrics.value("decisions.total") == len(decisions)
-        assert metrics.value("offload.invocations") == \
-            result.offloaded_invocations
+        # the metrics block counts what the timeline lists
+        block = render_metrics(result.trace_events())
+        counts = dict(line.split()[:2] for line in block.splitlines()
+                      if " count=" in line)
+        assert counts["decision"] == f"count={len(decisions)}"
+        assert counts["offload.init"] == \
+            f"count={result.offloaded_invocations}"
 
     def test_timeline_renders_every_event(self, traced_kernel):
         _, result, _ = traced_kernel
@@ -344,6 +314,24 @@ class TestSessionTracing:
         assert len(text.splitlines()) == len(events)
         tail = render_timeline(events, tail=3)
         assert len(tail.splitlines()) == 4  # 3 + elision marker
+        assert tail.splitlines()[1:] == text.splitlines()[-3:]
+        # the edges: no tail at all is the marker alone, a tail as long
+        # as the stream needs none, a negative one is refused
+        marker = render_timeline(events, tail=0)
+        assert marker.startswith(f"... ({len(events)} earlier events")
+        assert "\n" not in marker
+        assert render_timeline(events, tail=len(events)) == text
+        with pytest.raises(ValueError, match="tail must be >= 0"):
+            render_timeline(events, tail=-2)
+        # category names are stripped, and one outside the vocabulary
+        # is an error listing it, never a silently empty timeline
+        decisions = render_timeline(events, categories=["decision"])
+        assert len(decisions.splitlines()) == len(result.invocations)
+        assert render_timeline(
+            events, categories=[" decision", "estimate "]) == \
+            render_timeline(events, categories=["decision", "estimate"])
+        with pytest.raises(ValueError, match="nosuch.*known: session.start"):
+            render_timeline(events, categories=["decision", "nosuch"])
 
     def test_cod_faults_and_round_trips_traced(self):
         options = SessionOptions(enable_tracing=True,
@@ -354,8 +342,6 @@ class TestSessionTracing:
         assert result.cod_faults > 0
         assert len(faults) == result.cod_faults
         assert len(result.trace.events("comm.rtt")) >= len(faults)
-        assert result.trace.metrics.value("uva.cod_faults") == \
-            result.cod_faults
         derived = phase_totals(result.trace_events())
         for key, value in result.breakdown().items():
             assert derived[key] == pytest.approx(value, abs=1e-9), key
@@ -455,17 +441,3 @@ class TestTrafficReconciliation:
             header = (PER_ITEM_HEADER_BYTES if p["pipelined"]
                       else MESSAGE_HEADER_BYTES)
             assert p["wire_bytes"] == p["payload_bytes"] + header
-
-    def test_metrics_agree_with_comm_events(self, chess_traced):
-        totals = traffic_totals(chess_traced.trace_events())
-        metrics = chess_traced.trace.metrics
-        assert metrics.value("comm.payload_bytes_to_server") == \
-            totals["payload_bytes_to_server"]
-        assert metrics.value("comm.payload_bytes_to_mobile") == \
-            totals["payload_bytes_to_mobile"]
-        assert metrics.value("comm.wire_bytes_to_server") == \
-            totals["wire_bytes_to_server"]
-        assert metrics.value("comm.wire_bytes_to_mobile") == \
-            totals["wire_bytes_to_mobile"]
-        assert metrics.value("comm.compression_saved_bytes") == \
-            chess_traced.compression_saved_bytes
