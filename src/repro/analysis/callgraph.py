@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
-import networkx as nx
-
 from ..ir import instructions as inst
 from ..ir.module import Module
 from ..ir.values import Function, FunctionRefInit, AggregateInit
@@ -19,19 +17,30 @@ from ..ir.values import Function, FunctionRefInit, AggregateInit
 class CallGraph:
     def __init__(self, module: Module):
         self.module = module
-        self.graph = nx.DiGraph()
+        self._successors: Dict[str, Set[str]] = {}
+        self._predecessors: Dict[str, Set[str]] = {}
         self.address_taken: Set[str] = set()
         self._build()
 
+    def _add_node(self, name: str) -> None:
+        self._successors.setdefault(name, set())
+        self._predecessors.setdefault(name, set())
+
+    def _add_edge(self, caller: str, callee: str) -> None:
+        self._add_node(caller)
+        self._add_node(callee)
+        self._successors[caller].add(callee)
+        self._predecessors[callee].add(caller)
+
     def _build(self) -> None:
         for fn in self.module.functions.values():
-            self.graph.add_node(fn.name)
+            self._add_node(fn.name)
         for fn in self.module.defined_functions():
             for instruction in fn.instructions():
                 if isinstance(instruction, inst.Call):
                     callee = instruction.called_function
                     if callee is not None:
-                        self.graph.add_edge(fn.name, callee.name)
+                        self._add_edge(fn.name, callee.name)
                 # A function used as a plain operand (not a callee) has its
                 # address taken — it may be called indirectly from anywhere.
                 operands = (instruction.operands[1:]
@@ -52,7 +61,7 @@ class CallGraph:
         for caller in indirect_callers:
             for target in self.address_taken:
                 if target in self.module.functions:
-                    self.graph.add_edge(caller, target)
+                    self._add_edge(caller, target)
 
     def _scan_initializer(self, init) -> None:
         if isinstance(init, FunctionRefInit):
@@ -62,20 +71,27 @@ class CallGraph:
                 self._scan_initializer(element)
 
     def callees(self, name: str) -> List[str]:
-        return sorted(self.graph.successors(name))
+        return sorted(self._successors[name])
 
     def callers(self, name: str) -> List[str]:
-        return sorted(self.graph.predecessors(name))
+        return sorted(self._predecessors[name])
+
+    def _called_from(self, roots: Iterable[str]) -> Set[str]:
+        """What a call chain of one call or more reaches from ``roots``
+        (an iterative depth-first walk; unknown names reach nothing)."""
+        seen: Set[str] = set()
+        pending = [root for root in roots if root in self._successors]
+        while pending:
+            for callee in self._successors[pending.pop()]:
+                if callee not in seen:
+                    seen.add(callee)
+                    pending.append(callee)
+        return seen
 
     def transitive_callees(self, name: str) -> Set[str]:
-        if name not in self.graph:
-            return set()
-        return set(nx.descendants(self.graph, name))
+        # without ``name`` itself, even when it is on a cycle
+        return self._called_from([name]) - {name}
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
-        seen: Set[str] = set()
-        for root in roots:
-            if root in self.graph:
-                seen.add(root)
-                seen |= nx.descendants(self.graph, root)
-        return seen
+        roots = [root for root in roots if root in self._successors]
+        return self._called_from(roots).union(roots)

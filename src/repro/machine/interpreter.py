@@ -11,28 +11,32 @@ overheads the paper discusses: address-size conversion (negligible) and
 endianness translation (zero on the default little/little pair).
 
 A function is *decoded* the first time an interpreter calls it: every
-instruction becomes one closure with everything that is constant for the
-(function, machine) pair already bound, and a call runs those closures
-over a list-shaped frame (docs/architecture.md, "Interpreter: decode once,
-then run closures").
+basic block becomes the source of one Python function (more where calls
+cut it), with everything that is constant for the (function, machine) pair
+written into it as a literal or bound in its globals.  Each is compiled the
+first time it runs, and a call runs those functions over a list-shaped
+frame (docs/architecture.md, "Interpreter: decode once, then run generated
+blocks").
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
 import math
-import operator
+import re
 import struct
 import sys
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence
+from bisect import bisect_right
+from types import CodeType, FunctionType
+from typing import Dict, List, Optional, Sequence
 
 from ..ir import instructions as inst
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, UndefValue, Value)
 from .machine import Machine, STACK_SIZE
-from .values import scalar_size, to_signed, to_unsigned
+from .values import round_to_single, scalar_size, to_signed, to_unsigned
 
 
 class InterpreterError(Exception):
@@ -122,6 +126,7 @@ class Interpreter:
         self._scale = CYCLE_TIME_SCALE
         self._cycle_table = {k: v * self._scale
                              for k, v in machine.arch.cycles.items()}
+        self._call_cost = self._cycle_table["call"]  # as charge("call")
         # Function -> (decoded blocks, frame size), filled on first call.
         # Layout, addresses and observer are fixed for an interpreter's
         # lifetime, so a decoded function never goes stale.
@@ -167,11 +172,11 @@ class Interpreter:
 
     # -- call machinery --------------------------------------------------
     def call_function(self, fn: Function, args: List):
-        if not fn.is_definition:
+        if not fn.blocks:  # not a definition
             return self._call_external(fn, args)
         if self.call_depth > 4000:
             raise StackOverflow(f"call depth exceeded in {fn.name}")
-        self.charge("call")
+        self.cycles += self._call_cost
         if self.observer is not None:
             self.observer.enter_function(fn, self.cycles)
         saved_sp = self.sp
@@ -190,7 +195,7 @@ class Interpreter:
         if builtin is None:
             raise InterpreterError(
                 f"call to unknown external function {fn.name}")
-        self.charge("call")
+        self.cycles += self._call_cost
         return builtin(self, args)
 
     # -- the run loop ---------------------------------------------------
@@ -206,126 +211,334 @@ class Interpreter:
         limit = self.max_instructions
         index = 0
         while True:
-            steps, count, block, returns = blocks[index]
-            if observer is not None:
-                observer.enter_block(block, self.cycles)
-            allowed = limit - self.instruction_count
-            if count > allowed:
+            block = blocks[index]
+            if observer is not None and block.ir is not None:
+                observer.enter_block(block.ir, self.cycles)
+            count = block.count
+            run = block.run
+            counted = self.instruction_count + count
+            if counted > limit:
                 # Instruction ``allowed + 1`` is counted and raises, as a
                 # per-instruction check would.
-                steps = steps[:max(allowed, 0)] + [(0.0, 0, _limit_exceeded)]
-            # The block is counted on entry; whatever unwinds out of it
-            # (exit(), a fleet segment boundary, a link fault, a guest
-            # error) gives back the instructions that never started, and a
-            # call gives them back while the callee runs (decode_call), so
-            # the count is exact wherever it can be read.
-            self.instruction_count += count
-            step = None
+                allowed = limit - self.instruction_count
+                run = block.function(max(allowed, 0))
+            # The stretch is counted on entry; whatever unwinds out of it
+            # (a guest error, a link fault) gives back the instructions
+            # that never started, and a call ends its stretch, so the
+            # count is exact wherever it can be read: in a builtin, in a
+            # callee's limit check, after exit() or a fleet segment
+            # boundary.
+            self.instruction_count = counted
             try:
-                for step in steps:
-                    cost, dst, op = step
-                    self.cycles += cost
-                    frame[dst] = op(self, frame)
-            except BaseException:
-                started = 0 if step is None else steps.index(step) + 1
-                self.instruction_count -= count - min(started, count)
+                result = run(self, frame)
+            except BaseException as error:
+                self.instruction_count -= count - block.started(
+                    error.__traceback__)
                 raise
-            if returns:
-                return frame[dst]
-            index = frame[dst]  # the terminator's result
+            if block.returns:
+                return result
+            index = result  # the terminator's value
 
 
-def _limit_exceeded(interp: Interpreter, frame: list):
-    raise ExecutionLimitExceeded(
-        f"exceeded {interp.max_instructions} instructions")
+# -- generated code ----------------------------------------------------------
+
+_GUEST_FILE = "<guest block>"
+# How many distinct texts stay compiled.
+_CODE_CACHE_BLOCKS = 2048
 
 
-def _unknown(message: str) -> Callable:
-    """Stands in for an op, operand getter or value function that does not
-    exist: malformed IR is reported if and when it is reached."""
-    def fail(*_):
-        raise InterpreterError(message)
-    return fail
+@functools.lru_cache(maxsize=_CODE_CACHE_BLOCKS)
+def _block_code(source: str) -> CodeType:
+    """The code object of the one function ``source`` defines.  Keyed by
+    the text, so every interpreter whose decoder writes the same block —
+    the next round's, the server's, the oracle's — shares one ``compile``.
+    A code object references nothing of the machine it runs on: that is
+    all in the function's globals."""
+    module = compile(source, _GUEST_FILE, "exec")
+    return next(const for const in module.co_consts
+                if isinstance(const, CodeType))
+
+
+_LIMIT_EXCEEDED = (" interp.cycles = c\n"
+                   " raise ExecutionLimitExceeded("
+                   "f'exceeded {interp.max_instructions} instructions')\n")
+
+
+class _Block:
+    """What the run loop runs at a time: one basic block, or — a call
+    ends a stretch — the part of one up to and including a call, or from
+    behind one on.  ``run(interp, frame)`` executes its ``count``
+    instructions and returns the index of the stretch to run next — what
+    the function returns, when ``returns``.  ``ir`` is the basic block a
+    stretch begins, else None.  The source is ``header`` plus one chunk of
+    whole lines per instruction (and a raising one if the block falls
+    through); ``lines`` holds the line each chunk starts on."""
+
+    __slots__ = ("run", "count", "ir", "returns", "header", "chunks",
+                 "lines", "namespace")
+
+    def __init__(self, run, count: int, ir: Optional[BasicBlock],
+                 returns: bool, header: str, chunks: List[str],
+                 namespace: dict):
+        self.run = run
+        self.count = count
+        self.ir = ir
+        self.returns = returns
+        self.header = header
+        self.chunks = chunks
+        self.namespace = namespace
+        self.lines, line = [], 1 + header.count("\n")
+        for chunk in chunks:
+            self.lines.append(line)
+            line += chunk.count("\n")
+
+    def function(self, allowed: Optional[int] = None) -> FunctionType:
+        """The block as a function; given ``allowed``, the variant that
+        runs that many instructions and then exceeds the limit."""
+        chunks = (self.chunks if allowed is None
+                  else self.chunks[:allowed] + [_LIMIT_EXCEEDED])
+        return FunctionType(_block_code(self.header + "".join(chunks)),
+                            self.namespace)
+
+    def started(self, traceback) -> int:
+        """How many instructions had started when the block raised, read
+        off the line its frame stopped on.  The frames of nested guest
+        calls are further down the chain, so the nearest generated frame
+        is this block's."""
+        traceback = traceback.tb_next  # from _run's own entry
+        while (traceback is not None and
+               traceback.tb_frame.f_code.co_filename != _GUEST_FILE):
+            traceback = traceback.tb_next
+        if traceback is None:
+            return 0
+        return min(bisect_right(self.lines, traceback.tb_lineno), self.count)
+
+
+def _first_run(fn: Function, index: int, interp: Interpreter, frame: list):
+    """What a block's ``run`` is until it has run once: compile it, then
+    run it.  Finds the block through the interpreter — a reference to it
+    here would be a cycle through ``run``."""
+    block = interp._decoded[fn][0][index]
+    block.run = run = block.function()
+    return run(interp, frame)
+
+
+class _Unrunnable(Exception):
+    """An instruction no code can be written for.  Malformed IR is reported
+    if and when it is reached: the decoder writes a ``raise`` in its
+    place."""
 
 
 class _Decoder:
-    """Turns one function into closures for one interpreter's machine.
+    """Turns one function into Python source for one interpreter's machine.
 
-    Every argument and instruction gets a frame slot.  An operand becomes a
-    getter ``get(frame)``: an immediate or a slot read.  An instruction
-    becomes a step ``(cost, slot, op)``: the run loop charges ``cost`` —
-    bound as :meth:`Interpreter.charge` computes it — and stores
-    ``op(interp, frame)`` in the slot; masks, sizes, codecs, scales and the
-    memory's page table are bound in ``op``.  A terminator's value is the
-    next block's index, or what the function returns.  Ops take the
-    interpreter as an argument and never capture it: it owns the decoded
-    program, so a captured interpreter is a reference cycle that keeps
-    every dropped interpreter's program alive until a generation-2
-    collection.
+    One generated function runs a *stretch*: a basic block, cut behind
+    every call that has instructions after it.  An instruction becomes a
+    few straight-line statements: masks, sizes, scales, costs and addresses
+    are literals; the page table, the memory, codecs, callees and switch
+    tables are globals of the generated function.  A value that is only
+    read later in its own stretch is a Python local (``v<n>``) and never
+    touches the frame; every argument and every value anything else reads
+    has a frame slot, written where it is defined and made a local by the
+    first read in a stretch.  ``cycles`` is accumulated in the local ``c``
+    — one add per charge, in order — and written to the interpreter before
+    anything that can observe it or raise, then reloaded after anything
+    that can charge.  A terminator returns the index of the stretch that
+    starts the next block, or what the function returns; a call that ends
+    a stretch, the index of the one behind it.  Nothing generated
+    references the interpreter: it owns the decoded program, so a
+    reference back is a cycle that keeps every dropped interpreter's
+    program alive until a generation-2 collection.
     """
 
     def __init__(self, interp: Interpreter, fn: Function):
         self.fn = fn
-        self.machine = interp.machine
-        self.layout = interp.machine.layout
+        machine = self.machine = interp.machine
+        memory = self.memory = machine.memory
+        self.layout = machine.layout
         self.costs = interp._cycle_table
-        self.mem_observer = interp._mem_observer
-        page_size = interp.machine.memory.page_size
-        self.page_shift = page_size.bit_length() - 1
-        self.offset_mask = page_size - 1
-        self.slots = {value: slot for slot, value in enumerate(
-            (*fn.args, *fn.instructions()))}
-        self.block_index = {block: i for i, block in enumerate(fn.blocks)}
-        self.defined: set = set()  # values a slot read need not check
-        self.after = 0  # instructions of the block after the current one
-
-    def decode(self) -> tuple:
-        """(blocks, frame size); a block is (steps, instruction count, the
-        ``BasicBlock``, whether its terminator returns from the function)."""
-        fn = self.fn
-        # The entry block has run to its terminator before any other block
-        # starts, and a block's earlier instructions before its later ones.
-        entry_defined = set(fn.entry.instructions)
-        blocks = []
+        self.observed = interp._mem_observer is not None
+        self.page_shift = memory.page_size.bit_length() - 1
+        self.offset_mask = memory.page_size - 1
+        self.namespace = {
+            "__builtins__": builtins.__dict__, "_U": _UNDEFINED,
+            "InterpreterError": InterpreterError,
+            "StackOverflow": StackOverflow,
+            "BadFunctionPointer": BadFunctionPointer,
+            "ExecutionLimitExceeded": ExecutionLimitExceeded,
+            "machine": machine, "memory": memory,
+            "observer": interp._mem_observer,
+            "page_at": memory.pages.get, "read": memory.read,
+            "write": memory.write, "mark_dirty": memory.dirty.add,
+            "dirty_blocks": memory.dirty_blocks,
+            "mark_blocks": memory.mark_blocks,
+            "map_range": machine.map_range,
+            "function_at": machine.function_at,
+            "from_bytes": int.from_bytes, "frem": _frem,
+            "fdiv_by_zero": _fdiv_by_zero,
+            "round_to_single": round_to_single,
+            "inf": math.inf, "nan": math.nan,
+        }
+        # What one generated function runs is a stretch of a block.  A call
+        # ends a stretch: its callee's instructions are then counted
+        # before the rest of the block is, so the rest meets the
+        # instruction limit where a per-instruction check would, and no
+        # count needs correcting while a callee runs.
+        self.stretches: List[tuple] = []  # (block, first position, its part)
+        self.block_index: Dict[BasicBlock, int] = {}
         for block in fn.blocks:
-            self.defined = set() if block is fn.entry else set(entry_defined)
+            # the instructions that can run: up to the first terminator
             instructions = block.instructions
             count = next((i + 1 for i, instruction in enumerate(instructions)
                           if instruction.is_terminator), len(instructions))
-            steps = []
-            for position, instruction in enumerate(instructions[:count]):
-                self.after = count - position - 1
-                build = getattr(self, "decode_" + instruction.opcode, None)
-                cost, op = (build(instruction) if build else (0.0, _unknown(
-                    f"unknown opcode {instruction.opcode}")))
-                steps.append((cost, self.slots[instruction], op))
-                self.defined.add(instruction)
-            last = instructions[count - 1] if count else None
-            if last is None or not last.is_terminator:
-                steps.append((0.0, 0, _unknown(
-                    f"block {block.name} in {fn.name} fell through")))
-            blocks.append((steps, count, block,
-                           last is not None and last.opcode == "ret"))
+            live = instructions[:count]
+            self.block_index[block] = len(self.stretches)
+            cuts = [position + 1 for position, instruction
+                    in enumerate(live[:-1]) if instruction.opcode == "call"]
+            for start, stop in zip([0, *cuts], [*cuts, len(live)]):
+                self.stretches.append((block, start, live[start:stop]))
+        self.names = {value: f"v{n}" for n, value in enumerate(
+            (*fn.args, *fn.instructions()))}
+        # A value needs a frame slot if anything reads it other than a
+        # later instruction of its own stretch.
+        self.used: set = set()
+        crossing: set = set()
+        for _, _, instructions in self.stretches:
+            earlier: set = set()
+            for instruction in instructions:
+                for operand in instruction.operands:
+                    if isinstance(operand, inst.Instruction):
+                        self.used.add(operand)
+                        if operand not in earlier:
+                            crossing.add(operand)
+                earlier.add(instruction)
+        self.slots = {value: slot for slot, value in enumerate(
+            (*fn.args, *(instruction for instruction in fn.instructions()
+                         if instruction in crossing)))}
+        # per stretch:
+        self.local: set = set()    # values that are Python locals by now
+        self.defined: set = set()  # values a frame read need not check
+        self.flushed = True        # ``interp.cycles`` is ``c``
+        # the stretch that follows the call this one ends with, else None
+        self.continues: Optional[int] = None
+        self.chunk: List[str] = []
+
+    def decode(self) -> tuple:
+        """(stretches as the run loop's blocks, frame size)."""
+        fn = self.fn
+        # The entry block has run to its terminator before any other block
+        # starts, and a block's earlier instructions before its later ones.
+        entry_defined = {instruction
+                         for ir_block, _, instructions in self.stretches
+                         if ir_block is fn.entry
+                         for instruction in instructions}
+        blocks = []
+        for index, (ir_block, start, instructions) in enumerate(
+                self.stretches):
+            self.local = set()
+            if not start:
+                self.defined = set() if ir_block is fn.entry else set(
+                    entry_defined)
+            self.flushed = True
+            self.continues = (
+                index + 1 if index + 1 < len(self.stretches)
+                and self.stretches[index + 1][0] is ir_block else None)
+            chunks = [self.decode_instruction(instruction)
+                      for instruction in instructions]
+            if self.continues is None and not (
+                    instructions and instructions[-1].is_terminator):
+                self.fail("InterpreterError",
+                          f"block {ir_block.name} in {fn.name} fell through")
+                chunks.append(self.take_chunk())
+            name = re.sub(r"\W", "_", f"{fn.name}__{ir_block.name}"
+                                      + (f"__{start}" if start else ""))
+            blocks.append(_Block(
+                functools.partial(_first_run, fn, index), len(instructions),
+                None if start else ir_block,
+                bool(instructions) and instructions[-1].opcode == "ret",
+                f"def {name}(interp, frame):\n c = interp.cycles\n",
+                chunks, self.namespace))
         return blocks, len(self.slots)
 
-    def operand(self, value: Value) -> Callable[[list], object]:
+    def decode_instruction(self, instruction: inst.Instruction) -> str:
+        emit = getattr(self, "emit_" + instruction.opcode, None)
+        try:
+            if emit is None:
+                raise _Unrunnable(f"unknown opcode {instruction.opcode}")
+            emit(instruction)
+        except _Unrunnable as error:
+            self.fail("InterpreterError", str(error))
+        if instruction in self.used and instruction not in self.local:
+            self.define(instruction, "None")  # a void result that is read
+        self.defined.add(instruction)
+        return self.take_chunk()
+
+    # -- writing lines -----------------------------------------------------
+    def emit(self, line: str, depth: int = 1) -> None:
+        self.chunk.append(" " * depth + line + "\n")
+
+    def take_chunk(self) -> str:
+        chunk, self.chunk = "".join(self.chunk), []
+        return chunk
+
+    def charge(self, cost: float) -> None:
+        self.emit(f"c += {cost!r}")
+        self.flushed = False
+
+    def flush(self) -> None:
+        """Make ``interp.cycles`` current on the straight-line path (a
+        branch that leaves it writes its own)."""
+        if not self.flushed:
+            self.emit("interp.cycles = c")
+            self.flushed = True
+
+    def reload(self) -> None:
+        self.emit("c = interp.cycles")
+        self.flushed = True
+
+    def fail(self, error: str, message: str, depth: int = 1) -> None:
+        self.emit("interp.cycles = c", depth)
+        self.emit(f"raise {error}({message!r})", depth)
+
+    def bind(self, hint: str, value: object) -> str:
+        """A global of the generated code holding ``value``."""
+        name, n = hint, 0
+        while self.namespace.setdefault(name, value) != value:
+            n += 1
+            name = f"{hint}_{n}"
+        return name
+
+    def define(self, instruction: inst.Instruction, expression: str,
+               depth: int = 1) -> None:
+        name = self.names[instruction]
+        slot = self.slots.get(instruction)
+        self.emit(f"{name} = {expression}" if slot is None
+                  else f"frame[{slot}] = {name} = {expression}", depth)
+        self.local.add(instruction)
+
+    def read(self, value: Value, depth: int = 1) -> str:
+        """An expression for ``value``; the first read of a frame value in
+        a block is written as a load into its local."""
         if isinstance(value, Constant):
             immediate = value.value
+            if isinstance(immediate, float) and not math.isfinite(immediate):
+                return ("nan" if immediate != immediate
+                        else "inf" if immediate > 0 else "(-inf)")
         elif isinstance(value, (inst.Instruction, Argument)):
-            slot = self.slots[value]
-            if value in self.defined:
-                return itemgetter(slot)
-            # The verifier does not check dominance, so a use the block
-            # structure does not prove defined is checked when it is read
-            # (and every argument: the caller may pass too few).
-            message = f"use of undefined value {value.short()}"
-
-            def checked(frame):
-                result = frame[slot]
-                if result is _UNDEFINED:
-                    raise InterpreterError(message)
-                return result
-            return checked
+            name = self.names[value]
+            if value not in self.local:
+                self.emit(f"{name} = frame[{self.slots[value]}]", depth)
+                # The verifier does not check dominance, so a use the
+                # block structure does not prove defined is checked when
+                # it is read (and every argument: the caller may pass too
+                # few).
+                if value not in self.defined:
+                    self.emit(f"if {name} is _U:", depth)
+                    self.fail("InterpreterError",
+                              f"use of undefined value {value.short()}",
+                              depth + 1)
+                self.local.add(value)
+            return name
         elif isinstance(value, GlobalVariable):
             immediate = self.machine.global_addresses[value.name]
         elif isinstance(value, Function):
@@ -333,54 +546,70 @@ class _Decoder:
         elif isinstance(value, UndefValue):
             immediate = 0
         else:
-            return _unknown(f"cannot evaluate {value!r}")
-        return lambda frame: immediate
+            raise _Unrunnable(f"cannot evaluate {value!r}")
+        text = repr(immediate)
+        return f"({text})" if text.startswith("-") else text
 
-    # -- one method per opcode: (leading charge, op) ---------------------
-    def decode_binop(self, instruction: inst.BinOp) -> tuple:
+    # -- one method per opcode: the leading charge, then the statements ----
+    def emit_binop(self, instruction: inst.BinOp) -> None:
         name = instruction.op
-        cost = self.costs["div" if name in _DIV_OPS
-                          else "fpu" if name.startswith("f") else "alu"]
-        lhs = self.operand(instruction.lhs)
-        rhs = self.operand(instruction.rhs)
+        self.charge(self.costs["div" if name in _DIV_OPS
+                               else "fpu" if name.startswith("f") else "alu"])
+        lhs = self.read(instruction.lhs)
+        rhs = self.read(instruction.rhs)
         if isinstance(instruction.type, FloatType):
-            table, kind = _FLOAT_BINOPS, "float"
-        else:
-            table, kind = _int_binops(instruction.type.bits), "int"
-        compute = table.get(name) or _unknown(f"unknown {kind} binop {name}")
-        return cost, lambda interp, frame: compute(lhs(frame), rhs(frame))
+            if name not in _FLOAT_BINOPS:
+                raise _Unrunnable(f"unknown float binop {name}")
+            self.define(instruction,
+                        _FLOAT_BINOPS[name].format(lhs=lhs, rhs=rhs))
+            return
+        if name not in _INT_BINOPS:
+            raise _Unrunnable(f"unknown int binop {name}")
+        bits = instruction.type.bits
+        mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+        if name in _DIV_OPS:
+            self.emit(f"if {rhs} & {mask} == 0:")
+            what = "division" if name.endswith("div") else "remainder"
+            self.fail("InterpreterError", f"integer {what} by zero", 2)
+            if name.startswith("s"):
+                self.emit(f"a = (({lhs} & {mask}) ^ {sign}) - {sign}")
+                self.emit(f"b = (({rhs} & {mask}) ^ {sign}) - {sign}")
+        self.define(instruction, _INT_BINOPS[name].format(
+            lhs=lhs, rhs=rhs, mask=mask, sign=sign, bits=bits))
 
-    def decode_cmp(self, instruction: inst.Cmp) -> tuple:
+    def emit_cmp(self, instruction: inst.Cmp) -> None:
         pred = instruction.pred
-        lhs = self.operand(instruction.lhs)
-        rhs = self.operand(instruction.rhs)
-        if pred.startswith("f"):
-            cost = self.costs["fpu"]
-            test = _FLOAT_CMPS.get(pred) or _unknown(
-                f"unknown float predicate {pred}")
-        else:
-            cost = self.costs["alu"]
+        kind = "float" if pred.startswith("f") else "int"
+        self.charge(self.costs["fpu" if kind == "float" else "alu"])
+        lhs = self.read(instruction.lhs)
+        rhs = self.read(instruction.rhs)
+        if pred not in _COMPARISONS:
+            raise _Unrunnable(f"unknown {kind} predicate {pred}")
+        if pred in _SIGNED_PREDS:
             type_ = instruction.lhs.type  # pointers compare at their width
-            test = _int_cmp(pred, type_.bits if isinstance(type_, IntType)
-                            else self.layout.pointer_bytes * 8)
-        return cost, (lambda interp, frame:
-                      1 if test(lhs(frame), rhs(frame)) else 0)
+            bits = (type_.bits if isinstance(type_, IntType)
+                    else self.layout.pointer_bytes * 8)
+            # Flipping the sign bit maps signed order onto unsigned order.
+            mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+            lhs = f"(({lhs} & {mask}) ^ {sign})"
+            rhs = f"(({rhs} & {mask}) ^ {sign})"
+        self.define(instruction,
+                    f"1 if {lhs} {_COMPARISONS[pred]} {rhs} else 0")
 
     def _access(self, type_) -> tuple:
         """How this machine loads or stores a ``type_``: (size, the
-        ``struct.Struct`` of a float else None, cost of the address-size
+        ``struct`` format of a float else None, cost of the address-size
         conversion or None, cost of the byte swap or None)."""
         machine, layout = self.machine, self.layout
         if not type_.is_scalar:
-            raise InterpreterError(
+            raise _Unrunnable(
                 f"aggregate access of {type_}; the frontend must lower "
                 "struct copies to memcpy")
         size = scalar_size(type_, layout)
         codec = None
         if type_.is_float:
-            codec = struct.Struct(
-                ("<" if layout.byte_order == "little" else ">")
-                + ("f" if type_.bits == 32 else "d"))
+            codec = (("<" if layout.byte_order == "little" else ">")
+                     + ("f" if type_.bits == 32 else "d"))
         # Address-size conversion (Section 3.2): zero/trunc-extend on every
         # pointer-sized memory access.  Negligible cost, counted.
         converts = (isinstance(type_, PointerType)
@@ -390,110 +619,106 @@ class _Decoder:
         return (size, codec, self.costs["alu"] * 0.5 if converts else None,
                 self.costs["alu"] * 1.0 if swaps else None)
 
-    def decode_load(self, instruction: inst.Load) -> tuple:
-        try:
-            size, codec, convert_cost, swap_cost = self._access(
-                instruction.type)
-        except InterpreterError as error:
-            return self.costs["mem"], _unknown(str(error))
-        pointer = self.operand(instruction.pointer)
-        machine, observer = self.machine, self.mem_observer
-        memory, order = machine.memory, self.layout.byte_order
-        read, page_at = memory.read, memory.pages.get
-        shift, offset_mask = self.page_shift, self.offset_mask
-        in_page = memory.page_size - size  # the last offset that fits
-        from_bytes = int.from_bytes
-        unpack = None if codec is None else codec.unpack
+    def codec(self, fmt: str, method: str) -> str:
+        """The global that is ``struct.Struct(fmt)``'s ``pack`` or
+        ``unpack``."""
+        return self.bind(f"{method}_{'f32' if fmt[1] == 'f' else 'f64'}",
+                         getattr(_CODECS[fmt], method))
 
-        def op(interp, frame):
-            address = pointer(frame)
-            if observer is not None:
-                observer.memory_access(address, size, False)
-            index = address >> shift
-            offset = address & offset_mask
-            page = page_at(index)
-            if page is None or offset > in_page:
-                data = read(address, size)  # fault, or straddles two pages
-            else:
-                touched = memory.touched
-                if touched is not None:
-                    touched.add(index)
-                data = page[offset:offset + size]
-            if convert_cost is not None:
-                machine.pointer_conversions += 1
-                interp.cycles += convert_cost
-            if swap_cost is not None:
-                machine.endian_swaps += 1
-                interp.cycles += swap_cost
-            return from_bytes(data, order) if unpack is None else unpack(
-                data)[0]
-        return self.costs["mem"], op
+    def observe(self, address: str, size: int, is_write: bool) -> None:
+        if self.observed:
+            self.flush()
+            self.emit(
+                f"observer.memory_access({address}, {size}, {is_write})")
+            self.reload()
 
-    def decode_store(self, instruction: inst.Store) -> tuple:
-        try:
-            size, codec, convert_cost, swap_cost = self._access(
-                instruction.value.type)
-        except InterpreterError as error:
-            return self.costs["mem"], _unknown(str(error))
-        pointer = self.operand(instruction.pointer)
-        source = self.operand(instruction.value)
-        machine, observer = self.machine, self.mem_observer
-        memory, order = machine.memory, self.layout.byte_order
-        write, page_at = memory.write, memory.pages.get
-        mark_dirty, dirty_blocks = memory.dirty.add, memory.dirty_blocks
-        mark_blocks, block_shift = memory.mark_blocks, memory.block_shift
-        shift, offset_mask = self.page_shift, self.offset_mask
-        in_page = memory.page_size - size  # the last offset that fits
-        too_wide = 1 << (size * 8)
-        pack = None if codec is None else codec.pack
+    def translate(self, convert_cost, swap_cost) -> None:
+        if convert_cost is not None:
+            self.emit("machine.pointer_conversions += 1")
+            self.charge(convert_cost)
+        if swap_cost is not None:
+            self.emit("machine.endian_swaps += 1")
+            self.charge(swap_cost)
 
-        def op(interp, frame):
-            address = pointer(frame)
-            value = source(frame)
-            if observer is not None:
-                observer.memory_access(address, size, True)
-            if convert_cost is not None:
-                machine.pointer_conversions += 1
-                interp.cycles += convert_cost
-            if swap_cost is not None:
-                machine.endian_swaps += 1
-                interp.cycles += swap_cost
-            if pack is not None:
-                data = pack(value)
-            elif value < too_wide:
-                data = value.to_bytes(size, order)
-            else:
-                raise OverflowError(
-                    f"pointer {value:#x} does not fit in {size} bytes; "
-                    "UVA addresses must stay below the unified pointer "
-                    "range")
-            index = address >> shift
-            offset = address & offset_mask
-            page = page_at(index)
-            if page is None or offset > in_page:
-                write(address, data)  # fault, or straddles two pages
-                return
-            page[offset:offset + size] = data
-            mark_dirty(index)
-            if memory.track_subpage:
-                block = offset >> block_shift
-                if (offset + size - 1) >> block_shift == block:
-                    dirty_blocks[index] = (dirty_blocks.get(index, 0)
-                                           | 1 << block)
-                else:
-                    mark_blocks(index, offset, size)
-            touched = memory.touched
-            if touched is not None:
-                touched.add(index)
-        return self.costs["mem"], op
+    def locate(self, address: str, size: int) -> None:
+        """Page index ``i``, offset ``o`` and page ``p`` of an access, and
+        the start of the arm that leaves it to ``memory.read``/``write``:
+        a fault, or a scalar that straddles two pages."""
+        self.emit(f"i = {address} >> {self.page_shift}")
+        self.emit(f"o = {address} & {self.offset_mask}")
+        self.emit("p = page_at(i)")
+        # against the last offset that fits
+        self.emit(f"if p is None or o > {self.memory.page_size - size}:")
+        self.emit("interp.cycles = c", 2)
+        self.flushed = False  # on the other arm
 
-    def decode_gep(self, instruction: inst.Gep) -> tuple:
-        cost = self.costs["alu"]
+    def emit_load(self, instruction: inst.Load) -> None:
+        self.charge(self.costs["mem"])
+        size, codec, convert_cost, swap_cost = self._access(instruction.type)
+        address = self.read(instruction.pointer)
+        self.observe(address, size, False)
+        self.locate(address, size)
+        self.emit(f"d = read({address}, {size})", 2)
+        self.emit("c = interp.cycles", 2)
+        self.emit("else:")
+        self.emit("t = memory.touched", 2)
+        self.emit("if t is not None:", 2)
+        self.emit("t.add(i)", 3)
+        self.emit(f"d = p[o:o + {size}]", 2)
+        self.translate(convert_cost, swap_cost)
+        self.define(instruction,
+                    f"from_bytes(d, {self.layout.byte_order!r})"
+                    if codec is None
+                    else f"{self.codec(codec, 'unpack')}(d)[0]")
+
+    def emit_store(self, instruction: inst.Store) -> None:
+        self.charge(self.costs["mem"])
+        size, codec, convert_cost, swap_cost = self._access(
+            instruction.value.type)
+        address = self.read(instruction.pointer)
+        value = self.read(instruction.value)
+        self.observe(address, size, True)
+        self.translate(convert_cost, swap_cost)
+        if codec is None:
+            stored, too_wide = instruction.value, 1 << (size * 8)
+            if not (isinstance(stored, Constant)
+                    and 0 <= stored.value < too_wide):
+                message = (
+                    f"pointer %#x does not fit in {size} bytes; UVA "
+                    "addresses must stay below the unified pointer range")
+                self.emit(f"if {value} >= {too_wide}:")
+                self.emit("interp.cycles = c", 2)
+                self.emit(f"raise OverflowError({message!r} % {value})", 2)
+            self.emit(f"d = ({value}).to_bytes({size}, "
+                      f"{self.layout.byte_order!r})")
+        elif codec[1] == "f":  # ``struct`` raises where IEEE 754 rounds
+            self.emit(f"d = {self.codec(codec, 'pack')}"
+                      f"(round_to_single({value}))")
+        else:
+            self.emit(f"d = {self.codec(codec, 'pack')}({value})")
+        self.locate(address, size)
+        self.emit(f"write({address}, d)", 2)
+        self.emit("c = interp.cycles", 2)
+        self.emit("else:")
+        self.emit(f"p[o:o + {size}] = d", 2)
+        self.emit("mark_dirty(i)", 2)
+        self.emit("if memory.track_subpage:", 2)
+        shift = self.memory.block_shift
+        self.emit(f"b = o >> {shift}", 3)
+        self.emit(f"if (o + {size - 1}) >> {shift} == b:", 3)
+        self.emit("dirty_blocks[i] = dirty_blocks.get(i, 0) | 1 << b", 4)
+        self.emit("else:", 3)
+        self.emit(f"mark_blocks(i, o, {size})", 4)
+        self.emit("t = memory.touched", 2)
+        self.emit("if t is not None:", 2)
+        self.emit("t.add(i)", 3)
+
+    def emit_gep(self, instruction: inst.Gep) -> None:
+        self.charge(self.costs["alu"])
         layout = self.layout
-        base = self.operand(instruction.base)
         current = instruction.base.type.pointee
         constant = 0  # struct field offsets and constant indices, folded
-        scaled = []   # (index getter, mask, sign bit, scale)
+        scaled = []   # (index, mask, sign bit, scale)
         for position, index in enumerate(instruction.indices):
             if position and isinstance(current, StructType):
                 field = int(index.value)  # verified constant
@@ -502,208 +727,196 @@ class _Decoder:
                 continue
             if position:  # the first index scales by whole pointees
                 if not isinstance(current, ArrayType):
-                    return cost, _unknown(
-                        f"gep into non-aggregate {current}")
+                    raise _Unrunnable(f"gep into non-aggregate {current}")
                 current = current.element
             scale = layout.size_of(current)
             bits = index.type.bits if isinstance(index.type, IntType) else 64
             if isinstance(index, Constant):
                 constant += to_signed(index.value, bits) * scale
             else:
-                scaled.append((self.operand(index), (1 << bits) - 1,
-                               1 << (bits - 1), scale))
+                scaled.append((index, (1 << bits) - 1, 1 << (bits - 1),
+                               scale))
+        address = self.read(instruction.base)
+        if constant:
+            address += f" + {constant}"
+        for index, mask, sign, scale in scaled:
+            address += (f" + ((({self.read(index)} & {mask}) ^ {sign})"
+                        f" - {sign}) * {scale}")
+        self.define(instruction, f"({address}) & {_MASK64}")
 
-        def op(interp, frame):
-            address = base(frame) + constant
-            for index, mask, sign, scale in scaled:
-                address += (((index(frame) & mask) ^ sign) - sign) * scale
-            return address & _MASK64
-        return cost, op
+    def emit_cast(self, instruction: inst.Cast) -> None:
+        self.charge(self.costs["alu"])
+        name, src, dst = (instruction.op, instruction.value.type,
+                          instruction.type)
+        value = self.read(instruction.value)
+        if name in ("fptosi", "fptoui"):
+            # Of an infinity or a NaN: undefined in C, and machine
+            # specific where it is not (ARM saturates, x86 gives INT_MIN),
+            # which unification cannot paper over.
+            number = value if name == "fptosi" else f"abs({value})"
+            message = f"{name} of %r to {dst} is undefined"
+            self.emit("try:")
+            self.define(instruction,
+                        f"int({number}) & {(1 << dst.bits) - 1}", 2)
+            self.emit("except (OverflowError, ValueError):")
+            self.emit("interp.cycles = c", 2)
+            self.emit(f"raise InterpreterError({message!r} % {value}) "
+                      "from None", 2)
+        elif name in ("trunc", "zext", "ptrtoint"):
+            self.define(instruction, f"{value} & {(1 << dst.bits) - 1}")
+        elif name == "sext":
+            narrow, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
+            self.define(instruction, f"((({value} & {narrow}) ^ {sign})"
+                                     f" - {sign}) & {(1 << dst.bits) - 1}")
+        elif name == "fptrunc" and dst.bits == 32:
+            self.define(instruction, f"round_to_single({value})")
+        elif name in ("fptrunc", "fpext", "uitofp"):
+            self.define(instruction, f"float({value})")
+        elif name == "sitofp":
+            mask, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
+            self.define(instruction,
+                        f"float((({value} & {mask}) ^ {sign}) - {sign})")
+        elif name == "inttoptr":
+            self.define(instruction, f"{value} & {_MASK64}")
+        elif name == "bitcast":
+            self.define(instruction, value)
+        else:
+            raise _Unrunnable(f"unknown cast {name}")
 
-    def decode_cast(self, instruction: inst.Cast) -> tuple:
-        value = self.operand(instruction.value)
-        convert = _cast(instruction.op, instruction.value.type,
-                        instruction.type)
-        return self.costs["alu"], lambda interp, frame: convert(value(frame))
-
-    def decode_alloca(self, instruction: inst.Alloca) -> tuple:
+    def emit_alloca(self, instruction: inst.Alloca) -> None:
+        self.charge(self.costs["alu"])
         size = max(1, self.layout.size_of(instruction.allocated_type))
         size = (size + 15) // 16 * 16
-        floor = self.machine.stack_top - STACK_SIZE
-        map_range = self.machine.map_range
+        self.emit(f"interp.sp = s = interp.sp - {size}")
+        self.emit(f"if s < {self.machine.stack_top - STACK_SIZE}:")
+        self.fail("StackOverflow", "simulated stack exhausted", 2)
+        self.flush()
+        self.emit(f"map_range(s, {size})")
+        self.reload()
+        self.define(instruction, "s")
 
-        def op(interp, frame):
-            interp.sp = sp = interp.sp - size
-            if sp < floor:
-                raise StackOverflow("simulated stack exhausted")
-            map_range(sp, size)
-            return sp
-        return self.costs["alu"], op
-
-    def decode_call(self, instruction: inst.Call) -> tuple:
-        args = [self.operand(arg) for arg in instruction.args]
+    def emit_call(self, instruction: inst.Call) -> None:
+        # no leading charge: call_function charges
+        args = ", ".join([self.read(arg) for arg in instruction.args])
         callee = instruction.callee
-        direct = callee if isinstance(callee, Function) else None
-        target = None if direct is not None else self.operand(callee)
-        function_at = self.machine.function_at
-        after = self.after
+        address = (None if isinstance(callee, Function)
+                   else self.read(callee))
+        self.flush()
+        if address is None:
+            target = self.bind("fn_" + re.sub(r"\W", "_", callee.name),
+                               callee)
+        else:
+            # Indirect call: resolve the runtime address to a function on
+            # *this* machine.  Untranslated foreign addresses fault here.
+            self.emit(f"fn = function_at({address})")
+            self.emit("if fn is None:")
+            self.emit(f"raise BadFunctionPointer({address})", 2)
+            target = "fn"
+        call = f"interp.call_function({target}, [{args}])"
+        if instruction in self.used:
+            self.define(instruction, call)
+        else:
+            self.emit(call)
+        if self.continues is None:
+            self.reload()
+        else:
+            self.emit(f"return {self.continues}")
 
-        def op(interp, frame):
-            values = [arg(frame) for arg in args]
-            fn = direct
-            if fn is None:
-                # Indirect call: resolve the runtime address to a function
-                # on *this* machine.  Untranslated foreign addresses fault
-                # here.
-                address = target(frame)
-                fn = function_at(address)
-                if fn is None:
-                    raise BadFunctionPointer(address)
-            # The rest of this block is counted but has not started: the
-            # callee's limit check and builtins must not see it.
-            interp.instruction_count -= after
-            try:
-                return interp.call_function(fn, values)
-            finally:
-                interp.instruction_count += after
-        return 0.0, op  # call_function charges
+    def emit_select(self, instruction: inst.Select) -> None:
+        self.charge(self.costs["alu"])
+        cond, *arms = instruction.operands
+        name = self.names[instruction]
+        # Only the arm taken is read (and checked), so a frame value read
+        # there is no local of the rest of the block.
+        for opening, arm in zip((f"if {self.read(cond)}:", "else:"), arms):
+            self.emit(opening)
+            local = set(self.local)
+            self.emit(f"{name} = {self.read(arm, 2)}", 2)
+            self.local = local
+        self.local.add(instruction)
+        if instruction in self.slots:
+            self.emit(f"frame[{self.slots[instruction]}] = {name}")
 
-    def decode_select(self, instruction: inst.Select) -> tuple:
-        cond, if_true, if_false = map(self.operand, instruction.operands)
-        return self.costs["alu"], (
-            lambda interp, frame:
-            (if_true if cond(frame) else if_false)(frame))
-
-    def decode_asm(self, instruction: inst.InlineAsm) -> tuple:
+    def emit_asm(self, instruction: inst.InlineAsm) -> None:
         # Inline assembly executes natively on its home machine; charge a
         # token cost.
-        return self.costs["alu"], lambda interp, frame: None
+        self.charge(self.costs["alu"])
 
-    def decode_syscall(self, instruction: inst.Syscall) -> tuple:
-        return self.costs["call"], lambda interp, frame: 0
+    def emit_syscall(self, instruction: inst.Syscall) -> None:
+        self.charge(self.costs["call"])
+        self.define(instruction, "0")
 
-    def decode_br(self, instruction: inst.Br) -> tuple:
-        target = self.block_index[instruction.target]
-        return self.costs["branch"], lambda interp, frame: target
+    def leave(self, result: str) -> None:
+        self.flush()
+        self.emit(f"return {result}")
 
-    def decode_condbr(self, instruction: inst.CondBr) -> tuple:
-        cond = self.operand(instruction.cond)
-        if_true = self.block_index[instruction.if_true]
-        if_false = self.block_index[instruction.if_false]
-        return self.costs["branch"], (
-            lambda interp, frame: if_true if cond(frame) else if_false)
+    def emit_br(self, instruction: inst.Br) -> None:
+        self.charge(self.costs["branch"])
+        self.leave(str(self.block_index[instruction.target]))
 
-    def decode_switch(self, instruction: inst.Switch) -> tuple:
-        value = self.operand(instruction.value)
-        default = self.block_index[instruction.default]
+    def emit_condbr(self, instruction: inst.CondBr) -> None:
+        self.charge(self.costs["branch"])
+        cond = self.read(instruction.cond)
+        self.leave(f"{self.block_index[instruction.if_true]} if {cond} "
+                   f"else {self.block_index[instruction.if_false]}")
+
+    def emit_switch(self, instruction: inst.Switch) -> None:
+        self.charge(self.costs["branch"])
+        value = self.read(instruction.value)
         targets: Dict[int, int] = {}
         for const, block in instruction.cases:  # the first match wins
             targets.setdefault(const & _MASK64, self.block_index[block])
-        return self.costs["branch"], (
-            lambda interp, frame:
-            targets.get(value(frame) & _MASK64, default))
+        table = self.bind("switch_" + self.names[instruction], targets)
+        self.leave(f"{table}.get({value} & {_MASK64}, "
+                   f"{self.block_index[instruction.default]})")
 
-    def decode_ret(self, instruction: inst.Ret) -> tuple:
-        if instruction.value is None:
-            return self.costs["branch"], lambda interp, frame: None
-        value = self.operand(instruction.value)
-        return self.costs["branch"], lambda interp, frame: value(frame)
+    def emit_ret(self, instruction: inst.Ret) -> None:
+        self.charge(self.costs["branch"])
+        self.leave("None" if instruction.value is None
+                   else self.read(instruction.value))
 
-    def decode_unreachable(self, instruction: inst.Unreachable) -> tuple:
-        return 0.0, _unknown(f"reached unreachable in {self.fn.name}")
-
-
-# -- value functions, chosen once per instruction at decode time ----------
-
-@functools.lru_cache(maxsize=None)
-def _int_binops(bits: int) -> Dict[str, Callable[[int, int], int]]:
-    """The integer binops at one width (a handful of widths exist)."""
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-
-    def signed(value):
-        return ((value & mask) ^ sign) - sign
-
-    def divides(compute, what):
-        def checked(lhs, rhs):
-            if rhs & mask == 0:
-                raise InterpreterError(f"integer {what} by zero")
-            return compute(lhs, rhs) & mask
-        return checked
-
-    def sdiv(lhs, rhs):
-        # C truncates toward zero.  ``int(a / b)`` goes through a float
-        # and is wrong above 2**53.
-        a, b = signed(lhs), signed(rhs)
-        quotient = abs(a) // abs(b)
-        return -quotient if (a < 0) != (b < 0) else quotient
-
-    def srem(lhs, rhs):  # the sign follows the dividend
-        a = signed(lhs)
-        remainder = abs(a) % abs(signed(rhs))
-        return -remainder if a < 0 else remainder
-
-    return {
-        "add": lambda lhs, rhs: (lhs + rhs) & mask,
-        "sub": lambda lhs, rhs: (lhs - rhs) & mask,
-        "mul": lambda lhs, rhs: (lhs * rhs) & mask,
-        "sdiv": divides(sdiv, "division"),
-        "udiv": divides(operator.floordiv, "division"),
-        "srem": divides(srem, "remainder"),
-        "urem": divides(operator.mod, "remainder"),
-        "and": operator.and_, "or": operator.or_, "xor": operator.xor,
-        "shl": lambda lhs, rhs: (lhs << (rhs % bits)) & mask,
-        "lshr": lambda lhs, rhs: lhs >> (rhs % bits),
-        "ashr": lambda lhs, rhs: (signed(lhs) >> (rhs % bits)) & mask,
-    }
+    def emit_unreachable(self, instruction: inst.Unreachable) -> None:
+        raise _Unrunnable(f"reached unreachable in {self.fn.name}")
 
 
-def _fdiv(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return float("inf") if lhs > 0 else (
-            float("-inf") if lhs < 0 else float("nan"))
-    return lhs / rhs
+# -- what an operation is, as the expression the decoder writes ------------
+# ``a`` and ``b`` are the operands as signed numbers.  C truncates toward
+# zero and a remainder's sign follows the dividend; ``int(a / b)`` goes
+# through a float and is wrong above 2**53.
+_INT_BINOPS = {
+    "add": "({lhs} + {rhs}) & {mask}",
+    "sub": "({lhs} - {rhs}) & {mask}",
+    "mul": "({lhs} * {rhs}) & {mask}",
+    "sdiv": "(-(abs(a) // abs(b)) if (a < 0) != (b < 0)"
+            " else abs(a) // abs(b)) & {mask}",
+    "udiv": "({lhs} // {rhs}) & {mask}",
+    "srem": "(-(abs(a) % abs(b)) if a < 0 else abs(a) % abs(b)) & {mask}",
+    "urem": "({lhs} % {rhs}) & {mask}",
+    "and": "{lhs} & {rhs}", "or": "{lhs} | {rhs}", "xor": "{lhs} ^ {rhs}",
+    "shl": "({lhs} << ({rhs} % {bits})) & {mask}",
+    "lshr": "{lhs} >> ({rhs} % {bits})",
+    "ashr": "(((({lhs} & {mask}) ^ {sign}) - {sign}) >> ({rhs} % {bits}))"
+            " & {mask}",
+}
+_FLOAT_BINOPS = {
+    "fadd": "{lhs} + {rhs}", "fsub": "{lhs} - {rhs}", "fmul": "{lhs} * {rhs}",
+    "fdiv": "{lhs} / {rhs} if {rhs} else fdiv_by_zero({lhs})",
+    "frem": "frem({lhs}, {rhs})",
+}
+_SIGNED_PREDS = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
+_COMPARISONS = {
+    "eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
+    "feq": "==", "fne": "!=", "flt": "<", "fle": "<=", "fgt": ">",
+    "fge": ">=", **_SIGNED_PREDS}
+_CODECS = {fmt: struct.Struct(fmt) for fmt in ("<f", "<d", ">f", ">d")}
 
 
-_FLOAT_BINOPS = {"fadd": operator.add, "fsub": operator.sub,
-                 "fmul": operator.mul, "fdiv": _fdiv, "frem": math.fmod}
-_FLOAT_CMPS = {"feq": operator.eq, "fne": operator.ne, "flt": operator.lt,
-               "fle": operator.le, "fgt": operator.gt, "fge": operator.ge}
-_UNSIGNED_CMPS = {"eq": operator.eq, "ne": operator.ne, "ult": operator.lt,
-                  "ule": operator.le, "ugt": operator.gt, "uge": operator.ge}
-_SIGNED_CMPS = {"slt": operator.lt, "sle": operator.le,
-                "sgt": operator.gt, "sge": operator.ge}
+def _fdiv_by_zero(lhs: float) -> float:
+    return math.inf if lhs > 0 else -math.inf if lhs < 0 else math.nan
 
 
-def _int_cmp(pred: str, bits: int) -> Callable[[int, int], bool]:
-    if pred in _UNSIGNED_CMPS:
-        return _UNSIGNED_CMPS[pred]
-    test = _SIGNED_CMPS.get(pred)
-    if test is None:
-        return _unknown(f"unknown int predicate {pred}")
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-    # Flipping the sign bit maps signed order onto unsigned order.
-    return lambda lhs, rhs: test((lhs & mask) ^ sign, (rhs & mask) ^ sign)
-
-
-def _cast(name: str, src, dst) -> Callable:
-    if name in ("trunc", "zext", "sext", "ptrtoint", "fptosi", "fptoui"):
-        mask = (1 << dst.bits) - 1
-        if name == "sext":
-            narrow, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
-            return lambda value: (((value & narrow) ^ sign) - sign) & mask
-        if name == "fptosi":
-            return lambda value: int(value) & mask
-        if name == "fptoui":
-            return lambda value: int(abs(value)) & mask
-        return lambda value: value & mask
-    if name in ("fptrunc", "fpext", "uitofp"):
-        return float
-    if name == "sitofp":
-        return lambda value: float(to_signed(value, src.bits))
-    if name == "inttoptr":
-        return lambda value: value & _MASK64
-    if name == "bitcast":
-        return lambda value: value
-    return _unknown(f"unknown cast {name}")
+def _frem(lhs: float, rhs: float) -> float:
+    try:
+        return math.fmod(lhs, rhs)
+    except ValueError:  # by zero, or of an infinity: IEEE 754 says NaN
+        return math.nan

@@ -7,6 +7,7 @@ address-size conversion pass) and IEEE-754 encodings.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from ..ir.types import FloatType, IRType, IntType, PointerType
@@ -26,6 +27,20 @@ def to_unsigned(value: int, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
 
+_SINGLE = struct.Struct("<f")
+
+
+def round_to_single(value: float) -> float:
+    """``value`` as IEEE 754 single precision holds it — what a C
+    ``(float)`` cast or a store to a ``float`` does.  A magnitude single
+    precision cannot hold rounds to an infinity; ``struct`` raises
+    instead."""
+    try:
+        return _SINGLE.unpack(_SINGLE.pack(value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def encode_scalar(value, type: IRType, layout: DataLayout) -> bytes:
     """Encode one scalar value for storage under ``layout``."""
     order = layout.byte_order
@@ -34,7 +49,9 @@ def encode_scalar(value, type: IRType, layout: DataLayout) -> bytes:
         return int(value).to_bytes(size, order)
     if isinstance(type, FloatType):
         fmt = ("<" if order == "little" else ">") + ("f" if type.bits == 32 else "d")
-        return struct.pack(fmt, float(value))
+        value = float(value)
+        return struct.pack(
+            fmt, round_to_single(value) if type.bits == 32 else value)
     if isinstance(type, PointerType):
         size = layout.pointer_bytes
         addr = int(value)

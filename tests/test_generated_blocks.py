@@ -1,0 +1,491 @@
+"""The generated-block executor, beside the accounting goldens.
+
+``tests/test_interpreter_contract.py`` pins what a run reports.  This
+file pins how the interpreter gets there now that a basic block is one
+generated Python function (docs/architecture.md, "Interpreter: decode
+once, then run generated blocks"): the count and cycles are exact
+whichever instruction of a block a run unwinds from, malformed IR is
+reported when it is reached, blocks are compiled lazily and shared by
+text through one bounded cache, and nothing generated keeps an
+interpreter — or anything but code — alive.
+"""
+
+import functools
+import gc
+import os
+import subprocess
+import sys
+import threading
+import types
+import weakref
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.analysis.callgraph import CallGraph
+from repro.frontend import compile_c
+from repro.fleet.replay import SegmentBoundary
+from repro.ir import (Constant, F64, Function, FunctionType, I1, I32,
+                      Instruction, IRBuilder, Module, StructType, VOID, ptr)
+from repro.machine import (ExecutionLimitExceeded, ExitProgram, Interpreter,
+                           InterpreterError, Machine, Observer,
+                           SegmentationFault, install_libc)
+from repro.machine import interpreter as interpreter_module
+from repro.machine.fs import IOEnvironment
+from repro.runtime import run_local
+from repro.targets import ARM32
+from repro.workloads import workload
+
+
+# -- unwinding from every position of a block --------------------------------
+
+#: Ends the classes of a program whose last listed instruction raises.
+RAISES = "raises"
+ORDINARY = ["store", "load", "udiv", "call", "external", "add"]
+RAISING = {
+    "udiv by zero": InterpreterError,
+    "fptosi of infinity": InterpreterError,
+    "segfault": SegmentationFault,
+    "exit": ExitProgram,
+    "boundary": SegmentBoundary,
+}
+
+
+def _program(kinds):
+    """A module whose ``main`` is one block: an ``alloca``, one
+    instruction per kind and a ``ret``.  Returns it with the cost class
+    of every instruction a run executes, in execution order — a direct
+    call is the ``call`` and then its callee's instructions — with
+    ``RAISES`` behind an instruction that does not complete: nothing
+    listed after it runs."""
+    module = Module()
+    helper = module.add_function(
+        Function("helper", FunctionType(I32, [I32]), ["x"]))
+    b = IRBuilder(helper.add_block("entry"))
+    b.ret(b.add(helper.args[0], b.i32(1)))
+    probe = module.declare_function("probe", FunctionType(I32, [I32]))
+    stop = module.declare_function("stop", FunctionType(I32, [I32]))
+    # deep3 -> deep2 -> deep1 -> exit(): three guest frames below main
+    deep = module.declare_function("exit", FunctionType(VOID, [I32]))
+    for depth in (1, 2, 3):
+        fn = module.add_function(
+            Function(f"deep{depth}", FunctionType(VOID, [I32]), ["x"]))
+        b = IRBuilder(fn.add_block("entry"))
+        b.call(deep, [fn.args[0]])
+        b.ret()
+        deep = fn
+    main = module.add_function(Function("main", FunctionType(I32, [])))
+    b = IRBuilder(main.add_block("entry"))
+    slot, value = b.alloca(I32), b.i32(40)
+    classes = ["alu"]
+    for kind in kinds:
+        if kind == "store":
+            b.store(value, slot)
+            classes += ["mem"]
+        elif kind == "load":
+            value = b.load(slot)
+            classes += ["mem"]
+        elif kind == "udiv":
+            value = b.binop("udiv", value, b.i32(3))
+            classes += ["div"]
+        elif kind == "add":
+            value = b.add(value, b.i32(5))
+            classes += ["alu"]
+        elif kind == "call":
+            value = b.call(helper, [value])
+            classes += ["call", "alu", "branch"]
+        elif kind == "external":
+            value = b.call(probe, [value])
+            classes += ["call"]
+        elif kind == "udiv by zero":
+            b.binop("udiv", value, b.i32(0))
+            classes += ["div", RAISES]
+        elif kind == "fptosi of infinity":
+            b.fptosi(Constant(F64, float("inf")), I32)
+            classes += ["alu", RAISES]
+        elif kind == "segfault":  # page 0 is unmapped: the slow path
+            b.load(Constant(ptr(I32), 64))
+            classes += ["mem", RAISES]
+        elif kind == "exit":
+            b.call(deep, [value])
+            classes += ["call"] * 4 + [RAISES]
+        elif kind == "boundary":
+            b.call(stop, [value])
+            classes += ["call", RAISES]
+        else:
+            raise AssertionError(kind)
+    b.ret(value)
+    return module, classes + ["branch"]
+
+
+def _stop(interp, args):
+    raise SegmentBoundary("target", 0.0)
+
+
+def _interp(module, observed=False):
+    machine = Machine(ARM32)
+    install_libc(machine)
+    machine.register_builtin("probe", lambda interp, args: args[0])
+    machine.register_builtin("stop", _stop)
+    machine.load(module)
+    return Interpreter(machine, observer=Observer() if observed else None)
+
+
+def _reference(interp, classes):
+    """``cycles`` once 0, 1, 2, … instructions have been charged: a sum
+    kept here, one add per instruction in execution order, over the
+    interpreter's cost table."""
+    cycles = 0.0
+    cycles += interp._cycle_table["call"]  # run_main's call of main
+    sums = [cycles]
+    for name in classes:
+        if name is RAISES:
+            break
+        cycles += interp._cycle_table[name]
+        sums.append(cycles)
+    return sums
+
+
+def _unwound(interp):
+    return interp.call_depth == 0 and interp.sp == interp.machine.stack_top
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_limit_fires_exactly_at_every_instruction_of_a_block(observed):
+    module, classes = _program(ORDINARY)
+    sums = _reference(_interp(module), classes)
+    assert len(classes) == 10
+
+    interp = _interp(module, observed)
+    assert interp.run_main() == (40 // 3 + 1) + 5
+    assert (interp.instruction_count, interp.cycles.hex()) == (
+        len(classes), sums[-1].hex())
+
+    for limit in range(len(classes)):
+        interp = _interp(module, observed)
+        interp.max_instructions = limit
+        with pytest.raises(ExecutionLimitExceeded,
+                           match=f"exceeded {limit} instructions"):
+            interp.run_main()
+        # instruction ``limit + 1`` is counted and charged nothing
+        assert (interp.instruction_count, interp.cycles.hex()) == (
+            limit + 1, sums[limit].hex()), limit
+        assert _unwound(interp)
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("raising", sorted(RAISING))
+def test_whatever_unwinds_a_block_leaves_exact_accounting(raising, observed):
+    for position in range(len(ORDINARY) + 1):
+        kinds = ORDINARY[:position] + [raising] + ORDINARY[position:]
+        module, classes = _program(kinds)
+        interp = _interp(module, observed)
+        sums = _reference(interp, classes)
+        with pytest.raises(RAISING[raising]):
+            interp.call_function(module.function("main"), [])
+        # every instruction that started is counted and charged, the
+        # raising one included; none after it is
+        assert (interp.instruction_count, interp.cycles.hex()) == (
+            len(sums) - 1, sums[-1].hex()), position
+        assert _unwound(interp)
+
+
+def test_a_raising_line_maps_to_its_instruction_beyond_255():
+    """One byte per line cannot number the instructions of a block this
+    long (the mini-C of tests/test_stdio_equivalence.py has one)."""
+    module, classes = _program(["add"] * 280 + ["udiv by zero"]
+                               + ["add"] * 40)
+    interp = _interp(module)
+    sums = _reference(interp, classes)
+    with pytest.raises(InterpreterError, match="integer division by zero"):
+        interp.run_main()
+    assert (interp.instruction_count, interp.cycles.hex()) == (
+        282, sums[-1].hex())
+
+
+# -- malformed IR is reported if and when it is reached ----------------------
+
+class _Frobnicate(Instruction):
+    opcode = "frobnicate"
+
+
+def _malformed(what):
+    """``f(c)``: the ``bad`` block is malformed in the way ``what`` names;
+    ``c`` decides whether it is reached."""
+    module = Module()
+    fn = module.add_function(Function("f", FunctionType(I32, [I1]), ["c"]))
+    entry, bad, good = (fn.add_block(name)
+                        for name in ("entry", "bad", "good"))
+    IRBuilder(entry).condbr(fn.args[0], bad, good)
+    IRBuilder(good).ret(Constant(I32, 7))
+    b = IRBuilder(bad)
+    if what == "unknown opcode":
+        bad.append(_Frobnicate(VOID, []))
+        b.ret(b.i32(0))
+    elif what == "unreachable":
+        b.unreachable()
+    elif what == "fell through":
+        b.add(b.i32(1), b.i32(2))
+    elif what == "aggregate access":
+        b.load(Constant(ptr(StructType("pair", [("a", I32), ("b", I32)])),
+                        64))
+        b.ret(b.i32(0))
+    else:
+        raise AssertionError(what)
+    machine = Machine(ARM32)
+    machine.load(module)
+    return Interpreter(machine), fn
+
+
+@pytest.mark.parametrize("what,message", [
+    ("unknown opcode", "unknown opcode frobnicate"),
+    ("unreachable", "reached unreachable in f"),
+    ("fell through", "block bad in f fell through"),
+    ("aggregate access", "aggregate access of"),
+])
+def test_malformed_ir_raises_when_reached_and_only_then(what, message):
+    interp, fn = _malformed(what)
+    assert interp.call_function(fn, [0]) == 7
+    before = interp.instruction_count
+    with pytest.raises(InterpreterError, match=message):
+        interp.call_function(fn, [1])
+    # the condbr, and the one instruction of ``bad`` that started
+    assert interp.instruction_count == before + 2
+    assert interp.call_depth == 0
+
+
+def test_select_checks_only_the_arm_it_takes():
+    """``left`` defines %v, ``right`` does not; ``join`` selects between
+    %v and a constant on the path taken, so the arm that is not taken is
+    never read."""
+    module = Module()
+    fn = module.add_function(Function("f", FunctionType(I32, [I1]), ["c"]))
+    entry, left, right, join = (fn.add_block(name) for name in
+                                ("entry", "left", "right", "join"))
+    IRBuilder(entry).condbr(fn.args[0], left, right)
+    b = IRBuilder(left)
+    value = b.add(b.i32(40), b.i32(2))
+    b.br(join)
+    IRBuilder(right).br(join)
+    b = IRBuilder(join)
+    chosen = b.select(fn.args[0], value, b.i32(9))
+    b.ret(b.add(chosen, value))  # a later, unconditional read: checked
+    machine = Machine(ARM32)
+    machine.load(module)
+    assert Interpreter(machine).call_function(fn, [1]) == 84
+    interp = Interpreter(machine)
+    with pytest.raises(InterpreterError, match="use of undefined value"):
+        interp.call_function(fn, [0])
+    # the select ran (its constant arm), the add that reads %v raised
+    assert interp.instruction_count == 1 + 1 + 2
+
+
+# -- lazy, shared, bounded compilation ---------------------------------------
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The sources handed to ``compile()`` by the cached compile step,
+    which starts empty."""
+    sources = []
+
+    def counting(source, *args, **kwargs):
+        sources.append(source)
+        return compile(source, *args, **kwargs)
+
+    interpreter_module._block_code.cache_clear()
+    # a module global shadows the builtin for _block_code alone
+    monkeypatch.setattr(interpreter_module, "compile", counting,
+                        raising=False)
+    return sources
+
+
+BRANCHY_SRC = """
+int main() {
+    int n;
+    scanf("%d", &n);
+    if (n > 100) { printf("big\\n"); n = n * 2; }
+    printf("%d\\n", n);
+    return 0;
+}
+"""
+
+
+def _fresh_run(source, stdin):
+    """A fresh compile of ``source`` run on a fresh machine; the
+    interpreter that ran it."""
+    machine = Machine(ARM32, io=IOEnvironment(stdin=stdin))
+    install_libc(machine)
+    machine.load(compile_c(source, "test"))
+    interp = Interpreter(machine)
+    assert interp.run_main() == 0
+    return interp
+
+
+def _blocks(interp):
+    return [block for blocks, _ in interp._decoded.values()
+            for block in blocks]
+
+
+def _text(block):
+    return block.header + "".join(block.chunks)
+
+
+def test_a_block_is_compiled_when_it_first_runs(compiles):
+    interp = _fresh_run(BRANCHY_SRC, b"5\n")
+    assert interp.machine.io.stdout_text() == "5\n"
+    ran = [block for block in _blocks(interp)
+           if isinstance(block.run, types.FunctionType)]
+    never_ran = [block for block in _blocks(interp)
+                 if isinstance(block.run, functools.partial)]
+    assert len(ran) + len(never_ran) == len(_blocks(interp))
+    assert never_ran, "the input does not take the branch"
+    # one compile() per block that ran, none for a block that did not
+    assert sorted(compiles) == sorted(_text(block) for block in ran)
+    assert not {_text(block) for block in never_ran} & set(compiles)
+
+
+def test_compiled_blocks_are_shared_by_text(compiles):
+    spec = workload("chess")
+    first = _fresh_run(spec.source, spec.profile_stdin)
+    assert len(compiles) == len(set(compiles)) > 100
+    # a fresh compile_c of the same source on a fresh machine writes the
+    # same text, so nothing is compiled again
+    del compiles[:]
+    second = _fresh_run(spec.source, spec.profile_stdin)
+    assert compiles == []
+    assert (second.instruction_count, second.cycles) == (
+        first.instruction_count, first.cycles)
+    assert second._decoded.keys().isdisjoint(first._decoded)
+
+
+def test_code_cache_is_bounded():
+    cache = interpreter_module._block_code
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    for n in range(bound + 50):
+        cache(f"def block(interp, frame):\n return {n}\n")
+    assert cache.cache_info().currsize == bound
+
+
+def test_generated_code_holds_no_interpreter_and_its_code_nothing_live():
+    """Dropping an interpreter frees it by refcounting alone, with
+    never-run blocks (their first-run stubs) present; and a code object —
+    all the cache holds — reaches constants and names, never a machine,
+    a page, an observer or IR."""
+    gc.collect()
+    gc.disable()
+    try:
+        interp = _fresh_run(BRANCHY_SRC, b"5\n")
+        functions = [block.run for block in _blocks(interp)
+                     if isinstance(block.run, types.FunctionType)]
+        assert len(functions) < len(_blocks(interp))
+        for function in functions:
+            assert function.__closure__ is None
+            assert all(value is not interp
+                       for value in function.__globals__.values())
+        codes = [function.__code__ for function in functions]
+        del function, functions
+        ref = weakref.ref(interp)
+        del interp
+        assert ref() is None
+    finally:
+        gc.enable()
+    plain = (str, bytes, int, float, type(None))
+    pending = list(codes)
+    while pending:
+        thing = pending.pop()
+        if isinstance(thing, types.CodeType):
+            pending += [thing.co_consts, thing.co_names, thing.co_varnames,
+                        thing.co_freevars, thing.co_cellvars]
+        elif isinstance(thing, (tuple, frozenset)):
+            pending += thing
+        else:
+            assert isinstance(thing, plain), type(thing)
+
+
+def test_concurrent_first_runs_of_one_function_are_correct(compiles):
+    """The lockstep reference engine runs sessions on threads: each has
+    its own interpreter, all share the compile cache.  More threads than
+    cores and a short switch interval make them race on it."""
+    source = workload("chess").source
+    module = compile_c(source, "chess")
+    stdin = workload("chess").profile_stdin
+    expected = run_local(module, stdin=stdin)
+    interpreter_module._block_code.cache_clear()
+    start = threading.Barrier(8)
+    results, errors = [], []
+
+    def run():
+        try:
+            start.wait(timeout=30)
+            results.append(run_local(module, stdin=stdin))
+        except BaseException as error:  # reported by the assert below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 8
+    for result in results:
+        assert (result.stdout, result.exit_code, result.instructions,
+                result.seconds) == (
+            expected.stdout, expected.exit_code, expected.instructions,
+            expected.seconds)
+
+
+# -- import repro without networkx ------------------------------------------
+
+def test_import_repro_does_not_import_networkx():
+    code = ("import sys, repro, repro.fleet, repro.trace.analysis; "
+            "sys.exit('networkx' in sys.modules)")
+    src = Path(repro.__file__).resolve().parent.parent
+    assert subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60).returncode == 0
+
+
+CALLS_SRC = """
+int fact(int n) { return n < 2 ? 1 : n * fact(n - 1); }
+int odd(int n);
+int even(int n) { return n == 0 ? 1 : odd(n - 1); }
+int odd(int n) { return n == 0 ? 0 : even(n - 1); }
+int twice(int x) { return x * 2; }
+int lonely(int x) { return x; }
+int apply(int (*f)(int), int x) { return f(x); }
+int main() { return apply(twice, fact(3)) + even(4); }
+"""
+
+
+def test_call_graph_answers():
+    graph = CallGraph(compile_c(CALLS_SRC, "calls"))
+    assert graph.address_taken == {"twice"}
+    callees = {name: graph.callees(name) for name in graph.module.functions}
+    assert callees == {
+        "fact": ["fact"], "odd": ["even"], "even": ["odd"], "twice": [],
+        "lonely": [], "apply": ["twice"],
+        "main": ["apply", "even", "fact"]}
+    callers = {name: graph.callers(name) for name in graph.module.functions}
+    assert callers == {
+        "fact": ["fact", "main"], "odd": ["even"], "even": ["main", "odd"],
+        "twice": ["apply"], "lonely": [], "apply": ["main"], "main": []}
+    # without the root, even when it is on a cycle
+    assert graph.transitive_callees("fact") == set()
+    assert graph.transitive_callees("even") == {"odd"}
+    assert graph.transitive_callees("odd") == {"even"}
+    assert graph.transitive_callees("main") == {
+        "apply", "twice", "fact", "even", "odd"}
+    assert graph.transitive_callees("nosuch") == set()
+    assert graph.reachable_from(["even", "nosuch"]) == {"even", "odd"}
+    assert graph.reachable_from(["apply", "lonely"]) == {
+        "apply", "twice", "lonely"}
+    assert graph.reachable_from([]) == set()

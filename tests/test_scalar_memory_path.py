@@ -1,10 +1,11 @@
 """Differential for the interpreter's in-page scalar memory path.
 
-The decoded ``load``/``store`` ops do the in-page, page-mapped case
-themselves and leave the rest (faults, page-straddling scalars) to
-``AddressSpace.read``/``write``.  Random access sequences run through the
-ops on a machine and through plain ``read``/``write`` plus the reference
-codec on a twin space; everything either side can observe must agree.
+The code generated for a ``load``/``store`` does the in-page, page-mapped
+case itself and leaves the rest (faults, page-straddling scalars) to
+``AddressSpace.read``/``write``.  Random access sequences run through
+generated code on a machine and through plain ``read``/``write`` plus the
+reference codec on a twin space; everything either side can observe must
+agree.
 """
 
 import pytest

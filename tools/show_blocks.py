@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Print the Python the interpreter generates for one guest function.
+
+    python3 tools/show_blocks.py <workload|file.c> <function>
+                                 [--arch NAME] [--observed]
+
+The interpreter runs a guest function as generated Python functions, one
+per basic block or — a call ends a stretch — per part of one
+(docs/architecture.md, "Interpreter: decode once, then run generated
+blocks").  A traceback through ``<guest block>`` code has
+line numbers but no source lines; this prints the source, each
+instruction's lines under the IR instruction they execute and numbered
+as a traceback numbers them.  ``--arch`` picks the machine (a preset
+name, default ``arm32``: costs, addresses and pointer width are written
+into the source as literals); ``--observed`` decodes as the profiler
+does, with the ``memory_access`` hook on every load and store.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.frontend import compile_c  # noqa: E402
+from repro.ir.printer import print_function  # noqa: E402
+from repro.machine import Interpreter, Machine, install_libc  # noqa: E402
+from repro.machine.interpreter import Observer, _Decoder  # noqa: E402
+from repro.targets import PRESETS  # noqa: E402
+from repro.workloads import WORKLOADS, workload  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Show the generated source of a guest function.")
+    parser.add_argument("program", help="a registry workload or a .c file")
+    parser.add_argument("function")
+    parser.add_argument("--arch", default="arm32", choices=sorted(PRESETS))
+    parser.add_argument("--observed", action="store_true")
+    args = parser.parse_args(argv)
+
+    if args.program in WORKLOADS:
+        source = workload(args.program).source
+    else:
+        try:
+            source = Path(args.program).read_text(encoding="utf-8")
+        except OSError as error:
+            parser.error(f"{args.program}: neither a workload nor a "
+                         f"readable file ({error.strerror})")
+    arch = PRESETS[args.arch]
+    module = compile_c(source, Path(args.program).stem, target=arch)
+    fn = module.get_function(args.function)
+    if fn is None or not fn.is_definition:
+        defined = ", ".join(f.name for f in module.defined_functions())
+        parser.error(f"no function {args.function!r} defined in "
+                     f"{args.program}; it defines: {defined}")
+    machine = Machine(arch)
+    install_libc(machine)
+    machine.load(module)
+    interp = Interpreter(machine,
+                         observer=Observer() if args.observed else None)
+    decoder = _Decoder(interp, fn)
+    blocks, frame_size = decoder.decode()
+
+    # print_function: a header line, then per block its label and one
+    # line per instruction
+    ir_lines = iter(print_function(fn).splitlines()[1:])
+    ir = {}
+    for ir_block in fn.blocks:
+        next(ir_lines)  # the label
+        ir[ir_block] = [next(ir_lines).strip()
+                        for _ in ir_block.instructions]
+    print(f"# {fn.name} on {machine!r}: {len(fn.blocks)} blocks in "
+          f"{len(blocks)} stretches, a frame of {frame_size} slots")
+    for index, (block, (ir_block, start, _)) in enumerate(
+            zip(blocks, decoder.stretches)):
+        behind = f" from instruction {start}" if start else ""
+        print(f"\n# {index}: block {ir_block.name}{behind} "
+              f"({block.count} instructions)")
+        line = 1
+        for text in block.header.splitlines():
+            print(f"{line:5} {text}")
+            line += 1
+        for position, chunk in enumerate(block.chunks):
+            what = (ir[ir_block][start + position]
+                    if position < block.count else "(no terminator)")
+            print(f"      #   {what}")
+            for text in chunk.splitlines():
+                print(f"{line:5} {text}")
+                line += 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
