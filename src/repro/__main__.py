@@ -35,13 +35,13 @@ from .offload import CompilerOptions, NativeOffloaderCompiler
 from .profiler import profile_module
 from .runtime import (FaultPlan, NETWORKS, OffloadSession, SessionOptions,
                       run_local)
-from .trace import (load_jsonl, phase_totals, read_jsonl_meta,
-                    render_metrics, render_timeline, write_chrome_trace,
-                    write_jsonl)
+from .trace import (phase_totals, render_metrics, render_timeline,
+                    write_chrome_trace, write_jsonl)
 from .trace.analysis import (BUCKETS, aggregate_sessions, build_report,
                              diff_bench, diff_reports, invocation_counts,
                              reconstruct_sessions, render_html,
                              report_to_json)
+from .trace.export import open_jsonl
 from .workloads import ALL_WORKLOADS, workload
 
 
@@ -622,8 +622,6 @@ def cmd_report(args) -> int:
         current = _load_json(args.current) if args.current else None
         bench_pairs = [(_load_json(old), _load_json(new))
                        for old, new in args.bench or []]
-        if args.from_jsonl and current is None:
-            events = load_jsonl(args.from_jsonl)
     except ValueError as exc:
         return _usage_error(exc)
     # Pure diff mode: two saved reports, no simulation at all.
@@ -631,11 +629,17 @@ def cmd_report(args) -> int:
         return _gate(baseline, current, bench_pairs, args.tolerance)
 
     if args.from_jsonl:
-        meta = read_jsonl_meta(args.from_jsonl)
-        report = build_report(
-            events,
-            source={"kind": "jsonl", "path": args.from_jsonl},
-            dropped=meta.get("dropped", 0))
+        # One pass over the file, a line at a time: a malformed or
+        # out-of-order line surfaces here, before any report byte.
+        try:
+            with open_jsonl(args.from_jsonl) as (meta, events):
+                report = build_report(
+                    events,
+                    source={"kind": "jsonl", "path": args.from_jsonl},
+                    dropped=meta.get("dropped", 0),
+                    declared_events=meta.get("events"))
+        except ValueError as exc:
+            return _usage_error(f"{args.from_jsonl}: {exc}")
     else:
         network = _resolve_network(args.network)
         if network is None:

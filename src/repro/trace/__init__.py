@@ -13,8 +13,9 @@ systems ship:
   beside the stream.
 * :mod:`repro.trace.metrics` — the log-bucketed, mergeable
   :class:`Histogram` the analysis rolls distributions into.
-* :mod:`repro.trace.export` — JSONL import/export and a Chrome
-  ``chrome://tracing`` / Perfetto-compatible export.
+* :mod:`repro.trace.export` — JSONL import/export, a line at a time
+  in both directions, and a Chrome ``chrome://tracing`` /
+  Perfetto-compatible export.
 * :mod:`repro.trace.timeline` — the :class:`Tally` — what each event
   category contributes to every trace-derived number, defined once —
   and what folds a stream into one: the human-readable event timeline
@@ -36,8 +37,8 @@ from .tracer import (CATEGORIES, CORE_CATEGORIES, NULL_TRACER, NullTracer,
                      TraceEvent, Tracer)
 from .metrics import Histogram
 from .export import (events_from_jsonl, events_to_chrome_json,
-                     events_to_jsonl, load_jsonl, read_jsonl_meta,
-                     write_chrome_trace, write_jsonl)
+                     events_to_jsonl, iter_jsonl, load_jsonl,
+                     read_jsonl_meta, write_chrome_trace, write_jsonl)
 from .timeline import (Tally, phase_totals, render_metrics,
                        render_timeline, traffic_totals)
 
@@ -46,7 +47,8 @@ __all__ = [
     "TraceEvent", "Tracer",
     "Histogram",
     "events_from_jsonl", "events_to_chrome_json", "events_to_jsonl",
-    "load_jsonl", "read_jsonl_meta", "write_chrome_trace", "write_jsonl",
+    "iter_jsonl", "load_jsonl", "read_jsonl_meta", "write_chrome_trace",
+    "write_jsonl",
     "Tally", "phase_totals", "render_metrics", "render_timeline",
     "traffic_totals",
 ]

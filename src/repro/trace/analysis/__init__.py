@@ -4,7 +4,8 @@ The read-only consumer side of the observability stack.  The tracer and
 the fleet scheduler *emit*; this package *explains*:
 
 * :mod:`spans` — fold the flat event stream back into nested
-  session → invocation → phase spans, with a lossless invariant.
+  session → invocation → phase spans, with a lossless invariant, in
+  one pass that keeps tallies and lets the events go.
 * :mod:`critical_path` — split each invocation's wall clock into six
   disjoint buckets and name the dominant bottleneck.
 * :mod:`aggregate` — roll many sessions up into percentile
@@ -29,9 +30,8 @@ from .report import (GATED_METRICS, SCHEMA, build_report, diff_bench,
                      diff_reports, render_html, report_to_json)
 from .slo import (DEFAULT_RULES, Finding, SloRule, evaluate_rules,
                   prefetch_waste_findings)
-from .spans import (InvocationSpan, PhaseSpan, SessionSpan,
-                    reconstruct_session, reconstruct_sessions,
-                    validate_sessions)
+from .spans import (InvocationSpan, SessionSpan, reconstruct_session,
+                    reconstruct_sessions, validate_sessions)
 
 __all__ = [
     "DISTRIBUTIONS", "DeviceRow", "FleetAggregate",
@@ -43,6 +43,6 @@ __all__ = [
     "diff_reports", "render_html", "report_to_json",
     "DEFAULT_RULES", "Finding", "SloRule", "evaluate_rules",
     "prefetch_waste_findings",
-    "InvocationSpan", "PhaseSpan", "SessionSpan",
+    "InvocationSpan", "SessionSpan",
     "reconstruct_session", "reconstruct_sessions", "validate_sessions",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import html as _html
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..timeline import _fmt_value as _fmt
 from ..tracer import TraceEvent
@@ -51,12 +51,21 @@ _HIGHER_BETTER = ("throughput", "reduction", "speedup", "hit", "saved",
                   "admitted")
 
 
-def build_report(events: Sequence[TraceEvent], *,
+def build_report(events: Iterable[TraceEvent], *,
                  source: Optional[dict] = None,
                  dropped: int = 0,
+                 declared_events: Optional[int] = None,
                  rules=DEFAULT_RULES,
                  servers: Optional[Sequence[dict]] = None) -> dict:
-    """Analyze ``events`` into the full report dict.
+    """Analyze ``events`` into the full report dict, in one pass that
+    keeps none of them: a generator (``iter_jsonl``) is analysed in
+    memory proportional to its sessions.  ValueError for a stream out
+    of per-``sid`` emission order (``reconstruct_sessions``).
+
+    ``dropped`` and ``declared_events`` are what the stream's producer
+    said about it — the ring buffer's eviction count and the event
+    count a JSONL header declares; either disagreeing with a complete
+    stream is reported as a warning that the figures are partial.
 
     ``servers`` is the optional pool-side per-server detail of a live
     fleet run (``FleetResult.summary()["servers_detail"]`` rows); the
@@ -65,8 +74,15 @@ def build_report(events: Sequence[TraceEvent], *,
     are merged into the ``fleet.servers`` table.  Reports built from a
     saved JSONL have no pool and keep the trace-derived columns only.
     """
-    events = list(events)
-    sessions = reconstruct_sessions(events)
+    seen = 0
+
+    def passed_on():
+        nonlocal seen
+        for event in events:
+            seen += 1
+            yield event
+
+    sessions = reconstruct_sessions(passed_on())
     agg: FleetAggregate = aggregate_sessions(sessions)
     if servers:
         for row in servers:
@@ -82,12 +98,16 @@ def build_report(events: Sequence[TraceEvent], *,
             if "shard_admissions" in row:
                 merged["shard_admissions"] = row["shard_admissions"]
     findings = evaluate_rules(sessions, rules)
-    invariant = validate_sessions(sessions, events)
+    invariant = validate_sessions(sessions, seen)
     warnings: List[str] = []
     if dropped:
         warnings.append(
             f"trace ring buffer dropped {dropped} events; span "
             f"reconstruction and every figure below are PARTIAL")
+    if declared_events is not None and declared_events != seen:
+        warnings.append(
+            f"trace header declares {declared_events} events, file "
+            f"holds {seen}; every figure below is PARTIAL")
     if agg.partial_sessions:
         warnings.append(
             f"{agg.partial_sessions} of {agg.sessions} sessions are "
@@ -98,7 +118,7 @@ def build_report(events: Sequence[TraceEvent], *,
     return {
         "schema": SCHEMA,
         "source": dict(sorted((source or {}).items())),
-        "events": len(events),
+        "events": seen,
         "dropped_events": dropped,
         "warnings": warnings,
         "fleet": agg.to_json(),

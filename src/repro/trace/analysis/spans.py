@@ -9,9 +9,8 @@ go?") need the stream folded back into its natural nesting:
       └─ invocation (one per dynamic offload decision site execution)
            └─ phase (decide / queue / init / exec / finalize /
                      reject / abort / fallback)
-                └─ the raw events
 
-Reconstruction is a deterministic state machine over the per-``sid``
+Reconstruction is a deterministic state machine fed the per-``sid``
 stream in emission (``seq``) order, mirroring the runtime's control flow
 in ``repro/runtime/backend.py``:
 
@@ -30,8 +29,9 @@ This module only *routes*: which phase of which invocation an event
 belongs to.  What the event is worth — seconds, bytes, counts — is the
 business of :class:`repro.trace.timeline.Tally`, which each span folds
 its events into as it claims them, in emission order; the rest of the
-analysis is arithmetic over those tallies and never walks the events
-again.
+analysis is arithmetic over those tallies, so a span keeps the tally
+and a per-phase count and lets the event go — a stream of any length
+folds in memory proportional to its sessions.
 
 **Lossless invariant**: every event of the input stream is claimed by
 exactly one phase (or by the session span itself, for
@@ -58,15 +58,6 @@ STATUSES = ("offloaded", "declined", "rejected", "aborted")
 
 
 @dataclass
-class PhaseSpan:
-    """One phase of an invocation and the raw events it claimed."""
-
-    name: str       # decide | queue | init | exec | finalize |
-                    # reject | abort | fallback
-    events: List[TraceEvent] = field(default_factory=list)
-
-
-@dataclass
 class InvocationSpan:
     """One dynamic offload decision site execution.
 
@@ -82,14 +73,13 @@ class InvocationSpan:
     reason: Optional[str] = None    # decision payload reason
     gain_seconds: Optional[float] = None
     abort_phase: Optional[str] = None
-    phases: Dict[str, PhaseSpan] = field(default_factory=dict)
+    # events claimed per phase: decide | queue | init | exec |
+    # finalize | reject | abort | fallback
+    phases: Dict[str, int] = field(default_factory=dict)
     tally: Tally = field(default_factory=Tally)
 
     def claim(self, phase: str, event: TraceEvent) -> None:
-        span = self.phases.get(phase)
-        if span is None:
-            span = self.phases[phase] = PhaseSpan(phase)
-        span.events.append(event)
+        self.phases[phase] = self.phases.get(phase, 0) + 1
         self.tally.add(event)
 
     @property
@@ -118,14 +108,9 @@ class SessionSpan:
     start: float = 0.0
     end: float = 0.0
     partial: bool = False           # stream truncated (no session.start)
-    events: List[TraceEvent] = field(default_factory=list)  # own events
-    tally: Tally = field(default_factory=Tally)             # of those
+    tally: Tally = field(default_factory=Tally)     # of its own events
     invocations: List[InvocationSpan] = field(default_factory=list)
     totals: Dict[str, object] = field(default_factory=dict)  # session.end
-
-    def claim(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        self.tally.add(event)
 
     def tallies(self) -> List[Tally]:
         """Every tally of the tree: the session's own, then one per
@@ -139,47 +124,58 @@ class SessionSpan:
 _TRAILS_EXEC = ("fnptr.window",)
 
 
-def reconstruct_session(events: Iterable[TraceEvent],
-                        sid: Optional[str] = None) -> SessionSpan:
-    """Fold one session's events (one ``sid``, ``seq`` order) into its
-    span tree.  Tolerant of a ring-buffer-truncated head: a stream that
-    does not open with ``session.start`` is marked ``partial`` and any
-    events that precede the first reconstructible invocation are owned
-    by the session span."""
-    session = SessionSpan(sid=sid)
-    inv: Optional[InvocationSpan] = None
-    phase = "decide"
-    saw_start = False
+class _SessionFolder:
+    """The span state machine of one ``sid``: :meth:`feed` it the
+    session's events in emission order, :meth:`finish` returns the
+    tree.  It keeps what an event is worth, never the event."""
 
-    for event in events:
+    def __init__(self, sid: Optional[str]):
+        self.session = SessionSpan(sid=sid)
+        self.inv: Optional[InvocationSpan] = None
+        self.phase = "decide"
+        self.saw_start = False
+        self.last_seq: Optional[int] = None
+
+    def feed(self, event: TraceEvent) -> None:
+        session = self.session
+        last = self.last_seq
+        if last is not None and event.seq <= last:
+            raise ValueError(
+                f"sid {session.sid!r}: seq {event.seq} after seq {last} — "
+                f"not in emission order (two sessions sharing an id, or "
+                f"a re-sorted file)")
+        self.last_seq = event.seq
+
         cat = event.category
         if cat == "session.start":
             session.program = event.name
             session.start = event.t
-            session.claim(event)
-            saw_start = True
-            continue
+            session.tally.add(event)
+            self.saw_start = True
+            return
         if cat == "session.end":
             # Truncation or a protocol break may have left an
             # invocation open: it keeps what it claimed.
-            inv = None
+            self.inv = None
             session.program = session.program or event.name
             session.end = event.t + event.dur
             session.totals = dict(event.payload)
-            session.claim(event)
-            continue
+            session.tally.add(event)
+            return
 
+        inv = self.inv
         if inv is None:
             if cat in ("estimate", "decision"):
-                inv = InvocationSpan(index=len(session.invocations),
-                                     target=event.name, sid=sid)
+                inv = self.inv = InvocationSpan(
+                    index=len(session.invocations), target=event.name,
+                    sid=session.sid)
                 session.invocations.append(inv)
-                phase = "decide"
+                self.phase = "decide"
             else:
                 # No open invocation: pre-invocation noise (possible on
                 # a truncated stream) is owned by the session span.
-                session.claim(event)
-                continue
+                session.tally.add(event)
+                return
 
         if cat == "decision":
             inv.target = event.name
@@ -188,23 +184,23 @@ def reconstruct_session(events: Iterable[TraceEvent],
             inv.claim("decide", event)
             if event.payload.get("offloaded"):
                 inv.status = "offloaded"
-                phase = "init"
+                self.phase = "init"
             else:
                 inv.status = "declined"
-                inv = None
+                self.inv = None
         elif cat == "offload.queue":
             inv.claim("queue", event)
         elif cat in ("offload.init", "offload.scatter"):
             # offload.scatter is the plan's init anchor
             # (docs/parallel-offload.md)
             inv.claim("init", event)
-            phase = "exec"
+            self.phase = "exec"
         elif cat == "offload.exec":
             # A scatter/gather plan emits one exec anchor per surviving
             # shard; each belongs to the exec phase regardless of where
             # the phase cursor already advanced to.
             inv.claim("exec", event)
-            phase = "finalize"
+            self.phase = "finalize"
         elif cat in _TRAILS_EXEC:
             inv.claim("exec", event)
         elif cat in ("offload.finalize", "offload.gather"):
@@ -212,53 +208,69 @@ def reconstruct_session(events: Iterable[TraceEvent],
             # closes a classic invocation; the plan's straggler-replay
             # events (offload.straggler) precede it by construction.
             inv.claim("finalize", event)
-            inv = None
+            self.inv = None
         elif cat == "offload.reject":
             inv.status = "rejected"
             inv.claim("reject", event)
-            phase = "fallback"
+            self.phase = "fallback"
         elif cat == "offload.abort":
             inv.status = "aborted"
             inv.abort_phase = event.payload.get("phase")
             inv.claim("abort", event)
-            phase = "fallback"
+            self.phase = "fallback"
         elif cat == "offload.fallback":
             inv.claim("fallback", event)
-            inv = None
-        elif cat == "estimate" and phase != "decide":
+            self.inv = None
+        elif cat == "estimate" and self.phase != "decide":
             # record_offload_failure re-estimates mid-abort: the event
             # belongs to the failing invocation, not a new one.
             inv.status = "aborted"
             inv.claim("abort", event)
-            phase = "fallback"
+            self.phase = "fallback"
         else:
             # Everything else (uva.*, comm.*, transport.*, rio.op,
             # estimate in the decide window) rides the current phase.
-            inv.claim(phase, event)
+            inv.claim(self.phase, event)
 
-    session.partial = not saw_start or not session.totals
-    if session.end == 0.0:
-        session.end = max(t.end for t in session.tallies())
-    return session
+    def finish(self) -> SessionSpan:
+        """The tree of what was fed.  Tolerant of a ring-buffer-
+        truncated head: a stream that does not open with
+        ``session.start`` is marked ``partial``, and the events that
+        preceded its first reconstructible invocation are owned by the
+        session span."""
+        session = self.session
+        session.partial = not self.saw_start or not session.totals
+        if session.end == 0.0:
+            session.end = max(t.end for t in session.tallies())
+        return session
+
+
+def reconstruct_session(events: Iterable[TraceEvent],
+                        sid: Optional[str] = None) -> SessionSpan:
+    """Fold one session's events (one ``sid``, emission order) into its
+    span tree."""
+    folder = _SessionFolder(sid)
+    for event in events:
+        folder.feed(event)
+    return folder.finish()
 
 
 def reconstruct_sessions(events: Iterable[TraceEvent]
                          ) -> List[SessionSpan]:
-    """Group a (possibly merged fleet) stream by ``sid`` and reconstruct
-    each session's span tree.  Sessions are ordered by first appearance
-    in the stream, which for merged fleet traces is global-time order."""
-    by_sid: Dict[Optional[str], List[TraceEvent]] = {}
-    order: List[Optional[str]] = []
+    """Reconstruct the span tree of every session of a (possibly merged
+    fleet) stream, in one pass that keeps no event: each goes to its
+    ``sid``'s state machine as it arrives.  The stream's contract
+    (docs/trace-schema.md, ``seq``) is per-``sid`` emission order;
+    ValueError naming the ``sid`` and both ``seq`` values for an event
+    that breaks it.  Sessions are ordered by first appearance in the
+    stream, which for merged fleet traces is global-time order."""
+    folders: Dict[Optional[str], _SessionFolder] = {}
     for event in events:
-        if event.sid not in by_sid:
-            by_sid[event.sid] = []
-            order.append(event.sid)
-        by_sid[event.sid].append(event)
-    sessions = []
-    for sid in order:
-        stream = sorted(by_sid[sid], key=lambda e: e.seq)
-        sessions.append(reconstruct_session(stream, sid=sid))
-    return sessions
+        folder = folders.get(event.sid)
+        if folder is None:
+            folder = folders[event.sid] = _SessionFolder(event.sid)
+        folder.feed(event)
+    return [folder.finish() for folder in folders.values()]
 
 
 #: ``session.end`` totals the spans must reproduce, with the tally field
@@ -270,14 +282,15 @@ _RECONCILED = (("comm_seconds", "comm_seconds"),
 
 
 def validate_sessions(sessions: List[SessionSpan],
-                      events: List[TraceEvent],
+                      stream_length: int,
                       tolerance: float = RECONCILE_TOLERANCE
                       ) -> List[str]:
     """The lossless invariant, as a list of discrepancies (empty = ok).
 
     * every input event is claimed by exactly one span (conservation:
-      claimed count == stream length; the construction claims each event
-      at most once by design, so equality implies the bijection);
+      claimed count == ``stream_length``, the number of events that
+      were fed to reconstruction; the construction claims each event at
+      most once by design, so equality implies the bijection);
     * per-session duration sums reconcile with the ``session.end``
       accounting: communication, fn-ptr translation, remote I/O and raw
       server execution re-derived from the spans' tallies match the
@@ -288,9 +301,9 @@ def validate_sessions(sessions: List[SessionSpan],
     """
     issues: List[str] = []
     claimed = sum(t.events for s in sessions for t in s.tallies())
-    if claimed != len(events):
+    if claimed != stream_length:
         issues.append(f"event conservation: {claimed} claimed vs "
-                      f"{len(events)} in the stream")
+                      f"{stream_length} in the stream")
     for session in sessions:
         label = session.sid or "session"
         if session.partial:

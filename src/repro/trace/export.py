@@ -12,7 +12,9 @@ timestamps as the format requires.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .tracer import TraceEvent
 
@@ -29,27 +31,39 @@ def _track(category: str) -> int:
 
 
 # -- JSONL ---------------------------------------------------------------
+# One encoder and one decoder for every line written or read: compact
+# separators and sorted keys are the format, not a per-call choice.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_decode = json.JSONDecoder().decode
+
+_HEADER = "# repro-trace"
+
+
 def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     """Serialize events, one compact JSON object per line."""
-    return "\n".join(
-        json.dumps(e.to_dict(), separators=(",", ":"), sort_keys=True)
-        for e in events)
+    return "\n".join(_encode(e.to_dict()) for e in events)
+
+
+def _parse_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """The one line parser: blank and ``#`` lines are skipped, every
+    other line is one event; ValueError naming the first line that is
+    not one."""
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            event = TraceEvent.from_dict(_decode(line))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"line {number} is not a trace event ({exc!r})") from exc
+        yield event
 
 
 def events_from_jsonl(text: str) -> List[TraceEvent]:
     """Parse a JSONL trace back into :class:`TraceEvent` records;
     ValueError naming the first line that is not one."""
-    events = []
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            events.append(TraceEvent.from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(
-                f"line {number} is not a trace event ({exc!r})") from exc
-    return events
+    return list(_parse_lines(text.splitlines()))
 
 
 def write_jsonl(events: Iterable[TraceEvent], path: str,
@@ -62,30 +76,20 @@ def write_jsonl(events: Iterable[TraceEvent], path: str,
     :class:`~repro.trace.tracer.Tracer`.  ``events_from_jsonl`` skips
     ``#`` lines, keeping the format round-trippable.
     """
-    events = list(events)
+    events = list(events)       # the header states the count up front
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# repro-trace v1 events={len(events)} "
-                 f"dropped={dropped}\n")
-        text = events_to_jsonl(events)
-        if text:
-            fh.write(text + "\n")
+        fh.write(f"{_HEADER} v1 events={len(events)} dropped={dropped}\n")
+        fh.writelines(_encode(e.to_dict()) + "\n" for e in events)
     return len(events)
 
 
-def load_jsonl(path: str) -> List[TraceEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return events_from_jsonl(fh.read())
-
-
-def read_jsonl_meta(path: str) -> Dict[str, int]:
-    """The header metadata of a JSONL trace (``{}`` for header-less
-    files written before the header existed — their drop count is
-    unknown, not zero)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
+def _header_meta(first_line: str) -> Dict[str, int]:
+    """The ``key=int`` fields of a ``# repro-trace`` header line; ``{}``
+    for any other line (header-less files written before the header
+    existed — their counts are unknown, not zero)."""
     meta: Dict[str, int] = {}
-    if first.startswith("# repro-trace"):
-        for token in first.split():
+    if first_line.startswith(_HEADER):
+        for token in first_line.split():
             if "=" in token:
                 key, _, value = token.partition("=")
                 try:
@@ -93,6 +97,38 @@ def read_jsonl_meta(path: str) -> Dict[str, int]:
                 except ValueError:
                     pass
     return meta
+
+
+@contextmanager
+def open_jsonl(path: str
+               ) -> Iterator[Tuple[Dict[str, int], Iterator[TraceEvent]]]:
+    """A JSONL trace file opened for one pass: its header metadata and
+    a lazy iterator over its events, which holds one line at a time and
+    raises the line-numbered ValueError of :func:`events_from_jsonl`
+    when it reaches a bad one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        yield _header_meta(first), _parse_lines(chain((first,), fh))
+
+
+def iter_jsonl(path: str) -> Iterator[TraceEvent]:
+    """The events of a JSONL trace file, parsed as they are asked for:
+    a consumer that keeps none of them (``build_report``) analyses a
+    trace of any length in memory that does not grow with it."""
+    with open_jsonl(path) as (_, events):
+        yield from events
+
+
+def load_jsonl(path: str) -> List[TraceEvent]:
+    return list(iter_jsonl(path))
+
+
+def read_jsonl_meta(path: str) -> Dict[str, int]:
+    """The header metadata of a JSONL trace (``{}`` for header-less
+    files written before the header existed — their drop count is
+    unknown, not zero)."""
+    with open_jsonl(path) as (meta, _):
+        return meta
 
 
 # -- Chrome tracing ------------------------------------------------------

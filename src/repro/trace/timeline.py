@@ -15,11 +15,11 @@ runtime keeps no totals beside the events for it to read instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .tracer import CATEGORIES, TraceEvent
+from .tracer import CATEGORIES, TraceEvent, _slotted
 
 # Payload keys promoted to the front of a timeline line, per category.
 _LEAD_KEYS: Dict[str, Sequence[str]] = {
@@ -106,6 +106,7 @@ class PrefetchWindow(NamedTuple):
     wasted: int
 
 
+@_slotted
 @dataclass
 class Tally:
     """What a set of events adds up to.
@@ -361,7 +362,8 @@ def render_metrics(events: Iterable[TraceEvent], dropped: int = 0) -> str:
         row[0] += 1
         row[1] += event.dur
     tally = Tally.of(events)
-    totals = dict(vars(tally), queue_waits=len(tally.queue_waits))
+    totals = {f.name: getattr(tally, f.name) for f in fields(Tally)}
+    totals["queue_waits"] = len(tally.queue_waits)
     windows = totals.pop("prefetch_windows")
     totals["prefetch_hits"] = sum(w.hits for w in windows)
     totals["prefetch_wasted"] = sum(w.wasted for w in windows)

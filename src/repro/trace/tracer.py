@@ -29,14 +29,17 @@ existed (the tracing-disabled invariant recorded in ``DESIGN.md``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from sys import intern
 from typing import Callable, Dict, Iterable, List, Optional
 
 DEFAULT_CAPACITY = 262_144
 
 # The full event vocabulary.  docs/trace-schema.md documents each
 # category's payload; tests assert the runtime never emits outside it.
-CATEGORIES = (
+# Interned, as every category a reader parses is, so a loaded trace
+# shares these objects instead of holding one string per event.
+CATEGORIES = tuple(map(intern, (
     "session.start",      # one per OffloadSession.run()
     "session.end",        # final accounting totals
     "estimate",           # dynamic estimator: Equation 1 inputs/output
@@ -65,7 +68,7 @@ CATEGORIES = (
     "offload.fallback",   # an aborted invocation replayed locally
     "offload.queue",      # time spent waiting for a pooled server slot
     "offload.reject",     # the server pool refused admission
-)
+)))
 
 # Categories every offloading run emits (workload-independent).  The
 # remainder depend on program structure: uva.fault needs CoD misses,
@@ -78,6 +81,21 @@ CORE_CATEGORIES = (
 )
 
 
+def _slotted(cls):
+    """Rebuild a dataclass with ``__slots__`` for its fields, as
+    ``dataclass(slots=True)`` does from Python 3.10 (CI runs 3.9): no
+    per-instance ``__dict__``, which is most of what a resident event
+    or tally costs.  Construction, ``==``, ``repr`` and
+    ``dataclasses.fields`` are the decorated class's own."""
+    namespace = dict(cls.__dict__)
+    names = tuple(f.name for f in fields(cls))
+    for name in names + ("__dict__", "__weakref__"):
+        namespace.pop(name, None)       # the defaults live in __init__
+    namespace["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+
+@_slotted
 @dataclass
 class TraceEvent:
     """One structured runtime event."""
@@ -102,12 +120,18 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
+        """The event a ``to_dict`` mapping describes.  The vocabulary —
+        category, name, session id and payload keys — is interned: a
+        trace repeats a few dozen distinct strings, and a parsed one
+        would otherwise hold a fresh copy of each per event."""
         sid = data.get("sid")
         return cls(t=float(data["t"]), seq=int(data["seq"]),
-                   category=str(data["cat"]), name=str(data["name"]),
+                   category=intern(str(data["cat"])),
+                   name=intern(str(data["name"])),
                    dur=float(data.get("dur", 0.0)),
-                   payload=dict(data.get("args", {})),
-                   sid=None if sid is None else str(sid))
+                   payload={intern(key) if type(key) is str else key: value
+                            for key, value in data.get("args", {}).items()},
+                   sid=None if sid is None else intern(str(sid)))
 
 
 class Tracer:

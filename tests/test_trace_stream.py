@@ -1,0 +1,314 @@
+"""The trace pipeline is a stream (ISSUE 21).
+
+An event is resident once, as cheaply as Python allows, and nothing
+downstream of the span state machine holds one: one encoder and one
+line parser behind every JSONL function, an interned vocabulary,
+slotted ``TraceEvent``/``Tally`` records, and span trees that keep
+tallies instead of events.  These tests hold that in place:
+
+* nothing is retained: ``build_report`` over a generator keeps a
+  constant number of events alive, whatever the stream's length;
+* byte identity: a written file is ``header + events_to_jsonl + "\\n"``
+  and the streamed report equals the in-memory one, for a clean fleet,
+  CI's faulty sharded fleet and a ring-truncated stream;
+* sharing: a loaded trace shares its categories, session ids and
+  payload keys;
+* the records behave as the dataclasses they were;
+* the stream's contract: per-``sid`` emission order, a line-numbered
+  error for a bad line, a warning for a file shorter than its header
+  says.
+"""
+
+import dataclasses
+import hashlib
+import json
+import weakref
+
+import pytest
+
+from repro.__main__ import _run_fleet, build_parser, main
+from repro.fleet import PoolOptions
+from repro.trace import (CATEGORIES, Tally, TraceEvent, events_from_jsonl,
+                         events_to_jsonl, iter_jsonl, load_jsonl,
+                         read_jsonl_meta, render_metrics, write_jsonl)
+from repro.trace.analysis import (build_report, reconstruct_sessions,
+                                  report_to_json)
+
+from test_trace_tally import NETWORK, _fleet, _fleet_result
+
+# CI's seeded faulty, sharded fleet (.github/workflows/ci.yml,
+# FAULTY_FLEET): drops, lost links, one scattered gang, degraded ones.
+_CI_FAULTY_FLEET = (
+    "--workload parallel-micro --devices 6 --servers 4 --shards 4 "
+    "--drop-rate 0.3 --disconnect-after 3 --reconnect-rate 0.5 "
+    "--seed 7").split()
+
+
+def _clean():
+    result = _fleet_result("contended-fifo")
+    return result.merged_events(), result.dropped_events
+
+
+def _ci_faulty():
+    args = build_parser().parse_args(["fleet"] + _CI_FAULTY_FLEET)
+    result = _run_fleet(args, NETWORK, enable_tracing=True)[0]
+    return result.merged_events(), result.dropped_events
+
+
+def _ring_truncated():
+    result = _fleet("fleet-micro", b"60\n", 2,
+                    PoolOptions(servers=2, capacity=1, queue_limit=4),
+                    seed=7, trace_capacity=16)
+    return result.merged_events(), result.dropped_events
+
+
+@pytest.fixture(scope="module")
+def chess_jsonl(tmp_path_factory):
+    """``python -m repro trace chess --jsonl``: one session, no sid."""
+    path = tmp_path_factory.mktemp("stream") / "chess.jsonl"
+    assert main(["trace", "chess", "--jsonl", str(path)]) == 0
+    return path
+
+
+# -- (a) nothing is retained ---------------------------------------------
+class _WeakEvent(TraceEvent):
+    """A TraceEvent that can be weakly referenced — the production
+    class keeps exactly its seven field slots."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_build_report_over_a_generator_retains_no_event():
+    base, _ = _clean()
+    tiles = 10_000 // len(base) + 1
+    stride = base[-1].t + 0.010
+    refs, alive_at_checkpoints = [], []
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def stream():
+        # tiled as bench/workloads.py tiles it: the same sessions under
+        # new ids, later on the clock
+        for tile in range(tiles):
+            for e in base:
+                event = _WeakEvent(
+                    t=e.t + tile * stride, seq=e.seq, category=e.category,
+                    name=e.name, dur=e.dur, payload=e.payload,
+                    sid=f"{e.sid}#{tile:03d}")
+                refs.append(weakref.ref(event))
+                if len(refs) % 1000 == 0:
+                    alive_at_checkpoints.append(alive())
+                yield event
+
+    report = build_report(stream())
+    assert report["events"] == len(refs) == tiles * len(base) > 10_000
+    assert report["warnings"] == []
+    assert len(alive_at_checkpoints) >= 10
+    # the one being yielded and the one the consumer has not let go of
+    assert max(alive_at_checkpoints) <= 3
+    assert alive() == 0
+
+
+# -- (b) byte identity ---------------------------------------------------
+@pytest.mark.parametrize("make", [_clean, _ci_faulty, _ring_truncated],
+                         ids=["clean", "ci-faulty-sharded",
+                              "ring-truncated"])
+def test_streamed_report_and_written_bytes_are_the_in_memory_ones(
+        make, tmp_path):
+    events, dropped = make()
+    path = tmp_path / "trace.jsonl"
+    assert write_jsonl(events, str(path), dropped=dropped) == len(events)
+    assert path.read_text(encoding="utf-8") == (
+        f"# repro-trace v1 events={len(events)} dropped={dropped}\n"
+        + events_to_jsonl(events) + "\n")
+
+    in_memory = build_report(events, dropped=dropped)
+    streamed = build_report(iter_jsonl(str(path)), dropped=dropped,
+                            declared_events=len(events))
+    assert report_to_json(streamed) == report_to_json(in_memory)
+    if make is _ring_truncated:
+        assert dropped > 0 and in_memory["fleet"]["partial_sessions"] > 0
+    else:
+        assert in_memory["warnings"] == []
+
+
+def test_an_empty_trace_is_its_header_alone(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    assert write_jsonl([], str(path)) == 0
+    assert path.read_text() == "# repro-trace v1 events=0 dropped=0\n"
+    assert load_jsonl(str(path)) == []
+    assert read_jsonl_meta(str(path)) == {"events": 0, "dropped": 0}
+
+
+# -- (c) sharing ---------------------------------------------------------
+def test_a_loaded_trace_shares_its_vocabulary(tmp_path):
+    events, _ = _clean()
+    path = tmp_path / "trace.jsonl"
+    write_jsonl(events, str(path))
+    loaded = load_jsonl(str(path))
+    assert loaded == events
+
+    canonical = {c: c for c in CATEGORIES}
+    assert all(e.category is canonical[e.category] for e in loaded)
+
+    sid_objects = {}
+    for e in loaded:
+        sid_objects.setdefault(e.sid, set()).add(id(e.sid))
+    assert len(sid_objects) == 6
+    assert all(len(ids) == 1 for ids in sid_objects.values())
+
+    by_category = {}
+    for e in loaded:
+        by_category.setdefault(e.category, []).append(e)
+    compared = 0
+    for first, second, *_ in (g for g in by_category.values()
+                              if len(g) > 1):
+        keys = {key: key for key in first.payload}
+        for key in second.payload:
+            if key in keys:
+                assert key is keys[key]
+                compared += 1
+    assert compared > 20
+
+
+# -- (d) the records -----------------------------------------------------
+class TestRecords:
+    def test_trace_event_defaults_slots_equality_and_hash(self):
+        a = TraceEvent(t=1.0, seq=3, category="comm.send", name="to_server")
+        b = TraceEvent(t=1.0, seq=3, category="comm.send", name="to_server")
+        assert (a.dur, a.payload, a.sid) == (0.0, {}, None)
+        assert a.payload is not b.payload
+        assert not hasattr(a, "__dict__")
+        assert TraceEvent.__slots__ == (
+            "t", "seq", "category", "name", "dur", "payload", "sid")
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a == b
+        for name, other in [("t", 2.0), ("seq", 4), ("category", "rio.op"),
+                            ("name", "to_mobile"), ("dur", 0.5),
+                            ("payload", {"bytes": 1}), ("sid", "dev00")]:
+            assert dataclasses.replace(a, **{name: other}) != a, name
+        with pytest.raises(TypeError):
+            hash(a)
+        assert repr(a) == (
+            "TraceEvent(t=1.0, seq=3, category='comm.send', "
+            "name='to_server', dur=0.0, payload={}, sid=None)")
+        assert TraceEvent.from_dict(a.to_dict()) == a
+
+    def test_tally_has_no_dict_and_keeps_its_dataclass_face(self):
+        tally = Tally()
+        assert not hasattr(tally, "__dict__")
+        assert tally == Tally() and tally != Tally(events=1)
+        names = [f.name for f in dataclasses.fields(Tally)]
+        assert list(Tally.__slots__) == names
+        assert list(Tally.__dataclass_fields__) == names
+        assert all(getattr(tally, f.name) == f.default
+                   for f in dataclasses.fields(Tally))
+        with pytest.raises(TypeError):
+            hash(tally)
+
+    def test_render_metrics_of_the_chess_trace_did_not_move(
+            self, chess_jsonl):
+        """sha256 of the block, captured at 88d11d1 — the commit before
+        ``render_metrics`` stopped reading ``vars(tally)``."""
+        block = render_metrics(load_jsonl(str(chess_jsonl)))
+        assert hashlib.sha256(block.encode()).hexdigest() == (
+            "86b34e9015079b397fba210052861835"
+            "c88cb512ec78c412d0e78a815a757021")
+
+
+# -- (e) the stream's contract -------------------------------------------
+_GOOD = ('{"args":{},"cat":"session.start","dur":0.0,"name":"p",'
+         '"seq":0,"t":0.0}')
+
+
+@pytest.mark.parametrize("bad", ["{not json", '{"t": 0.0}', "[1, 2]"])
+def test_the_error_names_the_line_behind_blank_and_comment_lines(
+        bad, tmp_path):
+    text = f"# repro-trace v1 events=2 dropped=0\n\n# note\n{_GOOD}\n\n{bad}\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    for parse in (lambda: events_from_jsonl(text),
+                  lambda: load_jsonl(str(path))):
+        with pytest.raises(ValueError, match="line 6 is not a trace event"):
+            parse()
+    stream = iter_jsonl(str(path))
+    assert next(stream) == events_from_jsonl(_GOOD)[0]
+    with pytest.raises(ValueError, match="line 6 is not a trace event"):
+        next(stream)
+
+
+class TestEmissionOrder:
+    MESSAGE = ("sid None: seq 0 after seq 72 — not in emission order (two "
+               "sessions sharing an id, or a re-sorted file)")
+
+    def test_two_sessions_under_one_sid_are_refused(
+            self, chess_jsonl, tmp_path, capsys):
+        """``cat c.jsonl c.jsonl``: it used to fold into one session
+        with 3 invocations (there are 2 and 6) and exit 0."""
+        doubled = tmp_path / "cc.jsonl"
+        doubled.write_text(chess_jsonl.read_text() * 2)
+        capsys.readouterr()
+        assert main(["report", "--from-jsonl", str(doubled)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {doubled}: {self.MESSAGE}\n"
+        for analyse in (build_report, reconstruct_sessions):
+            with pytest.raises(ValueError) as raised:
+                analyse(load_jsonl(str(doubled)))
+            assert str(raised.value) == self.MESSAGE
+
+    def test_two_swapped_lines_are_refused(self, chess_jsonl, tmp_path,
+                                           capsys):
+        lines = chess_jsonl.read_text().splitlines(keepends=True)
+        lines[10], lines[11] = lines[11], lines[10]
+        swapped = tmp_path / "swapped.jsonl"
+        swapped.write_text("".join(lines))
+        assert main(["report", "--from-jsonl", str(swapped)]) == 2
+        assert ("sid None: seq 9 after seq 10 — not in emission order"
+                in capsys.readouterr().err)
+
+    def test_a_well_formed_trace_reports_clean(self, chess_jsonl, capsys):
+        assert main(["report", "--from-jsonl", str(chess_jsonl)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["warnings"] == []
+        assert report["fleet"]["invocations"]["total"] == 3
+
+
+def test_a_file_shorter_than_its_header_says_is_reported_partial(
+        tmp_path, capsys):
+    """A JSONL cut at a line boundary (here: after the second
+    ``session.end``) used to report fewer devices with no warning."""
+    full = tmp_path / "fleet.jsonl"
+    assert main(["fleet", "--devices", "4", "--spacing", "5", "--seed", "0",
+                 "--jsonl", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    assert lines[0] == "# repro-trace v1 events=124 dropped=0\n"
+    assert '"cat":"session.end"' in lines[62]
+    capsys.readouterr()
+
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:63]))
+    warning = ("trace header declares 124 events, file holds 62; every "
+               "figure below is PARTIAL")
+    assert main(["report", "--from-jsonl", str(cut)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {warning}\n"
+    report = json.loads(captured.out)
+    assert (report["events"], report["fleet"]["sessions"]) == (62, 2)
+    assert report["warnings"] == [warning]
+
+    # header-less: the count is unknown, not wrong
+    cut.write_text("".join(lines[1:63]))
+    assert main(["report", "--from-jsonl", str(cut)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["warnings"] == []
+
+    assert main(["report", "--from-jsonl", str(full)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["events"] == 124
