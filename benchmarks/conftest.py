@@ -8,9 +8,12 @@ cache.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.eval import evaluate_suite
+from repro.workloads import workload
 
 
 def pytest_collection_modifyitems(items):
@@ -30,6 +33,16 @@ def suite():
 @pytest.fixture(scope="session")
 def games(suite):
     return {name: suite[name] for name in ("458.sjeng", "445.gobmk")}
+
+
+def build_on_profiling_input(name, compiler_options=None):
+    """A registry program built and then *evaluated* on its smaller
+    profiling input — for the ablations and sweeps that run one program
+    under many session variants."""
+    spec = workload(name)
+    return dataclasses.replace(
+        spec, eval_stdin=spec.profile_stdin,
+        eval_files=spec.profile_files).build(compiler_options)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -4,37 +4,23 @@ prefetch, batching, compression, copy-on-demand (paper, Section 4).
 
 import pytest
 
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (OffloadSession, SLOW_WIFI, SessionOptions,
-                           run_local)
-from repro.workloads import workload
+from repro.runtime import SLOW_WIFI, SessionOptions
 
-from conftest import run_once
+from conftest import build_on_profiling_input, run_once
 
 NAME = "164.gzip"   # the heaviest-traffic program
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    spec = workload(NAME)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    local = run_local(module, stdin=spec.profile_stdin,
-                      files=spec.profile_files)
-    return spec, program, local
+    built = build_on_profiling_input(NAME)
+    return built, built.local()
 
 
 def run_with(compiled, **flags):
-    spec, program, local = compiled
+    built, local = compiled
     options = SessionOptions(enable_dynamic_estimation=False, **flags)
-    session = OffloadSession(program, SLOW_WIFI, options=options,
-                             stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    result = session.run()
+    result = built.session(SLOW_WIFI, options).run()
     assert result.stdout == local.stdout  # every variant stays correct
     return result
 

@@ -9,33 +9,22 @@ full configuration must stay byte-exact.
 import pytest
 
 from repro.machine import SegmentationFault
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, OffloadSession, SessionOptions,
-                           run_local)
+from repro import WorkloadSpec
+from repro.offload import CompilerOptions
+from repro.runtime import FAST_WIFI, SessionOptions
 from repro.targets import ARM32, X86
-from repro.workloads import workload
 
-from conftest import run_once
+from conftest import build_on_profiling_input, run_once
 
 SPEC_NAME = "456.hmmer"
 
 
 def run_variant(compiler_options, session_options=None, name=SPEC_NAME):
-    spec = workload(name)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(compiler_options).compile(
-        module, profile)
-    local = run_local(module, stdin=spec.profile_stdin,
-                      files=spec.profile_files)
-    session = OffloadSession(
-        program, FAST_WIFI,
-        options=session_options or SessionOptions(
-            enable_dynamic_estimation=False),
-        stdin=spec.profile_stdin, files=spec.profile_files)
-    return local, session.run(), program
+    built = build_on_profiling_input(name, compiler_options)
+    local = built.local()
+    session = built.session(FAST_WIFI, session_options or SessionOptions(
+        enable_dynamic_estimation=False))
+    return local, session.run(), built.program
 
 
 def test_full_unification_is_exact(benchmark):
@@ -93,22 +82,17 @@ def test_without_layout_realignment_cross_abi(benchmark):
         return 0;
     }
     """
-    from repro.frontend import compile_c
+    spec = WorkloadSpec(name="rec", description="", source=src,
+                        profile_stdin=b"3000\n", eval_stdin=b"3000\n",
+                        forced_targets=("total",))
 
     def attempt(realign):
-        module = compile_c(src, "rec")
-        profile = profile_module(module, stdin=b"3000\n")
-        options = CompilerOptions(mobile_arch=ARM32, server_arch=X86,
-                                  enable_layout_realignment=realign,
-                                  forced_targets=["total"])
-        program = NativeOffloaderCompiler(options).compile(module,
-                                                           profile)
-        local = run_local(module, stdin=b"3000\n")
-        session = OffloadSession(
-            program, FAST_WIFI,
-            options=SessionOptions(enable_dynamic_estimation=False),
-            stdin=b"3000\n")
-        return local.stdout, session.run().stdout
+        built = spec.build(CompilerOptions(
+            mobile_arch=ARM32, server_arch=X86,
+            enable_layout_realignment=realign))
+        session = built.session(FAST_WIFI, SessionOptions(
+            enable_dynamic_estimation=False))
+        return built.local().stdout, session.run().stdout
 
     local_out, broken_out = run_once(benchmark, attempt, False)
     assert broken_out != local_out

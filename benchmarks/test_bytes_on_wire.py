@@ -18,11 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, OffloadSession, SessionOptions,
-                           run_local)
+from repro import WorkloadSpec
+from repro.runtime import FAST_WIFI, SessionOptions
 
 from conftest import run_once
 
@@ -72,22 +69,18 @@ MULTI_STDIN = b"6000\n"
 
 @pytest.fixture(scope="module")
 def compiled():
-    module = compile_c(MULTI_SRC, "multi")
-    profile = profile_module(module, stdin=MULTI_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(module, profile)
-    local = run_local(module, stdin=MULTI_STDIN)
-    return program, local
+    built = WorkloadSpec(name="multi", description="", source=MULTI_SRC,
+                         profile_stdin=MULTI_STDIN, eval_stdin=MULTI_STDIN,
+                         forced_targets=("crunch",)).build()
+    return built, built.local()
 
 
-def run_variant(program, incremental: bool):
+def run_variant(built, incremental: bool):
     options = SessionOptions(enable_dynamic_estimation=False,
                              enable_page_cache=incremental,
                              enable_delta_transfer=incremental,
                              enable_adaptive_prefetch=incremental)
-    session = OffloadSession(program, FAST_WIFI, options=options,
-                             stdin=MULTI_STDIN)
-    return session.run()
+    return built.session(FAST_WIFI, options).run()
 
 
 def summarize(result) -> dict:
@@ -109,10 +102,10 @@ def summarize(result) -> dict:
 
 
 def test_incremental_data_plane_cuts_bytes_on_wire(benchmark, compiled):
-    program, local = compiled
+    built, local = compiled
 
     def both():
-        return run_variant(program, False), run_variant(program, True)
+        return run_variant(built, False), run_variant(built, True)
 
     naive, incremental = run_once(benchmark, both)
     assert naive.stdout == local.stdout

@@ -16,13 +16,9 @@ severity.  Two properties are asserted:
 
 import pytest
 
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
-                           RetryPolicy, SessionOptions, run_local)
-from repro.workloads import workload
+from repro.runtime import FAST_WIFI, FaultPlan, RetryPolicy, SessionOptions
 
-from conftest import run_once
+from conftest import build_on_profiling_input, run_once
 
 WORKLOADS = ("164.gzip", "300.twolf")
 
@@ -34,26 +30,16 @@ MONOTONIC_SLACK = 0.98
 
 @pytest.fixture(scope="module", params=WORKLOADS)
 def compiled(request):
-    spec = workload(request.param)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    local = run_local(module, stdin=spec.profile_stdin,
-                      files=spec.profile_files)
-    return spec, program, local
+    built = build_on_profiling_input(request.param)
+    return built, built.local()
 
 
 def run_with(compiled, fault_plan=None, retry_policy=None):
-    spec, program, local = compiled
+    built, local = compiled
     options = SessionOptions(enable_dynamic_estimation=False,
                              fault_plan=fault_plan,
                              retry_policy=retry_policy)
-    session = OffloadSession(program, FAST_WIFI, options=options,
-                             stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    result = session.run()
+    result = built.session(FAST_WIFI, options).run()
     # semantics survive every fault schedule
     assert result.stdout == local.stdout
     return result
@@ -105,7 +91,7 @@ def test_dead_link_bounded_by_local_baseline(benchmark, compiled):
     """A link that never delivers costs the local-only time plus the
     transport's bounded retry budget — never a hang, never more than
     the budget, and bit-for-bit the local output."""
-    spec, program, local = compiled
+    _, local = compiled
     policy = RetryPolicy()
 
     def run_dead():

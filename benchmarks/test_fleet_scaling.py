@@ -17,12 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
-                         SeedFanout, ServerPool, arrival_offsets)
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, SessionOptions, run_local
+from repro.fleet import (FleetScheduler, PoolOptions, ServerPool,
+                         identical_devices)
+from repro.runtime import FAST_WIFI, SessionOptions
+from repro.workloads import workload
 
 from conftest import run_once
 
@@ -34,52 +32,20 @@ CAPACITY = 1
 QUEUE_LIMIT = 2
 FLEET_SIZES = [2, 6, 12, 20]
 
-FLEET_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
-FLEET_STDIN = b"600\n"
+#: The built-in multi-invocation hot kernel on its own input.
+MICRO = workload("fleet-micro")
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    module = compile_c(FLEET_SRC, "fleet-bench")
-    profile = profile_module(module, stdin=FLEET_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
-    local = run_local(module, stdin=FLEET_STDIN)
-    return program, local
+    built = MICRO.build()
+    return built.program, built.local()
 
 
 def _run_fleet(program, devices: int):
-    fan = SeedFanout(SEED)
-    offsets = arrival_offsets("uniform", devices, 0.002,
-                              fan.rng("arrivals"))
-    specs = [DeviceSpec(device_id=f"dev{i:02d}", program=program,
-                        network=FAST_WIFI, stdin=FLEET_STDIN,
-                        start_offset_s=offsets[i],
-                        options=SessionOptions())
-             for i in range(devices)]
+    specs = identical_devices(devices, program, FAST_WIFI,
+                              stdin=MICRO.eval_stdin, spacing_s=0.002,
+                              seed=SEED, options=SessionOptions())
     pool = ServerPool(PoolOptions(servers=SERVERS, capacity=CAPACITY,
                                   queue_limit=QUEUE_LIMIT))
     return FleetScheduler(specs, pool).run()

@@ -25,12 +25,10 @@ import pytest
 
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          ServerPool)
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, SessionOptions, run_local
+from repro.runtime import FAST_WIFI, SessionOptions
 from repro.trace.analysis import reconstruct_sessions
 from repro.trace.analysis.critical_path import attribute_session
+from repro.workloads import workload
 
 from conftest import run_once
 
@@ -42,61 +40,18 @@ SERVERS = 4
 SHARD_COUNTS = [1, 2, 4]
 SPEEDUP_BAR = 1.5
 
-# One flat data-parallel loop with enough per-element arithmetic that
-# server exec dominates the transfer: the shape the shard analyzer
-# accepts and the scatter actually pays off on.
-PARALLEL_SRC = r"""
-int data[8192];
-int out[8192];
-int n;
-
-void smooth(void) {
-    int i;
-    for (i = 0; i < n; i++) {
-        int v = data[i];
-        v = v * 31 + (v >> 3);
-        v ^= v << 7;
-        v += v >> 11;
-        v = v * 1103515245 + 12345;
-        v ^= v >> 13;
-        v = v * 69069 + 1;
-        v ^= v << 3;
-        v += (v >> 2) ^ (v << 9);
-        v = v * 2654435761 + 40503;
-        v ^= v >> 17;
-        v += (v << 5) - v;
-        v = v * 22695477 + 1;
-        v ^= v >> 7;
-        v += (v >> 4) ^ (v << 11);
-        v = v * 134775813 + 1;
-        v ^= v << 13;
-        out[i] = (v ^ (v >> 5)) + i;
-    }
-}
-
-int main() {
-    int i, acc = 0;
-    scanf("%d", &n);
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    smooth();
-    for (i = 0; i < n; i++) acc += out[i];
-    printf("smoothed %d\n", acc);
-    return 0;
-}
-"""
-PARALLEL_STDIN = b"4000\n"
+# The built-in data-parallel kernel: one flat loop with enough
+# per-element arithmetic that server exec dominates the transfer — the
+# shape the shard analyzer accepts and the scatter actually pays off on.
+MICRO = workload("parallel-micro")
+PARALLEL_STDIN = MICRO.eval_stdin
 TRIP_COUNT = 4000
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    module = compile_c(PARALLEL_SRC, "parallel-bench")
-    profile = profile_module(module, stdin=PARALLEL_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["smooth"])).compile(
-            module, profile)
-    local = run_local(module, stdin=PARALLEL_STDIN)
-    return program, local
+    built = MICRO.build()
+    return built.program, built.local()
 
 
 def _run(program, options: SessionOptions):

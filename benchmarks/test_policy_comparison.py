@@ -27,6 +27,7 @@ fresh copy and leaf-diffs it against the checked-in one).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -34,13 +35,10 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import (Autoscaler, AutoscalerOptions, DECISION_ENGINES,
-                         DeviceSpec, FleetScheduler, PoolOptions,
-                         SeedFanout, ServerPool, ServerSpec,
-                         arrival_offsets)
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, run_local
+                         FleetScheduler, PoolOptions, ServerPool,
+                         ServerSpec, identical_devices)
+from repro.runtime import FAST_WIFI
+from repro.workloads import workload
 from repro.trace.analysis.aggregate import nearest_rank_percentile
 
 RESULT_PATH = Path(os.environ.get(
@@ -54,30 +52,11 @@ SPACING_S = 0.002
 #: rejects placements that cannot meet it (admission control).
 DEADLINE_S = 0.010
 
-POLICY_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
+#: The built-in three-invocation hot kernel on a small input.
 POLICY_STDIN = b"150\n"
+MICRO = dataclasses.replace(workload("fleet-micro"),
+                            profile_stdin=POLICY_STDIN,
+                            eval_stdin=POLICY_STDIN)
 
 #: Tiered pool: server 0 is the paper's reference edge server, server 1
 #: a 4x cloud server.  fifo's (wait, id) tie-break lands the first
@@ -96,24 +75,15 @@ AUTOSCALE_INTERVAL_S = 0.002
 
 @pytest.fixture(scope="module")
 def compiled():
-    module = compile_c(POLICY_SRC, "policy-cmp")
-    profile = profile_module(module, stdin=POLICY_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
-    local = run_local(module, stdin=POLICY_STDIN)
-    return program, local
+    built = MICRO.build()
+    return built.program, built.local()
 
 
 def _specs(program, deadline_s=None, arrival="burst"):
-    fan = SeedFanout(SEED)
-    offsets = arrival_offsets(arrival, DEVICES, SPACING_S,
-                              fan.rng("arrivals"))
-    return [DeviceSpec(device_id=f"dev{i:02d}", program=program,
-                       network=FAST_WIFI, stdin=POLICY_STDIN,
-                       deadline_s=deadline_s,
-                       start_offset_s=offsets[i])
-            for i in range(DEVICES)]
+    return identical_devices(DEVICES, program, FAST_WIFI,
+                             stdin=POLICY_STDIN, arrival=arrival,
+                             spacing_s=SPACING_S, seed=SEED,
+                             deadline_s=deadline_s)
 
 
 def _point(result) -> dict:

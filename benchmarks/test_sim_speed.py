@@ -17,18 +17,17 @@ of ``wall_s``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
-                         SeedFanout, ServerPool, arrival_offsets)
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, run_local
+from repro.fleet import (FleetScheduler, PoolOptions, ServerPool,
+                         identical_devices)
+from repro.runtime import FAST_WIFI
+from repro.workloads import workload
 
 SMOKE = bool(os.environ.get("SIM_SPEED_SMOKE"))
 RESULT_PATH = Path(os.environ.get(
@@ -46,51 +45,22 @@ INVOCATIONS_PER_DEVICE = 3
 
 EVENT_SIZES = [10, 100] if SMOKE else [10, 100, 1000, 10000]
 
-SIM_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
+#: The built-in three-invocation hot kernel on a small input.
 SIM_STDIN = b"150\n"
+MICRO = dataclasses.replace(workload("fleet-micro"),
+                            profile_stdin=SIM_STDIN, eval_stdin=SIM_STDIN)
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    module = compile_c(SIM_SRC, "sim-speed")
-    profile = profile_module(module, stdin=SIM_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
-    local = run_local(module, stdin=SIM_STDIN)
-    return program, local
+    built = MICRO.build()
+    return built.program, built.local()
 
 
 def _specs(program, devices: int):
-    fan = SeedFanout(SEED)
-    offsets = arrival_offsets("uniform", devices, SPACING_S,
-                              fan.rng("arrivals"))
-    return [DeviceSpec(device_id=f"dev{i:05d}", program=program,
-                       network=FAST_WIFI, stdin=SIM_STDIN,
-                       start_offset_s=offsets[i])
-            for i in range(devices)]
+    return identical_devices(devices, program, FAST_WIFI,
+                             stdin=SIM_STDIN, spacing_s=SPACING_S,
+                             seed=SEED)
 
 
 def _measure(program, devices: int):

@@ -10,11 +10,9 @@ Reproduces the three artifacts built around it:
 Run:  python examples/chess_offload.py
 """
 
-from repro import (FAST_WIFI, SLOW_WIFI, CompilerOptions,
-                   NativeOffloaderCompiler, OffloadSession, profile_module,
-                   run_local)
+from repro import FAST_WIFI, SLOW_WIFI
 from repro.eval import render_table1, render_table3, table1_chess_gap
-from repro.workloads import CHESS, chess_stdin
+from repro.workloads import CHESS
 
 
 def main() -> None:
@@ -29,17 +27,14 @@ def main() -> None:
     print(render_table3())
     print()
 
-    # End-to-end: play three turns with offloaded AI.
-    module = CHESS.module()
-    profile = profile_module(module, stdin=CHESS.profile_stdin)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    print(f"offload targets: {program.target_names()}")
-    stdin = chess_stdin(depth=5, turns=3)
-    local = run_local(module, stdin=stdin)
+    # End-to-end: play three turns (CHESS's evaluation input: depth 5)
+    # with offloaded AI.
+    built = CHESS.build()
+    print(f"offload targets: {built.program.target_names()}")
+    local = built.local()
     print(f"\nlocal AI thinking: {local.seconds * 1e3:.1f} ms")
     for network in (FAST_WIFI, SLOW_WIFI):
-        result = OffloadSession(program, network, stdin=stdin).run()
+        result = built.session(network).run()
         assert result.stdout == local.stdout
         print(f"{network.name:10s}: {result.total_seconds * 1e3:8.1f} ms  "
               f"speedup {local.seconds / result.total_seconds:.2f}x  "

@@ -10,8 +10,7 @@ output is correct *because* the unified layout is installed.
 Run:  python examples/cross_architecture.py
 """
 
-from repro import (FAST_WIFI, CompilerOptions, NativeOffloaderCompiler,
-                   OffloadSession, compile_c, profile_module, run_local)
+from repro import FAST_WIFI, CompilerOptions, WorkloadSpec, compile_c
 from repro.targets import ARM32, MIPS32BE, X86, X86_64, DataLayout
 
 SOURCE = r"""
@@ -65,16 +64,20 @@ def show_layouts() -> None:
           "on the server.")
 
 
+LAYOUTS = WorkloadSpec(name="layouts", description="Figure 4 kernel",
+                       source=SOURCE, profile_stdin=b"2000\n",
+                       eval_stdin=b"6000\n")
+
+
 def run_cross(arch_mobile, arch_server) -> None:
-    module = compile_c(SOURCE, "layouts", target=arch_mobile)
-    profile = profile_module(module, arch=arch_mobile, stdin=b"2000\n")
-    options = CompilerOptions(mobile_arch=arch_mobile,
-                              server_arch=arch_server)
-    program = NativeOffloaderCompiler(options).compile(module, profile)
-    local = run_local(module, arch=arch_mobile, stdin=b"6000\n")
-    session = OffloadSession(program, FAST_WIFI, stdin=b"6000\n")
+    # The mobile architecture is stated once: its layout rules the front
+    # end, the profile, the local run and both machines of the session.
+    built = LAYOUTS.build(CompilerOptions(mobile_arch=arch_mobile,
+                                          server_arch=arch_server))
+    local = built.local()
+    session = built.session(FAST_WIFI)
     result = session.run()
-    report = program.unification
+    report = built.program.unification
     match = "OK" if result.stdout == local.stdout else "MISMATCH"
     print(f"\n{arch_mobile.name} -> {arch_server.name}: output {match}; "
           f"realigned structs: {report.realigned_structs or 'none'}; "

@@ -10,31 +10,23 @@ situations such as slow network connection".
 Run:  python examples/network_sensitivity.py
 """
 
-from repro import (CompilerOptions, NativeOffloaderCompiler, NetworkModel,
-                   OffloadSession, profile_module, run_local)
+from repro import NetworkModel
 from repro.workloads import workload
 
 BANDWIDTHS_MBPS = [10, 20, 40, 80, 160, 320, 640]
 
 
 def sweep(name: str) -> None:
-    spec = workload(name)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    local = run_local(module, stdin=spec.eval_stdin, files=spec.eval_files)
-    print(f"\n{name}  (targets: {', '.join(program.target_names())}, "
+    built = workload(name).build()
+    local = built.local()
+    print(f"\n{name}  (targets: {', '.join(built.program.target_names())}, "
           f"local {local.seconds * 1e3:.1f} ms)")
     print(f"{'BW (Mbps)':>10s} {'time (ms)':>10s} {'speedup':>8s} "
           f"{'offloaded':>10s}")
     for mbps in BANDWIDTHS_MBPS:
         network = NetworkModel(f"{mbps}Mbps", bandwidth_bps=mbps * 1e6,
                                latency_s=2e-3, slow=mbps < 100)
-        session = OffloadSession(program, network, stdin=spec.eval_stdin,
-                                 files=spec.eval_files)
-        result = session.run()
+        result = built.session(network).run()
         assert result.stdout == local.stdout
         print(f"{mbps:>10d} {result.total_seconds * 1e3:>10.1f} "
               f"{local.seconds / result.total_seconds:>7.2f}x "

@@ -22,6 +22,15 @@ Quick start::
 
     result = offload_app(C_SOURCE, stdin=b"...", network=FAST_WIFI)
     print(result.stdout, result.total_seconds)
+
+``offload_app`` is one call of the recipe every other caller uses too —
+:meth:`repro.workloads.WorkloadSpec.build`, source -> module + profile +
+program, with the mobile architecture stated once::
+
+    built = WorkloadSpec(name="app", description="", source=C_SOURCE,
+                         profile_stdin=b"...", eval_stdin=b"...").build()
+    local = built.local()
+    result = built.session(FAST_WIFI).run()
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .runtime import (FAST_WIFI, IDEAL_NETWORK, NetworkModel, OffloadSession,
                       SLOW_WIFI, SessionOptions, SessionResult, run_local)
 from .targets import ARM32, ARM64, MIPS32BE, X86, X86_64
 from .trace import TraceEvent, Tracer
+from .workloads.base import WorkloadSpec
 
 __version__ = "1.0.0"
 
@@ -45,7 +55,7 @@ __all__ = [
     "SLOW_WIFI", "SessionOptions", "SessionResult", "run_local",
     "ARM32", "ARM64", "MIPS32BE", "X86", "X86_64",
     "TraceEvent", "Tracer",
-    "offload_app", "__version__",
+    "WorkloadSpec", "offload_app", "__version__",
 ]
 
 
@@ -66,14 +76,12 @@ def offload_app(source: str,
     the paper uses distinct (smaller) profiling inputs, so pass them when
     fidelity matters.
     """
-    module = compile_c(source, name)
-    profile = profile_module(
-        module,
-        stdin=profile_stdin if profile_stdin is not None else stdin,
-        files=profile_files if profile_files is not None else files)
-    compiler = NativeOffloaderCompiler(compiler_options
-                                       or CompilerOptions())
-    program = compiler.compile(module, profile)
-    session = OffloadSession(program, network, options=session_options,
-                             stdin=stdin, files=files)
-    return session.run()
+    spec = WorkloadSpec(
+        name=name, description="", source=source,
+        profile_stdin=profile_stdin if profile_stdin is not None else stdin,
+        eval_stdin=stdin,
+        profile_files=(profile_files if profile_files is not None
+                       else files) or {},
+        eval_files=files or {})
+    built = spec.build(compiler_options)
+    return built.session(network, session_options).run()

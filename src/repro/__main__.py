@@ -16,7 +16,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -27,14 +26,9 @@ from .eval import (evaluate_suite, figure6a_execution_time,
                    render_figure8, render_table1, render_table2,
                    render_table3, render_table4, render_table5)
 from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
-                    AutoscalerOptions, DeviceSpec, FleetScheduler,
-                    PoolOptions, SeedFanout, ServerPool, ServerSpec,
-                    arrival_offsets)
-from .frontend import compile_c
-from .offload import CompilerOptions, NativeOffloaderCompiler
-from .profiler import profile_module
-from .runtime import (FaultPlan, NETWORKS, OffloadSession, SessionOptions,
-                      run_local)
+                    AutoscalerOptions, FleetScheduler, PoolOptions,
+                    ServerPool, ServerSpec, identical_devices)
+from .runtime import FaultPlan, NETWORKS, SessionOptions
 from .trace import (phase_totals, render_metrics, render_timeline,
                     write_chrome_trace, write_jsonl)
 from .trace.analysis import (BUCKETS, aggregate_sessions, build_report,
@@ -42,17 +36,13 @@ from .trace.analysis import (BUCKETS, aggregate_sessions, build_report,
                              reconstruct_sessions, render_html,
                              report_to_json)
 from .trace.export import open_jsonl
-from .workloads import ALL_WORKLOADS, workload
+from .workloads import ALL_WORKLOADS, FLEET_MICRO, MICRO_WORKLOADS, workload
 
 
 def cmd_list(args) -> int:
     print(f"{'name':16s} {'LoC':>4s}  description")
-    for spec in ALL_WORKLOADS:
+    for spec in ALL_WORKLOADS + MICRO_WORKLOADS:
         print(f"{spec.name:16s} {spec.loc:4d}  {spec.description}")
-    print(f"{FLEET_MICRO_WORKLOAD:16s} {'-':>4s}  built-in hot kernel "
-          f"(fleet default; nested loops, single-server)")
-    print(f"{PARALLEL_MICRO_WORKLOAD:16s} {'-':>4s}  built-in "
-          f"data-parallel kernel (shardable via --shards)")
     return 0
 
 
@@ -63,32 +53,26 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _lookup_workload(name: str):
-    """The registry spec a workload name refers to (None + stderr note
-    when the registry does not know it)."""
+def _build_workload(name: str):
+    """The built workload (module + profile + program; registry suite
+    and built-in micro kernels alike) a subcommand names — None after a
+    stderr note when the registry does not know the name."""
     try:
-        return workload(name)
+        spec = workload(name)
     except KeyError as exc:     # the registry's unknown-workload error
         _usage_error(exc.args[0])
         return None
-
-
-def _compile(spec):
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    return module, profile, program
+    return spec.build()
 
 
 def cmd_compile(args) -> int:
-    spec = _lookup_workload(args.workload)
-    if spec is None:
+    built = _build_workload(args.workload)
+    if built is None:
         return 2
-    module, profile, program = _compile(spec)
+    spec, program = built.spec, built.program
     print(f"{spec.name}: {spec.description}")
-    print(f"  offload targets : {', '.join(program.target_names())}")
+    print(f"  offload targets : "
+          f"{', '.join(program.target_names()) or program.why_no_targets()}")
     print(f"  outlined loops  : {program.outlined_loops or '-'}")
     print(f"  unification     : {program.unification.summary()}")
     print(f"  remote I/O sites: {program.remote_io_sites}, "
@@ -124,9 +108,8 @@ def _fault_plan(args):
 
 def _session_inputs(args):
     """What ``run`` and ``trace`` share: the network, the workload and
-    the fault plan their flags name — ``(network, plan, name, module,
-    stdin, files, program)``, or None after a stderr note when a flag
-    value is bad."""
+    the fault plan their flags name — ``(network, plan, built)``, or
+    None after a stderr note when a flag value is bad."""
     network = _resolve_network(args.network)
     if network is None:
         return None
@@ -135,10 +118,10 @@ def _session_inputs(args):
     except ValueError as exc:
         _usage_error(exc)
         return None
-    built = _workload_program(args.workload)
+    built = _build_workload(args.workload)
     if built is None:
         return None
-    return (network, plan) + built
+    return network, plan, built
 
 
 def _print_fault_summary(result) -> None:
@@ -179,15 +162,12 @@ def cmd_run(args) -> int:
     inputs = _session_inputs(args)
     if inputs is None:
         return 2
-    network, plan, name, module, stdin, files, program = inputs
-    local = run_local(module, stdin=stdin, files=files)
-    session = OffloadSession(program, network,
-                             options=SessionOptions(fault_plan=plan,
-                                                    shards=args.shards),
-                             stdin=stdin, files=files)
-    result = session.run()
+    network, plan, built = inputs
+    local = built.local()
+    result = built.session(network, SessionOptions(
+        fault_plan=plan, shards=args.shards)).run()
     match = "identical" if result.stdout == local.stdout else "DIFFERENT"
-    print(f"{name} over {network.name}"
+    print(f"{built.spec.name} over {network.name}"
           + (f" (faulty link, seed {args.seed})" if plan else ""))
     print(f"  local   : {local.seconds * 1e3:9.2f} ms  "
           f"{local.energy_mj:9.1f} mJ")
@@ -238,14 +218,11 @@ def cmd_trace(args) -> int:
     inputs = _session_inputs(args)
     if inputs is None:
         return 2
-    network, plan, name, module, stdin, files, program = inputs
-    options = SessionOptions(enable_tracing=True,
-                             trace_capacity=args.capacity,
-                             fault_plan=plan,
-                             shards=args.shards)
-    session = OffloadSession(program, network, options=options,
-                             stdin=stdin, files=files)
-    result = session.run()
+    network, plan, built = inputs
+    name = built.spec.name
+    result = built.session(network, SessionOptions(
+        enable_tracing=True, trace_capacity=args.capacity,
+        fault_plan=plan, shards=args.shards)).run()
     tracer = result.trace
     events = tracer.events()
 
@@ -309,115 +286,15 @@ def _print_analysis_summary(events) -> None:
         print(f"  dominant: {dominant}")
 
 
-# The default fleet workload: a hot kernel invoked a few times per
-# device, small enough that a 20-device fleet finishes in seconds but
-# hot enough that the selector offloads it.  Real workload names from
-# `python -m repro list` are accepted too.
-FLEET_MICRO_WORKLOAD = "fleet-micro"
-_FLEET_MICRO_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
-_FLEET_MICRO_STDIN = b"600\n"
-
-# A data-parallel built-in: one flat loop, disjoint element writes —
-# exactly the shape the shard analyzer accepts, so `--shards K`
-# actually scatters it (docs/parallel-offload.md).  `fleet-micro`'s
-# crunch kernel is nested-loop and always stays single-server.
-PARALLEL_MICRO_WORKLOAD = "parallel-micro"
-_PARALLEL_MICRO_SRC = r"""
-int data[8192];
-int out[8192];
-int n;
-
-void smooth(void) {
-    int i;
-    for (i = 0; i < n; i++) {
-        int v = data[i];
-        v = v * 31 + (v >> 3);
-        v ^= v << 7;
-        v += v >> 11;
-        v = v * 1103515245 + 12345;
-        v ^= v >> 13;
-        v = v * 69069 + 1;
-        v ^= v << 3;
-        v += (v >> 2) ^ (v << 9);
-        v = v * 2654435761 + 40503;
-        v ^= v >> 17;
-        v += (v << 5) - v;
-        v = v * 22695477 + 1;
-        v ^= v >> 7;
-        v += (v >> 4) ^ (v << 11);
-        v = v * 134775813 + 1;
-        v ^= v << 13;
-        out[i] = (v ^ (v >> 5)) + i;
-    }
-}
-
-int main() {
-    int i, acc = 0;
-    scanf("%d", &n);
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    smooth();
-    for (i = 0; i < n; i++) acc += out[i];
-    printf("smoothed %d\n", acc);
-    return 0;
-}
-"""
-_PARALLEL_MICRO_STDIN = b"4000\n"
-
-
-def _workload_program(name: str):
-    """(display name, module, stdin, files, program) for any workload a
-    subcommand names: the paper suite plus the built-in micro kernels
-    (None + stderr note for a name neither knows)."""
-    if name == FLEET_MICRO_WORKLOAD:
-        module = compile_c(_FLEET_MICRO_SRC, FLEET_MICRO_WORKLOAD)
-        profile = profile_module(module, stdin=_FLEET_MICRO_STDIN)
-        program = NativeOffloaderCompiler(
-            CompilerOptions(forced_targets=["crunch"])).compile(
-                module, profile)
-        return name, module, _FLEET_MICRO_STDIN, None, program
-    if name == PARALLEL_MICRO_WORKLOAD:
-        module = compile_c(_PARALLEL_MICRO_SRC, PARALLEL_MICRO_WORKLOAD)
-        profile = profile_module(module, stdin=_PARALLEL_MICRO_STDIN)
-        program = NativeOffloaderCompiler(
-            CompilerOptions(forced_targets=["smooth"])).compile(
-                module, profile)
-        return name, module, _PARALLEL_MICRO_STDIN, None, program
-    spec = _lookup_workload(name)
-    if spec is None:
-        return None
-    module, profile, program = _compile(spec)
-    return spec.name, module, spec.eval_stdin, spec.eval_files, program
-
-
 def _pool_options(args) -> PoolOptions:
     """The PoolOptions the CLI flags describe.  Without --cloud-servers
     this is the historical homogeneous form (byte-identical pools);
     with it, the pool is a two-tier edge/cloud topology where cloud
     servers are faster but sit behind the cloud-wan link."""
     cloud = args.cloud_servers
-    if cloud <= 0:
+    if cloud < 0:
+        raise ValueError(f"cloud servers must be >= 0; got {cloud}")
+    if cloud == 0:
         return PoolOptions(servers=args.servers, capacity=args.capacity,
                            queue_limit=args.queue_limit)
     edge = tuple(ServerSpec(capacity=args.capacity,
@@ -446,42 +323,32 @@ def _autoscaler(args):
 def _run_fleet(args, network, enable_tracing: bool):
     """Build and run the fleet the CLI flags describe — shared by
     ``fleet`` and ``report`` so the two subcommands simulate the exact
-    same system.  Returns ``(FleetResult, base_plan, module, stdin,
-    files)``, or None after a stderr note when a flag value is bad."""
-    # Every random draw in the run — arrival process, per-device fault
-    # plans — fans out from the one --seed (docs/fleet.md, "Determinism").
-    fan = SeedFanout(args.seed)
+    same system.  Returns ``(FleetResult, base_plan, built)``, or None
+    after a stderr note when a flag value is bad."""
     # Validation lives in the dataclasses; only building them is guarded.
     try:
-        offsets = arrival_offsets(args.arrival, args.devices, args.spacing,
-                                  fan.rng("arrivals"))
         base_plan = _fault_plan(args)
         pool = ServerPool(_pool_options(args), engine=args.engine)
         autoscaler = _autoscaler(args)
     except ValueError as exc:
         _usage_error(exc)
         return None
-    built = _workload_program(args.workload)
+    built = _build_workload(args.workload)
     if built is None:
         return None
-    _, module, stdin, files, program = built
-
-    def device(i: int) -> DeviceSpec:
-        plan = (dataclasses.replace(base_plan, seed=fan.seed("fault", i))
-                if base_plan is not None else None)
-        options = SessionOptions(enable_tracing=enable_tracing,
-                                 fault_plan=plan, shards=args.shards)
-        return DeviceSpec(device_id=f"dev{i:02d}", program=program,
-                          network=network, stdin=stdin, files=files,
-                          start_offset_s=offsets[i], options=options,
-                          deadline_s=args.deadline)
     try:
-        devices = [device(i) for i in range(args.devices)]
+        devices = identical_devices(
+            args.devices, built.program, network,
+            stdin=built.spec.eval_stdin, files=built.spec.eval_files,
+            arrival=args.arrival, spacing_s=args.spacing, seed=args.seed,
+            options=SessionOptions(enable_tracing=enable_tracing,
+                                   shards=args.shards),
+            fault_plan=base_plan, deadline_s=args.deadline)
     except ValueError as exc:
         _usage_error(exc)
         return None
     result = FleetScheduler(devices, pool, autoscaler=autoscaler).run()
-    return result, base_plan, module, stdin, files
+    return result, base_plan, built
 
 
 def cmd_fleet(args) -> int:
@@ -493,8 +360,8 @@ def cmd_fleet(args) -> int:
     fleet = _run_fleet(args, network, enable_tracing=bool(args.jsonl))
     if fleet is None:
         return 2
-    result, base_plan, module, stdin, files = fleet
-    local = run_local(module, stdin=stdin, files=files)
+    result, base_plan, built = fleet
+    local = built.local()
 
     summary = result.summary()
     outputs_ok = all(d.result.stdout == local.stdout
@@ -796,9 +663,9 @@ def _add_fleet_args(p) -> None:
     p.add_argument("--spacing", type=_finite_float, default=0.002,
                    metavar="SECONDS",
                    help="mean gap between device starts (default 2 ms)")
-    p.add_argument("--workload", default=FLEET_MICRO_WORKLOAD,
+    p.add_argument("--workload", default=FLEET_MICRO.name,
                    help=f"workload every device runs (default "
-                        f"{FLEET_MICRO_WORKLOAD!r}, a built-in hot "
+                        f"{FLEET_MICRO.name!r}, a built-in hot "
                         f"kernel; any `list` name works)")
     _add_network_arg(p)
     _add_parallel_args(p)

@@ -15,10 +15,9 @@ communication or refuses to offload at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass
+from typing import Dict, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..ir import instructions as inst
@@ -26,6 +25,10 @@ from ..ir.module import Module
 from ..offload.filter import FunctionFilter
 from ..profiler.profile_data import ProfileData
 from ..runtime.network import NetworkModel
+
+#: ``capacities[u][v]``: capacity of the directed edge u -> v.
+Capacities = Dict[str, Dict[str, float]]
+SOURCE, SINK = "__mobile__", "__server__"
 
 
 @dataclass
@@ -96,15 +99,16 @@ class StaticPartitioner:
                    for i in fn.instructions())
 
     # -- the min-cut --------------------------------------------------
-    def partition(self) -> StaticPartitionResult:
+    def task_graph(self) -> Capacities:
+        """The task graph as edge capacities (seconds) between
+        :data:`SOURCE` (the mobile), the profiled functions and
+        :data:`SINK` (the server)."""
         conservatism = self.conservatism_factor()
         bandwidth = self.network.bandwidth_bytes_per_s
-        graph = nx.DiGraph()
-        source, sink = "__mobile__", "__server__"
+        graph: Capacities = {SOURCE: {}}
 
         functions = [fn.name for fn in self.module.defined_functions()
                      if self.profile.candidates.get(fn.name) is not None]
-        local_total = self.profile.program_seconds
 
         for name in functions:
             prof = self.profile.candidates[name]
@@ -118,13 +122,12 @@ class StaticPartitioner:
             self_time = max(prof.total_seconds - callee_time, 0.0)
             mobile_cost = self_time
             server_cost = self_time / self.ratio
-            if self._pinned_to_mobile(name):
-                graph.add_edge(source, name, capacity=float("inf"))
-            else:
-                # cut s->n  <=> n runs on the server (pays server cost)
-                graph.add_edge(source, name, capacity=server_cost)
+            # cut s->n  <=> n runs on the server (pays server cost)
+            graph[SOURCE][name] = (float("inf")
+                                   if self._pinned_to_mobile(name)
+                                   else server_cost)
             # cut n->t  <=> n runs on the mobile device
-            graph.add_edge(name, sink, capacity=mobile_cost)
+            graph[name] = {SINK: mobile_cost}
 
         # Call edges: crossing the boundary costs a conservative transfer
         # of everything the callee may touch, once per invocation.
@@ -138,26 +141,73 @@ class StaticPartitioner:
                 comm = (2.0 * may_touch / bandwidth
                         * max(cprof.invocations, 1))
                 if comm > 0:
-                    _add_undirected_capacity(graph, name, callee, comm)
+                    for u, v in ((name, callee), (callee, name)):
+                        edges = graph.setdefault(u, {})
+                        edges[v] = edges.get(v, 0.0) + comm
+        return graph
 
-        cut_value, (mobile_side, server_side) = nx.minimum_cut(
-            graph, source, sink)
-        mobile_functions = {n for n in mobile_side if not n.startswith("__")}
-        server_functions = {n for n in server_side if not n.startswith("__")}
-        predicted = min(cut_value, local_total)
+    def partition(self) -> StaticPartitionResult:
+        cut_value, (mobile_side, server_side) = minimum_cut(
+            self.task_graph(), SOURCE, SINK)
+        server_functions = server_side - {SINK}
+        local_total = self.profile.program_seconds
         return StaticPartitionResult(
             server_functions=server_functions,
-            mobile_functions=mobile_functions,
-            predicted_seconds=predicted,
+            mobile_functions=mobile_side - {SOURCE},
+            predicted_seconds=min(cut_value, local_total),
             local_seconds=local_total,
-            conservatism=conservatism,
+            conservatism=self.conservatism_factor(),
             analyzable=bool(server_functions))
 
 
-def _add_undirected_capacity(graph: nx.DiGraph, a: str, b: str,
-                             capacity: float) -> None:
-    for u, v in ((a, b), (b, a)):
-        if graph.has_edge(u, v):
-            graph[u][v]["capacity"] += capacity
-        else:
-            graph.add_edge(u, v, capacity=capacity)
+def minimum_cut(capacities: Capacities, source: str, sink: str
+                ) -> Tuple[float, Tuple[Set[str], Set[str]]]:
+    """Edmonds–Karp maximum flow, returned as ``(cut value, (source
+    side, sink side))``.  Among the minimum cuts it picks the one
+    ``networkx.minimum_cut`` picks — the sink side is every node that
+    can still reach the sink in the residual graph — which
+    ``tests/test_min_cut_differential.py`` holds it to.  Capacities may
+    be ``inf`` as long as no source-to-sink path is all-infinite."""
+    residual: Capacities = {u: dict(edges)
+                            for u, edges in capacities.items()}
+    for u, edges in capacities.items():
+        for v in edges:
+            residual.setdefault(v, {}).setdefault(u, 0.0)
+    for node in (source, sink):
+        residual.setdefault(node, {})
+
+    value = 0.0
+    while True:
+        parent = {source: source}       # breadth first: shortest path
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, room in residual[u].items():
+                if room > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        pushed = min(residual[u][v] for u, v in path)
+        if pushed == float("inf"):
+            raise ValueError("an infinite-capacity path joins source "
+                             "and sink: the flow is unbounded")
+        for u, v in path:
+            residual[u][v] -= pushed
+            residual[v][u] += pushed
+        value += pushed
+
+    sink_side = {sink}
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for u in residual[v]:           # every neighbour, either way
+            if u not in sink_side and residual[u][v] > 0:
+                sink_side.add(u)
+                queue.append(u)
+    return value, (set(residual) - sink_side, sink_side)

@@ -5,18 +5,17 @@ figures share a single evaluation pass.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..offload.pipeline import (CompilerOptions, NativeOffloaderCompiler,
-                                OffloadProgram)
+from ..offload.pipeline import CompilerOptions, OffloadProgram
 from ..profiler.profile_data import ProfileData
-from ..profiler.profiler import profile_module
-from ..runtime.local import LocalRunResult, run_local
+from ..runtime.local import LocalRunResult
 from ..runtime.network import (FAST_WIFI, IDEAL_NETWORK, NetworkModel,
                                SLOW_WIFI)
-from ..runtime.session import OffloadSession, SessionOptions, SessionResult
+from ..runtime.session import SessionOptions, SessionResult
 from ..workloads.base import WorkloadSpec
 from ..workloads.registry import SPEC_WORKLOADS, workload
 
@@ -79,25 +78,15 @@ def run_program(spec: WorkloadSpec,
                 session_options: Optional[SessionOptions] = None
                 ) -> ProgramResult:
     """Profile, compile and evaluate one workload (uncached)."""
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    compiler = NativeOffloaderCompiler(compiler_options
-                                       or CompilerOptions())
-    program = compiler.compile(module, profile)
-    local = run_local(module, stdin=spec.eval_stdin, files=spec.eval_files)
-    result = ProgramResult(spec=spec, profile=profile, program=program,
-                           local=local)
+    built = spec.build(compiler_options)
+    result = ProgramResult(spec=spec, profile=built.profile,
+                           program=built.program, local=built.local())
     for label in labels:
         network, zero = CONFIG_NETWORKS[label]
         options = session_options or SessionOptions()
         if zero:
-            options = SessionOptions(**{**options.__dict__,
-                                        "zero_overhead": True})
-        session = OffloadSession(program, network, options=options,
-                                 stdin=spec.eval_stdin,
-                                 files=spec.eval_files)
-        result.sessions[label] = session.run()
+            options = dataclasses.replace(options, zero_overhead=True)
+        result.sessions[label] = built.session(network, options).run()
     return result
 
 

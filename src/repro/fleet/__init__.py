@@ -33,7 +33,7 @@ from .replay import (OutcomeProjection, ScriptedDispatcher, Segment,
 from .result import DeviceOutcome, FleetResult
 from .scheduler import FleetScheduler
 from .seeding import SeedFanout, derive_seed
-from .spec import DeviceSpec, arrival_offsets
+from .spec import DeviceSpec, arrival_offsets, identical_devices
 
 __all__ = [
     "EventQueue", "SimClock",
@@ -46,6 +46,6 @@ __all__ = [
     "OutcomeProjection", "ScriptedDispatcher", "Segment",
     "SegmentBoundary", "SegmentCache", "TrieNode", "behavior_key",
     "DeviceOutcome", "DeviceSpec", "FleetResult",
-    "FleetScheduler", "arrival_offsets",
+    "FleetScheduler", "arrival_offsets", "identical_devices",
     "SeedFanout", "derive_seed",
 ]

@@ -9,10 +9,13 @@ the session; everything it needs to know about a device is here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..runtime.network import FaultPlan
 from ..runtime.session import SessionOptions
+from .seeding import SeedFanout
 
 
 @dataclass
@@ -73,3 +76,41 @@ def arrival_offsets(pattern: str, devices: int, spacing_s: float,
     if pattern == "burst":
         return [0.0] * devices
     raise ValueError(f"unknown arrival pattern {pattern!r}")
+
+
+def identical_devices(count: int, program, network, *,
+                      stdin: bytes = b"",
+                      files: Optional[Dict[str, bytes]] = None,
+                      arrival: str = "uniform",
+                      spacing_s: float = 0.002,
+                      seed: int = 0,
+                      options: Optional[SessionOptions] = None,
+                      fault_plan: Optional[FaultPlan] = None,
+                      deadline_s: Optional[float] = None
+                      ) -> List[DeviceSpec]:
+    """Seed -> fleet: ``count`` devices ``dev00``, ``dev01``, ... that
+    differ only in when they start and how their link misbehaves.
+
+    This is the determinism contract of docs/fleet.md, stated once:
+    every random draw fans out from the one ``seed`` — the arrival
+    process draws from one child RNG, and device *i* runs
+    ``fault_plan`` reseeded with its own child seed (no ``fault_plan``:
+    perfect links, ``options`` used as given).  The two labels below
+    are written nowhere else.  ``ValueError`` for a bad count, spacing,
+    arrival pattern or deadline.
+    """
+    fan = SeedFanout(seed)
+    offsets = arrival_offsets(arrival, count, spacing_s,
+                              fan.rng("arrivals"))
+    specs = []
+    for i, offset in enumerate(offsets):
+        device_options = options
+        if fault_plan is not None:
+            plan = dataclasses.replace(fault_plan, seed=fan.seed("fault", i))
+            device_options = dataclasses.replace(
+                options or SessionOptions(), fault_plan=plan)
+        specs.append(DeviceSpec(
+            device_id=f"dev{i:02d}", program=program, network=network,
+            stdin=stdin, files=files, start_offset_s=offset,
+            options=device_options, deadline_s=deadline_s))
+    return specs

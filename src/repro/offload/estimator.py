@@ -28,9 +28,12 @@ class EstimatorParams:
     warm_transfer_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.performance_ratio <= 1.0:
-            raise ValueError("performance ratio must exceed 1 "
-                             "(the server must be faster)")
+        # R <= 1 (a server no faster than the mobile) is a legal
+        # environment: Equation 1 then promises a negative gain and
+        # nothing is selected.  Only a ratio the formula cannot divide
+        # by is refused (NaN fails the comparison too).
+        if not self.performance_ratio > 0.0:
+            raise ValueError("performance ratio must be positive")
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0.0 < self.warm_transfer_fraction <= 1.0:

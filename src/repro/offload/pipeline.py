@@ -88,6 +88,16 @@ class OffloadProgram:
     def target_names(self) -> List[str]:
         return [t.name for t in self.partition.targets]
 
+    def why_no_targets(self) -> str:
+        """The reason nothing is offloaded, for a program whose target
+        list is empty: the whole application runs on the mobile."""
+        ratio = self.options.resolved_ratio()
+        if ratio <= 1.0:
+            return (f"none — the server is not faster than the mobile "
+                    f"(R = {ratio:.2f}), so Equation 1 promises no gain")
+        return (f"none — no candidate's estimated gain reaches "
+                f"{self.options.min_gain_fraction:.0%} of program time")
+
     def statistics(self) -> Dict[str, object]:
         """Static per-program statistics — the left half of Table 4."""
         # Generated shard wrappers are scaffolding, not program functions;

@@ -8,11 +8,10 @@ import pytest
 
 from repro.frontend import compile_c
 from repro.machine import Interpreter, Machine, install_libc
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, OffloadSession, SessionOptions,
-                           run_local)
+from repro.offload import CompilerOptions
+from repro.runtime import FAST_WIFI, SessionOptions, run_local
 from repro.targets import ARM32, TargetArch
+from repro.workloads import BuiltWorkload, WorkloadSpec
 
 
 def run_c(source: str, stdin: bytes = b"",
@@ -34,6 +33,20 @@ def interp_for(source: str, arch: TargetArch = ARM32,
     return Interpreter(machine)
 
 
+def build_c(source: str, stdin: bytes = b"",
+            files: Optional[Dict[str, bytes]] = None,
+            profile_stdin: Optional[bytes] = None,
+            compiler_options: Optional[CompilerOptions] = None,
+            name: str = "test") -> BuiltWorkload:
+    """The source -> program recipe on a C snippet whose profiling input
+    defaults to its evaluation input."""
+    spec = WorkloadSpec(
+        name=name, description="", source=source,
+        profile_stdin=profile_stdin if profile_stdin is not None else stdin,
+        eval_stdin=stdin, profile_files=files or {}, eval_files=files or {})
+    return spec.build(compiler_options)
+
+
 def offload_c(source: str, stdin: bytes = b"",
               files: Optional[Dict[str, bytes]] = None,
               profile_stdin: Optional[bytes] = None,
@@ -42,17 +55,9 @@ def offload_c(source: str, stdin: bytes = b"",
               session_options: Optional[SessionOptions] = None):
     """Full pipeline on a C snippet; returns (local, session_result,
     program)."""
-    module = compile_c(source, "test")
-    profile = profile_module(
-        module,
-        stdin=profile_stdin if profile_stdin is not None else stdin,
-        files=files)
-    program = NativeOffloaderCompiler(
-        compiler_options or CompilerOptions()).compile(module, profile)
-    local = run_local(module, stdin=stdin, files=files)
-    session = OffloadSession(program, network, options=session_options,
-                             stdin=stdin, files=files)
-    return local, session.run(), program
+    built = build_c(source, stdin, files, profile_stdin, compiler_options)
+    return (built.local(), built.session(network, session_options).run(),
+            built.program)
 
 
 # A compute kernel big enough for the selector to pick, small enough for

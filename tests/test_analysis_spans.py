@@ -17,19 +17,17 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.__main__ import _workload_program
 from repro.fleet import DeviceSpec, FleetScheduler, PoolOptions, ServerPool
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
 from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
-                           SessionOptions, run_local)
+                           SessionOptions)
 from repro.trace import Tally, phase_totals, traffic_totals
 from repro.trace.analysis import (BUCKETS, aggregate_sessions,
                                   attribute_invocation, invocation_counts,
                                   reconstruct_sessions, validate_sessions)
 
-from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN
+from repro.workloads import workload
+
+from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c
 
 # A workload touching every emission path the span state machine has to
 # fold: heap prefetch + write-back, remote input (fgets round trips),
@@ -108,12 +106,8 @@ def _compiled(key, source, stdin, files=None):
     """Compile + profile once per module; sessions are cheap, compiles
     are not (hypothesis runs many examples)."""
     if key not in _PROGRAMS:
-        module = compile_c(source, key)
-        profile = profile_module(module, stdin=stdin, files=files)
-        program = NativeOffloaderCompiler(CompilerOptions()).compile(
-            module, profile)
-        local = run_local(module, stdin=stdin, files=files)
-        _PROGRAMS[key] = (program, local)
+        built = build_c(source, stdin, files, name=key)
+        _PROGRAMS[key] = (built.program, built.local())
     return _PROGRAMS[key]
 
 
@@ -181,7 +175,7 @@ def _gang_fleet(plan):
     the next two find servers busy and degrade (to narrower gangs, or
     to the plan of one behind a queue)."""
     if "gang" not in _PROGRAMS:
-        _PROGRAMS["gang"] = _workload_program("parallel-micro")[-1]
+        _PROGRAMS["gang"] = workload("parallel-micro").build().program
     program = _PROGRAMS["gang"]
     specs = [DeviceSpec(
         device_id=f"dev{i:02d}", program=program, network=FAST_WIFI,

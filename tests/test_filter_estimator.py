@@ -152,10 +152,19 @@ class TestEquationOne:
             gains.append(est.t_gain)
         assert gains == sorted(gains)
 
+    def test_a_slower_server_is_legal_and_never_profitable(self):
+        # R <= 1: Equation 1 is still computed, and reports a loss.
+        est = StaticPerformanceEstimator(
+            EstimatorParams(0.5, mbps(80))).estimate(
+                self._profile("x", 10.0, 1, 1.0))
+        assert est.t_ideal == pytest.approx(-10.0)
+        assert not est.profitable
+
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            EstimatorParams(performance_ratio=0.5,
-                            bandwidth_bytes_per_s=1e6)
+        for ratio in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError):
+                EstimatorParams(performance_ratio=ratio,
+                                bandwidth_bytes_per_s=1e6)
         with pytest.raises(ValueError):
             EstimatorParams(performance_ratio=5.0,
                             bandwidth_bytes_per_s=0)

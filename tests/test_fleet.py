@@ -8,57 +8,29 @@ import json
 
 import pytest
 
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
 from repro.offload.partition import OffloadTarget
-from repro.profiler import profile_module
 from repro.profiler.profile_data import CandidateProfile, ProfileData
 from repro.runtime import (Admission, DynamicPerformanceEstimator,
                            FAST_WIFI, FaultPlan, OffloadSession,
-                           Rejection, SessionOptions, run_local)
+                           Rejection, SessionOptions)
 from repro.runtime.backend import DirectDispatcher
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          SeedFanout, ServerPool, arrival_offsets,
-                         derive_seed)
+                         derive_seed, identical_devices)
 from repro.trace import write_jsonl
 from repro.trace.tracer import CATEGORIES, TraceEvent
+from repro.workloads import workload
 
-# A hot kernel invoked several times, so the pool sees repeat traffic.
-MULTI_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
-STDIN = b"600\n"
+# The built-in fleet kernel: hot, and invoked three times per device,
+# so the pool sees repeat traffic.
+MICRO = workload("fleet-micro")
+STDIN = MICRO.eval_stdin
 
 
 @pytest.fixture(scope="module")
 def fleet_program():
-    module = compile_c(MULTI_SRC, "fleet")
-    profile = profile_module(module, stdin=STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
-    local = run_local(module, stdin=STDIN)
-    return module, program, local
+    built = MICRO.build()
+    return built.module, built.program, built.local()
 
 
 def _run_fleet(program, devices=1, offsets=None, pool_options=None,
@@ -125,14 +97,12 @@ def _seeded_faulty_fleet(program):
     """Every seeded input a fleet has: poisson arrivals and a 5 %-drop
     fault plan per device, 4 traced devices on a bounded 2-server
     pool."""
-    fan = SeedFanout(7)
-    offsets = arrival_offsets("poisson", 4, 0.001, fan.rng("arrivals"))
-    plans = [FaultPlan(seed=fan.seed("fault", i), drop_rate=0.05)
-             for i in range(4)]
-    return _run_fleet(
-        program, devices=4, offsets=offsets,
-        pool_options=PoolOptions(servers=2, capacity=1, queue_limit=2),
-        fault_plans=plans)
+    devices = identical_devices(
+        4, program, FAST_WIFI, stdin=STDIN, arrival="poisson",
+        spacing_s=0.001, seed=7, fault_plan=FaultPlan(drop_rate=0.05),
+        options=SessionOptions(enable_tracing=True))
+    pool = ServerPool(PoolOptions(servers=2, capacity=1, queue_limit=2))
+    return FleetScheduler(devices, pool).run()
 
 
 @pytest.fixture(scope="module")

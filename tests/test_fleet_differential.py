@@ -19,73 +19,38 @@ import math
 
 import pytest
 
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
 from repro.runtime import FAST_WIFI, FaultPlan, SessionOptions
 from repro.fleet import (ADMISSION_REQUEST, COMPLETION, DeviceSpec,
                          DeviceState, EventQueue, FleetScheduler,
-                         PoolOptions, SeedFanout, ServerPool,
-                         arrival_offsets)
+                         PoolOptions, ServerPool, identical_devices)
 from repro.fleet.events import TRANSITIONS
 from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.replay import run_segment
 from repro.fleet.scheduler import _DeviceProcess
 from repro.trace.export import events_to_jsonl
+from repro.workloads import workload
 
-# The hot kernel of tests/test_fleet.py, on a smaller input so a full
-# session stays under a second — the differential runs many of them.
-MULTI_SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
+# The hot kernel of tests/test_fleet.py (the built-in fleet-micro), on
+# a smaller input so a full session stays under a second — the
+# differential runs many of them.
 STDIN = b"150\n"
 
 
 @pytest.fixture(scope="module")
 def program():
-    module = compile_c(MULTI_SRC, "fleet-diff")
-    profile = profile_module(module, stdin=STDIN)
-    return NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
+    return dataclasses.replace(workload("fleet-micro"), profile_stdin=STDIN,
+                               eval_stdin=STDIN).build().program
 
 
 def _specs(program, devices, seed=7, tracing=True, faults=False,
            arrival="poisson", spacing=0.002):
     """Same-seed device list: both engines get byte-equal inputs."""
-    fan = SeedFanout(seed)
-    offsets = arrival_offsets(arrival, devices, spacing,
-                              fan.rng("arrivals"))
-    specs = []
-    for i in range(devices):
-        plan = (FaultPlan(seed=fan.seed("fault", i), drop_rate=0.05,
-                          max_jitter_s=0.0005) if faults else None)
-        specs.append(DeviceSpec(
-            device_id=f"dev{i:02d}", program=program, network=FAST_WIFI,
-            stdin=STDIN, start_offset_s=offsets[i],
-            options=SessionOptions(enable_tracing=tracing,
-                                   fault_plan=plan)))
-    return specs
+    return identical_devices(
+        devices, program, FAST_WIFI, stdin=STDIN, arrival=arrival,
+        spacing_s=spacing, seed=seed,
+        options=SessionOptions(enable_tracing=tracing),
+        fault_plan=(FaultPlan(drop_rate=0.05, max_jitter_s=0.0005)
+                    if faults else None))
 
 
 def _pool():

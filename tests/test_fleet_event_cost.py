@@ -26,14 +26,13 @@ import random
 import pytest
 
 import repro.fleet.replay as replay_module
-from repro.__main__ import (FLEET_MICRO_WORKLOAD, PARALLEL_MICRO_WORKLOAD,
-                            _workload_program)
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          SeedFanout, ServerPool)
 from repro.fleet.replay import OutcomeProjection, SegmentCache
 from repro.runtime import FAST_WIFI, FaultPlan, SessionOptions
 from repro.trace.analysis.slo import Observation, window_slice
 from repro.trace.export import events_to_jsonl
+from repro.workloads import workload
 
 
 # -- (a) slot bookkeeping ----------------------------------------------------
@@ -97,18 +96,21 @@ class TestSlotChoice:
 # -- (b) trie vs. the flat cache ---------------------------------------------
 @pytest.fixture(scope="module")
 def crunch():
-    return _workload_program(FLEET_MICRO_WORKLOAD)[4]
+    return workload("fleet-micro").build().program
 
 
 @pytest.fixture(scope="module")
 def smooth():
-    return _workload_program(PARALLEL_MICRO_WORKLOAD)[4]
+    return workload("parallel-micro").build().program
 
 
 def _fleet(program, stdin, devices, spacing_s, options, seed=3,
            jitter_s=20e-6, fault_plan=None):
-    """Device specs the way bench/workloads.py builds them: jittered
-    uniform arrivals and one fault seed per device from one seed."""
+    """Device specs the way bench/workloads.py builds them.  Differs
+    from ``repro.fleet.identical_devices`` in the arrivals — fixed
+    spacing plus a seeded jitter far below any service time, so every
+    device's admission waits (hence its replay script) are distinct —
+    and in the three-digit ids the pinned digests were taken with."""
     fan = SeedFanout(seed)
     rng = fan.rng("arrivals")
     specs = []

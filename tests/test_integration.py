@@ -1,32 +1,22 @@
 """Full-pipeline integration tests on real workloads (profiling inputs,
 to stay fast) plus the public one-call API."""
 
+import dataclasses
+
 import pytest
 
 import repro
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, IDEAL_NETWORK, OffloadSession,
-                           SLOW_WIFI, SessionOptions, run_local)
+from repro.runtime import FAST_WIFI, IDEAL_NETWORK, SLOW_WIFI
 from repro.workloads import workload
 
 
 def run_full(name, networks=(FAST_WIFI,)):
     spec = workload(name)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    local = run_local(module, stdin=spec.profile_stdin,
-                      files=spec.profile_files)
-    results = {}
-    for network in networks:
-        session = OffloadSession(program, network,
-                                 stdin=spec.profile_stdin,
-                                 files=spec.profile_files)
-        results[network.name] = session.run()
-    return local, results, program
+    built = dataclasses.replace(spec, eval_stdin=spec.profile_stdin,
+                                eval_files=spec.profile_files).build()
+    results = {network.name: built.session(network).run()
+               for network in networks}
+    return built.local(), results, built.program
 
 
 @pytest.mark.parametrize("name", ["456.hmmer", "462.libquantum",

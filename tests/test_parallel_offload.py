@@ -26,25 +26,22 @@ import json
 
 import pytest
 
-from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
-from repro.__main__ import PARALLEL_MICRO_WORKLOAD, _workload_program
+from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c, offload_c
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          ServerPool, ServerSpec, behavior_key)
 from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.pool import Rejection
 from repro.fleet.replay import OutcomeProjection, ScriptedDispatcher
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
+from repro.offload import CompilerOptions
 from repro.offload.shard import contiguous_ranges
-from repro.profiler import profile_module
-from repro.runtime import (FAST_WIFI, NETWORKS, FaultPlan, SessionOptions,
-                           run_local)
+from repro.runtime import FAST_WIFI, NETWORKS, FaultPlan, SessionOptions
 from repro.runtime.backend import Admission
 from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
 from repro.trace import write_jsonl
 from repro.trace.export import events_to_jsonl
 from repro.trace.analysis import reconstruct_sessions, validate_sessions
 from repro.trace.analysis.critical_path import attribute_session
+from repro.workloads import workload
 
 # One flat loop, disjoint element writes, global trip count — the exact
 # shape the shard analyzer accepts.
@@ -168,9 +165,8 @@ class TestPlanExecution:
         assert result.stdout == local.stdout
 
     def test_shards_fold_into_behavior_key(self):
-        module = compile_c(SHARD_SRC, "test")
-        profile = profile_module(module, stdin=b"600\n")
-        program = NativeOffloaderCompiler(FORCED).compile(module, profile)
+        program = build_c(SHARD_SRC, b"600\n",
+                          compiler_options=FORCED).program
         base = DeviceSpec(device_id="d", program=program,
                           network=FAST_WIFI, stdin=b"600\n",
                           options=SessionOptions())
@@ -459,11 +455,9 @@ class TestGangAdmission:
 class TestFleetGangs:
     @pytest.fixture(scope="class")
     def compiled(self):
-        module = compile_c(SHARD_SRC, "shard-fleet")
-        profile = profile_module(module, stdin=b"600\n")
-        program = NativeOffloaderCompiler(FORCED).compile(module, profile)
-        local = run_local(module, stdin=b"600\n")
-        return program, local
+        built = build_c(SHARD_SRC, b"600\n", compiler_options=FORCED,
+                        name="shard-fleet")
+        return built.program, built.local()
 
     def _fleet(self, program, shards, servers=4, devices=2):
         pool = ServerPool(PoolOptions(servers=servers, capacity=1))
@@ -495,10 +489,9 @@ class TestFleetGangs:
         # sizing time and the plan degrades to the classic path — the
         # scheduler must still free each real server at its own
         # member's instant.
-        module = compile_c(SHARD_SRC, "shard-zero")
-        profile = profile_module(module, stdin=b"600\n")
-        program = NativeOffloaderCompiler(FORCED).compile(module, profile)
-        local = run_local(module, stdin=b"2\n")
+        built = build_c(SHARD_SRC, stdin=b"2\n", profile_stdin=b"600\n",
+                        compiler_options=FORCED, name="shard-zero")
+        program, local = built.program, built.local()
         pool = ServerPool(PoolOptions(specs=(ServerSpec(speed=3.0),
                                              ServerSpec())))
         specs = [DeviceSpec(device_id="d0", program=program,
@@ -551,9 +544,8 @@ class TestPlanGoldens:
 
     @pytest.fixture(scope="class")
     def micro(self):
-        _, _, stdin, _, program = _workload_program(
-            PARALLEL_MICRO_WORKLOAD)
-        return program, stdin
+        spec = workload("parallel-micro")
+        return spec.build().program, spec.eval_stdin
 
     @pytest.mark.parametrize("case", list(GOLDENS))
     def test_fleet_fingerprint(self, micro, case):

@@ -5,12 +5,11 @@ overrides, the speed-aware estimator, and the SLO-driven autoscaler
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
-from repro.runtime import CLOUD_WAN, FAST_WIFI, SessionOptions, run_local
+from repro.runtime import CLOUD_WAN, FAST_WIFI, SessionOptions
 from repro.runtime.backend import Admission, Rejection
 from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
 from repro.fleet import (Autoscaler, AutoscalerOptions, Candidate,
@@ -20,45 +19,21 @@ from repro.fleet import (Autoscaler, AutoscalerOptions, Candidate,
 from repro.fleet.engines import (BestFitEngine, DeadlineAwareEngine,
                                  DecisionEngine, FifoEngine,
                                  WorstFitEngine)
+from repro.workloads import workload
 
-SRC = r"""
-int *data;
-int n;
-
-int crunch(void) {
-    int i, r, acc = 0;
-    for (r = 0; r < 40; r++) {
-        for (i = 0; i < n; i++) {
-            acc += (data[i] * 31 + r) ^ (acc >> 3);
-        }
-    }
-    return acc;
-}
-
-int main() {
-    int i, k;
-    scanf("%d", &n);
-    data = (int*) malloc(n * sizeof(int));
-    for (i = 0; i < n; i++) data[i] = i * 7 + 3;
-    for (k = 0; k < 3; k++) printf("crunched %d\n", crunch());
-    return 0;
-}
-"""
+# The built-in fleet kernel on a small input.
 STDIN = b"150\n"
 
 
 @pytest.fixture(scope="module")
-def program():
-    module = compile_c(SRC, "placement")
-    profile = profile_module(module, stdin=STDIN)
-    return NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(
-            module, profile)
+def built():
+    return dataclasses.replace(workload("fleet-micro"), profile_stdin=STDIN,
+                               eval_stdin=STDIN).build()
 
 
 @pytest.fixture(scope="module")
-def module():
-    return compile_c(SRC, "placement-local")
+def program(built):
+    return built.program
 
 
 def _spec(program, device_id="dev00", offset=0.0, **kw):
@@ -357,11 +332,11 @@ class TestHeterogeneousFleet:
         return FleetScheduler(
             [_spec(program, **spec_kw)], pool).run()
 
-    def test_faster_server_shortens_the_run(self, program, module):
+    def test_faster_server_shortens_the_run(self, program, built):
         slow = self._run(program, ServerPool(PoolOptions()))
         fast = self._run(program, ServerPool(PoolOptions(
             specs=(ServerSpec(speed=4.0),))))
-        local = run_local(module, stdin=STDIN)
+        local = built.local()
         assert fast.devices[0].result.stdout == local.stdout
         assert slow.devices[0].result.stdout == local.stdout
         assert (fast.devices[0].result.total_seconds

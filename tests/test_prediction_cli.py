@@ -89,6 +89,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "main_loop_serial" in out
 
+    @pytest.mark.parametrize("name,target", [("fleet-micro", "crunch"),
+                                             ("parallel-micro", "smooth")])
+    def test_compile_accepts_the_built_in_kernels(self, name, target,
+                                                  capsys):
+        """They are registry entries: what ``run`` takes, ``compile``
+        takes."""
+        from repro.__main__ import main
+        assert main(["compile", name]) == 0
+        assert f"offload targets : {target}" in capsys.readouterr().out
+
     def test_run(self, capsys):
         from repro.__main__ import main
         assert main(["run", "462.libquantum"]) == 0
@@ -103,6 +113,7 @@ class TestCLI:
         "fleet --servers 0 --devices 2",
         "fleet --devices 2 --capacity 0",
         "fleet --devices 2 --cloud-servers 1 --cloud-speed 0",
+        "fleet --devices 2 --cloud-servers -1",
         "fleet --devices 2 --autoscale --autoscale-max 0",
         "fleet --devices 2 --spacing -1",
         "fleet --devices -3",

@@ -3,14 +3,11 @@ decision making, overhead accounting, and the unification ablations."""
 
 import pytest
 
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
+from repro.offload import CompilerOptions
 from repro.runtime import (FAST_WIFI, IDEAL_NETWORK, SLOW_WIFI,
-                           NetworkModel, OffloadSession, SessionOptions,
-                           run_local)
+                           NetworkModel, SessionOptions)
 
-from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
+from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c, offload_c
 
 FN_PTR_SRC = r"""
 typedef int (*OP)(int);
@@ -93,18 +90,14 @@ class TestSemanticsPreservation:
             "    return acc;\n", f"    {statement}\n    return acc;\n")
         src = src.replace("    printf(", f"    {prologue}\n    printf(")
         assert statement in src and prologue in src
-        module = compile_c(src, "test")
-        profile = profile_module(module, stdin=HOT_KERNEL_STDIN, files=files)
-        program = NativeOffloaderCompiler(
-            CompilerOptions(forced_targets=["crunch"])).compile(
-                module, profile)
-        local = run_local(module, stdin=HOT_KERNEL_STDIN, files=files)
-        session = OffloadSession(
-            program, FAST_WIFI, stdin=HOT_KERNEL_STDIN, files=files,
-            options=SessionOptions(enable_tracing=True))
+        built = build_c(src, HOT_KERNEL_STDIN, files,
+                        compiler_options=CompilerOptions(
+                            forced_targets=["crunch"]))
+        session = built.session(FAST_WIFI,
+                                SessionOptions(enable_tracing=True))
         result = session.run()
         assert result.offloaded_invocations == 1
-        return local, session, result
+        return built.local(), session, result
 
     def test_remote_fprintf_to_stderr_stays_off_stdout(self):
         """``fprintf((void*)2, ...)`` in an offloaded target lands on

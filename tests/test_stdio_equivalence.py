@@ -10,16 +10,16 @@ plain single-machine run, for a same-endian and a cross-endian pair.
 
 import pytest
 
-from repro.frontend import compile_c
 from repro.machine import Interpreter, Machine, install_libc
 from repro.machine.fs import IOEnvironment
 from repro.machine.libc import STDIO
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
+from repro.offload import CompilerOptions
 from repro.offload.server_opt import REMOTE_IO_FUNCTIONS
 from repro.offload.unify import unified_data_layout
-from repro.profiler import profile_module
-from repro.runtime import FAST_WIFI, OffloadSession, SessionOptions
+from repro.runtime import FAST_WIFI, SessionOptions
 from repro.targets import ARM32, MIPS32BE, X86_64
+
+from conftest import build_c
 
 FILES = {"in.txt": b"abcdefgh\nsecond line\nxyz", "ro.txt": b"keep\n",
          "log.txt": b"old\n"}
@@ -138,21 +138,20 @@ def _observed(exit_code, io):
 @pytest.mark.parametrize("mobile_arch", [ARM32, MIPS32BE],
                          ids=lambda arch: f"{arch.name}->x86_64")
 def test_every_stdio_op_offloaded_equals_phone_only(mobile_arch):
-    module = compile_c(SOURCE, "stdio-table")
-    expected = _observed(*_run_on_phone(module, mobile_arch))
+    # mobile_arch is stated once: it is the front end's layout target,
+    # the profiled machine and the session's mobile side.
+    built = build_c(SOURCE, STDIN, FILES, name="stdio-table",
+                    compiler_options=CompilerOptions(
+                        mobile_arch=mobile_arch, server_arch=X86_64,
+                        forced_targets=["probe"]))
+    assert built.profile.arch_name == mobile_arch.name
+    expected = _observed(*_run_on_phone(built.module, mobile_arch))
     assert len(expected["returns"]) == len(CASES)
     assert expected["returns"]["fprintf read-only"] == "0"
     assert expected["files"]["out.txt"].startswith(b"w nope7 7\nnopno")
 
-    profile = profile_module(module, arch=mobile_arch, stdin=STDIN,
-                             files=FILES)
-    program = NativeOffloaderCompiler(CompilerOptions(
-        mobile_arch=mobile_arch, server_arch=X86_64,
-        forced_targets=["probe"])).compile(module, profile)
-    session = OffloadSession(
-        program, FAST_WIFI, stdin=STDIN, files=FILES,
-        options=SessionOptions(enable_dynamic_estimation=False,
-                               enable_tracing=True))
+    session = built.session(FAST_WIFI, SessionOptions(
+        enable_dynamic_estimation=False, enable_tracing=True))
     result = session.run()
     assert result.offloaded_invocations == 1
     # every op in the table really was forwarded, none ran on the server

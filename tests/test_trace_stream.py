@@ -26,22 +26,21 @@ import weakref
 
 import pytest
 
-from repro.__main__ import _run_fleet, build_parser, main
+from repro.__main__ import main
 from repro.fleet import PoolOptions
+from repro.runtime import FaultPlan
 from repro.trace import (CATEGORIES, Tally, TraceEvent, events_from_jsonl,
                          events_to_jsonl, iter_jsonl, load_jsonl,
                          read_jsonl_meta, render_metrics, write_jsonl)
 from repro.trace.analysis import (build_report, reconstruct_sessions,
                                   report_to_json)
 
-from test_trace_tally import NETWORK, _fleet, _fleet_result
+from test_trace_tally import _fleet, _fleet_result
 
 # CI's seeded faulty, sharded fleet (.github/workflows/ci.yml,
-# FAULTY_FLEET): drops, lost links, one scattered gang, degraded ones.
-_CI_FAULTY_FLEET = (
-    "--workload parallel-micro --devices 6 --servers 4 --shards 4 "
-    "--drop-rate 0.3 --disconnect-after 3 --reconnect-rate 0.5 "
-    "--seed 7").split()
+# FAULTY_FLEET: --workload parallel-micro --devices 6 --servers 4
+# --shards 4 --drop-rate 0.3 --disconnect-after 3 --reconnect-rate 0.5
+# --seed 7): drops, lost links, one scattered gang, degraded ones.
 
 
 def _clean():
@@ -50,8 +49,11 @@ def _clean():
 
 
 def _ci_faulty():
-    args = build_parser().parse_args(["fleet"] + _CI_FAULTY_FLEET)
-    result = _run_fleet(args, NETWORK, enable_tracing=True)[0]
+    result = _fleet("parallel-micro", b"4000\n", 6,
+                    PoolOptions(servers=4, capacity=1, queue_limit=4),
+                    seed=7, shards=4, fault_plans=(FaultPlan(
+                        drop_rate=0.3, disconnect_after_messages=3,
+                        reconnect_rate=0.5),))
     return result.merged_events(), result.dropped_events
 
 

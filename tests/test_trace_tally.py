@@ -24,7 +24,7 @@ import inspect
 
 import pytest
 
-from repro.__main__ import _workload_program, main
+from repro.__main__ import main
 from repro.fleet import (Autoscaler, AutoscalerOptions, DeviceSpec,
                          FleetScheduler, PoolOptions, SeedFanout,
                          ServerPool, ServerSpec)
@@ -33,6 +33,7 @@ from repro.runtime import (NETWORKS, FaultPlan, OffloadSession,
 from repro.trace import CATEGORIES, timeline, traffic_totals
 from repro.trace.analysis import (aggregate, build_report, critical_path,
                                   render_html, report, report_to_json, slo)
+from repro.workloads import workload
 
 from test_analysis_spans import (SPAN_FILES, SPAN_SRC, SPAN_STDIN,
                                  _assert_lossless, _run)
@@ -42,19 +43,19 @@ NETWORK = NETWORKS["802.11ac"]
 
 # -- the four pinned fleets ----------------------------------------------
 @functools.lru_cache(maxsize=None)
-def _program(workload):
-    """``(program, stdin, files)`` of a registry or built-in workload."""
-    _, _, stdin, files, program = _workload_program(workload)
-    return program, stdin, files
+def _program(name):
+    """``(program, stdin, files)`` of a registry workload."""
+    spec = workload(name)
+    return spec.build().program, spec.eval_stdin, spec.eval_files
 
 
-def _fleet(workload, stdin, devices, pool, *, seed, spacing_s=0.002,
+def _fleet(name, stdin, devices, pool, *, seed, spacing_s=0.002,
            fault_plans=(None,), autoscaler=None, **session_kwargs):
     """A traced fleet built the way ``python -m repro report`` builds
-    one (``__main__._run_fleet``), plus what the CLI does not expose:
-    ``shard_faults``, and ``fault_plans`` dealt round-robin so one fleet
-    mixes link behaviours."""
-    program = _program(workload)[0]
+    one (``repro.fleet.identical_devices``), except for what the CLI
+    does not expose: ``shard_faults``, and ``fault_plans`` dealt
+    round-robin so one fleet mixes link behaviours."""
+    program = _program(name)[0]
     fan = SeedFanout(seed)
     specs = []
     for i in range(devices):

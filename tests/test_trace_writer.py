@@ -27,15 +27,14 @@ import pytest
 
 import repro.trace
 from repro.__main__ import main
-from repro.frontend import compile_c
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
+from repro.offload import CompilerOptions
 from repro.runtime import (FaultPlan, OffloadSession, SessionOptions,
                            backend, comm, session, transport, uva)
 from repro.trace import (Tally, load_jsonl, read_jsonl_meta,
                          render_metrics, write_jsonl)
 
 import test_stdio_equivalence as stdio
+from conftest import build_c
 from test_trace_tally import (NETWORK, _fleet_result, _program,
                               _split_metrics_block)
 
@@ -51,14 +50,11 @@ def _workload_session(workload, **options):
 def _stdio_session():
     """Every forwardable stdio call, offloaded: the remote-I/O program
     of ``tests/test_stdio_equivalence.py``."""
-    module = compile_c(stdio.SOURCE, "stdio-table")
-    profile = profile_module(module, stdin=stdio.STDIN, files=stdio.FILES)
-    program = NativeOffloaderCompiler(CompilerOptions(
-        forced_targets=["probe"])).compile(module, profile)
-    return OffloadSession(
-        program, NETWORK, stdin=stdio.STDIN, files=stdio.FILES,
-        options=SessionOptions(enable_dynamic_estimation=False,
-                               enable_tracing=True))
+    built = build_c(stdio.SOURCE, stdio.STDIN, stdio.FILES,
+                    compiler_options=CompilerOptions(
+                        forced_targets=["probe"]), name="stdio-table")
+    return built.session(NETWORK, SessionOptions(
+        enable_dynamic_estimation=False, enable_tracing=True))
 
 
 _SESSIONS = {

@@ -6,14 +6,12 @@ abort-and-replay semantics preservation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend import compile_c
 from repro.machine.machine import STACK_SIZE
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
 from repro.runtime import (FAST_WIFI, FaultPlan, Link, LinkDownError,
                            NO_FAULTS, NetworkModel, OffloadSession,
-                           RetryPolicy, SessionOptions, Transport,
-                           run_local)
+                           RetryPolicy, SessionOptions, Transport)
+
+from conftest import build_c
 
 NET = NetworkModel("t", bandwidth_bps=8e6, latency_s=0.001)
 
@@ -260,12 +258,8 @@ def _compiled(key, source, stdin, files=None):
     """Compile + profile once per module; sessions are cheap, compiles
     are not (hypothesis runs many examples)."""
     if key not in _PROGRAMS:
-        module = compile_c(source, key)
-        profile = profile_module(module, stdin=stdin, files=files)
-        program = NativeOffloaderCompiler(CompilerOptions()).compile(
-            module, profile)
-        local = run_local(module, stdin=stdin, files=files)
-        _PROGRAMS[key] = (program, local)
+        built = build_c(source, stdin, files, name=key)
+        _PROGRAMS[key] = (built.program, built.local())
     return _PROGRAMS[key]
 
 

@@ -15,16 +15,16 @@ Two layers of coverage:
 
 import pytest
 
-from repro.frontend import compile_c
 from repro.machine import (GLOBAL_BASES, Machine, UVA_HEAP_BASE,
                            UVA_HEAP_SIZE, install_libc)
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
+from repro.offload import CompilerOptions
 from repro.runtime import (CommunicationManager, FAST_WIFI, FaultPlan,
                            OffloadSession, PrefetchAdvisor, SessionOptions,
-                           UVAManager, run_local)
+                           UVAManager)
 from repro.runtime.uva import DELTA_BREAK_EVEN
 from repro.targets import ARM32, X86_64
+
+from conftest import build_c
 
 
 def make_pair(**uva_flags):
@@ -377,12 +377,10 @@ NAIVE_FLAGS = dict(enable_page_cache=False, enable_delta_transfer=False,
 
 @pytest.fixture(scope="module")
 def multi():
-    module = compile_c(MULTI_SRC, "multi")
-    profile = profile_module(module, stdin=MULTI_STDIN)
-    program = NativeOffloaderCompiler(
-        CompilerOptions(forced_targets=["crunch"])).compile(module, profile)
-    local = run_local(module, stdin=MULTI_STDIN)
-    return program, local
+    built = build_c(MULTI_SRC, MULTI_STDIN, name="multi",
+                    compiler_options=CompilerOptions(
+                        forced_targets=["crunch"]))
+    return built.program, built.local()
 
 
 def run_session(program, fault_plan=None, **flags):

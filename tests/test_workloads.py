@@ -3,8 +3,6 @@ the structural properties its Table 4 row documents."""
 
 import pytest
 
-from repro.offload import CompilerOptions, NativeOffloaderCompiler
-from repro.profiler import profile_module
 from repro.runtime import run_local
 from repro.workloads import (ALL_WORKLOADS, CHESS, SPEC_WORKLOADS,
                              WORKLOADS, chess_stdin, spec_names, workload)
@@ -55,13 +53,7 @@ def test_workload_runs_on_profile_input(name):
 def test_selected_target_matches_paper_shape(name):
     """The compiler's chosen target corresponds to the paper's Table 4
     target for representative programs."""
-    spec = workload(name)
-    module = spec.module()
-    profile = profile_module(module, stdin=spec.profile_stdin,
-                             files=spec.profile_files)
-    program = NativeOffloaderCompiler(CompilerOptions()).compile(
-        module, profile)
-    targets = program.target_names()
+    targets = workload(name).build().program.target_names()
     expectations = {
         "164.gzip": "spec_compress",
         "456.hmmer": "main_loop_serial",
