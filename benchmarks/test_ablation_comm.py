@@ -21,7 +21,7 @@ def run_with(compiled, **flags):
     built, local = compiled
     options = SessionOptions(enable_dynamic_estimation=False, **flags)
     result = built.session(SLOW_WIFI, options).run()
-    assert result.stdout == local.stdout  # every variant stays correct
+    assert result.output == local.output  # every variant stays correct
     return result
 
 

@@ -29,7 +29,7 @@ def run_variant(compiler_options, session_options=None, name=SPEC_NAME):
 
 def test_full_unification_is_exact(benchmark):
     local, result, _ = run_once(benchmark, run_variant, CompilerOptions())
-    assert result.stdout == local.stdout
+    assert result.output == local.output
     assert result.offloaded_invocations >= 1
 
 

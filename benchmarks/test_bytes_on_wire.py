@@ -108,8 +108,8 @@ def test_incremental_data_plane_cuts_bytes_on_wire(benchmark, compiled):
         return run_variant(built, False), run_variant(built, True)
 
     naive, incremental = run_once(benchmark, both)
-    assert naive.stdout == local.stdout
-    assert incremental.stdout == local.stdout
+    assert naive.output == local.output
+    assert incremental.output == local.output
 
     before = summarize(naive)
     after = summarize(incremental)

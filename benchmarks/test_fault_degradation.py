@@ -41,7 +41,7 @@ def run_with(compiled, fault_plan=None, retry_policy=None):
                              retry_policy=retry_policy)
     result = built.session(FAST_WIFI, options).run()
     # semantics survive every fault schedule
-    assert result.stdout == local.stdout
+    assert result.output == local.output
     return result
 
 

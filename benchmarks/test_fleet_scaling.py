@@ -61,8 +61,7 @@ def test_fleet_scaling_sweep(benchmark, compiled):
 
     points = []
     for n, result in results:
-        assert all(d.result.stdout == local.stdout
-                   for d in result.devices), \
+        assert not result.differences(local.output), \
             f"fleet of {n}: device output diverged from local run"
         summary = result.summary()
         summary["devices_per_server"] = n / SERVERS
@@ -104,5 +103,5 @@ def test_fleet_smoke(compiled):
     program, local = compiled
     first = _run_fleet(program, 4)
     second = _run_fleet(program, 4)
-    assert all(d.result.stdout == local.stdout for d in first.devices)
+    assert not first.differences(local.output)
     assert json.dumps(first.summary()) == json.dumps(second.summary())

@@ -113,8 +113,7 @@ def test_policy_comparison(compiled):
                           engine=engine)
         result = FleetScheduler(
             _specs(program, deadline_s=DEADLINE_S), pool).run()
-        assert all(d.result.stdout == local.stdout
-                   for d in result.devices), engine
+        assert not result.differences(local.output), engine
         engines[engine] = _point(result)
 
     # ISSUE 7 acceptance: a non-fifo engine beats fifo on p95 queue
@@ -141,8 +140,7 @@ def test_policy_comparison(compiled):
         _specs(program, arrival="uniform"),
         ServerPool(PoolOptions(**FIXED_POOL)),
         autoscaler=scaler).run()
-    assert all(d.result.stdout == local.stdout
-               for d in scaled.devices)
+    assert not scaled.differences(local.output)
 
     fixed_point = _point(fixed)
     scaled_point = _point(scaled)

@@ -92,8 +92,7 @@ def test_sim_speed_sweep(compiled):
         # Spot-check correctness on the cheapest fleet only — verifying
         # 10k stdouts would dominate the measurement.
         if n == EVENT_SIZES[0]:
-            assert all(d.result.stdout == local.stdout
-                       for d in result.devices)
+            assert not result.differences(local.output)
         assert point["session_runs_wasted"] == 0, \
             f"segment cache broke at {n} devices: {point}"
         event_points[str(n)] = point

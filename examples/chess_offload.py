@@ -35,7 +35,7 @@ def main() -> None:
     print(f"\nlocal AI thinking: {local.seconds * 1e3:.1f} ms")
     for network in (FAST_WIFI, SLOW_WIFI):
         result = built.session(network).run()
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         print(f"{network.name:10s}: {result.total_seconds * 1e3:8.1f} ms  "
               f"speedup {local.seconds / result.total_seconds:.2f}x  "
               f"(offloaded {result.offloaded_invocations} of "

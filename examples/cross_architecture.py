@@ -78,7 +78,7 @@ def run_cross(arch_mobile, arch_server) -> None:
     session = built.session(FAST_WIFI)
     result = session.run()
     report = built.program.unification
-    match = "OK" if result.stdout == local.stdout else "MISMATCH"
+    match = "OK" if result.output == local.output else "MISMATCH"
     print(f"\n{arch_mobile.name} -> {arch_server.name}: output {match}; "
           f"realigned structs: {report.realigned_structs or 'none'}; "
           f"pointer conversion: {report.needs_pointer_conversion}; "

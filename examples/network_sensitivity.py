@@ -27,7 +27,7 @@ def sweep(name: str) -> None:
         network = NetworkModel(f"{mbps}Mbps", bandwidth_bps=mbps * 1e6,
                                latency_s=2e-3, slow=mbps < 100)
         result = built.session(network).run()
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         print(f"{mbps:>10d} {result.total_seconds * 1e3:>10.1f} "
               f"{local.seconds / result.total_seconds:>7.2f}x "
               f"{result.offloaded_invocations:>4d}/"

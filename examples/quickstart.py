@@ -71,7 +71,7 @@ def main() -> None:
     for network in (FAST_WIFI, SLOW_WIFI):
         session = OffloadSession(program, network, stdin=STDIN)
         result = session.run()
-        assert result.stdout == local.stdout, "offload changed the output!"
+        assert result.output == local.output, "offload changed the output!"
         print(f"{network.name:10s} offload: {result.total_seconds * 1e3:8.2f} ms   "
               f"{result.energy_mj:8.1f} mJ   "
               f"speedup {local.seconds / result.total_seconds:4.2f}x   "

@@ -21,7 +21,7 @@ Quick start::
     from repro import offload_app, FAST_WIFI
 
     result = offload_app(C_SOURCE, stdin=b"...", network=FAST_WIFI)
-    print(result.stdout, result.total_seconds)
+    print(result.output, result.total_seconds)
 
 ``offload_app`` is one call of the recipe every other caller uses too —
 :meth:`repro.workloads.WorkloadSpec.build`, source -> module + profile +
@@ -31,6 +31,7 @@ program, with the mobile architecture stated once::
                          profile_stdin=b"...", eval_stdin=b"...").build()
     local = built.local()
     result = built.session(FAST_WIFI).run()
+    assert result.output == local.output    # exit code, stdout, stderr, files
 """
 
 from __future__ import annotations

@@ -166,7 +166,9 @@ def cmd_run(args) -> int:
     local = built.local()
     result = built.session(network, SessionOptions(
         fault_plan=plan, shards=args.shards)).run()
-    match = "identical" if result.stdout == local.stdout else "DIFFERENT"
+    differing = result.output.differences(local.output)
+    match = (f"DIFFERENT ({', '.join(differing)})" if differing
+             else "identical")
     print(f"{built.spec.name} over {network.name}"
           + (f" (faulty link, seed {args.seed})" if plan else ""))
     print(f"  local   : {local.seconds * 1e3:9.2f} ms  "
@@ -185,7 +187,7 @@ def cmd_run(args) -> int:
     _print_uva_summary(result)
     if plan is not None:
         _print_fault_summary(result)
-    return 0 if match == "identical" else 1
+    return 1 if differing else 0
 
 
 def _print_scatter_summary(result) -> None:
@@ -364,8 +366,7 @@ def cmd_fleet(args) -> int:
     local = built.local()
 
     summary = result.summary()
-    outputs_ok = all(d.result.stdout == local.stdout
-                     for d in result.devices)
+    differing = result.differences(local.output)
     inv = summary["invocations"]
     queue = summary["queue"]
     cloud = args.cloud_servers
@@ -408,9 +409,12 @@ def cmd_fleet(args) -> int:
         print(f"  autoscale : {scaling['scale_ups']} scale-up(s), "
               f"{scaling['scale_downs']} scale-down(s), "
               f"{len(scaling['findings'])} SLO finding(s)")
+    verdict = ("DIFFERENT on " + ", ".join(
+        f"{device} ({', '.join(names)})"
+        for device, names in differing.items())
+        if differing else "identical on all devices")
     print(f"  energy    : {summary['energy_mj_total']:.1f} mJ across the "
-          f"fleet, output "
-          f"{'identical' if outputs_ok else 'DIFFERENT'} on all devices")
+          f"fleet, output {verdict}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=False)
@@ -420,7 +424,7 @@ def cmd_fleet(args) -> int:
         count = write_jsonl(result.merged_events(), args.jsonl,
                             dropped=result.dropped_events)
         print(f"wrote {count} merged fleet events to {args.jsonl}")
-    return 0 if outputs_ok else 1
+    return 1 if differing else 0
 
 
 def _fleet_source(args, faulty: bool) -> dict:

@@ -56,7 +56,7 @@ class ProgramResult:
         return self.sessions[label].energy_mj / self.local.energy_mj
 
     def outputs_match(self) -> bool:
-        return all(s.stdout == self.local.stdout
+        return all(s.output == self.local.output
                    for s in self.sessions.values())
 
     def coverage_pct(self) -> float:

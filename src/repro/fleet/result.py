@@ -11,8 +11,9 @@ serializations of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from ..machine.fs import GuestOutput
 from ..runtime.session import SessionResult
 from ..trace.analysis.aggregate import (invocation_counts,
                                         nearest_rank_percentile)
@@ -55,6 +56,14 @@ class FleetResult:
     pool: ServerPool
     makespan_s: float
     autoscale: Optional[dict] = None
+
+    def differences(self, expected: GuestOutput) -> Dict[str, List[str]]:
+        """Device id -> the components of its output that differ from
+        ``expected`` (the phone-only run's); devices that match are
+        absent, so empty means offloading changed nothing anywhere."""
+        found = ((d.device_id, d.result.output.differences(expected))
+                 for d in self.devices)
+        return {device: names for device, names in found if names}
 
     def summary(self) -> dict:
         """The JSON-safe fleet report (stable key order; two same-seed

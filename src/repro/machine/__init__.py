@@ -2,10 +2,10 @@
 
 from .memory import AddressSpace, SegmentationFault, DEFAULT_PAGE_SIZE
 from .allocator import Allocator, OutOfMemoryError
-from .fs import IOEnvironment, SimFile
-from .machine import (Machine, CODE_BASES, GLOBAL_BASES, MOBILE_STACK_TOP,
-                      NATIVE_HEAP_BASES, SERVER_STACK_TOP, UVA_HEAP_BASE,
-                      UVA_HEAP_SIZE)
+from .fs import GuestOutput, IOEnvironment, SimFile
+from .machine import (Machine, boot, CODE_BASES, GLOBAL_BASES,
+                      MOBILE_STACK_TOP, NATIVE_HEAP_BASES, SERVER_STACK_TOP,
+                      UVA_HEAP_BASE, UVA_HEAP_SIZE)
 from .interpreter import (BadFunctionPointer, ExecutionLimitExceeded,
                           ExitProgram, Interpreter, InterpreterError,
                           Observer, StackOverflow)
@@ -17,8 +17,8 @@ from .values import decode_scalar, encode_scalar, scalar_size, to_signed, to_uns
 __all__ = [
     "AddressSpace", "SegmentationFault", "DEFAULT_PAGE_SIZE",
     "Allocator", "OutOfMemoryError",
-    "IOEnvironment", "SimFile",
-    "Machine", "CODE_BASES", "GLOBAL_BASES", "MOBILE_STACK_TOP",
+    "GuestOutput", "IOEnvironment", "SimFile",
+    "Machine", "boot", "CODE_BASES", "GLOBAL_BASES", "MOBILE_STACK_TOP",
     "NATIVE_HEAP_BASES", "SERVER_STACK_TOP", "UVA_HEAP_BASE", "UVA_HEAP_SIZE",
     "BadFunctionPointer", "ExecutionLimitExceeded", "ExitProgram",
     "Interpreter", "InterpreterError", "Observer", "StackOverflow",

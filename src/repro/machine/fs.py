@@ -10,7 +10,33 @@ to the *mobile* environment and charging network cost.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+
+@dataclass(frozen=True)
+class GuestOutput:
+    """What a program did, as far as its user can tell: two executions
+    are the same execution exactly when these four are equal.  It is the
+    oracle "offloaded equals phone-only" is checked with (paper,
+    Sections 3.2 and 3.4)."""
+
+    exit_code: int
+    stdout: bytes
+    stderr: bytes
+    files: Dict[str, bytes]     # final contents of the file system
+
+    def differences(self, other: "GuestOutput") -> List[str]:
+        """The components ``other`` differs in, by name: ``exit code``,
+        ``stdout``, ``stderr``, ``files: <path>``; [] when equal."""
+        names = [name for name, mine, theirs in (
+            ("exit code", self.exit_code, other.exit_code),
+            ("stdout", self.stdout, other.stdout),
+            ("stderr", self.stderr, other.stderr)) if mine != theirs]
+        return names + [
+            f"files: {path}"
+            for path in sorted(self.files.keys() | other.files.keys())
+            if self.files.get(path) != other.files.get(path)]
 
 
 class SimFile:
@@ -68,10 +94,9 @@ class IOEnvironment:
     # -- files ----------------------------------------------------------
     def open(self, path: str, mode: str) -> int:
         """Returns a handle (>0) or 0 on failure, like fopen's NULL."""
-        reading = "r" in mode
         writable = any(m in mode for m in ("w", "a", "+"))
-        if reading and path not in self.files and "+" not in mode:
-            return 0
+        if "r" in mode and path not in self.files:
+            return 0    # "r" and "r+" never create
         if "w" in mode:
             self.files[path] = bytearray()
         elif path not in self.files:
@@ -159,8 +184,9 @@ class IOEnvironment:
     def read_stdin(self, size: int) -> bytes:
         return self.stdin.read(size)
 
-    def stdout_text(self) -> str:
-        return self.stdout.decode("utf-8", errors="replace")
-
-    def stderr_text(self) -> str:
-        return self.stderr.decode("utf-8", errors="replace")
+    def output(self, exit_code: int) -> GuestOutput:
+        """The outcome of the program that just exited with
+        ``exit_code`` in this environment."""
+        return GuestOutput(
+            exit_code, bytes(self.stdout), bytes(self.stderr),
+            {path: bytes(data) for path, data in self.files.items()})

@@ -17,7 +17,7 @@ from ..ir.values import (AggregateInit, BytesInit, Function, FunctionRefInit,
                          GlobalRefInit, GlobalVariable, Initializer,
                          ScalarInit, ZeroInit)
 from ..ir.types import ArrayType, IRType, PointerType, StructType
-from ..targets.abi import DataLayout
+from ..targets.abi import DataLayout, unified_data_layout
 from ..targets.arch import TargetArch
 from .allocator import Allocator
 from .fs import IOEnvironment
@@ -72,10 +72,6 @@ class Machine:
         self.endian_swaps = 0
 
     # -- configuration ------------------------------------------------------
-    def set_layout(self, layout: DataLayout) -> None:
-        """Install a (possibly unified) data layout."""
-        self.layout = layout
-
     def register_builtin(self, name: str, fn: Callable) -> None:
         self.builtins[name] = fn
 
@@ -85,9 +81,12 @@ class Machine:
 
     # -- program loading --------------------------------------------------
     def load(self, module: Module) -> None:
-        """Back-end + loader: assign code/data addresses and initialize
-        global memory."""
+        """Back-end + loader: adopt the data layout the module asks for
+        (the unified one if memory unification ran, else this machine's
+        native one), assign code/data addresses and initialize global
+        memory."""
         self.module = module
+        self.layout = unified_data_layout(module, self.arch)
         self._assign_function_addresses(module)
         self._assign_global_addresses(module)
         self._initialize_globals(module)
@@ -197,6 +196,17 @@ class Machine:
 
     def __repr__(self) -> str:
         return f"<Machine {self.role}:{self.arch.name}>"
+
+
+def boot(module: Module, arch: TargetArch, role: str = "mobile",
+         io: Optional[IOEnvironment] = None, page_size: int = 4096) -> Machine:
+    """The one place a module becomes a machine that can run it: libc
+    bound, the module loaded under the data layout its metadata asks for."""
+    from .libc import install_libc      # libc sits above this module
+    machine = Machine(arch, role, io=io, page_size=page_size)
+    install_libc(machine)
+    machine.load(module)
+    return machine
 
 
 def _round_up(value: int, align: int) -> int:

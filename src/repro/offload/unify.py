@@ -17,21 +17,23 @@ shared data on the unified virtual address (UVA) space:
   a different-endian server swaps on every multi-byte access.
 
 The last three are realized as a *unified data layout* recorded in module
-metadata; the runtime installs it on both machines, and the interpreter
-charges the conversion costs (Section 5 reports them: negligible for
-address size, zero for endianness on ARM/x86).
+metadata; a machine adopts it when it loads the module
+(:func:`repro.targets.unified_data_layout`), and the interpreter charges
+the conversion costs (Section 5 reports them: negligible for address size,
+zero for endianness on ARM/x86).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..analysis.callgraph import CallGraph
 from ..ir import instructions as inst
 from ..ir.module import Module
 from ..ir.values import Function, GlobalVariable
-from ..targets.abi import DataLayout, StructLayout, layouts_differ
+from ..targets.abi import (UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY,
+                           UNIFIED_POINTER_KEY, DataLayout, layouts_differ)
 from ..targets.arch import TargetArch
 
 # malloc-family -> UVA-family rewrite map.
@@ -41,10 +43,6 @@ _ALLOC_REWRITES = {
     "calloc": "u_calloc",
     "realloc": "u_realloc",
 }
-
-UNIFIED_LAYOUTS_KEY = "unified_layouts"
-UNIFIED_POINTER_KEY = "unified_pointer_bytes"
-UNIFIED_ORDER_KEY = "unified_byte_order"
 
 
 @dataclass
@@ -144,16 +142,3 @@ def reallocate_referenced_globals(module: Module,
             gv.uva_allocated = True
             count += 1
     return count
-
-
-def unified_data_layout(module: Module, arch: TargetArch) -> DataLayout:
-    """The data layout a machine of ``arch`` must use for this module: the
-    unified (mobile) layout if unification ran, else the native one."""
-    layouts: Dict[str, StructLayout] = module.metadata.get(
-        UNIFIED_LAYOUTS_KEY, {})
-    pointer_bytes = module.metadata.get(UNIFIED_POINTER_KEY, 0)
-    byte_order = module.metadata.get(UNIFIED_ORDER_KEY, "")
-    return DataLayout(arch,
-                      pointer_bytes=pointer_bytes,
-                      struct_overrides=layouts,
-                      byte_order=byte_order)

@@ -12,10 +12,8 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.module import Module
 from ..ir.values import BasicBlock, Function
-from ..machine.fs import IOEnvironment
-from ..machine.interpreter import Interpreter, Observer
-from ..machine.libc import install_libc
-from ..machine.machine import Machine
+from ..machine.interpreter import Observer
+from ..runtime.local import run_local
 from ..targets.arch import TargetArch
 from ..targets.presets import ARM32
 from .profile_data import CandidateProfile, ProfileData
@@ -187,21 +185,16 @@ def profile_module(module: Module,
                    page_size: int = 4096,
                    max_instructions: int = 500_000_000) -> ProfileData:
     """Run the program once on the mobile model and collect profiles."""
-    io = IOEnvironment(files=files, stdin=stdin)
-    machine = Machine(arch, "mobile", io=io, page_size=page_size)
-    install_libc(machine)
-    machine.load(module)
     observer = ProfilingObserver(module, arch, page_size)
-    interp = Interpreter(machine, observer=observer,
-                         max_instructions=max_instructions)
-    exit_code = interp.run_main()
-    data = ProfileData(
+    local = run_local(module, arch=arch, stdin=stdin, files=files,
+                      page_size=page_size,
+                      max_instructions=max_instructions, observer=observer)
+    return ProfileData(
         module_name=module.name,
         arch_name=arch.name,
-        program_seconds=interp.time_seconds,
-        instructions=interp.instruction_count,
+        program_seconds=local.seconds,
+        instructions=local.instructions,
         candidates=observer.profiles,
-        stdout=io.stdout_text(),
-        exit_code=exit_code,
+        stdout=local.stdout,
+        exit_code=local.exit_code,
     )
-    return data

@@ -12,21 +12,33 @@ from typing import Dict, Optional
 
 from ..ir.module import Module
 from ..machine.energy import EnergyMeter, PowerTrace
-from ..machine.fs import IOEnvironment
-from ..machine.interpreter import Interpreter
-from ..machine.libc import install_libc
-from ..machine.machine import Machine
-from ..offload.unify import unified_data_layout
+from ..machine.fs import GuestOutput, IOEnvironment
+from ..machine.interpreter import Interpreter, Observer
+from ..machine.machine import boot
 from ..targets.arch import TargetArch
 from ..targets.presets import ARM32
 
 
+class GuestRun:
+    """A result that carries a program's ``output``; the two components
+    callers print are read off it."""
+
+    output: GuestOutput
+
+    @property
+    def exit_code(self) -> int:
+        return self.output.exit_code
+
+    @property
+    def stdout(self) -> str:
+        return self.output.stdout.decode("utf-8", errors="replace")
+
+
 @dataclass
-class LocalRunResult:
+class LocalRunResult(GuestRun):
     seconds: float
     energy_mj: float
-    exit_code: int
-    stdout: str
+    output: GuestOutput
     instructions: int
     power_trace: PowerTrace
 
@@ -38,15 +50,13 @@ def run_local(module: Module,
               files: Optional[Dict[str, bytes]] = None,
               page_size: int = 4096,
               power_mw: Optional[Dict[str, float]] = None,
-              max_instructions: int = 500_000_000) -> LocalRunResult:
+              max_instructions: int = 500_000_000,
+              observer: Optional[Observer] = None) -> LocalRunResult:
     """Execute a module start-to-finish on a single machine."""
-    machine = Machine(arch, role,
-                      io=IOEnvironment(files=files, stdin=stdin),
-                      page_size=page_size)
-    machine.set_layout(unified_data_layout(module, arch))
-    install_libc(machine)
-    machine.load(module)
-    interp = Interpreter(machine, max_instructions=max_instructions)
+    machine = boot(module, arch, role,
+                   IOEnvironment(files=files, stdin=stdin), page_size)
+    interp = Interpreter(machine, observer=observer,
+                         max_instructions=max_instructions)
     exit_code = interp.run_main()
     meter = EnergyMeter(power_mw)
     seconds = interp.time_seconds
@@ -54,8 +64,7 @@ def run_local(module: Module,
     return LocalRunResult(
         seconds=seconds,
         energy_mj=meter.total_energy_mj,
-        exit_code=exit_code,
-        stdout=machine.io.stdout_text(),
+        output=machine.io.output(exit_code),
         instructions=interp.instruction_count,
         power_trace=meter.trace,
     )

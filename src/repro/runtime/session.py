@@ -21,20 +21,20 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from ..machine.energy import EnergyMeter, PowerTrace
-from ..machine.fs import IOEnvironment
+from ..machine.fs import GuestOutput, IOEnvironment
 from ..machine.interpreter import ExitProgram, Interpreter
-from ..machine.libc import STDIO, StdioOp, install_libc
-from ..machine.machine import MOBILE_STACK_TOP, UVA_HEAP_BASE, Machine
+from ..machine.libc import STDIO, StdioOp
+from ..machine.machine import MOBILE_STACK_TOP, UVA_HEAP_BASE, boot
 from ..offload.partition import OffloadTarget, OFFLOAD_PREFIX, SHOULD_OFFLOAD
 from ..offload.pipeline import OffloadProgram
 from ..offload.server_opt import (M2S_FCN_MAP, REMOTE_IO_FUNCTIONS,
                                   REMOTE_IO_PREFIX, S2M_FCN_MAP)
-from ..offload.unify import unified_data_layout
 from ..runtime.backend import (InvocationRecord, LocalBackend,
                                OffloadDispatcher, RemoteBackend)
 from ..runtime.comm import CommunicationManager
 from ..runtime.dynamic_estimator import DynamicPerformanceEstimator
 from ..runtime.fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES)
+from ..runtime.local import GuestRun
 from ..runtime.network import FaultPlan, NetworkModel
 from ..runtime.transport import (LinkDownError, RetryPolicy,
                                  TransportStats)
@@ -123,11 +123,10 @@ class SessionOptions:
 
 
 @dataclass
-class SessionResult:
+class SessionResult(GuestRun):
     program: str
     network: str
-    exit_code: int
-    stdout: str
+    output: GuestOutput
     total_seconds: float
     mobile_compute_seconds: float
     server_compute_seconds: float
@@ -218,7 +217,8 @@ class _TargetTimer(_Observer):
     wants_blocks = False
 
     def __init__(self, session: "OffloadSession"):
-        self.session = session
+        # the session keeps the interpreter that keeps this: no way back
+        self.estimator = session.estimator
         self.targets = {t.name for t in session.program.targets}
         self.clock_hz = session.mobile.arch.clock_hz
         self._stack = []
@@ -230,7 +230,7 @@ class _TargetTimer(_Observer):
     def exit_function(self, fn, cycles: float) -> None:
         if self._stack and self._stack[-1][0] == fn.name:
             name, start = self._stack.pop()
-            self.session.estimator.record_local_time(
+            self.estimator.record_local_time(
                 name, (cycles - start) / self.clock_hz)
 
 
@@ -248,22 +248,14 @@ class OffloadSession:
 
         mobile_arch = program.options.mobile_arch
         server_arch = program.options.server_arch
-        self.mobile = Machine(mobile_arch, "mobile",
-                              io=IOEnvironment(files=files, stdin=stdin),
-                              page_size=opts.page_size)
-        self.server = Machine(server_arch, "server",
-                              page_size=opts.page_size)
+        # Both partitions ask for the unified (mobile) data layout.
+        self.mobile = boot(program.mobile_module, mobile_arch, "mobile",
+                           IOEnvironment(files=files, stdin=stdin),
+                           opts.page_size)
+        self.server = boot(program.server_module, server_arch, "server",
+                           page_size=opts.page_size)
         if not opts.enable_stack_reallocation:
             self.server.stack_top = MOBILE_STACK_TOP
-        # Unified data layout: the mobile layout rules both machines.
-        self.mobile.set_layout(
-            unified_data_layout(program.mobile_module, mobile_arch))
-        self.server.set_layout(
-            unified_data_layout(program.server_module, server_arch))
-        install_libc(self.mobile)
-        install_libc(self.server)
-        self.mobile.load(program.mobile_module)
-        self.server.load(program.server_module)
 
         # The structured tracer observes every runtime service; the
         # shared NULL_TRACER keeps the disabled path free of new work.
@@ -328,6 +320,25 @@ class OffloadSession:
     # Public API
     # ------------------------------------------------------------------
     def run(self, argv: tuple = ()) -> SessionResult:
+        try:
+            return self._execute(argv)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Break every reference from what a run leaves behind — the
+        result's tracer, the machines — back to this session, so that it
+        and both address spaces are freed by reference counting, not by
+        the next cycle collection, and a kept result keeps no machine.
+        The machines and every statistic stay readable here."""
+        if self.tracer.enabled:         # never the shared NULL_TRACER
+            self.tracer.clock = float   # float() is 0.0: a stopped clock
+        self.mobile.builtins.clear()
+        self.server.builtins.clear()
+        self.server.memory.fault_handler = None
+        self.local_backend = self.remote_backend = None
+
+    def _execute(self, argv: tuple) -> SessionResult:
         tr = self.tracer
         if tr.enabled:
             tr.emit("session.start", self.program.name,
@@ -358,8 +369,7 @@ class OffloadSession:
         return SessionResult(
             program=self.program.name,
             network=self.network.name,
-            exit_code=exit_code,
-            stdout=self.mobile.io.stdout_text(),
+            output=self.mobile.io.output(exit_code),
             total_seconds=total,
             mobile_compute_seconds=interp.time_seconds,
             server_compute_seconds=max(

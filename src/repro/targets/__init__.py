@@ -2,12 +2,15 @@
 
 from .arch import (BIG, CYCLE_TIME_SCALE, INST_CLASSES, LITTLE, TargetArch,
                    performance_ratio)
-from .abi import DataLayout, StructLayout, layouts_differ
+from .abi import (UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY, UNIFIED_POINTER_KEY,
+                  DataLayout, StructLayout, layouts_differ,
+                  unified_data_layout)
 from .presets import ARM32, ARM64, MIPS32BE, PRESETS, X86, X86_64, target_named
 
 __all__ = [
     "BIG", "CYCLE_TIME_SCALE", "LITTLE", "INST_CLASSES", "TargetArch",
     "performance_ratio",
-    "DataLayout", "StructLayout", "layouts_differ",
+    "UNIFIED_LAYOUTS_KEY", "UNIFIED_ORDER_KEY", "UNIFIED_POINTER_KEY",
+    "DataLayout", "StructLayout", "layouts_differ", "unified_data_layout",
     "ARM32", "ARM64", "MIPS32BE", "PRESETS", "X86", "X86_64", "target_named",
 ]

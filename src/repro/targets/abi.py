@@ -127,6 +127,23 @@ def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
 
 
+# Module-metadata keys under which memory unification
+# (repro.offload.unify) records the layout both machines must use.
+UNIFIED_LAYOUTS_KEY = "unified_layouts"
+UNIFIED_POINTER_KEY = "unified_pointer_bytes"
+UNIFIED_ORDER_KEY = "unified_byte_order"
+
+
+def unified_data_layout(module, arch: TargetArch) -> DataLayout:
+    """The data layout a machine of ``arch`` must use for this module: the
+    unified (mobile) layout if unification ran, else the native one."""
+    metadata = module.metadata
+    return DataLayout(arch,
+                      pointer_bytes=metadata.get(UNIFIED_POINTER_KEY, 0),
+                      struct_overrides=metadata.get(UNIFIED_LAYOUTS_KEY),
+                      byte_order=metadata.get(UNIFIED_ORDER_KEY, ""))
+
+
 def layouts_differ(a: DataLayout, b: DataLayout,
                    structs: List[StructType]) -> List[str]:
     """Names of structs whose layouts differ between two data layouts.

@@ -7,7 +7,7 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.frontend import compile_c
-from repro.machine import Interpreter, Machine, install_libc
+from repro.machine import Interpreter, boot
 from repro.offload import CompilerOptions
 from repro.runtime import FAST_WIFI, SessionOptions, run_local
 from repro.targets import ARM32, TargetArch
@@ -26,11 +26,7 @@ def run_c(source: str, stdin: bytes = b"",
 def interp_for(source: str, arch: TargetArch = ARM32,
                role: str = "mobile") -> Interpreter:
     """Machine + interpreter with a compiled module loaded."""
-    module = compile_c(source, "test")
-    machine = Machine(arch, role)
-    install_libc(machine)
-    machine.load(module)
-    return Interpreter(machine)
+    return Interpreter(boot(compile_c(source, "test"), arch, role))
 
 
 def build_c(source: str, stdin: bytes = b"",

@@ -9,7 +9,9 @@ shared.
   value, what ``python -m repro fleet`` built before it existed;
 * ``repro.__main__`` is parsing and printing: no C source, no pipeline
   call, no seed label, and nothing outside ``src/`` reaches into it for
-  a private name.
+  a private name;
+* a guest process is booted by ``repro.machine.boot`` and compared as a
+  ``GuestOutput``: no second boot sequence, no stdout-only oracle.
 """
 
 from __future__ import annotations
@@ -87,8 +89,7 @@ def test_every_ordered_pair_builds_and_matches_local(mobile, server):
         assert unforced.program.target_names() == []
         assert f"R = {ratio:.2f}" in unforced.program.why_no_targets()
     result = unforced.session(FAST_WIFI).run()
-    assert (result.stdout, result.exit_code) == (local.stdout,
-                                                 local.exit_code)
+    assert result.output == local.output
 
     forced = LAYOUTS.build(dataclasses.replace(
         options, forced_targets=["total_score"]))
@@ -97,8 +98,7 @@ def test_every_ordered_pair_builds_and_matches_local(mobile, server):
     result = forced.session(FAST_WIFI, SessionOptions(
         enable_dynamic_estimation=False)).run()
     assert result.offloaded_invocations == 1
-    assert (result.stdout, result.exit_code) == (local.stdout,
-                                                 local.exit_code)
+    assert result.output == local.output
 
 
 def test_the_recipe_states_the_mobile_architecture_once():
@@ -216,3 +216,27 @@ def test_each_recipe_is_stated_once_under_src():
     assert text.count('seed("fault"') == 1
     for kernel in ("crunch(void)", "smooth(void)"):
         assert text.count(kernel) == 1
+    # module -> machine: one libc binding, one layout choice (made by
+    # Machine.load from the module's metadata), both behind boot()
+    for call in ("install_libc(", "unified_data_layout("):
+        assert len(re.findall(rf"(?<!def ){re.escape(call)}", text)) == 1
+    assert "set_layout" not in text
+
+
+def test_nothing_outside_src_boots_by_hand_or_compares_stdout_alone():
+    """A machine comes from ``boot`` (``tools/show_blocks.py``, conftest
+    and every test that runs IR directly); "offloaded equals local" is
+    ``.output ==`` or ``differences``, never ``.stdout ==``."""
+    def lines(*folders):
+        return [(path.relative_to(REPO), line.strip())
+                for folder in folders
+                for path in sorted((REPO / folder).rglob("*.py"))
+                if path != Path(__file__).resolve()
+                for line in path.read_text(encoding="utf-8").splitlines()]
+
+    assert [found for found in lines("tests", "tools", "benchmarks",
+                                     "examples")
+            if re.search(r"install_libc|set_layout", found[1])] == []
+    assert [found for found in lines("src", "benchmarks", "examples")
+            if re.search(r"\.stdout\s*[=!]=|[=!]=\s*\S+\.stdout\b",
+                         found[1])] == []

@@ -7,16 +7,14 @@ from repro.analysis import LoopInfo
 from repro.frontend import compile_c
 from repro.ir import Call, verify_module
 from repro.ir import instructions as irinst
-from repro.machine import Interpreter, Machine, install_libc
 from repro.offload import (CompilerOptions, NativeOffloaderCompiler,
                            OFFLOAD_PREFIX, SHOULD_OFFLOAD, STUB_SUFFIX,
                            OutliningError, apply_function_pointer_mapping,
                            apply_remote_io, can_outline, outline_loop,
                            partition, reallocate_referenced_globals,
-                           replace_heap_allocations, unified_data_layout,
-                           unify_memory)
+                           replace_heap_allocations, unify_memory)
 from repro.profiler import profile_module
-from repro.targets import ARM32, X86, X86_64
+from repro.targets import ARM32, X86, X86_64, unified_data_layout
 from repro.runtime import run_local
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN
@@ -49,7 +47,7 @@ class TestOutlining:
         outlined = outline_loop(module, loop, "main_loop_x")
         verify_module(module)
         after = run_local(module)
-        assert after.stdout == baseline.stdout
+        assert after.output == baseline.output
         assert outlined.name in module.functions
 
     def test_call_site_created(self):
@@ -118,7 +116,7 @@ class TestOutlining:
         outer = LoopInfo(module.function("main")).top_level_loops()[0]
         outline_loop(module, outer, "nest")
         verify_module(module)
-        assert run_local(module).stdout == baseline.stdout
+        assert run_local(module).output == baseline.output
 
 
 class TestMemoryUnification:
@@ -148,8 +146,8 @@ class TestMemoryUnification:
         baseline = run_local(module.clone(), stdin=HOT_KERNEL_STDIN)
         replace_heap_allocations(module)
         verify_module(module)
-        assert run_local(module, stdin=HOT_KERNEL_STDIN).stdout == \
-            baseline.stdout
+        assert run_local(module, stdin=HOT_KERNEL_STDIN).output == \
+            baseline.output
 
     def test_referenced_globals_marked(self):
         src = r"""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.frontend import compile_c
-from repro.machine import Interpreter, Machine, install_libc, to_signed
+from repro.machine import Interpreter, boot, to_signed
 from repro.targets import ARM32, X86_64
 
 i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -19,9 +19,7 @@ small = st.integers(min_value=-1000, max_value=1000)
 
 def run_fn(source, name, args, arch=ARM32):
     module = compile_c(source, "diff")
-    machine = Machine(arch, "mobile" if arch is ARM32 else "server")
-    install_libc(machine)
-    machine.load(module)
+    machine = boot(module, arch, "mobile" if arch is ARM32 else "server")
     return Interpreter(machine).call_by_name(
         name, [a & 0xFFFFFFFF for a in args])
 
@@ -85,9 +83,7 @@ def test_64_bit_division_truncates_toward_zero(a, b):
     assume(b != 0)
     assume(not (a == -(2**63) and b == -1))  # UB in C
     module = compile_c(DIV64_SRC, "diff", target=X86_64)
-    machine = Machine(X86_64, "server")
-    install_libc(machine)
-    machine.load(module)
+    machine = boot(module, X86_64, "server")
     args = [a & (2**64 - 1), b & (2**64 - 1)]
     q = to_signed(Interpreter(machine).call_by_name("div64", args), 64)
     r = to_signed(Interpreter(machine).call_by_name("rem64", args), 64)
@@ -152,10 +148,7 @@ int main() {
 @settings(max_examples=25, deadline=None)
 def test_array_walk_matches_reference(n, seed):
     module = compile_c(SUM_SRC, "diff")
-    machine = Machine(ARM32)
-    install_libc(machine)
-    machine.load(module)
-    interp = Interpreter(machine)
+    interp = Interpreter(boot(module, ARM32))
     interp.run_main()  # allocates scratch
     got = to_signed(interp.call_by_name(
         "checksum", [n, seed & 0xFFFFFFFF]), 32)

@@ -121,8 +121,7 @@ class TestBackendSeamDifferential:
         solo = solo_traced
         dev = fleet_of_one.devices[0].result
 
-        assert dev.stdout == solo.stdout == local.stdout
-        assert dev.exit_code == solo.exit_code
+        assert dev.output == solo.output == local.output
         assert dev.total_seconds == solo.total_seconds
         assert dev.energy_mj == solo.energy_mj
         assert dev.bytes_to_server == solo.bytes_to_server
@@ -151,7 +150,7 @@ class TestBackendSeamDifferential:
             program, FAST_WIFI,
             options=SessionOptions(dispatcher=DirectDispatcher()),
             stdin=STDIN).run()
-        assert direct.stdout == plain.stdout
+        assert direct.output == plain.output
         assert direct.total_seconds == plain.total_seconds
         assert direct.energy_mj == plain.energy_mj
         assert direct.breakdown() == plain.breakdown()
@@ -246,8 +245,7 @@ class TestContention:
         result = burst_traced
         summary = result.summary()
         # Everyone still computes the right answer...
-        assert all(d.result.stdout == local.stdout
-                   for d in result.devices)
+        assert not result.differences(local.output)
         # ...but the pool visibly pushed back.
         assert summary["queue"]["total_delay_s"] > 0.0
         assert summary["invocations"]["rejected"] > 0

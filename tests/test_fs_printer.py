@@ -53,8 +53,7 @@ class TestIOEnvironment:
         io.write_stdout(b"a")
         io.write_stdout(b"b")
         io.write_stderr(b"!")
-        assert io.stdout_text() == "ab"
-        assert io.stderr_text() == "!"
+        assert (io.stdout, io.stderr) == (b"ab", b"!")
         assert io.stdout_ops == 2
 
     def test_stdin_stream(self):

@@ -29,8 +29,8 @@ from repro.fleet.replay import SegmentBoundary
 from repro.ir import (Constant, F64, Function, FunctionType, I1, I32,
                       Instruction, IRBuilder, Module, StructType, VOID, ptr)
 from repro.machine import (ExecutionLimitExceeded, ExitProgram, Interpreter,
-                           InterpreterError, Machine, Observer,
-                           SegmentationFault, install_libc)
+                           InterpreterError, Observer, SegmentationFault,
+                           boot)
 from repro.machine import interpreter as interpreter_module
 from repro.machine.fs import IOEnvironment
 from repro.runtime import run_local
@@ -124,11 +124,9 @@ def _stop(interp, args):
 
 
 def _interp(module, observed=False):
-    machine = Machine(ARM32)
-    install_libc(machine)
+    machine = boot(module, ARM32)
     machine.register_builtin("probe", lambda interp, args: args[0])
     machine.register_builtin("stop", _stop)
-    machine.load(module)
     return Interpreter(machine, observer=Observer() if observed else None)
 
 
@@ -233,9 +231,7 @@ def _malformed(what):
         b.ret(b.i32(0))
     else:
         raise AssertionError(what)
-    machine = Machine(ARM32)
-    machine.load(module)
-    return Interpreter(machine), fn
+    return Interpreter(boot(module, ARM32)), fn
 
 
 @pytest.mark.parametrize("what,message", [
@@ -271,8 +267,7 @@ def test_select_checks_only_the_arm_it_takes():
     b = IRBuilder(join)
     chosen = b.select(fn.args[0], value, b.i32(9))
     b.ret(b.add(chosen, value))  # a later, unconditional read: checked
-    machine = Machine(ARM32)
-    machine.load(module)
+    machine = boot(module, ARM32)
     assert Interpreter(machine).call_function(fn, [1]) == 84
     interp = Interpreter(machine)
     with pytest.raises(InterpreterError, match="use of undefined value"):
@@ -314,10 +309,8 @@ int main() {
 def _fresh_run(source, stdin):
     """A fresh compile of ``source`` run on a fresh machine; the
     interpreter that ran it."""
-    machine = Machine(ARM32, io=IOEnvironment(stdin=stdin))
-    install_libc(machine)
-    machine.load(compile_c(source, "test"))
-    interp = Interpreter(machine)
+    interp = Interpreter(boot(compile_c(source, "test"), ARM32,
+                              io=IOEnvironment(stdin=stdin)))
     assert interp.run_main() == 0
     return interp
 
@@ -333,7 +326,7 @@ def _text(block):
 
 def test_a_block_is_compiled_when_it_first_runs(compiles):
     interp = _fresh_run(BRANCHY_SRC, b"5\n")
-    assert interp.machine.io.stdout_text() == "5\n"
+    assert interp.machine.io.stdout == b"5\n"
     ran = [block for block in _blocks(interp)
            if isinstance(block.run, types.FunctionType)]
     never_ran = [block for block in _blocks(interp)

@@ -25,8 +25,7 @@ def test_offload_preserves_output(name):
     local, results, _ = run_full(name, (IDEAL_NETWORK, FAST_WIFI,
                                         SLOW_WIFI))
     for label, result in results.items():
-        assert result.stdout == local.stdout, f"{name} on {label}"
-        assert result.exit_code == local.exit_code
+        assert result.output == local.output, f"{name} on {label}"
 
 
 def test_hmmer_offloads_and_wins():
@@ -44,7 +43,7 @@ def test_gobmk_pays_remote_io_and_fn_ptr(
     result = results[FAST_WIFI.name]
     assert program.fn_ptr_sites > 0
     assert program.remote_io_sites > 0
-    assert result.stdout == local.stdout
+    assert result.output == local.output
     assert result.remote_io_seconds > 0
     assert result.fnptr_seconds > 0
 
@@ -52,7 +51,7 @@ def test_gobmk_pays_remote_io_and_fn_ptr(
 def test_twolf_reads_cell_file_remotely():
     local, results, _ = run_full("300.twolf")
     result = results[FAST_WIFI.name]
-    assert result.stdout == local.stdout
+    assert result.output == local.output
     assert result.remote_io_seconds > 0
 
 
@@ -61,7 +60,7 @@ def test_equake_loop_outlined_and_offloaded():
     assert any(t.kind == "loop" for t in program.targets)
     assert program.outlined_loops
     result = results[FAST_WIFI.name]
-    assert result.stdout == local.stdout
+    assert result.output == local.output
     assert result.offloaded_invocations >= 1
 
 

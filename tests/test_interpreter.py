@@ -6,9 +6,9 @@ from repro.frontend import compile_c
 from repro.ir import (Constant, Function, FunctionType, IRBuilder, Module,
                       I1, I8, I32, I64, F64)
 from repro.machine import (BadFunctionPointer, ExecutionLimitExceeded,
-                           Interpreter, Machine, StackOverflow, install_libc,
-                           to_signed)
-from repro.targets import ARM32, X86_64, CYCLE_TIME_SCALE
+                           Interpreter, StackOverflow, boot, to_signed)
+from repro.targets import (ARM32, CYCLE_TIME_SCALE, UNIFIED_ORDER_KEY,
+                           UNIFIED_POINTER_KEY, X86_64)
 
 from conftest import interp_for, run_c
 
@@ -20,10 +20,7 @@ def eval_expr(op, lhs, rhs, type_=I32):
     m.add_function(fn)
     b = IRBuilder(fn.add_block("entry"))
     b.ret(b.binop(op, fn.args[0], fn.args[1]))
-    machine = Machine(ARM32)
-    install_libc(machine)
-    machine.load(m)
-    return Interpreter(machine).call_by_name("f", [lhs, rhs])
+    return Interpreter(boot(m, ARM32)).call_by_name("f", [lhs, rhs])
 
 
 class TestIntegerSemantics:
@@ -136,12 +133,8 @@ class TestControlFlowAndCalls:
 
     def test_execution_limit(self):
         src = "int main() { while (1) {} return 0; }"
-        from repro.frontend import compile_c
-        module = compile_c(src, "spin")
-        machine = Machine(ARM32)
-        install_libc(machine)
-        machine.load(module)
-        interp = Interpreter(machine, max_instructions=10_000)
+        interp = Interpreter(boot(compile_c(src, "spin"), ARM32),
+                             max_instructions=10_000)
         with pytest.raises(ExecutionLimitExceeded):
             interp.run_main()
 
@@ -159,10 +152,8 @@ class TestTiming:
         module = compile_c(src, "t")
         times = {}
         for arch in (ARM32, X86_64):
-            machine = Machine(arch, "mobile" if arch is ARM32 else "server")
-            install_libc(machine)
-            machine.load(module)
-            interp = Interpreter(machine)
+            interp = Interpreter(boot(
+                module, arch, "mobile" if arch is ARM32 else "server"))
             interp.run_main()
             times[arch.name] = interp.time_seconds
         ratio = times["arm32"] / times["x86_64"]
@@ -199,11 +190,8 @@ class TestUnificationOverheadCounters:
         }
         """
         module = compile_c(src, "pc")
-        machine = Machine(X86_64, "server")
-        from repro.targets import DataLayout
-        machine.set_layout(DataLayout(X86_64, pointer_bytes=4))
-        install_libc(machine)
-        machine.load(module)
+        module.metadata[UNIFIED_POINTER_KEY] = 4
+        machine = boot(module, X86_64, "server")
         interp = Interpreter(machine)
         interp.run_main()
         assert machine.pointer_conversions > 0
@@ -211,12 +199,9 @@ class TestUnificationOverheadCounters:
     def test_endian_swaps_counted_for_cross_endian_layout(self):
         src = "int g; int main() { g = 7; printf(\"%d\\n\", g); return 0; }"
         module = compile_c(src, "es")
-        machine = Machine(X86_64, "server")
-        from repro.targets import DataLayout
-        machine.set_layout(DataLayout(X86_64, byte_order="big"))
-        install_libc(machine)
-        machine.load(module)
+        module.metadata[UNIFIED_ORDER_KEY] = "big"
+        machine = boot(module, X86_64, "server")
         interp = Interpreter(machine)
         assert interp.run_main() == 0
         assert machine.endian_swaps > 0
-        assert machine.io.stdout_text().strip() == "7"
+        assert machine.io.stdout == b"7\n"

@@ -20,12 +20,13 @@ import pytest
 from repro.frontend import compile_c
 from repro.ir import (Function, FunctionType, IRBuilder, Module, I1, I32)
 from repro.machine import (ExecutionLimitExceeded, Interpreter,
-                           InterpreterError, Machine, install_libc)
+                           InterpreterError, boot)
 from repro.machine.fs import IOEnvironment
 from repro.profiler import profile_module
 from repro.profiler import profiler as profiler_module
 from repro.runtime import local as local_module, run_local
-from repro.targets import ARM32, MIPS32BE, PRESETS, X86_64, DataLayout
+from repro.targets import (ARM32, MIPS32BE, PRESETS, UNIFIED_ORDER_KEY,
+                           UNIFIED_POINTER_KEY, X86_64)
 from repro.workloads import workload
 
 from conftest import interp_for
@@ -128,13 +129,11 @@ TRANSLATED_GOLDEN = (106032, "0x1.b2ce500000000p+22", 8001, 46010)
 
 def test_translated_layout_accounting_is_bit_identical():
     module = compile_c(LAYOUTS_SRC, "layouts", target=MIPS32BE)
-    machine = Machine(X86_64, "server", io=IOEnvironment(stdin=b"2000\n"))
-    machine.set_layout(DataLayout(X86_64, pointer_bytes=4, byte_order="big"))
-    install_libc(machine)
-    machine.load(module)
+    module.metadata.update({UNIFIED_POINTER_KEY: 4, UNIFIED_ORDER_KEY: "big"})
+    machine = boot(module, X86_64, "server", IOEnvironment(stdin=b"2000\n"))
     interp = Interpreter(machine)
     assert interp.run_main() == 0
-    assert machine.io.stdout_text() == "total 999500.0\n"
+    assert machine.io.stdout == b"total 999500.0\n"
     assert machine.pointer_conversions > 0 and machine.endian_swaps > 0
     assert _accounting(interp) == TRANSLATED_GOLDEN
 
@@ -284,10 +283,7 @@ def _non_dominating_use(take_defining_path):
     b.br(join)
     IRBuilder(right).br(join)
     IRBuilder(join).ret(value)
-    machine = Machine(ARM32)
-    install_libc(machine)
-    machine.load(module)
-    return Interpreter(machine).call_by_name(
+    return Interpreter(boot(module, ARM32)).call_by_name(
         "f", [1 if take_defining_path else 0])
 
 

@@ -94,7 +94,7 @@ class TestK1Differential:
         _, default_run, _ = _run(b"600\n")
         _, k1_run, _ = _run(b"600\n", SessionOptions(shards=1))
         assert _fingerprint(default_run) == _fingerprint(k1_run)
-        assert default_run.stdout == k1_run.stdout
+        assert default_run.output == k1_run.output
 
     def test_trace_jsonl_identical(self, tmp_path):
         _, default_run, _ = _run(
@@ -119,14 +119,14 @@ class TestK1Differential:
         assert "crunch" not in program.shard_specs
         assert _fingerprint(default_run) == _fingerprint(k4_run)
         assert all(r.shards == 1 for r in k4_run.invocations)
-        assert k4_run.stdout == local.stdout
+        assert k4_run.output == local.output
 
 
 class TestPlanExecution:
     def test_scatter_splits_and_matches_local(self):
         local, result, program = _run(b"600\n", SessionOptions(shards=4))
         assert "smooth" in program.shard_specs
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         plans = [r for r in result.invocations if r.shards > 1]
         assert len(plans) == 1
         record = plans[0]
@@ -142,7 +142,7 @@ class TestPlanExecution:
         record = next(r for r in result.invocations if r.shards > 1)
         assert sum(record.shard_sizes) == 598
         assert record.shard_sizes == [150, 150, 149, 149]
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_trip_smaller_than_k_degrades(self):
         # profile at n=600 so the estimator still offloads, then feed a
@@ -154,7 +154,7 @@ class TestPlanExecution:
         record = max(result.invocations, key=lambda r: r.shards)
         assert record.shards == 3           # min(shards, trip)
         assert record.shard_sizes == [1, 1, 1]
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_trivial_trip_stays_classic(self):
         local, result, _ = offload_c(
@@ -162,7 +162,7 @@ class TestPlanExecution:
             compiler_options=FORCED,
             session_options=SessionOptions(shards=4))
         assert all(r.shards == 1 for r in result.invocations)
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_shards_fold_into_behavior_key(self):
         program = build_c(SHARD_SRC, b"600\n",
@@ -182,7 +182,7 @@ class TestShardFaults:
     def test_injected_faults_byte_identical_output(self, faults):
         local, result, _ = _run(
             b"600\n", SessionOptions(shards=4, shard_faults=faults))
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         record = next(r for r in result.invocations if r.shards > 1)
         assert record.stragglers == len(faults)
         assert record.local_seconds > 0.0
@@ -196,14 +196,14 @@ class TestShardFaults:
             b"601\n", SessionOptions(shards=3, straggler_factor=1.001))
         record = next(r for r in result.invocations if r.shards > 1)
         assert record.stragglers >= 1
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_factor_zero_disables_straggler_detection(self):
         local, result, _ = _run(
             b"601\n", SessionOptions(shards=3, straggler_factor=0.0))
         record = next(r for r in result.invocations if r.shards > 1)
         assert record.stragglers == 0
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
 
 class TestShardAnalysis:
@@ -215,7 +215,7 @@ class TestShardAnalysis:
         assert "loop-carried dependence" in \
             program.shard_refusals.get("smooth", "")
         assert all(r.shards == 1 for r in result.invocations)
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def _carried(self):
         src = r"""
@@ -286,7 +286,7 @@ int main() {
         assert "unanalyzable in-loop read" in \
             program.shard_refusals.get("smooth", "")
         assert all(r.shards == 1 for r in result.invocations)
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
 
 class TestOptionValidation:
@@ -471,8 +471,7 @@ class TestFleetGangs:
     def test_event_scheduler_runs_gangs(self, compiled):
         program, local = compiled
         result = self._fleet(program, shards=4)
-        assert all(d.result.stdout == local.stdout
-                   for d in result.devices)
+        assert not result.differences(local.output)
         detail = result.summary()["servers_detail"]
         assert sum(r["shard_admissions"] for r in detail) >= 4
 
@@ -498,7 +497,7 @@ class TestFleetGangs:
                             network=FAST_WIFI, stdin=b"2\n",
                             options=SessionOptions(shards=2))]
         result = FleetScheduler(specs, pool).run()
-        assert result.devices[0].result.stdout == local.stdout
+        assert result.devices[0].result.output == local.output
         detail = result.summary()["servers_detail"]
         assert sum(r["shard_admissions"] for r in detail) == 2
 
@@ -579,7 +578,7 @@ class TestPlanTraces:
     ], ids=["plan", "plan+faults"])
     def test_span_invariant_holds(self, options):
         local, result, _ = self._traced(options)
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         events = result.trace.events()
         sessions = reconstruct_sessions(events)
         assert validate_sessions(sessions, len(events)) == []

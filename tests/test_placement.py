@@ -337,8 +337,8 @@ class TestHeterogeneousFleet:
         fast = self._run(program, ServerPool(PoolOptions(
             specs=(ServerSpec(speed=4.0),))))
         local = built.local()
-        assert fast.devices[0].result.stdout == local.stdout
-        assert slow.devices[0].result.stdout == local.stdout
+        assert fast.devices[0].result.output == local.output
+        assert slow.devices[0].result.output == local.output
         assert (fast.devices[0].result.total_seconds
                 < slow.devices[0].result.total_seconds)
 
@@ -354,8 +354,8 @@ class TestHeterogeneousFleet:
         assert (cloud.devices[0].result.total_seconds
                 > edge.devices[0].result.total_seconds)
         # The device's own network is restored after each invocation.
-        assert cloud.devices[0].result.stdout \
-            == edge.devices[0].result.stdout
+        assert cloud.devices[0].result.output \
+            == edge.devices[0].result.output
 
     def test_deadline_and_priority_recorded(self, program):
         result = FleetScheduler(

@@ -59,7 +59,7 @@ class TestBandwidthPredictor:
             HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,
             session_options=SessionOptions(
                 enable_bandwidth_prediction=True))
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
 
 class TestCloudletComparison:
@@ -71,7 +71,7 @@ class TestCloudletComparison:
                                    network=FAST_WIFI)
         _, cloud, _ = offload_c(HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,
                                 network=CLOUD_WAN)
-        assert cloudlet.stdout == cloud.stdout
+        assert cloudlet.output == cloud.output
         if cloud.offloaded_invocations:
             assert cloudlet.total_seconds < cloud.total_seconds
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import compile_c
-from repro.machine import Machine, install_libc
+from repro.machine import boot
 from repro.runtime import (CommunicationManager, FAST_WIFI,
                            FunctionAddressTable, IDEAL_NETWORK,
                            MESSAGE_HEADER_BYTES, NetworkModel,
                            SLOW_WIFI, UnmappableFunctionPointer)
 from repro.runtime.comm import PER_ITEM_HEADER_BYTES
+from repro.targets import ARM32, X86_64
 
 
 class TestNetworkModel:
@@ -217,14 +218,8 @@ class TestFunctionAddressTable:
         int main() { return f(1) + g(2); }
         """
         module = compile_c(src, "m")
-        mobile = Machine(__import__("repro.targets", fromlist=["ARM32"])
-                         .ARM32, "mobile")
-        from repro.targets import X86_64
-        server = Machine(X86_64, "server")
-        for m in (mobile, server):
-            install_libc(m)
-            m.load(module.clone())
-        return mobile, server
+        return (boot(module.clone(), ARM32, "mobile"),
+                boot(module.clone(), X86_64, "server"))
 
     def test_bidirectional_mapping(self):
         mobile, server = self._machines()

@@ -3,16 +3,15 @@ allocator synchronization."""
 
 import pytest
 
-from repro.machine import (Machine, UVA_HEAP_BASE, install_libc)
+from repro.ir import Module
+from repro.machine import Machine, UVA_HEAP_BASE, boot
 from repro.runtime import (CommunicationManager, FAST_WIFI, UVAManager)
 from repro.targets import ARM32, X86_64
 
 
 def make_pair(prefetch=True, cod=True):
-    mobile = Machine(ARM32, "mobile")
-    server = Machine(X86_64, "server")
-    for m in (mobile, server):
-        install_libc(m)
+    mobile = boot(Module(), ARM32, "mobile")
+    server = boot(Module(), X86_64, "server")
     comm = CommunicationManager(FAST_WIFI)
     uva = UVAManager(mobile, server, comm, enable_prefetch=prefetch,
                      enable_copy_on_demand=cod)
@@ -153,6 +152,7 @@ class TestAllocatorSync:
         assert a3 > a2
 
     def test_page_size_mismatch_rejected(self):
+        # bare machines: the manager refuses before it looks at a module
         mobile = Machine(ARM32, "mobile", page_size=4096)
         server = Machine(X86_64, "server", page_size=1024)
         with pytest.raises(ValueError):

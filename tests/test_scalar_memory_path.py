@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir import (F32, F64, Function, FunctionType, I8, I16, I32, I64,
                       IRBuilder, Module, VOID, ptr)
-from repro.machine import (AddressSpace, Interpreter, Machine,
-                           SegmentationFault)
+from repro.machine import (AddressSpace, Interpreter, SegmentationFault,
+                           boot)
 from repro.machine.interpreter import Observer
 from repro.machine.values import decode_scalar, encode_scalar, scalar_size
-from repro.targets import ARM32, X86_64, DataLayout
+from repro.targets import (ARM32, UNIFIED_ORDER_KEY, UNIFIED_POINTER_KEY,
+                           X86_64)
 
 PAGE = 256          # two dirty blocks a page, so stores can straddle one
 KINDS = {"i8": I8, "i16": I16, "i32": I32, "i64": I64,
@@ -145,10 +146,10 @@ _switch = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_ops_match_plain_address_space(layout_name, steps):
     arch, pointer_bytes, byte_order = LAYOUTS[layout_name]
-    machine = Machine(arch, "server", page_size=PAGE)
-    machine.set_layout(DataLayout(arch, pointer_bytes=pointer_bytes,
-                                  byte_order=byte_order))
-    machine.load(_module())
+    module = _module()
+    module.metadata.update({UNIFIED_POINTER_KEY: pointer_bytes,
+                            UNIFIED_ORDER_KEY: byte_order})
+    machine = boot(module, arch, "server", page_size=PAGE)
     memory = machine.memory
     for pidx in MAPPED:
         memory.map_page(pidx, _fill(pidx))

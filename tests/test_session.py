@@ -63,13 +63,13 @@ class TestSemanticsPreservation:
         for network in (IDEAL_NETWORK, FAST_WIFI, SLOW_WIFI):
             local, result, program = offload_c(
                 HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN, network=network)
-            assert result.stdout == local.stdout
-            assert result.exit_code == local.exit_code == 0
+            assert result.output == local.output
+            assert local.exit_code == 0
 
     def test_fn_ptr_program_offloads_correctly(self):
         local, result, program = offload_c(FN_PTR_SRC, stdin=b"4000\n")
         assert program.fn_ptr_sites > 0
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         assert result.offloaded_invocations >= 1
         assert result.fnptr_seconds > 0
 
@@ -77,7 +77,7 @@ class TestSemanticsPreservation:
         local, result, program = offload_c(
             REMOTE_IO_SRC, stdin=b"5000\n", files=dict(REMOTE_IO_FILES))
         assert program.remote_io_sites > 0
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         assert result.remote_io_seconds > 0
 
     @staticmethod
@@ -105,9 +105,9 @@ class TestSemanticsPreservation:
         not in the offloaded run's stdout."""
         local, session, result = self._offload_crunch_with(
             'fprintf((void*)2, "diag %d\\n", acc);')
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         acc = local.stdout.split()[1]
-        assert bytes(session.mobile.io.stderr) == b"diag %s\n" % acc.encode()
+        assert result.output.stderr == b"diag %s\n" % acc.encode()
         ops = result.trace.events("rio.op")
         assert [e.name for e in ops] == ["fprintf"]
 
@@ -119,8 +119,8 @@ class TestSemanticsPreservation:
             'acc += 1000 * fprintf(ro, "diag %d\\n", acc);',
             files={"ro.txt": b"keep\n"},
             prologue='ro = fopen("ro.txt", "r");')
-        assert result.stdout == local.stdout
-        assert bytes(session.mobile.io.files["ro.txt"]) == b"keep\n"
+        assert result.output == local.output
+        assert result.output.files["ro.txt"] == b"keep\n"
 
     def test_remote_fwrite_to_unopened_handle_reads_nothing(self):
         """``fwrite`` to a handle that is not an open file returns 0
@@ -128,7 +128,7 @@ class TestSemanticsPreservation:
         pointer neither faults on the server nor is billed as output."""
         local, _, result = self._offload_crunch_with(
             "acc += fwrite((void*)8, 1, 64, (void*)99);")
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         [op] = result.trace.events("rio.op")
         assert (op.name, op.payload["bytes"]) == ("fwrite", 0)
 
@@ -152,7 +152,7 @@ class TestSemanticsPreservation:
         }
         """
         local, result, program = offload_c(src, stdin=b"9000\n")
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         assert result.offloaded_invocations == 1
         assert result.bytes_to_mobile > 9000 * 4 / 2  # dirty write-back
 
@@ -163,7 +163,7 @@ class TestDecisions:
             HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,
             session_options=SessionOptions(force_local=True))
         assert result.offloaded_invocations == 0
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         assert result.total_seconds == pytest.approx(local.seconds,
                                                      rel=0.02)
 
@@ -182,7 +182,7 @@ class TestDecisions:
                                      stdin=HOT_KERNEL_STDIN,
                                      network=dialup)
         assert result.offloaded_invocations == 0
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_fast_network_speedup(self):
         local, result, _ = offload_c(HOT_KERNEL_SRC,
@@ -266,14 +266,14 @@ class TestUnificationAblations:
                     enable_dynamic_estimation=False))
         except SegmentationFault:
             return  # NULL dereference on the server: expected failure
-        assert result.stdout != local.stdout
+        assert result.output != local.output
 
     def test_with_global_realloc_correct(self):
         local, result, _ = offload_c(
             self.GLOBAL_DEP_SRC, stdin=b"5 6000\n",
             session_options=SessionOptions(
                 enable_dynamic_estimation=False))
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
     def test_without_layout_realignment_cross_abi_breaks(self):
         from repro.targets import ARM32, X86
@@ -306,7 +306,7 @@ class TestUnificationAblations:
                 enable_dynamic_estimation=False))
         # IA32 reads Move.score at offset 4 while ARM wrote it at 8:
         # garbage values (Figure 4's failure mode)
-        assert result.stdout != local.stdout
+        assert result.output != local.output
 
     def test_with_layout_realignment_cross_abi_works(self):
         from repro.targets import ARM32, X86
@@ -317,7 +317,7 @@ class TestUnificationAblations:
                                              server_arch=X86),
             session_options=SessionOptions(
                 enable_dynamic_estimation=False))
-        assert result.stdout == local.stdout
+        assert result.output == local.output
 
 
 class TestCommAblations:
@@ -328,7 +328,7 @@ class TestCommAblations:
             HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,
             session_options=SessionOptions(enable_prefetch=False))
         assert without_pf.cod_faults > with_pf.cod_faults
-        assert without_pf.stdout == local.stdout
+        assert without_pf.output == local.output
 
     def test_batching_off_costs_more_time(self):
         _, batched, _ = offload_c(HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,

@@ -3,19 +3,17 @@ offloaded as on the phone alone (paper, Section 3.4: the remote I/O
 manager runs "the same call" against the mobile's environment).
 
 One program runs the whole table inside a function that is forced onto
-the server, recording each call's C return value; stdout, stderr, the
-exit code, those return values and the final file contents must equal a
-plain single-machine run, for a same-endian and a cross-endian pair.
+the server, recording each call's C return value and dumping them on
+stdout; its ``GuestOutput`` — exit code, stdout, stderr and the final
+file contents — must equal the plain single-machine run's, for a
+same-endian and a cross-endian pair.
 """
 
 import pytest
 
-from repro.machine import Interpreter, Machine, install_libc
-from repro.machine.fs import IOEnvironment
 from repro.machine.libc import STDIO
 from repro.offload import CompilerOptions
 from repro.offload.server_opt import REMOTE_IO_FUNCTIONS
-from repro.offload.unify import unified_data_layout
 from repro.runtime import FAST_WIFI, SessionOptions
 from repro.targets import ARM32, MIPS32BE, X86_64
 
@@ -27,7 +25,7 @@ FILES = {"in.txt": b"abcdefgh\nsecond line\nxyz", "ro.txt": b"keep\n",
 # (label, C expression whose int value is the call's observable result).
 # The cases run in order inside the offloaded function and share state:
 # `s` is a string built in the server's own stack frame, `b` a zeroed
-# server-stack buffer, rd/ro/wr/ap files it opens itself; handle 99 is
+# server-stack buffer, rd/ro/wr/ap/rw files it opens itself; handle 99 is
 # never open, handles 1 and 2 are the standard streams.
 CASES = [
     ("fopen r", '(rd = fopen("in.txt", "r")) != 0'),
@@ -35,6 +33,10 @@ CASES = [
     ("fopen w", '(wr = fopen("out.txt", "w")) != 0'),
     ("fopen a", '(ap = fopen("log.txt", "a")) != 0'),
     ("fopen missing", 'fopen("missing.txt", "r") == 0'),
+    ("fopen r+ missing", 'fopen("missing.txt", "r+") == 0'),
+    ("fopen r+ existing", '(rw = fopen("log.txt", "r+")) != 0'),
+    ("fgetc through r+", "fgetc(rw)"),
+    ("fwrite through r+", "fwrite(s, 1, 2, rw) + fclose(rw)"),
     ("fopen name built on the server", 'fopen(s, "r") == 0'),
     ("printf %s of a server string", 'printf("n=%d s=%s|%5s|\\n", n, s, s)'),
     ("printf nothing", 'printf("")'),
@@ -89,7 +91,7 @@ CASES = [
 
 SOURCE = r"""
 int r[%(count)d];
-void *rd; void *ro; void *wr; void *ap;
+void *rd; void *ro; void *wr; void *ap; void *rw;
 
 int probe(int n) {
     char s[8];
@@ -113,26 +115,12 @@ int main() {
 STDIN = b"7\n"
 
 
-def _run_on_phone(module, arch):
-    """The unmodified program on one machine: (exit code, its io)."""
-    machine = Machine(arch, "mobile",
-                      io=IOEnvironment(files=FILES, stdin=STDIN))
-    machine.set_layout(unified_data_layout(module, arch))
-    install_libc(machine)
-    machine.load(module)
-    return Interpreter(machine).run_main(), machine.io
-
-
-def _observed(exit_code, io):
-    """Everything a user could tell two executions apart by; the dumped
-    return values are split off stdout and keyed by case label."""
-    lines = io.stdout_text().split("\n")
-    dumped = lines[-len(CASES) - 1:-1]
-    return {"exit code": exit_code,
-            "stdout": "\n".join(lines[:-len(CASES) - 1]),
-            "stderr": io.stderr_text(),
-            "files": {path: bytes(data) for path, data in io.files.items()},
-            "returns": dict(zip((label for label, _ in CASES), dumped))}
+def _returns(run):
+    """The C return values the program dumped at the end of its stdout,
+    keyed by case label: the readable half of a mismatch."""
+    dumped = run.stdout.split("\n")[-len(CASES) - 1:-1]
+    assert len(dumped) == len(CASES)
+    return dict(zip((label for label, _ in CASES), dumped))
 
 
 @pytest.mark.parametrize("mobile_arch", [ARM32, MIPS32BE],
@@ -145,21 +133,21 @@ def test_every_stdio_op_offloaded_equals_phone_only(mobile_arch):
                         mobile_arch=mobile_arch, server_arch=X86_64,
                         forced_targets=["probe"]))
     assert built.profile.arch_name == mobile_arch.name
-    expected = _observed(*_run_on_phone(built.module, mobile_arch))
-    assert len(expected["returns"]) == len(CASES)
-    assert expected["returns"]["fprintf read-only"] == "0"
-    assert expected["files"]["out.txt"].startswith(b"w nope7 7\nnopno")
+    local = built.local()
+    assert _returns(local)["fprintf read-only"] == "0"
+    assert local.output.files["out.txt"].startswith(b"w nope7 7\nnopno")
+    assert local.output.files["log.txt"] == b"ono\nnope"
+    assert "missing.txt" not in local.output.files
+    assert local.output.stderr == b"err 7 nope7\n"
 
-    session = built.session(FAST_WIFI, SessionOptions(
-        enable_dynamic_estimation=False, enable_tracing=True))
-    result = session.run()
+    result = built.session(FAST_WIFI, SessionOptions(
+        enable_dynamic_estimation=False, enable_tracing=True)).run()
     assert result.offloaded_invocations == 1
     # every op in the table really was forwarded, none ran on the server
     forwarded = {e.name for e in result.trace.events("rio.op")}
     assert forwarded == set(STDIO)
-    observed = _observed(result.exit_code, session.mobile.io)
-    assert observed["returns"] == expected["returns"]   # the readable diff
-    assert observed == expected
+    assert _returns(result) == _returns(local)          # the readable diff
+    assert result.output.differences(local.output) == []
 
 
 def test_remotable_names_are_the_stdio_table():

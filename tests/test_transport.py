@@ -272,9 +272,9 @@ def _run(key, source, stdin, files=None, **session_kwargs):
     return local, session, session.run()
 
 
-def _observable_state(session):
-    """Everything the program can observe at exit: streams, files, and
-    mobile memory outside the (dead-residue-bearing) stack region."""
+def _final_memory(session):
+    """Mobile memory outside the (dead-residue-bearing) stack region:
+    what the program can observe at exit beside its ``GuestOutput``."""
     mobile = session.mobile
     stack_lo = mobile.stack_top - STACK_SIZE
     psize = mobile.memory.page_size
@@ -284,12 +284,7 @@ def _observable_state(session):
         if stack_lo <= base < mobile.stack_top:
             continue
         pages[pidx] = bytes(mobile.memory.page_bytes(pidx))
-    return {
-        "stdout": bytes(mobile.io.stdout),
-        "stderr": bytes(mobile.io.stderr),
-        "files": {p: bytes(d) for p, d in mobile.io.files.items()},
-        "memory": pages,
-    }
+    return pages
 
 
 class TestZeroFaultNoOp:
@@ -299,7 +294,7 @@ class TestZeroFaultNoOp:
         _, _, base = _run("fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES)
         _, _, empty = _run("fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES,
                            fault_plan=FaultPlan(seed=123))
-        assert empty.stdout == base.stdout
+        assert empty.output == base.output
         assert empty.total_seconds == base.total_seconds
         assert empty.energy_mj == base.energy_mj
         assert empty.comm_seconds == base.comm_seconds
@@ -324,8 +319,7 @@ class TestAbortAndReplay:
         local, session, res = _run(
             "fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES,
             fault_plan=FaultPlan(disconnect_after_messages=0))
-        assert res.stdout == local.stdout
-        assert res.exit_code == local.exit_code
+        assert res.output == local.output
         assert res.offloaded_invocations == 0
         assert res.aborted_invocations >= 1
         assert res.local_fallbacks == res.aborted_invocations
@@ -352,7 +346,7 @@ class TestAbortAndReplay:
         local, session, res = _run(
             "multi", MULTI_SRC, b"",
             fault_plan=FaultPlan(disconnect_after_messages=0))
-        assert res.stdout == local.stdout
+        assert res.output == local.output
         assert res.aborted_invocations == 1     # only the first attempt
         assert res.local_fallbacks == 1
         assert res.offloaded_invocations == 0
@@ -412,9 +406,8 @@ def test_semantics_invariant_under_any_fault_schedule(
         "fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES,
         enable_dynamic_estimation=False, enable_prefetch=prefetch,
         fault_plan=plan)
-    assert res.exit_code == base.exit_code == local.exit_code
-    assert res.stdout == base.stdout == local.stdout
-    assert _observable_state(session) == _observable_state(base_session)
+    assert res.output == base.output == local.output
+    assert _final_memory(session) == _final_memory(base_session)
     # bounded failure accounting: every abort produced a local replay
     assert res.local_fallbacks == res.aborted_invocations
     if plan.is_empty:

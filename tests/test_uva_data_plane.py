@@ -15,8 +15,8 @@ Two layers of coverage:
 
 import pytest
 
-from repro.machine import (GLOBAL_BASES, Machine, UVA_HEAP_BASE,
-                           UVA_HEAP_SIZE, install_libc)
+from repro.ir import Module
+from repro.machine import GLOBAL_BASES, UVA_HEAP_BASE, UVA_HEAP_SIZE, boot
 from repro.offload import CompilerOptions
 from repro.runtime import (CommunicationManager, FAST_WIFI, FaultPlan,
                            OffloadSession, PrefetchAdvisor, SessionOptions,
@@ -28,10 +28,8 @@ from conftest import build_c
 
 
 def make_pair(**uva_flags):
-    mobile = Machine(ARM32, "mobile")
-    server = Machine(X86_64, "server")
-    for m in (mobile, server):
-        install_libc(m)
+    mobile = boot(Module(), ARM32, "mobile")
+    server = boot(Module(), X86_64, "server")
     comm = CommunicationManager(FAST_WIFI)
     uva = UVAManager(mobile, server, comm, **uva_flags)
     return mobile, server, comm, uva
@@ -412,8 +410,8 @@ class TestDifferential:
         program, local = multi
         naive, s_naive = run_session(program, **NAIVE_FLAGS)
         incr, s_incr = run_session(program)
-        assert naive.stdout == local.stdout
-        assert incr.stdout == local.stdout
+        assert naive.output == local.output
+        assert incr.output == local.output
         # whole-memory comparison: every mapped mobile page byte-equal
         mn, mi = s_naive.mobile.memory, s_incr.mobile.memory
         assert sorted(mn.pages) == sorted(mi.pages)
@@ -459,7 +457,7 @@ class TestDifferentialUnderFaults:
     def ground_truth(self, multi):
         program, local = multi
         naive, session = run_session(program, **NAIVE_FLAGS)
-        assert naive.stdout == local.stdout
+        assert naive.output == local.output
         return shared_pages(session.mobile)
 
     @pytest.mark.parametrize("after", SWEEP)
@@ -468,7 +466,7 @@ class TestDifferentialUnderFaults:
         plan = FaultPlan(seed=7, disconnect_after_messages=after,
                          reconnect_rate=0.6)
         result, session = run_session(program, fault_plan=plan)
-        assert result.stdout == local.stdout
+        assert result.output == local.output
         assert shared_pages(session.mobile) == ground_truth
 
     def test_sweep_exercises_aborts(self, multi):

@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.frontend import compile_c  # noqa: E402
 from repro.ir.printer import print_function  # noqa: E402
-from repro.machine import Interpreter, Machine, install_libc  # noqa: E402
+from repro.machine import Interpreter, boot  # noqa: E402
 from repro.machine.interpreter import Observer, _Decoder  # noqa: E402
 from repro.targets import PRESETS  # noqa: E402
 from repro.workloads import WORKLOADS, workload  # noqa: E402
@@ -54,9 +54,7 @@ def main(argv=None) -> int:
         defined = ", ".join(f.name for f in module.defined_functions())
         parser.error(f"no function {args.function!r} defined in "
                      f"{args.program}; it defines: {defined}")
-    machine = Machine(arch)
-    install_libc(machine)
-    machine.load(module)
+    machine = boot(module, arch)
     interp = Interpreter(machine,
                          observer=Observer() if args.observed else None)
     decoder = _Decoder(interp, fn)
