@@ -20,11 +20,9 @@ import json
 import math
 import sys
 
-from .eval import (evaluate_suite, figure6a_execution_time,
-                   figure6b_battery, figure7_breakdown,
-                   figure8_power_traces, render_figure6, render_figure7,
-                   render_figure8, render_table1, render_table2,
-                   render_table3, render_table4, render_table5)
+from .eval import (figure6a_execution_time, figure6b_battery, render_figure6,
+                   render_figure7, render_figure8, render_table1,
+                   render_table2, render_table3, render_table4, render_table5)
 from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
                     AutoscalerOptions, FleetScheduler, PoolOptions,
                     ServerPool, ServerSpec, identical_devices)

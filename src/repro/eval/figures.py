@@ -6,12 +6,11 @@ Figure 7: overhead breakdown; Figure 8: power over time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime.session import SessionResult
 from ..workloads.registry import SPEC_WORKLOADS
-from .format import bar, format_table, sparkline
+from .format import format_table, sparkline
 from .runner import ProgramResult, evaluate_suite, geomean
 
 CONFIG_LABELS = ("slow", "fast", "ideal")

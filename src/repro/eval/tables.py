@@ -19,7 +19,7 @@ from ..workloads.android_apps import TOP20_APPS, survey_summary
 from ..workloads.chess import CHESS, chess_stdin
 from ..workloads.registry import SPEC_WORKLOADS
 from .format import format_table
-from .runner import ProgramResult, evaluate_suite, geomean
+from .runner import ProgramResult, evaluate_suite
 
 # ---------------------------------------------------------------------------
 # Table 1 — chess movement computation time, smartphone vs desktop

@@ -39,7 +39,6 @@ class PlacementRequest:
 
     target: str
     arrival_t: float
-    priority: bool = False
     #: Absolute global time the invocation should finish by (None =
     #: no deadline).  The pool computes it from the device's relative
     #: ``deadline_s`` at admission time.

@@ -189,7 +189,6 @@ class LockstepFleetScheduler:
             target_name, pending_t = worker.pending
             self.clock.advance_to(arrival_t)
             outcome = self.pool.admit(target_name, pending_t,
-                                      priority=worker.spec.priority,
                                       deadline_s=worker.spec.deadline_s)
             worker.serve(outcome)
 
@@ -204,7 +203,6 @@ class LockstepFleetScheduler:
         outcomes = [DeviceOutcome(device_id=w.spec.device_id,
                                   index=w.index,
                                   start_offset_s=w.offset,
-                                  priority=w.spec.priority,
                                   result=w.result)
                     for w in workers]
         makespan = max(o.completion_s for o in outcomes)

@@ -19,9 +19,7 @@ serving the next request — docs/simulator.md), so each slot's
 * a request finding every eligible queue full gets a
   :class:`~repro.runtime.backend.Rejection` quoting the wait it would
   have faced — the device degrades to local execution and the quote
-  feeds the estimator's contention term (docs/fleet.md);
-* ``priority`` requests may use the ``priority_reserve`` tail of each
-  queue that ordinary requests must leave free.
+  feeds the estimator's contention term (docs/fleet.md).
 
 Tiers (docs/placement.md): an ``edge`` server is cheap-near — the
 device keeps its own base :class:`~repro.runtime.network.NetworkModel`;
@@ -96,9 +94,6 @@ class PoolOptions:
     # Max invocations *waiting* (service not yet started) per server;
     # None = unbounded.
     queue_limit: Optional[int] = None
-    # Queue positions only priority requests may take.  Must leave at
-    # least one ordinary position unless the queue is entirely reserved.
-    priority_reserve: int = 0
     specs: Optional[Tuple[ServerSpec, ...]] = None
 
     def __post_init__(self) -> None:
@@ -112,11 +107,6 @@ class PoolOptions:
             raise ValueError("servers need at least one slot")
         if self.queue_limit is not None and self.queue_limit <= 0:
             raise ValueError("queue_limit must be positive (or None)")
-        if self.priority_reserve < 0:
-            raise ValueError("priority_reserve must be >= 0")
-        for limit in (spec.queue_limit for spec in self.server_specs()):
-            if limit is not None and self.priority_reserve > limit:
-                raise ValueError("priority_reserve exceeds queue_limit")
 
     def server_specs(self) -> Tuple[ServerSpec, ...]:
         """The per-server specs, expanding the homogeneous knobs."""
@@ -197,7 +187,6 @@ class ServerPool:
 
     # -- admission -----------------------------------------------------
     def admit(self, target_name: str, arrival_t: float,
-              priority: bool = False,
               deadline_s: Optional[float] = None,
               ) -> Union[Admission, Rejection]:
         """Route one offload request arriving at global ``arrival_t``.
@@ -223,13 +212,10 @@ class ServerPool:
             slot_idx, wait, free_slots = server.outlook(arrival_t)
             if min_wait is None or wait < min_wait:
                 min_wait = wait
-            if wait > 0.0:
-                limit = server.spec.queue_limit
-                if limit is not None:
-                    if not priority:
-                        limit -= self.options.priority_reserve
-                    if len(server.pending_starts) >= limit:
-                        continue    # this queue is full for us
+            limit = server.spec.queue_limit
+            if (wait > 0.0 and limit is not None
+                    and len(server.pending_starts) >= limit):
+                continue            # this queue is full
             candidates.append(Candidate(
                 server_id=server.id, wait=wait,
                 free_slots=free_slots,
@@ -244,7 +230,7 @@ class ServerPool:
             closest.stats.rejected += 1
             return Rejection(estimated_wait_s=min_wait or 0.0)
         request = PlacementRequest(
-            target=target_name, arrival_t=arrival_t, priority=priority,
+            target=target_name, arrival_t=arrival_t,
             deadline_t=(None if deadline_s is None
                         else arrival_t + deadline_s))
         chosen = self.engine.select(candidates, request)
@@ -272,12 +258,10 @@ class ServerPool:
                          start_s=start, token=(server.id, slot_idx, start),
                          speed=server.spec.speed,
                          network=server.spec.network,
-                         tier=server.spec.tier,
-                         deadline_s=deadline_s, priority=priority)
+                         tier=server.spec.tier, deadline_s=deadline_s)
 
     def admit_gang(self, target_name: str, arrival_t: float,
-                   shards: int, priority: bool = False,
-                   deadline_s: Optional[float] = None,
+                   shards: int, deadline_s: Optional[float] = None,
                    ) -> Union[List[Admission], Rejection]:
         """Atomically place up to ``shards`` gang members for one
         scatter/gather plan (docs/parallel-offload.md).
@@ -294,7 +278,6 @@ class ServerPool:
         """
         if shards <= 1:
             outcome = self.admit(target_name, arrival_t,
-                                 priority=priority,
                                  deadline_s=deadline_s)
             return outcome if isinstance(outcome, Rejection) else [outcome]
         if self._outstanding:
@@ -319,7 +302,7 @@ class ServerPool:
                 spec=server.spec, stats=server.stats,
                 slot_idx=idxs[0], server=server))
         request = PlacementRequest(
-            target=target_name, arrival_t=arrival_t, priority=priority,
+            target=target_name, arrival_t=arrival_t,
             deadline_t=(None if deadline_s is None
                         else arrival_t + deadline_s))
         members = (self.engine.select_gang(candidates, request, shards)
@@ -327,7 +310,6 @@ class ServerPool:
         if not members:
             # the degrade ladder's next rung: one classic admission
             outcome = self.admit(target_name, arrival_t,
-                                 priority=priority,
                                  deadline_s=deadline_s)
             return outcome if isinstance(outcome, Rejection) else [outcome]
         admissions: List[Admission] = []
@@ -347,11 +329,9 @@ class ServerPool:
                 start_s=arrival_t,
                 token=(server.id, slot_idx, arrival_t),
                 speed=server.spec.speed, network=None,
-                tier=server.spec.tier,
-                deadline_s=deadline_s, priority=priority))
+                tier=server.spec.tier, deadline_s=deadline_s))
         if not admissions:
             outcome = self.admit(target_name, arrival_t,
-                                 priority=priority,
                                  deadline_s=deadline_s)
             return outcome if isinstance(outcome, Rejection) else [outcome]
         return admissions

@@ -17,7 +17,7 @@ function of the *projection* of its admission outcomes — the only
 fields a session ever reads are the session-visible
 :class:`~repro.runtime.backend.Admission` fields (``server_id``,
 ``queue_seconds``, and the heterogeneous-pool ``speed`` / ``network``
-/ ``tier`` / ``deadline_s`` / ``priority``) and
+/ ``tier`` / ``deadline_s``) and
 ``Rejection.estimated_wait_s`` (``start_s``/``token`` are pool
 bookkeeping the session never touches).  Same script in, same
 execution out: same timeline, same energy, same trace, same estimator
@@ -77,13 +77,12 @@ class OutcomeProjection(NamedTuple):
     estimated_wait_s: float = 0.0
     # Heterogeneous-pool fields (docs/placement.md): sessions scale
     # server compute by speed, talk through the tier's network
-    # override, and record tier/deadline/priority.  NetworkModel is a
-    # frozen dataclass, so the projection stays hashable.
+    # override, and record tier/deadline.  NetworkModel is a frozen
+    # dataclass, so the projection stays hashable.
     speed: float = 1.0
     network: object = None
     tier: Optional[str] = None
     deadline_s: Optional[float] = None
-    priority: bool = False
 
     @classmethod
     def of(cls, outcome) -> "OutcomeProjection":
@@ -92,8 +91,7 @@ class OutcomeProjection(NamedTuple):
             return cls(admitted=True, server_id=outcome.server_id,
                        queue_seconds=outcome.queue_seconds,
                        speed=outcome.speed, network=outcome.network,
-                       tier=outcome.tier, deadline_s=outcome.deadline_s,
-                       priority=outcome.priority)
+                       tier=outcome.tier, deadline_s=outcome.deadline_s)
         if isinstance(outcome, Rejection):
             return cls(admitted=False,
                        estimated_wait_s=outcome.estimated_wait_s)
@@ -105,8 +103,7 @@ class OutcomeProjection(NamedTuple):
             return Admission(server_id=self.server_id,
                              queue_seconds=self.queue_seconds,
                              speed=self.speed, network=self.network,
-                             tier=self.tier, deadline_s=self.deadline_s,
-                             priority=self.priority)
+                             tier=self.tier, deadline_s=self.deadline_s)
         return Rejection(estimated_wait_s=self.estimated_wait_s)
 
 
@@ -226,8 +223,6 @@ _behavior_values = operator.attrgetter(*_BEHAVIOR_FIELDS)
 
 
 def _hashable(value):
-    if isinstance(value, dict):
-        value = tuple(sorted(value.items()))
     try:
         hash(value)
     except TypeError:
@@ -246,10 +241,9 @@ def behavior_key(spec: DeviceSpec, engine: str = "fifo") -> tuple:
     (docs/placement.md).
 
     Unhashable or stateful option values (fault plans are frozen and
-    hash by value; dicts key by their sorted items; anything else falls
-    back to object identity) only ever make the key *finer*, never
-    coarser — a too-fine key costs speed, a too-coarse one would cost
-    correctness.
+    hash by value; anything else falls back to object identity) only
+    ever make the key *finer*, never coarser — a too-fine key costs
+    speed, a too-coarse one would cost correctness.
     """
     parts = _behavior_values(spec.options or SessionOptions())
     try:

@@ -28,7 +28,6 @@ class DeviceOutcome:
     device_id: str
     index: int
     start_offset_s: float
-    priority: bool
     result: SessionResult
 
     @property

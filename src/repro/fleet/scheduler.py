@@ -51,7 +51,7 @@ from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
 from .pool import ServerPool
 from .replay import OutcomeProjection, Segment, SegmentCache, TrieNode
 from .result import DeviceOutcome, FleetResult
-from .spec import DeviceSpec, arrival_offsets  # noqa: F401  (re-export)
+from .spec import DeviceSpec
 
 
 class _DeviceProcess:
@@ -149,7 +149,6 @@ class FleetScheduler:
             outcomes.append(DeviceOutcome(device_id=p.spec.device_id,
                                           index=p.index,
                                           start_offset_s=p.offset,
-                                          priority=p.spec.priority,
                                           result=p.result))
         makespan = (max(o.completion_s for o in outcomes)
                     if outcomes else 0.0)
@@ -169,7 +168,6 @@ class FleetScheduler:
         # the one classic admission every other request gets.
         granted = self.pool.admit_gang(p.pending_target, t,
                                        p.pending_shards,
-                                       priority=p.spec.priority,
                                        deadline_s=p.spec.deadline_s)
         admissions = [] if isinstance(granted, Rejection) else granted
         outcomes = admissions or [granted]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..ir import instructions as irinst
 from ..ir import types as irt
 from ..ir.builder import IRBuilder
 from ..ir.module import Module

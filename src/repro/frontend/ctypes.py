@@ -7,7 +7,7 @@ sext vs zext), mirroring how clang lowers C to LLVM IR.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..ir import types as irt
 

@@ -7,12 +7,11 @@ tests that build IR by hand.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import instructions as inst
-from .types import (FunctionType, IRType, IntType, PointerType, I1, I8, I32,
-                    I64, F64)
-from .values import BasicBlock, Constant, Function, Value
+from .types import IRType, I1, I32, I64, F64
+from .values import BasicBlock, Constant, Value
 
 
 class IRBuilder:

@@ -12,10 +12,10 @@ clang -O0 output, so there is no phi instruction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
-from .types import (ArrayType, FloatType, FunctionType, IRType, IntType,
-                    PointerType, StructType, VOID, I1)
+from .types import (ArrayType, FunctionType, IRType, PointerType, StructType,
+                    VOID, I1)
 from .values import BasicBlock, Function, Value
 
 # Integer / float binary opcodes.  Signedness is encoded in the opcode.

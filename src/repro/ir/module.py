@@ -8,10 +8,10 @@ compiler clones a module into a mobile partition and a server partition
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-from .types import FunctionType, IRType, StructType
-from .values import Function, GlobalVariable, Initializer
+from .types import FunctionType, StructType
+from .values import Function, GlobalVariable
 
 
 class Module:

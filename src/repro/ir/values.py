@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
-from .types import (ArrayType, FunctionType, IRType, IntType, PointerType,
-                    StructType, VoidType)
+from .types import FunctionType, IRType, IntType, PointerType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .instructions import Instruction

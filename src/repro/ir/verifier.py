@@ -11,9 +11,8 @@ from typing import List
 
 from . import instructions as inst
 from .module import Module
-from .types import FunctionType, IntType, VOID
-from .values import (Argument, BasicBlock, Constant, Function,
-                     GlobalVariable, UndefValue, Value)
+from .values import (Argument, BasicBlock, Constant, Function, GlobalVariable,
+                     UndefValue)
 
 
 class VerificationError(Exception):

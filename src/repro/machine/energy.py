@@ -98,15 +98,12 @@ class EnergyMeter:
     """Accumulates mobile-side energy as the offload session advances its
     simulated clock."""
 
-    def __init__(self, power_mw: Dict[str, float] = None):
-        self.power_mw = dict(DEFAULT_POWER_MW)
-        if power_mw:
-            self.power_mw.update(power_mw)
+    def __init__(self):
         self.trace = PowerTrace()
 
     def power_of(self, state: str) -> float:
         try:
-            return self.power_mw[state]
+            return DEFAULT_POWER_MW[state]
         except KeyError:
             raise KeyError(f"unknown power state {state!r}") from None
 

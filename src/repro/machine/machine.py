@@ -14,14 +14,13 @@ from typing import Callable, Dict, Optional
 
 from ..ir.module import Module
 from ..ir.values import (AggregateInit, BytesInit, Function, FunctionRefInit,
-                         GlobalRefInit, GlobalVariable, Initializer,
-                         ScalarInit, ZeroInit)
-from ..ir.types import ArrayType, IRType, PointerType, StructType
+                         GlobalRefInit, Initializer, ScalarInit, ZeroInit)
+from ..ir.types import ArrayType, IRType, StructType
 from ..targets.abi import DataLayout, unified_data_layout
 from ..targets.arch import TargetArch
 from .allocator import Allocator
 from .fs import IOEnvironment
-from .memory import AddressSpace
+from .memory import DEFAULT_PAGE_SIZE, AddressSpace
 from .values import encode_scalar
 
 # Address-space map.  Everything below 4 GiB so every address fits a 32-bit
@@ -46,7 +45,7 @@ class Machine:
 
     def __init__(self, arch: TargetArch, role: str = "mobile",
                  io: Optional[IOEnvironment] = None,
-                 page_size: int = 4096):
+                 page_size: int = DEFAULT_PAGE_SIZE):
         if role not in ("mobile", "server"):
             raise ValueError("role must be 'mobile' or 'server'")
         self.arch = arch
@@ -199,7 +198,8 @@ class Machine:
 
 
 def boot(module: Module, arch: TargetArch, role: str = "mobile",
-         io: Optional[IOEnvironment] = None, page_size: int = 4096) -> Machine:
+         io: Optional[IOEnvironment] = None,
+         page_size: int = DEFAULT_PAGE_SIZE) -> Machine:
     """The one place a module becomes a machine that can run it: libc
     bound, the module loaded under the data layout its metadata asks for."""
     from .libc import install_libc      # libc sits above this module

@@ -11,8 +11,20 @@ twice per invocation (live-ins out, dirty data back), hence the factor 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..profiler.profile_data import CandidateProfile
+
+
+def equation1(t_mobile: float, ratio: float, memory_bytes: float,
+              bandwidth_bytes_per_s: float,
+              invocations: int = 1) -> Tuple[float, float]:
+    """Equation 1's two terms, ``(Tm * (1 - 1/R), 2 * M/BW * Ninvo)``:
+    the compute the server saves and the traffic that costs.  The static
+    estimator prices every profiled invocation, the dynamic one the next
+    invocation alone."""
+    return (t_mobile * (1.0 - 1.0 / ratio),
+            2.0 * memory_bytes / bandwidth_bytes_per_s * invocations)
 
 
 @dataclass(frozen=True)
@@ -21,11 +33,6 @@ class EstimatorParams:
 
     performance_ratio: float        # R
     bandwidth_bytes_per_s: float    # BW
-    # Incremental-data-plane awareness (docs/uva-data-plane.md): with the
-    # cross-invocation page cache and sub-page deltas, invocations after
-    # the first ship only this fraction of M.  The default of 1.0 is the
-    # paper's original Equation 1 (every invocation pays the full 2M/BW).
-    warm_transfer_fraction: float = 1.0
 
     def __post_init__(self):
         # R <= 1 (a server no faster than the mobile) is a legal
@@ -36,8 +43,6 @@ class EstimatorParams:
             raise ValueError("performance ratio must be positive")
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0.0 < self.warm_transfer_fraction <= 1.0:
-            raise ValueError("warm transfer fraction must be in (0, 1]")
 
 
 @dataclass
@@ -65,20 +70,13 @@ class StaticPerformanceEstimator:
         self.params = params
 
     def estimate(self, profile: CandidateProfile) -> StaticEstimate:
-        t_mobile = profile.total_seconds
-        t_ideal = t_mobile * (1.0 - 1.0 / self.params.performance_ratio)
-        # The first invocation pays the full transfer; with the
-        # incremental data plane, warm invocations pay only a fraction.
-        warm = self.params.warm_transfer_fraction
-        effective_invocations = (
-            profile.invocations if profile.invocations <= 1
-            else 1.0 + (profile.invocations - 1) * warm)
-        t_comm = (2.0 * profile.memory_bytes
-                  / self.params.bandwidth_bytes_per_s
-                  * effective_invocations)
+        t_ideal, t_comm = equation1(
+            profile.total_seconds, self.params.performance_ratio,
+            profile.memory_bytes, self.params.bandwidth_bytes_per_s,
+            profile.invocations)
         return StaticEstimate(
             name=profile.name,
-            t_mobile=t_mobile,
+            t_mobile=profile.total_seconds,
             t_ideal=t_ideal,
             t_comm=t_comm,
             invocations=profile.invocations,

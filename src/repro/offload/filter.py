@@ -11,7 +11,7 @@ what lets hot loops containing ``printf`` still be offloaded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.loops import Loop

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.loops import Loop
 from ..ir import instructions as inst
-from ..ir.types import FunctionType, I32, VOID
+from ..ir.types import FunctionType, I32
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, UndefValue, Value)
 from ..ir.module import Module

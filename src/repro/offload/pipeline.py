@@ -7,8 +7,9 @@
       -> server-specific optimization (remote I/O, fn-ptr mapping)
       -> offloading-enabled mobile and server "binaries"
 
-Every stage can be disabled through :class:`CompilerOptions` for the
-ablation studies in the benchmark suite.
+Memory unification's three passes and remote I/O can be disabled through
+:class:`CompilerOptions` for the ablation studies in the benchmark suite;
+function-pointer mapping and IR verification always run.
 """
 
 from __future__ import annotations
@@ -26,39 +27,31 @@ from .estimator import (EstimatorParams, StaticPerformanceEstimator, mbps)
 from .filter import FunctionFilter
 from .outline import OutliningError, can_outline, outline_loop
 from .partition import PartitionResult, partition
-from .selector import Candidate, SelectionResult, TargetSelector
+from .selector import (MIN_GAIN_FRACTION, Candidate, SelectionResult,
+                       TargetSelector)
 from .server_opt import (apply_function_pointer_mapping, apply_remote_io)
 from .shard import SHARD_PREFIX, ShardSpec, analyze_shard_targets
 from .unify import UnificationReport, unify_memory
+
+
+# Static estimator bandwidth.  The paper's worked example assumes BW=80
+# Mbps (Table 3); compilation assumes an optimistic (LAN-class) link
+# because static selection only gates which targets get offloading code
+# — the dynamic estimator re-decides per invocation against the live
+# network, declining when it is too slow.
+COMPILE_BANDWIDTH_MBPS = 1000.0
 
 
 @dataclass
 class CompilerOptions:
     mobile_arch: TargetArch = ARM32
     server_arch: TargetArch = X86_64
-    # Static estimator environment.  The paper's worked example assumes
-    # R=5 and BW=80 Mbps (Table 3); the *default* compilation bandwidth is
-    # optimistic (LAN-class) because static selection only gates which
-    # targets get offloading code — the dynamic estimator re-decides per
-    # invocation against the live network, declining when it is too slow.
-    bandwidth_mbps: float = 1000.0
-    performance_ratio: Optional[float] = None
-    # Minimum promised gain (as a fraction of whole-program time) for a
-    # candidate to be worth generating offloading code for.
-    min_gain_fraction: float = 0.12
     enable_remote_io: bool = True
-    enable_fn_ptr_mapping: bool = True
     enable_heap_replacement: bool = True
     enable_global_realloc: bool = True
     enable_layout_realignment: bool = True
     # Force a specific target set (bypasses selection); for tests/ablation.
     forced_targets: Optional[List[str]] = None
-    verify: bool = True
-
-    def resolved_ratio(self) -> float:
-        if self.performance_ratio is not None:
-            return self.performance_ratio
-        return performance_ratio(self.server_arch, self.mobile_arch)
 
 
 @dataclass
@@ -91,12 +84,13 @@ class OffloadProgram:
     def why_no_targets(self) -> str:
         """The reason nothing is offloaded, for a program whose target
         list is empty: the whole application runs on the mobile."""
-        ratio = self.options.resolved_ratio()
+        ratio = performance_ratio(self.options.server_arch,
+                                  self.options.mobile_arch)
         if ratio <= 1.0:
             return (f"none — the server is not faster than the mobile "
                     f"(R = {ratio:.2f}), so Equation 1 promises no gain")
         return (f"none — no candidate's estimated gain reaches "
-                f"{self.options.min_gain_fraction:.0%} of program time")
+                f"{MIN_GAIN_FRACTION:.0%} of program time")
 
     def statistics(self) -> Dict[str, object]:
         """Static per-program statistics — the left half of Table 4."""
@@ -151,8 +145,7 @@ class NativeOffloaderCompiler:
                 outlined.append(candidate.name)
             target_names.append(candidate.name)
             target_kinds[candidate.name] = candidate.kind
-        if opts.verify:
-            verify_module(work)
+        verify_module(work)
 
         callgraph = CallGraph(work)
         unification = unify_memory(
@@ -176,13 +169,9 @@ class NativeOffloaderCompiler:
         remote_io_sites = 0
         if opts.enable_remote_io:
             remote_io_sites = apply_remote_io(result.server_module)
-        fn_ptr_sites = 0
-        if opts.enable_fn_ptr_mapping:
-            fn_ptr_sites = apply_function_pointer_mapping(
-                result.server_module)
-        if opts.verify:
-            verify_module(result.mobile_module)
-            verify_module(result.server_module)
+        fn_ptr_sites = apply_function_pointer_mapping(result.server_module)
+        verify_module(result.mobile_module)
+        verify_module(result.server_module)
 
         return OffloadProgram(
             name=module.name,
@@ -203,8 +192,9 @@ class NativeOffloaderCompiler:
     # -- helpers ----------------------------------------------------------
     def _estimator(self) -> StaticPerformanceEstimator:
         params = EstimatorParams(
-            performance_ratio=self.options.resolved_ratio(),
-            bandwidth_bytes_per_s=mbps(self.options.bandwidth_mbps))
+            performance_ratio=performance_ratio(self.options.server_arch,
+                                                self.options.mobile_arch),
+            bandwidth_bytes_per_s=mbps(COMPILE_BANDWIDTH_MBPS))
         return StaticPerformanceEstimator(params)
 
     def _select(self, module: Module, profile: ProfileData
@@ -212,9 +202,7 @@ class NativeOffloaderCompiler:
         filter_ = FunctionFilter(
             module, enable_remote_io=self.options.enable_remote_io)
         selector = TargetSelector(module, profile, self._estimator(),
-                                  filter_,
-                                  min_gain_fraction=self.options
-                                  .min_gain_fraction)
+                                  filter_)
         # Iterate: loop candidates that cannot be outlined are excluded and
         # selection re-runs so a containing function can win instead.
         excluded: set = set()
@@ -231,7 +219,7 @@ class NativeOffloaderCompiler:
         filter_ = FunctionFilter(
             module, enable_remote_io=self.options.enable_remote_io)
         selector = TargetSelector(module, profile, self._estimator(),
-                                  filter_, min_gain_fraction=0.0)
+                                  filter_)
         candidates = selector._build_candidates()
         if name not in candidates:
             raise KeyError(f"no candidate named {name}")

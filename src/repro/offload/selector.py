@@ -9,7 +9,7 @@ selecting ``getAITurn`` subsumes its inner ``for_i``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..analysis.callgraph import CallGraph
@@ -42,18 +42,18 @@ class SelectionResult:
     selected: List[Candidate]
 
 
+# A target must promise at least this fraction of whole-program time as
+# gain; offloading trivial helpers is all protocol overhead and no win.
+MIN_GAIN_FRACTION = 0.12
+
+
 class TargetSelector:
     def __init__(self, module: Module, profile: ProfileData,
                  estimator: StaticPerformanceEstimator,
-                 filter_: Optional[FunctionFilter] = None,
-                 min_gain_fraction: float = 0.05):
+                 filter_: Optional[FunctionFilter] = None):
         self.module = module
         self.profile = profile
         self.estimator = estimator
-        # A target must promise at least this fraction of whole-program
-        # time as gain; offloading trivial helpers is all protocol
-        # overhead and no win.
-        self.min_gain_fraction = min_gain_fraction
         self.callgraph = (filter_.callgraph if filter_ is not None
                           else CallGraph(module))
         self.filter = filter_ or FunctionFilter(module, self.callgraph)
@@ -67,7 +67,7 @@ class TargetSelector:
             if name in candidates:
                 candidates[name].verdict.machine_specific = True
                 candidates[name].verdict.reasons.append("excluded")
-        threshold = self.min_gain_fraction * self.profile.program_seconds
+        threshold = MIN_GAIN_FRACTION * self.profile.program_seconds
         ordered = sorted(
             (c for c in candidates.values()
              if c.selectable and c.estimate.t_gain >= threshold),

@@ -13,8 +13,6 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from ..ir import instructions as inst
 from ..ir.module import Module
 from ..ir.types import FunctionType, PointerType, I8

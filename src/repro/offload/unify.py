@@ -31,7 +31,7 @@ from typing import List, Optional, Set
 from ..analysis.callgraph import CallGraph
 from ..ir import instructions as inst
 from ..ir.module import Module
-from ..ir.values import Function, GlobalVariable
+from ..ir.values import GlobalVariable
 from ..targets.abi import (UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY,
                            UNIFIED_POINTER_KEY, DataLayout, layouts_differ)
 from ..targets.arch import TargetArch

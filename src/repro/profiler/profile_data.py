@@ -10,7 +10,9 @@ move, which is what Equation 1 charges for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
+
+from ..machine.memory import DEFAULT_PAGE_SIZE
 
 
 @dataclass
@@ -23,11 +25,10 @@ class CandidateProfile:
     total_seconds: float = 0.0
     invocations: int = 0
     pages_touched: Set[int] = field(default_factory=set)
-    page_size: int = 4096
 
     @property
     def memory_bytes(self) -> int:
-        return len(self.pages_touched) * self.page_size
+        return len(self.pages_touched) * DEFAULT_PAGE_SIZE
 
     @property
     def seconds_per_invocation(self) -> float:

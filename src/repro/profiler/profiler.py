@@ -7,16 +7,19 @@ resulting :class:`ProfileData` drives the static performance estimator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.module import Module
 from ..ir.values import BasicBlock, Function
 from ..machine.interpreter import Observer
+from ..machine.memory import DEFAULT_PAGE_SIZE
 from ..runtime.local import run_local
 from ..targets.arch import TargetArch
 from ..targets.presets import ARM32
 from .profile_data import CandidateProfile, ProfileData
+
+PAGE_SHIFT = DEFAULT_PAGE_SIZE.bit_length() - 1
 
 
 class _LoopActivation:
@@ -49,23 +52,19 @@ class ProfilingObserver(Observer):
     operation per access whatever the call and loop depth.
     """
 
-    def __init__(self, module: Module, arch: TargetArch, page_size: int):
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ValueError("page size must be a positive power of two")
+    def __init__(self, module: Module, arch: TargetArch):
         self.arch = arch
-        self.page_size = page_size
-        self._page_shift = page_size.bit_length() - 1
         self.profiles: Dict[str, CandidateProfile] = {}
         # Block -> the innermost loop containing it (blocks outside every
         # loop are absent).
         self._innermost: Dict[BasicBlock, Loop] = {}
         for fn in module.defined_functions():
             self.profiles[fn.name] = CandidateProfile(
-                fn.name, "function", fn.name, page_size=page_size)
+                fn.name, "function", fn.name)
             info = LoopInfo(fn)
             for loop in info.loops:
                 self.profiles[loop.name] = CandidateProfile(
-                    loop.name, "loop", fn.name, page_size=page_size)
+                    loop.name, "loop", fn.name)
             for block in fn.blocks:
                 loop = info.innermost_loop_of(block)
                 if loop is not None:
@@ -169,9 +168,8 @@ class ProfilingObserver(Observer):
         scopes = self._touch_scopes
         if not scopes:
             return
-        shift = self._page_shift
-        first = address >> shift
-        last = (address + size - 1) >> shift
+        first = address >> PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT
         if last <= first:  # one page; a zero-size access counts as one byte
             scopes[-1].add(first)
         else:
@@ -181,14 +179,11 @@ class ProfilingObserver(Observer):
 def profile_module(module: Module,
                    arch: TargetArch = ARM32,
                    stdin: bytes = b"",
-                   files: Optional[Dict[str, bytes]] = None,
-                   page_size: int = 4096,
-                   max_instructions: int = 500_000_000) -> ProfileData:
+                   files: Optional[Dict[str, bytes]] = None) -> ProfileData:
     """Run the program once on the mobile model and collect profiles."""
-    observer = ProfilingObserver(module, arch, page_size)
+    observer = ProfilingObserver(module, arch)
     local = run_local(module, arch=arch, stdin=stdin, files=files,
-                      page_size=page_size,
-                      max_instructions=max_instructions, observer=observer)
+                      observer=observer)
     return ProfileData(
         module_name=module.name,
         arch_name=arch.name,

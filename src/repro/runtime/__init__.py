@@ -2,14 +2,14 @@
 estimation and the offload session life cycle (paper, Section 4)."""
 
 from .network import (CLOUD_WAN, FAST_WIFI, FaultPlan, IDEAL_NETWORK,
-                      Link, LinkAttempt, NETWORKS, NO_FAULTS,
-                      NetworkModel, SLOW_WIFI)
+                      Link, LinkAttempt, MESSAGE_HEADER_BYTES, NETWORKS,
+                      NO_FAULTS, NetworkModel, SLOW_WIFI)
 from .transport import (LinkDownError, RetryPolicy, Transport,
                         TransportError, TransportStats)
 from .comm import (CommStats, CommunicationManager, TransferResult,
                    COMPRESS_CYCLES_PER_BYTE, DECOMPRESS_CYCLES_PER_BYTE,
-                   DELTA_RECORD_HEADER_BYTES, MESSAGE_HEADER_BYTES,
-                   delta_records_size, encode_delta_records)
+                   DELTA_RECORD_HEADER_BYTES, delta_records_size,
+                   encode_delta_records)
 from .fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES,
                         UnmappableFunctionPointer)
 from .uva import PrefetchAdvisor, UVAManager, UVAStats

@@ -36,7 +36,7 @@ is) or be refused outright, in which case the invocation degrades to
 pool outcomes into the session; sessions only ever read the
 session-visible fields of an :class:`Admission` (``server_id``,
 ``queue_seconds``, and the heterogeneous-pool fields ``speed`` /
-``network`` / ``tier`` / ``deadline_s`` / ``priority``) and the
+``network`` / ``tier`` / ``deadline_s``) and the
 ``estimated_wait_s`` of a :class:`Rejection`, which is what makes that
 replay exact (docs/simulator.md, "Replay, not resumption").
 
@@ -93,11 +93,10 @@ class InvocationRecord:
     server_id: Optional[int] = None
     rejected: bool = False
     # Placement accounting (docs/placement.md): the tier that served
-    # the invocation, and the deadline/priority the request carried
-    # into the pool's decision engine.
+    # the invocation, and the deadline the request carried into the
+    # pool's decision engine.
     tier: Optional[str] = None
     deadline_s: Optional[float] = None
-    priority: bool = False
     # Scatter/gather plan accounting (docs/parallel-offload.md): how
     # many index-range shards served the invocation, which servers they
     # landed on, the iteration count each carried, the parallel wall
@@ -120,7 +119,7 @@ class Admission:
 
     Sessions read ``server_id``, ``queue_seconds`` and the
     heterogeneous-pool echo fields (``speed``, ``network``, ``tier``,
-    ``deadline_s``, ``priority``); ``start_s``/``token`` are pool
+    ``deadline_s``); ``start_s``/``token`` are pool
     bookkeeping.  The event-driven fleet scheduler's replay correctness
     depends on that split
     (:class:`repro.fleet.replay.OutcomeProjection`) — a backend change
@@ -134,13 +133,12 @@ class Admission:
     token: object = None          # pool-internal reservation handle
     # Heterogeneous-pool fields (docs/placement.md).  speed divides
     # server compute time; network, when set, is the admitting tier's
-    # link the comm layer uses for the whole invocation.  tier /
-    # deadline_s / priority are echoes for InvocationRecord accounting.
+    # link the comm layer uses for the whole invocation.  tier and
+    # deadline_s are echoes for InvocationRecord accounting.
     speed: float = 1.0
     network: object = None        # NetworkModel override or None
     tier: Optional[str] = None
     deadline_s: Optional[float] = None
-    priority: bool = False
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,7 @@ class LocalBackend:
         per-range replay of a plan's abandoned shards."""
         session = self.session
         fn = session.mobile.module.function(fn_name)
-        sub = Interpreter(session.mobile, observer=interp.observer,
-                          max_instructions=session.options.max_instructions)
+        sub = Interpreter(session.mobile, observer=interp.observer)
         sub.sp = interp.sp
         result = sub.call_function(fn, args)
         interp.charge_raw_cycles(sub.cycles)
@@ -273,7 +270,6 @@ class RemoteBackend:
             record.server_id = admission.server_id
             record.tier = admission.tier
             record.deadline_s = admission.deadline_s
-            record.priority = admission.priority
             if admission.queue_seconds > 0.0:
                 record.queue_seconds = admission.queue_seconds
                 if tr.enabled:
@@ -320,10 +316,12 @@ class RemoteBackend:
         trip = spec.static_trip_count()
         if trip is None:
             if spec.bound_global is not None:
-                addr = session.mobile.address_of_global(spec.bound_global)
-                bound = int.from_bytes(
-                    session.mobile.memory.read(addr, 4), "little",
-                    signed=True)
+                # an int of the mobile program, in the mobile's byte order
+                mobile = session.mobile
+                addr = mobile.address_of_global(spec.bound_global)
+                bound = int.from_bytes(mobile.memory.read(addr, 4),
+                                       mobile.layout.byte_order,
+                                       signed=True)
             else:
                 bound = _signed32(int(args[spec.bound_arg]))
             trip = max(0, bound - spec.iv_init)
@@ -468,9 +466,7 @@ class RemoteBackend:
                     server_interp = None
                     continue
                 session.server.memory.clear_dirty()
-                server_interp = Interpreter(
-                    session.server,
-                    max_instructions=opts.max_instructions)
+                server_interp = Interpreter(session.server)
                 session._current_server_interp = server_interp
                 cod_before = session.uva.stats.cod_seconds
                 faults_before = session.uva.stats.cod_faults

@@ -21,8 +21,8 @@ can abort the invocation and fall back to local execution.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..trace import NULL_TRACER, Tracer
 from .network import FaultPlan, Link, MESSAGE_HEADER_BYTES, NetworkModel
@@ -182,7 +182,7 @@ class CommunicationManager:
                     raw = compressed
             # The message body: compressed payload plus per-item framing.
             # The per-message header is charged by the network time model
-            # itself (NetworkModel.header_bytes) and added back into the
+            # itself (MESSAGE_HEADER_BYTES) and added back into the
             # wire-byte accounting below.
             body = len(raw) + PER_ITEM_HEADER_BYTES * len(group)
             try:

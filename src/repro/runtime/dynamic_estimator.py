@@ -9,9 +9,10 @@ suffering a slowdown (Figure 6, the ``*`` entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..offload.estimator import equation1
 from ..offload.partition import OffloadTarget
 from ..profiler.profile_data import ProfileData
 from ..trace import NULL_TRACER, Tracer
@@ -242,12 +243,11 @@ class DynamicPerformanceEstimator:
         # than the paper's reference (speed > 1); a 1.0 speed leaves
         # the ratio bit-identical to the single-server arithmetic.
         ratio = self.performance_ratio * self.expected_server_speed()
-        t_ideal = t_mobile * (1.0 - 1.0 / ratio)
         bandwidth = self.network.bandwidth_bytes_per_s
         if self.predictor is not None:
             bandwidth = self.predictor.predict_bps(
                 self.network.bandwidth_bps) / 8.0
-        t_comm = 2.0 * memory / bandwidth
+        t_ideal, t_comm = equation1(t_mobile, ratio, memory, bandwidth)
         t_queue = self.expected_queue_seconds()
         return GainEstimate(t_mobile=t_mobile, memory_bytes=memory,
                             t_ideal=t_ideal, bandwidth=bandwidth,

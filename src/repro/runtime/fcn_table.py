@@ -10,7 +10,7 @@ real time — Figure 7 shows this as a first-order overhead for 445.gobmk,
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..machine.machine import Machine
 

@@ -45,20 +45,15 @@ class LocalRunResult(GuestRun):
 
 def run_local(module: Module,
               arch: TargetArch = ARM32,
-              role: str = "mobile",
               stdin: bytes = b"",
               files: Optional[Dict[str, bytes]] = None,
-              page_size: int = 4096,
-              power_mw: Optional[Dict[str, float]] = None,
-              max_instructions: int = 500_000_000,
               observer: Optional[Observer] = None) -> LocalRunResult:
-    """Execute a module start-to-finish on a single machine."""
-    machine = boot(module, arch, role,
-                   IOEnvironment(files=files, stdin=stdin), page_size)
-    interp = Interpreter(machine, observer=observer,
-                         max_instructions=max_instructions)
+    """Execute a module start-to-finish on a single mobile machine."""
+    machine = boot(module, arch, "mobile",
+                   IOEnvironment(files=files, stdin=stdin))
+    interp = Interpreter(machine, observer=observer)
     exit_code = interp.run_main()
-    meter = EnergyMeter(power_mw)
+    meter = EnergyMeter()
     seconds = interp.time_seconds
     meter.charge(0.0, seconds, "compute")
     return LocalRunResult(

@@ -10,8 +10,8 @@ Two layers live here (docs/fault-model.md):
 
 * :class:`NetworkModel` — the closed-form time model of one message on a
   healthy link.  Every message pays the link latency plus serialization
-  of its payload *and* ``header_bytes`` of protocol framing, so a
-  zero-byte message is not free.
+  of its payload *and* ``MESSAGE_HEADER_BYTES`` of protocol framing, so
+  a zero-byte message is not free.
 * :class:`Link` — the raw simulated medium used by
   :class:`repro.runtime.transport.Transport`: a :class:`NetworkModel`
   plus an optional seeded :class:`FaultPlan` injecting latency jitter,
@@ -26,7 +26,7 @@ from typing import Optional
 
 # Per-message protocol overhead.  Lives here (the medium) so that the
 # time model and the wire-byte accounting of the communication manager
-# agree on a single constant; re-exported by :mod:`repro.runtime.comm`.
+# agree on a single constant.
 MESSAGE_HEADER_BYTES = 64
 
 
@@ -38,7 +38,6 @@ class NetworkModel:
     bandwidth_bps: float     # effective payload bandwidth, bits/second
     latency_s: float         # one-way latency per message
     slow: bool = False       # drives the transmit-power model (Fig. 8)
-    header_bytes: int = MESSAGE_HEADER_BYTES  # per-message framing
 
     @property
     def bandwidth_bytes_per_s(self) -> float:
@@ -48,11 +47,11 @@ class NetworkModel:
         """Latency + serialization for one message.
 
         Every message — including a zero-byte one — pays the link
-        latency plus the serialization of ``header_bytes`` of protocol
-        framing: ``one_way_time(0) > latency_s`` on any finite link.
+        latency plus the serialization of ``MESSAGE_HEADER_BYTES`` of
+        protocol framing: ``one_way_time(0) > latency_s`` on any finite link.
         """
         return (self.latency_s
-                + (payload_bytes + self.header_bytes)
+                + (payload_bytes + MESSAGE_HEADER_BYTES)
                 / self.bandwidth_bytes_per_s)
 
     def round_trip_time(self, request_bytes: int,
@@ -152,7 +151,7 @@ class Link:
                     / (net.bandwidth_bytes_per_s * factor))
         if factor == 1.0:
             return net.one_way_time(payload_bytes)
-        return (net.latency_s + (payload_bytes + net.header_bytes)
+        return (net.latency_s + (payload_bytes + MESSAGE_HEADER_BYTES)
                 / (net.bandwidth_bytes_per_s * factor))
 
     def transmit(self, payload_bytes: int, pipelined: bool = False,
@@ -188,7 +187,7 @@ class Link:
             seconds = overhead_s + jitter + payload_bytes / bandwidth
         else:
             seconds = (net.latency_s + jitter
-                       + (payload_bytes + net.header_bytes) / bandwidth)
+                       + (payload_bytes + MESSAGE_HEADER_BYTES) / bandwidth)
         return LinkAttempt(True, seconds)
 
     def _kill(self) -> LinkAttempt:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 # Transfers smaller than this tell us more about latency than bandwidth.
 MIN_SAMPLE_BYTES = 2048

@@ -16,13 +16,13 @@ that timeline into battery energy (Figures 6(b) and 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional
 
 from ..machine.energy import EnergyMeter, PowerTrace
 from ..machine.fs import GuestOutput, IOEnvironment
-from ..machine.interpreter import ExitProgram, Interpreter
+from ..machine.interpreter import Interpreter, Observer
 from ..machine.libc import STDIO, StdioOp
 from ..machine.machine import MOBILE_STACK_TOP, UVA_HEAP_BASE, boot
 from ..offload.partition import OffloadTarget, OFFLOAD_PREFIX, SHOULD_OFFLOAD
@@ -36,20 +36,19 @@ from ..runtime.dynamic_estimator import DynamicPerformanceEstimator
 from ..runtime.fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES)
 from ..runtime.local import GuestRun
 from ..runtime.network import FaultPlan, NetworkModel
-from ..runtime.transport import (LinkDownError, RetryPolicy,
-                                 TransportStats)
+from ..runtime.prediction import BandwidthPredictor
+from ..runtime.transport import RetryPolicy, TransportStats
 from ..runtime.uva import UVAManager, UVAStats
+from ..targets.arch import performance_ratio
 from ..trace import NULL_TRACER, Tracer
 from ..trace.tracer import DEFAULT_CAPACITY as TRACE_DEFAULT_CAPACITY
 
 
 @dataclass
 class SessionOptions:
-    page_size: int = 4096
     enable_prefetch: bool = True
     enable_batching: bool = True
     enable_compression: bool = True
-    enable_copy_on_demand: bool = True
     # Incremental UVA data plane (docs/uva-data-plane.md): cross-
     # invocation page cache + version vectors, sub-page delta transfers,
     # and fault-history-driven adaptive prefetch.  With all three off the
@@ -69,8 +68,6 @@ class SessionOptions:
     # function-pointer translation) cost zero time; Figure 6's "Ideal".
     zero_overhead: bool = False
     force_local: bool = False
-    max_instructions: int = 500_000_000
-    power_mw: Optional[Dict[str, float]] = None
     # Structured tracing (repro.trace): off by default and strictly
     # observational — with tracing disabled the session performs exactly
     # the arithmetic it performs without the subsystem (the
@@ -205,10 +202,7 @@ class SessionResult(GuestRun):
         return (self.bytes_to_server + self.bytes_to_mobile) / n / 1e6
 
 
-from ..machine.interpreter import Observer as _Observer
-
-
-class _TargetTimer(_Observer):
+class _TargetTimer(Observer):
     """Times locally-executed offload targets on the mobile device so the
     dynamic estimator can refine its Tm with observed run-time values
     (paper, Section 4: "target execution time information")."""
@@ -250,16 +244,15 @@ class OffloadSession:
         server_arch = program.options.server_arch
         # Both partitions ask for the unified (mobile) data layout.
         self.mobile = boot(program.mobile_module, mobile_arch, "mobile",
-                           IOEnvironment(files=files, stdin=stdin),
-                           opts.page_size)
-        self.server = boot(program.server_module, server_arch, "server",
-                           page_size=opts.page_size)
+                           IOEnvironment(files=files, stdin=stdin))
+        self.server = boot(program.server_module, server_arch, "server")
         if not opts.enable_stack_reallocation:
             self.server.stack_top = MOBILE_STACK_TOP
 
         # The structured tracer observes every runtime service; the
         # shared NULL_TRACER keeps the disabled path free of new work.
-        self.tracer = (Tracer(capacity=opts.trace_capacity, clock=self.now,
+        # Its clock is this session's, set by _wire.
+        self.tracer = (Tracer(capacity=opts.trace_capacity,
                               sid=opts.session_id)
                        if opts.enable_tracing else NULL_TRACER)
         self.comm = CommunicationManager(
@@ -280,27 +273,25 @@ class OffloadSession:
         self.uva = UVAManager(
             self.mobile, self.server, self.comm,
             enable_prefetch=opts.enable_prefetch,
-            enable_copy_on_demand=opts.enable_copy_on_demand,
             enable_page_cache=opts.enable_page_cache,
             enable_delta_transfer=opts.enable_delta_transfer,
             enable_adaptive_prefetch=opts.enable_adaptive_prefetch,
             tracer=self.tracer)
         self.fcn_table = FunctionAddressTable(self.mobile, self.server)
-        from .prediction import BandwidthPredictor
         self.predictor = (BandwidthPredictor()
                           if opts.enable_bandwidth_prediction else None)
         self.estimator = DynamicPerformanceEstimator(
-            program.profile, program.options.resolved_ratio(), network,
+            program.profile,
+            performance_ratio(server_arch, mobile_arch), network,
             predictor=self.predictor, tracer=self.tracer,
             transport=self.comm.transport)
-        self.meter = EnergyMeter(opts.power_mw)
-        # The execution-backend seam (repro.runtime.backend): the remote
-        # backend owns the offload protocol over the stack wired above;
-        # the local backend is the degradation path (aborts, pool
-        # rejections).  A fleet scheduler passes a pooled dispatcher
-        # through SessionOptions; None is the dedicated server.
-        self.local_backend = LocalBackend(self)
-        self.remote_backend = RemoteBackend(self, dispatcher=opts.dispatcher)
+        self.meter = EnergyMeter()
+        # The execution-backend seam (repro.runtime.backend), made by
+        # _wire: the remote backend owns the offload protocol over the
+        # stack built above; the local backend is the degradation path
+        # (aborts, pool rejections).
+        self.local_backend: Optional[LocalBackend] = None
+        self.remote_backend: Optional[RemoteBackend] = None
 
         # Timeline bookkeeping (see _advance / _mark_compute).
         self.extra_seconds = 0.0      # non-compute wall time so far
@@ -314,16 +305,32 @@ class OffloadSession:
         self.mobile_interp: Optional[Interpreter] = None
         self._current_server_interp: Optional[Interpreter] = None
         self._rio_pending = 0.0
-        self._register_runtime_builtins()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run(self, argv: tuple = ()) -> SessionResult:
+        self._wire()
         try:
             return self._execute(argv)
         finally:
             self._release()
+
+    def _wire(self) -> None:
+        """Point the runtime's services back at this session for one run:
+        the tracer's clock, the copy-on-demand fault handler, the two
+        backends and the runtime builtins.  Construction makes none of
+        these references, so a session that is never run is freed by
+        reference counting as well."""
+        if self.tracer.enabled:         # never the shared NULL_TRACER
+            self.tracer.clock = self.now
+        self.uva.attach()
+        self.local_backend = LocalBackend(self)
+        # a fleet scheduler passes a pooled dispatcher through
+        # SessionOptions; None is the dedicated server
+        self.remote_backend = RemoteBackend(
+            self, dispatcher=self.options.dispatcher)
+        self._register_runtime_builtins()
 
     def _release(self) -> None:
         """Break every reference from what a run leaves behind — the
@@ -335,7 +342,7 @@ class OffloadSession:
             self.tracer.clock = float   # float() is 0.0: a stopped clock
         self.mobile.builtins.clear()
         self.server.builtins.clear()
-        self.server.memory.fault_handler = None
+        self.uva.detach()
         self.local_backend = self.remote_backend = None
 
     def _execute(self, argv: tuple) -> SessionResult:
@@ -346,8 +353,7 @@ class OffloadSession:
                     targets=[t.name for t in self.program.targets],
                     zero_overhead=self.options.zero_overhead,
                     force_local=self.options.force_local)
-        interp = Interpreter(self.mobile, observer=_TargetTimer(self),
-                             max_instructions=self.options.max_instructions)
+        interp = Interpreter(self.mobile, observer=_TargetTimer(self))
         self.mobile_interp = interp
         exit_code = interp.run_main(argv)
         self._mark_compute()
@@ -537,7 +543,7 @@ class OffloadSession:
         mobile's mapped UVA-heap pages, the UVA-globals pages and the
         live mobile stack.  Anything the evaluation input touches beyond
         this is served by copy-on-demand."""
-        psize = self.options.page_size
+        psize = self.uva.page_size
         uva_base = UVA_HEAP_BASE // psize
         stack_high = MOBILE_STACK_TOP // psize
         pages = set(self.uva.live_mobile_pages(stack_pointer))

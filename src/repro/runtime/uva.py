@@ -165,7 +165,6 @@ class UVAManager:
     def __init__(self, mobile: Machine, server: Machine,
                  comm: CommunicationManager,
                  enable_prefetch: bool = True,
-                 enable_copy_on_demand: bool = True,
                  enable_page_cache: bool = True,
                  enable_delta_transfer: bool = True,
                  enable_adaptive_prefetch: bool = True,
@@ -176,7 +175,6 @@ class UVAManager:
         self.server = server
         self.comm = comm
         self.enable_prefetch = enable_prefetch
-        self.enable_copy_on_demand = enable_copy_on_demand
         self.enable_page_cache = enable_page_cache
         self.enable_delta_transfer = enable_delta_transfer
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -215,7 +213,15 @@ class UVAManager:
         self._invocation_shipped: Set[int] = set()
         if enable_delta_transfer:
             server.memory.track_subpage = True
-        server.memory.fault_handler = self._server_fault
+
+    def attach(self) -> None:
+        """Serve the server's page faults by copy-on-demand from now on.
+        The server's memory then points back at this manager, so
+        :meth:`detach` ends it."""
+        self.server.memory.fault_handler = self._server_fault
+
+    def detach(self) -> None:
+        self.server.memory.fault_handler = None
 
     # -- region classification ----------------------------------------
     def _private_ranges(self, machine: Machine) -> List[Tuple[int, int]]:
@@ -500,8 +506,6 @@ class UVAManager:
         mobile device over the network (one round trip per fault).  When a
         stale base of the page survives in the shadow cache, only the
         changed sub-page blocks cross the wire."""
-        if not self.enable_copy_on_demand:
-            return False
         if not self.shareable(page_index):
             return False
         if page_index not in self.mobile.memory.pages:

@@ -13,7 +13,7 @@ execute them").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)

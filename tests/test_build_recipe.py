@@ -11,7 +11,8 @@ shared.
   call, no seed label, and nothing outside ``src/`` reaches into it for
   a private name;
 * a guest process is booted by ``repro.machine.boot`` and compared as a
-  ``GuestOutput``: no second boot sequence, no stdout-only oracle.
+  ``GuestOutput``: no second boot sequence, no stdout-only oracle;
+* every name imported under ``src/`` is read where it is imported.
 """
 
 from __future__ import annotations
@@ -221,6 +222,50 @@ def test_each_recipe_is_stated_once_under_src():
     for call in ("install_libc(", "unified_data_layout("):
         assert len(re.findall(rf"(?<!def ){re.escape(call)}", text)) == 1
     assert "set_layout" not in text
+
+
+def _annotation_names(tree) -> set:
+    """Names read by quoted annotations (``"OffloadSession"``)."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))
+                   and node.annotation is not None]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and node.returns is not None]
+    return {name.id
+            for annotation in annotations
+            for quoted in ast.walk(annotation)
+            if isinstance(quoted, ast.Constant)
+            and isinstance(quoted.value, str)
+            for name in ast.walk(ast.parse(quoted.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def test_every_name_imported_under_src_is_read():
+    """An unread import is a dependency nobody has: delete it.  A
+    package's ``__init__.py`` re-exports, and a line marked ``# noqa:
+    F401`` says it re-exports on purpose."""
+    unread = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _annotation_names(tree)
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("noqa: F401" in line for line
+                           in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            unread += [f"{path.relative_to(REPO)}:{node.lineno}: {name}"
+                       for name in (alias.asname or alias.name.split(".")[0]
+                                    for alias in node.names)
+                       if name not in read]
+    assert unread == []
 
 
 def test_nothing_outside_src_boots_by_hand_or_compares_stdout_alone():

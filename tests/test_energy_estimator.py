@@ -74,10 +74,6 @@ class TestEnergyMeter:
         assert e == pytest.approx(2700.0)
         assert meter.total_energy_mj == pytest.approx(2700.0)
 
-    def test_custom_power_override(self):
-        meter = EnergyMeter({"compute": 1000.0})
-        assert meter.power_of("compute") == 1000.0
-
     def test_unknown_state_rejected(self):
         with pytest.raises(KeyError):
             EnergyMeter().power_of("warp_drive")

@@ -1,7 +1,6 @@
-"""Warm-traffic coverage for both estimators (docs/uva-data-plane.md):
-the static ``warm_transfer_fraction`` discount and the dynamic
-estimator's cold/warm traffic split, including the post-abort cold
-restart."""
+"""Traffic coverage for both estimators (docs/uva-data-plane.md): the
+static estimator's per-invocation Equation 1 and the dynamic estimator's
+cold/warm traffic split, including the post-abort cold restart."""
 
 from __future__ import annotations
 
@@ -29,49 +28,30 @@ def _profile(seconds=1.0, invocations=1, mem_bytes=64 * 1024):
 
 
 class TestStaticWarmFraction:
-    def _params(self, warm=1.0):
-        return EstimatorParams(performance_ratio=4.0,
-                               bandwidth_bytes_per_s=mbps(200),
-                               warm_transfer_fraction=warm)
+    """The static estimator has no warm discount: Equation 1 as the
+    paper states it."""
+
+    def _estimator(self):
+        return StaticPerformanceEstimator(EstimatorParams(
+            performance_ratio=4.0, bandwidth_bytes_per_s=mbps(200)))
 
     def test_default_is_the_papers_equation(self):
-        est = StaticPerformanceEstimator(self._params())
         cand = _candidate(invocations=5)
-        out = est.estimate(cand)
+        out = self._estimator().estimate(cand)
         # every invocation pays the full 2M/BW
         assert out.t_comm == pytest.approx(
             2.0 * cand.memory_bytes / mbps(200) * 5)
 
-    def test_warm_fraction_discounts_repeat_invocations(self):
-        est = StaticPerformanceEstimator(self._params(warm=0.2))
-        cand = _candidate(invocations=5)
-        out = est.estimate(cand)
-        # first invocation cold, the other four at 20%
-        assert out.t_comm == pytest.approx(
-            2.0 * cand.memory_bytes / mbps(200) * (1.0 + 4 * 0.2))
-
     def test_single_invocation_pays_full_cold_cost(self):
-        cold = StaticPerformanceEstimator(self._params())
-        warm = StaticPerformanceEstimator(self._params(warm=0.1))
         cand = _candidate(invocations=1)
-        # the discount has nothing to discount on a single invocation
-        assert warm.estimate(cand).t_comm == \
-            pytest.approx(cold.estimate(cand).t_comm)
+        assert self._estimator().estimate(cand).t_comm == \
+            pytest.approx(2.0 * cand.memory_bytes / mbps(200))
 
     def test_zero_invocations_zero_comm(self):
-        est = StaticPerformanceEstimator(self._params(warm=0.5))
-        out = est.estimate(_candidate(invocations=0))
+        out = self._estimator().estimate(_candidate(invocations=0))
         # nothing ever crosses the wire, so the gain is pure t_ideal
         assert out.t_comm == 0.0
         assert out.t_gain == pytest.approx(out.t_ideal)
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            self._params(warm=0.0)
-        with pytest.raises(ValueError):
-            self._params(warm=1.5)
-        with pytest.raises(ValueError):
-            self._params(warm=-0.1)
 
 
 class TestDynamicWarmSplit:

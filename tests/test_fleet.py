@@ -197,20 +197,6 @@ class TestServerPool:
         assert pool.total_rejected == 1
         assert pool.stats[0].rejected == 1
 
-    def test_priority_reserve_admits_priority_only(self):
-        pool = ServerPool(PoolOptions(servers=1, capacity=1,
-                                      queue_limit=2,
-                                      priority_reserve=1))
-        a = pool.admit("t", 0.0)
-        pool.release(a, 100.0)
-        b = pool.admit("t", 1.0)          # ordinary: uses the 1 free slot
-        pool.release(b, 110.0)
-        c = pool.admit("t", 2.0)          # ordinary: only reserve left
-        assert isinstance(c, Rejection)
-        d = pool.admit("t", 3.0, priority=True)   # reserve admits it
-        assert isinstance(d, Admission)
-        pool.release(d, 120.0)
-
     def test_capacity_slots_run_concurrently(self):
         pool = ServerPool(PoolOptions(servers=1, capacity=2))
         a = pool.admit("t", 0.0)
@@ -234,8 +220,6 @@ class TestServerPool:
             PoolOptions(capacity=0)
         with pytest.raises(ValueError):
             PoolOptions(queue_limit=-1)
-        with pytest.raises(ValueError):
-            PoolOptions(queue_limit=1, priority_reserve=2)
 
 
 class TestContention:

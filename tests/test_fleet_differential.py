@@ -69,7 +69,6 @@ def _fingerprint(result):
             "device_id": d.device_id,
             "index": d.index,
             "start_offset_s": d.start_offset_s,
-            "priority": d.priority,
             "completion_s": d.completion_s,
             "result": dataclasses.asdict(dataclasses.replace(
                 d.result, trace=None, power_trace=None,

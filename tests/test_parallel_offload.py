@@ -34,8 +34,10 @@ from repro.fleet.pool import Rejection
 from repro.fleet.replay import OutcomeProjection, ScriptedDispatcher
 from repro.offload import CompilerOptions
 from repro.offload.shard import contiguous_ranges
-from repro.runtime import FAST_WIFI, NETWORKS, FaultPlan, SessionOptions
+from repro.runtime import (FAST_WIFI, NETWORKS, FaultPlan, OffloadSession,
+                           SessionOptions, run_local)
 from repro.runtime.backend import Admission
+from repro.targets import ARM32, MIPS32BE, X86_64
 from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
 from repro.trace import write_jsonl
 from repro.trace.export import events_to_jsonl
@@ -163,6 +165,24 @@ class TestPlanExecution:
             session_options=SessionOptions(shards=4))
         assert all(r.shards == 1 for r in result.invocations)
         assert result.output == local.output
+
+    @pytest.mark.parametrize("stdin", [b"100\n", b"4000\n"],
+                             ids=["n100", "n4000"])
+    @pytest.mark.parametrize("mobile", [ARM32, MIPS32BE],
+                             ids=lambda arch: arch.name)
+    def test_global_trip_count_in_the_mobiles_byte_order(self, mobile,
+                                                         stdin):
+        """``parallel-micro``'s bound is the global ``int n``; a
+        big-endian mobile stores it big-endian."""
+        built = workload("parallel-micro").build(
+            CompilerOptions(mobile_arch=mobile, server_arch=X86_64))
+        local = run_local(built.module, arch=mobile, stdin=stdin)
+        result = OffloadSession(built.program, FAST_WIFI,
+                                SessionOptions(shards=4), stdin=stdin).run()
+        assert result.output.differences(local.output) == []
+        (record,) = result.invocations
+        n = int(stdin)
+        assert record.shard_sizes == [n // 4] * 4
 
     def test_shards_fold_into_behavior_key(self):
         program = build_c(SHARD_SRC, b"600\n",

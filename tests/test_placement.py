@@ -61,18 +61,11 @@ class TestValidation:
         {"servers": 0}, {"servers": -1},
         {"capacity": 0}, {"capacity": -3},
         {"queue_limit": 0}, {"queue_limit": -4},
-        {"priority_reserve": -1},
-        {"specs": ()},
+        {"specs": []}, {"specs": ()},
     ])
     def test_pool_options_rejects(self, kw):
         with pytest.raises(ValueError):
             PoolOptions(**kw)
-
-    def test_priority_reserve_checked_against_every_spec(self):
-        with pytest.raises(ValueError, match="priority_reserve"):
-            PoolOptions(priority_reserve=3,
-                        specs=(ServerSpec(queue_limit=8),
-                               ServerSpec(queue_limit=2)))
 
     def test_defaults_are_valid(self):
         assert ServerSpec().tier == "edge"
@@ -211,14 +204,12 @@ class TestPoolPlacement:
     def test_admission_carries_the_spec(self):
         pool = ServerPool(PoolOptions(specs=(
             ServerSpec(speed=3.0, tier="cloud", network=CLOUD_WAN),)))
-        outcome = pool.admit("crunch", 0.0, priority=True,
-                             deadline_s=0.25)
+        outcome = pool.admit("crunch", 0.0, deadline_s=0.25)
         assert isinstance(outcome, Admission)
         assert outcome.speed == 3.0
         assert outcome.tier == "cloud"
         assert outcome.network is CLOUD_WAN
         assert outcome.deadline_s == 0.25
-        assert outcome.priority is True
         pool.release(outcome, 0.5)
 
     def test_rejection_quotes_minimum_wait_across_tiers(self):
@@ -325,8 +316,8 @@ class TestEstimatorSpeedAwareness:
 
 class TestHeterogeneousFleet:
     """End-to-end: speed multipliers and tier network overrides are
-    visible in device results, and the deadline/tier/priority fields
-    thread through to InvocationRecord."""
+    visible in device results, and the deadline/tier fields thread
+    through to InvocationRecord."""
 
     def _run(self, program, pool, **spec_kw):
         return FleetScheduler(
@@ -359,13 +350,12 @@ class TestHeterogeneousFleet:
 
     def test_deadline_and_priority_recorded(self, program):
         result = FleetScheduler(
-            [_spec(program, deadline_s=0.5, priority=True)],
+            [_spec(program, deadline_s=0.5)],
             ServerPool(PoolOptions())).run()
         recs = [r for r in result.devices[0].result.invocations
                 if r.offloaded]
         assert recs
         assert all(r.deadline_s == 0.5 for r in recs)
-        assert all(r.priority for r in recs)
         assert all(r.tier == "edge" for r in recs)
 
     def test_behavior_key_separates_engines_and_deadlines(self, program):

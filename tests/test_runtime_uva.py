@@ -9,12 +9,12 @@ from repro.runtime import (CommunicationManager, FAST_WIFI, UVAManager)
 from repro.targets import ARM32, X86_64
 
 
-def make_pair(prefetch=True, cod=True):
+def make_pair(prefetch=True):
     mobile = boot(Module(), ARM32, "mobile")
     server = boot(Module(), X86_64, "server")
     comm = CommunicationManager(FAST_WIFI)
-    uva = UVAManager(mobile, server, comm, enable_prefetch=prefetch,
-                     enable_copy_on_demand=cod)
+    uva = UVAManager(mobile, server, comm, enable_prefetch=prefetch)
+    uva.attach()
     return mobile, server, comm, uva
 
 
@@ -36,13 +36,6 @@ class TestCopyOnDemand:
         server.memory.read(addr, 4)
         server.memory.read(addr + 1, 2)
         assert uva.stats.cod_faults == 1  # second access hits the copy
-
-    def test_cod_disabled_faults_hard(self):
-        from repro.machine import SegmentationFault
-        mobile, server, comm, uva = make_pair(cod=False)
-        mobile.map_range(UVA_HEAP_BASE, 4)
-        with pytest.raises(SegmentationFault):
-            server.memory.read(UVA_HEAP_BASE, 4)
 
     def test_server_private_pages_not_shared(self):
         from repro.machine import SegmentationFault

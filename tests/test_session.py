@@ -6,6 +6,7 @@ import pytest
 from repro.offload import CompilerOptions
 from repro.runtime import (FAST_WIFI, IDEAL_NETWORK, SLOW_WIFI,
                            NetworkModel, SessionOptions)
+from repro.targets.arch import performance_ratio
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c, offload_c
 
@@ -194,7 +195,8 @@ class TestDecisions:
             HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN, network=IDEAL_NETWORK,
             session_options=SessionOptions(zero_overhead=True))
         speedup = local.seconds / result.total_seconds
-        ratio = program.options.resolved_ratio()
+        ratio = performance_ratio(program.options.server_arch,
+                                  program.options.mobile_arch)
         assert 0.6 * ratio < speedup <= ratio * 1.02
 
 

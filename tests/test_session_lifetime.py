@@ -1,6 +1,7 @@
-"""A run leaves nothing behind that points back at its session: one
-is made per device and per replayed prefix, each owns two address spaces,
-and a kept result (its trace included) must keep neither alive."""
+"""Neither building nor running a session leaves anything behind that
+points back at it: one is made per device and per replayed prefix, each
+owns two address spaces, and a kept result (its trace included) must keep
+neither alive."""
 
 import gc
 import types
@@ -52,6 +53,30 @@ def test_dropped_session_is_freed_by_refcounting(traced):
     finally:
         gc.enable()
     assert bool(result.trace_events()) == traced    # still readable
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+def test_a_session_never_run_is_freed_by_refcounting(traced):
+    """Construction makes no reference back to the session: the tracer's
+    clock, the fault handler, the backends and the runtime builtins are
+    wired by ``run``."""
+    built = build_c(HOT_KERNEL_SRC, HOT_KERNEL_STDIN)
+    gc.collect()
+    gc.disable()
+    try:
+        session = built.session(FAST_WIFI,
+                                SessionOptions(enable_tracing=traced))
+        assert session.uva.mobile is session.mobile
+        assert session.comm.stats.messages == 0
+        session_ref = weakref.ref(session)
+        mobile_ref = weakref.ref(session.mobile)
+        server_ref = weakref.ref(session.server)
+        del session
+        assert session_ref() is None
+        assert mobile_ref() is None and server_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_traced_fleet_result_keeps_no_machine():

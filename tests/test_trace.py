@@ -14,7 +14,8 @@ import pytest
 
 from repro.eval.runner import run_program
 from repro.runtime import SessionOptions
-from repro.runtime.comm import (MESSAGE_HEADER_BYTES, PER_ITEM_HEADER_BYTES)
+from repro.runtime.comm import PER_ITEM_HEADER_BYTES
+from repro.runtime.network import MESSAGE_HEADER_BYTES
 from repro.trace import (CATEGORIES, CORE_CATEGORIES, NULL_TRACER,
                          Histogram, TraceEvent, Tracer,
                          events_from_jsonl, events_to_chrome_json,

@@ -32,6 +32,7 @@ def make_pair(**uva_flags):
     server = boot(Module(), X86_64, "server")
     comm = CommunicationManager(FAST_WIFI)
     uva = UVAManager(mobile, server, comm, **uva_flags)
+    uva.attach()
     return mobile, server, comm, uva
 
 
