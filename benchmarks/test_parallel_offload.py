@@ -9,16 +9,13 @@ plan beats the k=1 single-server invocation latency by >= 1.5x, with
 program output byte-identical throughout — including under an injected
 shard fault whose straggler range replays locally.
 
-Every leaf is simulation output (no wall-clock keys), so the CI smoke
-regeneration must reproduce the checked-in file exactly; ``repro
-report --bench`` gates the oriented leaves.  ``PARALLEL_OUT`` redirects
-the output file.
+Every leaf is simulation output (no wall-clock keys), and
+``tools/pinned.py`` regenerates the file and pins each leaf exactly.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -32,9 +29,7 @@ from repro.workloads import workload
 
 from conftest import run_once
 
-RESULT_PATH = Path(os.environ.get(
-    "PARALLEL_OUT",
-    Path(__file__).resolve().parent.parent / "BENCH_parallel.json"))
+RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 SERVERS = 4
 SHARD_COUNTS = [1, 2, 4]

@@ -2,9 +2,8 @@
 plus SLO-driven autoscaling vs a fixed pool (docs/placement.md).
 
 Two scenarios, both fully deterministic (no wall-clock keys — every
-leaf in ``BENCH_policies.json`` is simulation output, so the CI smoke
-regeneration must reproduce the checked-in file exactly and ``repro
-report --bench`` gates the oriented leaves):
+leaf in ``BENCH_policies.json`` is simulation output, and
+``tools/pinned.py`` regenerates the file and pins each leaf exactly):
 
 * **tiered burst** — a burst of deadline-carrying devices against a
   two-tier pool (one reference edge server, one 4x cloud server).
@@ -20,16 +19,12 @@ report --bench`` gates the oriented leaves):
   vs elastically grown by the :class:`~repro.fleet.autoscaler.
   Autoscaler`.  Scale-ups triggered by the in-run SLO rules must lower
   the decline rate.
-
-``POLICY_OUT`` redirects the output file (the CI smoke job writes a
-fresh copy and leaf-diffs it against the checked-in one).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -41,9 +36,7 @@ from repro.runtime import FAST_WIFI
 from repro.workloads import workload
 from repro.trace.analysis.aggregate import nearest_rank_percentile
 
-RESULT_PATH = Path(os.environ.get(
-    "POLICY_OUT",
-    Path(__file__).resolve().parent.parent / "BENCH_policies.json"))
+RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_policies.json"
 
 SEED = 0
 DEVICES = 12

@@ -4,22 +4,18 @@ devices (docs/simulator.md).
 The sweep records what makes that scale affordable, all of it
 deterministic: the simulated makespan and the replay accounting (session
 runs beyond the theoretical minimum, segment-cache hits) go into
-``BENCH_simspeed.json`` and CI gates them via ``python -m repro report
---bench`` — a broken segment cache shows up as ``session_runs_wasted >
+``BENCH_simspeed.json``, whose every leaf ``tools/pinned.py`` pins
+exactly — a broken segment cache shows up as ``session_runs_wasted >
 0`` and fails the same way on every machine.  Host seconds are not
 recorded here: the ``fleet-shared`` workload of ``bench/`` (20 000
 devices through this same core) is the calibrated, paired measurement
 of ``wall_s``.
-
-``SIM_SPEED_SMOKE=1`` shrinks the sweep for the CI smoke job;
-``SIM_SPEED_OUT`` redirects the output file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -29,10 +25,7 @@ from repro.fleet import (FleetScheduler, PoolOptions, ServerPool,
 from repro.runtime import FAST_WIFI
 from repro.workloads import workload
 
-SMOKE = bool(os.environ.get("SIM_SPEED_SMOKE"))
-RESULT_PATH = Path(os.environ.get(
-    "SIM_SPEED_OUT",
-    Path(__file__).resolve().parent.parent / "BENCH_simspeed.json"))
+RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_simspeed.json"
 
 SEED = 0
 SPACING_S = 0.002
@@ -43,7 +36,7 @@ SPACING_S = 0.002
 POOL = dict(servers=1, capacity=64, queue_limit=8)
 INVOCATIONS_PER_DEVICE = 3
 
-EVENT_SIZES = [10, 100] if SMOKE else [10, 100, 1000, 10000]
+EVENT_SIZES = [10, 100, 1000, 10000]
 
 #: The built-in three-invocation hot kernel on a small input.
 SIM_STDIN = b"150\n"
@@ -103,7 +96,9 @@ def test_sim_speed_sweep(compiled):
         "seed": SEED,
         "spacing_s": SPACING_S,
         "pool": dict(POOL),
-        "smoke": SMOKE,
+        # The shrunk sweep is gone; the key stays until the next
+        # deliberate re-baseline of the pinned file.
+        "smoke": False,
         "event": event_points,
     }
 

@@ -77,12 +77,7 @@ def offload_app(source: str,
     the paper uses distinct (smaller) profiling inputs, so pass them when
     fidelity matters.
     """
-    spec = WorkloadSpec(
-        name=name, description="", source=source,
-        profile_stdin=profile_stdin if profile_stdin is not None else stdin,
-        eval_stdin=stdin,
-        profile_files=(profile_files if profile_files is not None
-                       else files) or {},
-        eval_files=files or {})
-    built = spec.build(compiler_options)
+    built = WorkloadSpec.from_source(
+        source, name, stdin, files, profile_stdin,
+        profile_files).build(compiler_options)
     return built.session(network, session_options).run()

@@ -8,7 +8,6 @@
     python -m repro trace chess --jsonl t.jsonl --chrome t.json
     python -m repro fleet --devices 20 --servers 2 --seed 0
     python -m repro report --seed 0 --json r.json --html r.html
-    python -m repro report --baseline old.json --current new.json
     python -m repro table 3                   # regenerate a paper table
     python -m repro figure 6a                 # regenerate a paper figure
 """
@@ -30,9 +29,8 @@ from .runtime import FaultPlan, NETWORKS, SessionOptions
 from .trace import (phase_totals, render_metrics, render_timeline,
                     write_chrome_trace, write_jsonl)
 from .trace.analysis import (BUCKETS, aggregate_sessions, build_report,
-                             diff_bench, diff_reports, invocation_counts,
-                             reconstruct_sessions, render_html,
-                             report_to_json)
+                             invocation_counts, reconstruct_sessions,
+                             render_html, report_to_json)
 from .trace.export import open_jsonl
 from .workloads import ALL_WORKLOADS, FLEET_MICRO, MICRO_WORKLOADS, workload
 
@@ -441,62 +439,9 @@ def _fleet_source(args, faulty: bool) -> dict:
     }
 
 
-def _gate(baseline, current, bench_pairs, tolerance: float) -> int:
-    """Diff ``current`` against ``baseline`` (when there is one) and
-    every ``BENCH_*.json`` pair, and print the verdict; non-zero exit
-    on regression, 2 when the tolerance is one no gate can apply."""
-    try:
-        regressions = (diff_reports(baseline, current, tolerance)
-                       if baseline is not None else [])
-        regressions += [r for old, new in bench_pairs
-                        for r in diff_bench(old, new, tolerance)]
-    except ValueError as exc:
-        return _usage_error(exc)
-    if not regressions:
-        print(f"baseline gate: ok (tolerance {tolerance:g})")
-        return 0
-    print(f"baseline gate: {len(regressions)} regression(s) beyond "
-          f"tolerance {tolerance:g}", file=sys.stderr)
-    for r in regressions:
-        rel = (f", {r['relative'] * 100:+.1f}%"
-               if r.get("relative") is not None else "")
-        print(f"  REGRESSION {r['metric']}: {r['baseline']:g} -> "
-              f"{r['current']:g} (delta {r['delta']:+g}{rel})",
-              file=sys.stderr)
-    return 1
-
-
-def _load_json(path: str) -> dict:
-    """A saved report or ``BENCH_*.json`` file; ValueError naming the
-    file when it does not hold a JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    return data
-
-
 def cmd_report(args) -> int:
     """Analyze a trace — from a live seeded fleet run or a saved JSONL
-    file — into the deterministic report, or diff two saved reports
-    (docs/observability.md, "Report and baseline workflow")."""
-    if args.current and not args.baseline:
-        return _usage_error("--current requires --baseline")
-    # Every file the flags name is read before anything is simulated.
-    try:
-        baseline = _load_json(args.baseline) if args.baseline else None
-        current = _load_json(args.current) if args.current else None
-        bench_pairs = [(_load_json(old), _load_json(new))
-                       for old, new in args.bench or []]
-    except ValueError as exc:
-        return _usage_error(exc)
-    # Pure diff mode: two saved reports, no simulation at all.
-    if current is not None:
-        return _gate(baseline, current, bench_pairs, args.tolerance)
-
+    file — into the deterministic report (docs/observability.md)."""
     if args.from_jsonl:
         # One pass over the file, a line at a time: a malformed or
         # out-of-order line surfaces here, before any report byte.
@@ -536,10 +481,7 @@ def cmd_report(args) -> int:
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(render_html(report))
         print(f"wrote HTML report to {args.html}")
-
-    if baseline is None and not bench_pairs:
-        return 0
-    return _gate(baseline, report, bench_pairs, args.tolerance)
+    return 0
 
 
 def cmd_table(args) -> int:
@@ -613,7 +555,7 @@ def _add_session_args(p) -> None:
 
 def _finite_float(text: str) -> float:
     """``type=`` of every float flag: ``nan`` and ``inf`` parse as
-    floats, and no simulation or gate can consume them."""
+    floats, and no simulation can consume them."""
     try:
         value = float(text)
     except ValueError:
@@ -745,8 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="analyze a trace (live seeded "
                                       "fleet run or saved JSONL) into a "
-                                      "deterministic JSON/HTML report, "
-                                      "with a baseline regression gate")
+                                      "deterministic JSON/HTML report")
     p.add_argument("--from-jsonl", metavar="PATH",
                    help="analyze this saved JSONL trace instead of "
                         "running a fleet")
@@ -754,17 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the report JSON here (default: stdout)")
     p.add_argument("--html", metavar="PATH",
                    help="also write a self-contained HTML report")
-    p.add_argument("--baseline", metavar="REPORT.json",
-                   help="diff against this saved report; exit non-zero "
-                        "on regression beyond --tolerance")
-    p.add_argument("--current", metavar="REPORT.json",
-                   help="with --baseline: diff two saved reports "
-                        "without running anything")
-    p.add_argument("--bench", nargs=2, action="append",
-                   metavar=("OLD.json", "NEW.json"),
-                   help="also gate a BENCH_*.json pair (repeatable)")
-    p.add_argument("--tolerance", type=_finite_float, default=0.10,
-                   help="relative regression tolerance (default 0.10)")
     _add_fleet_args(p)    # shape of the live run (no --from-jsonl)
     p.set_defaults(func=cmd_report)
 

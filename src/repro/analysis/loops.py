@@ -43,9 +43,13 @@ class Loop:
         return block in self.blocks
 
     def exit_blocks(self) -> List[BasicBlock]:
-        """Blocks outside the loop that are branched to from inside."""
+        """Blocks outside the loop that are branched to from inside, in
+        the function's block order: the outliner numbers exit edges by
+        this list, and a set iterates in address order."""
         exits: List[BasicBlock] = []
-        for block in self.blocks:
+        for block in self.function.blocks:
+            if block not in self.blocks:
+                continue
             for succ in block.successors():
                 if succ not in self.blocks and succ not in exits:
                     exits.append(succ)

@@ -13,7 +13,7 @@ decline-rate spike, the two contention findings of docs/observability.md
 — produces a structured :class:`~repro.trace.analysis.slo.Finding` and,
 capacity permitting, one new server cloned from the configured template
 spec (``pool.add_server``).  A healthy stretch of
-``scale_down_after`` consecutive ticks retires the most recently added
+``SCALE_DOWN_AFTER`` consecutive ticks retires the most recently added
 server, but only once it is idle — ``pool.remove_server`` refuses
 otherwise and the autoscaler simply retries later.  Actions are
 surfaced in ``FleetResult.summary()["autoscale"]``.
@@ -44,6 +44,8 @@ DEFAULT_AUTOSCALE_RULES: Tuple[SloRule, ...] = (
     SloRule("decline_rate_spike", "decline_rate", ">", 0.6,
             window_s=0.05, min_samples=6),
 )
+#: Healthy ticks in a row before the newest added server is retired.
+SCALE_DOWN_AFTER = 4
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,14 @@ class AutoscalerOptions:
     """Knobs for the SLO feedback loop."""
 
     interval_s: float = 0.005        # tick period in simulated seconds
-    rules: Tuple[SloRule, ...] = DEFAULT_AUTOSCALE_RULES
     template: ServerSpec = ServerSpec()  # what a scale-up adds
     max_servers: int = 8             # cap on *active* servers
-    scale_down_after: int = 4        # healthy ticks before a shrink
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0.0:
             raise ValueError("interval_s must be > 0")
         if self.max_servers <= 0:
             raise ValueError("max_servers must be > 0")
-        if self.scale_down_after <= 0:
-            raise ValueError("scale_down_after must be > 0")
 
 
 class Autoscaler:
@@ -113,8 +111,7 @@ class Autoscaler:
         violation = self._violated_rule(t)
         if violation is None:
             self._healthy_ticks += 1
-            if (self._healthy_ticks >= self.options.scale_down_after
-                    and self._added):
+            if self._healthy_ticks >= SCALE_DOWN_AFTER and self._added:
                 server_id = self._added[-1]
                 if pool.remove_server(server_id, t):
                     self._added.pop()
@@ -145,7 +142,7 @@ class Autoscaler:
 
     def _violated_rule(self, t: float):
         """First violated rule over its trailing window at time ``t``."""
-        for rule in self.options.rules:
+        for rule in DEFAULT_AUTOSCALE_RULES:
             window = window_slice(self._observations, self._times,
                                   t - rule.window_s, t, closed_end=True)
             if len(window) < rule.min_samples:

@@ -10,6 +10,7 @@ imposes the mobile layout on the server as well.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import types as irt
@@ -90,7 +91,7 @@ class CodeGen:
                 name: str = "module") -> Module:
         self.module.name = name
         self.module.metadata["source_lines"] = unit.source_lines
-        bodies: List[ast.FunctionDef] = []
+        bodies: Dict[str, ast.FunctionDef] = {}
         for decl in unit.decls:
             if isinstance(decl, ast.StructDef):
                 self._declare_struct(decl)
@@ -115,11 +116,18 @@ class CodeGen:
             elif isinstance(decl, ast.FunctionDef):
                 self._declare_function(decl)
                 if decl.body is not None:
-                    bodies.append(decl)
+                    if decl.name in bodies:
+                        raise CodegenError(f"redefinition of {decl.name}",
+                                           decl.line)
+                    bodies[decl.name] = decl
             else:
                 raise CodegenError(f"unhandled top-level {decl!r}")
-        for decl in bodies:
-            self._compile_function(decl)
+        for decl in bodies.values():
+            try:
+                self._compile_function(decl)
+            except RecursionError:
+                raise CodegenError(f"{decl.name}: nesting too deep",
+                                   decl.line) from None
         return self.module
 
     def _declare_struct(self, decl: ast.StructDef) -> None:
@@ -353,7 +361,9 @@ class CodeGen:
         if isinstance(expr, ast.Binary):
             lhs = self._const_value(expr.lhs, line)
             rhs = self._const_value(expr.rhs, line)
-            import operator
+            if expr.op == "/" and rhs == 0:
+                raise CodegenError("division by zero in constant expression",
+                                   line)
             ops = {"+": operator.add, "-": operator.sub,
                    "*": operator.mul,
                    "/": (operator.truediv
@@ -673,7 +683,10 @@ class CodeGen:
                 base, struct = self._lvalue(expr.base)
                 if not struct.is_struct:
                     raise CodegenError(". on non-struct", expr.line)
-            index, ftype = struct.field(expr.name)
+            try:
+                index, ftype = struct.field(expr.name)
+            except KeyError as exc:
+                raise CodegenError(exc.args[0], expr.line) from None
             addr = self.builder.struct_gep(base, index)
             return addr, ftype
         raise CodegenError("expression is not an lvalue", expr.line)
@@ -698,7 +711,7 @@ class CodeGen:
             if isinstance(expr, ast.Member):
                 base = self._type_of_lvalue_or_none(expr.base)
                 if expr.arrow:
-                    base = self._type_of_expr_or_none(expr.base)
+                    base = self._type_of_lvalue_or_none(expr.base)
                     if base is not None and base.is_pointer:
                         base = base.pointee
                 if base is not None and base.is_struct:
@@ -708,16 +721,13 @@ class CodeGen:
                 base = self._type_of_lvalue_or_none(expr.base)
                 if base is not None and base.is_array:
                     return base.element
-                base = self._type_of_expr_or_none(expr.base)
+                base = self._type_of_lvalue_or_none(expr.base)
                 if base is not None and base.is_pointer:
                     return base.pointee
                 return None
         except (KeyError, CodegenError):
             return None
         return None
-
-    def _type_of_expr_or_none(self, expr: ast.Expr) -> Optional[ct.CType]:
-        return self._type_of_lvalue_or_none(expr)
 
     def _rvalue(self, expr: ast.Expr) -> Tuple[Value, ct.CType]:
         if isinstance(expr, ast.IntLit):
@@ -836,6 +846,8 @@ class CodeGen:
                 return (self.builder.fsub(Constant(ctype.ir, 0.0), value),
                         ctype)
             promoted = ct.promote(self._debool(ctype))
+            if not promoted.is_integer:
+                raise CodegenError(f"operator - on {ctype}", expr.line)
             value = self._convert(value, ctype, promoted, expr.line)
             return self.builder.sub(Constant(promoted.ir, 0), value), promoted
         if op == "+":
@@ -846,6 +858,8 @@ class CodeGen:
             return flipped, ct.BOOL
         if op == "~":
             promoted = ct.promote(self._debool(ctype))
+            if not promoted.is_integer:
+                raise CodegenError(f"operator ~ on {ctype}", expr.line)
             value = self._convert(value, ctype, promoted, expr.line)
             return (self.builder.binop(
                 "xor", value, Constant(promoted.ir, promoted.ir.max_unsigned)),
@@ -885,8 +899,7 @@ class CodeGen:
         if ltype.is_pointer or rtype.is_pointer:
             return self._rvalue_pointer_arith(op, lhs, ltype, rhs, rtype,
                                               expr.line)
-        common = ct.usual_arithmetic_conversion(
-            self._debool(ltype), self._debool(rtype))
+        common = self._arith_common(op, ltype, rtype, expr.line)
         lhs = self._convert(lhs, ltype, common, expr.line)
         rhs = self._convert(rhs, rtype, common, expr.line)
         ir_op = self._select_binop(op, common, expr.line)
@@ -895,6 +908,15 @@ class CodeGen:
 
     def _debool(self, ctype: ct.CType) -> ct.CType:
         return ct.INT if ctype == ct.BOOL else ctype
+
+    def _arith_common(self, op: str, ltype: ct.CType, rtype: ct.CType,
+                      line: int) -> ct.CType:
+        """The type both operands of ``op`` convert to."""
+        if not (ltype.is_arith and rtype.is_arith):
+            raise CodegenError(f"operator {op} on {ltype} and {rtype}",
+                               line)
+        return ct.usual_arithmetic_conversion(self._debool(ltype),
+                                              self._debool(rtype))
 
     def _select_binop(self, op: str, ctype: ct.CType, line: int) -> str:
         if ctype.is_float:
@@ -923,13 +945,15 @@ class CodeGen:
                 rhs = self._convert(rhs, rtype, ltype, line, explicit=True)
             elif rtype.is_pointer and ltype.is_integer:
                 lhs = self._convert(lhs, ltype, rtype, line, explicit=True)
-            elif ltype.is_pointer and rtype.is_pointer and ltype != rtype:
+            elif not (ltype.is_pointer and rtype.is_pointer):
+                raise CodegenError(f"operator {op} on {ltype} and {rtype}",
+                                   line)
+            elif ltype != rtype:
                 rhs = self.builder.bitcast(rhs, ltype.ir)
             pred = {"==": "eq", "!=": "ne", "<": "ult", "<=": "ule",
                     ">": "ugt", ">=": "uge"}[op]
             return self.builder.cmp(pred, lhs, rhs), ct.BOOL
-        common = ct.usual_arithmetic_conversion(
-            self._debool(ltype), self._debool(rtype))
+        common = self._arith_common(op, ltype, rtype, line)
         lhs = self._convert(lhs, ltype, common, line)
         rhs = self._convert(rhs, rtype, common, line)
         if common.is_float:
@@ -1011,8 +1035,7 @@ class CodeGen:
                 index = self.builder.sub(Constant(irt.I64, 0), index)
             new = self.builder.index(old, index)
         else:
-            common = ct.usual_arithmetic_conversion(
-                self._debool(ctype), self._debool(rtype))
+            common = self._arith_common(expr.op, ctype, rtype, expr.line)
             lhs_c = self._convert(old, ctype, common, expr.line)
             rhs_c = self._convert(rhs, rtype, common, expr.line)
             ir_op = self._select_binop(op, common, expr.line)
@@ -1145,7 +1168,6 @@ class CodeGen:
     # ------------------------------------------------------------------
     def _convert(self, value: Value, from_t: ct.CType, to_t: ct.CType,
                  line: int, explicit: bool = False) -> Value:
-        from_t = self._debool_value(from_t)
         if from_t == ct.BOOL and to_t != ct.BOOL:
             value = self.builder.zext(value, irt.I32)
             from_t = ct.INT
@@ -1180,9 +1202,6 @@ class CodeGen:
         if from_t == ct.BOOL and to_t == ct.BOOL:
             return value
         raise CodegenError(f"cannot convert {from_t} to {to_t}", line)
-
-    def _debool_value(self, ctype: ct.CType) -> ct.CType:
-        return ctype
 
     # ------------------------------------------------------------------
     # Helpers

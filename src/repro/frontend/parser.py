@@ -250,9 +250,7 @@ class Parser:
             if self.cur.kind == "id":
                 name = self.advance().text
             while self.accept("["):
-                inner_dims.append(None if self.cur.text == "]"
-                                  else self.parse_const_int_expr())
-                self.expect("]")
+                inner_dims.append(self._array_dim())
             self.expect(")")
         elif self.cur.kind == "id":
             name = self.advance().text
@@ -271,10 +269,19 @@ class Parser:
             spec.func_variadic = variadic
 
         while self.accept("["):
-            dim = None if self.cur.text == "]" else self.parse_const_int_expr()
-            self.expect("]")
-            spec.array_dims.append(dim)
+            spec.array_dims.append(self._array_dim())
         return name, spec
+
+    def _array_dim(self) -> Optional[int]:
+        """The size between ``[`` and ``]`` (None when empty)."""
+        if self.accept("]"):
+            return None
+        token = self.cur
+        dim = self.parse_const_int_expr()
+        if dim < 0:
+            raise ParseError(f"array size {dim} is negative", token)
+        self.expect("]")
+        return dim
 
     def parse_param_list(self) -> Tuple[List[ast.ParamDecl], bool]:
         params: List[ast.ParamDecl] = []
@@ -654,13 +661,26 @@ def _fold_const(expr: ast.Expr, enum_constants: dict, token: Token) -> int:
             "|": lambda: lhs | rhs, "^": lambda: lhs ^ rhs,
         }
         if expr.op in ops:
-            return ops[expr.op]()
+            try:
+                return ops[expr.op]()
+            except ZeroDivisionError:
+                raise ParseError("division by zero in constant expression",
+                                 token) from None
+            except ValueError:      # a negative shift count
+                raise ParseError(f"shift by {rhs} in constant expression",
+                                 token) from None
     raise ParseError("expected integer constant expression", token)
 
 
 def parse_c(source: str, predefines=None) -> ast.TranslationUnit:
     """Preprocess + lex + parse a mini-C source string."""
     text = preprocess(source, predefines)
-    unit = Parser(tokenize(text)).parse_translation_unit()
+    parser = Parser(tokenize(text))
+    try:
+        unit = parser.parse_translation_unit()
+    except RecursionError:
+        # Each nesting level (parenthesis, unary operator, statement)
+        # costs a few Python frames; the interpreter's limit is the cap.
+        raise ParseError("nesting too deep", parser.cur) from None
     unit.source_lines = source.count("\n") + 1
     return unit

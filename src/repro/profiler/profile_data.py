@@ -10,8 +10,9 @@ move, which is what Equation 1 charges for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
+from ..machine.fs import GuestOutput
 from ..machine.memory import DEFAULT_PAGE_SIZE
 
 
@@ -51,8 +52,9 @@ class ProfileData:
     program_seconds: float = 0.0
     instructions: int = 0
     candidates: Dict[str, CandidateProfile] = field(default_factory=dict)
-    stdout: str = ""
-    exit_code: int = 0
+    # What the profiled run printed and returned (None for a profile
+    # built by hand).
+    output: Optional[GuestOutput] = None
 
     def candidate(self, name: str) -> CandidateProfile:
         return self.candidates[name]

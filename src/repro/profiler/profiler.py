@@ -190,6 +190,5 @@ def profile_module(module: Module,
         program_seconds=local.seconds,
         instructions=local.instructions,
         candidates=observer.profiles,
-        stdout=local.stdout,
-        exit_code=local.exit_code,
+        output=local.output,
     )

@@ -50,48 +50,47 @@ class LinkDownError(TransportError):
         self.elapsed_seconds = elapsed_seconds
 
 
+#: A lost attempt is detected after this many expected message times.
+TIMEOUT_FACTOR = 2.0
+#: Wait before retry *k* is ``BACKOFF_BASE_S * BACKOFF_MULTIPLIER**k``.
+BACKOFF_BASE_S = 0.005
+BACKOFF_MULTIPLIER = 2.0
+#: Probes after a hard disconnect, and the cost of each.
+RECONNECT_ATTEMPTS = 2
+RECONNECT_TIMEOUT_S = 0.02
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff.
 
     ``max_attempts`` caps transmission attempts per message (first try
-    included); a drop costs ``timeout_factor`` times the expected
+    included); a drop costs ``TIMEOUT_FACTOR`` times the expected
     message time before it is detected, then the sender backs off
-    ``backoff_base_s * backoff_multiplier**retry`` seconds.  After a
-    hard disconnect the transport probes ``reconnect_attempts`` times at
-    ``reconnect_timeout_s`` apiece.  Every figure is simulated time: the
+    ``BACKOFF_BASE_S * BACKOFF_MULTIPLIER**retry`` seconds.  After a
+    hard disconnect the transport probes ``RECONNECT_ATTEMPTS`` times at
+    ``RECONNECT_TIMEOUT_S`` apiece.  Every figure is simulated time: the
     whole budget is charged to the mobile timeline and battery.
     """
 
     max_attempts: int = 5
-    backoff_base_s: float = 0.005
-    backoff_multiplier: float = 2.0
-    timeout_factor: float = 2.0
-    reconnect_attempts: int = 2
-    reconnect_timeout_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.reconnect_timeout_s < 0:
-            raise ValueError("backoff and reconnect timeouts must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.timeout_factor <= 0:
-            raise ValueError("timeout_factor must be positive")
 
     def backoff_s(self, retry_index: int) -> float:
         """Backoff before retry ``retry_index`` (0-based)."""
-        return self.backoff_base_s * self.backoff_multiplier ** retry_index
+        return BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** retry_index
 
     def max_delivery_seconds(self, expected_s: float) -> float:
         """An upper bound on the time one delivery can burn before the
         transport gives up — the "bounded retry budget" the degradation
         benchmarks assert against."""
-        budget = self.max_attempts * self.timeout_factor * expected_s
+        budget = self.max_attempts * TIMEOUT_FACTOR * expected_s
         for retry in range(self.max_attempts - 1):
             budget += self.backoff_s(retry)
-        budget += self.reconnect_attempts * self.reconnect_timeout_s
+        budget += RECONNECT_ATTEMPTS * RECONNECT_TIMEOUT_S
         return budget
 
 
@@ -162,7 +161,7 @@ class Transport:
             if attempt.delivered:
                 self.stats.messages += 1
                 return elapsed + attempt.seconds
-            timeout = (policy.timeout_factor
+            timeout = (TIMEOUT_FACTOR
                        * link.expected_time(payload_bytes,
                                             pipelined=pipelined,
                                             overhead_s=overhead_s))
@@ -195,11 +194,10 @@ class Transport:
                           elapsed_before: float) -> float:
         """Probe for a reconnect; returns the seconds the handshake cost
         or raises :class:`LinkDownError` with the full elapsed time."""
-        policy = self.policy
         spent = 0.0
-        for _ in range(policy.reconnect_attempts):
-            spent += policy.reconnect_timeout_s
-            self.stats.reconnect_seconds += policy.reconnect_timeout_s
+        for _ in range(RECONNECT_ATTEMPTS):
+            spent += RECONNECT_TIMEOUT_S
+            self.stats.reconnect_seconds += RECONNECT_TIMEOUT_S
             if self.link.try_reconnect():
                 self.stats.reconnects += 1
                 if self.tracer.enabled:

@@ -12,9 +12,7 @@ the fleet scheduler *emit*; this package *explains*:
   distributions, per-device/per-server tables and bucket totals.
 * :mod:`slo` — declarative thresholds over sliding windows of simulated
   time, emitting structured findings.
-* :mod:`report` — deterministic JSON + single-file HTML reports, and
-  the baseline/bench regression diff behind
-  ``python -m repro report --baseline``.
+* :mod:`report` — deterministic JSON + single-file HTML reports.
 
 Nothing in here mutates runtime state or consumes randomness: analysis
 of a trace is a pure function of its events (docs/observability.md).
@@ -26,8 +24,7 @@ from .aggregate import (DISTRIBUTIONS, DeviceRow, FleetAggregate,
 from .critical_path import (BUCKETS, CriticalPath, attribute_invocation,
                             attribute_session, bucket_totals,
                             dominant_counts)
-from .report import (GATED_METRICS, SCHEMA, build_report, diff_bench,
-                     diff_reports, render_html, report_to_json)
+from .report import SCHEMA, build_report, render_html, report_to_json
 from .slo import (DEFAULT_RULES, Finding, SloRule, evaluate_rules,
                   prefetch_waste_findings)
 from .spans import (InvocationSpan, SessionSpan, reconstruct_session,
@@ -39,8 +36,7 @@ __all__ = [
     "nearest_rank_percentile",
     "BUCKETS", "CriticalPath", "attribute_invocation",
     "attribute_session", "bucket_totals", "dominant_counts",
-    "GATED_METRICS", "SCHEMA", "build_report", "diff_bench",
-    "diff_reports", "render_html", "report_to_json",
+    "SCHEMA", "build_report", "render_html", "report_to_json",
     "DEFAULT_RULES", "Finding", "SloRule", "evaluate_rules",
     "prefetch_waste_findings",
     "InvocationSpan", "SessionSpan",

@@ -1,22 +1,17 @@
-"""The report: deterministic JSON + self-contained HTML + baseline diff.
+"""The report: deterministic JSON + self-contained HTML.
 
 ``build_report`` turns an event stream (live tracer or loaded JSONL)
 into one JSON-safe dict with a pinned schema (``repro.trace.report/1``)
 and **no wall-clock anything** — two same-seed runs serialize
-byte-identically, which is what lets CI diff reports at all.
-
-``diff_reports`` / ``diff_bench`` implement the regression gate: compare
-a baseline report (or a checked-in ``BENCH_*.json``) against a current
-one and return structured regressions when a lower-is-better metric
-worsened beyond the tolerance.  ``python -m repro report --baseline``
-exits non-zero when any come back.
+byte-identically, which is what lets ``tools/pinned.py`` pin every leaf
+of CI's two seeded reports exactly.
 """
 
 from __future__ import annotations
 
 import html as _html
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..timeline import _fmt_value as _fmt
 from ..tracer import TraceEvent
@@ -26,29 +21,6 @@ from .slo import DEFAULT_RULES, evaluate_rules
 from .spans import reconstruct_sessions, validate_sessions
 
 SCHEMA = "repro.trace.report/1"
-
-#: Report metrics the baseline gate watches.  ``rel`` metrics compare
-#: relative growth (seconds, bytes); ``abs`` metrics compare absolute
-#: change (ratios in [0, 1], where "10% tolerance" means ten
-#: percentage points).  All are lower-is-better.
-GATED_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("fleet.distributions.invocation_seconds.mean", "rel"),
-    ("fleet.distributions.invocation_seconds.p50", "rel"),
-    ("fleet.distributions.invocation_seconds.p95", "rel"),
-    ("fleet.distributions.invocation_seconds.p99", "rel"),
-    ("fleet.distributions.queue_wait_seconds.p95", "rel"),
-    ("fleet.distributions.wire_bytes.mean", "rel"),
-    ("fleet.totals.total_seconds", "rel"),
-    ("fleet.totals.energy_mj", "rel"),
-    ("fleet.decline_rate", "abs"),
-    ("fleet.fallback_ratio", "abs"),
-)
-
-#: Key-name fragments that orient the generic BENCH_*.json diff.
-_LOWER_BETTER = ("makespan", "seconds", "_s", "delay", "decline",
-                 "energy", "wire", "bytes_to", "total_bytes", "wasted")
-_HIGHER_BETTER = ("throughput", "reduction", "speedup", "hit", "saved",
-                  "admitted")
 
 
 def build_report(events: Iterable[TraceEvent], *,
@@ -130,112 +102,6 @@ def report_to_json(report: dict) -> str:
     """The canonical serialization (sorted keys, trailing newline) —
     byte-identical for same-seed runs."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-# -- baseline diffing ----------------------------------------------------
-def _lookup(report: dict, path: str):
-    node = report
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node if isinstance(node, (int, float)) else None
-
-
-def _check_tolerance(tolerance: float) -> None:
-    """NaN switches a gate off (every ``delta > nan`` is False) and a
-    negative tolerance fails a report against itself."""
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0; got {tolerance!r}")
-
-
-def diff_reports(baseline: dict, current: dict,
-                 tolerance: float = 0.10) -> List[dict]:
-    """Regressions of ``current`` vs ``baseline`` over the gated
-    metrics.  A ``rel`` metric regresses when it grew more than
-    ``tolerance`` relative to the baseline; an ``abs`` metric when it
-    grew more than ``tolerance`` in absolute terms."""
-    _check_tolerance(tolerance)
-    regressions: List[dict] = []
-    for path, kind in GATED_METRICS:
-        base = _lookup(baseline, path)
-        cur = _lookup(current, path)
-        if base is None or cur is None:
-            continue
-        delta = cur - base
-        if kind == "rel":
-            limit = tolerance * abs(base)
-            # A zero baseline cannot scale a relative tolerance; any
-            # growth beyond noise regresses.
-            if base == 0:
-                limit = 1e-9
-        else:
-            limit = tolerance
-        if delta > limit:
-            regressions.append({
-                "metric": path, "kind": kind,
-                "baseline": base, "current": cur,
-                "delta": delta,
-                "relative": (delta / abs(base)) if base else None,
-                "tolerance": tolerance,
-            })
-    return regressions
-
-
-def _numeric_leaves(node, prefix="") -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    if isinstance(node, dict):
-        for key in sorted(node):
-            out.update(_numeric_leaves(node[key], f"{prefix}{key}."))
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            out.update(_numeric_leaves(item, f"{prefix}{i}."))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        out[prefix[:-1]] = float(node)
-    return out
-
-
-def _direction(path: str) -> int:
-    """-1 lower-is-better, +1 higher-is-better, 0 informational."""
-    leaf = path.rsplit(".", 1)[-1]
-    for frag in _HIGHER_BETTER:
-        if frag in leaf:
-            return 1
-    for frag in _LOWER_BETTER:
-        if frag in leaf or leaf.endswith("_s"):
-            return -1
-    return 0
-
-
-def diff_bench(baseline: dict, current: dict,
-               tolerance: float = 0.10) -> List[dict]:
-    """Generic numeric diff of two ``BENCH_*.json`` files.
-
-    Walks every numeric leaf; a leaf whose key orients it (see
-    ``_LOWER_BETTER`` / ``_HIGHER_BETTER``) regresses when it moved the
-    wrong way by more than ``tolerance`` relative; unoriented leaves
-    never fail the gate."""
-    _check_tolerance(tolerance)
-    base_leaves = _numeric_leaves(baseline)
-    cur_leaves = _numeric_leaves(current)
-    regressions: List[dict] = []
-    for path in sorted(set(base_leaves) & set(cur_leaves)):
-        direction = _direction(path)
-        if direction == 0:
-            continue
-        base, cur = base_leaves[path], cur_leaves[path]
-        worsened = (cur - base) * -direction  # positive = got worse
-        limit = tolerance * abs(base) if base != 0 else 1e-9
-        if worsened > limit:
-            regressions.append({
-                "metric": path,
-                "kind": "bench",
-                "baseline": base, "current": cur,
-                "delta": cur - base,
-                "relative": ((cur - base) / abs(base)) if base else None,
-                "tolerance": tolerance,
-            })
-    return regressions
 
 
 # -- HTML rendering ------------------------------------------------------

@@ -68,6 +68,22 @@ class WorkloadSpec:
     _module_cache: Dict[str, Module] = field(default_factory=dict,
                                              init=False, repr=False)
 
+    @classmethod
+    def from_source(cls, source: str, name: str, stdin: bytes,
+                    files: Optional[Dict[str, bytes]],
+                    profile_stdin: Optional[bytes] = None,
+                    profile_files: Optional[Dict[str, bytes]] = None
+                    ) -> "WorkloadSpec":
+        """The spec of one C source whose profiling input defaults to its
+        evaluation input."""
+        return cls(
+            name=name, description="", source=source,
+            profile_stdin=stdin if profile_stdin is None else profile_stdin,
+            eval_stdin=stdin,
+            profile_files=(files if profile_files is None
+                           else profile_files) or {},
+            eval_files=files or {})
+
     @property
     def loc(self) -> int:
         return self.source.count("\n") + 1

@@ -34,13 +34,9 @@ def build_c(source: str, stdin: bytes = b"",
             profile_stdin: Optional[bytes] = None,
             compiler_options: Optional[CompilerOptions] = None,
             name: str = "test") -> BuiltWorkload:
-    """The source -> program recipe on a C snippet whose profiling input
-    defaults to its evaluation input."""
-    spec = WorkloadSpec(
-        name=name, description="", source=source,
-        profile_stdin=profile_stdin if profile_stdin is not None else stdin,
-        eval_stdin=stdin, profile_files=files or {}, eval_files=files or {})
-    return spec.build(compiler_options)
+    """The source -> program recipe on a C snippet."""
+    return WorkloadSpec.from_source(source, name, stdin, files,
+                                    profile_stdin).build(compiler_options)
 
 
 def offload_c(source: str, stdin: bytes = b"",

@@ -20,6 +20,17 @@ int main() { printf("%d\n", work(10)); return 0; }
 """
 
 
+class _ReversedSet(set):
+    """A set that iterates its (insertion-ordered) members backwards."""
+
+    def __init__(self, ordered):
+        super().__init__(ordered)
+        self._order = list(ordered)
+
+    def __iter__(self):
+        return reversed(self._order)
+
+
 @pytest.fixture()
 def work_fn():
     return compile_c(NESTED_LOOPS, "m").function("work")
@@ -92,6 +103,31 @@ class TestLoops:
         for loop in info.loops:
             for exit_block in loop.exit_blocks():
                 assert exit_block not in loop.blocks
+
+    def test_exit_blocks_follow_function_order(self):
+        """The outliner numbers exit edges by this list, so it must not
+        depend on how the loop's block set happens to iterate (which
+        follows object addresses, and made 482.sphinx3's outlined IR
+        differ between two builds in one process)."""
+        fn = compile_c(r"""
+            int find(int *a, int n) {
+                int i;
+                for (i = 0; i < n; i++) {
+                    if (a[i] == 7) { a[i] = 0; break; }
+                    if (a[i] < 0) { a[i] = 1; break; }
+                }
+                return i;
+            }
+            int main() { int a[3]; return find(a, 3); }""",
+                       "m").function("find")
+        loop = LoopInfo(fn).loops[0]
+        position = {id(b): i for i, b in enumerate(fn.blocks)}
+        forward = loop.exit_blocks()
+        assert len(forward) == 3
+        loop.blocks = _ReversedSet(sorted(loop.blocks,
+                                          key=lambda b: position[id(b)]))
+        assert loop.exit_blocks() == forward
+        assert forward == sorted(forward, key=lambda b: position[id(b)])
 
     def test_innermost_lookup(self, work_fn):
         info = LoopInfo(work_fn)

@@ -113,7 +113,8 @@ def test_the_recipe_states_the_mobile_architecture_once():
         }""")
     assert spec.build().local().stdout == "4\n"            # ARM32
     wide = spec.build(CompilerOptions(mobile_arch=ARM64))
-    assert wide.profile.stdout == wide.local().stdout == "8\n"
+    assert wide.profile.output == wide.local().output
+    assert wide.local().stdout == "8\n"
 
     built = LAYOUTS.build(CompilerOptions(mobile_arch=MIPS32BE))
     assert built.profile.arch_name == "mips32be"

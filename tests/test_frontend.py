@@ -1,10 +1,12 @@
 """Tests for the mini-C frontend: lexer, parser, and end-to-end codegen
 semantics (each snippet is compiled, executed, and its output checked)."""
 
+import sys
+
 import pytest
 
-from repro.frontend import (LexError, ParseError, compile_c, parse_c,
-                            preprocess, tokenize)
+from repro.frontend import (CodegenError, LexError, ParseError, compile_c,
+                            parse_c, preprocess, tokenize)
 
 from conftest import run_c
 
@@ -79,6 +81,42 @@ class TestParser:
     def test_statement_before_case_rejected(self):
         with pytest.raises(ParseError):
             parse_c("int main(){switch(1){int x;}}")
+
+    @pytest.mark.parametrize("source,message", [
+        ("int x = 1/0;", "division by zero"),
+        ("int a[1 % 0];", "division by zero"),
+        ("int a[1 << -1];", "shift by -1"),
+        ("int a[-1];", "array size -1 is negative"),
+        ("int main() { return " + "(" * 150 + "1" + ")" * 150 + "; }",
+         "nesting too deep"),
+        ("int main() { struct S p, q; return p == q; }",
+         "operator == on struct S and struct S"),
+        ("int main() { struct S p; int *q = 0; return p != q; }",
+         "operator != on struct S and int32*"),
+        ("int main() { struct S p; return -p; }", "operator - on struct S"),
+        ("int main() { struct S p; return p.b; }",
+         "struct S has no field 'b'"),
+        ("int main() { double d = 1.0; return ~d; }",
+         "operator ~ on float64"),
+        ("int f() { return 1; }\nint f() { return 2; }",
+         "redefinition of f"),
+    ], ids=["const-div0", "dim-mod0", "dim-shift", "dim-negative",
+            "nesting", "struct-eq", "struct-ptr-ne", "struct-neg",
+            "no-field", "double-bitnot", "redefinition"])
+    def test_bad_source_is_a_diagnostic_with_a_line(self, source, message):
+        """Every bad input fails with the front end's own error naming
+        the line, never a raw Python exception.  Nesting is capped by
+        Python's recursion limit, which the guest interpreter raises
+        for the rest of the process; the default is restored here."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises((ParseError, CodegenError),
+                               match=f"line {source.count(chr(10)) + 2}: "
+                                     f"{message}"):
+                compile_c("struct S { int a; };\n" + source)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestExpressionSemantics:

@@ -15,15 +15,16 @@ import inspect
 from pathlib import Path
 
 from repro import CompilerOptions, SessionOptions
-from repro.fleet import DeviceSpec, PoolOptions, ServerSpec
+from repro.fleet import AutoscalerOptions, DeviceSpec, PoolOptions, ServerSpec
 from repro.offload.estimator import EstimatorParams
 from repro.profiler import profile_module
-from repro.runtime import FaultPlan, NetworkModel, run_local
+from repro.runtime import FaultPlan, NetworkModel, RetryPolicy, run_local
 
 REPO = Path(__file__).resolve().parent.parent
 
 RECORDS = (SessionOptions, CompilerOptions, PoolOptions, ServerSpec,
-           DeviceSpec, EstimatorParams, NetworkModel, FaultPlan)
+           DeviceSpec, EstimatorParams, NetworkModel, FaultPlan,
+           RetryPolicy, AutoscalerOptions)
 
 #: Where a caller may live.  ``examples/`` only demonstrates what the
 #: others use; ``tests/`` may set anything it needs to probe.
@@ -101,7 +102,8 @@ def test_the_records_hold_what_the_audit_left():
     assert {name: len(fields) for name, fields in FIELDS.items()} == {
         "SessionOptions": 20, "CompilerOptions": 7, "PoolOptions": 4,
         "ServerSpec": 5, "DeviceSpec": 8, "EstimatorParams": 2,
-        "NetworkModel": 4, "FaultPlan": 7}
+        "NetworkModel": 4, "FaultPlan": 7, "RetryPolicy": 1,
+        "AutoscalerOptions": 3}
 
 
 def test_entry_points_default_only_what_callers_pass():

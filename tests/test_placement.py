@@ -16,6 +16,7 @@ from repro.fleet import (Autoscaler, AutoscalerOptions, Candidate,
                          DeviceSpec, FleetScheduler, PoolOptions,
                          ServerPool, ServerSpec, ServerStats,
                          behavior_key, make_engine)
+from repro.fleet.autoscaler import SCALE_DOWN_AFTER
 from repro.fleet.engines import (BestFitEngine, DeadlineAwareEngine,
                                  DecisionEngine, FifoEngine,
                                  WorstFitEngine)
@@ -89,7 +90,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kw", [
         {"interval_s": 0.0}, {"interval_s": -1.0},
-        {"max_servers": 0}, {"scale_down_after": 0},
+        {"max_servers": 0}, {"max_servers": -1},
     ])
     def test_autoscaler_options_reject(self, kw):
         with pytest.raises(ValueError):
@@ -400,16 +401,17 @@ class TestAutoscaler:
 
     def test_scale_down_after_healthy_stretch(self):
         pool = ServerPool(PoolOptions(servers=1))
-        scaler = Autoscaler(AutoscalerOptions(max_servers=3,
-                                              scale_down_after=2))
+        scaler = Autoscaler(AutoscalerOptions(max_servers=3))
         for i in range(4):
             scaler.observe(0.01 * i, self._admission(wait=0.02))
         scaler.evaluate(0.04, pool)
         assert pool.active_servers == 2
-        # Quiet windows (no samples) count as healthy ticks; after two
-        # the idle clone is retired.
-        scaler.evaluate(1.0, pool)
-        scaler.evaluate(2.0, pool)
+        # Quiet windows (no samples) count as healthy ticks; after
+        # SCALE_DOWN_AFTER of them the idle clone is retired.
+        for tick in range(1, SCALE_DOWN_AFTER):
+            scaler.evaluate(float(tick), pool)
+        assert pool.active_servers == 2
+        scaler.evaluate(float(SCALE_DOWN_AFTER), pool)
         assert pool.active_servers == 1
         summary = scaler.summary()
         assert summary["scale_ups"] == 1

@@ -131,8 +131,8 @@ class TestRecursion:
 
 
 def test_stdout_and_exit_code_captured(prof):
-    assert prof.exit_code == 0
-    assert prof.stdout.strip().lstrip("-").isdigit()
+    assert prof.output.exit_code == 0
+    assert prof.output.stdout.strip().lstrip(b"-").isdigit()
 
 
 def test_hottest_is_sorted(prof):
@@ -324,4 +324,5 @@ def test_profile_is_bit_identical(program, monkeypatch):
     (observer,) = made
     assert observer._touch_scopes == [] and observer._frames == []
     if program == "scopes":
-        assert (prof.exit_code, prof.stdout) == (81, "654139\n")
+        assert prof.output.exit_code == 81
+        assert prof.output.stdout == b"654139\n"

@@ -10,6 +10,7 @@ from repro.machine.machine import STACK_SIZE
 from repro.runtime import (FAST_WIFI, FaultPlan, Link, LinkDownError,
                            NO_FAULTS, NetworkModel, OffloadSession,
                            RetryPolicy, SessionOptions, Transport)
+from repro.runtime.transport import BACKOFF_BASE_S
 
 from conftest import build_c
 
@@ -118,17 +119,13 @@ class TestLink:
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        p = RetryPolicy(backoff_base_s=0.01, backoff_multiplier=2.0)
-        assert p.backoff_s(0) == pytest.approx(0.01)
-        assert p.backoff_s(3) == pytest.approx(0.08)
+        p = RetryPolicy()
+        assert p.backoff_s(0) == pytest.approx(BACKOFF_BASE_S)
+        assert p.backoff_s(3) == pytest.approx(8 * BACKOFF_BASE_S)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_factor=0.0)
 
     def test_max_delivery_seconds_bounds_the_budget(self):
         p = RetryPolicy()
