@@ -25,7 +25,6 @@ import builtins
 import functools
 import math
 import re
-import struct
 import sys
 from bisect import bisect_right
 from types import CodeType, FunctionType
@@ -36,7 +35,8 @@ from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, UndefValue, Value)
 from .machine import Machine, STACK_SIZE
-from .values import round_to_single, scalar_size, to_signed, to_unsigned
+from .values import (round_to_single, scalar_size, scalar_struct, to_signed,
+                     to_unsigned, too_wide)
 
 
 class InterpreterError(Exception):
@@ -356,6 +356,8 @@ class _Decoder:
         machine = self.machine = interp.machine
         memory = self.memory = machine.memory
         self.layout = machine.layout
+        # Pointer arithmetic wraps at the layout's width, as it compares.
+        self.pointer_mask = (1 << self.layout.pointer_bytes * 8) - 1
         self.costs = interp._cycle_table
         self.observed = interp._mem_observer is not None
         self.page_shift = memory.page_size.bit_length() - 1
@@ -374,9 +376,8 @@ class _Decoder:
             "mark_blocks": memory.mark_blocks,
             "map_range": machine.map_range,
             "function_at": machine.function_at,
-            "from_bytes": int.from_bytes, "frem": _frem,
-            "fdiv_by_zero": _fdiv_by_zero,
-            "round_to_single": round_to_single,
+            "frem": _frem, "fdiv_by_zero": _fdiv_by_zero,
+            "round_to_single": round_to_single, "too_wide": too_wide,
             "inf": math.inf, "nan": math.nan,
         }
         # What one generated function runs is a stretch of a block.  A call
@@ -597,33 +598,31 @@ class _Decoder:
                     f"1 if {lhs} {_COMPARISONS[pred]} {rhs} else 0")
 
     def _access(self, type_) -> tuple:
-        """How this machine loads or stores a ``type_``: (size, the
-        ``struct`` format of a float else None, cost of the address-size
-        conversion or None, cost of the byte swap or None)."""
+        """How this machine loads or stores a ``type_``: (size, cost of the
+        address-size conversion or None, cost of the byte swap or None)."""
         machine, layout = self.machine, self.layout
         if not type_.is_scalar:
             raise _Unrunnable(
                 f"aggregate access of {type_}; the frontend must lower "
                 "struct copies to memcpy")
         size = scalar_size(type_, layout)
-        codec = None
-        if type_.is_float:
-            codec = (("<" if layout.byte_order == "little" else ">")
-                     + ("f" if type_.bits == 32 else "d"))
         # Address-size conversion (Section 3.2): zero/trunc-extend on every
         # pointer-sized memory access.  Negligible cost, counted.
         converts = (isinstance(type_, PointerType)
                     and layout.pointer_bytes != machine.arch.pointer_bytes)
         # Endianness translation (Section 3.2): byte swap per access.
         swaps = size > 1 and layout.byte_order != machine.arch.endianness
-        return (size, codec, self.costs["alu"] * 0.5 if converts else None,
+        return (size, self.costs["alu"] * 0.5 if converts else None,
                 self.costs["alu"] * 1.0 if swaps else None)
 
-    def codec(self, fmt: str, method: str) -> str:
-        """The global that is ``struct.Struct(fmt)``'s ``pack`` or
-        ``unpack``."""
-        return self.bind(f"{method}_{'f32' if fmt[1] == 'f' else 'f64'}",
-                         getattr(_CODECS[fmt], method))
+    def accessor(self, type_, method: str) -> str:
+        """The global that is ``method`` of the ``values.SCALARS`` struct
+        this machine stores a ``type_`` with: ``unpack_from_u32le``,
+        ``pack_into_f64be``, ..."""
+        codec = scalar_struct(type_, self.layout)
+        name = (f"{method}_{'f' if type_.is_float else 'u'}{codec.size * 8}"
+                f"{'le' if self.layout.byte_order == 'little' else 'be'}")
+        return self.bind(name, getattr(codec, method))
 
     def observe(self, address: str, size: int, is_write: bool) -> None:
         if self.observed:
@@ -654,53 +653,44 @@ class _Decoder:
 
     def emit_load(self, instruction: inst.Load) -> None:
         self.charge(self.costs["mem"])
-        size, codec, convert_cost, swap_cost = self._access(instruction.type)
+        type_ = instruction.type
+        size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
         self.observe(address, size, False)
         self.locate(address, size)
-        self.emit(f"d = read({address}, {size})", 2)
+        self.define(instruction, f"{self.accessor(type_, 'unpack')}"
+                                 f"(read({address}, {size}))[0]", 2)
         self.emit("c = interp.cycles", 2)
         self.emit("else:")
         self.emit("t = memory.touched", 2)
         self.emit("if t is not None:", 2)
         self.emit("t.add(i)", 3)
-        self.emit(f"d = p[o:o + {size}]", 2)
-        self.translate(convert_cost, swap_cost)
         self.define(instruction,
-                    f"from_bytes(d, {self.layout.byte_order!r})"
-                    if codec is None
-                    else f"{self.codec(codec, 'unpack')}(d)[0]")
+                    f"{self.accessor(type_, 'unpack_from')}(p, o)[0]", 2)
+        self.translate(convert_cost, swap_cost)
 
     def emit_store(self, instruction: inst.Store) -> None:
         self.charge(self.costs["mem"])
-        size, codec, convert_cost, swap_cost = self._access(
-            instruction.value.type)
+        stored, type_ = instruction.value, instruction.value.type
+        size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
-        value = self.read(instruction.value)
+        value = self.read(stored)
         self.observe(address, size, True)
         self.translate(convert_cost, swap_cost)
-        if codec is None:
-            stored, too_wide = instruction.value, 1 << (size * 8)
-            if not (isinstance(stored, Constant)
-                    and 0 <= stored.value < too_wide):
-                message = (
-                    f"pointer %#x does not fit in {size} bytes; UVA "
-                    "addresses must stay below the unified pointer range")
-                self.emit(f"if {value} >= {too_wide}:")
-                self.emit("interp.cycles = c", 2)
-                self.emit(f"raise OverflowError({message!r} % {value})", 2)
-            self.emit(f"d = ({value}).to_bytes({size}, "
-                      f"{self.layout.byte_order!r})")
-        elif codec[1] == "f":  # ``struct`` raises where IEEE 754 rounds
-            self.emit(f"d = {self.codec(codec, 'pack')}"
-                      f"(round_to_single({value}))")
-        else:
-            self.emit(f"d = {self.codec(codec, 'pack')}({value})")
+        if type_.is_float:
+            if size == 4:  # ``struct`` raises where IEEE 754 rounds
+                value = f"round_to_single({value})"
+        elif not (isinstance(stored, Constant)
+                  and 0 <= stored.value < 1 << (size * 8)):
+            self.emit(f"if {value} >= {1 << (size * 8)}:")
+            self.emit("interp.cycles = c", 2)
+            self.emit(f"raise too_wide({value}, {size})", 2)
         self.locate(address, size)
-        self.emit(f"write({address}, d)", 2)
+        self.emit(f"write({address}, {self.accessor(type_, 'pack')}"
+                  f"({value}))", 2)
         self.emit("c = interp.cycles", 2)
         self.emit("else:")
-        self.emit(f"p[o:o + {size}] = d", 2)
+        self.emit(f"{self.accessor(type_, 'pack_into')}(p, o, {value})", 2)
         self.emit("mark_dirty(i)", 2)
         self.emit("if memory.track_subpage:", 2)
         shift = self.memory.block_shift
@@ -742,7 +732,7 @@ class _Decoder:
         for index, mask, sign, scale in scaled:
             address += (f" + ((({self.read(index)} & {mask}) ^ {sign})"
                         f" - {sign}) * {scale}")
-        self.define(instruction, f"({address}) & {_MASK64}")
+        self.define(instruction, f"({address}) & {self.pointer_mask}")
 
     def emit_cast(self, instruction: inst.Cast) -> None:
         self.charge(self.costs["alu"])
@@ -777,7 +767,7 @@ class _Decoder:
             self.define(instruction,
                         f"float((({value} & {mask}) ^ {sign}) - {sign})")
         elif name == "inttoptr":
-            self.define(instruction, f"{value} & {_MASK64}")
+            self.define(instruction, f"{value} & {self.pointer_mask}")
         elif name == "bitcast":
             self.define(instruction, value)
         else:
@@ -790,9 +780,20 @@ class _Decoder:
         self.emit(f"interp.sp = s = interp.sp - {size}")
         self.emit(f"if s < {self.machine.stack_top - STACK_SIZE}:")
         self.fail("StackOverflow", "simulated stack exhausted", 2)
-        self.flush()
-        self.emit(f"map_range(s, {size})")
-        self.reload()
+        # ``map_range`` is the one place a missing stack page is offered to
+        # the fault handler.  A slot no larger than a page spans at most
+        # its first and last page; a larger one may hide a missing page
+        # between them, so it always goes there.
+        depth = 1
+        if size <= self.memory.page_size:
+            shift = self.page_shift
+            self.emit(f"if page_at(s >> {shift}) is None or "
+                      f"page_at((s + {size - 1}) >> {shift}) is None:")
+            depth = 2
+        self.emit("interp.cycles = c", depth)
+        self.emit(f"map_range(s, {size})", depth)
+        self.emit("c = interp.cycles", depth)
+        self.flushed = depth == 1
         self.define(instruction, "s")
 
     def emit_call(self, instruction: inst.Call) -> None:
@@ -908,7 +909,6 @@ _COMPARISONS = {
     "eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">", "uge": ">=",
     "feq": "==", "fne": "!=", "flt": "<", "fle": "<=", "fgt": ">",
     "fge": ">=", **_SIGNED_PREDS}
-_CODECS = {fmt: struct.Struct(fmt) for fmt in ("<f", "<d", ">f", ">d")}
 
 
 def _fdiv_by_zero(lhs: float) -> float:

@@ -2,9 +2,14 @@
    a global's initializer, a store and a cast alike.
    Was: OverflowError: float too large to pack with f format. */
 float g = 1e300;
-int main() {
+
+void work(void) {
     float f = 1e300;
     double d = -1e300;
     printf("%f %f %f\n", g, f, (float)d);
+}
+
+int main() {
+    work();
     return 0;
 }

@@ -5,20 +5,24 @@ case itself and leaves the rest (faults, page-straddling scalars) to
 ``AddressSpace.read``/``write``.  Random access sequences run through
 generated code on a machine and through plain ``read``/``write`` plus the
 reference codec on a twin space; everything either side can observe must
-agree.
+agree — with the profiler's memory hook decoded in and without it, as
+``run_local`` and every session decode.  The code generated for an
+``alloca`` maps its slot itself when its pages are there and leaves the
+rest to ``Machine.map_range``; it must leave what calling ``map_range``
+leaves.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import (F32, F64, Function, FunctionType, I8, I16, I32, I64,
-                      IRBuilder, Module, VOID, ptr)
+                      IRBuilder, Module, VOID, array, ptr)
 from repro.machine import (AddressSpace, Interpreter, SegmentationFault,
                            boot)
 from repro.machine.interpreter import Observer
 from repro.machine.values import decode_scalar, encode_scalar, scalar_size
-from repro.targets import (ARM32, UNIFIED_ORDER_KEY, UNIFIED_POINTER_KEY,
-                           X86_64)
+from repro.targets import (ARM32, MIPS32BE, UNIFIED_ORDER_KEY,
+                           UNIFIED_POINTER_KEY, X86_64)
 
 PAGE = 256          # two dirty blocks a page, so stores can straddle one
 KINDS = {"i8": I8, "i16": I16, "i32": I32, "i64": I64,
@@ -51,10 +55,17 @@ def _module():
 LAYOUTS = {
     "arm32-native": (ARM32, 4, "little"),
     "x86_64-native": (X86_64, 8, "little"),
+    "mips32be-native": (MIPS32BE, 4, "big"),
     # a server running the unified big-endian 32-bit layout: every pointer
     # access converts, every multi-byte access swaps
     "x86_64-as-mips32be": (X86_64, 4, "big"),
 }
+# Each layout decoded as the profiler decodes (a memory observer, under
+# the layout's name) and as everything else does ("-unobserved").
+VARIANTS = {**{name: (name, True) for name in LAYOUTS},
+            **{f"{name}-unobserved": (name, False) for name in LAYOUTS}}
+TOO_WIDE = ("pointer {:#x} does not fit in {} bytes; UVA addresses must "
+            "stay below the unified pointer range")
 
 
 def _fill(pidx):
@@ -126,10 +137,15 @@ def _outcome(action):
         return ("value", repr(action()))
     except SegmentationFault as fault:
         return ("fault", fault.address, fault.size, str(fault))
+    except OverflowError as error:
+        return ("overflow", str(error))
 
 
+# A "wide store" of an integer or pointer stores 2**(8*size); of a float,
+# it is a plain store.
 _access = st.tuples(
-    st.sampled_from(["load", "store"]), st.sampled_from(sorted(KINDS)),
+    st.sampled_from(["load", "store", "wide store"]),
+    st.sampled_from(sorted(KINDS)),
     st.sampled_from(PAGES), st.sampled_from(OFFSETS),
     st.integers(0, 2**64 - 1), st.floats(width=32))
 _switch = st.one_of(
@@ -140,11 +156,12 @@ _switch = st.one_of(
     st.tuples(st.just("clear_dirty")))
 
 
-@pytest.mark.parametrize("layout_name", sorted(LAYOUTS))
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 @given(steps=st.lists(st.one_of(_access, _access, _access, _switch),
                       min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_ops_match_plain_address_space(layout_name, steps):
+def test_ops_match_plain_address_space(variant, steps):
+    layout_name, observed = VARIANTS[variant]
     arch, pointer_bytes, byte_order = LAYOUTS[layout_name]
     module = _module()
     module.metadata.update({UNIFIED_POINTER_KEY: pointer_bytes,
@@ -161,7 +178,8 @@ def test_ops_match_plain_address_space(layout_name, steps):
             assert _state(memory) == _state(twin.space)
             seen.append((address, size, is_write))
 
-    interp = Interpreter(machine, observer=BeforeAccess())
+    interp = Interpreter(machine,
+                         observer=BeforeAccess() if observed else None)
     twin = _Twin(interp)
     # Decode every function first, as the UVA manager finds the server's:
     # each switch below then lands on ops that are already bound.
@@ -193,8 +211,11 @@ def test_ops_match_plain_address_space(layout_name, steps):
             what, kind, pidx, offset, integer, real = step
             address = pidx * PAGE + offset
             size = scalar_size(KINDS[kind], machine.layout)
+            wide = what == "wide store" and kind not in ("f32", "f64")
             if kind in ("f32", "f64"):
                 value = real
+            elif wide:  # the least value that does not fit
+                value = 1 << size * 8
             else:
                 value = integer & ((1 << size * 8) - 1)
             if what == "load":
@@ -206,8 +227,11 @@ def test_ops_match_plain_address_space(layout_name, steps):
                     f"store_{kind}", [address, value]))
                 theirs = _outcome(lambda: twin.store(kind, address, value))
             assert ours == theirs
-            assert seen.pop() == (address, size, what == "store")
-            if what == "store" and ours[0] == "value":
+            if wide:  # raised before the access, with this message
+                assert ours == ("overflow", TOO_WIDE.format(value, size))
+            if observed:
+                assert seen.pop() == (address, size, what != "load")
+            if what != "load" and ours[0] == "value":
                 for byte in range(address, address + size):
                     stored_pages.add(byte // PAGE)
                     if memory.track_subpage:
@@ -227,3 +251,63 @@ def test_ops_match_plain_address_space(layout_name, steps):
     for pidx, blocks in stored_blocks.items():
         mask = memory.dirty_blocks[pidx]
         assert all(mask >> block & 1 for block in blocks)
+
+
+# slot -> (its size, its offset into the first page, which of its pages
+# are mapped before it is allocated)
+SLOTS = {
+    "on-a-mapped-page": (16, 32, (0,)),
+    "on-an-unmapped-page": (16, 32, ()),
+    "straddling-into-an-unmapped-page": (32, PAGE - 16, (0,)),
+    "straddling-out-of-an-unmapped-page": (32, PAGE - 16, (1,)),
+    # first and last page there, the two between them not
+    "over-a-page-with-a-hole": (3 * PAGE, 16, (0, 3)),
+}
+
+
+def _stack(size, offset, mapped, mode):
+    """A server machine whose function ``slot`` allocates a ``size``-byte
+    slot, calls an empty function — which sees the cycles the alloca
+    charged — and returns the slot; the slot's address; and the page
+    indices the fault handler has been called with."""
+    module = Module()
+    leaf = Function("leaf", FunctionType(VOID, []), [])
+    module.add_function(leaf)
+    IRBuilder(leaf.add_block("entry")).ret()
+    slot = Function("slot", FunctionType(ptr(array(I8, size)), []), [])
+    module.add_function(slot)
+    b = IRBuilder(slot.add_block("entry"))
+    allocated = b.alloca(array(I8, size))
+    b.call(leaf)
+    b.ret(allocated)
+    machine = boot(module, X86_64, "server", page_size=PAGE)
+    first = machine.stack_top // PAGE - 8
+    for page in mapped:
+        machine.memory.map_page(first + page, _fill(first + page))
+    calls = []
+    handler = _handler(machine.memory, mode)
+    if handler is not None:
+        def recording(pidx):
+            calls.append(pidx)
+            return handler(pidx)
+        machine.memory.fault_handler = recording
+    return machine, first * PAGE + offset, calls
+
+
+@pytest.mark.parametrize("mode", ["none", "refuse", "on_demand"])
+@pytest.mark.parametrize("slot", sorted(SLOTS))
+def test_alloca_leaves_what_map_range_leaves(slot, mode):
+    size, offset, mapped = SLOTS[slot]
+    machine, address, calls = _stack(size, offset, mapped, mode)
+    interp = Interpreter(machine)
+    interp.sp = address + size
+    assert interp.call_by_name("slot") == address
+
+    twin, _, twin_calls = _stack(size, offset, mapped, mode)
+    twin.map_range(address, size)
+    costs = interp._cycle_table
+    cycles = 0.0
+    for cost in ("call", "alu", "call", "branch", "branch"):
+        cycles += costs[cost]
+    assert (_state(machine.memory), calls, interp.cycles.hex()) == (
+        _state(twin.memory), twin_calls, cycles.hex())
