@@ -71,12 +71,15 @@ class ExitProgram(Exception):
 
 class Observer:
     """Hook interface for profilers and the offload runtime.  All methods
-    are optional no-ops.  ``wants_memory`` / ``wants_blocks`` let cheap
-    observers (e.g. the runtime's target timer) opt out of the hot
-    per-access and per-block callbacks."""
+    are optional no-ops.  ``wants_blocks`` lets cheap observers (e.g. the
+    runtime's target timer) opt out of the hot per-block callback.  There
+    is no per-access hook: the pages code touches are recorded by the
+    machine's ``AddressSpace.touched``, which ``attach`` can reach."""
 
-    wants_memory = True
     wants_blocks = True
+
+    def attach(self, machine: Machine) -> None:
+        """The machine an interpreter observed by this runs on."""
 
     def enter_function(self, fn: Function, cycles: float) -> None:
         pass
@@ -85,12 +88,6 @@ class Observer:
         pass
 
     def enter_block(self, block: BasicBlock, cycles: float) -> None:
-        pass
-
-    def memory_access(self, address: int, size: int, is_write: bool) -> None:
-        pass
-
-    def heap_alloc(self, size: int) -> None:
         pass
 
 
@@ -108,8 +105,8 @@ class Interpreter:
                  max_instructions: int = 500_000_000):
         self.machine = machine
         self.observer = observer
-        self._mem_observer = (observer if observer is not None
-                              and observer.wants_memory else None)
+        if observer is not None:
+            observer.attach(machine)
         self._block_observer = (observer if observer is not None
                                 and observer.wants_blocks else None)
         self.max_instructions = max_instructions
@@ -128,8 +125,8 @@ class Interpreter:
                              for k, v in machine.arch.cycles.items()}
         self._call_cost = self._cycle_table["call"]  # as charge("call")
         # Function -> (decoded blocks, frame size), filled on first call.
-        # Layout, addresses and observer are fixed for an interpreter's
-        # lifetime, so a decoded function never goes stale.
+        # Layout and addresses are fixed for an interpreter's lifetime, so
+        # a decoded function never goes stale.
         self._decoded: Dict[Function, tuple] = {}
 
     # -- accounting -----------------------------------------------------
@@ -359,7 +356,6 @@ class _Decoder:
         # Pointer arithmetic wraps at the layout's width, as it compares.
         self.pointer_mask = (1 << self.layout.pointer_bytes * 8) - 1
         self.costs = interp._cycle_table
-        self.observed = interp._mem_observer is not None
         self.page_shift = memory.page_size.bit_length() - 1
         self.offset_mask = memory.page_size - 1
         self.namespace = {
@@ -369,7 +365,6 @@ class _Decoder:
             "BadFunctionPointer": BadFunctionPointer,
             "ExecutionLimitExceeded": ExecutionLimitExceeded,
             "machine": machine, "memory": memory,
-            "observer": interp._mem_observer,
             "page_at": memory.pages.get, "read": memory.read,
             "write": memory.write, "mark_dirty": memory.dirty.add,
             "dirty_blocks": memory.dirty_blocks,
@@ -624,13 +619,6 @@ class _Decoder:
                 f"{'le' if self.layout.byte_order == 'little' else 'be'}")
         return self.bind(name, getattr(codec, method))
 
-    def observe(self, address: str, size: int, is_write: bool) -> None:
-        if self.observed:
-            self.flush()
-            self.emit(
-                f"observer.memory_access({address}, {size}, {is_write})")
-            self.reload()
-
     def translate(self, convert_cost, swap_cost) -> None:
         if convert_cost is not None:
             self.emit("machine.pointer_conversions += 1")
@@ -656,7 +644,6 @@ class _Decoder:
         type_ = instruction.type
         size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
-        self.observe(address, size, False)
         self.locate(address, size)
         self.define(instruction, f"{self.accessor(type_, 'unpack')}"
                                  f"(read({address}, {size}))[0]", 2)
@@ -675,7 +662,6 @@ class _Decoder:
         size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
         value = self.read(stored)
-        self.observe(address, size, True)
         self.translate(convert_cost, swap_cost)
         if type_.is_float:
             if size == 4:  # ``struct`` raises where IEEE 754 rounds

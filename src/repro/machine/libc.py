@@ -10,15 +10,16 @@ the mobile's environment, for the server partition (paper, Section 3.4).
 from __future__ import annotations
 
 import math
-import struct
+import re
 from operator import attrgetter
 from typing import Callable, List, NamedTuple
 
+from ..ir.types import F32, F64, I8, I16, I32, I64
 from .fs import IOEnvironment
 from .interpreter import ExitProgram, Interpreter, InterpreterError
 from .machine import Machine
 from .memory import AddressSpace
-from .values import to_signed, to_unsigned
+from .values import encode_scalar, to_signed, to_unsigned
 
 
 def install_libc(machine: Machine) -> None:
@@ -46,8 +47,6 @@ def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
         addr = heap_of(interp.machine).alloc(size)
         map_range(interp.machine, addr, size)
         interp.charge("alu", setup_cycles)
-        if interp.observer is not None:
-            interp.observer.heap_alloc(size)
         return addr
 
     def free(interp: Interpreter, args: List) -> None:
@@ -63,8 +62,6 @@ def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
         map_range(interp.machine, addr, total)
         interp.machine.memory.write(addr, b"\x00" * total)
         interp.charge("mem", total / 8 + setup_cycles)
-        if interp.observer is not None:
-            interp.observer.heap_alloc(total)
         return addr
 
     def realloc(interp: Interpreter, args: List) -> int:
@@ -91,12 +88,7 @@ def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
 
 def _memcpy(interp: Interpreter, args: List) -> int:
     dst, src, n = int(args[0]), int(args[1]), int(args[2])
-    if n:
-        data = interp.machine.memory.read(src, n)
-        interp.machine.memory.write(dst, data)
-        if interp._mem_observer is not None:
-            interp._mem_observer.memory_access(src, n, False)
-            interp._mem_observer.memory_access(dst, n, True)
+    interp.machine.memory.write(dst, interp.machine.memory.read(src, n))
     interp.charge("mem", n / 8 + 2)
     return dst
 
@@ -107,10 +99,7 @@ def _memmove(interp: Interpreter, args: List) -> int:
 
 def _memset(interp: Interpreter, args: List) -> int:
     dst, byte, n = int(args[0]), int(args[1]) & 0xFF, int(args[2])
-    if n:
-        interp.machine.memory.write(dst, bytes([byte]) * n)
-        if interp._mem_observer is not None:
-            interp._mem_observer.memory_access(dst, n, True)
+    interp.machine.memory.write(dst, bytes([byte]) * n)
     interp.charge("mem", n / 8 + 2)
     return dst
 
@@ -129,9 +118,18 @@ def _strcpy(interp: Interpreter, args: List) -> int:
     return dst
 
 
+def _read_at_most(memory: AddressSpace, address: int, n: int) -> bytes:
+    """The string at ``address``, read no further than its first ``n``
+    bytes: what ``strncmp``, ``strncpy`` and ``%.Ns`` see."""
+    try:
+        return memory.read_cstring(address, limit=n)
+    except ValueError:  # no NUL among them
+        return memory.read(address, n)
+
+
 def _strncpy(interp: Interpreter, args: List) -> int:
     dst, src, n = int(args[0]), int(args[1]), int(args[2])
-    s = interp.machine.memory.read_cstring(src)[:n]
+    s = _read_at_most(interp.machine.memory, src, n)
     interp.machine.memory.write(dst, s.ljust(n, b"\x00"))
     interp.charge("mem", n / 4 + 2)
     return dst
@@ -145,9 +143,10 @@ def _strcmp(interp: Interpreter, args: List) -> int:
 
 
 def _strncmp(interp: Interpreter, args: List) -> int:
-    n = int(args[2])
-    a = interp.machine.memory.read_cstring(int(args[0]))[:n]
-    b = interp.machine.memory.read_cstring(int(args[1]))[:n]
+    memory, n = interp.machine.memory, int(args[2])
+    a = _read_at_most(memory, int(args[0]), n)
+    # past the end of ``a`` the comparison is decided
+    b = _read_at_most(memory, int(args[1]), min(n, len(a) + 1))
     interp.charge("mem", (min(len(a), len(b)) + 1) / 4)
     return to_unsigned((a > b) - (a < b), 32)
 
@@ -180,37 +179,37 @@ def _atoi(interp: Interpreter, args: List) -> int:
 # printf / scanf machinery
 # ---------------------------------------------------------------------------
 
+# %[flags][width][.precision][length]conversion; a ``*`` width or
+# precision is the next argument.
+_CONVERSION = re.compile(
+    rb"%([-+ 0#]*)(\*|[0-9]*)(?:\.(\*|[0-9]*))?([hlqz]*)(.?)", re.DOTALL)
+
+
 def format_printf(memory: AddressSpace, fmt: bytes, args: List) -> bytes:
-    """A C printf formatter over default-promoted varargs; ``%s``
-    arguments are read from ``memory``."""
+    """A C printf formatter over default-promoted varargs, in bytes;
+    ``%s`` arguments are read from ``memory``."""
     out = bytearray()
     arg_iter = iter(args)
-    i = 0
-    n = len(fmt)
-    while i < n:
-        ch = fmt[i:i + 1]
-        if ch != b"%":
-            out += ch
-            i += 1
-            continue
-        # parse %[flags][width][.prec][length]conv
-        j = i + 1
-        spec = bytearray(b"%")
-        length = b""
-        while j < n and fmt[j:j + 1] in b"-+ 0#123456789.*":
-            spec += fmt[j:j + 1]
-            j += 1
-        while j < n and fmt[j:j + 1] in b"lhzq":
-            length += fmt[j:j + 1]
-            j += 1
-        if j >= n:
-            out += spec
+    done = 0
+    for spec in _CONVERSION.finditer(fmt):
+        out += fmt[done:spec.start()]
+        done = spec.end()
+        flags, width, precision, length, conv = spec.groups()
+        if not conv:  # a lone % ends the format
+            out += spec.group()
             break
-        conv = fmt[j:j + 1]
-        i = j + 1
-        text = _format_one(memory, spec.decode(), length.decode(),
-                           conv.decode(), arg_iter)
-        out += text.encode("utf-8", errors="replace")
+        if width == b"*":
+            width = to_signed(int(next(arg_iter, 0)), 32)
+            if width < 0:
+                flags += b"-"
+            width = b"%d" % abs(width)
+        if precision == b"*":
+            precision = to_signed(int(next(arg_iter, 0)), 32)
+            # a negative precision is taken as if it were omitted
+            precision = b"%d" % precision if precision >= 0 else None
+        out += _format_one(memory, flags + width, precision, length, conv,
+                           arg_iter)
+    out += fmt[done:]
     return bytes(out)
 
 
@@ -219,30 +218,33 @@ def _format_cycles(text: bytes) -> float:
     return len(text) / 2 + 4
 
 
-def _format_one(memory, spec: str, length: str, conv: str, arg_iter) -> str:
-    if conv == "%":
-        return "%"
+def _format_one(memory, spec: bytes, precision, length: bytes, conv: bytes,
+                arg_iter) -> bytes:
+    if conv == b"%":
+        return b"%"
     value = next(arg_iter, 0)
-    pyspec = spec.replace("%", "", 1)
-    if conv in "di":
-        bits = 64 if "l" in length else 32
-        return f"%{pyspec}d" % to_signed(int(value), bits)
-    if conv == "u":
-        return f"%{pyspec}d" % int(value)
-    if conv in "xX":
-        return f"%{pyspec}{conv}" % int(value)
-    if conv == "o":
-        return f"%{pyspec}o" % int(value)
-    if conv in "feEgG":
-        return f"%{pyspec}{conv}" % float(value)
-    if conv == "c":
-        return chr(int(value) & 0xFF)
-    if conv == "s":
-        data = memory.read_cstring(int(value))
-        return f"%{pyspec}s" % data.decode("utf-8", errors="replace")
-    if conv == "p":
-        return f"0x{int(value):x}"
-    raise InterpreterError(f"unsupported printf conversion %{conv}")
+    if conv == b"p":
+        return b"0x%x" % int(value)
+    if conv == b"c":
+        return (b"%" + spec + b"c") % (int(value) & 0xFF)
+    if conv == b"s":
+        address = int(value)
+        data = (memory.read_cstring(address) if precision is None
+                else _read_at_most(memory, address, int(precision or 0)))
+        return (b"%" + spec + b"s") % data
+    form = b"%" + spec + (b"" if precision is None else b"." + precision)
+    bits = (8 if length == b"hh" else 16 if length == b"h"
+            else 64 if b"l" in length or b"q" in length else 32)
+    if conv in (b"d", b"i"):
+        return (form + b"d") % to_signed(int(value), bits)
+    if conv == b"u":
+        return (form + b"d") % to_unsigned(int(value), bits)
+    if conv in (b"x", b"X", b"o"):
+        return (form + conv) % to_unsigned(int(value), bits)
+    if conv in (b"f", b"F", b"e", b"E", b"g", b"G"):
+        return (form + conv) % float(value)
+    raise InterpreterError(
+        f"unsupported printf conversion %{conv.decode('latin-1')}")
 
 
 def _sprintf(interp: Interpreter, args: List) -> int:
@@ -278,12 +280,17 @@ def _read_token(stdin) -> bytes:
     return bytes(token)
 
 
+# what ``%d`` stores through, by length modifier; a value is stored
+# modulo its width, as strtol's result is converted
+_SCANF_INTS = {b"hh": I8, b"h": I16, b"l": I64, b"ll": I64}
+
+
 def _scanf(interp: Interpreter, args: List) -> int:
     """Interactive stdin scanf — a *machine specific* function that pins
     its callers to the mobile device (Section 3.1)."""
     fmt = interp.machine.memory.read_cstring(int(args[0]))
     stdin = interp.machine.io.stdin
-    memory = interp.machine.memory
+    memory, layout = interp.machine.memory, interp.machine.layout
     assigned = 0
     arg_index = 1
     i = 0
@@ -306,18 +313,12 @@ def _scanf(interp: Interpreter, args: List) -> int:
         arg_index += 1
         try:
             if conv in (b"d", b"u", b"i"):
-                value = int(token)
-                size = 8 if length in (b"l", b"ll") else 4
-                if length == b"hh":
-                    size = 1
-                elif length == b"h":
-                    size = 2
-                memory.write(ptr, to_unsigned(value, size * 8)
-                             .to_bytes(size, memory_order(interp)))
+                type_ = _SCANF_INTS.get(length, I32)
+                memory.write(ptr, encode_scalar(
+                    to_unsigned(int(token), type_.bits), type_, layout))
             elif conv in (b"f", b"e", b"g"):
-                order = "<" if memory_order(interp) == "little" else ">"
-                memory.write(ptr, struct.pack(
-                    order + ("d" if length == b"l" else "f"), float(token)))
+                memory.write(ptr, encode_scalar(
+                    float(token), F64 if length == b"l" else F32, layout))
             elif conv == b"s":
                 memory.write(ptr, token + b"\x00")
             elif conv == b"c":
@@ -330,10 +331,6 @@ def _scanf(interp: Interpreter, args: List) -> int:
         assigned += 1
     interp.charge("alu", 20)
     return to_unsigned(assigned, 32)
-
-
-def memory_order(interp: Interpreter) -> str:
-    return interp.machine.layout.byte_order
 
 
 def _getchar(interp: Interpreter, args: List) -> int:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional
 from ..ir.module import Module
 from ..ir.values import (AggregateInit, BytesInit, Function, FunctionRefInit,
                          GlobalRefInit, Initializer, ScalarInit, ZeroInit)
-from ..ir.types import ArrayType, IRType, StructType
+from ..ir.types import I8, ArrayType, IRType, StructType, ptr
 from ..targets.abi import DataLayout, unified_data_layout
 from ..targets.arch import TargetArch
 from .allocator import Allocator
@@ -38,6 +38,9 @@ MOBILE_STACK_TOP = 0x7FF0_0000
 SERVER_STACK_TOP = 0xBFF0_0000  # "stack reallocation": far from the mobile stack
 STACK_SIZE = 0x0080_0000
 FUNCTION_STRIDE = 64  # spacing between synthetic function addresses
+# What a function or global reference is stored as: a pointer of the
+# layout's width.
+_POINTER = ptr(I8)
 
 
 class Machine:
@@ -153,13 +156,12 @@ class Machine:
                     f"> {size})")
             return init.data.ljust(size, b"\x00")
         if isinstance(init, FunctionRefInit):
-            addr = self.function_addresses[init.function_name]
-            return addr.to_bytes(self.layout.pointer_bytes,
-                                 self.layout.byte_order)
+            return encode_scalar(self.function_addresses[init.function_name],
+                                 _POINTER, self.layout)
         if isinstance(init, GlobalRefInit):
-            addr = self.global_addresses[init.global_name] + init.offset
-            return addr.to_bytes(self.layout.pointer_bytes,
-                                 self.layout.byte_order)
+            return encode_scalar(
+                self.global_addresses[init.global_name] + init.offset,
+                _POINTER, self.layout)
         if isinstance(init, AggregateInit):
             return self._encode_aggregate(init, type, size)
         raise TypeError(f"unknown initializer {init!r}")

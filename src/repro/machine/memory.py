@@ -56,8 +56,11 @@ class AddressSpace:
         self.dirty_blocks: Dict[int, int] = {}
         self.block_shift = self.block_size.bit_length() - 1
         # Optional touched-page recording (reads and writes).  None means
-        # no tracking; the UVA manager installs a set for the duration of
-        # one offloaded invocation to drive adaptive prefetch.
+        # no tracking.  The UVA manager installs a set for the duration of
+        # one offloaded invocation to drive adaptive prefetch; the
+        # profiler installs one per live function or loop activation.
+        # They never own the same space: the profiler runs on
+        # ``run_local``'s machine, UVA on a session's server.
         self.touched: Optional[Set[int]] = None
 
     # -- page management ----------------------------------------------------

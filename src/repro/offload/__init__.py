@@ -9,7 +9,7 @@ from .estimator import (EstimatorParams, StaticEstimate,
 from .selector import Candidate, SelectionResult, TargetSelector
 from .outline import OutliningError, can_outline, outline_loop
 from .unify import (UnificationReport, reallocate_referenced_globals,
-                    replace_heap_allocations, unify_memory)
+                    replace_allocation_sites, unify_memory)
 from .partition import (OffloadTarget, PartitionResult, partition,
                         OFFLOAD_PREFIX, SHOULD_OFFLOAD, STUB_SUFFIX)
 from .server_opt import (M2S_FCN_MAP, REMOTE_IO_PREFIX, S2M_FCN_MAP,
@@ -24,7 +24,7 @@ __all__ = [
     "Candidate", "SelectionResult", "TargetSelector",
     "OutliningError", "can_outline", "outline_loop",
     "UnificationReport", "reallocate_referenced_globals",
-    "replace_heap_allocations", "unify_memory",
+    "replace_allocation_sites", "unify_memory",
     "OffloadTarget", "PartitionResult", "partition", "OFFLOAD_PREFIX",
     "SHOULD_OFFLOAD", "STUB_SUFFIX",
     "M2S_FCN_MAP", "REMOTE_IO_PREFIX", "S2M_FCN_MAP",

@@ -26,8 +26,7 @@ INTERACTIVE_IO = {"scanf", "getchar"}
 
 # Output functions that the remote I/O manager can forward to the mobile
 # device (r_printf & co., Section 3.4).
-REMOTE_OUTPUT = {"printf", "puts", "putchar", "fprintf", "fwrite",
-                 "sprintf"}
+REMOTE_OUTPUT = {"printf", "puts", "putchar", "fprintf", "fwrite"}
 
 # File input: remotely executable because file data can be prefetched and
 # the round trips amortized (Section 3.4).
@@ -35,8 +34,8 @@ REMOTE_FILE_INPUT = {"fopen", "fclose", "fread", "fgets", "fgetc", "feof"}
 
 IO_FUNCTIONS = INTERACTIVE_IO | REMOTE_OUTPUT | REMOTE_FILE_INPUT
 
-# Remaining known builtins (allocation, string, math, ...) are machine
-# independent.
+# Remaining known builtins (allocation, string, math, ``sprintf``, which
+# formats into memory, ...) are machine independent.
 PURE_BUILTINS = set(BUILTIN_SIGNATURES) - IO_FUNCTIONS
 
 

@@ -23,8 +23,7 @@ M2S_FCN_MAP = "__no_m2s_fcn_map"
 S2M_FCN_MAP = "__no_s2m_fcn_map"
 REMOTE_IO_PREFIX = "r_"
 
-# sprintf formats into memory, not onto a device, so it needs no remoting.
-REMOTE_IO_FUNCTIONS = (REMOTE_OUTPUT | REMOTE_FILE_INPUT) - {"sprintf"}
+REMOTE_IO_FUNCTIONS = REMOTE_OUTPUT | REMOTE_FILE_INPUT
 
 
 def apply_remote_io(server_module: Module) -> int:

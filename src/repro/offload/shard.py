@@ -41,6 +41,7 @@ from ..ir.module import Module
 from ..ir.types import FunctionType, I32
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, Value)
+from ..machine.values import to_signed
 
 # Range wrappers follow the runtime's ``__no_`` namespace (cf. the
 # partitioner's ``__no_offload_`` request stubs).
@@ -121,11 +122,6 @@ class _Analysis:
     bound_global: Optional[str]
     bound_arg: Optional[int]
     ret_const: Optional[int]
-
-
-def _signed32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value >= (1 << 31) else value
 
 
 def _peel(value: Value) -> Value:
@@ -228,7 +224,7 @@ def _analyze(fn: Function):  # -> _Analysis | str
         return "induction variable start is not a constant"
     if not li.domtree.dominates(init.parent, loop.header):
         return "induction variable init does not dominate the loop"
-    iv_init = _signed32(init.value.value)
+    iv_init = to_signed(init.value.value, 32)
 
     # Bound: a constant, an i32 global the target never writes, or an
     # i32 argument (read through its clang -O0 entry-block spill slot).
@@ -237,7 +233,7 @@ def _analyze(fn: Function):  # -> _Analysis | str
     bound_global: Optional[str] = None
     bound_arg: Optional[int] = None
     if isinstance(bound, Constant):
-        bound_const = _signed32(bound.value)
+        bound_const = to_signed(bound.value, 32)
     elif (isinstance(bound, inst.Load)
           and isinstance(bound.pointer, GlobalVariable)
           and bound.type == I32):
@@ -337,7 +333,7 @@ def _analyze(fn: Function):  # -> _Analysis | str
         for ret in rets:
             if not isinstance(ret.value, Constant):
                 return "return value is not a compile-time constant"
-            values.append(_signed32(ret.value.value))
+            values.append(to_signed(ret.value.value, 32))
         if len(set(values)) != 1:
             return "return value differs across paths"
         ret_const = values[0]

@@ -73,7 +73,7 @@ def unify_memory(module: Module,
     """Apply memory unification in place; returns what was done."""
     report = UnificationReport(total_globals=len(module.globals))
     if enable_heap_replacement:
-        report.replaced_allocation_sites = replace_heap_allocations(module)
+        report.replaced_allocation_sites = replace_allocation_sites(module)
     if enable_global_realloc:
         report.uva_globals = reallocate_referenced_globals(
             module, target_names, callgraph)
@@ -95,7 +95,7 @@ def unify_memory(module: Module,
     return report
 
 
-def replace_heap_allocations(module: Module) -> int:
+def replace_allocation_sites(module: Module) -> int:
     """Rewrite every allocation/deallocation call site to the UVA heap."""
     replaced = 0
     for fn in list(module.defined_functions()):

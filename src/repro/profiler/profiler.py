@@ -1,8 +1,9 @@
 """Hot function/loop profiler (paper, Section 3.1).
 
 Runs the application once on the *mobile* machine model with a profiling
-input, observing every function call, loop entry and memory access.  The
-resulting :class:`ProfileData` drives the static performance estimator.
+input, observing every function call and loop entry and reading the pages
+the machine's address space records as touched.  The resulting
+:class:`ProfileData` drives the static performance estimator.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from ..analysis.loops import Loop, LoopInfo
 from ..ir.module import Module
 from ..ir.values import BasicBlock, Function
 from ..machine.interpreter import Observer
-from ..machine.memory import DEFAULT_PAGE_SIZE
+from ..machine.machine import Machine
+from ..machine.memory import AddressSpace
 from ..runtime.local import run_local
 from ..targets.arch import TargetArch
 from ..targets.presets import ARM32
 from .profile_data import CandidateProfile, ProfileData
-
-PAGE_SHIFT = DEFAULT_PAGE_SIZE.bit_length() - 1
 
 
 class _LoopActivation:
@@ -40,16 +40,17 @@ class ProfilingObserver(Observer):
     """Interpreter observer that attributes time, invocations and touched
     pages to functions and natural loops.
 
-    A candidate's ``pages_touched`` is inclusive: every page accessed
-    while one of its activations is live, callees included.  Activations
-    nest, so they are kept as a *scope stack*: entering a function or a
-    loop pushes an empty page set, an access adds its page(s) to the top
-    set only, and leaving a scope unions its set into the candidate's
-    ``pages_touched`` and into the enclosing scope.  Every scope is popped
-    on the way out — ``exit_function`` also runs when ``exit()`` or an
-    error unwinds the guest stack — so the sets are exactly what updating
-    every live activation on every access would give, for one set
-    operation per access whatever the call and loop depth.
+    A candidate's ``pages_touched`` is inclusive: every page the machine's
+    ``AddressSpace.touched`` records while one of its activations is live,
+    callees and libc included.  Activations nest, so they are kept as a
+    *scope stack*: entering a function or a loop saves ``touched`` and
+    installs an empty set, every access the address space serves adds its
+    page(s) to that set only, and leaving a scope unions the set into the
+    candidate's ``pages_touched`` and into the saved one, then restores
+    it.  Every scope is popped on the way out — ``exit_function`` also
+    runs when ``exit()`` or an error unwinds the guest stack — so the sets
+    are exactly what updating every live activation on every access would
+    give, and ``touched`` is back to what it was.
     """
 
     def __init__(self, module: Module, arch: TargetArch):
@@ -74,15 +75,26 @@ class ProfilingObserver(Observer):
         self._fn_entry_cycles: Dict[str, List[float]] = {}
         self._active_fn_depth: Dict[str, int] = {}
         self._active_loop_depth: Dict[str, int] = {}
-        # The scope stack: one page set per live function or loop
-        # activation, innermost last.
-        self._touch_scopes: List[Set[int]] = []
+        # The scope stack: per live function or loop activation, innermost
+        # last, the ``touched`` set it replaced (None: nothing recorded).
+        self._touch_scopes: List[Optional[Set[int]]] = []
+        self._memory: Optional[AddressSpace] = None
+
+    def attach(self, machine: Machine) -> None:
+        self._memory = machine.memory
+
+    def _push_scope(self) -> None:
+        memory = self._memory
+        self._touch_scopes.append(memory.touched)
+        memory.touched = set()
 
     def _pop_scope(self, profile: CandidateProfile) -> None:
-        pages = self._touch_scopes.pop()
+        memory = self._memory
+        pages, outer = memory.touched, self._touch_scopes.pop()
         profile.pages_touched |= pages
-        if self._touch_scopes:
-            self._touch_scopes[-1] |= pages
+        if outer is not None:
+            outer |= pages
+        memory.touched = outer
 
     # -- function events --------------------------------------------------
     def enter_function(self, fn: Function, cycles: float) -> None:
@@ -95,7 +107,7 @@ class ProfilingObserver(Observer):
         if depth == 0:
             self._fn_entry_cycles.setdefault(fn.name, []).append(cycles)
         self._frames.append([])
-        self._touch_scopes.append(set())
+        self._push_scope()
 
     def exit_function(self, fn: Function, cycles: float) -> None:
         profile = self.profiles.get(fn.name)
@@ -150,7 +162,7 @@ class ProfilingObserver(Observer):
             self._active_loop_depth[loop.name] = depth + 1
             loop_stack.append(_LoopActivation(loop, cycles, profile,
                                               accounting=depth == 0))
-            self._touch_scopes.append(set())
+            self._push_scope()
 
     def _pop_loop(self, loop_stack: List[_LoopActivation],
                   cycles: float) -> None:
@@ -162,18 +174,6 @@ class ProfilingObserver(Observer):
             activation.profile.total_seconds += (
                 (cycles - activation.start_cycles) / self.arch.clock_hz)
         self._pop_scope(activation.profile)
-
-    # -- memory events ----------------------------------------------------
-    def memory_access(self, address: int, size: int, is_write: bool) -> None:
-        scopes = self._touch_scopes
-        if not scopes:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        if last <= first:  # one page; a zero-size access counts as one byte
-            scopes[-1].add(first)
-        else:
-            scopes[-1].update(range(first, last + 1))
 
 
 def profile_module(module: Module,

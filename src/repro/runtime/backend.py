@@ -53,7 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
+from ..ir.types import I32
 from ..machine.interpreter import Interpreter
+from ..machine.values import decode_scalar, to_signed
 from ..offload.partition import OffloadTarget
 from ..offload.shard import contiguous_ranges
 from .transport import LinkDownError
@@ -146,12 +148,6 @@ class Rejection:
     """Admission refused: every eligible queue was full."""
 
     estimated_wait_s: float = 0.0  # the wait the job would have faced
-
-
-def _signed32(value: int) -> int:
-    """A machine-word argument register as the i32 loop bound it is."""
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value >= (1 << 31) else value
 
 
 class OffloadDispatcher:
@@ -316,14 +312,14 @@ class RemoteBackend:
         trip = spec.static_trip_count()
         if trip is None:
             if spec.bound_global is not None:
-                # an int of the mobile program, in the mobile's byte order
+                # an int of the mobile program, in the mobile's layout
                 mobile = session.mobile
                 addr = mobile.address_of_global(spec.bound_global)
-                bound = int.from_bytes(mobile.memory.read(addr, 4),
-                                       mobile.layout.byte_order,
-                                       signed=True)
+                bound = decode_scalar(mobile.memory.read(addr, 4), I32,
+                                      mobile.layout)
             else:
-                bound = _signed32(int(args[spec.bound_arg]))
+                bound = int(args[spec.bound_arg])
+            bound = to_signed(bound, 32)
             trip = max(0, bound - spec.iv_init)
         if trip < 2:
             return None, 1

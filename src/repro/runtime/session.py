@@ -207,7 +207,6 @@ class _TargetTimer(Observer):
     dynamic estimator can refine its Tm with observed run-time values
     (paper, Section 4: "target execution time information")."""
 
-    wants_memory = False
     wants_blocks = False
 
     def __init__(self, session: "OffloadSession"):

@@ -12,7 +12,7 @@ from repro.offload import (CompilerOptions, NativeOffloaderCompiler,
                            OutliningError, apply_function_pointer_mapping,
                            apply_remote_io, can_outline, outline_loop,
                            partition, reallocate_referenced_globals,
-                           replace_heap_allocations, unify_memory)
+                           replace_allocation_sites, unify_memory)
 from repro.profiler import profile_module
 from repro.targets import ARM32, X86, X86_64, unified_data_layout
 from repro.runtime import run_local
@@ -132,7 +132,7 @@ class TestMemoryUnification:
         }
         """
         module = compiled(src)
-        replaced = replace_heap_allocations(module)
+        replaced = replace_allocation_sites(module)
         assert replaced == 5
         names = {i.called_function.name
                  for i in module.function("main").instructions()
@@ -144,7 +144,7 @@ class TestMemoryUnification:
     def test_replaced_program_still_runs(self):
         module = compiled(HOT_KERNEL_SRC)
         baseline = run_local(module.clone(), stdin=HOT_KERNEL_STDIN)
-        replace_heap_allocations(module)
+        replace_allocation_sites(module)
         verify_module(module)
         assert run_local(module, stdin=HOT_KERNEL_STDIN).output == \
             baseline.output

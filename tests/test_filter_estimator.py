@@ -58,6 +58,16 @@ class TestFunctionFilter:
         assert not filt.is_offloadable("prints")
         assert not filt.is_offloadable("reads_file")
 
+    def test_sprintf_is_memory_only(self):
+        # it formats into guest memory, so no I/O setting pins it
+        src = r"""
+        char buf[16];
+        int fmt(int v) { return sprintf(buf, "%d", v); }
+        int main() { return fmt(7); }
+        """
+        filt = FunctionFilter(compile_c(src, "m"), enable_remote_io=False)
+        assert filt.is_offloadable("fmt"), filt.verdict("fmt").reasons
+
     def test_unknown_external_machine_specific(self):
         src = """
         extern int mystery_syscall(int);

@@ -123,11 +123,12 @@ def _stop(interp, args):
     raise SegmentBoundary("target", 0.0)
 
 
-def _interp(module, observed=False):
+def _interp(module, block_observer=False):
     machine = boot(module, ARM32)
     machine.register_builtin("probe", lambda interp, args: args[0])
     machine.register_builtin("stop", _stop)
-    return Interpreter(machine, observer=Observer() if observed else None)
+    return Interpreter(machine,
+                       observer=Observer() if block_observer else None)
 
 
 def _reference(interp, classes):
@@ -149,19 +150,20 @@ def _unwound(interp):
     return interp.call_depth == 0 and interp.sp == interp.machine.stack_top
 
 
-@pytest.mark.parametrize("observed", [False, True])
-def test_limit_fires_exactly_at_every_instruction_of_a_block(observed):
+@pytest.mark.parametrize("block_observer", [False, True])
+def test_limit_fires_exactly_at_every_instruction_of_a_block(
+        block_observer):
     module, classes = _program(ORDINARY)
     sums = _reference(_interp(module), classes)
     assert len(classes) == 10
 
-    interp = _interp(module, observed)
+    interp = _interp(module, block_observer)
     assert interp.run_main() == (40 // 3 + 1) + 5
     assert (interp.instruction_count, interp.cycles.hex()) == (
         len(classes), sums[-1].hex())
 
     for limit in range(len(classes)):
-        interp = _interp(module, observed)
+        interp = _interp(module, block_observer)
         interp.max_instructions = limit
         with pytest.raises(ExecutionLimitExceeded,
                            match=f"exceeded {limit} instructions"):
@@ -172,13 +174,14 @@ def test_limit_fires_exactly_at_every_instruction_of_a_block(observed):
         assert _unwound(interp)
 
 
-@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("block_observer", [False, True])
 @pytest.mark.parametrize("raising", sorted(RAISING))
-def test_whatever_unwinds_a_block_leaves_exact_accounting(raising, observed):
+def test_whatever_unwinds_a_block_leaves_exact_accounting(raising,
+                                                          block_observer):
     for position in range(len(ORDINARY) + 1):
         kinds = ORDINARY[:position] + [raising] + ORDINARY[position:]
         module, classes = _program(kinds)
-        interp = _interp(module, observed)
+        interp = _interp(module, block_observer)
         sums = _reference(interp, classes)
         with pytest.raises(RAISING[raising]):
             interp.call_function(module.function("main"), [])

@@ -140,14 +140,13 @@ def test_translated_layout_accounting_is_bit_identical():
 
 # (sha256 of the stream, number of hook calls)
 OBSERVER_STREAM_GOLDEN = (
-    "e0efef88fe862271499ab5bf9a6ad68679ea22fd00b08bd0a55fc53604398393",
-    68127)
+    "6782b1a5668f5c2aa2f0eccdc47020c24ef3829242211346b1c44b31d14ef056",
+    18750)
 
 
 def test_observer_call_stream_is_bit_identical(monkeypatch):
     """Every hook, in order, with its arguments: function and block hooks
-    carry ``cycles`` as of the call, ``memory_access`` the address, size
-    and direction."""
+    carry ``cycles`` as of the call."""
     digest = hashlib.sha256()
     calls = [0]
 
@@ -168,14 +167,6 @@ def test_observer_call_stream_is_bit_identical(monkeypatch):
             record("enter_block", block.parent.name, block.name,
                    cycles.hex())
             super().enter_block(block, cycles)
-
-        def memory_access(self, address, size, is_write):
-            record("memory_access", address, size, is_write)
-            super().memory_access(address, size, is_write)
-
-        def heap_alloc(self, size):
-            record("heap_alloc", size)
-            super().heap_alloc(size)
 
     monkeypatch.setattr(profiler_module, "ProfilingObserver", Recording)
     source, stdin, files = _program("chess")

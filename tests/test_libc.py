@@ -60,6 +60,15 @@ class TestScanf:
               r'printf("%.1f\n", d*2.0); return 0;}'
         assert run_c(src, stdin=b"2.25")[1] == "4.5\n"
 
+    def test_a_number_is_stored_as_its_type_holds_it(self):
+        # an int wraps at its width; a float beyond single precision is an
+        # infinity, not an OverflowError
+        src = r'int main(){int a; short h; char c; float f;' \
+              r'scanf("%d %hd %hhd %f", &a, &h, &c, &f);' \
+              r'printf("%d %d %d %f\n", a, h, c, f); return 0;}'
+        assert run_c(src, stdin=b"99999999999 70000 300 1e40")[1] == (
+            "1215752191 4464 44 inf\n")
+
     def test_string_token(self):
         src = r'int main(){char w[32]; scanf("%s", w);' \
               r'printf("[%s]\n", w); return 0;}'

@@ -100,6 +100,77 @@ class TestMemoryAttribution:
         assert prof.candidates["walk"].memory_bytes >= 16384 * 4
 
 
+# One row per libc call: a candidate ``t_<row>(p)`` whose only access to
+# the heap page ``p`` points at (its own 4 KiB block, holding "in.txt") is
+# that one statement.  ``calloc``'s page is the block it returns.
+LIBC_ROWS = {
+    "strcpy": 'strcpy(p, "abc");',
+    "strncpy": 'strncpy(p, "abc", 8);',
+    "strlen": "strlen(p);",
+    "strcmp": 'strcmp(p, "abc");',
+    "strncmp": 'strncmp(p, "abc", 3);',
+    "strcat": 'strcat(p, "x");',
+    "atoi": "atoi(p);",
+    "sprintf": 'sprintf(p, "%d", 7);',
+    "printf": 'printf("%s\\n", p);',
+    "puts": "puts(p);",
+    "fwrite": "fwrite(p, 1, 2, fout);",
+    "fread": "fread(p, 1, 2, fin);",
+    "fgets": "fgets(p, 8, fin);",
+    "fopen": 'fopen(p, "r");',
+    "scanf": 'scanf("%d", (int*)p);',
+    "calloc": "p = calloc(4096, 1);",
+    "realloc": "realloc(p, 64);",
+    "memcpy": 'memcpy(p, "abcd", 4);',
+    "memset": "memset(p, 0, 4);",
+    "memmove": 'memmove(p, "abcd", 4);',
+}
+LIBC_SRC = "\n".join(
+    ["void *fin; void *fout;"]
+    + [f"char *t_{row}(char *p) {{ {call} return p; }}"
+       for row, call in LIBC_ROWS.items()]
+    + ["int main() {",
+       f"    char *p[{len(LIBC_ROWS)}]; int k;",
+       '    fin = fopen("in.txt", "r"); fout = fopen("out.txt", "w");',
+       f"    for (k = 0; k < {len(LIBC_ROWS)}; k++) {{",
+       '        p[k] = malloc(4096); strcpy(p[k], "in.txt");',
+       "    }"]
+    + [f'    fprintf((void*)2, "%p\\n", t_{row}(p[{k}]));'
+       for k, row in enumerate(LIBC_ROWS)]
+    + ["    return 0;", "}"])
+
+
+@pytest.fixture(scope="module")
+def libc_profile():
+    made = []
+
+    class Capturing(profiler_module.ProfilingObserver):
+        def attach(self, machine):
+            super().attach(machine)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiler_module, "ProfilingObserver", Capturing)
+        prof = profile_module(compile_c(LIBC_SRC, "libc-rows"), stdin=b"5\n",
+                              files={"in.txt": b"line one\nline two\n"})
+    pages = [int(line, 16) >> 12 for line in prof.output.stderr.split()]
+    return prof, dict(zip(LIBC_ROWS, pages)), made
+
+
+@pytest.mark.parametrize("row", LIBC_ROWS)
+def test_a_libc_call_touches_its_candidates_pages(libc_profile, row):
+    prof, pages, _ = libc_profile
+    assert pages[row] in prof.candidates[f"t_{row}"].pages_touched
+
+
+def test_every_scope_restores_the_touched_record(libc_profile):
+    prof, pages, (observer,) = libc_profile
+    assert prof.output.exit_code == 0
+    assert len(set(pages.values())) == len(LIBC_ROWS)
+    assert observer._touch_scopes == []
+    assert observer._memory.touched is None
+
+
 class TestRecursion:
     def test_recursive_function_not_double_counted(self):
         src = r"""
@@ -281,7 +352,7 @@ PROFILE_GOLDEN = {
         "getAITurn": (1, "0x1.6397eeb873be3p-7", [256, 4096, 524031]),
         "getAITurn_for.cond1": (1, "0x1.6388d53ffcb41p-7",
             [256, 4096, 524031]),
-        "getPlayerTurn": (1, "0x1.9f004f9fea2f8p-19", [524031]),
+        "getPlayerTurn": (1, "0x1.9f004f9fea2f8p-19", [256, 524031]),
         "main": (1, "0x1.6f23a449f6c41p-7", [256, 4096, 524031]),
         "main_for.cond1": (1, "0x1.5987ecda19a2ap-12", [256, 4096, 524031]),
         "positionScore": (27, "0x1.42e738e75acb4p-7", [256, 4096, 524031]),
@@ -295,7 +366,7 @@ PROFILE_GOLDEN = {
         "updateBoard": (2, "0x1.290619dbaf79ep-17", [256, 4096, 524031]),
     },
     "462.libquantum": {
-        "main": (1, "0x1.5841c6b00e615p-5", [524031]),
+        "main": (1, "0x1.5841c6b00e615p-5", [256, 524031]),
         "mulmod": (858, "0x1.45ecaf7c6b1b4p-5", [524031]),
         "mulmod_while.cond1": (858, "0x1.3e795e2103c1dp-5", [524031]),
         "quantum_exp_mod_n": (1, "0x1.583a71c9798ecp-5", [524031]),

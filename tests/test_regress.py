@@ -36,8 +36,8 @@ def test_regress(path, arch):
     stdout = path.with_suffix(".stdout")
     if stdout.exists():
         result = run_local(module, arch=arch)
-        assert (result.exit_code, result.stdout) == (
-            0, stdout.read_text(encoding="utf-8"))
+        assert (result.exit_code, result.output.stdout) == (
+            0, stdout.read_bytes())
     else:
         pattern = path.with_suffix(".error").read_text(encoding="utf-8")
         with pytest.raises(InterpreterError, match=pattern.strip()):

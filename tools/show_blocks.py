@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Print the Python the interpreter generates for one guest function.
 
-    python3 tools/show_blocks.py <workload|file.c> <function>
-                                 [--arch NAME] [--observed]
+    python3 tools/show_blocks.py <workload|file.c> <function> [--arch NAME]
 
 The interpreter runs a guest function as generated Python functions, one
 per basic block or — a call ends a stretch — per part of one
@@ -12,8 +11,7 @@ line numbers but no source lines; this prints the source, each
 instruction's lines under the IR instruction they execute and numbered
 as a traceback numbers them.  ``--arch`` picks the machine (a preset
 name, default ``arm32``: costs, addresses and pointer width are written
-into the source as literals); ``--observed`` decodes as the profiler
-does, with the ``memory_access`` hook on every load and store.
+into the source as literals).
 """
 
 import argparse
@@ -25,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.frontend import compile_c  # noqa: E402
 from repro.ir.printer import print_function  # noqa: E402
 from repro.machine import Interpreter, boot  # noqa: E402
-from repro.machine.interpreter import Observer, _Decoder  # noqa: E402
+from repro.machine.interpreter import _Decoder  # noqa: E402
 from repro.targets import PRESETS  # noqa: E402
 from repro.workloads import WORKLOADS, workload  # noqa: E402
 
@@ -36,7 +34,6 @@ def main(argv=None) -> int:
     parser.add_argument("program", help="a registry workload or a .c file")
     parser.add_argument("function")
     parser.add_argument("--arch", default="arm32", choices=sorted(PRESETS))
-    parser.add_argument("--observed", action="store_true")
     args = parser.parse_args(argv)
 
     if args.program in WORKLOADS:
@@ -55,9 +52,7 @@ def main(argv=None) -> int:
         parser.error(f"no function {args.function!r} defined in "
                      f"{args.program}; it defines: {defined}")
     machine = boot(module, arch)
-    interp = Interpreter(machine,
-                         observer=Observer() if args.observed else None)
-    decoder = _Decoder(interp, fn)
+    decoder = _Decoder(Interpreter(machine), fn)
     blocks, frame_size = decoder.decode()
 
     # print_function: a header line, then per block its label and one
