@@ -65,7 +65,7 @@ class CharLit(Expr):
 
 @dataclass
 class StrLit(Expr):
-    value: str
+    value: str  # its bytes, one character (U+0000–U+00FF) each
     line: int = 0
 
 

@@ -320,7 +320,7 @@ class CodeGen:
                 return self._make_initializer(expr.elements[0], ctype, line)
             return ZeroInit()
         if isinstance(expr, ast.StrLit):
-            data = expr.value.encode("utf-8") + b"\x00"
+            data = expr.value.encode("latin-1") + b"\x00"
             if ctype.is_array:
                 return BytesInit(data)
             if ctype.is_pointer:
@@ -387,7 +387,7 @@ class CodeGen:
         gv = self._strings.get(text)
         if gv is not None:
             return gv
-        data = text.encode("utf-8") + b"\x00"
+        data = text.encode("latin-1") + b"\x00"  # a byte per character
         name = f".str.{len(self._strings)}"
         gv = GlobalVariable(name, irt.ArrayType(irt.I8, len(data)),
                             BytesInit(data), constant=True)

@@ -93,35 +93,50 @@ def preprocess(source: str,
 
 
 _ESCAPES = {
-    "n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
+    "n": "\n", "t": "\t", "r": "\r", "\\": "\\",
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_OCTAL_DIGITS = "01234567"
 
 
 def _decode_escapes(body: str, line: int) -> str:
+    """The bytes of a literal's body, one character (U+0000–U+00FF) per
+    byte: source text is UTF-8, so a character outside ASCII is its
+    UTF-8 bytes, and an escape — ``\\n``, ``\\xHH``, up to three octal
+    digits — is the one byte it names, as in C."""
     out = []
     i = 0
     while i < len(body):
         ch = body[i]
         if ch != "\\":
-            out.append(ch)
+            out.append(ch.encode("utf-8").decode("latin-1"))
             i += 1
             continue
         i += 1
         if i >= len(body):
             raise LexError("dangling escape", line)
         esc = body[i]
+        if esc in _ESCAPES:
+            out.append(_ESCAPES[esc])
+            i += 1
+            continue
         if esc == "x":
             j = i + 1
-            while j < len(body) and body[j] in "0123456789abcdefABCDEF":
+            while j < len(body) and body[j] in _HEX_DIGITS:
                 j += 1
-            out.append(chr(int(body[i + 1:j], 16)))
-            i = j
-            continue
-        if esc not in _ESCAPES:
+            digits, base = body[i + 1:j], 16
+        elif esc in _OCTAL_DIGITS:
+            j = i
+            while j < min(i + 3, len(body)) and body[j] in _OCTAL_DIGITS:
+                j += 1
+            digits, base = body[i:j], 8
+        else:
             raise LexError(f"unknown escape \\{esc}", line)
-        out.append(_ESCAPES[esc])
-        i += 1
+        if not digits or int(digits, base) > 0xFF:
+            raise LexError(f"escape \\{body[i:j]} is not one byte", line)
+        out.append(chr(int(digits, base)))
+        i = j
     return "".join(out)
 
 
@@ -151,11 +166,12 @@ def tokenize(source: str) -> List[Token]:
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
             is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
+            hexadecimal = (source.startswith("0x", i)
+                           or source.startswith("0X", i))
+            if hexadecimal:
                 j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
+                while j < n and source[j] in _HEX_DIGITS:
                     j += 1
-                value = int(source[i:j], 16)
             else:
                 while j < n and (source[j].isdigit() or source[j] == "."):
                     if source[j] == ".":
@@ -168,8 +184,12 @@ def tokenize(source: str) -> List[Token]:
                         j += 1
                     while j < n and source[j].isdigit():
                         j += 1
-                text = source[i:j]
-                value = float(text) if is_float else int(text)
+            text = source[i:j]
+            try:  # "0x", "1.2.3" and an exponent without digits are not
+                value = (int(text, 16) if hexadecimal
+                         else float(text) if is_float else int(text))
+            except ValueError:
+                raise LexError(f"malformed number {text}", line) from None
             if j < n and source[j] in "fF" and is_float:
                 j += 1
             while j < n and source[j] in "uUlL":

@@ -23,6 +23,7 @@ class Module:
         # Free-form metadata: source LoC, profile data references, the
         # unified layout map installed by memory-layout realignment, etc.
         self.metadata: Dict[str, object] = {}
+        self.templates = None  # decoded code, by machine.interpreter
 
     # -- structs ------------------------------------------------------------
     def add_struct(self, struct: StructType) -> StructType:

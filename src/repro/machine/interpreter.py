@@ -10,13 +10,15 @@ The interpreter also charges and counts the two memory-unification
 overheads the paper discusses: address-size conversion (negligible) and
 endianness translation (zero on the default little/little pair).
 
-A function is *decoded* the first time an interpreter calls it: every
-basic block becomes the source of one Python function (more where calls
-cut it), with everything that is constant for the (function, machine) pair
-written into it as a literal or bound in its globals.  Each is compiled the
-first time it runs, and a call runs those functions over a list-shaped
-frame (docs/architecture.md, "Interpreter: decode once, then run generated
-blocks").
+A function is *decoded* the first time it is called on a machine shape:
+every basic block becomes the source of one Python function (more where
+calls cut it), with everything that is constant for the (function,
+machine shape) pair written into it as a literal or bound in its globals.
+Each is compiled the first time it runs, and a call runs those functions
+over a list-shaped frame.  What a decode leaves — a template, kept on the
+module — serves every later interpreter on a machine of an equal shape,
+which binds only its own machine's objects (docs/architecture.md,
+"Interpreter: decode once, then run generated blocks").
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ class Interpreter:
         self._cycle_table = {k: v * self._scale
                              for k, v in machine.arch.cycles.items()}
         self._call_cost = self._cycle_table["call"]  # as charge("call")
-        # Function -> (decoded blocks, frame size), filled on first call.
-        # Layout and addresses are fixed for an interpreter's lifetime, so
-        # a decoded function never goes stale.
+        # Function -> (blocks, frame size), filled on first call.
         self._decoded: Dict[Function, tuple] = {}
+        # Function -> _Template of this machine's module and shape, found
+        # on the first call: layout and addresses are fixed for an
+        # interpreter's lifetime, so its machine's shape is too.
+        self._templates: Optional[dict] = None
 
     # -- accounting -----------------------------------------------------
     # ``cycles`` is a running sum of non-dyadic floats: one add per charge,
@@ -199,7 +203,7 @@ class Interpreter:
     def _run(self, fn: Function, args: Sequence):
         decoded = self._decoded.get(fn)
         if decoded is None:
-            decoded = self._decoded[fn] = _Decoder(self, fn).decode()
+            decoded = self._decoded[fn] = _decode(self, fn)
         blocks, frame_size = decoded
         frame = [_UNDEFINED] * frame_size
         passed = min(len(args), len(fn.args))
@@ -218,7 +222,7 @@ class Interpreter:
                 # Instruction ``allowed + 1`` is counted and raises, as a
                 # per-instruction check would.
                 allowed = limit - self.instruction_count
-                run = block.function(max(allowed, 0))
+                run = _function(self, fn, index, max(allowed, 0))
             # The stretch is counted on entry; whatever unwinds out of it
             # (a guest error, a link fault) gives back the instructions
             # that never started, and a call ends its stretch, so the
@@ -261,41 +265,69 @@ _LIMIT_EXCEEDED = (" interp.cycles = c\n"
                    "f'exceeded {interp.max_instructions} instructions')\n")
 
 
+class _Stretch:
+    """One stretch as every interpreter of a machine shape runs it: its
+    ``code`` once some interpreter has compiled it, ``lines`` — the line
+    each instruction's chunk of source starts on — its instruction
+    ``count``, whether it ``returns``, and the basic block it begins
+    (``ir``, else None)."""
+
+    __slots__ = ("code", "lines", "count", "returns", "ir")
+
+    def __init__(self, header: str, chunks: List[str], count: int,
+                 returns: bool, ir: Optional[BasicBlock]):
+        self.code: Optional[CodeType] = None
+        self.count, self.returns, self.ir = count, returns, ir
+        self.lines, line = [], 1 + header.count("\n")
+        for chunk in chunks:
+            self.lines.append(line)
+            line += chunk.count("\n")
+
+
+class _Template:
+    """What decoding a function on one machine shape leaves for every
+    interpreter of an equal shape: a ``_Stretch`` per stretch, the frame
+    size, the globals no machine owns (callees, switch tables, codecs)
+    and the ``edition`` of the function it was decoded from.  It holds no
+    source text and nothing of a machine."""
+
+    __slots__ = ("stretches", "frame_size", "globals", "edition")
+
+    def __init__(self, stretches: List[_Stretch], frame_size: int,
+                 globals_: dict, edition: tuple):
+        self.stretches = stretches
+        self.frame_size = frame_size
+        self.globals = globals_
+        self.edition = edition
+
+
 class _Block:
     """What the run loop runs at a time: one basic block, or — a call
     ends a stretch — the part of one up to and including a call, or from
     behind one on.  ``run(interp, frame)`` executes its ``count``
     instructions and returns the index of the stretch to run next — what
     the function returns, when ``returns``.  ``ir`` is the basic block a
-    stretch begins, else None.  The source is ``header`` plus one chunk of
-    whole lines per instruction (and a raising one if the block falls
-    through); ``lines`` holds the line each chunk starts on."""
+    stretch begins, else None.  ``stretch`` is what the block shares with
+    every interpreter of its machine shape, ``namespace`` the globals its
+    function runs with.  The source is ``header`` plus one chunk of whole
+    lines per instruction (and a raising one if the block falls through);
+    a block built from a template has none until its interpreter needs
+    it."""
 
-    __slots__ = ("run", "count", "ir", "returns", "header", "chunks",
-                 "lines", "namespace")
+    __slots__ = ("run", "count", "ir", "returns", "stretch", "namespace",
+                 "header", "chunks")
 
-    def __init__(self, run, count: int, ir: Optional[BasicBlock],
-                 returns: bool, header: str, chunks: List[str],
-                 namespace: dict):
+    def __init__(self, run, stretch: _Stretch, namespace: dict,
+                 header: Optional[str] = None,
+                 chunks: Optional[List[str]] = None):
         self.run = run
-        self.count = count
-        self.ir = ir
-        self.returns = returns
+        self.count = stretch.count
+        self.ir = stretch.ir
+        self.returns = stretch.returns
+        self.stretch = stretch
+        self.namespace = namespace
         self.header = header
         self.chunks = chunks
-        self.namespace = namespace
-        self.lines, line = [], 1 + header.count("\n")
-        for chunk in chunks:
-            self.lines.append(line)
-            line += chunk.count("\n")
-
-    def function(self, allowed: Optional[int] = None) -> FunctionType:
-        """The block as a function; given ``allowed``, the variant that
-        runs that many instructions and then exceeds the limit."""
-        chunks = (self.chunks if allowed is None
-                  else self.chunks[:allowed] + [_LIMIT_EXCEEDED])
-        return FunctionType(_block_code(self.header + "".join(chunks)),
-                            self.namespace)
 
     def started(self, traceback) -> int:
         """How many instructions had started when the block raised, read
@@ -308,15 +340,143 @@ class _Block:
             traceback = traceback.tb_next
         if traceback is None:
             return 0
-        return min(bisect_right(self.lines, traceback.tb_lineno), self.count)
+        return min(bisect_right(self.stretch.lines, traceback.tb_lineno),
+                   self.count)
+
+
+class _Templates(dict):
+    """A module's decoded functions: machine shape -> {Function:
+    _Template}.  It hangs off ``Module.templates``, so it lives as long
+    as the program and every interpreter that runs the program reads it.
+    A deep copy of it is an empty store: ``Module.clone`` is how a pass
+    gets a module to transform, so a clone inherits no template."""
+
+    def __deepcopy__(self, memo) -> "_Templates":
+        return _Templates()
+
+
+def _shape(machine: Machine) -> tuple:
+    """Everything ``_Decoder`` reads of a machine: the arch's cycle
+    table, pointer width, byte order and field alignment; the layout's
+    pointer width, byte order and struct layouts; the global and
+    function addresses; the stack top, the page size and the sub-page
+    block shift.  Machines of an equal shape are written the same source
+    for every function."""
+    arch, layout, memory = machine.arch, machine.layout, machine.memory
+    return (tuple(arch.cycles.items()), arch.pointer_bytes, arch.endianness,
+            arch.max_field_align, layout.pointer_bytes, layout.byte_order,
+            tuple(layout.struct_overrides.items()),
+            tuple(machine.global_addresses.items()),
+            tuple(machine.function_addresses.items()),
+            machine.stack_top, memory.page_size, memory.block_shift)
+
+
+def _templates_of(machine: Machine) -> dict:
+    """The templates ``machine``'s module keeps for machines of its
+    shape.  Two threads that find no store may each make one; the one
+    whose store is lost only shares nothing."""
+    module = machine.module
+    if module is None:
+        return {}
+    if module.templates is None:
+        module.templates = _Templates()
+    return module.templates.setdefault(_shape(machine), {})
+
+
+def _machine_globals(machine: Machine) -> dict:
+    """The globals of generated code that are one machine's: what a
+    template leaves out and each interpreter binds for itself."""
+    memory = machine.memory
+    return {"machine": machine, "memory": memory,
+            "page_at": memory.pages.get, "read": memory.read,
+            "write": memory.write, "mark_dirty": memory.dirty.add,
+            "dirty_blocks": memory.dirty_blocks,
+            "mark_blocks": memory.mark_blocks,
+            "map_range": machine.map_range,
+            "function_at": machine.function_at}
+
+
+def _edition(fn: Function) -> tuple:
+    """Everything of ``fn`` a decode reads that can change in place: its
+    blocks, their instructions, each instruction's attributes, and the
+    contents of the lists among them (operands, a switch's cases).  A
+    template holds it, so no object in it is freed and its identity
+    reused while the template lives."""
+    edition: list = []
+    for block in fn.blocks:
+        edition.append(block)
+        for instruction in block.instructions:
+            edition.append(instruction)
+            for value in vars(instruction).values():
+                edition.append(value)
+                if type(value) is list:
+                    edition += value
+    return tuple(edition)
+
+
+def _decode(interp: Interpreter, fn: Function) -> tuple:
+    """(blocks, frame size) of ``fn`` for ``interp``: built from the
+    template a decode on a machine of an equal shape left, else decoded —
+    which leaves one.  The run loop and ``tools/show_blocks.py`` get
+    blocks here and nowhere else.
+
+    A template is valid while ``fn`` is what it was decoded from.  Passes
+    transform a ``Module.clone()`` before anything runs it, and a clone
+    starts with no templates; a function edited in place after a decode
+    has another edition, so it is decoded again and its template
+    replaced."""
+    templates = interp._templates
+    if templates is None:
+        templates = interp._templates = _templates_of(interp.machine)
+    template, texts = templates.get(fn), None
+    if template is None or template.edition != _edition(fn):
+        template, texts = _Decoder(interp, fn).decode()
+        templates[fn] = template
+    namespace = {**template.globals, **_machine_globals(interp.machine)}
+    blocks = [_Block(functools.partial(_first_run, fn, index), stretch,
+                     namespace, *(texts[index] if texts else ()))
+              for index, stretch in enumerate(template.stretches)]
+    return blocks, template.frame_size
+
+
+def _with_text(interp: Interpreter, fn: Function, index: int) -> _Block:
+    """Block ``index`` of ``fn`` as ``interp`` decoded it, with its
+    source.  A block built from a template has none until it is wanted —
+    to compile a stretch that no interpreter of the shape has compiled,
+    or the variant truncated at the instruction limit — and then that
+    one stretch is written again."""
+    block = interp._decoded[fn][0][index]
+    if block.chunks is None:
+        texts = _Decoder(interp, fn, block.namespace).write(index)
+        block.header, block.chunks = texts[index]
+    return block
+
+
+def _function(interp: Interpreter, fn: Function, index: int,
+              allowed: Optional[int] = None) -> FunctionType:
+    """Block ``index`` of ``fn`` as a function over ``interp``'s machine;
+    given ``allowed``, the variant that runs that many instructions and
+    then exceeds the limit.  Its code is the template's once some
+    interpreter of the shape has compiled the stretch."""
+    block = interp._decoded[fn][0][index]
+    stretch = block.stretch
+    code = stretch.code if allowed is None else None
+    if code is None:
+        _with_text(interp, fn, index)
+        chunks = (block.chunks if allowed is None
+                  else block.chunks[:allowed] + [_LIMIT_EXCEEDED])
+        code = _block_code(block.header + "".join(chunks))
+        if allowed is None:
+            stretch.code = code
+    return FunctionType(code, block.namespace)
 
 
 def _first_run(fn: Function, index: int, interp: Interpreter, frame: list):
-    """What a block's ``run`` is until it has run once: compile it, then
-    run it.  Finds the block through the interpreter — a reference to it
-    here would be a cycle through ``run``."""
+    """What a block's ``run`` is until it has run once: make its
+    function, then run it.  Finds the block through the interpreter — a
+    reference to it here would be a cycle through ``run``."""
     block = interp._decoded[fn][0][index]
-    block.run = run = block.function()
+    block.run = run = _function(interp, fn, index)
     return run(interp, frame)
 
 
@@ -327,15 +487,17 @@ class _Unrunnable(Exception):
 
 
 class _Decoder:
-    """Turns one function into Python source for one interpreter's machine.
+    """Turns one function into Python source for one machine shape.
 
     One generated function runs a *stretch*: a basic block, cut behind
     every call that has instructions after it.  An instruction becomes a
     few straight-line statements: masks, sizes, scales, costs and addresses
     are literals; the page table, the memory, codecs, callees and switch
-    tables are globals of the generated function.  A value that is only
-    read later in its own stretch is a Python local (``v<n>``) and never
-    touches the frame; every argument and every value anything else reads
+    tables are globals of the generated function — the machine's objects
+    bound by each interpreter, the rest kept in the template.  A value
+    that is only read later in its own stretch is a Python local
+    (``v<n>``) and never touches the frame; every argument and every
+    value anything else reads
     has a frame slot, written where it is defined and made a local by the
     first read in a stretch.  ``cycles`` is accumulated in the local ``c``
     — one add per charge, in order — and written to the interpreter before
@@ -348,7 +510,8 @@ class _Decoder:
     program alive until a generation-2 collection.
     """
 
-    def __init__(self, interp: Interpreter, fn: Function):
+    def __init__(self, interp: Interpreter, fn: Function,
+                 bound: Optional[dict] = None):
         self.fn = fn
         machine = self.machine = interp.machine
         memory = self.memory = machine.memory
@@ -358,23 +521,9 @@ class _Decoder:
         self.costs = interp._cycle_table
         self.page_shift = memory.page_size.bit_length() - 1
         self.offset_mask = memory.page_size - 1
-        self.namespace = {
-            "__builtins__": builtins.__dict__, "_U": _UNDEFINED,
-            "InterpreterError": InterpreterError,
-            "StackOverflow": StackOverflow,
-            "BadFunctionPointer": BadFunctionPointer,
-            "ExecutionLimitExceeded": ExecutionLimitExceeded,
-            "machine": machine, "memory": memory,
-            "page_at": memory.pages.get, "read": memory.read,
-            "write": memory.write, "mark_dirty": memory.dirty.add,
-            "dirty_blocks": memory.dirty_blocks,
-            "mark_blocks": memory.mark_blocks,
-            "map_range": machine.map_range,
-            "function_at": machine.function_at,
-            "frem": _frem, "fdiv_by_zero": _fdiv_by_zero,
-            "round_to_single": round_to_single, "too_wide": too_wide,
-            "inf": math.inf, "nan": math.nan,
-        }
+        # The generated code's globals and what ``bind`` adds; given those
+        # of an earlier decode, every name binds as it did there.
+        self.globals = dict(_GLOBALS if bound is None else bound)
         # What one generated function runs is a stretch of a block.  A call
         # ends a stretch: its callee's instructions are then counted
         # before the rest of the block is, so the rest meets the
@@ -420,7 +569,20 @@ class _Decoder:
         self.chunk: List[str] = []
 
     def decode(self) -> tuple:
-        """(stretches as the run loop's blocks, frame size)."""
+        """(the template, each stretch's (header, chunks))."""
+        texts = self.write()
+        stretches = [
+            _Stretch(header, chunks, len(instructions),
+                     bool(instructions) and instructions[-1].opcode == "ret",
+                     None if start else ir_block)
+            for (header, chunks), (ir_block, start, instructions)
+            in zip(texts, self.stretches)]
+        return (_Template(stretches, len(self.slots), self.globals,
+                          _edition(self.fn)), texts)
+
+    def write(self, wanted: Optional[int] = None) -> list:
+        """Each stretch's source as (header, chunks); given ``wanted``,
+        only that stretch's, and None for the others."""
         fn = self.fn
         # The entry block has run to its terminator before any other block
         # starts, and a block's earlier instructions before its later ones.
@@ -428,13 +590,17 @@ class _Decoder:
                          for ir_block, _, instructions in self.stretches
                          if ir_block is fn.entry
                          for instruction in instructions}
-        blocks = []
+        texts: list = []
         for index, (ir_block, start, instructions) in enumerate(
                 self.stretches):
             self.local = set()
             if not start:
                 self.defined = set() if ir_block is fn.entry else set(
                     entry_defined)
+            if wanted is not None and index != wanted:
+                self.defined.update(instructions)
+                texts.append(None)
+                continue
             self.flushed = True
             self.continues = (
                 index + 1 if index + 1 < len(self.stretches)
@@ -448,13 +614,9 @@ class _Decoder:
                 chunks.append(self.take_chunk())
             name = re.sub(r"\W", "_", f"{fn.name}__{ir_block.name}"
                                       + (f"__{start}" if start else ""))
-            blocks.append(_Block(
-                functools.partial(_first_run, fn, index), len(instructions),
-                None if start else ir_block,
-                bool(instructions) and instructions[-1].opcode == "ret",
-                f"def {name}(interp, frame):\n c = interp.cycles\n",
-                chunks, self.namespace))
-        return blocks, len(self.slots)
+            texts.append((f"def {name}(interp, frame):\n"
+                          " c = interp.cycles\n", chunks))
+        return texts
 
     def decode_instruction(self, instruction: inst.Instruction) -> str:
         emit = getattr(self, "emit_" + instruction.opcode, None)
@@ -497,9 +659,10 @@ class _Decoder:
         self.emit(f"raise {error}({message!r})", depth)
 
     def bind(self, hint: str, value: object) -> str:
-        """A global of the generated code holding ``value``."""
+        """A global of the generated code holding ``value``; the machine's
+        own objects are not bound here, a template holds what is."""
         name, n = hint, 0
-        while self.namespace.setdefault(name, value) != value:
+        while self.globals.setdefault(name, value) != value:
             n += 1
             name = f"{hint}_{n}"
         return name
@@ -906,3 +1069,17 @@ def _frem(lhs: float, rhs: float) -> float:
         return math.fmod(lhs, rhs)
     except ValueError:  # by zero, or of an infinity: IEEE 754 says NaN
         return math.nan
+
+
+# The globals every generated function starts from; a decode adds the
+# callees, switch tables and codecs it binds, an interpreter its machine's
+# objects (``_machine_globals``).
+_GLOBALS = {
+    "__builtins__": builtins.__dict__, "_U": _UNDEFINED,
+    "InterpreterError": InterpreterError, "StackOverflow": StackOverflow,
+    "BadFunctionPointer": BadFunctionPointer,
+    "ExecutionLimitExceeded": ExecutionLimitExceeded,
+    "frem": _frem, "fdiv_by_zero": _fdiv_by_zero,
+    "round_to_single": round_to_single, "too_wide": too_wide,
+    "inf": math.inf, "nan": math.nan,
+}

@@ -50,6 +50,27 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize('"oops')
 
+    def test_escapes_are_bytes_and_source_text_is_utf8(self):
+        """A literal's value holds one character per byte: an escape is
+        the byte it names, a character outside ASCII its UTF-8 bytes."""
+        toks = tokenize(r'"\xc8\x41" "\200\377\0010" "é" '
+                        r"'\xff' '\377'")
+        assert toks[0].value == "\xc8A\x80\xff\x010\xc3\xa9"
+        assert [toks[1].value, toks[2].value] == [255, 255]
+
+    @pytest.mark.parametrize("literal", [r'"\x"', r'"\x80A"', r'"\400"',
+                                         "'é'"])
+    def test_an_escape_or_char_that_is_not_one_byte_raises(self, literal):
+        with pytest.raises(LexError, match="line 2"):
+            tokenize("\n" + literal)
+
+    @pytest.mark.parametrize("source", [
+        "double x = 1.0e;", "int f() { return 0Ex; }", "double y = 2e+;"],
+        ids=["exponent-empty", "exponent-then-letter", "exponent-sign"])
+    def test_a_float_with_an_empty_exponent_is_a_lex_error(self, source):
+        with pytest.raises(LexError, match="line 2: malformed number"):
+            compile_c("int a;\n" + source)
+
 
 class TestParser:
     def test_typedef_struct(self):

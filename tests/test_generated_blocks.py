@@ -24,18 +24,25 @@ import pytest
 
 import repro
 from repro.analysis.callgraph import CallGraph
+from repro.fleet import (FleetScheduler, PoolOptions, ServerPool,
+                         identical_devices)
 from repro.frontend import compile_c
 from repro.fleet.replay import SegmentBoundary
 from repro.ir import (Constant, F64, Function, FunctionType, I1, I32,
                       Instruction, IRBuilder, Module, StructType, VOID, ptr)
-from repro.machine import (ExecutionLimitExceeded, ExitProgram, Interpreter,
-                           InterpreterError, Observer, SegmentationFault,
-                           boot)
+from repro.ir.instructions import BinOp
+from repro.machine import (AddressSpace, ExecutionLimitExceeded, ExitProgram,
+                           Interpreter, InterpreterError, Machine, Observer,
+                           SegmentationFault, boot)
 from repro.machine import interpreter as interpreter_module
 from repro.machine.fs import IOEnvironment
-from repro.runtime import run_local
-from repro.targets import ARM32
+from repro.offload import CompilerOptions
+from repro.runtime import FAST_WIFI, run_local
+from repro.targets import (ARM32, UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY,
+                           UNIFIED_POINTER_KEY, X86_64)
 from repro.workloads import workload
+
+from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c
 
 
 # -- unwinding from every position of a block --------------------------------
@@ -437,6 +444,210 @@ def test_concurrent_first_runs_of_one_function_are_correct(compiles):
                 result.seconds) == (
             expected.stdout, expected.exit_code, expected.instructions,
             expected.seconds)
+
+
+# -- one decode per (module, function, machine shape) ------------------------
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """(function, machine shape) of every whole-function decode."""
+    seen = []
+    decode = interpreter_module._Decoder.decode
+
+    def counting(decoder):
+        seen.append((decoder.fn, interpreter_module._shape(decoder.machine)))
+        return decode(decoder)
+
+    monkeypatch.setattr(interpreter_module._Decoder, "decode", counting)
+    return seen
+
+
+SHARED_SRC = r"""
+int square(int x) { return x * x; }
+int sum(int n) { int i, s = 0; for (i = 0; i < n; i++) s += square(i); return s; }
+int main() { int n; scanf("%d", &n); printf("%d\n", sum(n)); return 0; }
+"""
+
+
+def _shared_run(module, arch=ARM32, role="mobile"):
+    """A fresh machine for ``module`` and the interpreter that ran main on
+    it, with its output."""
+    machine = boot(module, arch, role, io=IOEnvironment(stdin=b"7\n"))
+    interp = Interpreter(machine)
+    return interp, machine.io.output(interp.run_main())
+
+
+def test_interpreters_of_one_machine_shape_decode_once(decodes):
+    module = compile_c(SHARED_SRC, "shared")
+    first, first_output = _shared_run(module)
+    second, second_output = _shared_run(module)
+    assert first_output == second_output
+    assert second_output.stdout == b"91\n"
+    assert [fn.name for fn, _ in decodes] == ["main", "sum", "square"]
+    assert len({shape for _, shape in decodes}) == 1
+    for fn, (blocks, frame_size) in first._decoded.items():
+        built, built_frame = second._decoded[fn]
+        assert built_frame == frame_size
+        # the code the first compiled, run by the second without text
+        assert [b.run.__code__ for b in built] == [
+            b.run.__code__ for b in blocks]
+        assert all(b.chunks is None for b in built)
+        texts = [_text(interpreter_module._with_text(second, fn, index))
+                 for index in range(len(built))]
+        assert texts == [_text(b) for b in blocks]
+    assert len(decodes) == 3
+
+
+def test_another_arch_role_or_layout_decodes_again(decodes):
+    module = compile_c(SHARED_SRC, "shared")
+    for arch, role in ((ARM32, "mobile"), (X86_64, "mobile"),
+                       (ARM32, "server")):
+        assert _shared_run(module, arch, role)[1].stdout == b"91\n"
+    names = [fn.name for fn, _ in decodes]
+    assert sorted(names) == sorted(["main", "sum", "square"] * 3)
+    assert len(set(decodes)) == 9
+    # The server of an ARM32 -> X86_64 program runs the unified 4-byte
+    # layout; the same module on a native X86_64 machine does not share.
+    server = build_c(SHARED_SRC, b"7\n", compiler_options=CompilerOptions(
+        mobile_arch=ARM32, server_arch=X86_64,
+        forced_targets=["sum"])).program.server_module
+    del decodes[:]
+    unified = boot(server, X86_64, "server")
+    assert Interpreter(unified).call_by_name("sum", [7]) == 91
+    for key in (UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY, UNIFIED_POINTER_KEY):
+        server.metadata.pop(key, None)
+    native = boot(server, X86_64, "server")
+    assert (unified.layout.pointer_bytes, native.layout.pointer_bytes) == (
+        4, 8)
+    assert Interpreter(native).call_by_name("sum", [7]) == 91
+    assert sorted(fn.name for fn, _ in decodes) == [
+        "square", "square", "sum", "sum"]
+    assert len({shape for _, shape in decodes}) == 2
+
+
+def test_a_clone_starts_without_templates(decodes):
+    module = compile_c(SHARED_SRC, "shared")
+    _shared_run(module)
+    assert module.templates
+    clone = module.clone()
+    assert not clone.templates
+    # what a pass does to the clone is what the clone runs
+    ret = next(instruction
+               for instruction in clone.function("square").instructions()
+               if instruction.opcode == "ret")
+    ret.replace_operand(ret.value, Constant(I32, 5))
+    assert _shared_run(clone)[1].stdout == b"35\n"
+    assert _shared_run(module)[1].stdout == b"91\n"
+    assert len(decodes) == 6
+
+
+def test_a_function_edited_after_its_decode_is_decoded_again(decodes):
+    """A template is served only to the edition of the function it was
+    decoded from: an operand replaced (twice, so the first constant's
+    memory may be reused), an operand list edited in place, an
+    instruction inserted."""
+    module = compile_c(SHARED_SRC, "shared")
+    assert _shared_run(module)[1].stdout == b"91\n"
+    ret = next(instruction
+               for instruction in module.function("square").instructions()
+               if instruction.opcode == "ret")
+    ret.replace_operand(ret.value, Constant(I32, 5))
+    ret.replace_operand(ret.value, Constant(I32, 2))
+    assert _shared_run(module)[1].stdout == b"14\n"
+    ret.operands[0] = Constant(I32, 3)
+    assert _shared_run(module)[1].stdout == b"21\n"
+    add = BinOp("add", ret.value, Constant(I32, 1))
+    ret.parent.insert(ret.parent.instructions.index(ret), add)
+    ret.replace_operand(ret.value, add)
+    assert _shared_run(module)[1].stdout == b"28\n"
+    assert [fn.name for fn, _ in decodes] == [
+        "main", "sum", "square", "square", "square", "square"]
+
+
+def test_a_template_keeps_the_limit_and_the_give_back_exact(decodes):
+    """Interpreters after the first build ``main`` from its template:
+    the truncated variant and the line table behind the give-back are the
+    first's."""
+    module, classes = _program(ORDINARY)
+    first = _interp(module)
+    sums = _reference(first, classes)
+    first.run_main()
+    for limit in range(len(classes)):
+        interp = _interp(module)
+        interp.max_instructions = limit
+        with pytest.raises(ExecutionLimitExceeded,
+                           match=f"exceeded {limit} instructions"):
+            interp.run_main()
+        assert (interp.instruction_count, interp.cycles.hex()) == (
+            limit + 1, sums[limit].hex()), limit
+        main = interp._decoded[module.function("main")][0]
+        assert main[0].stretch is first._decoded[
+            module.function("main")][0][0].stretch
+    module, classes = _program(ORDINARY[:3] + ["udiv by zero"]
+                               + ORDINARY[3:])
+    counts = []
+    for _ in range(2):
+        interp = _interp(module)
+        with pytest.raises(InterpreterError, match="division by zero"):
+            interp.run_main()
+        counts.append((interp.instruction_count, interp.cycles.hex()))
+    sums = _reference(interp, classes)
+    assert counts == [(len(sums) - 1, sums[-1].hex())] * 2
+    assert len(decodes) == len(set(decodes))
+
+
+def _reaches(root, kinds):
+    """The objects of ``kinds`` that ``root`` keeps alive (a function's
+    globals are the process's and are not followed)."""
+    seen, pending, found = set(), [root], []
+    while pending:
+        thing = pending.pop()
+        if id(thing) in seen or isinstance(thing, (type, types.ModuleType)):
+            continue
+        seen.add(id(thing))
+        if isinstance(thing, kinds):
+            found.append(thing)
+        if isinstance(thing, types.FunctionType):
+            pending += [thing.__closure__, thing.__defaults__]
+        else:
+            pending += gc.get_referents(thing)
+    return found
+
+
+def test_a_dropped_session_frees_its_machines_while_its_program_lives():
+    built = build_c(HOT_KERNEL_SRC, HOT_KERNEL_STDIN)
+    program = built.program
+    assert built.session(FAST_WIFI).run().offloaded_invocations == 1
+    assert program.mobile_module.templates and program.server_module.templates
+    assert _reaches(program, (Machine, AddressSpace, Interpreter, Observer,
+                              bytearray)) == []
+    gc.collect()
+    gc.disable()
+    try:
+        session = built.session(FAST_WIFI)
+        assert session.run().offloaded_invocations == 1
+        machines = [weakref.ref(session.mobile), weakref.ref(session.server)]
+        del session
+        assert [machine() for machine in machines] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_contended_fleet_decodes_each_function_once_per_shape(decodes):
+    built = workload("fleet-micro").build()
+    expected = built.local().output
+    del decodes[:]
+    scheduler = FleetScheduler(
+        identical_devices(6, built.program, FAST_WIFI, stdin=b"600\n",
+                          spacing_s=0.0005),
+        ServerPool(PoolOptions(servers=2, capacity=1, queue_limit=4)))
+    fleet = scheduler.run()
+    assert not fleet.differences(expected)
+    # replay re-runs the prefixes the admissions cut
+    assert scheduler.replay.stats()["session_runs"] > 12
+    assert all(device.result.offloaded_invocations >= 2
+               for device in fleet.devices)
+    assert decodes and len(decodes) == len(set(decodes))
 
 
 # -- import repro without networkx ------------------------------------------

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the Python the interpreter generates for one guest function.
 
-    python3 tools/show_blocks.py <workload|file.c> <function> [--arch NAME]
+    python3 tools/show_blocks.py <workload|file.c> <function>
+                                 [--arch NAME] [--server NAME]
 
 The interpreter runs a guest function as generated Python functions, one
 per basic block or — a call ends a stretch — per part of one
@@ -11,7 +12,10 @@ line numbers but no source lines; this prints the source, each
 instruction's lines under the IR instruction they execute and numbered
 as a traceback numbers them.  ``--arch`` picks the machine (a preset
 name, default ``arm32``: costs, addresses and pointer width are written
-into the source as literals).
+into the source as literals).  ``--server NAME`` builds the program for
+``--arch`` → NAME and prints the function as that session's server
+decodes it: the unified pointer width and byte order, with the
+translation counters they cost.
 """
 
 import argparse
@@ -23,9 +27,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.frontend import compile_c  # noqa: E402
 from repro.ir.printer import print_function  # noqa: E402
 from repro.machine import Interpreter, boot  # noqa: E402
-from repro.machine.interpreter import _Decoder  # noqa: E402
+from repro.machine.interpreter import _decode, _with_text  # noqa: E402
+from repro.offload import CompilerOptions  # noqa: E402
 from repro.targets import PRESETS  # noqa: E402
-from repro.workloads import WORKLOADS, workload  # noqa: E402
+from repro.workloads import WORKLOADS, WorkloadSpec, workload  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -34,26 +39,38 @@ def main(argv=None) -> int:
     parser.add_argument("program", help="a registry workload or a .c file")
     parser.add_argument("function")
     parser.add_argument("--arch", default="arm32", choices=sorted(PRESETS))
+    parser.add_argument("--server", choices=sorted(PRESETS),
+                        help="show the server's variant of a program "
+                             "offloaded from --arch to this architecture")
     args = parser.parse_args(argv)
 
     if args.program in WORKLOADS:
-        source = workload(args.program).source
+        spec = workload(args.program)
     else:
         try:
             source = Path(args.program).read_text(encoding="utf-8")
         except OSError as error:
             parser.error(f"{args.program}: neither a workload nor a "
                          f"readable file ({error.strerror})")
+        spec = WorkloadSpec.from_source(source, Path(args.program).stem,
+                                        b"", None)
     arch = PRESETS[args.arch]
-    module = compile_c(source, Path(args.program).stem, target=arch)
-    fn = module.get_function(args.function)
+    if args.server is None:
+        where = args.program
+        machine = boot(compile_c(spec.source, spec.name, target=arch), arch)
+    else:
+        where = f"the {args.server} server of {args.program}"
+        server = PRESETS[args.server]
+        program = spec.build(CompilerOptions(mobile_arch=arch,
+                                             server_arch=server)).program
+        machine = boot(program.server_module, server, "server")
+    fn = machine.module.get_function(args.function)
     if fn is None or not fn.is_definition:
-        defined = ", ".join(f.name for f in module.defined_functions())
-        parser.error(f"no function {args.function!r} defined in "
-                     f"{args.program}; it defines: {defined}")
-    machine = boot(module, arch)
-    decoder = _Decoder(Interpreter(machine), fn)
-    blocks, frame_size = decoder.decode()
+        defined = ", ".join(f.name for f in machine.module.defined_functions())
+        parser.error(f"no function {args.function!r} defined in {where}; "
+                     f"it defines: {defined}")
+    interp = Interpreter(machine)
+    blocks, frame_size = interp._decoded[fn] = _decode(interp, fn)
 
     # print_function: a header line, then per block its label and one
     # line per instruction
@@ -65,8 +82,11 @@ def main(argv=None) -> int:
                         for _ in ir_block.instructions]
     print(f"# {fn.name} on {machine!r}: {len(fn.blocks)} blocks in "
           f"{len(blocks)} stretches, a frame of {frame_size} slots")
-    for index, (block, (ir_block, start, _)) in enumerate(
-            zip(blocks, decoder.stretches)):
+    start = 0
+    for index, block in enumerate(blocks):
+        if block.ir is not None:  # a basic block's first stretch
+            ir_block, start = block.ir, 0
+        block = _with_text(interp, fn, index)
         behind = f" from instruction {start}" if start else ""
         print(f"\n# {index}: block {ir_block.name}{behind} "
               f"({block.count} instructions)")
@@ -81,6 +101,7 @@ def main(argv=None) -> int:
             for text in chunk.splitlines():
                 print(f"{line:5} {text}")
                 line += 1
+        start += block.count
     return 0
 
 
