@@ -387,11 +387,9 @@ def _machine_globals(machine: Machine) -> dict:
     """The globals of generated code that are one machine's: what a
     template leaves out and each interpreter binds for itself."""
     memory = machine.memory
-    return {"machine": machine, "memory": memory,
-            "page_at": memory.pages.get, "read": memory.read,
-            "write": memory.write, "mark_dirty": memory.dirty.add,
-            "dirty_blocks": memory.dirty_blocks,
-            "mark_blocks": memory.mark_blocks,
+    return {"machine": machine, "page_at": memory.pages.get,
+            "loadable": memory.loadable, "storable": memory.storable,
+            "read": memory.read, "write": memory.write,
             "map_range": machine.map_range,
             "function_at": machine.function_at}
 
@@ -790,15 +788,20 @@ class _Decoder:
             self.emit("machine.endian_swaps += 1")
             self.charge(swap_cost)
 
-    def locate(self, address: str, size: int) -> None:
-        """Page index ``i``, offset ``o`` and page ``p`` of an access, and
-        the start of the arm that leaves it to ``memory.read``/``write``:
-        a fault, or a scalar that straddles two pages."""
-        self.emit(f"i = {address} >> {self.page_shift}")
-        self.emit(f"o = {address} & {self.offset_mask}")
-        self.emit("p = page_at(i)")
-        # against the last offset that fits
-        self.emit(f"if p is None or o > {self.memory.page_size - size}:")
+    def locate(self, lookup: str, address: str, shift: int,
+               size: int) -> None:
+        """Page ``p`` of an access whose bookkeeping is already done —
+        ``lookup`` is ``loadable``, keyed by page, or ``storable``, keyed
+        by dirty block — and the start of the arm that leaves it to
+        ``memory.read``/``write``: no entry, which is a fault or a first
+        access since the space last forgot one, or a scalar that crosses
+        the entry's page or block."""
+        self.emit(f"p = {lookup}({address} >> {shift})")
+        if size > 1:  # against the last offset that fits
+            self.emit(f"if p is None or {address} & {(1 << shift) - 1} > "
+                      f"{(1 << shift) - size}:")
+        else:
+            self.emit("if p is None:")
         self.emit("interp.cycles = c", 2)
         self.flushed = False  # on the other arm
 
@@ -807,16 +810,14 @@ class _Decoder:
         type_ = instruction.type
         size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
-        self.locate(address, size)
+        self.locate("loadable", address, self.page_shift, size)
         self.define(instruction, f"{self.accessor(type_, 'unpack')}"
                                  f"(read({address}, {size}))[0]", 2)
         self.emit("c = interp.cycles", 2)
         self.emit("else:")
-        self.emit("t = memory.touched", 2)
-        self.emit("if t is not None:", 2)
-        self.emit("t.add(i)", 3)
         self.define(instruction,
-                    f"{self.accessor(type_, 'unpack_from')}(p, o)[0]", 2)
+                    f"{self.accessor(type_, 'unpack_from')}"
+                    f"(p, {address} & {self.offset_mask})[0]", 2)
         self.translate(convert_cost, swap_cost)
 
     def emit_store(self, instruction: inst.Store) -> None:
@@ -834,23 +835,13 @@ class _Decoder:
             self.emit(f"if {value} >= {1 << (size * 8)}:")
             self.emit("interp.cycles = c", 2)
             self.emit(f"raise too_wide({value}, {size})", 2)
-        self.locate(address, size)
+        self.locate("storable", address, self.memory.block_shift, size)
         self.emit(f"write({address}, {self.accessor(type_, 'pack')}"
                   f"({value}))", 2)
         self.emit("c = interp.cycles", 2)
         self.emit("else:")
-        self.emit(f"{self.accessor(type_, 'pack_into')}(p, o, {value})", 2)
-        self.emit("mark_dirty(i)", 2)
-        self.emit("if memory.track_subpage:", 2)
-        shift = self.memory.block_shift
-        self.emit(f"b = o >> {shift}", 3)
-        self.emit(f"if (o + {size - 1}) >> {shift} == b:", 3)
-        self.emit("dirty_blocks[i] = dirty_blocks.get(i, 0) | 1 << b", 4)
-        self.emit("else:", 3)
-        self.emit(f"mark_blocks(i, o, {size})", 4)
-        self.emit("t = memory.touched", 2)
-        self.emit("if t is not None:", 2)
-        self.emit("t.add(i)", 3)
+        self.emit(f"{self.accessor(type_, 'pack_into')}"
+                  f"(p, {address} & {self.offset_mask}, {value})", 2)
 
     def emit_gep(self, instruction: inst.Gep) -> None:
         self.charge(self.costs["alu"])

@@ -8,7 +8,9 @@ finalization).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (Callable, Dict, Iterable, KeysView, List, Mapping,
+                    Optional, Set, Tuple)
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -36,6 +38,13 @@ class AddressSpace:
     Pages are created on :meth:`map_page` (or by a fault handler).  Writes
     set a dirty bit; :meth:`collect_dirty_pages` snapshots and clears them,
     which is exactly the write-back step of the offload life cycle.
+
+    What is recorded — ``dirty``, ``dirty_blocks`` and ``touched`` — is
+    recorded once per page or block, not once per access: ``loadable``
+    and ``storable`` look up the accesses whose bookkeeping is already
+    done, and only this class changes what was recorded, so only it
+    decides when such an entry stops being true (docs/architecture.md,
+    "The memory path").
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
@@ -43,17 +52,18 @@ class AddressSpace:
             raise ValueError("page size must be a positive power of two")
         self.page_size = page_size
         self.pages: Dict[int, bytearray] = {}
-        self.dirty: Set[int] = set()
+        # An insertion-ordered set; read through ``dirty``.
+        self._dirty: Dict[int, None] = {}
         self.fault_handler: Optional[FaultHandler] = None
         self.fault_count = 0
         # Sub-page dirty-block masks (bit i covers bytes
         # [i*block_size, (i+1)*block_size) of the page).  Off by default;
         # the UVA manager enables it on the server space so write-back
         # can ship deltas instead of whole pages.
-        self.track_subpage = False
+        self._track_subpage = False
         self.block_size = min(SUBPAGE_BLOCK_BYTES, page_size)
         self.blocks_per_page = self.page_size // self.block_size
-        self.dirty_blocks: Dict[int, int] = {}
+        self._dirty_blocks: Dict[int, int] = {}
         self.block_shift = self.block_size.bit_length() - 1
         # Optional touched-page recording (reads and writes).  None means
         # no tracking.  The UVA manager installs a set for the duration of
@@ -61,7 +71,54 @@ class AddressSpace:
         # profiler installs one per live function or loop activation.
         # They never own the same space: the profiler runs on
         # ``run_local``'s machine, UVA on a session's server.
-        self.touched: Optional[Set[int]] = None
+        self._touched: Optional[Set[int]] = None
+        # Page index -> page: the page is mapped to that bytearray and, with
+        # a ``touched`` set installed, in it.
+        self._loadable: Dict[int, bytearray] = {}
+        # Dirty-block index (address >> block_shift) -> page: the page is
+        # loadable and dirty and, with ``track_subpage`` on, the block's
+        # bit is set in its mask.  Every page here is in ``_loadable``.
+        self._storable: Dict[int, bytearray] = {}
+        # Generated code binds these; the maps are emptied and trimmed in
+        # place, never replaced.
+        self.loadable = self._loadable.get
+        self.storable = self._storable.get
+        self._dirty_view = self._dirty.keys()
+        self._dirty_blocks_view = MappingProxyType(self._dirty_blocks)
+
+    # -- what is recorded (read-only outside this class) ----------------
+    @property
+    def dirty(self) -> KeysView:
+        """The dirty pages: a live, read-only set view."""
+        return self._dirty_view
+
+    @property
+    def dirty_blocks(self) -> Mapping[int, int]:
+        """Dirty page -> its dirty-block mask: a live, read-only view."""
+        return self._dirty_blocks_view
+
+    @property
+    def touched(self) -> Optional[Set[int]]:
+        return self._touched
+
+    @touched.setter
+    def touched(self, pages: Optional[Set[int]]) -> None:
+        # A set that lacks a loadable page would miss it: forget them all.
+        # A superset (the profiler restoring an outer scope) keeps them.
+        if pages is not None and not pages.issuperset(self._loadable):
+            self._loadable.clear()
+            self._storable.clear()
+        self._touched = pages
+
+    @property
+    def track_subpage(self) -> bool:
+        return self._track_subpage
+
+    @track_subpage.setter
+    def track_subpage(self, on: bool) -> None:
+        if on and not self._track_subpage:
+            self._storable.clear()  # no entry had its block bit set
+        self._track_subpage = on
 
     # -- page management ----------------------------------------------------
     def page_index(self, address: int) -> int:
@@ -75,6 +132,8 @@ class AddressSpace:
 
     def map_page(self, page_index: int,
                  data: Optional[bytes] = None) -> bytearray:
+        # A mapped page is refilled in place, so what was recorded of it
+        # stays true.
         page = self.pages.get(page_index)
         if page is None:
             page = bytearray(self.page_size)
@@ -86,9 +145,9 @@ class AddressSpace:
         return page
 
     def unmap_page(self, page_index: int) -> None:
+        self.mark_clean(page_index)
         self.pages.pop(page_index, None)
-        self.dirty.discard(page_index)
-        self.dirty_blocks.pop(page_index, None)
+        self._loadable.pop(page_index, None)
 
     def mapped_pages(self) -> List[int]:
         return sorted(self.pages)
@@ -105,10 +164,9 @@ class AddressSpace:
         raise SegmentationFault(address, size)
 
     # -- raw byte access ------------------------------------------------
-    # The interpreter's decoded load/store ops do the in-page, page-mapped
-    # case of read/write themselves (docs/architecture.md, "The memory
-    # path"), binding ``pages``, ``dirty`` and ``dirty_blocks`` once: those
-    # three containers are only ever mutated, never replaced.
+    # The interpreter's decoded load/store ops do the accesses ``loadable``
+    # and ``storable`` answer themselves; every other access comes here,
+    # which records it and enters it in those maps.
     def read(self, address: int, size: int) -> bytes:
         if not size:
             return b""  # touches nothing: no fault, no touched page
@@ -120,22 +178,20 @@ class AddressSpace:
             page = self.pages.get(pidx)
             if page is None:
                 page = self._page_for(pidx, address, size)
-            if self.touched is not None:
-                self.touched.add(pidx)
+            if self._touched is not None:
+                self._touched.add(pidx)
+            self._loadable[pidx] = page
             return bytes(page[off:off + size])
+        # Page by page through the fast path; a missing page faults as
+        # the whole access, before its part is read.
         out = bytearray()
-        remaining = size
-        addr = address
-        while remaining > 0:
-            pidx = self.page_index(addr)
-            page = self._page_for(pidx, address, size)
-            if self.touched is not None:
-                self.touched.add(pidx)
-            off = addr - self.page_base(pidx)
-            chunk = min(remaining, self.page_size - off)
-            out += page[off:off + chunk]
-            addr += chunk
-            remaining -= chunk
+        at, end = address, address + size
+        while at < end:
+            pidx = at // self.page_size
+            self._page_for(pidx, address, size)
+            chunk = min(end, (pidx + 1) * self.page_size) - at
+            out += self.read(at, chunk)
+            at += chunk
         return bytes(out)
 
     def write(self, address: int, data: bytes) -> None:
@@ -149,29 +205,25 @@ class AddressSpace:
             if page is None:
                 page = self._page_for(pidx, address, size)
             page[off:off + size] = data
-            self.dirty.add(pidx)
-            if self.track_subpage:
-                self.mark_blocks(pidx, off, size)
-            if self.touched is not None:
-                self.touched.add(pidx)
+            self._dirty[pidx] = None
+            shift = self.block_shift
+            if self._track_subpage:
+                self._dirty_blocks[pidx] = self._dirty_blocks.get(pidx, 0) | (
+                    (2 << ((off + size - 1) >> shift)) - (1 << (off >> shift)))
+            if self._touched is not None:
+                self._touched.add(pidx)
+            self._loadable[pidx] = page
+            block = address >> shift
+            if (address + size - 1) >> shift == block:  # as a scalar's
+                self._storable[block] = page
             return
-        addr = address
-        pos = 0
-        remaining = size
-        while remaining > 0:
-            pidx = self.page_index(addr)
-            page = self._page_for(pidx, address, len(data))
-            off = addr - self.page_base(pidx)
-            chunk = min(remaining, self.page_size - off)
-            page[off:off + chunk] = data[pos:pos + chunk]
-            self.dirty.add(pidx)
-            if self.track_subpage:
-                self.mark_blocks(pidx, off, chunk)
-            if self.touched is not None:
-                self.touched.add(pidx)
-            addr += chunk
-            pos += chunk
-            remaining -= chunk
+        at, end = address, address + size
+        while at < end:  # as ``read`` does
+            pidx = at // self.page_size
+            self._page_for(pidx, address, size)
+            chunk = min(end, (pidx + 1) * self.page_size) - at
+            self.write(at, data[at - address:at - address + chunk])
+            at += chunk
 
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string, a page at a time."""
@@ -180,8 +232,8 @@ class AddressSpace:
         while len(out) < limit:
             pidx = addr // self.page_size
             page = self._page_for(pidx, addr, 1)
-            if self.touched is not None:
-                self.touched.add(pidx)
+            if self._touched is not None:
+                self._touched.add(pidx)
             off = addr - pidx * self.page_size
             stop = min(self.page_size, off + limit - len(out))
             nul = page.find(0, off, stop)
@@ -193,32 +245,35 @@ class AddressSpace:
         raise ValueError(f"unterminated string at {address:#x}")
 
     # -- dirty-page machinery (write-back) ----------------------------------
-    def mark_blocks(self, page_index: int, offset: int,
-                    length: int) -> None:
-        b0 = offset >> self.block_shift
-        b1 = (offset + length - 1) >> self.block_shift
-        mask = ((1 << (b1 + 1)) - 1) & ~((1 << b0) - 1)
-        self.dirty_blocks[page_index] = (
-            self.dirty_blocks.get(page_index, 0) | mask)
-
     @property
     def full_block_mask(self) -> int:
         """The mask with every sub-page block set."""
         return (1 << self.blocks_per_page) - 1
 
+    def mark_clean(self, page_index: int) -> None:
+        """The page's content is what its write-back target holds: it is
+        no longer dirty and has no dirty blocks."""
+        if page_index not in self._dirty:
+            return  # and so has no storable block
+        del self._dirty[page_index]
+        self._dirty_blocks.pop(page_index, None)
+        first = page_index * self.blocks_per_page
+        for block in range(first, first + self.blocks_per_page):
+            self._storable.pop(block, None)
+
     def clear_dirty(self) -> None:
-        self.dirty.clear()
-        self.dirty_blocks.clear()
+        self._dirty.clear()
+        self._dirty_blocks.clear()
+        self._storable.clear()
 
     def dirty_pages(self) -> List[int]:
-        return sorted(self.dirty)
+        return sorted(self._dirty)
 
     def collect_dirty_pages(self) -> Dict[int, bytes]:
         """Snapshot dirty page contents and clear the dirty set."""
         snapshot = {pidx: bytes(self.pages[pidx])
-                    for pidx in sorted(self.dirty) if pidx in self.pages}
-        self.dirty.clear()
-        self.dirty_blocks.clear()
+                    for pidx in sorted(self._dirty) if pidx in self.pages}
+        self.clear_dirty()
         return snapshot
 
     def page_bytes(self, page_index: int) -> bytes:
@@ -229,7 +284,7 @@ class AddressSpace:
         for pidx, data in pages.items():
             self.map_page(pidx, data)
             if mark_dirty:
-                self.dirty.add(pidx)
+                self._dirty[pidx] = None
 
     def apply_delta(self, page_index: int,
                     records: Iterable[Tuple[int, bytes]],
@@ -242,4 +297,4 @@ class AddressSpace:
         for offset, data in records:
             page[offset:offset + len(data)] = data
         if mark_dirty:
-            self.dirty.add(page_index)
+            self._dirty[page_index] = None

@@ -350,7 +350,7 @@ class UVAManager:
     def _mark_server_clean(self, page_index: int) -> None:
         """The server just received (or kept) a copy identical to the
         mobile's current page content."""
-        self.server.memory.dirty.discard(page_index)
+        self.server.memory.mark_clean(page_index)
         self._server_sourced.add(page_index)
         if self.enable_page_cache:
             self._server_version[page_index] = self._mobile_version.get(
@@ -378,11 +378,11 @@ class UVAManager:
             return self.comm.send_to_server(
                 [b"\x00" * table_bytes]).seconds
         # Advance versions for pages the mobile wrote since last sync.
-        mobile_dirty = self.mobile.memory.dirty
-        for pidx in [p for p in mobile_dirty if self.shareable(p)]:
+        mobile_memory = self.mobile.memory
+        for pidx in [p for p in mobile_memory.dirty if self.shareable(p)]:
             self._mobile_version[pidx] = (
                 self._mobile_version.get(pidx, 0) + 1)
-            mobile_dirty.discard(pidx)
+            mobile_memory.mark_clean(pidx)
         # Reconcile the server view against the version vector.
         self._server_sourced.clear()
         mobile_pages = self.mobile.memory.pages
@@ -619,7 +619,7 @@ class UVAManager:
                 self._mobile_version[pidx] = version
                 self._server_version[pidx] = version
                 self._announced_version[pidx] = version
-                self.mobile.memory.dirty.discard(pidx)
+                self.mobile.memory.mark_clean(pidx)
         self.stats.written_back_pages += len(staged)
         self.stats.written_back_bytes += bytes_back
         tracer = self.tracer

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Optional, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.frontend import compile_c
 from repro.machine import Interpreter, boot
@@ -12,6 +14,12 @@ from repro.offload import CompilerOptions
 from repro.runtime import FAST_WIFI, SessionOptions, run_local
 from repro.targets import ARM32, TargetArch
 from repro.workloads import BuiltWorkload, WorkloadSpec
+
+# CI (GitHub sets ``CI``) draws the same examples on every run, so a red
+# run is the code's doing and can be rerun; a local run keeps exploring.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def run_c(source: str, stdin: bytes = b"",

@@ -344,3 +344,103 @@ def test_overlapping_writes_behave_like_a_flat_buffer(writes):
         mem.write(address, data)
         reference[address:address + len(data)] = data
     assert mem.read(0, 4500) == bytes(reference[:4500])
+
+
+class TestRecordOnce:
+    """``loadable`` and ``storable`` answer the accesses whose
+    bookkeeping is already done; every event that makes an answer untrue
+    forgets it, and nothing outside the space can change what it
+    recorded."""
+
+    def make(self):
+        mem = AddressSpace(page_size=256)       # two 128-byte blocks a page
+        mem.map_page(0)
+        mem.map_page(1)
+        return mem
+
+    def test_what_is_recorded_is_read_only(self):
+        mem = self.make()
+        mem.track_subpage = True
+        mem.write(0, b"x")
+        with pytest.raises(AttributeError):
+            mem.dirty.discard(0)
+        with pytest.raises(TypeError):
+            mem.dirty_blocks[0] = 0
+        with pytest.raises(AttributeError):
+            mem.dirty = set()
+        assert mem.dirty == {0} and mem.dirty_blocks == {0: 1}
+
+    def test_accesses_enter_the_maps(self):
+        mem = self.make()
+        assert mem.loadable(0) is None and mem.storable(0) is None
+        mem.read(10, 4)
+        assert mem.loadable(0) is mem.pages[0] and mem.storable(0) is None
+        mem.write(130, b"abcd")                 # block 1 of page 0
+        assert mem.storable(1) is mem.pages[0] and mem.storable(0) is None
+        mem.write(256 + 126, b"abcd")           # crosses a block: no entry
+        assert mem.loadable(1) is mem.pages[1]
+        assert mem.storable(2) is None and mem.storable(3) is None
+
+    def test_touched_forgets_unless_a_superset(self):
+        mem = self.make()
+        mem.touched = set()
+        mem.write(0, b"a")
+        mem.read(256, 1)
+        outer = {0, 1, 7}
+        mem.touched = outer                     # a profiler scope's pop
+        assert mem.loadable(0) is not None and mem.storable(0) is not None
+        mem.touched = None                      # nothing recorded: still true
+        assert mem.loadable(1) is not None
+        mem.touched = {0}                       # lacks page 1
+        assert mem.loadable(0) is None and mem.storable(0) is None
+
+    def test_track_subpage_on_forgets_stores(self):
+        mem = self.make()
+        mem.write(0, b"a")
+        mem.track_subpage = False
+        assert mem.storable(0) is not None
+        mem.track_subpage = True
+        assert mem.storable(0) is None and mem.loadable(0) is not None
+        mem.write(0, b"a")
+        mem.track_subpage = False
+        assert mem.storable(0) is not None
+
+    def test_mark_clean_forgets_the_page_only(self):
+        mem = self.make()
+        mem.track_subpage = True
+        mem.write(0, b"a")
+        mem.write(128, b"b")
+        mem.write(256, b"c")
+        mem.mark_clean(0)
+        assert mem.dirty == {1} and mem.dirty_blocks == {1: 1}
+        assert mem.storable(0) is None and mem.storable(1) is None
+        assert mem.storable(2) is mem.pages[1]
+        assert mem.loadable(0) is mem.pages[0]
+        assert mem.read(0, 1) == b"a"           # the content stays
+        mem.mark_clean(5)                       # neither mapped nor dirty
+
+    def test_write_back_forgets_stores(self):
+        for write_back in (AddressSpace.clear_dirty,
+                           AddressSpace.collect_dirty_pages):
+            mem = self.make()
+            mem.write(0, b"a")
+            write_back(mem)
+            assert mem.storable(0) is None and mem.loadable(0) is not None
+
+    def test_unmap_forgets_both(self):
+        mem = self.make()
+        mem.write(0, b"a")
+        mem.unmap_page(0)
+        assert mem.loadable(0) is None and mem.storable(0) is None
+        mem.map_page(0)
+        assert mem.loadable(0) is None
+
+    def test_refill_in_place_keeps_entries(self):
+        mem = self.make()
+        mem.write(0, b"a")
+        page = mem.pages[0]
+        mem.map_page(0, b"\x01" * 256)
+        mem.install_pages({0: b"\x02" * 256}, mark_dirty=True)
+        mem.apply_delta(0, [(0, b"\x03")])
+        assert mem.pages[0] is page
+        assert mem.storable(0) is page and mem.loadable(0) is page

@@ -6,10 +6,14 @@ case itself and leaves the rest (faults, page-straddling scalars) to
 generated code on a machine and through plain ``read``/``write`` plus the
 reference codec on a twin space; everything either side can observe must
 agree — with an observer attached, as the profiler runs, and without one,
-as every session runs.  The code generated for an
-``alloca`` maps its slot itself when its pages are there and leaves the
-rest to ``Machine.map_range``; it must leave what calling ``map_range``
-leaves.
+as every session runs.  Between accesses come the runtime's other
+changes to what a space recorded (tracking switched, ``touched``
+installed, pages marked clean, unmapped, refilled, written back), each
+with a fixed sequence that fails if that change does not make the space
+forget what the generated code would otherwise take as done.  The code
+generated for an ``alloca`` maps its slot itself when its pages are
+there and leaves the rest to ``Machine.map_range``; it must leave what
+calling ``map_range`` leaves.
 """
 
 import pytest
@@ -18,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from repro.ir import (F32, F64, Function, FunctionType, I8, I16, I32, I64,
                       IRBuilder, Module, VOID, array, ptr)
 from repro.machine import (AddressSpace, Interpreter, SegmentationFault,
-                           boot)
+                           UVA_HEAP_BASE, boot)
 from repro.machine.interpreter import Observer
 from repro.machine.values import decode_scalar, encode_scalar, scalar_size
+from repro.runtime import CommunicationManager, FAST_WIFI, UVAManager
 from repro.targets import (ARM32, MIPS32BE, UNIFIED_ORDER_KEY,
                            UNIFIED_POINTER_KEY, X86_64)
 
@@ -149,12 +154,21 @@ _access = st.tuples(
     st.sampled_from(sorted(KINDS)),
     st.sampled_from(PAGES), st.sampled_from(OFFSETS),
     st.integers(0, 2**64 - 1), st.floats(width=32))
+# Every way the runtime changes what a space recorded, besides an access.
 _switch = st.one_of(
     st.tuples(st.just("track_subpage"), st.booleans()),
     st.tuples(st.just("touched"), st.booleans()),
     st.tuples(st.just("handler"),
               st.sampled_from(["none", "refuse", "on_demand"])),
-    st.tuples(st.just("clear_dirty")))
+    st.tuples(st.just("clear_dirty")),
+    st.tuples(st.just("collect_dirty_pages")),
+    st.tuples(st.sampled_from(["mark_clean", "unmap_page", "refill"]),
+              st.sampled_from(PAGES)),
+    st.tuples(st.sampled_from(["install_pages", "apply_delta"]),
+              st.sampled_from(PAGES), st.booleans()),
+    # a profiler scope: install an empty set, then restore the one it
+    # replaced, grown by what the scope touched
+    st.tuples(st.sampled_from(["push", "pop"])))
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -162,6 +176,98 @@ _switch = st.one_of(
                       min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_ops_match_plain_address_space(variant, steps):
+    _run(variant, steps)
+
+
+def _load(kind, pidx, offset):
+    return ("load", kind, pidx, offset, 0, 0.0)
+
+
+def _store(kind, pidx, offset, value=0x5A):
+    return ("store", kind, pidx, offset, value, 1.5)
+
+
+# Each invalidation rule, with an access that goes wrong if the rule is
+# not kept: an entry made before the event is used after it.
+INVALIDATIONS = {
+    "track-subpage-on-after-stores": [
+        ("track_subpage", False), _store("i32", 16, 4),
+        ("track_subpage", True), _store("i32", 16, 8),
+        _store("i8", 16, 130), ("track_subpage", False),
+        _store("i8", 16, 131)],
+    "mark-clean-after-store": [
+        ("track_subpage", True), _store("i32", 16, 4), _store("i32", 17, 4),
+        ("mark_clean", 16), _store("i32", 16, 8), _store("i32", 17, 8)],
+    "touched-installed-after-access": [
+        _load("i32", 16, 4), _store("i16", 17, 2), ("touched", True),
+        _load("i32", 16, 4), _store("i16", 17, 2)],
+    "profiler-scopes": [
+        ("push",), _load("i32", 16, 4), ("push",), _store("i32", 17, 4),
+        ("pop",), _load("i32", 16, 8), _store("i32", 17, 8), ("pop",),
+        ("push",), _load("i32", 17, 4), _store("i32", 16, 4), ("pop",)],
+    "unmap-then-refetch": [
+        _store("i64", 17, 8), _load("i64", 17, 8), ("unmap_page", 17),
+        ("handler", "on_demand"), _load("i64", 17, 8),
+        _store("i64", 17, 8)],
+    "write-back-after-store": [
+        ("track_subpage", True), _store("i32", 16, 4),
+        ("collect_dirty_pages",), _store("i32", 16, 8), ("clear_dirty",),
+        _store("i32", 16, 12)],
+    "refilled-in-place": [
+        ("track_subpage", True), _store("i32", 16, 4), _load("i32", 17, 4),
+        ("refill", 16), ("install_pages", 17, True), _load("i32", 16, 4),
+        _load("i32", 17, 4), _store("i32", 16, 8),
+        ("apply_delta", 16, False), ("apply_delta", 18, True),
+        _load("i32", 16, 120), _store("i32", 16, 124),
+        ("install_pages", 18, False), _store("i8", 18, 0)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("rule", sorted(INVALIDATIONS))
+def test_invalidation_rule(rule, variant):
+    _run(variant, INVALIDATIONS[rule])
+
+
+def _switch_on(space, step, scopes):
+    """Apply one non-access step to ``space``; ``scopes`` is its stack of
+    the ``touched`` sets profiler scopes replaced."""
+    what = step[0]
+    if what == "track_subpage":
+        space.track_subpage = step[1]
+    elif what == "touched":
+        space.touched = set() if step[1] else None
+    elif what == "handler":
+        space.fault_handler = _handler(space, step[1])
+    elif what == "clear_dirty":
+        space.clear_dirty()
+    elif what == "collect_dirty_pages":
+        return space.collect_dirty_pages()
+    elif what == "mark_clean":
+        space.mark_clean(step[1])
+    elif what == "unmap_page":
+        space.unmap_page(step[1])
+    elif what == "refill":
+        space.map_page(step[1], _fill(step[1] + 1))
+    elif what == "install_pages":
+        space.install_pages({step[1]: _fill(step[1] + 2)},
+                            mark_dirty=step[2])
+    elif what == "apply_delta":
+        return _outcome(lambda: space.apply_delta(
+            step[1], [(120, b"\xa5" * 16), (PAGE - 2, b"\x3c\x3c")],
+            mark_dirty=step[2]))
+    elif what == "push":
+        scopes.append(space.touched)
+        space.touched = set()
+    elif scopes:  # pop
+        pages, outer = space.touched, scopes.pop()
+        if outer is not None and pages is not None:
+            outer |= pages
+        space.touched = outer
+    return None
+
+
+def _run(variant, steps):
     layout_name, observed = VARIANTS[variant]
     arch, pointer_bytes, byte_order = LAYOUTS[layout_name]
     module = _module()
@@ -205,20 +311,17 @@ def test_ops_match_plain_address_space(variant, steps):
     stored_blocks = {}      # page -> blocks stored to while tracking was on
     stored_pages = {MAPPED[0]}  # pages stored to since the last clear_dirty
 
+    scopes, twin_scopes = [], []
     for step in steps:
-        if step[0] == "track_subpage":
-            memory.track_subpage = twin.space.track_subpage = step[1]
-        elif step[0] == "touched":
-            memory.touched = set() if step[1] else None
-            twin.space.touched = set() if step[1] else None
-        elif step[0] == "handler":
-            memory.fault_handler = _handler(memory, step[1])
-            twin.space.fault_handler = _handler(twin.space, step[1])
-        elif step[0] == "clear_dirty":
-            memory.clear_dirty()
-            twin.space.clear_dirty()
-            stored_blocks.clear()
-            stored_pages.clear()
+        if step[0] not in ("load", "store", "wide store"):
+            ours = _switch_on(memory, step, scopes)
+            assert ours == _switch_on(twin.space, step, twin_scopes)
+            if step[0] in ("clear_dirty", "collect_dirty_pages"):
+                stored_blocks.clear()
+                stored_pages.clear()
+            elif step[0] in ("mark_clean", "unmap_page"):
+                stored_blocks.pop(step[1], None)
+                stored_pages.discard(step[1])
         else:
             what, kind, pidx, offset, integer, real = step
             address = pidx * PAGE + offset
@@ -325,3 +428,44 @@ def test_alloca_leaves_what_map_range_leaves(slot, mode):
         cycles += costs[cost]
     assert (_state(machine.memory), calls, interp.cycles.hex()) == (
         _state(twin.memory), twin_calls, cycles.hex())
+
+
+def test_runtime_clean_marks_reach_generated_stores():
+    """The UVA manager marks a page clean in three places: a mobile page
+    whose writes a synchronization has versioned, a mobile page a
+    write-back made equal to the server's copy, and a server page a
+    prefetch just refilled.  Each goes through ``mark_clean``, so a
+    generated store to a block stored to before dirties the page again."""
+    mobile = boot(_module(), ARM32, "mobile")
+    server = boot(_module(), X86_64, "server")
+    uva = UVAManager(mobile, server, CommunicationManager(FAST_WIFI))
+    uva.attach()
+    on_mobile, on_server = Interpreter(mobile), Interpreter(server)
+    address = UVA_HEAP_BASE + 0x40
+    page = address // mobile.memory.page_size
+    mobile.map_range(address, 4)
+
+    def stored(interp, value):
+        interp.call_by_name("store_i32", [address, value])
+        return page in interp.machine.memory.dirty
+
+    assert stored(on_mobile, 1)
+    uva.synchronize_page_table()
+    assert page not in mobile.memory.dirty
+    assert stored(on_mobile, 2)
+    uva.synchronize_page_table()
+    assert uva._mobile_version[page] == 2
+
+    assert stored(on_mobile, 3) and stored(on_server, 4)  # copy-on-demand
+    uva.write_back()
+    uva.commit_finalize()
+    assert page not in mobile.memory.dirty
+    assert stored(on_mobile, 5)
+
+    assert stored(on_server, 6)
+    refilling = UVAManager(mobile, server, CommunicationManager(FAST_WIFI),
+                           enable_page_cache=False)
+    refilling.prefetch([page])
+    assert page not in server.memory.dirty
+    assert stored(on_server, 7)
+    assert server.memory.read(address, 4) == (7).to_bytes(4, "little")

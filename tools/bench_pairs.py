@@ -12,9 +12,12 @@ this checkout's, pair *i* on seed *i*, alternating which side goes first
 metric, how many pairs the change won, lost and tied beside each side's
 median and quartiles (the choosing-metrics rule: a gain needs nine pairs
 in ten and a median shift beyond the parent's inter-quartile distance).
-``--workload NAME`` (repeatable) measures only the named workloads — a
-one-workload claim then costs minutes, not the half hour of complete
-sets; everything printed keeps its form.
+Last, per workload, it prints each per-layer ``_s`` metric of the
+traced pair, parent → change, with the counts of its layer: the trace
+shows which layer a saving sits in.  ``--workload NAME`` (repeatable)
+measures only the named workloads — a one-workload claim then costs
+minutes, not the half hour of complete sets; everything printed keeps
+its form.
 
 Exit status 1 when a same-seed pair disagrees on a simulated fingerprint
 or a count, or an op failed; 0 otherwise — timing verdicts are for the
@@ -115,6 +118,34 @@ def wins_table(contract: dict, parent: list, change: list) -> None:
                   f"({statistics.median(new) / statistics.median(old) - 1:+.1%})")
 
 
+def layers_table(contract: dict, parent: dict, change: dict) -> None:
+    """Each per-layer ``_s`` metric of the traced pair, parent -> change,
+    with its layer's counts beside it: where a saving sits."""
+    per_layer = [m["name"] for m in contract["per_layer"]]
+    print("\nper-layer seconds of the traced pair, parent -> change, and "
+          "each layer's counts")
+    for workload in (w["name"] for w in contract["workloads"]):
+        if workload not in parent or workload not in change:
+            continue
+        old, new = (sets[workload]["metrics"] for sets in (parent, change))
+        print(workload)
+        for layer in dict.fromkeys(name.split(".")[0] for name in per_layer):
+            names = [name for name in per_layer
+                     if name.split(".")[0] == layer and name in old]
+            # a layer the workload does not run shows a few microseconds
+            timed = [name for name in names if name.endswith("_s") and max(
+                old[name]["value"], new[name]["value"]) >= 5e-5]
+            for name in timed:
+                a, b = old[name]["value"], new[name]["value"]
+                shift = f"({b / a - 1:+.1%})" if a else ""
+                print(f"  {name:<28s}{a:10.4f} -> {b:10.4f}  {shift}")
+            counts = [f"{name.split('.', 1)[1]} {old[name]['value']} -> "
+                      f"{new[name]['value']}" for name in names
+                      if old[name]["unit"] == "count"]
+            if timed and counts:
+                print(f"    {', '.join(counts)}")
+
+
 def drifted(parent: list, change: list) -> list:
     """What must be identical between same-seed sets and is not, and
     every failed op."""
@@ -179,7 +210,9 @@ def main() -> int:
         subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"),
                         "--compare", str(files["parent", trace]),
                         str(files["change", trace])])
-        if not trace:
+        if trace:
+            layers_table(contract, old[-1], new[-1])
+        else:
             wins_table(contract, old, new)
         problems += drifted(old, new)
     print(f"\nsets and logs: {work}")
