@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from ..offload.estimator import (EstimatorParams,
                                  StaticPerformanceEstimator, mbps)
-from ..offload.filter import FunctionFilter
+from ..offload.selector import TargetSelector
 from ..profiler.profiler import profile_module
 from ..targets.presets import ARM32, X86_64
 from ..workloads.android_apps import TOP20_APPS, survey_summary
@@ -116,20 +116,15 @@ def table3_estimation(performance_ratio: float = 5.0,
     profile = profile_module(module, stdin=CHESS.profile_stdin)
     estimator = StaticPerformanceEstimator(EstimatorParams(
         performance_ratio, mbps(bandwidth_mbps)))
-    filter_ = FunctionFilter(module)
+    candidates = TargetSelector(module, profile, estimator).candidates()
     rows: List[Table3Row] = []
     interesting = ["runGame", "getAITurn", "getAITurn_for.cond1",
                    "searchMove", "getPlayerTurn", "updateBoard"]
     for name in interesting:
-        prof = profile.candidates.get(name)
-        if prof is None or prof.invocations == 0:
+        candidate = candidates.get(name)
+        if candidate is None:
             continue
-        estimate = estimator.estimate(prof)
-        if prof.kind == "function" and name in module.functions:
-            verdict = filter_.verdict(name)
-            filtered = verdict.reasons[0] if verdict.machine_specific else ""
-        else:
-            filtered = ""
+        prof, estimate = profile.candidates[name], candidate.estimate
         rows.append(Table3Row(
             candidate=name,
             exec_seconds=prof.total_seconds,
@@ -138,7 +133,8 @@ def table3_estimation(performance_ratio: float = 5.0,
             t_ideal=estimate.t_ideal,
             t_comm=estimate.t_comm,
             t_gain=estimate.t_gain,
-            filtered=filtered))
+            filtered=("" if candidate.verdict
+                      else candidate.verdict.reasons[0])))
     return rows
 
 

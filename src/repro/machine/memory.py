@@ -124,9 +124,6 @@ class AddressSpace:
     def page_index(self, address: int) -> int:
         return address // self.page_size
 
-    def page_base(self, page_index: int) -> int:
-        return page_index * self.page_size
-
     def is_mapped(self, address: int) -> bool:
         return self.page_index(address) in self.pages
 

@@ -6,7 +6,8 @@ from .filter import (FilterVerdict, FunctionFilter, INTERACTIVE_IO,
                      REMOTE_OUTPUT)
 from .estimator import (EstimatorParams, StaticEstimate,
                         StaticPerformanceEstimator, mbps)
-from .selector import Candidate, SelectionResult, TargetSelector
+from .selector import (Candidate, SelectionResult, TargetRefused,
+                       TargetSelector)
 from .outline import OutliningError, can_outline, outline_loop
 from .unify import (UnificationReport, reallocate_referenced_globals,
                     replace_allocation_sites, unify_memory)
@@ -21,7 +22,7 @@ __all__ = [
     "PURE_BUILTINS", "REMOTE_FILE_INPUT", "REMOTE_OUTPUT",
     "EstimatorParams", "StaticEstimate", "StaticPerformanceEstimator",
     "mbps",
-    "Candidate", "SelectionResult", "TargetSelector",
+    "Candidate", "SelectionResult", "TargetRefused", "TargetSelector",
     "OutliningError", "can_outline", "outline_loop",
     "UnificationReport", "reallocate_referenced_globals",
     "replace_allocation_sites", "unify_memory",

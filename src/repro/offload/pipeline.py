@@ -25,10 +25,9 @@ from ..targets.arch import TargetArch, performance_ratio
 from ..targets.presets import ARM32, X86_64
 from .estimator import (EstimatorParams, StaticPerformanceEstimator, mbps)
 from .filter import FunctionFilter
-from .outline import OutliningError, can_outline, outline_loop
+from .outline import outline_loop
 from .partition import PartitionResult, partition
-from .selector import (MIN_GAIN_FRACTION, Candidate, SelectionResult,
-                       TargetSelector)
+from .selector import MIN_GAIN_FRACTION, SelectionResult, TargetSelector
 from .server_opt import (apply_function_pointer_mapping, apply_remote_io)
 from .shard import SHARD_PREFIX, ShardSpec, analyze_shard_targets
 from .unify import UnificationReport, unify_memory
@@ -50,7 +49,9 @@ class CompilerOptions:
     enable_heap_replacement: bool = True
     enable_global_realloc: bool = True
     enable_layout_realignment: bool = True
-    # Force a specific target set (bypasses selection); for tests/ablation.
+    # Offload exactly these names instead of Equation 1's choice; for
+    # tests/ablation.  Each must be a filter-passing candidate
+    # (TargetRefused otherwise); profitability is not checked.
     forced_targets: Optional[List[str]] = None
 
 
@@ -62,13 +63,12 @@ class OffloadProgram:
     mobile_module: Module
     server_module: Module
     partition: PartitionResult
-    selection: Optional[SelectionResult]
+    selection: SelectionResult
     unification: UnificationReport
     options: CompilerOptions
     profile: ProfileData
     remote_io_sites: int = 0
     fn_ptr_sites: int = 0
-    outlined_loops: List[str] = field(default_factory=list)
     # Scatter/gather support (docs/parallel-offload.md): per-target range
     # wrappers for data-parallel targets, and why the rest were refused.
     shard_specs: Dict[str, ShardSpec] = field(default_factory=dict)
@@ -77,6 +77,10 @@ class OffloadProgram:
     @property
     def targets(self):
         return self.partition.targets
+
+    @property
+    def outlined_loops(self) -> List[str]:
+        return [t.name for t in self.partition.targets if t.kind == "loop"]
 
     def target_names(self) -> List[str]:
         return [t.name for t in self.partition.targets]
@@ -125,24 +129,16 @@ class NativeOffloaderCompiler:
         opts = self.options
         work = module.clone(module.name)
 
-        selection: Optional[SelectionResult] = None
-        if opts.forced_targets is None:
-            selection = self._select(work, profile)
-            chosen = selection.selected
-        else:
-            chosen = [self._forced_candidate(work, profile, name)
-                      for name in opts.forced_targets]
+        selection = TargetSelector(
+            work, profile, self._estimator(),
+            FunctionFilter(work, enable_remote_io=opts.enable_remote_io)
+        ).select(opts.forced_targets)
 
         target_names: List[str] = []
         target_kinds: Dict[str, str] = {}
-        outlined: List[str] = []
-        for candidate in chosen:
+        for candidate in selection.selected:
             if candidate.kind == "loop":
-                try:
-                    outline_loop(work, candidate.loop, candidate.name)
-                except OutliningError:
-                    continue
-                outlined.append(candidate.name)
+                outline_loop(work, candidate.loop, candidate.name)
             target_names.append(candidate.name)
             target_kinds[candidate.name] = candidate.kind
         verify_module(work)
@@ -184,7 +180,6 @@ class NativeOffloaderCompiler:
             profile=profile,
             remote_io_sites=remote_io_sites,
             fn_ptr_sites=fn_ptr_sites,
-            outlined_loops=outlined,
             shard_specs=shard_specs,
             shard_refusals=shard_refusals,
         )
@@ -196,31 +191,3 @@ class NativeOffloaderCompiler:
                                                 self.options.mobile_arch),
             bandwidth_bytes_per_s=mbps(COMPILE_BANDWIDTH_MBPS))
         return StaticPerformanceEstimator(params)
-
-    def _select(self, module: Module, profile: ProfileData
-                ) -> SelectionResult:
-        filter_ = FunctionFilter(
-            module, enable_remote_io=self.options.enable_remote_io)
-        selector = TargetSelector(module, profile, self._estimator(),
-                                  filter_)
-        # Iterate: loop candidates that cannot be outlined are excluded and
-        # selection re-runs so a containing function can win instead.
-        excluded: set = set()
-        while True:
-            result = selector.select(exclude=excluded)
-            bad = {c.name for c in result.selected
-                   if c.kind == "loop" and can_outline(c.loop) is not None}
-            if not bad:
-                return result
-            excluded |= bad
-
-    def _forced_candidate(self, module: Module, profile: ProfileData,
-                          name: str) -> Candidate:
-        filter_ = FunctionFilter(
-            module, enable_remote_io=self.options.enable_remote_io)
-        selector = TargetSelector(module, profile, self._estimator(),
-                                  filter_)
-        candidates = selector._build_candidates()
-        if name not in candidates:
-            raise KeyError(f"no candidate named {name}")
-        return candidates[name]

@@ -2,15 +2,17 @@
 
 Combines the hot function/loop profiler, the function filter and the static
 performance estimator: offload candidates are profiled functions and loops;
-machine-specific ones are filtered out; the estimator scores the rest; and
-profitable, non-overlapping candidates are chosen (outermost first, so that
-selecting ``getAITurn`` subsumes its inner ``for_i``).
+machine-specific ones (and loops that cannot be outlined) are filtered out;
+the estimator scores the rest; and profitable, non-overlapping candidates
+are chosen (outermost first, so that selecting ``getAITurn`` subsumes its
+inner ``for_i``).  A forced target list skips the scoring, never the
+filter: each name must be a candidate whose verdict passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..analysis.callgraph import CallGraph
 from ..analysis.loops import Loop, LoopInfo
@@ -19,6 +21,7 @@ from ..ir.module import Module
 from ..profiler.profile_data import ProfileData
 from .estimator import StaticEstimate, StaticPerformanceEstimator
 from .filter import FilterVerdict, FunctionFilter
+from .outline import can_outline
 
 
 @dataclass
@@ -42,6 +45,10 @@ class SelectionResult:
     selected: List[Candidate]
 
 
+class TargetRefused(ValueError):
+    """A forced target that is not a filter-passing candidate."""
+
+
 # A target must promise at least this fraction of whole-program time as
 # gain; offloading trivial helpers is all protocol overhead and no win.
 MIN_GAIN_FRACTION = 0.12
@@ -60,13 +67,16 @@ class TargetSelector:
         self._loop_infos: Dict[str, LoopInfo] = {
             fn.name: LoopInfo(fn) for fn in module.defined_functions()}
 
-    def select(self, exclude: Optional[Set[str]] = None) -> SelectionResult:
-        exclude = exclude or set()
-        candidates = self._build_candidates()
-        for name in exclude:
-            if name in candidates:
-                candidates[name].verdict.machine_specific = True
-                candidates[name].verdict.reasons.append("excluded")
+    def select(self, forced: Optional[Sequence[str]] = None
+               ) -> SelectionResult:
+        """Equation 1's greedy choice, or — given ``forced`` — exactly the
+        named candidates, unscored; a name that is not a candidate whose
+        verdict passes raises :class:`TargetRefused`."""
+        candidates = self.candidates()
+        if forced is not None:
+            return SelectionResult(
+                candidates=candidates,
+                selected=[self._forced(candidates, name) for name in forced])
         threshold = MIN_GAIN_FRACTION * self.profile.program_seconds
         ordered = sorted(
             (c for c in candidates.values()
@@ -84,8 +94,25 @@ class TargetSelector:
         selected.sort(key=lambda c: c.name)
         return SelectionResult(candidates=candidates, selected=selected)
 
+    def _forced(self, candidates: Dict[str, Candidate],
+                name: str) -> Candidate:
+        candidate = candidates.get(name)
+        if candidate is not None:
+            if candidate.verdict:
+                return candidate
+            why = "; ".join(candidate.verdict.reasons)
+        elif name in self._loop_infos or any(
+                loop.name == name for info in self._loop_infos.values()
+                for loop in info.loops):
+            why = "never executed on the profiling input"
+        else:
+            why = "not a defined function or loop"
+        raise TargetRefused(f"cannot offload {name}: {why}")
+
     # -- candidate construction ------------------------------------------
-    def _build_candidates(self) -> Dict[str, Candidate]:
+    def candidates(self) -> Dict[str, Candidate]:
+        """Every profiled function and loop, scored and with its verdict;
+        a loop that cannot be outlined fails its verdict."""
         out: Dict[str, Candidate] = {}
         for fn in self.module.defined_functions():
             prof = self.profile.candidates.get(fn.name)
@@ -103,10 +130,16 @@ class TargetSelector:
                 lprof = self.profile.candidates.get(loop.name)
                 if lprof is None or lprof.invocations == 0:
                     continue
+                # classify_loop's verdict is fresh, never the filter's cache
+                verdict = self.filter.classify_loop(loop)
+                reason = can_outline(loop)
+                if reason is not None:
+                    verdict.machine_specific = True
+                    verdict.reasons.append(f"cannot outline: {reason}")
                 out[loop.name] = Candidate(
                     name=loop.name, kind="loop", function_name=fn.name,
                     estimate=self.estimator.estimate(lprof),
-                    verdict=self.filter.classify_loop(loop), loop=loop)
+                    verdict=verdict, loop=loop)
         return out
 
     # -- overlap / subsumption ---------------------------------------------
