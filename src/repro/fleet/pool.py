@@ -271,54 +271,54 @@ class ServerPool:
         invocation, so gang members never wait — and servers whose spec
         carries a network override are excluded (the session has one
         link; a plan cannot speak two).  Fewer free slots than shards
-        means a smaller gang; none at all degrades to a classic
-        ``admit`` (which may queue or reject).  Partial admission can
-        never deadlock: every granted member holds a slot that was free
-        at ``arrival_t``, so no member ever waits on another.
+        means a smaller gang; none at all, or an engine that places
+        nobody, degrades to a classic ``admit`` (which may queue or
+        reject).  Partial admission can never deadlock: every granted
+        member holds a slot that was free at ``arrival_t``, so no member
+        ever waits on another.
         """
-        if shards <= 1:
-            outcome = self.admit(target_name, arrival_t,
-                                 deadline_s=deadline_s)
-            return outcome if isinstance(outcome, Rejection) else [outcome]
-        if self._outstanding:
-            raise RuntimeError(
-                "admit_gang() with an unreleased admission outstanding "
-                "— requests must be served in discrete-event order "
-                "(docs/fleet.md, 'Scheduling model')")
+        members: List[Candidate] = []
         free_idx: Dict[int, List[int]] = {}
-        candidates: List[Candidate] = []
-        for server in self._servers:
-            if not server.active or server.spec.network is not None:
-                continue
-            server.purge(arrival_t)
-            idxs = [i for i, busy_until in enumerate(server.slots)
-                    if busy_until <= arrival_t]
-            if not idxs:
-                continue
-            free_idx[server.id] = idxs
-            candidates.append(Candidate(
-                server_id=server.id, wait=0.0, free_slots=len(idxs),
-                queue_len=len(server.pending_starts),
-                spec=server.spec, stats=server.stats,
-                slot_idx=idxs[0], server=server))
-        request = PlacementRequest(
-            target=target_name, arrival_t=arrival_t,
-            deadline_t=(None if deadline_s is None
-                        else arrival_t + deadline_s))
-        members = (self.engine.select_gang(candidates, request, shards)
-                   if candidates else [])
+        if shards > 1:
+            if self._outstanding:
+                raise RuntimeError(
+                    "admit_gang() with an unreleased admission outstanding "
+                    "— requests must be served in discrete-event order "
+                    "(docs/fleet.md, 'Scheduling model')")
+            candidates: List[Candidate] = []
+            for server in self._servers:
+                if not server.active or server.spec.network is not None:
+                    continue
+                server.purge(arrival_t)
+                idxs = [i for i, busy_until in enumerate(server.slots)
+                        if busy_until <= arrival_t]
+                if not idxs:
+                    continue
+                free_idx[server.id] = idxs
+                candidates.append(Candidate(
+                    server_id=server.id, wait=0.0, free_slots=len(idxs),
+                    queue_len=len(server.pending_starts),
+                    spec=server.spec, stats=server.stats,
+                    slot_idx=idxs[0], server=server))
+            if candidates:
+                request = PlacementRequest(
+                    target=target_name, arrival_t=arrival_t,
+                    deadline_t=(None if deadline_s is None
+                                else arrival_t + deadline_s))
+                members = self.engine.select_gang(candidates, request,
+                                                  shards)
         if not members:
-            # the degrade ladder's next rung: one classic admission
+            # One shard, or no gang member placed: the degrade ladder's
+            # next rung, one classic admission.
             outcome = self.admit(target_name, arrival_t,
                                  deadline_s=deadline_s)
             return outcome if isinstance(outcome, Rejection) else [outcome]
+        # select_gang names a server at most once per free slot, so
+        # every member finds one.
         admissions: List[Admission] = []
         for member in members:
             server = member.server
-            idxs = free_idx.get(server.id)
-            if not idxs:
-                continue    # a custom engine over-placed; ignore it
-            slot_idx = idxs.pop(0)
+            slot_idx = free_idx[server.id].pop(0)
             server.slots[slot_idx] = arrival_t  # resolved by release()
             stats = server.stats
             stats.admitted += 1
@@ -330,10 +330,6 @@ class ServerPool:
                 token=(server.id, slot_idx, arrival_t),
                 speed=server.spec.speed, network=None,
                 tier=server.spec.tier, deadline_s=deadline_s))
-        if not admissions:
-            outcome = self.admit(target_name, arrival_t,
-                                 deadline_s=deadline_s)
-            return outcome if isinstance(outcome, Rejection) else [outcome]
         return admissions
 
     def release(self, admission: Admission, end_t: float) -> None:

@@ -15,7 +15,6 @@ from .fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES,
 from .uva import PrefetchAdvisor, UVAManager, UVAStats
 from .dynamic_estimator import (DynamicPerformanceEstimator, GainEstimate,
                                 TargetRuntimeState)
-from .prediction import BandwidthPredictor, PredictionRecord
 from .backend import (Admission, DirectDispatcher, InvocationRecord,
                       LocalBackend, OffloadDispatcher, Rejection,
                       RemoteBackend)
@@ -28,7 +27,6 @@ __all__ = [
     "FaultPlan", "Link", "LinkAttempt", "NO_FAULTS",
     "LinkDownError", "RetryPolicy", "Transport", "TransportError",
     "TransportStats",
-    "BandwidthPredictor", "PredictionRecord",
     "CommStats", "CommunicationManager", "TransferResult",
     "COMPRESS_CYCLES_PER_BYTE", "DECOMPRESS_CYCLES_PER_BYTE",
     "DELTA_RECORD_HEADER_BYTES", "MESSAGE_HEADER_BYTES",

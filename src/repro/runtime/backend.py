@@ -691,13 +691,6 @@ class RemoteBackend:
         record.bytes_to_mobile = (session.comm.stats.bytes_to_mobile
                                   - bytes_m0)
         record.cod_faults = session.uva.stats.cod_faults - faults0
-        if session.predictor is not None:
-            if request_s > 0:
-                session.predictor.observe_transfer(record.bytes_to_server,
-                                                   request_s)
-            if return_s > 0:
-                session.predictor.observe_transfer(record.bytes_to_mobile,
-                                                   return_s)
         session.invocations.append(record)
         session.estimator.record_offload_traffic(
             target.name, record.traffic_bytes)

@@ -17,7 +17,6 @@ from ..offload.partition import OffloadTarget
 from ..profiler.profile_data import ProfileData
 from ..trace import NULL_TRACER, Tracer
 from .network import NetworkModel
-from .prediction import BandwidthPredictor
 from .transport import Transport
 
 # After an aborted invocation the target sits out at most this many
@@ -72,16 +71,11 @@ class DynamicPerformanceEstimator:
     def __init__(self, profile: ProfileData,
                  performance_ratio: float,
                  network: NetworkModel,
-                 predictor: Optional[BandwidthPredictor] = None,
                  tracer: Optional[Tracer] = None,
                  transport: Optional[Transport] = None):
         self.profile = profile
         self.performance_ratio = performance_ratio
         self.network = network
-        # Optional NWSLite-style forecaster (paper, Section 6): when set,
-        # Equation 1 uses the *predicted* bandwidth of the live link
-        # instead of its nominal rate.
-        self.predictor = predictor
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Failure awareness: when the transport reports the link dead
         # with no prospect of reconnecting, every decision is a decline —
@@ -244,9 +238,6 @@ class DynamicPerformanceEstimator:
         # the ratio bit-identical to the single-server arithmetic.
         ratio = self.performance_ratio * self.expected_server_speed()
         bandwidth = self.network.bandwidth_bytes_per_s
-        if self.predictor is not None:
-            bandwidth = self.predictor.predict_bps(
-                self.network.bandwidth_bps) / 8.0
         t_ideal, t_comm = equation1(t_mobile, ratio, memory, bandwidth)
         t_queue = self.expected_queue_seconds()
         return GainEstimate(t_mobile=t_mobile, memory_bytes=memory,
@@ -256,10 +247,6 @@ class DynamicPerformanceEstimator:
                             observed_time=observed_time,
                             observed_traffic=observed_traffic,
                             t_queue=t_queue)
-
-    def estimate_gain(self, target: OffloadTarget) -> float:
-        """Per-invocation Equation 1 with run-time values."""
-        return self.estimate(target).gain
 
     def should_offload(self, target: OffloadTarget) -> bool:
         state = self._state(target.name)

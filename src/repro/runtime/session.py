@@ -36,7 +36,6 @@ from ..runtime.dynamic_estimator import DynamicPerformanceEstimator
 from ..runtime.fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES)
 from ..runtime.local import GuestRun
 from ..runtime.network import FaultPlan, NetworkModel
-from ..runtime.prediction import BandwidthPredictor
 from ..runtime.transport import RetryPolicy, TransportStats
 from ..runtime.uva import UVAManager, UVAStats
 from ..targets.arch import performance_ratio
@@ -60,10 +59,6 @@ class SessionOptions:
     enable_adaptive_prefetch: bool = True
     enable_dynamic_estimation: bool = True
     enable_stack_reallocation: bool = True
-    # NWSLite-style bandwidth prediction (paper, Section 6): the dynamic
-    # estimator forecasts the live link's bandwidth from observed
-    # transfers instead of trusting its nominal rate.
-    enable_bandwidth_prediction: bool = False
     # Ideal-offloading mode: overheads (communication, remote I/O,
     # function-pointer translation) cost zero time; Figure 6's "Ideal".
     zero_overhead: bool = False
@@ -277,12 +272,10 @@ class OffloadSession:
             enable_adaptive_prefetch=opts.enable_adaptive_prefetch,
             tracer=self.tracer)
         self.fcn_table = FunctionAddressTable(self.mobile, self.server)
-        self.predictor = (BandwidthPredictor()
-                          if opts.enable_bandwidth_prediction else None)
         self.estimator = DynamicPerformanceEstimator(
             program.profile,
             performance_ratio(server_arch, mobile_arch), network,
-            predictor=self.predictor, tracer=self.tracer,
+            tracer=self.tracer,
             transport=self.comm.transport)
         self.meter = EnergyMeter()
         # The execution-backend seam (repro.runtime.backend), made by

@@ -8,7 +8,10 @@ from repro.machine import (DEFAULT_POWER_MW, EnergyMeter, PowerTrace,
 from repro.offload.partition import OffloadTarget
 from repro.profiler.profile_data import CandidateProfile, ProfileData
 from repro.runtime import (DynamicPerformanceEstimator, FAST_WIFI,
-                           IDEAL_NETWORK, SLOW_WIFI)
+                           FaultPlan, IDEAL_NETWORK, SessionOptions,
+                           SLOW_WIFI)
+
+from conftest import offload_c
 
 
 class TestPowerTrace:
@@ -90,6 +93,38 @@ def _profile_with(name, seconds, invocations, mem_bytes):
     return data
 
 
+# The phone rewrites ``data`` before each of four offloads and the server
+# rewrites it in place, so every invocation moves pages both ways.  The
+# scanf keeps the driving loop on the phone.
+REWRITTEN_KERNEL_SRC = r"""
+int *data;
+int n;
+
+int crunch(void) {
+    int i, r, acc = 0;
+    for (r = 0; r < 40; r++) {
+        for (i = 0; i < n; i++) {
+            acc += (data[i] * 31 + r) ^ (acc >> 3);
+            data[i] = acc;
+        }
+    }
+    return acc;
+}
+
+int main() {
+    int i, k, seed;
+    scanf("%d", &n);
+    data = (int*) malloc(n * sizeof(int));
+    for (k = 0; k < 4; k++) {
+        scanf("%d", &seed);
+        for (i = 0; i < n; i++) data[i] = i * seed + k;
+        printf("crunched %d\n", crunch());
+    }
+    return 0;
+}
+"""
+
+
 class TestDynamicEstimator:
     def test_compute_bound_offloads_everywhere(self):
         data = _profile_with("t", 1.0, 1, 64 * 1024)
@@ -141,7 +176,23 @@ class TestDynamicEstimator:
         target = OffloadTarget(1, "t", "function")
         est = DynamicPerformanceEstimator(
             data, 5.0, SLOW_WIFI)  # 10 MB/s
-        gain = est.estimate_gain(target)
+        gain = est.estimate(target).gain
         mem = data.candidates["t"].memory_bytes
         expected = 10.0 * (1 - 1 / 5.0) - 2 * mem / 10e6
         assert gain == pytest.approx(expected)
+
+    def test_equation_one_prices_the_nominal_bandwidth_on_a_collapsed_link(
+            self):
+        """Equation 1's bandwidth is the link's nominal rate on every
+        invocation, however slow the transfers it has already seen."""
+        _, result, _ = offload_c(
+            REWRITTEN_KERNEL_SRC, stdin=b"1000 3 5 7 11", network=FAST_WIFI,
+            session_options=SessionOptions(
+                enable_tracing=True,
+                fault_plan=FaultPlan(bandwidth_factor=0.25)))
+        assert result.offloaded_invocations == 4
+        estimates = [event for event in result.trace_events()
+                     if event.category == "estimate"]
+        assert len(estimates) == 4
+        assert {event.payload["bandwidth_bytes_per_s"]
+                for event in estimates} == {FAST_WIFI.bandwidth_bytes_per_s}

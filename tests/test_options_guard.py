@@ -35,8 +35,6 @@ ALLOWLIST = {
     "SessionOptions.force_local":
         "emitted in session.start, so its value is part of pinned trace "
         "bytes",
-    "SessionOptions.enable_bandwidth_prediction":
-        "the NWSLite-style link forecaster of DESIGN.md section 6",
     "SessionOptions.straggler_factor":
         "the documented straggler policy (docs/parallel-offload.md)",
     "FaultPlan.bandwidth_factor":
@@ -100,7 +98,7 @@ def test_every_option_has_a_caller_or_a_reason():
 
 def test_the_records_hold_what_the_audit_left():
     assert {name: len(fields) for name, fields in FIELDS.items()} == {
-        "SessionOptions": 20, "CompilerOptions": 7, "PoolOptions": 4,
+        "SessionOptions": 19, "CompilerOptions": 7, "PoolOptions": 4,
         "ServerSpec": 5, "DeviceSpec": 8, "EstimatorParams": 2,
         "NetworkModel": 4, "FaultPlan": 7, "RetryPolicy": 1,
         "AutoscalerOptions": 3}

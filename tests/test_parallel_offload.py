@@ -471,6 +471,20 @@ class TestGangAdmission:
         outcome = pool.admit_gang("smooth", 2.0, 2)
         assert isinstance(outcome, Rejection)
 
+    def test_engine_refusal_degrades_to_a_refused_classic_admit(self):
+        """The ladder's last rung: a deadline-aware engine that expects
+        every free server to miss the deadline places no gang member,
+        and refuses the one classic admission the gang degrades to."""
+        pool = ServerPool(PoolOptions(servers=2, capacity=1),
+                          engine="deadline-aware")
+        served = pool.admit("other", 0.0)
+        pool.release(served, 1.0)        # history: 1 s per invocation
+        outcome = pool.admit_gang("smooth", 2.0, 2, deadline_s=0.5)
+        assert isinstance(outcome, Rejection)
+        assert pool.total_rejected == 1
+        rows = pool.servers_detail(horizon_s=2.0)
+        assert sum(r["shard_admissions"] for r in rows) == 0
+
 
 class TestFleetGangs:
     @pytest.fixture(scope="class")

@@ -1,65 +1,11 @@
-"""Tests for the NWSLite-style bandwidth predictor, the cloudlet network
-comparison, and the command-line interface."""
+"""Tests for the cloudlet network comparison and the command-line
+interface."""
 
 import pytest
 
-from repro.runtime import (BandwidthPredictor, CLOUD_WAN, FAST_WIFI,
-                           SessionOptions)
+from repro.runtime import CLOUD_WAN, FAST_WIFI
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
-
-
-class TestBandwidthPredictor:
-    def test_falls_back_until_warm(self):
-        predictor = BandwidthPredictor()
-        assert predictor.predict_bps(100e6) == 100e6
-        predictor.observe_transfer(100_000, 0.01)   # 80 Mbps
-        assert predictor.predict_bps(100e6) == 100e6  # still 1 sample
-
-    def test_converges_on_stable_link(self):
-        predictor = BandwidthPredictor()
-        for _ in range(10):
-            predictor.observe_transfer(100_000, 0.01)   # 80 Mbps
-        assert predictor.predict_bps(400e6) == pytest.approx(80e6,
-                                                             rel=0.05)
-
-    def test_tracks_degrading_link(self):
-        predictor = BandwidthPredictor()
-        for _ in range(6):
-            predictor.observe_transfer(100_000, 0.01)   # 80 Mbps
-        for _ in range(6):
-            predictor.observe_transfer(100_000, 0.08)   # 10 Mbps
-        assert predictor.predict_bps(80e6) < 30e6
-
-    def test_recovers_quickly_after_outlier(self):
-        predictor = BandwidthPredictor()
-        for _ in range(8):
-            predictor.observe_transfer(100_000, 0.01)
-        predictor.observe_transfer(100_000, 1.0)  # one stall
-        predictor.observe_transfer(100_000, 0.01)
-        # one good sample is enough for the ensemble to discard the
-        # stall (the robust forecasters outrank last-value again)
-        assert predictor.predict_bps(80e6) > 20e6
-
-    def test_small_control_messages_ignored(self):
-        predictor = BandwidthPredictor()
-        for _ in range(20):
-            predictor.observe_transfer(64, 0.002)
-        assert predictor.samples == 0
-        assert predictor.predict_bps(80e6) == 80e6
-
-    def test_error_tracking(self):
-        predictor = BandwidthPredictor()
-        for i in range(12):
-            predictor.observe_transfer(100_000, 0.01)
-        assert predictor.mean_relative_error < 0.10
-
-    def test_session_integration(self):
-        local, result, _ = offload_c(
-            HOT_KERNEL_SRC, stdin=HOT_KERNEL_STDIN,
-            session_options=SessionOptions(
-                enable_bandwidth_prediction=True))
-        assert result.output == local.output
 
 
 class TestCloudletComparison:
