@@ -13,18 +13,19 @@ engine; the one-thread-per-device engine it replaced is kept in
 differential test checks it against.
 
 Placement is a swappable layer (docs/placement.md): the pool ranks
-eligible servers through a :class:`~repro.fleet.engines.DecisionEngine`
-(``fifo`` / ``worst-fit`` / ``best-fit`` / ``deadline-aware``), servers
-are heterogeneous :class:`ServerSpec` records spanning an edge/cloud
-tier hierarchy, and an optional :class:`Autoscaler` resizes the pool
-mid-simulation off the same sliding-window SLO rules the report uses.
+eligible servers by an engine's key from
+:data:`~repro.fleet.engines.ENGINES` (``fifo`` / ``worst-fit`` /
+``best-fit`` / ``deadline-aware``), servers are heterogeneous
+:class:`ServerSpec` records spanning an edge/cloud tier hierarchy, and
+an optional :class:`Autoscaler` resizes the pool mid-simulation off the
+same sliding-window SLO rules the report uses.
 """
 
 from .autoscaler import (DEFAULT_AUTOSCALE_RULES, Autoscaler,
                          AutoscalerOptions)
 from .clock import EventQueue, SimClock
-from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Candidate,
-                      DecisionEngine, PlacementRequest, make_engine)
+from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, ENGINES,
+                      Candidate, PlacementRequest)
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      EVENT_KINDS, DeviceState)
 from .pool import TIERS, PoolOptions, ServerPool, ServerSpec, ServerStats
@@ -40,8 +41,8 @@ __all__ = [
     "ARRIVAL", "ADMISSION_REQUEST", "COMPLETION", "AUTOSCALE",
     "EVENT_KINDS", "DeviceState",
     "PoolOptions", "ServerPool", "ServerSpec", "ServerStats", "TIERS",
-    "Candidate", "DecisionEngine", "PlacementRequest",
-    "DECISION_ENGINES", "DEFAULT_DECISION_ENGINE", "make_engine",
+    "Candidate", "PlacementRequest", "ENGINES",
+    "DECISION_ENGINES", "DEFAULT_DECISION_ENGINE",
     "Autoscaler", "AutoscalerOptions", "DEFAULT_AUTOSCALE_RULES",
     "OutcomeProjection", "ScriptedDispatcher", "Segment",
     "SegmentBoundary", "SegmentCache", "TrieNode", "behavior_key",

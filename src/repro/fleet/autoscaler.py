@@ -66,8 +66,8 @@ class AutoscalerOptions:
 class Autoscaler:
     """Consumes admission outcomes, emits pool resizes.
 
-    ``observe`` is called by the scheduler for every served admission
-    request; ``evaluate`` on every :data:`~repro.fleet.events.AUTOSCALE`
+    ``observe`` is called by the scheduler once per served admission
+    request, a gang included; ``evaluate`` on every :data:`~repro.fleet.events.AUTOSCALE`
     tick.  ``findings`` collects the violated-window evidence,
     ``actions`` the resizes actually performed (both in simulated-time
     order; deterministic for a given seed).

@@ -9,14 +9,15 @@ event-driven core applies each admission's replayed release before
 serving the next request — docs/simulator.md), so each slot's
 ``busy_until`` is an actual completion time, never a guess:
 
-* ``admit`` snapshots every eligible server into a
-  :class:`~repro.fleet.engines.Candidate` and lets the pool's
-  :class:`~repro.fleet.engines.DecisionEngine` pick the placement
-  (``fifo`` — the default — reproduces the historical
-  (wait, server-id)-least routing byte for byte), returning an
-  :class:`~repro.runtime.backend.Admission` whose ``queue_seconds`` the
-  device charges to its timeline and battery exactly like link time;
-* a request finding every eligible queue full gets a
+* ``admit`` and ``admit_gang`` snapshot every eligible server into a
+  :class:`~repro.fleet.engines.Candidate` and place through one pick
+  loop ranked by the pool's engine (``fifo`` — the default —
+  reproduces the historical (wait, server-id)-least routing byte for
+  byte), returning :class:`~repro.runtime.backend.Admission` grants whose
+  ``queue_seconds`` the device charges to its timeline and battery
+  exactly like link time;
+* a request finding every eligible queue full, or no candidate the
+  engine accepts, gets a
   :class:`~repro.runtime.backend.Rejection` quoting the wait it would
   have faced — the device degrades to local execution and the quote
   feeds the estimator's contention term (docs/fleet.md).
@@ -33,13 +34,13 @@ Autoscaler` may grow or shrink the pool mid-run via ``add_server`` /
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..runtime.backend import Admission, Rejection
 from ..runtime.network import NetworkModel
-from .engines import (Candidate, DecisionEngine, PlacementRequest,
-                      make_engine)
+from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, ENGINES,
+                      Candidate, PlacementRequest)
 
 #: Valid ``ServerSpec.tier`` names: ``edge`` is cheap-near (device keeps
 #: its own link), ``cloud`` is fast-far (spec carries a WAN override).
@@ -173,17 +174,18 @@ class ServerPool:
     """Admission control for a fleet of devices sharing N servers."""
 
     def __init__(self, options: Optional[PoolOptions] = None,
-                 engine: Union[str, DecisionEngine] = "fifo"):
+                 engine: str = DEFAULT_DECISION_ENGINE):
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown decision engine {engine!r}; "
+                f"expected one of {DECISION_ENGINES}")
         self.options = options or PoolOptions()
-        self.engine = make_engine(engine)
+        self.engine_name = engine
+        self._rank = ENGINES[engine]
         self._servers = [_Server(i, spec) for i, spec
                          in enumerate(self.options.server_specs())]
         self._outstanding = 0
         self.total_rejected = 0
-
-    @property
-    def engine_name(self) -> str:
-        return self.engine.name
 
     # -- admission -----------------------------------------------------
     def admit(self, target_name: str, arrival_t: float,
@@ -198,67 +200,8 @@ class ServerPool:
         ``deadline_s`` is the request's relative deadline; the engine
         sees it as the absolute ``arrival_t + deadline_s``.
         """
-        if self._outstanding:
-            raise RuntimeError(
-                "admit() with an unreleased admission outstanding — "
-                "requests must be served in discrete-event order "
-                "(docs/fleet.md, 'Scheduling model')")
-        candidates: List[Candidate] = []
-        min_wait = None     # across all servers, for the rejection quote
-        for server in self._servers:
-            if not server.active:
-                continue
-            server.purge(arrival_t)
-            slot_idx, wait, free_slots = server.outlook(arrival_t)
-            if min_wait is None or wait < min_wait:
-                min_wait = wait
-            limit = server.spec.queue_limit
-            if (wait > 0.0 and limit is not None
-                    and len(server.pending_starts) >= limit):
-                continue            # this queue is full
-            candidates.append(Candidate(
-                server_id=server.id, wait=wait,
-                free_slots=free_slots,
-                queue_len=len(server.pending_starts),
-                spec=server.spec, stats=server.stats,
-                slot_idx=slot_idx, server=server))
-        if not candidates:
-            self.total_rejected += 1
-            # charge the refusal to the server that was closest to free
-            closest = min((s for s in self._servers if s.active),
-                          key=lambda s: (s.outlook(arrival_t)[1], s.id))
-            closest.stats.rejected += 1
-            return Rejection(estimated_wait_s=min_wait or 0.0)
-        request = PlacementRequest(
-            target=target_name, arrival_t=arrival_t,
-            deadline_t=(None if deadline_s is None
-                        else arrival_t + deadline_s))
-        chosen = self.engine.select(candidates, request)
-        if chosen is None:
-            # Engine-level admission control (e.g. deadline-aware with
-            # no candidate expected to meet the deadline): same outcome
-            # as a full pool — the device falls back to local.
-            self.total_rejected += 1
-            min(candidates,
-                key=lambda c: (c.wait, c.server_id)).stats.rejected += 1
-            return Rejection(estimated_wait_s=min_wait or 0.0)
-        wait, server, slot_idx = chosen.wait, chosen.server, chosen.slot_idx
-        start = arrival_t + wait
-        server.slots[slot_idx] = start   # resolved by release()
-        stats = server.stats
-        stats.admitted += 1
-        stats.queue_delay_total += wait
-        if wait > 0.0:
-            server.pending_starts.append(start)
-            stats.queued_admissions += 1
-            stats.max_queue_depth = max(stats.max_queue_depth,
-                                        len(server.pending_starts))
-        self._outstanding += 1
-        return Admission(server_id=server.id, queue_seconds=wait,
-                         start_s=start, token=(server.id, slot_idx, start),
-                         speed=server.spec.speed,
-                         network=server.spec.network,
-                         tier=server.spec.tier, deadline_s=deadline_s)
+        outcome = self._place(target_name, arrival_t, deadline_s, 1)
+        return outcome if isinstance(outcome, Rejection) else outcome[0]
 
     def admit_gang(self, target_name: str, arrival_t: float,
                    shards: int, deadline_s: Optional[float] = None,
@@ -272,65 +215,146 @@ class ServerPool:
         carries a network override are excluded (the session has one
         link; a plan cannot speak two).  Fewer free slots than shards
         means a smaller gang; none at all, or an engine that places
-        nobody, degrades to a classic ``admit`` (which may queue or
-        reject).  Partial admission can never deadlock: every granted
-        member holds a slot that was free at ``arrival_t``, so no member
-        ever waits on another.
+        nobody, degrades to one classic admission (which may queue or
+        be rejected).  Partial admission can never deadlock: every
+        granted member holds a slot that was free at ``arrival_t``, so
+        no member ever waits on another.
         """
-        members: List[Candidate] = []
-        free_idx: Dict[int, List[int]] = {}
-        if shards > 1:
-            if self._outstanding:
-                raise RuntimeError(
-                    "admit_gang() with an unreleased admission outstanding "
-                    "— requests must be served in discrete-event order "
-                    "(docs/fleet.md, 'Scheduling model')")
-            candidates: List[Candidate] = []
-            for server in self._servers:
-                if not server.active or server.spec.network is not None:
-                    continue
-                server.purge(arrival_t)
-                idxs = [i for i, busy_until in enumerate(server.slots)
-                        if busy_until <= arrival_t]
-                if not idxs:
-                    continue
-                free_idx[server.id] = idxs
-                candidates.append(Candidate(
-                    server_id=server.id, wait=0.0, free_slots=len(idxs),
-                    queue_len=len(server.pending_starts),
-                    spec=server.spec, stats=server.stats,
-                    slot_idx=idxs[0], server=server))
-            if candidates:
-                request = PlacementRequest(
-                    target=target_name, arrival_t=arrival_t,
-                    deadline_t=(None if deadline_s is None
-                                else arrival_t + deadline_s))
-                members = self.engine.select_gang(candidates, request,
-                                                  shards)
-        if not members:
-            # One shard, or no gang member placed: the degrade ladder's
-            # next rung, one classic admission.
-            outcome = self.admit(target_name, arrival_t,
-                                 deadline_s=deadline_s)
-            return outcome if isinstance(outcome, Rejection) else [outcome]
-        # select_gang names a server at most once per free slot, so
-        # every member finds one.
-        admissions: List[Admission] = []
-        for member in members:
-            server = member.server
-            slot_idx = free_idx[server.id].pop(0)
-            server.slots[slot_idx] = arrival_t  # resolved by release()
-            stats = server.stats
-            stats.admitted += 1
+        return self._place(target_name, arrival_t, deadline_s, shards)
+
+    def _place(self, target_name: str, arrival_t: float,
+               deadline_s: Optional[float], width: int,
+               ) -> Union[List[Admission], Rejection]:
+        """Both admissions: a gang of up to ``width`` zero-wait members
+        when ``width > 1``, else — or when no member was placed — one
+        classic admission, else a rejection."""
+        if self._outstanding:
+            raise RuntimeError(
+                "admit() with an unreleased admission outstanding — "
+                "requests must be served in discrete-event order "
+                "(docs/fleet.md, 'Scheduling model')")
+        candidates, first_slot, min_wait = self._snapshot(arrival_t)
+        request = PlacementRequest(
+            target=target_name, arrival_t=arrival_t,
+            deadline_t=(None if deadline_s is None
+                        else arrival_t + deadline_s))
+        if width > 1:
+            members = self._pick(
+                [c for c in candidates
+                 if c.free_slots and c.spec.network is None],
+                request, width)
+            if members:
+                # A gang takes each server's free slots in index order;
+                # the picks name a server at most once per free slot.
+                free = {sid: [i for i, busy_until
+                              in enumerate(self._servers[sid].slots)
+                              if busy_until <= arrival_t]
+                        for sid in {c.server_id for c in members}}
+                return [self._grant(c, free[c.server_id].pop(0),
+                                    arrival_t, deadline_s, shard=True)
+                        for c in members]
+        picks = self._pick(candidates, request, 1)
+        if not picks:
+            return self._refuse(candidates, arrival_t, min_wait)
+        chosen = picks[0]
+        return [self._grant(chosen, first_slot[chosen.server_id],
+                            arrival_t, deadline_s, shard=False)]
+
+    def _snapshot(self, arrival_t: float):
+        """The one eligibility snapshot: a :class:`Candidate` per active
+        server with queue room, the slot that frees first on each (the
+        one a classic admission takes), and the least wait on any
+        active server (the rejection quote)."""
+        candidates: List[Candidate] = []
+        first_slot: Dict[int, int] = {}
+        min_wait = None
+        for server in self._servers:
+            if not server.active:
+                continue
+            server.purge(arrival_t)
+            slot_idx, wait, free_slots = server.outlook(arrival_t)
+            if min_wait is None or wait < min_wait:
+                min_wait = wait
+            limit = server.spec.queue_limit
+            if (wait > 0.0 and limit is not None
+                    and len(server.pending_starts) >= limit):
+                continue            # this queue is full
+            candidates.append(Candidate(
+                server_id=server.id, wait=wait, free_slots=free_slots,
+                spec=server.spec, stats=server.stats))
+            first_slot[server.id] = slot_idx
+        return candidates, first_slot, min_wait
+
+    def _pick(self, candidates: List[Candidate],
+              request: PlacementRequest, width: int) -> List[Candidate]:
+        """The one place a placement is decided: up to ``width`` picks,
+        each the live candidate with the least engine rank.  A pick
+        costs its server one free slot, and a server out of free slots
+        leaves ``live``; the picks end early when every live candidate
+        ranks ``None`` (the engine refuses them all) — for a gang that
+        means fewer shards, for a classic admission a rejection."""
+        rank = self._rank
+        picks: List[Candidate] = []
+        live = candidates
+        while live:
+            chosen = least = None
+            for candidate in live:
+                key = rank(candidate, request, live)
+                if key is not None and (least is None or key < least):
+                    chosen, least = candidate, key
+            if chosen is None:
+                break
+            picks.append(chosen)
+            if len(picks) == width:
+                break
+            live = [replace(c, free_slots=c.free_slots - 1)
+                    if c is chosen else c
+                    for c in live if c is not chosen or c.free_slots > 1]
+        return picks
+
+    def _grant(self, chosen: Candidate, slot_idx: int, arrival_t: float,
+               deadline_s: Optional[float], shard: bool) -> Admission:
+        """Reserve ``slot_idx`` on the chosen server from ``arrival_t``
+        plus its wait, and account for it."""
+        server = self._servers[chosen.server_id]
+        wait = chosen.wait
+        start = arrival_t + wait
+        server.slots[slot_idx] = start   # resolved by release()
+        stats = server.stats
+        stats.admitted += 1
+        stats.queue_delay_total += wait
+        if wait > 0.0:
+            server.pending_starts.append(start)
+            stats.queued_admissions += 1
+            stats.max_queue_depth = max(stats.max_queue_depth,
+                                        len(server.pending_starts))
+        if shard:
             stats.shard_admissions += 1
-            self._outstanding += 1
-            admissions.append(Admission(
-                server_id=server.id, queue_seconds=0.0,
-                start_s=arrival_t,
-                token=(server.id, slot_idx, arrival_t),
-                speed=server.spec.speed, network=None,
-                tier=server.spec.tier, deadline_s=deadline_s))
-        return admissions
+        self._outstanding += 1
+        return Admission(server_id=server.id, queue_seconds=wait,
+                         start_s=start, token=(server.id, slot_idx, start),
+                         speed=server.spec.speed,
+                         network=server.spec.network,
+                         tier=server.spec.tier, deadline_s=deadline_s)
+
+    def _refuse(self, candidates: List[Candidate], arrival_t: float,
+                min_wait: Optional[float]) -> Rejection:
+        """Reject the request, charging the refusal to the eligible
+        server closest to free — or, when every queue is full, to the
+        closest server — and quoting the least wait anywhere.  An
+        engine refusal (e.g. ``deadline-aware`` with no candidate
+        expected to meet the deadline) ends like a full pool: the
+        device falls back to local."""
+        self.total_rejected += 1
+        if candidates:
+            stats = min(candidates,
+                        key=lambda c: (c.wait, c.server_id)).stats
+        else:
+            stats = min((s for s in self._servers if s.active),
+                        key=lambda s: (s.outlook(arrival_t)[1],
+                                       s.id)).stats
+        stats.rejected += 1
+        return Rejection(estimated_wait_s=min_wait or 0.0)
 
     def release(self, admission: Admission, end_t: float) -> None:
         """The admitted invocation finished at global ``end_t``."""

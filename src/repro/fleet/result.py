@@ -21,6 +21,12 @@ from ..trace.tracer import TraceEvent
 from .pool import ServerPool
 
 
+def _shared(values):
+    """The one value in ``values``, or None when they differ."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
 @dataclass
 class DeviceOutcome:
     """One device's run, placed on the global timeline."""
@@ -81,7 +87,7 @@ class FleetResult:
         queue_s = sum(r.queue_seconds for r in results)
         completions = [d.completion_s for d in self.devices]
         queued = sum(s.queued_admissions for s in self.pool.stats)
-        opts = self.pool.options
+        specs = self.pool.options.server_specs()
         return {
             "devices": len(self.devices),
             # Actual pool width (the autoscaler may have grown it past
@@ -90,8 +96,10 @@ class FleetResult:
             "servers": len(self.pool.stats),
             "servers_active": self.pool.active_servers,
             "engine": self.pool.engine_name,
-            "capacity": opts.capacity,
-            "queue_limit": opts.queue_limit,
+            # specs override the homogeneous knobs, so these are read
+            # off the configured servers.
+            "capacity": _shared(spec.capacity for spec in specs),
+            "queue_limit": _shared(spec.queue_limit for spec in specs),
             "makespan_s": self.makespan_s,
             "throughput_invocations_per_s": (
                 total_inv / self.makespan_s if self.makespan_s > 0

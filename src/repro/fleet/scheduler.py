@@ -172,8 +172,10 @@ class FleetScheduler:
         admissions = [] if isinstance(granted, Rejection) else granted
         outcomes = admissions or [granted]
         if self.autoscaler is not None:
-            for outcome in outcomes:
-                self.autoscaler.observe(t, outcome)
+            # One observation per served request, as the post-hoc SLO
+            # evaluator counts invocations: a gang is one offloaded
+            # request that waited 0.
+            self.autoscaler.observe(t, outcomes[0])
         p.pending_target = None
         p.pending_shards = 1
         p.node = p.node.child(tuple(map(OutcomeProjection.of, outcomes)))

@@ -27,8 +27,8 @@ import json
 import pytest
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c, offload_c
-from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
-                         ServerPool, ServerSpec, behavior_key)
+from repro.fleet import (Autoscaler, DeviceSpec, FleetScheduler,
+                         PoolOptions, ServerPool, ServerSpec, behavior_key)
 from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.pool import Rejection
 from repro.fleet.replay import OutcomeProjection, ScriptedDispatcher
@@ -534,6 +534,39 @@ class TestFleetGangs:
         assert result.devices[0].result.output == local.output
         detail = result.summary()["servers_detail"]
         assert sum(r["shard_admissions"] for r in detail) == 2
+
+    def test_autoscaler_observes_a_gang_once(self, compiled):
+        """The live autoscaler counts what the post-hoc SLO evaluator
+        counts: one observation per served request, so a 4-shard gang
+        weighs as much as a rejection, not four times as much."""
+        program, _ = compiled
+        pool = ServerPool(PoolOptions(servers=4, capacity=1))
+        autoscaler = Autoscaler()
+        served, observed = [], []
+        admit_gang, observe = pool.admit_gang, autoscaler.observe
+
+        def counted_admit_gang(*args, **kwargs):
+            served.append(admit_gang(*args, **kwargs))
+            return served[-1]
+
+        def counted_observe(t, outcome):
+            observed.append(outcome)
+            observe(t, outcome)
+
+        pool.admit_gang = counted_admit_gang
+        autoscaler.observe = counted_observe
+        specs = [DeviceSpec(device_id=f"dev{i}", program=program,
+                            network=FAST_WIFI, stdin=b"600\n",
+                            start_offset_s=i * 0.001,
+                            options=SessionOptions(shards=4))
+                 for i in range(2)]
+        FleetScheduler(specs, pool, autoscaler).run()
+        assert any(isinstance(outcome, list) and len(outcome) == 4
+                   for outcome in served)
+        assert len(observed) == len(served)
+        for outcome, seen in zip(served, observed):
+            assert seen is (outcome if isinstance(outcome, Rejection)
+                            else outcome[0])
 
     def test_lockstep_engine_refuses_shards(self, compiled):
         program, _ = compiled

@@ -12,14 +12,12 @@ import pytest
 from repro.runtime import CLOUD_WAN, FAST_WIFI, SessionOptions
 from repro.runtime.backend import Admission, Rejection
 from repro.runtime.dynamic_estimator import DynamicPerformanceEstimator
-from repro.fleet import (Autoscaler, AutoscalerOptions, Candidate,
-                         DeviceSpec, FleetScheduler, PoolOptions,
+from repro.fleet import (DECISION_ENGINES, ENGINES, Autoscaler,
+                         AutoscalerOptions, Candidate, DeviceSpec,
+                         FleetResult, FleetScheduler, PlacementRequest, PoolOptions,
                          ServerPool, ServerSpec, ServerStats,
-                         behavior_key, make_engine)
+                         behavior_key)
 from repro.fleet.autoscaler import SCALE_DOWN_AFTER
-from repro.fleet.engines import (BestFitEngine, DeadlineAwareEngine,
-                                 DecisionEngine, FifoEngine,
-                                 WorstFitEngine)
 from repro.workloads import workload
 
 # The built-in fleet kernel on a small input.
@@ -78,15 +76,13 @@ class TestValidation:
         assert opts.server_specs() == (ServerSpec(capacity=2),)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown decision engine"):
-            make_engine("random")
-        with pytest.raises(ValueError, match="unknown decision engine"):
-            ServerPool(PoolOptions(), engine="lifo")
-
-    def test_engine_instances_pass_through(self):
-        engine = WorstFitEngine()
-        assert make_engine(engine) is engine
-        assert ServerPool(PoolOptions(), engine=engine).engine is engine
+        for name in ("random", "lifo"):
+            with pytest.raises(ValueError) as refused:
+                ServerPool(PoolOptions(), engine=name)
+            assert str(refused.value) == (
+                f"unknown decision engine {name!r}; "
+                f"expected one of {DECISION_ENGINES}")
+        assert DECISION_ENGINES == tuple(ENGINES)
 
     @pytest.mark.parametrize("kw", [
         {"interval_s": 0.0}, {"interval_s": -1.0},
@@ -99,41 +95,65 @@ class TestValidation:
 
 def _cand(server_id, wait=0.0, free=1, spec=None, stats=None):
     return Candidate(server_id=server_id, wait=wait, free_slots=free,
-                     queue_len=0, spec=spec or ServerSpec(),
-                     stats=stats or ServerStats(server_id=server_id),
-                     slot_idx=0, server=None)
+                     spec=spec or ServerSpec(),
+                     stats=stats or ServerStats(server_id=server_id))
 
 
 def _req(arrival_t=0.0, deadline_t=None):
-    from repro.fleet import PlacementRequest
     return PlacementRequest(target="crunch", arrival_t=arrival_t,
                             deadline_t=deadline_t)
 
 
+def _select(engine, candidates, request):
+    """One pick of the pool's loop: the candidate ``engine`` ranks
+    least, or None when it accepts none of them."""
+    rank = ENGINES[engine]
+    ranked = [(rank(c, request, candidates), c) for c in candidates]
+    accepted = [(key, c) for key, c in ranked if key is not None]
+    return min(accepted, key=lambda kc: kc[0])[1] if accepted else None
+
+
 class TestEngines:
-    """Selection is a pure function of the candidates — exercised
-    directly, one policy at a time."""
+    """Ranking is a pure function of the candidates — exercised
+    directly, one engine at a time."""
+
+    def test_rank_is_the_documented_key(self):
+        # docs/placement.md's engine table, key for key.
+        c = _cand(2, wait=0.25, free=0,
+                  stats=ServerStats(server_id=2, admitted=2,
+                                    busy_seconds=1.0))
+        request = _req(arrival_t=1.0)
+        assert ENGINES["fifo"](c, request, [c]) == (0.25, 2)
+        assert ENGINES["worst-fit"](c, request, [c]) == (0, 0.25, 2)
+        assert ENGINES["best-fit"](c, request, [c]) == (0.25, 0, 2)
+        assert ENGINES["deadline-aware"](c, request, [c]) == (1.75, 2)
+        assert ENGINES["deadline-aware"](
+            c, _req(arrival_t=1.0, deadline_t=1.5), [c]) is None
 
     def test_fifo_least_wait_then_lowest_id(self):
-        picked = FifoEngine().select(
+        picked = _select(
+            "fifo",
             [_cand(0, wait=0.5), _cand(1, wait=0.0), _cand(2, wait=0.0)],
             _req())
         assert picked.server_id == 1
 
     def test_worst_fit_prefers_most_free_slots(self):
-        picked = WorstFitEngine().select(
+        picked = _select(
+            "worst-fit",
             [_cand(0, free=1), _cand(1, free=3), _cand(2, free=3)],
             _req())
         assert picked.server_id == 1   # id breaks the free-slot tie
 
     def test_worst_fit_degrades_to_wait_when_saturated(self):
-        picked = WorstFitEngine().select(
+        picked = _select(
+            "worst-fit",
             [_cand(0, wait=0.4, free=0), _cand(1, wait=0.1, free=0)],
             _req())
         assert picked.server_id == 1
 
     def test_best_fit_picks_tightest_idle_server(self):
-        picked = BestFitEngine().select(
+        picked = _select(
+            "best-fit",
             [_cand(0, free=3), _cand(1, free=1), _cand(2, free=2)],
             _req())
         assert picked.server_id == 1   # fifo would have picked 0
@@ -141,7 +161,8 @@ class TestEngines:
     def test_deadline_aware_uses_observed_service_history(self):
         slow = ServerStats(server_id=0, admitted=2, busy_seconds=2.0)
         fast = ServerStats(server_id=1, admitted=2, busy_seconds=0.5)
-        picked = DeadlineAwareEngine().select(
+        picked = _select(
+            "deadline-aware",
             [_cand(0, stats=slow), _cand(1, stats=fast)], _req())
         assert picked.server_id == 1   # fifo would have picked 0
 
@@ -150,7 +171,8 @@ class TestEngines:
         # speed 1) scaled by its 4x speed predicts a 0.25 s service.
         seen = ServerStats(server_id=0, admitted=4, busy_seconds=4.0)
         fresh = ServerStats(server_id=1)
-        picked = DeadlineAwareEngine().select(
+        picked = _select(
+            "deadline-aware",
             [_cand(0, stats=seen),
              _cand(1, stats=fresh, spec=ServerSpec(speed=4.0))],
             _req())
@@ -161,7 +183,8 @@ class TestEngines:
         # server 0 starts now and misses it.
         slow = ServerStats(server_id=0, admitted=1, busy_seconds=1.0)
         quick = ServerStats(server_id=1, admitted=1, busy_seconds=0.05)
-        picked = DeadlineAwareEngine().select(
+        picked = _select(
+            "deadline-aware",
             [_cand(0, wait=0.0, stats=slow),
              _cand(1, wait=0.4, free=0, stats=quick)],
             _req(deadline_t=0.5))
@@ -169,24 +192,74 @@ class TestEngines:
 
     def test_deadline_aware_refuses_when_every_candidate_misses(self):
         # Admission control: both servers would finish past the
-        # deadline, so the engine declines to place at all and the pool
-        # turns that into a Rejection (local fallback beats queueing
-        # past the deadline).
+        # deadline, so the engine accepts neither and the pool turns
+        # that into a Rejection (local fallback beats queueing past the
+        # deadline).
         slow = ServerStats(server_id=0, admitted=1, busy_seconds=1.0)
         slower = ServerStats(server_id=1, admitted=1, busy_seconds=2.0)
-        picked = DeadlineAwareEngine().select(
+        picked = _select(
+            "deadline-aware",
             [_cand(0, stats=slow), _cand(1, stats=slower)],
             _req(deadline_t=0.5))
         assert picked is None
 
     def test_deadline_aware_without_history_degrades_to_fifo(self):
-        picked = DeadlineAwareEngine().select(
+        picked = _select(
+            "deadline-aware",
             [_cand(0, wait=0.2), _cand(1, wait=0.1)], _req())
         assert picked.server_id == 1
 
-    def test_base_engine_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            DecisionEngine().select([_cand(0)], _req())
+
+#: A capacity-2 speed-1 server and a capacity-1 speed-4 one.
+WIDE = ServerSpec(capacity=2)
+FAST = ServerSpec(capacity=1, speed=4.0)
+
+
+class TestGangPicks:
+    """One pick loop places gangs for every engine: a pick costs its
+    server a free slot, a server out of slots drops out of the ranking,
+    and each pick takes its server's next free slot in index order.
+    The expected (server, slot) lists are the ones the per-engine
+    ``select_gang`` produced before the loop was shared."""
+
+    @pytest.mark.parametrize("engine, expected", [
+        ("fifo", [(0, 0), (0, 1), (1, 0)]),
+        ("worst-fit", [(0, 0), (0, 1), (1, 0)]),
+        ("best-fit", [(1, 0), (0, 0), (0, 1)]),
+        ("deadline-aware", [(1, 0), (0, 0), (0, 1)]),
+    ])
+    def test_wide_then_fast_with_history(self, engine, expected):
+        pool = ServerPool(PoolOptions(specs=(WIDE, FAST)), engine=engine)
+        served = pool.admit("other", 0.0)
+        pool.release(served, 1.0)
+        gang = pool.admit_gang("smooth", 2.0, 3)
+        assert [a.token[:2] for a in gang] == expected
+        assert pool.total_rejected == 0
+
+    @pytest.mark.parametrize("engine, expected", [
+        ("fifo", [(0, 0), (1, 0), (1, 1)]),
+        ("worst-fit", [(1, 0), (0, 0), (1, 1)]),
+        ("best-fit", [(0, 0), (1, 0), (1, 1)]),
+        ("deadline-aware", [(0, 0), (1, 0), (1, 1)]),
+    ])
+    def test_fast_then_wide_without_history(self, engine, expected):
+        pool = ServerPool(PoolOptions(specs=(FAST, WIDE)), engine=engine)
+        gang = pool.admit_gang("smooth", 2.0, 3)
+        assert [a.token[:2] for a in gang] == expected
+
+    def test_refusal_ends_the_gang_early(self):
+        # Server 0's 1 s history misses the 0.5 s deadline; server 1 is
+        # expected at a quarter of the pool mean and meets it.  After
+        # server 1's one slot goes, only server 0 is live, the engine
+        # accepts it nowhere, and the gang stops at one member.
+        pool = ServerPool(PoolOptions(specs=(WIDE, FAST)),
+                          engine="deadline-aware")
+        served = pool.admit("other", 0.0)
+        pool.release(served, 1.0)
+        gang = pool.admit_gang("smooth", 2.0, 3, deadline_s=0.5)
+        assert [a.token[:2] for a in gang] == [(1, 0)]
+        assert pool.stats[1].shard_admissions == 1
+        assert pool.total_rejected == 0
 
 
 class TestPoolPlacement:
@@ -272,6 +345,27 @@ class TestPoolPlacement:
         assert pool.remove_server(sid, 1.0) is True  # idle clone goes
         assert pool.remove_server(sid, 2.0) is False  # already retired
         assert pool.active_servers == 1
+
+    @pytest.mark.parametrize("options, capacity, queue_limit", [
+        (PoolOptions(servers=3, capacity=2, queue_limit=5), 2, 5),
+        (PoolOptions(specs=(ServerSpec(capacity=4, queue_limit=2),) * 2),
+         4, 2),
+        (PoolOptions(specs=(ServerSpec(capacity=4, queue_limit=2),
+                            ServerSpec(capacity=1, queue_limit=2))),
+         None, 2),
+        (PoolOptions(specs=(ServerSpec(capacity=4),
+                            ServerSpec(capacity=4, queue_limit=2))),
+         4, None),
+    ])
+    def test_summary_reports_the_configured_servers(self, options,
+                                                    capacity,
+                                                    queue_limit):
+        # specs override the homogeneous knobs, so the summary reports
+        # the value the configured servers share, None when they differ.
+        summary = FleetResult(devices=[], pool=ServerPool(options),
+                              makespan_s=0.0).summary()
+        assert (summary["capacity"], summary["queue_limit"]) == \
+            (capacity, queue_limit)
 
     def test_servers_detail_rows(self):
         pool = ServerPool(PoolOptions(specs=(
