@@ -28,7 +28,7 @@ from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
 from .runtime import FaultPlan, NETWORKS, SessionOptions
 from .trace import (phase_totals, render_metrics, render_timeline,
                     write_chrome_trace, write_jsonl)
-from .trace.analysis import (BUCKETS, aggregate_sessions, build_report,
+from .trace.analysis import (aggregate_sessions, build_report,
                              invocation_counts, reconstruct_sessions,
                              render_html, report_to_json)
 from .trace.export import open_jsonl
@@ -120,38 +120,9 @@ def _session_inputs(args):
     return network, plan, built
 
 
-def _print_fault_summary(result) -> None:
-    ts = result.transport_stats
-    print(f"  faults  : {ts.drops} drops, {ts.disconnects} disconnects, "
-          f"{ts.retries} retries, {ts.reconnects} reconnects, "
-          f"{ts.failed_deliveries} failed deliveries")
-    print(f"  fallback: {result.aborted_invocations} aborted invocations, "
-          f"{result.local_fallbacks} replayed locally, "
-          f"{result.wasted_seconds * 1e3:.2f} ms wasted on the link")
-
-
-def _print_uva_summary(result) -> None:
-    """The UVA data-plane line(s) of the run/trace summaries
-    (docs/uva-data-plane.md).  Phase seconds are the values the
-    prefetch/write_back calls charged directly; inside a batching
-    window the batch flush carries the wall time, so these read 0."""
-    us = result.uva_stats
-    if us is None:
-        return
-    print(f"  uva     : prefetch {us.prefetched_pages} pages "
-          f"({us.prefetch_seconds * 1e3:.2f} ms), "
-          f"writeback {us.written_back_pages} pages "
-          f"({us.writeback_seconds * 1e3:.2f} ms), "
-          f"{us.cod_faults} CoD faults")
-    attempts = us.prefetch_hits + us.prefetch_wasted
-    hit_pct = 100.0 * us.prefetch_hit_ratio
-    print(f"  uva+    : cache kept {us.cache_kept_pages} pages, "
-          f"skipped {us.cache_skipped_prefetch_pages} prefetches "
-          f"({us.cache_saved_bytes / 1024:.1f} KiB), "
-          f"delta saved {us.delta_saved_bytes / 1024:.1f} KiB "
-          f"on {us.delta_pages} pages, "
-          f"prefetch hits {us.prefetch_hits}/{attempts} "
-          f"({hit_pct:.0f}%)")
+def _print_lines(lines) -> None:
+    for line in lines:
+        print(line)
 
 
 def cmd_run(args) -> int:
@@ -179,28 +150,11 @@ def cmd_run(args) -> int:
           f"invocations, "
           f"traffic {result.traffic_per_invocation_mb:.3f} MB/invocation, "
           f"output {match}")
-    _print_scatter_summary(result)
-    _print_uva_summary(result)
+    _print_lines(result.scatter_lines())
+    _print_lines(result.uva_lines())
     if plan is not None:
-        _print_fault_summary(result)
+        _print_lines(result.fault_lines())
     return 1 if differing else 0
-
-
-def _print_scatter_summary(result) -> None:
-    """The scatter/gather line of the run summary: how many invocations
-    ran as multi-shard plans and what the fan-out bought
-    (docs/parallel-offload.md)."""
-    plans = [r for r in result.invocations if r.shards > 1]
-    if not plans:
-        return
-    shards = sum(r.shards for r in plans)
-    wall = sum(r.shard_wall_seconds for r in plans)
-    serial = sum(r.server_seconds for r in plans)
-    stragglers = sum(r.stragglers for r in plans)
-    print(f"  scatter : {len(plans)} plan(s), {shards} shards, "
-          f"parallel exec {wall * 1e3:.2f} ms "
-          f"(serial {serial * 1e3:.2f} ms), "
-          f"{stragglers} straggler(s) replayed locally")
 
 
 def cmd_trace(args) -> int:
@@ -244,14 +198,15 @@ def cmd_trace(args) -> int:
               f"{reported[key]:.9f} s")
     print()
     print("analysis (span-derived — same aggregation as `repro report`)")
-    _print_analysis_summary(events)
-    _print_scatter_summary(result)
+    _print_lines(aggregate_sessions(
+        reconstruct_sessions(events)).summary_lines())
+    _print_lines(result.scatter_lines())
     print()
     print("uva data plane")
-    _print_uva_summary(result)
+    _print_lines(result.uva_lines())
     print()
     print("transport / fallback")
-    _print_fault_summary(result)
+    _print_lines(result.fault_lines())
     if args.jsonl:
         count = write_jsonl(events, args.jsonl, dropped=tracer.dropped)
         print(f"wrote {count} events to {args.jsonl}")
@@ -262,26 +217,6 @@ def cmd_trace(args) -> int:
         print(f"wrote Chrome trace to {args.chrome} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
     return 0
-
-
-def _print_analysis_summary(events) -> None:
-    """The span-derived lines of the trace summary, sourced from the
-    exact aggregation code behind ``repro report`` (satellite of
-    docs/observability.md: the CLI and the report cannot disagree)."""
-    agg = aggregate_sessions(reconstruct_sessions(events))
-    inv = agg.invocations
-    print(f"  spans   : {inv['total']} invocations — "
-          f"{inv['offloaded']} offloaded, {inv['declined']} declined, "
-          f"{inv['rejected']} rejected, {inv['aborted']} aborted")
-    cp = agg.critical_path
-    parts = ", ".join(f"{name} {cp[name] * 1e3:.2f} ms"
-                      for name in BUCKETS if cp[name] > 0)
-    print(f"  critical: {parts or 'all buckets empty'}")
-    if agg.dominant:
-        dominant = ", ".join(f"{name} x{count}"
-                             for name, count in
-                             sorted(agg.dominant.items()))
-        print(f"  dominant: {dominant}")
 
 
 def _pool_options(args) -> PoolOptions:

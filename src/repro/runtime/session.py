@@ -196,6 +196,55 @@ class SessionResult(GuestRun):
         n = max(self.offloaded_invocations, 1)
         return (self.bytes_to_server + self.bytes_to_mobile) / n / 1e6
 
+    # -- the summary lines `repro run` and `repro trace` print -----------
+    def scatter_lines(self) -> List[str]:
+        """How many invocations ran as multi-shard plans and what the
+        fan-out bought (docs/parallel-offload.md); none without one."""
+        plans = [r for r in self.invocations if r.shards > 1]
+        if not plans:
+            return []
+        shards = sum(r.shards for r in plans)
+        wall = sum(r.shard_wall_seconds for r in plans)
+        serial = sum(r.server_seconds for r in plans)
+        stragglers = sum(r.stragglers for r in plans)
+        return [f"  scatter : {len(plans)} plan(s), {shards} shards, "
+                f"parallel exec {wall * 1e3:.2f} ms "
+                f"(serial {serial * 1e3:.2f} ms), "
+                f"{stragglers} straggler(s) replayed locally"]
+
+    def uva_lines(self) -> List[str]:
+        """The UVA data plane (docs/uva-data-plane.md).  Phase seconds
+        are the values the prefetch/write_back calls charged directly;
+        inside a batching window the batch flush carries the wall time,
+        so these read 0."""
+        us = self.uva_stats
+        if us is None:
+            return []
+        attempts = us.prefetch_hits + us.prefetch_wasted
+        hit_pct = 100.0 * us.prefetch_hit_ratio
+        return [f"  uva     : prefetch {us.prefetched_pages} pages "
+                f"({us.prefetch_seconds * 1e3:.2f} ms), "
+                f"writeback {us.written_back_pages} pages "
+                f"({us.writeback_seconds * 1e3:.2f} ms), "
+                f"{us.cod_faults} CoD faults",
+                f"  uva+    : cache kept {us.cache_kept_pages} pages, "
+                f"skipped {us.cache_skipped_prefetch_pages} prefetches "
+                f"({us.cache_saved_bytes / 1024:.1f} KiB), "
+                f"delta saved {us.delta_saved_bytes / 1024:.1f} KiB "
+                f"on {us.delta_pages} pages, "
+                f"prefetch hits {us.prefetch_hits}/{attempts} "
+                f"({hit_pct:.0f}%)"]
+
+    def fault_lines(self) -> List[str]:
+        """Transport faults and the local fallbacks they cost."""
+        ts = self.transport_stats
+        return [f"  faults  : {ts.drops} drops, {ts.disconnects} "
+                f"disconnects, {ts.retries} retries, {ts.reconnects} "
+                f"reconnects, {ts.failed_deliveries} failed deliveries",
+                f"  fallback: {self.aborted_invocations} aborted "
+                f"invocations, {self.local_fallbacks} replayed locally, "
+                f"{self.wasted_seconds * 1e3:.2f} ms wasted on the link"]
+
 
 class _TargetTimer(Observer):
     """Times locally-executed offload targets on the mobile device so the

@@ -115,6 +115,25 @@ class FleetAggregate:
             return 0.0
         return self.invocations.get("local_fallbacks", 0) / total
 
+    def summary_lines(self) -> List[str]:
+        """The span-derived lines of ``repro trace``'s summary: the
+        invocation outcomes, the critical path and, when any invocation
+        had one, the dominant buckets."""
+        inv = self.invocations
+        cp = self.critical_path
+        parts = ", ".join(f"{name} {cp[name] * 1e3:.2f} ms"
+                          for name in BUCKETS if cp[name] > 0)
+        lines = [f"  spans   : {inv['total']} invocations — "
+                 f"{inv['offloaded']} offloaded, {inv['declined']} "
+                 f"declined, {inv['rejected']} rejected, "
+                 f"{inv['aborted']} aborted",
+                 f"  critical: {parts or 'all buckets empty'}"]
+        if self.dominant:
+            dominant = ", ".join(f"{name} x{count}" for name, count in
+                                 sorted(self.dominant.items()))
+            lines.append(f"  dominant: {dominant}")
+        return lines
+
     def to_json(self) -> dict:
         """A JSON-safe dict with a stable shape and key order."""
         histograms = {}

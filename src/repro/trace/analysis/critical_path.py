@@ -121,5 +121,6 @@ def dominant_counts(paths: List[CriticalPath]) -> Dict[str, int]:
     """How many invocations each bucket dominated (plus ``idle``)."""
     counts: Dict[str, int] = {}
     for path in paths:
-        counts[path.dominant] = counts.get(path.dominant, 0) + 1
+        dominant = path.dominant
+        counts[dominant] = counts.get(dominant, 0) + 1
     return {k: counts[k] for k in sorted(counts)}

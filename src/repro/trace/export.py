@@ -12,9 +12,13 @@ timestamps as the format requires.
 from __future__ import annotations
 
 import json
+import json.encoder
 from contextlib import contextmanager
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Tuple
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
+from typing import (Callable, Dict, Iterable, Iterator, List, Sequence,
+                    Tuple)
 
 from .tracer import TraceEvent
 
@@ -31,17 +35,50 @@ def _track(category: str) -> int:
 
 
 # -- JSONL ---------------------------------------------------------------
-# One encoder and one decoder for every line written or read: compact
-# separators and sorted keys are the format, not a per-call choice.
-_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-_decode = json.JSONDecoder().decode
+# Compact separators, sorted keys and ASCII escapes are the format, not
+# a per-call choice: every line is what this stdlib encoder writes.
+_FORMAT = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+# One scanner for every line read.  It keeps no state between calls.
+_scan = make_scanner(json.JSONDecoder())
 
 _HEADER = "# repro-trace"
 
 
+def _line_encoder() -> Callable[[object, int], Sequence[str]]:
+    """``encode(obj, 0)``: the chunks of ``_FORMAT.encode(obj)``.
+
+    One C encoder for every line of one call, built per call because
+    its markers dict is the circular-reference check: an encode that
+    raises (a ``set`` in a payload) leaves stale ids there.  Only an
+    interpreter without ``_json`` takes the stdlib's own path."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return lambda obj, _level: (_FORMAT.encode(obj),)
+    return make({}, _FORMAT.default, json.encoder.encode_basestring_ascii,
+                None, _FORMAT.key_separator, _FORMAT.item_separator,
+                True, False, True)
+
+
 def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     """Serialize events, one compact JSON object per line."""
-    return "\n".join(_encode(e.to_dict()) for e in events)
+    encode = _line_encoder()
+    return "\n".join("".join(encode(e.to_dict(), 0)) for e in events)
+
+
+def _decode(line: str) -> object:
+    """``JSONDecoder().decode(line)`` for a stripped line, errors
+    included: the scanner alone, without the whitespace skips a
+    stripped line does not need."""
+    try:
+        value, end = _scan(line, 0)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) \
+            from None
+    if end != len(line):
+        end = WHITESPACE.match(line, end).end()
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    return value
 
 
 def _parse_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
@@ -79,7 +116,9 @@ def write_jsonl(events: Iterable[TraceEvent], path: str,
     events = list(events)       # the header states the count up front
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER} v1 events={len(events)} dropped={dropped}\n")
-        fh.writelines(_encode(e.to_dict()) + "\n" for e in events)
+        encode = _line_encoder()
+        fh.writelines("".join(encode(e.to_dict(), 0)) + "\n"
+                      for e in events)
     return len(events)
 
 

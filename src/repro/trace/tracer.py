@@ -120,18 +120,46 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
-        """The event a ``to_dict`` mapping describes.  The vocabulary —
-        category, name, session id and payload keys — is interned: a
-        trace repeats a few dozen distinct strings, and a parsed one
-        would otherwise hold a fresh copy of each per event."""
-        sid = data.get("sid")
-        return cls(t=float(data["t"]), seq=int(data["seq"]),
-                   category=intern(str(data["cat"])),
-                   name=intern(str(data["name"])),
-                   dur=float(data.get("dur", 0.0)),
-                   payload={intern(key) if type(key) is str else key: value
-                            for key, value in data.get("args", {}).items()},
-                   sid=None if sid is None else intern(str(sid)))
+        """The event a ``to_dict`` mapping describes; ValueError or
+        TypeError for a field of the wrong type (``t`` and ``dur`` are
+        finite numbers, ``seq`` an int, ``cat`` and ``name`` strings,
+        ``sid`` a string or absent, ``args`` an object).  The
+        vocabulary — category, name, session id and payload keys — is
+        interned: a trace repeats a few dozen distinct strings, and a
+        parsed one would otherwise hold a fresh copy of each per
+        event."""
+        t, seq, category, name = data["t"], data["seq"], data["cat"], \
+            data["name"]
+        dur, args, sid = data.get("dur", 0.0), data.get("args", {}), \
+            data.get("sid")
+        if type(t) is not float or t - t:       # not a finite float
+            t = _seconds("t", t)
+        if type(dur) is not float or dur - dur:
+            dur = _seconds("dur", dur)
+        if (type(seq) is not int or type(category) is not str
+                or type(name) is not str or type(args) is not dict
+                or not (sid is None or type(sid) is str)):
+            raise TypeError(
+                "seq must be an int, cat and name strings, sid a string "
+                f"or absent, args an object; got seq={seq!r}, "
+                f"cat={category!r}, name={name!r}, sid={sid!r}, "
+                f"args of type {type(args).__name__}")
+        return cls(t, seq, intern(category), intern(name), dur,
+                   dict(zip(map(intern, args), args.values())),
+                   None if sid is None else intern(sid))
+
+
+def _seconds(key: str, value: object) -> float:
+    """``value`` as the float seconds a ``t`` or ``dur`` field holds:
+    a finite int or float, never a bool, a string or a NaN."""
+    try:
+        if type(value) is int:
+            return float(value)
+        if type(value) is float and not value - value:
+            return value
+    except OverflowError:       # an int beyond the float range
+        pass
+    raise ValueError(f"{key} must be a finite number; got {value!r}")
 
 
 class Tracer:

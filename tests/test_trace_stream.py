@@ -15,16 +15,21 @@ tallies instead of events.  These tests hold that in place:
   payload keys;
 * the records behave as the dataclasses they were;
 * the stream's contract: per-``sid`` emission order, a line-numbered
-  error for a bad line, a warning for a file shorter than its header
-  says.
+  error for a bad line or a field of the wrong type, a warning for a
+  file shorter than its header says;
+* the codec is the stdlib's: the bytes ``json.dumps`` writes, with or
+  without the C accelerator, read back as equal events, the errors
+  ``json.loads`` raises, and no state left behind by a failed write.
 """
 
 import dataclasses
 import hashlib
 import json
+import json.encoder
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
 from repro.fleet import PoolOptions
@@ -225,7 +230,19 @@ _GOOD = ('{"args":{},"cat":"session.start","dur":0.0,"name":"p",'
          '"seq":0,"t":0.0}')
 
 
-@pytest.mark.parametrize("bad", ["{not json", '{"t": 0.0}', "[1, 2]"])
+# A field of the wrong type is refused, never coerced into a number or a
+# name the trace did not hold.
+_WRONG_FIELDS = [_GOOD.replace(good, wrong) for good, wrong in [
+    ('"seq":0', '"seq":2.7'), ('"seq":0', '"seq":true'),
+    ('"t":0.0', '"t":NaN'), ('"dur":0.0', '"dur":-Infinity'),
+    ('"t":0.0', '"t":1e400'), ('"t":0.0', '"t":"0.5"'),
+    ('"t":0.0', '"t":true'), ('"cat":"session.start"', '"cat":5'),
+    ('"name":"p"', '"name":null'), ('"t":0.0', '"t":0.0,"sid":7'),
+    ('"args":{}', '"args":[]')]]
+
+
+@pytest.mark.parametrize(
+    "bad", ["{not json", '{"t": 0.0}', "[1, 2]"] + _WRONG_FIELDS)
 def test_the_error_names_the_line_behind_blank_and_comment_lines(
         bad, tmp_path):
     text = f"# repro-trace v1 events=2 dropped=0\n\n# note\n{_GOOD}\n\n{bad}\n"
@@ -314,3 +331,79 @@ def test_a_file_shorter_than_its_header_says_is_reported_partial(
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["events"] == 124
+
+
+def test_a_reader_accepts_the_fields_a_writer_may_leave_out_or_widen():
+    event = TraceEvent.from_dict(
+        {"t": 1, "seq": 0, "cat": "decision", "name": "f", "sid": None})
+    assert (event.t, type(event.t), event.dur, event.payload, event.sid) \
+        == (1.0, float, 0.0, {}, None)
+
+
+# -- (f) the codec is the stdlib's ---------------------------------------
+def _stdlib_jsonl(events):
+    """The reference: what ``json.dumps`` writes for each event."""
+    return "\n".join(json.dumps(e.to_dict(), separators=(",", ":"),
+                                sort_keys=True) for e in events)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+              st.floats(allow_nan=False),
+              st.sampled_from([-0.0, 5e-324, 1e308, 2 ** 63, -2 ** 64]),
+              st.text(max_size=6),
+              st.sampled_from(["\u2028", "caf\u00e9", "\U0001f600", "\x1c"])),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8)
+_EVENTS = st.lists(st.builds(
+    TraceEvent, t=_FINITE, seq=st.integers(min_value=0, max_value=2 ** 40),
+    category=st.sampled_from(CATEGORIES), name=st.text(max_size=6),
+    dur=_FINITE, payload=st.dictionaries(st.text(max_size=6), _VALUES,
+                                         max_size=4),
+    sid=st.none() | st.text(max_size=6)), max_size=4)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False],
+                         ids=["c-encoder", "without-_json"])
+@settings(max_examples=150, deadline=None)
+@given(events=_EVENTS)
+def test_written_lines_are_the_stdlib_encoders_and_read_back_equal(
+        c_encoder, events):
+    expected = _stdlib_jsonl(events)
+    with pytest.MonkeyPatch.context() as patch:
+        if not c_encoder:
+            patch.setattr(json.encoder, "c_make_encoder", None)
+        text = events_to_jsonl(events)
+    assert text == expected
+    assert events_from_jsonl(text) == events
+
+
+@pytest.mark.parametrize("bad", ["{", "nul", '{"t":0} x', "[1] ]"])
+def test_a_line_that_is_not_json_fails_as_json_loads_does(bad):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad)
+    with pytest.raises(ValueError) as raised:
+        events_from_jsonl(bad)
+    assert str(raised.value) == (
+        f"line 1 is not a trace event ({expected.value!r})")
+    assert str(raised.value.__cause__) == str(expected.value)
+
+
+def test_a_failed_write_leaves_nothing_behind_for_the_next(tmp_path):
+    """An encode that raises leaves its dicts in the encoder's
+    circular-reference markers; writing them again, mended, must not
+    trip over them."""
+    payload = {"nested": {"ids": {1, 2}}}
+    events = [TraceEvent(t=0.5 * i, seq=i, category="decision", name="f",
+                         payload=payload) for i in range(3)]
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_jsonl(events, str(path))
+    del payload["nested"]["ids"]
+    assert write_jsonl(events, str(path)) == 3
+    assert path.read_text() == ("# repro-trace v1 events=3 dropped=0\n"
+                                + _stdlib_jsonl(events) + "\n")
