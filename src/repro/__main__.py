@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .eval import (figure6a_execution_time, figure6b_battery, render_figure6,
@@ -47,6 +48,21 @@ def _usage_error(message) -> int:
     flag: one ``repro: error:`` line on stderr, exit code 2."""
     print(f"repro: error: {message}", file=sys.stderr)
     return 2
+
+
+def _probe_outputs(*paths) -> None:
+    """Open every output file the command line names for appending
+    before any simulation, so a missing or unwritable directory raises
+    the ``OSError`` that :func:`main` reports now rather than after a
+    whole run.  A file the probe created is removed again."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _build_workload(name: str):
@@ -167,6 +183,7 @@ def cmd_trace(args) -> int:
         render_timeline((), categories=categories, tail=args.tail)
     except ValueError as exc:
         return _usage_error(exc)
+    _probe_outputs(args.jsonl, args.chrome)
     inputs = _session_inputs(args)
     if inputs is None:
         return 2
@@ -290,6 +307,7 @@ def cmd_fleet(args) -> int:
     network = _resolve_network(args.network)
     if network is None:
         return 2
+    _probe_outputs(args.json, args.jsonl)
     fleet = _run_fleet(args, network, enable_tracing=bool(args.jsonl))
     if fleet is None:
         return 2
@@ -377,6 +395,7 @@ def _fleet_source(args, faulty: bool) -> dict:
 def cmd_report(args) -> int:
     """Analyze a trace — from a live seeded fleet run or a saved JSONL
     file — into the deterministic report (docs/observability.md)."""
+    _probe_outputs(args.json, args.html)
     if args.from_jsonl:
         # One pass over the file, a line at a time: a malformed or
         # out-of-order line surfaces here, before any report byte.

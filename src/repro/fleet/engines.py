@@ -33,7 +33,6 @@ Four engines ship (docs/placement.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -49,9 +48,10 @@ class PlacementRequest(NamedTuple):
     deadline_t: Optional[float] = None
 
 
-@dataclass
-class Candidate:
-    """One eligible server, snapshotted at the request's arrival time.
+class Candidate(NamedTuple):
+    """One eligible server, snapshotted at the request's arrival time
+    (an immutable tuple: the pool builds one per server per admission,
+    and a pick's lost free slot is a ``_replace``d copy).
 
     ``wait`` is the hindsight-exact queueing delay the request would
     face there; ``free_slots`` the number of idle execution slots at

@@ -33,8 +33,9 @@ Autoscaler` may grow or shrink the pool mid-run via ``add_server`` /
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..runtime.backend import Admission, Rejection
@@ -145,6 +146,9 @@ class _Server:
         self.id = server_id
         self.spec = spec
         self.slots = [0.0] * spec.capacity  # busy_until, actual releases
+        # The same slot times as ``(busy_until, index)`` pairs, kept
+        # ascending by ``occupy`` so ``outlook`` never sorts.
+        self.order = [(0.0, i) for i in range(spec.capacity)]
         self.pending_starts: List[float] = []
         self.stats = ServerStats(server_id=server_id)
         self.active = True              # autoscaler may retire a server
@@ -154,20 +158,26 @@ class _Server:
             self.pending_starts = [s for s in self.pending_starts
                                    if s > arrival_t]
 
+    def occupy(self, slot_idx: int, busy_until: float) -> None:
+        """Set one slot's ``busy_until`` — the only write to a slot
+        time, so ``slots`` and ``order`` never disagree."""
+        order = self.order
+        del order[bisect_left(order, (self.slots[slot_idx], slot_idx))]
+        insort(order, (busy_until, slot_idx))
+        self.slots[slot_idx] = busy_until
+
     def outlook(self, arrival_t: float):
         """What a request arriving now finds here: the slot that frees
-        first — lowest ``busy_until``, then lowest index (``list.index``
-        returns the first of equals) — the wait it would face on that
-        slot, and how many slots are free.
+        first — lowest ``busy_until``, then lowest index, the head of
+        ``order`` — the wait it would face on that slot, and how many
+        slots are free (one bisection of ``order``).
 
-        Asked once per server per admit, so one C-level sort of the
-        slot times answers all three; a Python loop over the slots here
-        is what made admission cost grow with capacity."""
-        order = sorted(self.slots)
-        busy_until = order[0]
-        return (self.slots.index(busy_until),
-                max(0.0, busy_until - arrival_t),
-                bisect_right(order, arrival_t))
+        Asked once per server per admit, so it never visits every
+        slot: admission cost must not grow with capacity."""
+        order = self.order
+        busy_until, slot_idx = order[0]
+        return (slot_idx, max(0.0, busy_until - arrival_t),
+                bisect_right(order, (arrival_t, inf)))
 
 
 class ServerPool:
@@ -235,9 +245,8 @@ class ServerPool:
                 "(docs/fleet.md, 'Scheduling model')")
         candidates, first_slot, min_wait = self._snapshot(arrival_t)
         request = PlacementRequest(
-            target=target_name, arrival_t=arrival_t,
-            deadline_t=(None if deadline_s is None
-                        else arrival_t + deadline_s))
+            target_name, arrival_t,
+            None if deadline_s is None else arrival_t + deadline_s)
         if width > 1:
             members = self._pick(
                 [c for c in candidates
@@ -279,9 +288,8 @@ class ServerPool:
             if (wait > 0.0 and limit is not None
                     and len(server.pending_starts) >= limit):
                 continue            # this queue is full
-            candidates.append(Candidate(
-                server_id=server.id, wait=wait, free_slots=free_slots,
-                spec=server.spec, stats=server.stats))
+            candidates.append(Candidate(server.id, wait, free_slots,
+                                        server.spec, server.stats))
             first_slot[server.id] = slot_idx
         return candidates, first_slot, min_wait
 
@@ -307,7 +315,7 @@ class ServerPool:
             picks.append(chosen)
             if len(picks) == width:
                 break
-            live = [replace(c, free_slots=c.free_slots - 1)
+            live = [c._replace(free_slots=c.free_slots - 1)
                     if c is chosen else c
                     for c in live if c is not chosen or c.free_slots > 1]
         return picks
@@ -319,7 +327,7 @@ class ServerPool:
         server = self._servers[chosen.server_id]
         wait = chosen.wait
         start = arrival_t + wait
-        server.slots[slot_idx] = start   # resolved by release()
+        server.occupy(slot_idx, start)   # resolved by release()
         stats = server.stats
         stats.admitted += 1
         stats.queue_delay_total += wait
@@ -331,11 +339,10 @@ class ServerPool:
         if shard:
             stats.shard_admissions += 1
         self._outstanding += 1
-        return Admission(server_id=server.id, queue_seconds=wait,
-                         start_s=start, token=(server.id, slot_idx, start),
-                         speed=server.spec.speed,
-                         network=server.spec.network,
-                         tier=server.spec.tier, deadline_s=deadline_s)
+        spec = server.spec
+        return Admission(server.id, wait, start,
+                         (server.id, slot_idx, start), spec.speed,
+                         spec.network, spec.tier, deadline_s)
 
     def _refuse(self, candidates: List[Candidate], arrival_t: float,
                 min_wait: Optional[float]) -> Rejection:
@@ -363,7 +370,7 @@ class ServerPool:
         if end_t < start:
             raise RuntimeError(
                 f"release at {end_t} before service start {start}")
-        server.slots[slot_idx] = end_t
+        server.occupy(slot_idx, end_t)
         server.stats.busy_seconds += end_t - start
         self._outstanding -= 1
 

@@ -88,10 +88,9 @@ class OutcomeProjection(NamedTuple):
     def of(cls, outcome) -> "OutcomeProjection":
         """Project a real pool outcome down to what sessions can see."""
         if isinstance(outcome, Admission):
-            return cls(admitted=True, server_id=outcome.server_id,
-                       queue_seconds=outcome.queue_seconds,
-                       speed=outcome.speed, network=outcome.network,
-                       tier=outcome.tier, deadline_s=outcome.deadline_s)
+            return cls(True, outcome.server_id, outcome.queue_seconds,
+                       0.0, outcome.speed, outcome.network, outcome.tier,
+                       outcome.deadline_s)
         if isinstance(outcome, Rejection):
             return cls(admitted=False,
                        estimated_wait_s=outcome.estimated_wait_s)

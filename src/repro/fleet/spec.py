@@ -11,6 +11,7 @@ here.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,6 +46,11 @@ class DeviceSpec:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        offset = self.start_offset_s
+        if not (math.isfinite(offset) and offset >= 0):
+            raise ValueError(
+                f"{self.device_id}: start offset must be a finite number "
+                f">= 0 seconds; got {offset!r}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(
                 f"deadline must be > 0 seconds; got {self.deadline_s!r}")

@@ -51,7 +51,7 @@ homogeneous-fleet arithmetic bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, NamedTuple, Optional, TYPE_CHECKING
 
 from ..ir.types import I32
 from ..machine.interpreter import Interpreter
@@ -115,9 +115,9 @@ class InvocationRecord:
         return self.bytes_to_server + self.bytes_to_mobile
 
 
-@dataclass(frozen=True)
-class Admission:
-    """A granted server slot for one offload invocation.
+class Admission(NamedTuple):
+    """A granted server slot for one offload invocation (an immutable
+    tuple: the pool builds one per admission).
 
     Sessions read ``server_id``, ``queue_seconds`` and the
     heterogeneous-pool echo fields (``speed``, ``network``, ``tier``,
@@ -259,6 +259,11 @@ class RemoteBackend:
                                       min(session.options.shards, trip))
         if isinstance(grant, Rejection):
             return self._rejected(target, interp, args, record, grant)
+        if not isinstance(grant, list):
+            # An Admission is a tuple too: a bare one would read as a
+            # gang of its eight fields.
+            raise TypeError(f"dispatcher granted {grant!r}; a grant is a "
+                            "list of Admission")
         shards = self._size_shards(spec, trip, grant)
         override = None
         if len(shards) == 1:

@@ -4,8 +4,10 @@ Host time cannot be gated in CI, so these tests hold the *structure*
 that makes `fleet-shared` cheap (docs/simulator.md, "Segment cache";
 docs/fleet.md, "Cost per admit") to deterministic observables:
 
-* slot choice and free-slot counting in the pool are one C-level sort
-  that must keep the exact tie-break of the Python loops it replaced;
+* slot choice and free-slot counting in the pool read a kept
+  ``(busy_until, index)`` order — one bisection, no sort — that must
+  keep the exact tie-break of the Python loops it replaced and stay
+  equal to the slot times through every pool call;
 * the outcome trie must reproduce the flat ``(behavior key, script)``
   cache it replaced — replay accounting, summary JSON and merged trace
   pinned to digests taken at the last commit that had the flat cache
@@ -27,9 +29,12 @@ import pytest
 
 import repro.fleet.replay as replay_module
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
-                         SeedFanout, ServerPool)
+                         SeedFanout, ServerPool, ServerSpec)
+from repro.fleet.engines import Candidate
 from repro.fleet.replay import OutcomeProjection, SegmentCache
-from repro.runtime import FAST_WIFI, FaultPlan, SessionOptions
+from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
+                           SessionOptions)
+from repro.runtime.backend import Admission, OffloadDispatcher
 from repro.trace.analysis.slo import Observation, window_slice
 from repro.trace.export import events_to_jsonl
 from repro.workloads import workload
@@ -91,6 +96,94 @@ class TestSlotChoice:
                     end = member.start_s + rng.choice(self.GRID)
                     pool.release(member, end)
                     mirror[member.token[1]] = end
+
+
+class TestSlotOrder:
+    """Seeded histories mixing classic admissions, gangs, queue-limit
+    rejections and autoscaler-style ``add_server``/``remove_server`` on
+    servers of 1-64 slots: after every pool call each server's kept
+    order is exactly its slot times sorted with their indices."""
+
+    GRID = (0.0, 0.25, 0.5, 0.5, 1.0)
+
+    @staticmethod
+    def check(pool):
+        for server in pool._servers:
+            assert server.order == sorted(
+                (busy_until, i) for i, busy_until in enumerate(server.slots))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_matches_the_slot_times(self, seed):
+        rng = random.Random(seed)
+        seen = {"admitted": 0, "gang": 0, "rejected": 0, "added": 0,
+                "removed": 0}
+        for _ in range(4):
+            pool = ServerPool(PoolOptions(specs=tuple(
+                ServerSpec(capacity=2 ** rng.randint(0, 6),
+                           queue_limit=rng.randint(1, 2))
+                for _ in range(rng.randint(1, 3)))))
+            self.check(pool)
+            t = 0.0
+            for _ in range(150):
+                # now and then a lull longer than any service, so idle
+                # servers can be retired
+                t += 500.0 if rng.random() < 0.03 else \
+                    rng.choice(self.GRID) * 0.1
+                action = rng.random()
+                if action < 0.02:
+                    pool.add_server(ServerSpec(
+                        capacity=2 ** rng.randint(0, 6),
+                        queue_limit=rng.choice((1, None))))
+                    seen["added"] += 1
+                elif action < 0.06:
+                    server_id = rng.randrange(len(pool._servers))
+                    seen["removed"] += pool.remove_server(server_id, t)
+                else:
+                    shards = 1 if action < 0.6 else rng.randint(2, 6)
+                    outcome = (pool.admit("f", t) if shards == 1
+                               else pool.admit_gang("f", t, shards))
+                    if not isinstance(outcome, (list, Admission)):
+                        seen["rejected"] += 1
+                        continue
+                    granted = (outcome if isinstance(outcome, list)
+                               else [outcome])
+                    seen["admitted"] += len(granted)
+                    seen["gang"] += len(granted) > 1
+                    for member in granted:
+                        # long services build the queues that refuse
+                        service = rng.choice(self.GRID) * rng.choice(
+                            (1, 400))
+                        pool.release(member, member.start_s + service)
+                        self.check(pool)
+                self.check(pool)
+        assert all(seen.values()), seen
+
+
+class TestTupleRecords:
+    def test_admission_and_candidate_are_immutable(self):
+        pool = ServerPool(PoolOptions(servers=1, capacity=4))
+        admission = pool.admit("f", 0.0)
+        with pytest.raises(AttributeError):
+            admission.queue_seconds = 1.0
+        candidate = Candidate(0, 0.0, 4, ServerSpec(), None)
+        with pytest.raises(AttributeError):
+            candidate.free_slots = 3
+        assert candidate._replace(free_slots=3).free_slots == 3
+
+    def test_a_bare_admission_is_not_a_grant(self, crunch):
+        """A tuple Admission is iterable, so a dispatcher returning one
+        unwrapped would read as an eight-member gang."""
+        class Bare(OffloadDispatcher):
+            def admit(self, target_name, now_s, shards=1):
+                return Admission(server_id=0, start_s=now_s)
+
+            def release(self, admission, now_s):
+                pass
+
+        with pytest.raises(TypeError, match="a grant is a list"):
+            OffloadSession(crunch, FAST_WIFI,
+                           options=SessionOptions(dispatcher=Bare()),
+                           stdin=b"20\n").run()
 
 
 # -- (b) trie vs. the flat cache ---------------------------------------------

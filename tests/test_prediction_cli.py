@@ -124,6 +124,45 @@ class TestCLI:
                 DeviceSpec("dev", None, None, deadline_s=bad)
         assert DeviceSpec("dev", None, None, deadline_s=0.5).deadline_s
 
+    def test_device_refuses_a_start_offset_off_the_timeline(self):
+        """NaN or a negative offset once died in the event loop as a
+        clock going backwards; +inf ran to an infinite makespan."""
+        from repro.fleet import DeviceSpec
+        for bad in (float("nan"), -0.001, float("inf")):
+            with pytest.raises(ValueError, match="^dev7: start offset"):
+                DeviceSpec("dev7", None, None, start_offset_s=bad)
+        assert DeviceSpec("dev7", None, None,
+                          start_offset_s=0.0).start_offset_s == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--json"], ["fleet", "--jsonl"],
+        ["report", "--json"], ["report", "--html"],
+        ["trace", "fleet-micro", "--jsonl"],
+        ["trace", "fleet-micro", "--chrome"],
+    ], ids=" ".join)
+    def test_bad_output_path_fails_before_the_run(
+            self, argv, tmp_path, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro.fleet import FleetScheduler
+        started = []
+        monkeypatch.setattr(FleetScheduler, "run",
+                            lambda self: started.append("fleet"))
+        monkeypatch.setattr(cli, "workload",
+                            lambda name: started.append(name))
+        path = tmp_path / "no-such-dir" / "out"
+        assert cli.main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+        assert started == []
+
+    def test_output_probe_leaves_no_file_behind(self, tmp_path, capsys):
+        from repro.__main__ import main
+        path = tmp_path / "summary.json"
+        assert main(["fleet", "--json", str(path), "--servers", "0"]) == 2
+        assert "at least one server" in capsys.readouterr().err
+        assert not path.exists()
+
     @pytest.mark.parametrize("flag", ["--jsonl", "--chrome"])
     def test_unwritable_trace_output_is_a_one_line_error(
             self, flag, tmp_path, capsys):
