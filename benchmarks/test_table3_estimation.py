@@ -38,10 +38,11 @@ def test_equation_one_narrative(benchmark, rows):
     ai = by_name["getAITurn"]
     per_move = by_name["searchMove"]
     # The AI turn is worth offloading...
-    assert ai.t_gain > 0
-    assert ai.t_ideal == pytest.approx(ai.exec_seconds * 0.8, rel=1e-6)
+    assert ai.estimate.gain > 0
+    assert ai.estimate.t_ideal == pytest.approx(ai.estimate.t_mobile * 0.8,
+                                                rel=1e-6)
     # ...but the per-move search, with similar total time and far more
     # invocations, drowns in communication (the paper's for_j case).
-    assert per_move.invocations > ai.invocations * 10
-    assert per_move.t_comm > ai.t_comm * 10
-    assert per_move.t_gain < 0
+    assert per_move.estimate.invocations > ai.estimate.invocations * 10
+    assert per_move.estimate.t_comm > ai.estimate.t_comm * 10
+    assert per_move.estimate.gain < 0

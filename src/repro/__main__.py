@@ -26,8 +26,9 @@ from .eval import (figure6a_execution_time, figure6b_battery, render_figure6,
 from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
                     AutoscalerOptions, FleetScheduler, PoolOptions,
                     ServerPool, ServerSpec, identical_devices)
+from .fleet.spec import MAX_COUNT
 from .runtime import FaultPlan, NETWORKS, SessionOptions
-from .trace import (phase_totals, render_metrics, render_timeline,
+from .trace import (Tracer, phase_totals, render_metrics, render_timeline,
                     write_chrome_trace, write_jsonl)
 from .trace.analysis import (aggregate_sessions, build_report,
                              invocation_counts, reconstruct_sessions,
@@ -176,10 +177,9 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     """Run one workload with structured tracing and print its timeline
     (docs/observability.md walks through reading this output)."""
-    if args.capacity < 1:
-        return _usage_error(f"--capacity must be >= 1; got {args.capacity}")
     categories = args.categories.split(",") if args.categories else None
-    try:    # the renderer rejects a bad filter; ask before the slow run
+    try:    # the tracer and the renderer reject bad values; ask them first
+        Tracer(args.capacity)
         render_timeline((), categories=categories, tail=args.tail)
     except ValueError as exc:
         return _usage_error(exc)
@@ -242,20 +242,21 @@ def _pool_options(args) -> PoolOptions:
     with it, the pool is a two-tier edge/cloud topology where cloud
     servers are faster but sit behind the cloud-wan link."""
     cloud = args.cloud_servers
-    if cloud < 0:
-        raise ValueError(f"cloud servers must be >= 0; got {cloud}")
+    if not 0 <= cloud <= MAX_COUNT:
+        raise ValueError(
+            f"cloud servers must be in 0..{MAX_COUNT:,}; got {cloud}")
     if cloud == 0:
         return PoolOptions(servers=args.servers, capacity=args.capacity,
                            queue_limit=args.queue_limit)
-    edge = tuple(ServerSpec(capacity=args.capacity,
-                            queue_limit=args.queue_limit)
-                 for _ in range(args.servers))
-    far = tuple(ServerSpec(speed=args.cloud_speed, capacity=args.capacity,
-                           queue_limit=args.queue_limit, tier="cloud",
-                           network=NETWORKS["cloud-wan"])
-                for _ in range(cloud))
+    edge = ServerSpec(capacity=args.capacity, queue_limit=args.queue_limit)
+    far = ServerSpec(speed=args.cloud_speed, capacity=args.capacity,
+                     queue_limit=args.queue_limit, tier="cloud",
+                     network=NETWORKS["cloud-wan"])
+    # a generator: PoolOptions refuses a server count before expanding it
+    specs = (spec for spec, count in ((edge, args.servers), (far, cloud))
+             for _ in range(count))
     return PoolOptions(servers=args.servers, capacity=args.capacity,
-                       queue_limit=args.queue_limit, specs=edge + far)
+                       queue_limit=args.queue_limit, specs=specs)
 
 
 def _autoscaler(args):

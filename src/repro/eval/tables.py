@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..offload.estimator import (EstimatorParams,
-                                 StaticPerformanceEstimator, mbps)
+from ..offload.estimator import Estimate, EstimatorParams, mbps
 from ..offload.selector import TargetSelector
 from ..profiler.profiler import profile_module
 from ..targets.presets import ARM32, X86_64
@@ -99,12 +98,7 @@ def render_table2() -> str:
 @dataclass
 class Table3Row:
     candidate: str
-    exec_seconds: float
-    invocations: int
-    memory_mb: float
-    t_ideal: float
-    t_comm: float
-    t_gain: float
+    estimate: Estimate
     filtered: str   # "" or the filter reason
 
 
@@ -114,27 +108,16 @@ def table3_estimation(performance_ratio: float = 5.0,
     assumptions (R=5, BW=80 Mbps)."""
     module = CHESS.module()
     profile = profile_module(module, stdin=CHESS.profile_stdin)
-    estimator = StaticPerformanceEstimator(EstimatorParams(
-        performance_ratio, mbps(bandwidth_mbps)))
-    candidates = TargetSelector(module, profile, estimator).candidates()
+    candidates = TargetSelector(module, profile, EstimatorParams(
+        performance_ratio, mbps(bandwidth_mbps))).candidates()
     rows: List[Table3Row] = []
-    interesting = ["runGame", "getAITurn", "getAITurn_for.cond1",
-                   "searchMove", "getPlayerTurn", "updateBoard"]
-    for name in interesting:
+    for name in ["runGame", "getAITurn", "getAITurn_for.cond1",
+                 "searchMove", "getPlayerTurn", "updateBoard"]:
         candidate = candidates.get(name)
-        if candidate is None:
-            continue
-        prof, estimate = profile.candidates[name], candidate.estimate
-        rows.append(Table3Row(
-            candidate=name,
-            exec_seconds=prof.total_seconds,
-            invocations=prof.invocations,
-            memory_mb=prof.memory_bytes / 1e6,
-            t_ideal=estimate.t_ideal,
-            t_comm=estimate.t_comm,
-            t_gain=estimate.t_gain,
-            filtered=("" if candidate.verdict
-                      else candidate.verdict.reasons[0])))
+        if candidate is not None:
+            rows.append(Table3Row(
+                name, candidate.estimate,
+                "" if candidate.verdict else candidate.verdict.reasons[0]))
     return rows
 
 
@@ -143,8 +126,9 @@ def render_table3(rows: Optional[List[Table3Row]] = None) -> str:
     return format_table(
         ["Candidate", "Exec (s)", "Invo", "Mem (MB)", "T_ideal", "T_c",
          "T_gain", "Machine specific"],
-        [(r.candidate, r.exec_seconds, r.invocations, r.memory_mb,
-          r.t_ideal, r.t_comm, r.t_gain, r.filtered or "-")
+        [(r.candidate, r.estimate.t_mobile, r.estimate.invocations,
+          r.estimate.memory_bytes / 1e6, r.estimate.t_ideal,
+          r.estimate.t_comm, r.estimate.gain, r.filtered or "-")
          for r in rows],
         title="Table 3: profiling and Equation 1 (R=5, BW=80 Mbps)")
 

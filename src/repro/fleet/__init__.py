@@ -29,8 +29,8 @@ from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, ENGINES,
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      EVENT_KINDS, DeviceState)
 from .pool import TIERS, PoolOptions, ServerPool, ServerSpec, ServerStats
-from .replay import (OutcomeProjection, ScriptedDispatcher, Segment,
-                     SegmentBoundary, SegmentCache, TrieNode, behavior_key)
+from .replay import (ScriptedDispatcher, Segment, SegmentBoundary,
+                     SegmentCache, TrieNode, behavior_key)
 from .result import DeviceOutcome, FleetResult
 from .scheduler import FleetScheduler
 from .seeding import SeedFanout, derive_seed
@@ -44,8 +44,8 @@ __all__ = [
     "Candidate", "PlacementRequest", "ENGINES",
     "DECISION_ENGINES", "DEFAULT_DECISION_ENGINE",
     "Autoscaler", "AutoscalerOptions", "DEFAULT_AUTOSCALE_RULES",
-    "OutcomeProjection", "ScriptedDispatcher", "Segment",
-    "SegmentBoundary", "SegmentCache", "TrieNode", "behavior_key",
+    "ScriptedDispatcher", "Segment", "SegmentBoundary", "SegmentCache",
+    "TrieNode", "behavior_key",
     "DeviceOutcome", "DeviceSpec", "FleetResult",
     "FleetScheduler", "arrival_offsets", "identical_devices",
     "SeedFanout", "derive_seed",

@@ -42,6 +42,7 @@ from ..runtime.backend import Admission, Rejection
 from ..runtime.network import NetworkModel
 from .engines import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, ENGINES,
                       Candidate, PlacementRequest)
+from .spec import MAX_COUNT
 
 #: Valid ``ServerSpec.tier`` names: ``edge`` is cheap-near (device keeps
 #: its own link), ``cloud`` is fast-far (spec carries a WAN override).
@@ -73,6 +74,9 @@ class ServerSpec:
             raise ValueError("server speed must be > 0")
         if self.capacity <= 0:
             raise ValueError("servers need at least one slot")
+        if self.capacity > MAX_COUNT:
+            raise ValueError(f"capacity must be at most {MAX_COUNT:,} "
+                             f"slots; got {self.capacity}")
         if self.queue_limit is not None and self.queue_limit <= 0:
             raise ValueError("queue_limit must be positive (or None)")
         if self.tier not in TIERS:
@@ -99,6 +103,10 @@ class PoolOptions:
     specs: Optional[Tuple[ServerSpec, ...]] = None
 
     def __post_init__(self) -> None:
+        # checked first: ``specs`` may be an iterable sized by it
+        if self.servers > MAX_COUNT:
+            raise ValueError(f"servers must be at most {MAX_COUNT:,}; "
+                             f"got {self.servers}")
         if self.specs is not None:
             object.__setattr__(self, "specs", tuple(self.specs))
             if not self.specs:

@@ -13,15 +13,13 @@ admission request the script does not cover (docs/simulator.md,
 "Replay, not resumption").
 
 This is exact, not approximate, because a session is a deterministic
-function of the *projection* of its admission outcomes — the only
-fields a session ever reads are the session-visible
-:class:`~repro.runtime.backend.Admission` fields (``server_id``,
-``queue_seconds``, and the heterogeneous-pool ``speed`` / ``network``
-/ ``tier`` / ``deadline_s``) and
-``Rejection.estimated_wait_s`` (``start_s``/``token`` are pool
-bookkeeping the session never touches).  Same script in, same
-execution out: same timeline, same energy, same trace, same estimator
-state.
+function of the session-visible part of its admission outcomes — every
+:class:`~repro.runtime.backend.Admission` field but ``start_s`` and
+``token`` (pool bookkeeping the session never touches), and the whole
+:class:`~repro.runtime.backend.Rejection`.  :func:`edge_label` keeps
+exactly that part of a pool record, and the script is those labels.
+Same script in, same execution out: same timeline, same energy, same
+trace, same estimator state.
 
 Naively this costs O(k^2) interpreter work for a device with k
 admissions.  The :class:`SegmentCache` removes that in the common case:
@@ -51,64 +49,29 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime.backend import Admission, OffloadDispatcher, Rejection
 from ..runtime.session import OffloadSession, SessionOptions, SessionResult
 from .spec import DeviceSpec
 
 
-class OutcomeProjection(NamedTuple):
-    """The session-visible part of one admission or rejection.
-
-    This is the *entire* channel from the pool into a device session;
-    everything else on :class:`~repro.runtime.backend.Admission` is
-    pool-internal.  One script entry — the outcome of one admission
-    request — is a tuple of these: one projection per granted
-    admission (a scatter/gather plan's gang is simply a longer tuple,
-    docs/parallel-offload.md), or the single projection of a
-    rejection.  A tuple, so the outcome tuples that label the
-    :class:`SegmentCache`'s trie edges hash and compare at C speed.
-    """
-
-    admitted: bool
-    server_id: int = 0
-    queue_seconds: float = 0.0
-    estimated_wait_s: float = 0.0
-    # Heterogeneous-pool fields (docs/placement.md): sessions scale
-    # server compute by speed, talk through the tier's network
-    # override, and record tier/deadline.  NetworkModel is a frozen
-    # dataclass, so the projection stays hashable.
-    speed: float = 1.0
-    network: object = None
-    tier: Optional[str] = None
-    deadline_s: Optional[float] = None
-
-    @classmethod
-    def of(cls, outcome) -> "OutcomeProjection":
-        """Project a real pool outcome down to what sessions can see."""
-        if isinstance(outcome, Admission):
-            return cls(True, outcome.server_id, outcome.queue_seconds,
-                       0.0, outcome.speed, outcome.network, outcome.tier,
-                       outcome.deadline_s)
-        if isinstance(outcome, Rejection):
-            return cls(admitted=False,
-                       estimated_wait_s=outcome.estimated_wait_s)
-        raise TypeError(f"not an admission outcome: {outcome!r}")
-
-    def materialize(self):
-        """The synthetic outcome handed to a replayed session."""
-        if self.admitted:
-            return Admission(server_id=self.server_id,
-                             queue_seconds=self.queue_seconds,
-                             speed=self.speed, network=self.network,
-                             tier=self.tier, deadline_s=self.deadline_s)
-        return Rejection(estimated_wait_s=self.estimated_wait_s)
+def edge_label(outcome):
+    """What one pool outcome looks like to a session: an admission with
+    its pool bookkeeping (``start_s``/``token``) zeroed, or the
+    rejection itself.  Both are immutable and hash by value, so a tuple
+    of these — one per gang member, or the one rejection — labels a
+    :class:`SegmentCache` trie edge, and a replayed session is handed
+    the labels themselves."""
+    if isinstance(outcome, Rejection):
+        return outcome
+    return Admission(outcome[0], outcome[1], 0.0, None, *outcome[4:])
 
 
 #: One device's history with the pool: per admission request, the
-#: projections of what it was granted (or of the rejection).
-Script = Tuple[Tuple[OutcomeProjection, ...], ...]
+#: labels of what it was granted (one per gang member) or of the
+#: rejection.
+Script = Tuple[tuple, ...]
 
 
 class SegmentBoundary(BaseException):
@@ -155,15 +118,15 @@ class ScriptedDispatcher(OffloadDispatcher):
     def admit(self, target_name: str, now_s: float, shards: int = 1):
         if self._cursor >= len(self._script):
             raise SegmentBoundary(target_name, now_s, shards)
-        outcome = [member.materialize()
-                   for member in self._script[self._cursor]]
+        edge = self._script[self._cursor]
         self._cursor += 1
-        if isinstance(outcome[0], Rejection):
+        if isinstance(edge[0], Rejection):
             self._last_grant = []
-            return outcome[0]
-        self._admissions_granted += len(outcome)
-        self._last_grant = outcome
-        return outcome
+            return edge[0]
+        grant = list(edge)
+        self._admissions_granted += len(grant)
+        self._last_grant = grant
+        return grant
 
     def release(self, admission: Admission, now_s: float) -> None:
         self.release_log.append((admission, now_s))
@@ -293,13 +256,13 @@ class TrieNode:
     __slots__ = ("parent", "edge", "children", "segment")
 
     def __init__(self, parent: Optional["TrieNode"] = None,
-                 edge: Tuple[OutcomeProjection, ...] = ()):
+                 edge: tuple = ()):
         self.parent = parent
         self.edge = edge
-        self.children: Dict[Tuple[OutcomeProjection, ...], TrieNode] = {}
+        self.children: Dict[tuple, TrieNode] = {}
         self.segment: Optional[Segment] = None
 
-    def child(self, outcomes: Tuple[OutcomeProjection, ...]) -> "TrieNode":
+    def child(self, outcomes: tuple) -> "TrieNode":
         """The node one admission request further on, the request
         having been answered with ``outcomes``."""
         node = self.children.get(outcomes)

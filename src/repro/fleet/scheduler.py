@@ -49,7 +49,7 @@ from .clock import EventQueue, SimClock
 from .events import (ADMISSION_REQUEST, ARRIVAL, AUTOSCALE, COMPLETION,
                      TRANSITIONS, DeviceState)
 from .pool import ServerPool
-from .replay import OutcomeProjection, Segment, SegmentCache, TrieNode
+from .replay import Segment, SegmentCache, TrieNode, edge_label
 from .result import DeviceOutcome, FleetResult
 from .spec import DeviceSpec
 
@@ -178,7 +178,7 @@ class FleetScheduler:
             self.autoscaler.observe(t, outcomes[0])
         p.pending_target = None
         p.pending_shards = 1
-        p.node = p.node.child(tuple(map(OutcomeProjection.of, outcomes)))
+        p.node = p.node.child(tuple(map(edge_label, outcomes)))
         segment = self._advance(p, queue)
         # The replay observed the session-local instant each slot was
         # handed back; apply them to the real pool now, so the next

@@ -19,6 +19,11 @@ from ..runtime.network import FaultPlan
 from ..runtime.session import SessionOptions
 from .seeding import SeedFanout
 
+#: The largest device, server or slot count a fleet may ask for — far
+#: past the largest benchmarked fleet (20 000 devices); a larger count
+#: is refused rather than left to exhaust memory (docs/fleet.md).
+MAX_COUNT = 1_000_000
+
 
 @dataclass
 class DeviceSpec:
@@ -65,8 +70,9 @@ def arrival_offsets(pattern: str, devices: int, spacing_s: float,
       drawn from ``rng`` (a fan-out child, never a shared global);
     * ``burst`` — everyone at t=0, the worst case for the pool.
     """
-    if devices < 0:
-        raise ValueError(f"devices must be >= 0; got {devices!r}")
+    if not 0 <= devices <= MAX_COUNT:
+        raise ValueError(
+            f"devices must be in 0..{MAX_COUNT:,}; got {devices!r}")
     if spacing_s < 0:
         raise ValueError(f"spacing must be >= 0; got {spacing_s!r}")
     if pattern == "uniform":

@@ -2,10 +2,8 @@
 partitioning and server-specific optimization (paper, Section 3)."""
 
 from .filter import (FilterVerdict, FunctionFilter, INTERACTIVE_IO,
-                     IO_FUNCTIONS, PURE_BUILTINS, REMOTE_FILE_INPUT,
-                     REMOTE_OUTPUT)
-from .estimator import (EstimatorParams, StaticEstimate,
-                        StaticPerformanceEstimator, mbps)
+                     IO_FUNCTIONS, PURE_BUILTINS)
+from .estimator import Estimate, EstimatorParams, mbps
 from .selector import (Candidate, SelectionResult, TargetRefused,
                        TargetSelector)
 from .outline import OutliningError, can_outline, outline_loop
@@ -19,9 +17,7 @@ from .pipeline import CompilerOptions, NativeOffloaderCompiler, OffloadProgram
 
 __all__ = [
     "FilterVerdict", "FunctionFilter", "INTERACTIVE_IO", "IO_FUNCTIONS",
-    "PURE_BUILTINS", "REMOTE_FILE_INPUT", "REMOTE_OUTPUT",
-    "EstimatorParams", "StaticEstimate", "StaticPerformanceEstimator",
-    "mbps",
+    "PURE_BUILTINS", "Estimate", "EstimatorParams", "mbps",
     "Candidate", "SelectionResult", "TargetRefused", "TargetSelector",
     "OutliningError", "can_outline", "outline_loop",
     "UnificationReport", "reallocate_referenced_globals",

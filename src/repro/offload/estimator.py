@@ -1,4 +1,5 @@
-"""Static performance estimator (paper, Section 3.1, Equation 1).
+"""Equation 1 (paper, Section 3.1): the static performance estimator,
+and the one formula the dynamic estimator re-evaluates per invocation.
 
     Tg = (Tm - Ts) - Tc  =  Tm * (1 - 1/R)  -  2 * (M / BW) * Ninvo
 
@@ -11,20 +12,39 @@ twice per invocation (live-ins out, dirty data back), hence the factor 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple
 
 from ..profiler.profile_data import CandidateProfile
 
 
+class Estimate(NamedTuple):
+    """Equation 1 evaluated once — the Table 3 columns at compile time,
+    one invocation's prediction at run time (an immutable tuple)."""
+
+    t_mobile: float          # Tm: mobile execution time priced
+    memory_bytes: float      # M: shared data one invocation moves
+    bandwidth: float         # BW, bytes/s
+    invocations: int         # Ninvo
+    t_ideal: float           # Tm * (1 - 1/R): the compute the server saves
+    t_comm: float            # Tc: 2 * M/BW * Ninvo, the traffic that costs
+    # Expected server-pool queueing delay (0 outside fleet runs and at
+    # compile time): waiting for a slot costs the mobile exactly like
+    # waiting on the link does.
+    t_queue: float = 0.0
+
+    @property
+    def gain(self) -> float:
+        return self.t_ideal - self.t_comm - self.t_queue
+
+
 def equation1(t_mobile: float, ratio: float, memory_bytes: float,
-              bandwidth_bytes_per_s: float,
-              invocations: int = 1) -> Tuple[float, float]:
-    """Equation 1's two terms, ``(Tm * (1 - 1/R), 2 * M/BW * Ninvo)``:
-    the compute the server saves and the traffic that costs.  The static
-    estimator prices every profiled invocation, the dynamic one the next
-    invocation alone."""
-    return (t_mobile * (1.0 - 1.0 / ratio),
-            2.0 * memory_bytes / bandwidth_bytes_per_s * invocations)
+              bandwidth: float, invocations: int = 1,
+              t_queue: float = 0.0) -> Estimate:
+    """Equation 1 at ratio ``ratio``: the static estimator prices every
+    profiled invocation, the dynamic one the next invocation alone."""
+    return Estimate(t_mobile, memory_bytes, bandwidth, invocations,
+                    t_mobile * (1.0 - 1.0 / ratio),
+                    2.0 * memory_bytes / bandwidth * invocations, t_queue)
 
 
 @dataclass(frozen=True)
@@ -44,44 +64,11 @@ class EstimatorParams:
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
 
-
-@dataclass
-class StaticEstimate:
-    """Per-candidate output of the estimator — the Table 3 columns."""
-
-    name: str
-    t_mobile: float          # Tm: profiled mobile execution time
-    t_ideal: float           # Tm * (1 - 1/R): ideal gain
-    t_comm: float            # Tc: 2 * M/BW * Ninvo
-    invocations: int
-    memory_bytes: int
-
-    @property
-    def t_gain(self) -> float:
-        return self.t_ideal - self.t_comm
-
-    @property
-    def profitable(self) -> bool:
-        return self.t_gain > 0
-
-
-class StaticPerformanceEstimator:
-    def __init__(self, params: EstimatorParams):
-        self.params = params
-
-    def estimate(self, profile: CandidateProfile) -> StaticEstimate:
-        t_ideal, t_comm = equation1(
-            profile.total_seconds, self.params.performance_ratio,
-            profile.memory_bytes, self.params.bandwidth_bytes_per_s,
-            profile.invocations)
-        return StaticEstimate(
-            name=profile.name,
-            t_mobile=profile.total_seconds,
-            t_ideal=t_ideal,
-            t_comm=t_comm,
-            invocations=profile.invocations,
-            memory_bytes=profile.memory_bytes,
-        )
+    def estimate(self, profile: CandidateProfile) -> Estimate:
+        """The static estimator: Equation 1 over a candidate's profile."""
+        return equation1(profile.total_seconds, self.performance_ratio,
+                         profile.memory_bytes, self.bandwidth_bytes_per_s,
+                         profile.invocations)
 
 
 def mbps(megabits_per_second: float) -> float:

@@ -19,20 +19,19 @@ from ..ir import instructions as inst
 from ..ir.module import Module
 from ..ir.values import Function
 from ..frontend.builtins import BUILTIN_SIGNATURES
+from ..machine.libc import STDIO
 
 # Interactive input: requires the user at the mobile device.  Always
 # machine specific (scanf in getPlayerTurn pins runGame/main, Figure 3).
 INTERACTIVE_IO = {"scanf", "getchar"}
 
-# Output functions that the remote I/O manager can forward to the mobile
-# device (r_printf & co., Section 3.4).
-REMOTE_OUTPUT = {"printf", "puts", "putchar", "fprintf", "fwrite"}
+# The calls the remote I/O manager forwards to the mobile device
+# (r_printf & co., Section 3.4): output, and file input — remotely
+# executable because file data can be prefetched and the round trips
+# amortized.  One row of libc's STDIO table each.
+REMOTE_IO_FUNCTIONS = frozenset(STDIO)
 
-# File input: remotely executable because file data can be prefetched and
-# the round trips amortized (Section 3.4).
-REMOTE_FILE_INPUT = {"fopen", "fclose", "fread", "fgets", "fgetc", "feof"}
-
-IO_FUNCTIONS = INTERACTIVE_IO | REMOTE_OUTPUT | REMOTE_FILE_INPUT
+IO_FUNCTIONS = INTERACTIVE_IO | REMOTE_IO_FUNCTIONS
 
 # Remaining known builtins (allocation, string, math, ``sprintf``, which
 # formats into memory, ...) are machine independent.
@@ -131,7 +130,7 @@ class FunctionFilter:
     def _external_reasons(self, name: str) -> List[str]:
         if name in INTERACTIVE_IO:
             return [f"interactive I/O call {name}"]
-        if name in REMOTE_OUTPUT or name in REMOTE_FILE_INPUT:
+        if name in REMOTE_IO_FUNCTIONS:
             if self.enable_remote_io:
                 return []  # remotely executable (Section 3.4)
             return [f"I/O call {name}"]

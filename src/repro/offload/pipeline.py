@@ -23,7 +23,7 @@ from ..ir.verifier import verify_module
 from ..profiler.profile_data import ProfileData
 from ..targets.arch import TargetArch, performance_ratio
 from ..targets.presets import ARM32, X86_64
-from .estimator import (EstimatorParams, StaticPerformanceEstimator, mbps)
+from .estimator import EstimatorParams, mbps
 from .filter import FunctionFilter
 from .outline import outline_loop
 from .partition import PartitionResult, partition
@@ -185,9 +185,8 @@ class NativeOffloaderCompiler:
         )
 
     # -- helpers ----------------------------------------------------------
-    def _estimator(self) -> StaticPerformanceEstimator:
-        params = EstimatorParams(
+    def _estimator(self) -> EstimatorParams:
+        return EstimatorParams(
             performance_ratio=performance_ratio(self.options.server_arch,
                                                 self.options.mobile_arch),
             bandwidth_bytes_per_s=mbps(COMPILE_BANDWIDTH_MBPS))
-        return StaticPerformanceEstimator(params)

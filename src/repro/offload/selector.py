@@ -19,7 +19,7 @@ from ..analysis.loops import Loop, LoopInfo
 from ..ir import instructions as inst
 from ..ir.module import Module
 from ..profiler.profile_data import ProfileData
-from .estimator import StaticEstimate, StaticPerformanceEstimator
+from .estimator import Estimate, EstimatorParams
 from .filter import FilterVerdict, FunctionFilter
 from .outline import can_outline
 
@@ -29,14 +29,14 @@ class Candidate:
     name: str
     kind: str                      # "function" or "loop"
     function_name: str
-    estimate: StaticEstimate
+    estimate: Estimate
     verdict: FilterVerdict
     loop: Optional[Loop] = None
 
     @property
     def selectable(self) -> bool:
         return (not self.verdict.machine_specific
-                and self.estimate.profitable)
+                and self.estimate.gain > 0)
 
 
 @dataclass
@@ -56,7 +56,7 @@ MIN_GAIN_FRACTION = 0.12
 
 class TargetSelector:
     def __init__(self, module: Module, profile: ProfileData,
-                 estimator: StaticPerformanceEstimator,
+                 estimator: EstimatorParams,
                  filter_: Optional[FunctionFilter] = None):
         self.module = module
         self.profile = profile
@@ -80,8 +80,8 @@ class TargetSelector:
         threshold = MIN_GAIN_FRACTION * self.profile.program_seconds
         ordered = sorted(
             (c for c in candidates.values()
-             if c.selectable and c.estimate.t_gain >= threshold),
-            key=lambda c: (-c.estimate.t_gain, c.name))
+             if c.selectable and c.estimate.gain >= threshold),
+            key=lambda c: (-c.estimate.gain, c.name))
         selected: List[Candidate] = []
         covered: Set[str] = set()
         for candidate in ordered:

@@ -17,13 +17,11 @@ from ..ir import instructions as inst
 from ..ir.module import Module
 from ..ir.types import FunctionType, PointerType, I8
 from ..ir.values import Function
-from .filter import REMOTE_FILE_INPUT, REMOTE_OUTPUT
+from .filter import REMOTE_IO_FUNCTIONS
 
 M2S_FCN_MAP = "__no_m2s_fcn_map"
 S2M_FCN_MAP = "__no_s2m_fcn_map"
 REMOTE_IO_PREFIX = "r_"
-
-REMOTE_IO_FUNCTIONS = REMOTE_OUTPUT | REMOTE_FILE_INPUT
 
 
 def apply_remote_io(server_module: Module) -> int:

@@ -13,8 +13,7 @@ from .comm import (CommStats, CommunicationManager, TransferResult,
 from .fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES,
                         UnmappableFunctionPointer)
 from .uva import PrefetchAdvisor, UVAManager, UVAStats
-from .dynamic_estimator import (DynamicPerformanceEstimator, GainEstimate,
-                                TargetRuntimeState)
+from .dynamic_estimator import DynamicPerformanceEstimator, TargetRuntimeState
 from .backend import (Admission, DirectDispatcher, InvocationRecord,
                       LocalBackend, OffloadDispatcher, Rejection,
                       RemoteBackend)
@@ -34,7 +33,7 @@ __all__ = [
     "FunctionAddressTable", "MAP_LOOKUP_CYCLES",
     "UnmappableFunctionPointer",
     "PrefetchAdvisor", "UVAManager", "UVAStats",
-    "DynamicPerformanceEstimator", "GainEstimate", "TargetRuntimeState",
+    "DynamicPerformanceEstimator", "TargetRuntimeState",
     "Admission", "DirectDispatcher", "LocalBackend", "OffloadDispatcher",
     "Rejection", "RemoteBackend",
     "InvocationRecord", "OffloadSession", "SessionOptions", "SessionResult",

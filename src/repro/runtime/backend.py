@@ -119,14 +119,11 @@ class Admission(NamedTuple):
     """A granted server slot for one offload invocation (an immutable
     tuple: the pool builds one per admission).
 
-    Sessions read ``server_id``, ``queue_seconds`` and the
-    heterogeneous-pool echo fields (``speed``, ``network``, ``tier``,
-    ``deadline_s``); ``start_s``/``token`` are pool
-    bookkeeping.  The event-driven fleet scheduler's replay correctness
-    depends on that split
-    (:class:`repro.fleet.replay.OutcomeProjection`) — a backend change
-    that makes sessions consume more of this object must extend the
-    projection too.
+    Sessions read every field but ``start_s``/``token``, which are pool
+    bookkeeping.  The event-driven fleet scheduler's replay depends on
+    that split: :func:`repro.fleet.replay.edge_label` zeroes those two,
+    so a field added here is session-visible — and replayed — unless
+    that function zeroes it too.
     """
 
     server_id: int = 0

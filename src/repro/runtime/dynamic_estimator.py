@@ -10,9 +10,9 @@ suffering a slowdown (Figure 6, the ``*`` entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..offload.estimator import equation1
+from ..offload.estimator import Estimate, equation1
 from ..offload.partition import OffloadTarget
 from ..profiler.profile_data import ProfileData
 from ..trace import NULL_TRACER, Tracer
@@ -36,8 +36,6 @@ class TargetRuntimeState:
     # invocations are smoothed here.  Estimates prefer the warm figure —
     # it is the one that predicts the *next* invocation.
     warm_traffic_bytes: Optional[float] = None
-    decisions: int = 0
-    offloads: int = 0
     # Link-failure awareness: aborted invocations put the target on an
     # exponentially growing decision cooldown (see record_offload_failure).
     failures: int = 0
@@ -46,25 +44,6 @@ class TargetRuntimeState:
     # again (the abort rollback purged the page cache), so its volume
     # must replace the cold figure rather than pollute the warm EWMA.
     cold_restart: bool = False
-
-
-@dataclass
-class GainEstimate:
-    """Equation 1 evaluated with run-time values, kept component-wise so
-    the trace can record *why* a decision came out the way it did."""
-
-    t_mobile: float           # (observed or profiled) local seconds
-    memory_bytes: float       # (observed or profiled) transfer volume
-    t_ideal: float            # compute saving at the current ratio
-    bandwidth: float          # bytes/s used for the comm term
-    t_comm: float             # 2 * memory / bandwidth
-    gain: float               # t_ideal - t_comm - t_queue
-    observed_time: bool       # True when t_mobile came from observation
-    observed_traffic: bool    # True when memory came from observation
-    # Expected server-pool queueing delay (0 outside fleet runs): the
-    # paper's Equation 1 generalized to contention — waiting for a slot
-    # costs the mobile exactly like waiting on the link does.
-    t_queue: float = 0.0
 
 
 class DynamicPerformanceEstimator:
@@ -82,15 +61,12 @@ class DynamicPerformanceEstimator:
         # Equation 1 is moot on a link that cannot carry the traffic.
         self.transport = transport
         self.state: Dict[str, TargetRuntimeState] = {}
-        self.last_estimate: Optional[GainEstimate] = None
-        self.last_reason: Optional[str] = None
         # Contention awareness (fleet runs): observed queueing delay per
         # server id, EWMA-smoothed, plus the wait quoted by admission
         # rejections.  Both stay empty in single-session runs, keeping
         # t_queue identically zero there.
         self.queue_delay_ewma: Dict[int, float] = {}
         self.rejection_wait_ewma: Optional[float] = None
-        self.pool_rejections: int = 0
         # Heterogeneous-pool awareness (docs/placement.md): the speed
         # multiplier observed per server id, so Equation 1's compute
         # saving reflects the server the device actually lands on.
@@ -154,7 +130,6 @@ class DynamicPerformanceEstimator:
     def record_pool_rejection(self, estimated_wait_s: float) -> None:
         """The pool refused admission outright, quoting the wait it
         would have imposed; treat the quote as an observed delay."""
-        self.pool_rejections += 1
         if self.rejection_wait_ewma is None:
             self.rejection_wait_ewma = estimated_wait_s
         else:
@@ -218,16 +193,15 @@ class DynamicPerformanceEstimator:
         return self.server_speed.get(best, 1.0)
 
     # -- the decision -------------------------------------------------
-    def estimate(self, target: OffloadTarget) -> GainEstimate:
-        """Per-invocation Equation 1 with run-time values, componentwise."""
+    def estimate(self, target: OffloadTarget) -> Estimate:
+        """Per-invocation Equation 1 with run-time values: observed
+        figures where there are any, profiled ones otherwise."""
         state = self._state(target.name)
         prof = self.profile.candidates.get(target.name)
-        observed_time = state.observed_local_seconds is not None
         t_mobile = state.observed_local_seconds
         if t_mobile is None:
             t_mobile = (prof.seconds_per_invocation
                         if prof is not None and prof.invocations else 0.0)
-        observed_traffic = state.observed_traffic_bytes is not None
         memory = (state.warm_traffic_bytes
                   if state.warm_traffic_bytes is not None
                   else state.observed_traffic_bytes)
@@ -237,31 +211,22 @@ class DynamicPerformanceEstimator:
         # than the paper's reference (speed > 1); a 1.0 speed leaves
         # the ratio bit-identical to the single-server arithmetic.
         ratio = self.performance_ratio * self.expected_server_speed()
-        bandwidth = self.network.bandwidth_bytes_per_s
-        t_ideal, t_comm = equation1(t_mobile, ratio, memory, bandwidth)
-        t_queue = self.expected_queue_seconds()
-        return GainEstimate(t_mobile=t_mobile, memory_bytes=memory,
-                            t_ideal=t_ideal, bandwidth=bandwidth,
-                            t_comm=t_comm,
-                            gain=t_ideal - t_comm - t_queue,
-                            observed_time=observed_time,
-                            observed_traffic=observed_traffic,
-                            t_queue=t_queue)
+        return equation1(t_mobile, ratio, memory,
+                         self.network.bandwidth_bytes_per_s,
+                         t_queue=self.expected_queue_seconds())
 
-    def should_offload(self, target: OffloadTarget) -> bool:
+    def decide(self, target: OffloadTarget
+               ) -> Tuple[bool, str, Optional[Estimate]]:
+        """``(offload, reason, estimate)`` for this invocation of
+        ``target``; the estimate is None when the link or a failure
+        backoff decided before Equation 1 was evaluated."""
         state = self._state(target.name)
-        state.decisions += 1
         if self.transport is not None and not self.transport.usable:
-            self.last_estimate = None
-            self.last_reason = "link_down"
-            return False
+            return False, "link_down", None
         if state.cooldown > 0:
             state.cooldown -= 1
-            self.last_estimate = None
-            self.last_reason = "failure_backoff"
-            return False
+            return False, "failure_backoff", None
         est = self.estimate(target)
-        self.last_estimate = est
         if self.tracer.enabled:
             self.tracer.emit(
                 "estimate", target.name, gain_seconds=est.gain,
@@ -269,17 +234,13 @@ class DynamicPerformanceEstimator:
                 t_comm=est.t_comm, t_queue=est.t_queue,
                 memory_bytes=est.memory_bytes,
                 bandwidth_bytes_per_s=est.bandwidth,
-                observed_time=est.observed_time,
-                observed_traffic=est.observed_traffic)
+                observed_time=state.observed_local_seconds is not None,
+                observed_traffic=state.observed_traffic_bytes is not None)
         if est.gain > 0:
-            state.offloads += 1
-            self.last_reason = "positive_gain"
-            return True
+            return True, "positive_gain", est
         # Tell contention apart from a plain bad trade: the offload
         # would have paid off on an idle pool but the expected slot wait
         # eats the saving, so the device degrades to local execution.
         if est.t_queue > 0 and est.gain + est.t_queue > 0:
-            self.last_reason = "queue_pressure"
-        else:
-            self.last_reason = "negative_gain"
-        return False
+            return False, "queue_pressure", est
+        return False, "negative_gain", est

@@ -490,25 +490,22 @@ class OffloadSession:
         target = self.program.partition.target_by_id(int(args[0]))
         interp.charge("alu", 40)  # estimation cost
         if self.options.force_local:
-            decision, reason = False, "force_local"
+            offload, reason, est = False, "force_local", None
         elif not self.options.enable_dynamic_estimation:
-            decision, reason = True, "estimation_disabled"
+            offload, reason, est = True, "estimation_disabled", None
         else:
-            decision = self.estimator.should_offload(target)
-            reason = self.estimator.last_reason or (
-                "positive_gain" if decision else "negative_gain")
-        if not decision:
+            offload, reason, est = self.estimator.decide(target)
+        if not offload:
             self.invocations.append(
                 InvocationRecord(target=target.name, offloaded=False))
         tr = self.tracer
         if tr.enabled:
-            est = self.estimator.last_estimate
-            gain = (est.gain if reason in ("positive_gain",
-                                           "negative_gain")
-                    and est is not None else None)
-            tr.emit("decision", target.name, offloaded=decision,
+            # A gain is reported only when its sign decided.
+            gain = (est.gain if reason in ("positive_gain", "negative_gain")
+                    else None)
+            tr.emit("decision", target.name, offloaded=offload,
                     reason=reason, gain_seconds=gain)
-        return 1 if decision else 0
+        return 1 if offload else 0
 
     # -- fn-ptr mapping ---------------------------------------------------
     def _charge_fnptr(self, interp: Interpreter) -> None:

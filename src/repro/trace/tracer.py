@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
-from sys import intern
+from sys import intern, maxsize
 from typing import Callable, Dict, List, Optional
 
 DEFAULT_CAPACITY = 262_144
@@ -172,6 +172,9 @@ class Tracer:
                  sid: Optional[str] = None):
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
+        if capacity > maxsize:      # the longest deque there can be
+            raise ValueError(f"tracer capacity must be at most {maxsize}; "
+                             f"got {capacity}")
         self.capacity = capacity
         self.sid = sid
         self.clock: Callable[[], float] = clock or (lambda: 0.0)

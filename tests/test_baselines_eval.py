@@ -130,8 +130,8 @@ class TestEvalHarness:
         assert by_name["runGame"].filtered
         # getAITurn is profitable and offloadable
         assert not by_name["getAITurn"].filtered
-        assert by_name["getAITurn"].t_gain > 0
+        assert by_name["getAITurn"].estimate.gain > 0
         # searchMove's invocation count makes it unprofitable
-        assert by_name["searchMove"].t_gain < 0
-        assert by_name["searchMove"].invocations > \
-            by_name["getAITurn"].invocations
+        assert by_name["searchMove"].estimate.gain < 0
+        assert by_name["searchMove"].estimate.invocations > \
+            by_name["getAITurn"].estimate.invocations

@@ -131,7 +131,7 @@ class TestDynamicEstimator:
         target = OffloadTarget(1, "t", "function")
         for network in (SLOW_WIFI, FAST_WIFI, IDEAL_NETWORK):
             est = DynamicPerformanceEstimator(data, 5.8, network)
-            assert est.should_offload(target)
+            assert est.decide(target)[0]
 
     def test_comm_bound_declines_on_slow(self):
         # 10 ms of compute, 150 KB of state: loses on 10 MB/s (slow),
@@ -140,34 +140,24 @@ class TestDynamicEstimator:
         target = OffloadTarget(1, "t", "function")
         slow = DynamicPerformanceEstimator(data, 5.8, SLOW_WIFI)
         fast = DynamicPerformanceEstimator(data, 5.8, FAST_WIFI)
-        assert not slow.should_offload(target)
-        assert fast.should_offload(target)
+        assert not slow.decide(target)[0]
+        assert fast.decide(target)[0]
 
     def test_observed_local_time_overrides_profile(self):
         data = _profile_with("t", 0.001, 1, 2 * 1024 * 1024)
         target = OffloadTarget(1, "t", "function")
         est = DynamicPerformanceEstimator(data, 5.8, FAST_WIFI)
-        assert not est.should_offload(target)
+        assert not est.decide(target)[0]
         est.record_local_time("t", 1.0)  # observed: much heavier
-        assert est.should_offload(target)
+        assert est.decide(target)[0]
 
     def test_observed_traffic_overrides_profile(self):
         data = _profile_with("t", 0.050, 1, 4096)
         target = OffloadTarget(1, "t", "function")
         est = DynamicPerformanceEstimator(data, 5.8, SLOW_WIFI)
-        assert est.should_offload(target)
+        assert est.decide(target)[0]
         est.record_offload_traffic("t", 50 * 1024 * 1024)
-        assert not est.should_offload(target)
-
-    def test_decision_counters(self):
-        data = _profile_with("t", 1.0, 1, 4096)
-        target = OffloadTarget(1, "t", "function")
-        est = DynamicPerformanceEstimator(data, 5.8, FAST_WIFI)
-        est.should_offload(target)
-        est.should_offload(target)
-        state = est.state["t"]
-        assert state.decisions == 2
-        assert state.offloads == 2
+        assert not est.decide(target)[0]
 
     def test_gain_formula_matches_equation_one(self):
         data = _profile_with("t", 10.0, 1, 0)

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.offload.estimator import (EstimatorParams,
-                                     StaticPerformanceEstimator, mbps)
+from repro.offload.estimator import EstimatorParams, mbps
 from repro.offload.partition import OffloadTarget
 from repro.profiler.profile_data import CandidateProfile, ProfileData
 from repro.runtime import DynamicPerformanceEstimator, FAST_WIFI
@@ -32,8 +31,8 @@ class TestStaticWarmFraction:
     paper states it."""
 
     def _estimator(self):
-        return StaticPerformanceEstimator(EstimatorParams(
-            performance_ratio=4.0, bandwidth_bytes_per_s=mbps(200)))
+        return EstimatorParams(
+            performance_ratio=4.0, bandwidth_bytes_per_s=mbps(200))
 
     def test_default_is_the_papers_equation(self):
         cand = _candidate(invocations=5)
@@ -51,7 +50,7 @@ class TestStaticWarmFraction:
         out = self._estimator().estimate(_candidate(invocations=0))
         # nothing ever crosses the wire, so the gain is pure t_ideal
         assert out.t_comm == 0.0
-        assert out.t_gain == pytest.approx(out.t_ideal)
+        assert out.gain == pytest.approx(out.t_ideal)
 
 
 class TestDynamicWarmSplit:
@@ -61,7 +60,7 @@ class TestDynamicWarmSplit:
     def test_first_invocation_uses_profiled_memory(self):
         est = self._estimator()
         out = est.estimate(OffloadTarget(1, "t", "function"))
-        assert not out.observed_traffic
+        assert est.state["t"].observed_traffic_bytes is None
         assert out.memory_bytes == pytest.approx(64 * 1024)
 
     def test_first_observation_is_the_cold_figure(self):

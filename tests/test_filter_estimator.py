@@ -5,8 +5,7 @@ import pytest
 
 from repro.analysis import LoopInfo
 from repro.frontend import compile_c
-from repro.offload import (EstimatorParams, FunctionFilter, StaticEstimate,
-                           StaticPerformanceEstimator, mbps)
+from repro.offload import EstimatorParams, FunctionFilter, mbps
 from repro.profiler.profile_data import CandidateProfile
 
 
@@ -104,9 +103,8 @@ class TestEquationOne:
 
     @pytest.fixture(scope="class")
     def estimator(self):
-        return StaticPerformanceEstimator(
-            EstimatorParams(performance_ratio=5.0,
-                            bandwidth_bytes_per_s=mbps(80)))
+        return EstimatorParams(performance_ratio=5.0,
+                               bandwidth_bytes_per_s=mbps(80))
 
     def _profile(self, name, seconds, invocations, mem_mb):
         prof = CandidateProfile(name, "function", name)
@@ -124,8 +122,8 @@ class TestEquationOne:
         assert est.t_ideal == pytest.approx(20.8, rel=1e-3)
         # T_c = 2 * 12MB / 10MB/s * 3 = 7.2 s ... with page-rounded memory
         assert est.t_comm == pytest.approx(7.2, rel=0.01)
-        assert est.t_gain == pytest.approx(13.6, rel=0.01)
-        assert est.profitable
+        assert est.gain == pytest.approx(13.6, rel=0.01)
+        assert est.gain > 0
 
     def test_for_j_row_unprofitable(self, estimator):
         # Table 3: for_j 25.0 s, 36 invocations, 12 MB -> Tg = -66.4
@@ -134,41 +132,38 @@ class TestEquationOne:
         est = estimator.estimate(prof)
         assert est.t_ideal == pytest.approx(20.0, rel=1e-3)
         assert est.t_comm == pytest.approx(86.4, rel=0.01)
-        assert est.t_gain == pytest.approx(-66.4, rel=0.01)
-        assert not est.profitable
+        assert est.gain == pytest.approx(-66.4, rel=0.01)
+        assert not est.gain > 0
 
     def test_getPlayerTurn_row_unprofitable(self, estimator):
         # Table 3: 1.5 s, 3 invocations, 10 MB -> Tg = -4.8
         prof = self._profile("getPlayerTurn", 1.5, 3, 10.0)
         prof.pages_touched = set(range(10_000_000 // 4096))
         est = estimator.estimate(prof)
-        assert est.t_gain == pytest.approx(-4.8, rel=0.01)
+        assert est.gain == pytest.approx(-4.8, rel=0.01)
 
     def test_monotonic_in_bandwidth(self):
         prof = self._profile("x", 10.0, 1, 5.0)
         gains = []
         for bw in (10, 40, 160, 640):
-            est = StaticPerformanceEstimator(
-                EstimatorParams(5.0, mbps(bw))).estimate(prof)
-            gains.append(est.t_gain)
+            est = EstimatorParams(5.0, mbps(bw)).estimate(prof)
+            gains.append(est.gain)
         assert gains == sorted(gains)
 
     def test_monotonic_in_ratio(self):
         prof = self._profile("x", 10.0, 1, 1.0)
         gains = []
         for ratio in (1.5, 3, 6, 12):
-            est = StaticPerformanceEstimator(
-                EstimatorParams(ratio, mbps(80))).estimate(prof)
-            gains.append(est.t_gain)
+            est = EstimatorParams(ratio, mbps(80)).estimate(prof)
+            gains.append(est.gain)
         assert gains == sorted(gains)
 
     def test_a_slower_server_is_legal_and_never_profitable(self):
         # R <= 1: Equation 1 is still computed, and reports a loss.
-        est = StaticPerformanceEstimator(
-            EstimatorParams(0.5, mbps(80))).estimate(
-                self._profile("x", 10.0, 1, 1.0))
+        est = EstimatorParams(0.5, mbps(80)).estimate(
+            self._profile("x", 10.0, 1, 1.0))
         assert est.t_ideal == pytest.approx(-10.0)
-        assert not est.profitable
+        assert not est.gain > 0
 
     def test_invalid_params_rejected(self):
         for ratio in (0.0, -2.0, float("nan")):

@@ -357,18 +357,16 @@ class TestQueueingAwareEstimator:
         est = self._estimator()
         est.record_queue_delay(0, 0.0)       # completed admissions fine
         est.record_pool_rejection(4.0)       # but the pool says no
-        assert est.pool_rejections == 1
         assert est.expected_queue_seconds() == pytest.approx(4.0)
 
     def test_queue_pressure_reason(self):
         est = self._estimator()
         target = OffloadTarget(1, "t", "function")
-        assert est.should_offload(target)
-        assert est.last_reason == "positive_gain"
+        assert est.decide(target)[:2] == (True, "positive_gain")
         est.record_queue_delay(0, 100.0)     # saturate the pool
-        assert not est.should_offload(target)
-        assert est.last_reason == "queue_pressure"
-        assert est.last_estimate.t_queue == pytest.approx(100.0)
+        offload, reason, estimate = est.decide(target)
+        assert (offload, reason) == (False, "queue_pressure")
+        assert estimate.t_queue == pytest.approx(100.0)
 
     def test_saturated_fleet_declines_offload(self, saturated_untraced):
         """End to end: devices arriving into a saturated pool start

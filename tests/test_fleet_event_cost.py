@@ -31,7 +31,7 @@ import repro.fleet.replay as replay_module
 from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          SeedFanout, ServerPool, ServerSpec)
 from repro.fleet.engines import Candidate
-from repro.fleet.replay import OutcomeProjection, SegmentCache
+from repro.fleet.replay import SegmentCache
 from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
                            SessionOptions)
 from repro.runtime.backend import Admission, OffloadDispatcher
@@ -289,7 +289,7 @@ class TestTracedFinalSegment:
         result: the second device to reach the class's finished node
         re-runs it under its own session id and stores nothing."""
         cache = SegmentCache()
-        granted = (OutcomeProjection(admitted=True),)
+        granted = (Admission(),)
         results = []
         for device_id in ("first", "second"):
             spec = DeviceSpec(device_id=device_id, program=crunch,

@@ -191,7 +191,7 @@ def test_an_unoutlinable_hot_loop_loses_to_its_function():
     assert loop.verdict.reasons == [
         "cannot outline: loop defines values used outside"]
     function = program.selection.candidates["count"]
-    assert loop.estimate.t_gain > function.estimate.t_gain > 0
+    assert loop.estimate.gain > function.estimate.gain > 0
     assert program.target_names() == ["count"]
     assert program.outlined_loops == []
     # the reason is the loop's own: the filter's cached function verdicts

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.fleet import (Autoscaler, DeviceSpec, FleetScheduler,
                          PoolOptions, ServerPool, ServerSpec, behavior_key)
 from repro.fleet.lockstep import LockstepFleetScheduler
 from repro.fleet.pool import Rejection
-from repro.fleet.replay import OutcomeProjection, ScriptedDispatcher
+from repro.fleet.replay import ScriptedDispatcher, edge_label
 from repro.offload import CompilerOptions
 from repro.offload.shard import contiguous_ranges
 from repro.runtime import (FAST_WIFI, NETWORKS, FaultPlan, OffloadSession,
@@ -336,7 +337,7 @@ class TestScriptedReleasePairing:
     server's slot."""
 
     def test_gang_release_times_come_back_in_grant_order(self):
-        gang = tuple(OutcomeProjection.of(Admission(server_id=i))
+        gang = tuple(edge_label(Admission(server_id=i))
                      for i in range(3))
         dispatcher = ScriptedDispatcher((gang,))
         members = dispatcher.admit("smooth", 0.0, 3)
@@ -347,14 +348,81 @@ class TestScriptedReleasePairing:
         assert dispatcher.last_release_ts == (9.0, 0.25, 9.0)
 
     def test_single_grant_release(self):
-        script = ((OutcomeProjection(admitted=True, server_id=3),),)
+        script = ((Admission(server_id=3),),)
         dispatcher = ScriptedDispatcher(script)
         [admission] = dispatcher.admit("smooth", 0.0)
         dispatcher.release(admission, 4.0)
         assert dispatcher.last_release_ts == (4.0,)
 
+    def test_equal_members_stay_distinct_objects_in_grant_order(self):
+        """Gang members with identical visible fields are equal labels,
+        yet each is its own object, so identity pairing still holds."""
+        gang = tuple(edge_label(Admission(server_id=0, start_s=float(i)))
+                     for i in range(3))
+        assert gang[0] == gang[1] == gang[2]
+        dispatcher = ScriptedDispatcher((gang,))
+        members = dispatcher.admit("smooth", 0.0, 3)
+        assert type(members) is list
+        assert all(m is g for m, g in zip(members, gang))
+        assert len({id(m) for m in members}) == 3
+        dispatcher.release(members[2], 0.5)
+        dispatcher.release(members[0], 7.0)
+        dispatcher.release(members[1], 8.0)
+        assert dispatcher.last_release_ts == (7.0, 8.0, 0.5)
+
+    # Each session-visible Admission field with the values it takes.
+    VISIBLE = {"server_id": (0, 1, 2), "queue_seconds": (0.0, 0.25),
+               "speed": (1.0, 2.5),
+               "network": (None, NETWORKS["cloud-wan"], FAST_WIFI),
+               "tier": (None, "edge", "cloud"), "deadline_s": (None, 0.5)}
+
+    def _visible(self, outcome):
+        if isinstance(outcome, Rejection):
+            return ("rejected", outcome.estimated_wait_s)
+        return ("admitted",) + tuple(getattr(outcome, name)
+                                     for name in self.VISIBLE)
+
+    def _outcomes(self, seed):
+        """Seeded admissions in triples — one, a copy differing only in
+        the pool's bookkeeping, a copy differing in one visible field —
+        plus rejections, two of each quoted wait."""
+        rng = random.Random(seed)
+        outcomes = []
+        for _ in range(10):
+            base = Admission(
+                start_s=rng.random(), token=rng.randrange(4),
+                **{name: rng.choice(values)
+                   for name, values in self.VISIBLE.items()})
+            name = rng.choice(list(self.VISIBLE))
+            other = rng.choice([value for value in self.VISIBLE[name]
+                                if value != getattr(base, name)])
+            outcomes += [base,
+                         base._replace(start_s=rng.random(), token=object()),
+                         base._replace(**{name: other})]
+        for wait in (0.0, 0.5, rng.random()):
+            outcomes += [Rejection(estimated_wait_s=wait),
+                         Rejection(estimated_wait_s=wait)]
+        return outcomes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_labels_are_equal_iff_visible_fields_are(self, seed):
+        outcomes = self._outcomes(seed)
+        labels = [edge_label(outcome) for outcome in outcomes]
+        seen = set()
+        for a, label_a in zip(outcomes, labels):
+            for b, label_b in zip(outcomes, labels):
+                same = self._visible(a) == self._visible(b)
+                assert (label_a == label_b
+                        and hash(label_a) == hash(label_b)) == same
+                assert ((label_a,) == (label_b,)) == same
+                if a is not b:
+                    seen.add(same)
+        assert seen == {True, False}
+        assert all(label.start_s == 0.0 and label.token is None
+                   for label in labels if isinstance(label, Admission))
+
     def test_unreleased_admission_raises(self):
-        gang = tuple(OutcomeProjection.of(Admission(server_id=i))
+        gang = tuple(edge_label(Admission(server_id=i))
                      for i in range(2))
         dispatcher = ScriptedDispatcher((gang,))
         members = dispatcher.admit("smooth", 0.0, 2)

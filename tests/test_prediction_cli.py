@@ -1,6 +1,8 @@
 """Tests for the cloudlet network comparison and the command-line
 interface."""
 
+import sys
+
 import pytest
 
 from repro.runtime import CLOUD_WAN, FAST_WIFI
@@ -154,6 +156,37 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and str(path) in err
         assert len(err.splitlines()) == 1
+        assert started == []
+
+    @pytest.mark.parametrize("line", [
+        f"fleet --{flag} {count}{extra}"
+        for count in (10 ** 20, 1_000_001)
+        for flag, extra in (("capacity", ""), ("devices", " --arrival burst"),
+                            ("devices", ""), ("servers", ""),
+                            ("servers", " --cloud-servers 1"),
+                            ("cloud-servers", ""))
+    ] + [f"trace fleet-micro --capacity {10 ** 20}",
+         f"trace fleet-micro --capacity {sys.maxsize + 1}"])
+    def test_a_huge_count_is_refused_before_the_run(
+            self, line, capsys, monkeypatch):
+        """Above the stated ceiling a count is one error naming it —
+        not an OverflowError, and not a run that builds 10^20 of
+        anything."""
+        import repro.__main__ as cli
+        from repro.fleet import FleetScheduler
+        from repro.runtime import OffloadSession
+        started = []
+        monkeypatch.setattr(FleetScheduler, "run",
+                            lambda self: started.append("fleet"))
+        monkeypatch.setattr(OffloadSession, "run",
+                            lambda self: started.append("session"))
+        assert cli.main(line.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert len(captured.err.splitlines()) == 1
+        named = line.split("--")[1].split()[0].replace("-", " ")
+        assert f"{named} must be" in captured.err
         assert started == []
 
     def test_output_probe_leaves_no_file_behind(self, tmp_path, capsys):

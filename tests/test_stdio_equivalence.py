@@ -151,7 +151,7 @@ def test_every_stdio_op_offloaded_equals_phone_only(mobile_arch):
 
 
 def test_remotable_names_are_the_stdio_table():
-    """A new remotable call is one STDIO row plus one filter entry; a
-    name in only one of them would be a KeyError when a session
-    registers its ``r_*`` builtins."""
+    """A new remotable call is one STDIO row: the filter and the
+    server rewrite both read their set off the table, so a session
+    registers an ``r_*`` builtin for every call it forwards."""
     assert REMOTE_IO_FUNCTIONS == set(STDIO)

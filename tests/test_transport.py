@@ -351,7 +351,8 @@ class TestAbortAndReplay:
         # rest without burning another retry budget
         assert res.declined_invocations == len(res.invocations) - 1
         assert len(res.invocations) >= 2
-        assert session.estimator.last_reason == "link_down"
+        assert session.estimator.decide(session.program.targets[0]) == (
+            False, "link_down", None)
 
     def test_failure_cooldown_backs_off_exponentially(self):
         program, _ = _compiled("multi", MULTI_SRC, b"")
@@ -366,8 +367,7 @@ class TestAbortAndReplay:
         for _ in range(8):
             est.record_offload_failure(name)
         assert est.state[name].cooldown == 8  # capped
-        assert not est.should_offload(target)
-        assert est.last_reason == "failure_backoff"
+        assert est.decide(target) == (False, "failure_backoff", None)
         # a completed offload clears the penalty
         est.record_offload_traffic(name, 1000.0)
         assert est.state[name].cooldown == 0
