@@ -228,7 +228,8 @@ class Continue(Stmt):
 @dataclass
 class SwitchStmt(Stmt):
     value: Expr
-    cases: List[Tuple[Optional[int], List[Stmt]]]  # None = default
+    # (label value, None = default; body; label line)
+    cases: List[Tuple[Optional[int], List[Stmt], int]]
     line: int = 0
 
 

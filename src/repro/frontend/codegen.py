@@ -11,7 +11,7 @@ imposes the mobile layout on the server as well.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import types as irt
 from ..ir.builder import IRBuilder
@@ -150,6 +150,8 @@ class CodeGen:
 
     def _declare_global(self, decl: ast.GlobalDecl) -> None:
         ctype = self._resolve(decl.type, decl.line)
+        if ctype.is_void:
+            raise CodegenError("void variable", decl.line)
         if ctype.is_function:
             # 'extern int foo(int);' written as a global: treat as function
             raise CodegenError(
@@ -609,14 +611,22 @@ class CodeGen:
         case_blocks = [self._new_block(f"case") for _ in stmt.cases]
         default_block = end_block
         switch = self.builder.switch(value, default_block)
-        for (const, _), block in zip(stmt.cases, case_blocks):
+        labels: Set[Optional[int]] = set()
+        for (const, _, line), block in zip(stmt.cases, case_blocks):
+            if const is not None:
+                const &= vtype.ir.max_unsigned
+            if const in labels:
+                raise CodegenError(
+                    "multiple default labels" if const is None
+                    else "duplicate case value", line)
+            labels.add(const)
             if const is None:
                 switch.default = block
             else:
-                switch.add_case(
-                    const & vtype.ir.max_unsigned, block)
+                switch.add_case(const, block)
         self._break_stack.append(end_block)
-        for i, ((_, body), block) in enumerate(zip(stmt.cases, case_blocks)):
+        for i, ((_, body, _), block) in enumerate(
+                zip(stmt.cases, case_blocks)):
             self.builder.position_at_end(block)
             for inner in body:
                 self._gen_statement(inner)
@@ -778,6 +788,8 @@ class CodeGen:
             if ctype is None:
                 raise CodegenError(
                     "sizeof of complex expression unsupported", line)
+        if ctype.is_void:
+            raise CodegenError("sizeof of void", line)
         return self._type_size(ctype)
 
     def _type_size(self, ctype: ct.CType) -> int:

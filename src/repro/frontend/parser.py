@@ -439,19 +439,21 @@ class Parser:
         value = self.parse_expr()
         self.expect(")")
         self.expect("{")
-        cases: List[Tuple[Optional[int], List[ast.Stmt]]] = []
+        cases: List[Tuple[Optional[int], List[ast.Stmt], int]] = []
         current: Optional[List[ast.Stmt]] = None
         while not self.accept("}"):
-            if self.accept("case"):
+            label = self.accept("case")
+            if label is not None:
                 const = self.parse_const_int_expr()
                 self.expect(":")
                 current = []
-                cases.append((const, current))
+                cases.append((const, current, label.line))
                 continue
-            if self.accept("default"):
+            label = self.accept("default")
+            if label is not None:
                 self.expect(":")
                 current = []
-                cases.append((None, current))
+                cases.append((None, current, label.line))
                 continue
             if current is None:
                 raise ParseError("statement before first case label",

@@ -18,7 +18,7 @@ from ..ir.values import (AggregateInit, BytesInit, Function, FunctionRefInit,
 from ..ir.types import I8, ArrayType, IRType, StructType, ptr
 from ..targets.abi import DataLayout, unified_data_layout
 from ..targets.arch import TargetArch
-from .allocator import Allocator
+from .allocator import Allocator, OutOfMemoryError
 from .fs import IOEnvironment
 from .memory import DEFAULT_PAGE_SIZE, AddressSpace
 from .values import encode_scalar
@@ -103,6 +103,7 @@ class Machine:
 
     def _assign_global_addresses(self, module: Module) -> None:
         addr = GLOBAL_BASES[self.role]
+        heap = NATIVE_HEAP_BASES[self.role]
         for name, gv in module.globals.items():
             size = max(1, self.layout.size_of(gv.value_type))
             align = max(self.layout.align_of(gv.value_type), 1)
@@ -113,6 +114,13 @@ class Machine:
                 self.global_addresses[name] = self.uva_heap.alloc(size)
             else:
                 addr = _round_up(addr, align)
+                if addr + size > heap:
+                    # The segment would run into the native heap, and a
+                    # malloc'd object would alias the global's bytes.
+                    raise OutOfMemoryError(
+                        f"native global {name!r} ({size} bytes at "
+                        f"{addr:#x}) overlaps the {self.role} native heap "
+                        f"at {heap:#x}")
                 self.global_addresses[name] = addr
                 addr += size
 

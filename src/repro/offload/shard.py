@@ -32,13 +32,14 @@ semantics:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir import instructions as inst
 from ..ir.module import Module
-from ..ir.types import FunctionType, I32
+from ..ir.types import FunctionType, I32, PointerType
 from ..ir.values import (Argument, BasicBlock, Constant, Function,
                          GlobalVariable, Value)
 from ..machine.values import to_signed
@@ -81,7 +82,7 @@ def contiguous_ranges(start: int,
 
 def analyze_shard_targets(module: Module, target_names: Iterable[str]
                           ) -> Tuple[Dict[str, "ShardSpec"], Dict[str, str]]:
-    """Analyze each offload target in the *unified* module and clone a
+    """Analyze each offload target in the *unified* module and copy a
     range wrapper for every shardable one.  Returns ``(specs, refusals)``
     keyed by target name.  Wrappers are appended after every existing
     function, so code addresses of the original program are unchanged."""
@@ -344,90 +345,43 @@ def _analyze(fn: Function):  # -> _Analysis | str
 
 
 # ---------------------------------------------------------------------------
-# wrapper cloning
+# wrapper construction
 
 
 def _build_wrapper(module: Module, fn: Function,
                    analysis: _Analysis) -> Function:
-    """Clone ``fn`` as ``__no_shard_<fn>`` with two extra i32 arguments
-    ``lo``/``hi`` replacing the IV start constant and the loop bound."""
-    ftype = FunctionType(fn.ftype.ret, list(fn.ftype.params) + [I32, I32])
-    wrapper = Function(SHARD_PREFIX + fn.name, ftype,
-                       [a.name for a in fn.args] + ["shard.lo", "shard.hi"])
+    """Copy ``fn`` as ``__no_shard_<fn>`` with two extra i32 arguments
+    ``lo``/``hi`` replacing the IV start constant and the loop bound.
+
+    The copy is the same ``deepcopy`` :meth:`Module.clone` makes, with
+    the module and every module-level value pinned in the memo: the
+    wrapper shares globals and other functions with ``fn`` and owns
+    copies of its arguments, blocks and instructions, whatever their
+    opcodes."""
+    memo = {id(v): v for v in (module, *module.globals.values(),
+                               *module.functions.values()) if v is not fn}
+    wrapper = copy.deepcopy(fn, memo)
+    wrapper.name = SHARD_PREFIX + fn.name
+    wrapper.ftype = FunctionType(fn.ftype.ret,
+                                 list(fn.ftype.params) + [I32, I32])
+    wrapper.type = PointerType(wrapper.ftype)
+    n = len(fn.args)
+    lo = Argument("shard.lo", I32, n)
+    hi = Argument("shard.hi", I32, n + 1)
+    wrapper.args += [lo, hi]
     module.add_function(wrapper)
-    wrapper.source_lines = getattr(fn, "source_lines", 1)
 
-    value_map: Dict[int, Value] = {
-        id(a): wrapper.args[i] for i, a in enumerate(fn.args)}
-    block_map: Dict[int, BasicBlock] = {}
-    for block in fn.blocks:
-        block_map[id(block)] = wrapper.add_block(block.name)
-
-    for block in fn.blocks:
-        new_block = block_map[id(block)]
-        for ins in block.instructions:
-            clone = _clone_instruction(ins, block_map)
-            value_map[id(ins)] = clone
-            new_block.append(clone)
-
-    # Remap operands to the cloned definitions (arguments included).
-    for block in wrapper.blocks:
-        for ins in block.instructions:
-            for op in list(ins.operands):
-                mapped = value_map.get(id(op))
-                if mapped is not None:
-                    ins.replace_operand(op, mapped)
-
-    lo, hi = wrapper.args[-2], wrapper.args[-1]
-    init_clone = value_map[id(analysis.init_store)]
-    init_clone.replace_operand(init_clone.value, lo)
-    cond_clone = value_map[id(analysis.cond)]
-    old_bound = cond_clone.rhs
-    cond_clone.replace_operand(old_bound, hi)
+    init = memo[id(analysis.init_store)]
+    init.replace_operand(init.value, lo)
+    cond = memo[id(analysis.cond)]
+    old_bound = cond.rhs
+    cond.replace_operand(old_bound, hi)
     _drop_if_dead(wrapper, old_bound)
     return wrapper
 
 
-def _clone_instruction(ins: inst.Instruction,
-                       block_map: Dict[int, BasicBlock]) -> inst.Instruction:
-    """Shallow-clone one instruction.  Value operands still reference the
-    originals (remapped by the caller afterwards); block targets are
-    remapped here since they are attributes, not operands."""
-    if isinstance(ins, inst.Alloca):
-        return inst.Alloca(ins.allocated_type, ins.name)
-    if isinstance(ins, inst.Load):
-        return inst.Load(ins.pointer, ins.name)
-    if isinstance(ins, inst.Store):
-        return inst.Store(ins.value, ins.pointer)
-    if isinstance(ins, inst.Gep):
-        return inst.Gep(ins.base, list(ins.indices), ins.name)
-    if isinstance(ins, inst.BinOp):
-        return inst.BinOp(ins.op, ins.lhs, ins.rhs, ins.name)
-    if isinstance(ins, inst.Cmp):
-        return inst.Cmp(ins.pred, ins.lhs, ins.rhs, ins.name)
-    if isinstance(ins, inst.Cast):
-        return inst.Cast(ins.op, ins.value, ins.type, ins.name)
-    if isinstance(ins, inst.Select):
-        return inst.Select(ins.operands[0], ins.operands[1],
-                           ins.operands[2], ins.name)
-    if isinstance(ins, inst.Br):
-        return inst.Br(block_map[id(ins.target)])
-    if isinstance(ins, inst.CondBr):
-        return inst.CondBr(ins.cond, block_map[id(ins.if_true)],
-                           block_map[id(ins.if_false)])
-    if isinstance(ins, inst.Switch):
-        clone = inst.Switch(ins.value, block_map[id(ins.default)])
-        clone.cases = [(c, block_map[id(b)]) for c, b in ins.cases]
-        return clone
-    if isinstance(ins, inst.Ret):
-        return inst.Ret(ins.value)
-    if isinstance(ins, inst.Unreachable):
-        return inst.Unreachable()
-    raise TypeError(f"cannot clone {ins.opcode} into a shard wrapper")
-
-
 def _drop_if_dead(fn: Function, value: Value) -> None:
-    """Remove a cloned bound load left dead by the hi-argument rewrite."""
+    """Remove a copied bound load left dead by the hi-argument rewrite."""
     if not isinstance(value, inst.Instruction):
         return
     for ins in fn.instructions():

@@ -465,12 +465,10 @@ class RemoteBackend:
                     continue
                 session.server.memory.clear_dirty()
                 server_interp = Interpreter(session.server)
-                session._current_server_interp = server_interp
                 cod_before = session.uva.stats.cod_seconds
                 faults_before = session.uva.stats.cod_faults
                 result = server_interp.call_function(
                     fn, list(args) + list(rng) if wide else args)
-                session._current_server_interp = None
                 session.server_instructions += (
                     server_interp.instruction_count)
                 run = {
@@ -494,7 +492,6 @@ class RemoteBackend:
             # through in parallel: charge the max as wall time, account
             # the sum as server compute, and report the overlap so the
             # trace buckets reconcile; then abort and replay.
-            session._current_server_interp = None
             session._rio_pending = rio0
             executed = [run["exec"] for run in runs if run]
             if server_interp is not None:
@@ -607,11 +604,8 @@ class RemoteBackend:
         session.comm.begin_batch(to_server=False)
         try:
             if wide:
-                return_s = 0.0
-                for run in survivors:
-                    if run["payloads"]:
-                        return_s += session.comm.send_to_mobile(
-                            run["payloads"]).seconds
+                return_s = sum(session.uva.send_writeback(run["payloads"])
+                               for run in survivors)
             else:
                 return_s, _ = session.uva.write_back()
                 return_s += session.uva.pull_allocator_state()
@@ -626,9 +620,6 @@ class RemoteBackend:
                 session.comm.stats.comm_seconds - comm_phase0,
                 "receive", io_snapshot, admissions,
                 overlap_seconds=overlap)
-        if wide:
-            # write_back() books this itself on the plan of one
-            session.uva.stats.writeback_seconds += return_s
         if zero:
             return_s = 0.0
         record.finalize_seconds = return_s
@@ -744,7 +735,6 @@ class RemoteBackend:
         record.wasted_seconds = wasted_seconds
         # tear down the distributed state: the open batch and every
         # staged or server-side UVA effect
-        session._current_server_interp = None
         session.comm.discard_batch()
         session.uva.abort_invocation()
         if io_snapshot is not None:

@@ -344,7 +344,6 @@ class OffloadSession:
         self._fnptr_lookups = 0   # only maintained while tracing
         self.invocations: List[InvocationRecord] = []
         self.mobile_interp: Optional[Interpreter] = None
-        self._current_server_interp: Optional[Interpreter] = None
         self._rio_pending = 0.0
 
     # ------------------------------------------------------------------

@@ -572,11 +572,18 @@ class UVAManager:
         only by :meth:`commit_finalize`, once the whole finalization
         message survived.  Returns (seconds, payload_bytes)."""
         payloads = self._stage_dirty_pages()
+        return (self.send_writeback(payloads),
+                sum(len(p) for p in payloads))
+
+    def send_writeback(self, payloads: List[bytes]) -> float:
+        """Send staged write-back payloads to the mobile device and book
+        the seconds the send charged as ``writeback_seconds`` — the one
+        booking point for a plan of any width."""
         if not payloads:
-            return 0.0, 0
+            return 0.0
         seconds = self.comm.send_to_mobile(payloads).seconds
         self.stats.writeback_seconds += seconds
-        return seconds, sum(len(p) for p in payloads)
+        return seconds
 
     def capture_shard_writeback(self) -> Tuple[int, List[bytes]]:
         """Stage one shard's dirty pages without touching the wire and

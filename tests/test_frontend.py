@@ -121,9 +121,19 @@ class TestParser:
          "operator ~ on float64"),
         ("int f() { return 1; }\nint f() { return 2; }",
          "redefinition of f"),
+        ("void v;", "void variable"),
+        ("int main() { return sizeof(void); }", "sizeof of void"),
+        ("int main() { switch (1) { case 1: return 1;\n"
+         "case 1: return 2; } return 0; }", "duplicate case value"),
+        ("int main() { unsigned u = 1; switch (u) { case -1: return 1;\n"
+         "case 4294967295: return 2; } return 0; }", "duplicate case value"),
+        ("int main() { switch (1) { default: return 1;\n"
+         "default: return 2; } }", "multiple default labels"),
     ], ids=["const-div0", "dim-mod0", "dim-shift", "dim-negative",
             "nesting", "struct-eq", "struct-ptr-ne", "struct-neg",
-            "no-field", "double-bitnot", "redefinition"])
+            "no-field", "double-bitnot", "redefinition", "void-global",
+            "sizeof-void", "duplicate-case", "duplicate-case-converted",
+            "duplicate-default"])
     def test_bad_source_is_a_diagnostic_with_a_line(self, source, message):
         """Every bad input fails with the front end's own error naming
         the line, never a raw Python exception.  Nesting is capped by

@@ -5,8 +5,10 @@ import pytest
 from repro.frontend import compile_c
 from repro.ir import (Constant, Function, FunctionType, IRBuilder, Module,
                       I1, I8, I32, I64, F64)
-from repro.machine import (BadFunctionPointer, ExecutionLimitExceeded,
-                           Interpreter, StackOverflow, boot, to_signed)
+from repro.machine import (GLOBAL_BASES, NATIVE_HEAP_BASES,
+                           BadFunctionPointer, ExecutionLimitExceeded,
+                           Interpreter, Machine, OutOfMemoryError,
+                           StackOverflow, boot, to_signed)
 from repro.targets import (ARM32, CYCLE_TIME_SCALE, UNIFIED_ORDER_KEY,
                            UNIFIED_POINTER_KEY, X86_64)
 
@@ -176,6 +178,54 @@ class TestTiming:
             " for (i = 0; i < 100; i++) s += i; return s; }")
         interp.run_main()
         assert 300 < interp.instruction_count < 3000
+
+
+class TestNativeGlobalSegment:
+    """Native globals are laid out from GLOBAL_BASES[role] up; the segment
+    must stop short of the role's native heap, or malloc hands out bytes
+    a global already owns."""
+
+    def test_global_reaching_the_heap_is_refused(self):
+        src = """
+        int big[4500000];
+        int main() {
+            int *p;
+            big[3932160] = 5;
+            p = malloc(64);
+            p[0] = 42;
+            printf("%d\\n", big[3932160]);
+            return 0;
+        }
+        """
+        with pytest.raises(OutOfMemoryError, match="'big'.*native heap"):
+            run_c(src)
+
+    def test_huge_global_is_refused_before_any_page_is_mapped(self):
+        machine = Machine(ARM32, "mobile")
+        module = compile_c("int a[2147483647];\nint main() { return 0; }",
+                           "huge")
+        with pytest.raises(OutOfMemoryError, match="'a'"):
+            machine.load(module)
+        assert not machine.memory.pages
+
+    @pytest.mark.parametrize("role", ["mobile", "server"])
+    def test_globals_ending_at_the_heap_base_still_run(self, role):
+        ints = (NATIVE_HEAP_BASES[role] - GLOBAL_BASES[role]) // 4
+        src = f"""
+        int big[{ints}];
+        int main() {{
+            int *p;
+            big[{ints - 1}] = 5;
+            p = malloc(64);
+            p[0] = 42;
+            return big[{ints - 1}];
+        }}
+        """
+        assert Interpreter(boot(compile_c(src, "edge"), ARM32,
+                                role)).run_main() == 5
+        with pytest.raises(OutOfMemoryError, match="'big'"):
+            boot(compile_c(src.replace(f"[{ints}]", f"[{ints + 1}]"),
+                           "over"), ARM32, role)
 
 
 class TestUnificationOverheadCounters:

@@ -23,6 +23,7 @@ from repro.runtime import (CommunicationManager, FAST_WIFI, FaultPlan,
                            UVAManager)
 from repro.runtime.uva import DELTA_BREAK_EVEN
 from repro.targets import ARM32, X86_64
+from repro.workloads import workload
 
 from conftest import build_c
 
@@ -283,6 +284,31 @@ class TestStagedWriteback:
         offload_cycle(uva, pages)
         assert self._snapshot(server.memory, pages) == before
         finish_cycle(uva)
+
+
+class TestWritebackSeconds:
+    """``writeback_seconds`` books what the write-back payload sends
+    charged, for a plan of any width: 0 inside a batching window (the
+    flush carries the wall time), the sends' seconds without one."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return workload("parallel-micro").build()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_batched_sends_book_nothing(self, built, k):
+        session = built.session(FAST_WIFI, SessionOptions(shards=k))
+        result = session.run()
+        assert max(r.shards for r in result.invocations) == k
+        assert session.uva.stats.written_back_pages > 0
+        assert session.uva.stats.writeback_seconds == 0.0
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_unbatched_sends_book_their_seconds(self, built, k):
+        session = built.session(
+            FAST_WIFI, SessionOptions(shards=k, enable_batching=False))
+        session.run()
+        assert session.uva.stats.writeback_seconds > 0.0
 
 
 class TestAdaptivePrefetch:
