@@ -27,7 +27,9 @@ from .fleet import (DECISION_ENGINES, DEFAULT_DECISION_ENGINE, Autoscaler,
                     AutoscalerOptions, FleetScheduler, PoolOptions,
                     ServerPool, ServerSpec, identical_devices)
 from .fleet.spec import MAX_COUNT
+from .offload import CompilerOptions
 from .runtime import FaultPlan, NETWORKS, SessionOptions
+from .targets import PRESETS, target_named
 from .trace import (Tracer, phase_totals, render_metrics, render_timeline,
                     write_chrome_trace, write_jsonl)
 from .trace.analysis import (aggregate_sessions, build_report,
@@ -66,24 +68,37 @@ def _probe_outputs(*paths) -> None:
             os.remove(path)
 
 
-def _build_workload(name: str):
+def _build_workload(args):
     """The built workload (module + profile + program; registry suite
-    and built-in micro kernels alike) a subcommand names — None after a
-    stderr note when the registry does not know the name."""
+    and built-in micro kernels alike) ``args.workload`` names, for the
+    architecture pair ``--mobile-arch``/``--server-arch`` name — None
+    after a stderr note when the registry does not know a name."""
     try:
-        spec = workload(name)
-    except KeyError as exc:     # the registry's unknown-workload error
+        spec = workload(args.workload)
+        options = CompilerOptions(mobile_arch=target_named(args.mobile_arch),
+                                  server_arch=target_named(args.server_arch))
+    except KeyError as exc:     # the registries' unknown-name errors
         _usage_error(exc.args[0])
         return None
-    return spec.build()
+    return spec.build(options)
+
+
+def _arch_pair(built) -> str:
+    """`` (mips32be -> x86_64)`` for a build on another pair than the
+    default one, for a header line; nothing for the default pair."""
+    options, default = built.program.options, CompilerOptions()
+    pair = (options.mobile_arch.name, options.server_arch.name)
+    if pair == (default.mobile_arch.name, default.server_arch.name):
+        return ""
+    return " ({} -> {})".format(*pair)
 
 
 def cmd_compile(args) -> int:
-    built = _build_workload(args.workload)
+    built = _build_workload(args)
     if built is None:
         return 2
     spec, program = built.spec, built.program
-    print(f"{spec.name}: {spec.description}")
+    print(f"{spec.name}{_arch_pair(built)}: {spec.description}")
     print(f"  offload targets : "
           f"{', '.join(program.target_names()) or program.why_no_targets()}")
     print(f"  outlined loops  : {program.outlined_loops or '-'}")
@@ -131,7 +146,7 @@ def _session_inputs(args):
     except ValueError as exc:
         _usage_error(exc)
         return None
-    built = _build_workload(args.workload)
+    built = _build_workload(args)
     if built is None:
         return None
     return network, plan, built
@@ -153,7 +168,7 @@ def cmd_run(args) -> int:
     differing = result.output.differences(local.output)
     match = (f"DIFFERENT ({', '.join(differing)})" if differing
              else "identical")
-    print(f"{built.spec.name} over {network.name}"
+    print(f"{built.spec.name} over {network.name}{_arch_pair(built)}"
           + (f" (faulty link, seed {args.seed})" if plan else ""))
     print(f"  local   : {local.seconds * 1e3:9.2f} ms  "
           f"{local.energy_mj:9.1f} mJ")
@@ -195,7 +210,7 @@ def cmd_trace(args) -> int:
     tracer = result.trace
     events = tracer.events()
 
-    print(f"{name} over {network.name} — "
+    print(f"{name} over {network.name}{_arch_pair(built)} — "
           f"{len(events)} trace events"
           + (f" ({tracer.dropped} dropped by the ring buffer)"
              if tracer.dropped else ""))
@@ -284,7 +299,7 @@ def _run_fleet(args, network, enable_tracing: bool):
     except ValueError as exc:
         _usage_error(exc)
         return None
-    built = _build_workload(args.workload)
+    built = _build_workload(args)
     if built is None:
         return None
     try:
@@ -322,7 +337,8 @@ def cmd_fleet(args) -> int:
     cloud = args.cloud_servers
     tiers = (f"{args.servers} edge + {cloud} cloud server(s)"
              if cloud > 0 else f"{args.servers} server(s)")
-    print(f"fleet: {args.devices} devices over {network.name}, "
+    print(f"fleet: {args.devices} devices over {network.name}"
+          f"{_arch_pair(built)}, "
           f"{tiers} x {args.capacity} slot(s), "
           f"queue limit {args.queue_limit}, "
           f"engine {summary['engine']}, "
@@ -494,6 +510,18 @@ def _add_fault_args(p) -> None:
                    "probability (0..1)")
 
 
+def _add_arch_args(p) -> None:
+    """The architecture pair the workload is built for: ``targets``
+    preset names, which ``target_named`` checks."""
+    defaults = CompilerOptions()
+    p.add_argument("--mobile-arch", default=defaults.mobile_arch.name,
+                   metavar="NAME", help=f"the phone's architecture, one of "
+                   f"{sorted(PRESETS)} (default {defaults.mobile_arch.name})")
+    p.add_argument("--server-arch", default=defaults.server_arch.name,
+                   metavar="NAME", help=f"the server's architecture "
+                   f"(default {defaults.server_arch.name})")
+
+
 def _add_network_arg(p) -> None:
     p.add_argument("--network", default="802.11ac",
                    help=f"one of {sorted(NETWORKS)}")
@@ -503,6 +531,7 @@ def _add_session_args(p) -> None:
     """What ``run`` and ``trace`` share: one workload over one network,
     with the scatter/gather and fault knobs."""
     p.add_argument("workload")
+    _add_arch_args(p)
     _add_network_arg(p)
     _add_parallel_args(p)
     _add_fault_args(p)
@@ -566,6 +595,7 @@ def _add_fleet_args(p) -> None:
                    help=f"workload every device runs (default "
                         f"{FLEET_MICRO.name!r}, a built-in hot "
                         f"kernel; any `list` name works)")
+    _add_arch_args(p)
     _add_network_arg(p)
     _add_parallel_args(p)
     p.add_argument("--engine", default=DEFAULT_DECISION_ENGINE,
@@ -609,6 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile one workload and show "
                                        "the offload plan")
     p.add_argument("workload")
+    _add_arch_args(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="offload one workload end to end")

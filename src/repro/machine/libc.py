@@ -15,6 +15,7 @@ from operator import attrgetter
 from typing import Callable, List, NamedTuple
 
 from ..ir.types import F32, F64, I8, I16, I32, I64
+from .allocator import OutOfMemoryError
 from .fs import IOEnvironment
 from .interpreter import ExitProgram, Interpreter, InterpreterError
 from .machine import Machine
@@ -40,12 +41,21 @@ def map_range(machine: Machine, address: int, size: int) -> None:
 def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
     """malloc/free/calloc/realloc over one of a machine's heaps.  The
     ``u_`` family serves the UVA heap (Section 3.2's heap allocation
-    replacement target) and pays two more cycles per allocation."""
+    replacement target) and pays two more cycles per allocation.  A
+    request the heap cannot serve returns NULL, as C's does, at the
+    cost a served one has; a failed ``realloc`` leaves the old block as
+    it was."""
+
+    def alloc(interp: Interpreter, size: int) -> int:
+        try:
+            addr = heap_of(interp.machine).alloc(size)
+        except OutOfMemoryError:
+            return 0
+        map_range(interp.machine, addr, size)
+        return addr
 
     def malloc(interp: Interpreter, args: List) -> int:
-        size = int(args[0])
-        addr = heap_of(interp.machine).alloc(size)
-        map_range(interp.machine, addr, size)
+        addr = alloc(interp, int(args[0]))
         interp.charge("alu", setup_cycles)
         return addr
 
@@ -58,18 +68,17 @@ def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
     def calloc(interp: Interpreter, args: List) -> int:
         count, size = int(args[0]), int(args[1])
         total = count * size
-        addr = heap_of(interp.machine).alloc(total)
-        map_range(interp.machine, addr, total)
-        interp.machine.memory.write(addr, b"\x00" * total)
+        addr = alloc(interp, total)
+        if addr:
+            interp.machine.memory.write(addr, b"\x00" * total)
         interp.charge("mem", total / 8 + setup_cycles)
         return addr
 
     def realloc(interp: Interpreter, args: List) -> int:
         addr, size = int(args[0]), int(args[1])
         heap = heap_of(interp.machine)
-        new_addr = heap.alloc(size)
-        map_range(interp.machine, new_addr, size)
-        if addr:
+        new_addr = alloc(interp, size)
+        if addr and new_addr:
             old_size = heap.size_of(addr) or 0
             data = interp.machine.memory.read(addr, min(old_size, size))
             interp.machine.memory.write(new_addr, data)

@@ -139,6 +139,25 @@ def test_built_in_kernels_are_registry_entries_outside_the_suite():
         forced_targets=[])).program.target_names() == []
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "fleet-micro"], ["trace", "fleet-micro"], ["compile", "chess"],
+    ["fleet", "--devices", "2"], ["report", "--devices", "2"]])
+def test_the_cli_builds_the_pair_it_names(command, capsys):
+    """``--mobile-arch``/``--server-arch`` reach ``CompilerOptions``;
+    an unknown name exits 2 with one line that lists the presets."""
+    for flag in ("--mobile-arch", "--server-arch"):
+        assert cli.main([*command, flag, "vax"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"repro: error: unknown target 'vax'; available: "
+                       f"{sorted(PRESETS)}\n")
+    if command[0] in ("run", "fleet"):
+        assert cli.main([*command, "--mobile-arch", "mips32be",
+                         "--server-arch", "arm64"]) == 0
+        header, *_ = capsys.readouterr().out.splitlines()
+        assert "over 802.11ac (mips32be -> arm64)" in header
+
+
 # -- seed -> fleet -------------------------------------------------------
 def test_fleet_builder_reproduces_the_cli_device_list():
     """``fleet --seed 7 --arrival poisson --drop-rate 0.3``: the first

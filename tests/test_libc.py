@@ -2,7 +2,12 @@
 
 import pytest
 
-from conftest import interp_for, run_c
+from repro.ir.printer import print_function
+from repro.offload import CompilerOptions
+from repro.runtime import FAST_WIFI, SessionOptions
+from repro.targets import ARM32, X86_64
+
+from conftest import build_c, interp_for, run_c
 
 
 class TestPrintf:
@@ -146,6 +151,74 @@ class TestStringsAndMemory:
         }
         '''
         assert run_c(src)[1] == "11 22\n"
+
+
+class TestAllocationFailure:
+    """A request the heap cannot serve returns NULL, as C's allocator
+    does, and the program goes on.  Not a ``tests/regress`` ``.stdout``
+    file: gcc's malloc serves these sizes, and the gcc oracle would
+    disagree."""
+
+    # The native heap is 16 MiB and the UVA heap 256 MiB.
+    @pytest.mark.parametrize("call", [
+        "malloc(20000000)", "calloc(5000000, 4)", "realloc(q, 30000000)"])
+    def test_native_heap_returns_null(self, call):
+        src = r'''
+        int main() {
+            int *q = (int*) malloc(2 * sizeof(int));
+            int *p;
+            q[0] = 11; q[1] = 22;
+            p = (int*) %s;
+            printf("%%d %%d %%d\n", p == 0, q[0], q[1]);
+            p = (int*) malloc(64);
+            p[0] = 5;
+            printf("%%d\n", p[0]);
+            return 0;
+        }
+        ''' % call
+        for arch in (ARM32, X86_64):
+            assert run_c(src, arch=arch) == (0, "1 11 22\n5\n")
+
+    def test_a_failed_allocation_charges_what_a_served_one_does(self):
+        src = r'''
+        int main() {
+            char *p = (char*) malloc(%d);
+            return p == 0;
+        }
+        '''
+        served, refused = (interp_for(src % size) for size in (16, 20000000))
+        assert (served.run_main(), refused.run_main()) == (0, 1)
+        assert served.cycles == refused.cycles
+
+    def test_offloaded_uva_heap_returns_null(self):
+        """``grab`` runs on the server, where memory unification made its
+        ``malloc`` a ``u_malloc`` of the UVA heap: the request no heap
+        can serve is NULL there too, and the output is the phone's."""
+        src = r'''
+        int grab(int n) {
+            char *p = (char*) malloc(n);
+            int r;
+            if (p == 0) return -1;
+            p[0] = 7;
+            r = p[0];
+            free(p);
+            return r;
+        }
+        int main() {
+            printf("%d %d\n", grab(300000000), grab(64));
+            return 0;
+        }
+        '''
+        built = build_c(src, compiler_options=CompilerOptions(
+            forced_targets=["grab"]))
+        grab = built.program.server_module.function("grab")
+        assert "u_malloc" in print_function(grab)
+        local = built.local().output
+        assert local.stdout == b"-1 7\n"
+        result = built.session(FAST_WIFI, SessionOptions(
+            enable_dynamic_estimation=False)).run()
+        assert result.offloaded_invocations == 2
+        assert result.output.differences(local) == []
 
 
 class TestFiles:

@@ -1,10 +1,13 @@
 """Tests for the paged address space: mapping, dirty tracking, fault
 hooks, and byte-level round trips (hypothesis)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import AddressSpace, SegmentationFault
+from repro.machine.memory import PageViews
 
 
 class TestBasicAccess:
@@ -444,3 +447,31 @@ class TestRecordOnce:
         mem.apply_delta(0, [(0, b"\x03")])
         assert mem.pages[0] is page
         assert mem.storable(0) is page and mem.loadable(0) is page
+
+    def test_native_views_hand_out_typed_views_of_the_page(self):
+        mem = self.make()
+        mem.write(0, b"a")
+        mem.native_views = True                 # entries of the other kind
+        assert mem.loadable(0) is None and mem.storable(0) is None
+        mem.write(8, struct.pack("=I", 0x01020304))
+        views = mem.storable(0)
+        assert type(views) is PageViews and mem.loadable(0) is views
+        assert views.u8 is mem.pages[0] and views.u32[2] == 0x01020304
+        mem.read(256, 8)                        # one PageViews a page
+        assert mem.loadable(1).u8 is mem.pages[1]
+        mem.map_page(0, b"\x02" * 256)          # refilled in place
+        mem.apply_delta(0, [(16, struct.pack("=d", 1.5))])
+        assert views.u64[0] == 0x0202020202020202 and views.f64[2] == 1.5
+        mem.unmap_page(0)
+        mem.map_page(0)
+        mem.read(0, 1)                          # a new page, new views
+        assert mem.loadable(0) is not views and mem.loadable(0).u64[0] == 0
+        mem.native_views = False
+        assert mem.loadable(1) is None
+        mem.read(256, 1)
+        assert mem.loadable(1) is mem.pages[1]
+
+    def test_native_views_need_a_block_an_8_byte_scalar_fits(self):
+        with pytest.raises(ValueError):
+            AddressSpace(page_size=4).native_views = True
+        assert not AddressSpace(page_size=4).native_views

@@ -14,17 +14,29 @@ forget what the generated code would otherwise take as done.  The code
 generated for an ``alloca`` maps its slot itself when its pages are
 there and leaves the rest to ``Machine.map_range``; it must leave what
 calling ``map_range`` leaves.
+
+On a layout in the host's byte order the space hands out typed views of
+its pages, and an aligned access indexes one; a misaligned one keeps the
+``struct`` codec, and a value a view refuses is refused as the codec
+refuses it.
 """
+
+import gc
+import struct
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import (F32, F64, Function, FunctionType, I8, I16, I32, I64,
-                      IRBuilder, Module, VOID, array, ptr)
+from repro.ir import (Constant, F32, F64, Function, FunctionType, I8, I16,
+                      I32, I64, IRBuilder, Module, VOID, array, ptr)
 from repro.machine import (AddressSpace, Interpreter, SegmentationFault,
                            UVA_HEAP_BASE, boot)
 from repro.machine.interpreter import Observer
-from repro.machine.values import decode_scalar, encode_scalar, scalar_size
+from repro.machine.memory import PageViews
+from repro.machine.values import (decode_scalar, encode_scalar, scalar_size,
+                                  scalar_struct)
 from repro.runtime import CommunicationManager, FAST_WIFI, UVAManager
 from repro.targets import (ARM32, MIPS32BE, UNIFIED_ORDER_KEY,
                            UNIFIED_POINTER_KEY, X86_64)
@@ -35,7 +47,7 @@ KINDS = {"i8": I8, "i16": I16, "i32": I32, "i64": I64,
 # Pages 16 and 17 start mapped, 18 and 40 do not (18 follows a mapped
 # page, so a straddling scalar can run off the end into it).
 MAPPED, PAGES = (16, 17), (16, 17, 18, 40)
-OFFSETS = (0, 1, 120, 121, 124, 125, 126, 127, 128, 200,
+OFFSETS = (0, 1, 2, 4, 120, 121, 124, 125, 126, 127, 128, 196, 200,
            248, 249, 250, 252, 253, 254, 255)
 
 
@@ -53,6 +65,12 @@ def _module():
         b = IRBuilder(store.add_block("entry"))
         b.store(store.args[1], store.args[0])
         b.ret()
+    # a double constant with an integer value
+    store = Function("store_three", FunctionType(VOID, [ptr(F64)]), ["p"])
+    module.add_function(store)
+    b = IRBuilder(store.add_block("entry"))
+    b.store(Constant(F64, 3), store.args[0])
+    b.ret()
     return module
 
 
@@ -129,6 +147,9 @@ class _Twin:
         self.cycles += self.costs["branch"]
         return decode_scalar(data, KINDS[kind], self.layout)
 
+    def store_three(self, address):
+        self.store("f64", address, 3.0)
+
     def store(self, kind, address, value):
         self.cycles += self.costs["call"]
         self.cycles += self.costs["mem"]
@@ -150,7 +171,7 @@ def _outcome(action):
 # A "wide store" of an integer or pointer stores 2**(8*size); of a float,
 # it is a plain store.
 _access = st.tuples(
-    st.sampled_from(["load", "store", "wide store"]),
+    st.sampled_from(["load", "store", "wide store", "store three"]),
     st.sampled_from(sorted(KINDS)),
     st.sampled_from(PAGES), st.sampled_from(OFFSETS),
     st.integers(0, 2**64 - 1), st.floats(width=32))
@@ -208,7 +229,8 @@ INVALIDATIONS = {
     "unmap-then-refetch": [
         _store("i64", 17, 8), _load("i64", 17, 8), ("unmap_page", 17),
         ("handler", "on_demand"), _load("i64", 17, 8),
-        _store("i64", 17, 8)],
+        _store("i64", 17, 8, 0x77), _load("i64", 17, 8),
+        _load("i32", 17, 16)],
     "write-back-after-store": [
         ("track_subpage", True), _store("i32", 16, 4),
         ("collect_dirty_pages",), _store("i32", 16, 8), ("clear_dirty",),
@@ -220,6 +242,34 @@ INVALIDATIONS = {
         ("apply_delta", 16, False), ("apply_delta", 18, True),
         _load("i32", 16, 120), _store("i32", 16, 124),
         ("install_pages", 18, False), _store("i8", 18, 0)],
+    # in page and in block, but not aligned: the codec's arm
+    "misaligned-in-page": [
+        _store("i16", 16, 17), _load("i16", 16, 17),
+        _store("i32", 16, 18), _load("i32", 16, 18),
+        _store("i64", 16, 4), _load("i64", 16, 4),
+        _store("f64", 16, 36), _load("f64", 16, 36),
+        _store("f32", 16, 66), _load("f32", 16, 66),
+        _store("ptr", 16, 98), _load("ptr", 16, 98),
+        _store("i64", 16, 4), _store("i64", 16, 8), _load("i64", 16, 4),
+        _load("i32", 16, 8), _load("i16", 16, 6), _load("i8", 16, 7)],
+    "double-constant": [
+        ("store three", "f64", 16, 8, 0, 0.0), _load("f64", 16, 8),
+        ("store three", "f64", 16, 8, 0, 0.0), _load("i64", 16, 8),
+        ("store three", "f64", 16, 4, 0, 0.0), _load("f64", 16, 4),
+        ("store three", "f64", 18, 8, 0, 0.0)],
+    # every width read through the views of a page after each refill
+    "refilled-under-views": [
+        _store("i32", 16, 120), _store("i32", 17, 0),
+        *(_load(kind, 16, 120) for kind in sorted(KINDS)),
+        ("refill", 16),
+        *(_load(kind, 16, 120) for kind in sorted(KINDS)),
+        ("apply_delta", 16, False),
+        *(_load(kind, 16, 128) for kind in sorted(KINDS)),
+        ("install_pages", 16, True),
+        *(_load(kind, 16, 248) for kind in sorted(KINDS)),
+        _store("f64", 16, 248), ("install_pages", 17, False),
+        *(_load(kind, 17, 0) for kind in sorted(KINDS)),
+        _store("i64", 17, 0)],
 }
 
 
@@ -275,6 +325,7 @@ def _run(variant, steps):
                             UNIFIED_ORDER_KEY: byte_order})
     machine = boot(module, arch, "server", page_size=PAGE)
     memory = machine.memory
+    assert memory.native_views == (byte_order == sys.byteorder)
     for pidx in MAPPED:
         memory.map_page(pidx, _fill(pidx))
     seen = []
@@ -307,6 +358,8 @@ def _run(variant, steps):
         twin.store(kind, MAPPED[0] * PAGE, zero)
         interp.call_by_name(f"load_{kind}", [MAPPED[0] * PAGE])
         twin.load(kind, MAPPED[0] * PAGE)
+    interp.call_by_name("store_three", [MAPPED[0] * PAGE])
+    twin.store_three(MAPPED[0] * PAGE)
     seen.clear()
     stored_blocks = {}      # page -> blocks stored to while tracking was on
     stored_pages = {MAPPED[0]}  # pages stored to since the last clear_dirty
@@ -324,16 +377,24 @@ def _run(variant, steps):
                 stored_pages.discard(step[1])
         else:
             what, kind, pidx, offset, integer, real = step
+            if what == "store three":
+                kind = "f64"
             address = pidx * PAGE + offset
             size = scalar_size(KINDS[kind], machine.layout)
             wide = what == "wide store" and kind not in ("f32", "f64")
-            if kind in ("f32", "f64"):
+            if what == "store three":
+                ours = _outcome(lambda: interp.call_by_name(
+                    "store_three", [address]))
+                theirs = _outcome(lambda: twin.store_three(address))
+            elif kind in ("f32", "f64"):
                 value = real
             elif wide:  # the least value that does not fit
                 value = 1 << size * 8
             else:
                 value = integer & ((1 << size * 8) - 1)
-            if what == "load":
+            if what == "store three":
+                pass
+            elif what == "load":
                 ours = _outcome(lambda: interp.call_by_name(
                     f"load_{kind}", [address]))
                 theirs = _outcome(lambda: twin.load(kind, address))
@@ -345,7 +406,8 @@ def _run(variant, steps):
             if wide:  # raised before the access, with this message
                 assert ours == ("overflow", TOO_WIDE.format(value, size))
             if observed:  # every access, faulting or not, is one call
-                name = f"{'load' if what == 'load' else 'store'}_{kind}"
+                name = ("store_three" if what == "store three" else
+                        f"{'load' if what == 'load' else 'store'}_{kind}")
                 assert seen == [("enter", name), ("exit", name)]
                 seen.clear()
             if what != "load" and ours[0] == "value":
@@ -368,6 +430,72 @@ def _run(variant, steps):
     for pidx, blocks in stored_blocks.items():
         mask = memory.dirty_blocks[pidx]
         assert all(mask >> block & 1 for block in blocks)
+
+
+# What a view refuses and the ``struct`` codec refuses too: a negative,
+# a float or None where an integer goes, None where a float goes.
+REFUSED = {"i8": -1, "i16": 1.5, "i32": -1, "i64": -(2 ** 70),
+           "ptr": 2.5, "f32": None, "f64": None}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(REFUSED))
+def test_a_refused_value_raises_what_the_codec_raises(layout, kind):
+    """Stored aligned on a recorded page (the view's arm), misaligned on
+    one (the codec's) and on a page not yet recorded (``write``): each
+    raises ``struct``'s own error and records nothing.  (A failed
+    ``pack_into`` zeroes its slot first, as it always has.)"""
+    arch, pointer_bytes, byte_order = LAYOUTS[layout]
+    module = _module()
+    module.metadata.update({UNIFIED_POINTER_KEY: pointer_bytes,
+                            UNIFIED_ORDER_KEY: byte_order})
+    machine = boot(module, arch, "server", page_size=PAGE)
+    memory = machine.memory
+    memory.map_page(16, _fill(16))
+    interp = Interpreter(machine)
+    value, type_ = REFUSED[kind], KINDS[kind]
+    zero = 0.0 if type_.is_float else 0
+    interp.call_by_name(f"store_{kind}", [16 * PAGE, zero])
+    with pytest.raises(struct.error) as expected:
+        scalar_struct(type_, machine.layout).pack(value)
+    size = scalar_size(type_, machine.layout)
+    for pidx, offset in ((16, 8), (16, 8 + (size > 1)), (17, 8)):
+        memory.map_page(pidx)
+        before = _state(memory)[1:]
+        with pytest.raises(struct.error) as raised:
+            interp.call_by_name(f"store_{kind}",
+                                [pidx * PAGE + offset, value])
+        assert str(raised.value) == str(expected.value)
+        assert _state(memory)[1:] == before
+
+
+def test_a_dropped_machine_frees_its_pages_and_views():
+    """A page's views reference the page and nothing references them but
+    its ``PageViews``: with the collector off, dropping the machine
+    frees every view, so every page with it."""
+    module = _module()
+    gc.collect()
+    gc.disable()
+    try:
+        machine = boot(module, X86_64, "server", page_size=PAGE)
+        for pidx in MAPPED:
+            machine.memory.map_page(pidx, _fill(pidx))
+        interp = Interpreter(machine)
+        views = []
+        for kind in KINDS:
+            for pidx in MAPPED:
+                interp.call_by_name(f"store_{kind}", [pidx * PAGE + 8, 1])
+                interp.call_by_name(f"load_{kind}", [pidx * PAGE + 8])
+        for pidx in MAPPED:
+            entry = machine.memory.storable(pidx * PAGE // 128)
+            assert type(entry) is PageViews
+            assert entry.u8 is machine.memory.pages[pidx]
+            views += [weakref.ref(getattr(entry, name)) for name in
+                      ("u16", "u32", "u64", "f32", "f64")]
+        del machine, interp, entry
+        assert [view() for view in views] == [None] * len(views)
+    finally:
+        gc.enable()
 
 
 # slot -> (its size, its offset into the first page, which of its pages

@@ -48,8 +48,16 @@ def test_dropped_session_is_freed_by_refcounting(traced):
         assert (result.trace is not None) == traced
         session_ref = weakref.ref(session)
         mobile_ref = weakref.ref(session.mobile)
+        # A page's typed views reference the page: each freed view is a
+        # page nothing else holds.
+        views = [weakref.ref(getattr(entry, name))
+                 for machine in (session.mobile, session.server)
+                 for entry in machine.memory._views.values()
+                 for name in ("u16", "u32", "u64", "f32", "f64")]
+        assert views
         del session
         assert session_ref() is None and mobile_ref() is None
+        assert [view() for view in views] == [None] * len(views)
     finally:
         gc.enable()
     assert bool(result.trace_events()) == traced    # still readable

@@ -3,9 +3,11 @@ the structural properties its Table 4 row documents."""
 
 import pytest
 
+from repro.ir.printer import print_module
 from repro.runtime import run_local
-from repro.workloads import (ALL_WORKLOADS, CHESS, SPEC_WORKLOADS,
-                             WORKLOADS, chess_stdin, spec_names, workload)
+from repro.workloads import (ALL_WORKLOADS, CHESS, MICRO_WORKLOADS,
+                             SPEC_WORKLOADS, WORKLOADS, chess_stdin,
+                             spec_names, workload)
 
 ALL_NAMES = [w.name for w in ALL_WORKLOADS]
 
@@ -39,13 +41,21 @@ def test_workload_compiles(name):
     assert module.get_function("main") is not None
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES + [w.name for w in
+                                              MICRO_WORKLOADS])
 def test_workload_runs_on_profile_input(name):
     spec = workload(name)
-    result = run_local(spec.module(), stdin=spec.profile_stdin,
+    module = spec.module()
+    result = run_local(module, stdin=spec.profile_stdin,
                        files=spec.profile_files)
     assert result.exit_code == 0
     assert result.stdout  # every program reports something
+    # A clone of a module that has run is the same IR, without the
+    # decoded templates the run left on the module.
+    assert module.templates
+    clone = module.clone()
+    assert print_module(clone) == print_module(module)
+    assert clone.templates == {}
 
 
 @pytest.mark.parametrize("name", ["164.gzip", "456.hmmer", "458.sjeng",
