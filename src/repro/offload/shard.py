@@ -353,11 +353,11 @@ def _build_wrapper(module: Module, fn: Function,
     """Copy ``fn`` as ``__no_shard_<fn>`` with two extra i32 arguments
     ``lo``/``hi`` replacing the IV start constant and the loop bound.
 
-    The copy is the same ``deepcopy`` :meth:`Module.clone` makes, with
-    the module and every module-level value pinned in the memo: the
-    wrapper shares globals and other functions with ``fn`` and owns
-    copies of its arguments, blocks and instructions, whatever their
-    opcodes."""
+    The copy is a ``deepcopy`` — the graph :meth:`Module.clone` copies
+    by a pickle round trip — with the module and every module-level
+    value pinned in the memo: the wrapper shares globals and other
+    functions with ``fn`` and owns copies of its arguments, blocks and
+    instructions, whatever their opcodes."""
     memo = {id(v): v for v in (module, *module.globals.values(),
                                *module.functions.values()) if v is not fn}
     wrapper = copy.deepcopy(fn, memo)
