@@ -77,9 +77,7 @@ def compiled():
 
 def run_variant(built, incremental: bool):
     options = SessionOptions(enable_dynamic_estimation=False,
-                             enable_page_cache=incremental,
-                             enable_delta_transfer=incremental,
-                             enable_adaptive_prefetch=incremental)
+                             enable_incremental_uva=incremental)
     return built.session(FAST_WIFI, options).run()
 
 

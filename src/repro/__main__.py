@@ -406,6 +406,7 @@ def _fleet_source(args, faulty: bool) -> dict:
         "engine": args.engine, "cloud_servers": args.cloud_servers,
         "cloud_speed": args.cloud_speed, "deadline_s": args.deadline,
         "autoscale": args.autoscale, "shards": args.shards,
+        "mobile_arch": args.mobile_arch, "server_arch": args.server_arch,
     }
 
 

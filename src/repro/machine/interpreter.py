@@ -866,11 +866,16 @@ class _Decoder:
         value = self.read(stored)
         self.translate(convert_cost, swap_cost)
         # A value every codec takes: a float constant, a rounded single,
-        # an integer constant that fits.
+        # an integer constant that fits, a value its own instruction
+        # masked to its type's width.
         taken = isinstance(stored, Constant)
         if type_.is_float:
             if size == 4:  # ``struct`` raises where IEEE 754 rounds
                 value, taken = f"round_to_single({value})", True
+        elif isinstance(stored, (inst.Gep, inst.Cmp, inst.Load)) or (
+                isinstance(stored, (inst.BinOp, inst.Cast))
+                and stored.op in _MASKING_OPS):
+            taken = True
         elif not (taken and 0 <= stored.value < 1 << (size * 8)):
             taken = False
             self.emit(f"if {value} >= {1 << (size * 8)}:")
@@ -1089,6 +1094,12 @@ _INT_BINOPS = {
     "ashr": "(((({lhs} & {mask}) ^ {sign}) - {sign}) >> ({rhs} % {bits}))"
             " & {mask}",
 }
+#: The integer binops and casts whose generated code masks the result to
+#: its type's width (``gep``, ``cmp`` and a load, which decodes a slot of
+#: the stored width, always do): a store of one needs no range check.
+_MASKING_OPS = {"add", "sub", "mul", "sdiv", "udiv", "srem", "urem", "shl",
+                "ashr", "trunc", "zext", "sext", "ptrtoint", "inttoptr",
+                "fptosi", "fptoui"}
 _FLOAT_BINOPS = {
     "fadd": "{lhs} + {rhs}", "fsub": "{lhs} - {rhs}", "fmul": "{lhs} * {rhs}",
     "fdiv": "{lhs} / {rhs} if {rhs} else fdiv_by_zero({lhs})",

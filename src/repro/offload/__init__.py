@@ -10,7 +10,7 @@ from .outline import OutliningError, can_outline, outline_loop
 from .unify import (UnificationReport, reallocate_referenced_globals,
                     replace_allocation_sites, unify_memory)
 from .partition import (OffloadTarget, PartitionResult, partition,
-                        OFFLOAD_PREFIX, SHOULD_OFFLOAD, STUB_SUFFIX)
+                        LOCAL_SUFFIX, OFFLOAD_PREFIX, SHOULD_OFFLOAD)
 from .server_opt import (M2S_FCN_MAP, REMOTE_IO_PREFIX, S2M_FCN_MAP,
                          apply_function_pointer_mapping, apply_remote_io)
 from .pipeline import CompilerOptions, NativeOffloaderCompiler, OffloadProgram
@@ -23,7 +23,7 @@ __all__ = [
     "UnificationReport", "reallocate_referenced_globals",
     "replace_allocation_sites", "unify_memory",
     "OffloadTarget", "PartitionResult", "partition", "OFFLOAD_PREFIX",
-    "SHOULD_OFFLOAD", "STUB_SUFFIX",
+    "SHOULD_OFFLOAD", "LOCAL_SUFFIX",
     "M2S_FCN_MAP", "REMOTE_IO_PREFIX", "S2M_FCN_MAP",
     "apply_function_pointer_mapping", "apply_remote_io",
     "CompilerOptions", "NativeOffloaderCompiler", "OffloadProgram",

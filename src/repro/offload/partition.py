@@ -1,17 +1,20 @@
 """Partitioning: derive the mobile and server binaries (paper, Section 3.3).
 
-* **Mobile partition** — every call site of an offload target is redirected
-  to a generated stub that consults the runtime's *dynamic* performance
-  estimator (``__no_should_offload``) and either requests offloading
-  (``__no_offload_<target>``) or falls back to the local body, exactly the
-  ``isProfitable``/``requestOffload`` pattern of Figure 3(b).
+* **Mobile partition** — an offload target's body moves to
+  ``<target>__local`` and the target itself becomes a stub that consults
+  the runtime's *dynamic* performance estimator (``__no_should_offload``)
+  and either requests offloading (``__no_offload_<target>``) or calls the
+  local body, exactly the ``isProfitable``/``requestOffload`` pattern of
+  Figure 3(b).  The stub keeps the target's name and address, so every
+  way into the target — a direct call, a function-pointer table entry,
+  a stored or passed address — reaches the decision.
 * **Server partition** — only the offload targets and whatever they can
   reach (including address-taken functions callable through pointers)
   survive; everything else, ``getPlayerTurn``-style, is removed.  Request
   dispatch itself lives in the Native Offloader runtime.
 * **Stack reallocation** — the server executes targets on a stack far from
   the mobile stack in the shared UVA space; the machine model's
-  ``SERVER_STACK_TOP`` realizes this, and the partition records it.
+  ``SERVER_STACK_TOP`` realizes this.
 """
 
 from __future__ import annotations
@@ -20,16 +23,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..analysis.callgraph import CallGraph
-from ..ir import instructions as inst
 from ..ir.builder import IRBuilder
+from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.types import FunctionType, I1, I32
 from ..ir.values import Constant, Function
-from ..machine.machine import SERVER_STACK_TOP
 
 SHOULD_OFFLOAD = "__no_should_offload"
 OFFLOAD_PREFIX = "__no_offload_"
-STUB_SUFFIX = "__offstub"
+LOCAL_SUFFIX = "__local"
 
 
 @dataclass
@@ -40,6 +42,11 @@ class OffloadTarget:
     name: str           # function name in both partitions
     kind: str           # "function" or "loop" (outlined loops included)
 
+    @property
+    def body(self) -> str:
+        """The target's code in the mobile partition (its name: the stub)."""
+        return self.name + LOCAL_SUFFIX
+
 
 @dataclass
 class PartitionResult:
@@ -47,13 +54,6 @@ class PartitionResult:
     server_module: Module
     targets: List[OffloadTarget]
     removed_server_functions: List[str] = field(default_factory=list)
-    server_stack_base: int = SERVER_STACK_TOP
-
-    def target_named(self, name: str) -> OffloadTarget:
-        for target in self.targets:
-            if target.name == name:
-                return target
-        raise KeyError(name)
 
     def target_by_id(self, target_id: int) -> OffloadTarget:
         for target in self.targets:
@@ -86,37 +86,33 @@ def partition(module: Module, target_names: List[str],
 
 
 def _install_mobile_stub(module: Module, target: OffloadTarget) -> None:
-    fn = module.function(target.name)
+    stub = module.function(target.name)
     should = module.declare_function(
         SHOULD_OFFLOAD, FunctionType(I1, [I32]))
     remote = module.declare_function(
-        OFFLOAD_PREFIX + target.name, fn.ftype)
-    stub = Function(target.name + STUB_SUFFIX, fn.ftype,
-                    [a.name for a in fn.args])
-    module.add_function(stub)
+        OFFLOAD_PREFIX + target.name, stub.ftype)
+    # The body and its arguments move to ``<target>__local``; the target
+    # keeps its name, position and every reference, and is the stub.
+    body = Function(target.body, stub.ftype, [a.name for a in stub.args])
+    body.args, stub.args = stub.args, body.args
+    body.blocks, stub.blocks = stub.blocks, []
+    body.is_external = False
+    for block in body.blocks:
+        block.parent = body
+    # Recursive calls stay local to one placement; the body's other uses
+    # of its own address name the stub, which both partitions pair.
+    for instruction in body.instructions():
+        if isinstance(instruction, Call) and instruction.callee is stub:
+            instruction.operands[0] = body
+    module.add_function(body)
 
-    entry = stub.add_block("entry")
-    off_block = stub.add_block("offload")
-    local_block = stub.add_block("local")
-    b = IRBuilder(entry)
-    decision = b.call(should, [Constant(I32, target.id)], "go")
-    b.condbr(decision, off_block, local_block)
-    b.position_at_end(off_block)
-    remote_result = b.call(remote, list(stub.args))
-    b.ret(None if fn.ftype.ret.is_void else remote_result)
-    b.position_at_end(local_block)
-    local_result = b.call(fn, list(stub.args))
-    b.ret(None if fn.ftype.ret.is_void else local_result)
-
-    # Redirect every direct call site (outside the stub and the target
-    # itself — recursive calls stay local to one placement).
-    for caller in list(module.defined_functions()):
-        if caller is stub or caller is fn:
-            continue
-        for instruction in caller.instructions():
-            if (isinstance(instruction, inst.Call)
-                    and instruction.called_function is fn):
-                instruction.replace_operand(fn, stub)
+    b = IRBuilder(stub.add_block("entry"))
+    branches = stub.add_block("offload"), stub.add_block("local")
+    b.condbr(b.call(should, [Constant(I32, target.id)], "go"), *branches)
+    for block, callee in zip(branches, (remote, body)):
+        b.position_at_end(block)
+        result = b.call(callee, list(stub.args))
+        b.ret(None if stub.ftype.ret.is_void else result)
 
 
 def _remove_unused_server_functions(module: Module,

@@ -214,7 +214,7 @@ class LocalBackend:
     def execute(self, target: OffloadTarget, interp: Interpreter,
                 args: List, record: Optional[InvocationRecord] = None):
         session = self.session
-        sub, result = self.replay(target.name, interp, args)
+        sub, result = self.replay(target.body, interp, args)
         if record is not None:
             record.fallback_local = True
             record.local_seconds = sub.time_seconds

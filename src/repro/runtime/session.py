@@ -50,13 +50,11 @@ class SessionOptions:
     enable_compression: bool = True
     # Incremental UVA data plane (docs/uva-data-plane.md): cross-
     # invocation page cache + version vectors, sub-page delta transfers,
-    # and fault-history-driven adaptive prefetch.  With all three off the
-    # data plane is the naive one (full invalidation, whole pages) —
-    # the differential tests assert bit-identical program output and
-    # final mobile memory between the two.
-    enable_page_cache: bool = True
-    enable_delta_transfer: bool = True
-    enable_adaptive_prefetch: bool = True
+    # and fault-history-driven adaptive prefetch, on or off together.
+    # Off, the data plane is the naive one (full invalidation, whole
+    # pages) — the differential tests assert bit-identical program
+    # output and final mobile memory between the two.
+    enable_incremental_uva: bool = True
     enable_dynamic_estimation: bool = True
     enable_stack_reallocation: bool = True
     # Ideal-offloading mode: overheads (communication, remote I/O,
@@ -247,16 +245,16 @@ class SessionResult(GuestRun):
 
 
 class _TargetTimer(Observer):
-    """Times locally-executed offload targets on the mobile device so the
-    dynamic estimator can refine its Tm with observed run-time values
-    (paper, Section 4: "target execution time information")."""
+    """Times the bodies of offload targets run on the mobile device so
+    the dynamic estimator can refine each target's Tm with observed
+    run-time values (paper, Section 4: "target execution time information")."""
 
     wants_blocks = False
 
     def __init__(self, session: "OffloadSession"):
         # the session keeps the interpreter that keeps this: no way back
         self.estimator = session.estimator
-        self.targets = {t.name for t in session.program.targets}
+        self.targets = {t.body: t.name for t in session.program.targets}
         self.clock_hz = session.mobile.arch.clock_hz
         self._stack = []
 
@@ -266,9 +264,9 @@ class _TargetTimer(Observer):
 
     def exit_function(self, fn, cycles: float) -> None:
         if self._stack and self._stack[-1][0] == fn.name:
-            name, start = self._stack.pop()
+            body, start = self._stack.pop()
             self.estimator.record_local_time(
-                name, (cycles - start) / self.clock_hz)
+                self.targets[body], (cycles - start) / self.clock_hz)
 
 
 class OffloadSession:
@@ -316,9 +314,7 @@ class OffloadSession:
         self.uva = UVAManager(
             self.mobile, self.server, self.comm,
             enable_prefetch=opts.enable_prefetch,
-            enable_page_cache=opts.enable_page_cache,
-            enable_delta_transfer=opts.enable_delta_transfer,
-            enable_adaptive_prefetch=opts.enable_adaptive_prefetch,
+            enable_incremental_uva=opts.enable_incremental_uva,
             tracer=self.tracer)
         self.fcn_table = FunctionAddressTable(self.mobile, self.server)
         self.estimator = DynamicPerformanceEstimator(

@@ -165,9 +165,7 @@ class UVAManager:
     def __init__(self, mobile: Machine, server: Machine,
                  comm: CommunicationManager,
                  enable_prefetch: bool = True,
-                 enable_page_cache: bool = True,
-                 enable_delta_transfer: bool = True,
-                 enable_adaptive_prefetch: bool = True,
+                 enable_incremental_uva: bool = True,
                  tracer: Optional[Tracer] = None):
         if mobile.memory.page_size != server.memory.page_size:
             raise ValueError("page size mismatch between machines")
@@ -175,8 +173,7 @@ class UVAManager:
         self.server = server
         self.comm = comm
         self.enable_prefetch = enable_prefetch
-        self.enable_page_cache = enable_page_cache
-        self.enable_delta_transfer = enable_delta_transfer
+        self.incremental = enable_incremental_uva
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.page_size = mobile.memory.page_size
         self.stats = UVAStats()
@@ -206,12 +203,12 @@ class UVAManager:
         # for copy-on-demand refills and re-prefetches.
         self._stale_base: Dict[int, bytes] = {}
         # Adaptive prefetch bookkeeping for the current invocation.
-        self.advisor = (PrefetchAdvisor() if enable_adaptive_prefetch
+        self.advisor = (PrefetchAdvisor() if enable_incremental_uva
                         else None)
         self._current_target: Optional[str] = None
         self._invocation_faults: Set[int] = set()
         self._invocation_shipped: Set[int] = set()
-        if enable_delta_transfer:
+        if enable_incremental_uva:
             server.memory.track_subpage = True
 
     def attach(self) -> None:
@@ -352,7 +349,7 @@ class UVAManager:
         mobile's current page content."""
         self.server.memory.mark_clean(page_index)
         self._server_sourced.add(page_index)
-        if self.enable_page_cache:
+        if self.incremental:
             self._server_version[page_index] = self._mobile_version.get(
                 page_index, 0)
 
@@ -367,7 +364,7 @@ class UVAManager:
         time."""
         shared_mobile_pages = [p for p in self.mobile.memory.mapped_pages()
                                if self.shareable(p)]
-        if not self.enable_page_cache:
+        if not self.incremental:
             for pidx in list(self.server.memory.pages):
                 if self.shareable(pidx):
                     self.server.memory.unmap_page(pidx)
@@ -397,8 +394,7 @@ class UVAManager:
                 self._server_sourced.add(pidx)
                 continue
             invalidated += 1
-            if (self.enable_delta_transfer
-                    and pidx in self._server_version
+            if (pidx in self._server_version
                     and pidx in mobile_pages
                     and len(self._stale_base) < MAX_STALE_PAGES):
                 # keep the known-version copy as a delta base for the
@@ -465,7 +461,7 @@ class UVAManager:
                 continue
             if pidx not in self.mobile.memory.pages:
                 continue
-            if (self.enable_page_cache
+            if (self.incremental
                     and pidx in self.server.memory.pages
                     and self._server_version.get(pidx)
                     == self._mobile_version.get(pidx, 0)):
@@ -540,7 +536,7 @@ class UVAManager:
         their wire payloads."""
         server_mem = self.server.memory
         masks = (dict(server_mem.dirty_blocks)
-                 if self.enable_delta_transfer else {})
+                 if self.incremental else {})
         dirty = server_mem.collect_dirty_pages()
         full_mask = server_mem.full_block_mask
         threshold = int(self.page_size * DELTA_BREAK_EVEN)
@@ -551,7 +547,7 @@ class UVAManager:
                 continue
             entry: WritebackEntry = data
             payload = data
-            if (self.enable_delta_transfer
+            if (self.incremental
                     and pidx in self._server_sourced
                     and pidx in self.mobile.memory.pages):
                 mask = masks.get(pidx, full_mask)
@@ -617,7 +613,7 @@ class UVAManager:
                 bytes_back += delta_records_size(entry)
                 deltas.append(entry)
         self.mobile.memory.install_pages(full, mark_dirty=True)
-        if self.enable_page_cache:
+        if self.incremental:
             # Both sides now hold identical content: bump the page
             # version once and record the server copy as that version,
             # so the next sync neither re-announces nor invalidates it.
@@ -655,7 +651,7 @@ class UVAManager:
         dirtied = set(self.server.memory.dirty).union(*self._staged)
         self._staged = []
         self._pending_alloc_state = None
-        if self.enable_page_cache or self.enable_delta_transfer:
+        if self.incremental:
             for pidx in filter(self.shareable, dirtied):
                 self.server.memory.unmap_page(pidx)
                 self._server_version.pop(pidx, None)

@@ -8,7 +8,7 @@ from repro.frontend import compile_c
 from repro.ir import Call, verify_module
 from repro.ir import instructions as irinst
 from repro.offload import (CompilerOptions, NativeOffloaderCompiler,
-                           OFFLOAD_PREFIX, SHOULD_OFFLOAD, STUB_SUFFIX,
+                           LOCAL_SUFFIX, OFFLOAD_PREFIX, SHOULD_OFFLOAD,
                            OutliningError, apply_function_pointer_mapping,
                            apply_remote_io, can_outline, outline_loop,
                            partition, reallocate_referenced_globals,
@@ -200,25 +200,53 @@ class TestPartition:
         module = compiled(HOT_KERNEL_SRC)
         result = partition(module, ["crunch"])
         mobile = result.mobile_module
-        stub = mobile.function("crunch" + STUB_SUFFIX)
-        assert stub.is_definition
+        stub = mobile.function("crunch")
+        assert [b.name for b in stub.blocks] == ["entry", "offload", "local"]
+        assert mobile.function("crunch" + LOCAL_SUFFIX).is_definition
         assert mobile.get_function(SHOULD_OFFLOAD) is not None
         assert mobile.get_function(OFFLOAD_PREFIX + "crunch") is not None
         verify_module(mobile)
 
-    def test_call_sites_redirected(self):
-        module = compiled(HOT_KERNEL_SRC)
-        result = partition(module, ["crunch"])
-        mobile = result.mobile_module
-        main = mobile.function("main")
-        crunch = mobile.function("crunch")
-        stub = mobile.function("crunch" + STUB_SUFFIX)
-        direct = [i for i in main.instructions()
-                  if isinstance(i, Call) and i.called_function is crunch]
-        via_stub = [i for i in main.instructions()
-                    if isinstance(i, Call) and i.called_function is stub]
-        assert not direct
-        assert len(via_stub) == 1
+    RECURSIVE_SRC = r"""
+    typedef int (*FN)(int);
+    FN last;
+    int fact(int n) {
+        last = fact;
+        if (n < 2) return 1;
+        return n * fact(n - 1);
+    }
+    FN table[1] = { fact };
+    int main() { printf("%d %d\n", fact(5), table[0](4)); return 0; }
+    """
+
+    def test_the_stub_takes_the_targets_place(self):
+        module = compiled(self.RECURSIVE_SRC)
+        before = [i.opcode for i in module.function("fact").instructions()]
+        mobile = partition(module, ["fact"]).mobile_module
+        stub = mobile.function("fact")
+        body = mobile.function("fact" + LOCAL_SUFFIX)
+        # the target keeps its name and place; the body is appended
+        names = list(mobile.functions)
+        assert names.index("fact") == list(module.functions).index("fact")
+        assert names[-1] == body.name
+        assert [i.called_function.name for i in stub.entry.instructions
+                if isinstance(i, Call)] == [SHOULD_OFFLOAD]
+        assert [i.opcode for i in body.instructions()] == before
+        # only the stub and the body's own recursion call the body
+        calls = [(fn.name, i.called_function.name)
+                 for fn in mobile.defined_functions()
+                 for i in fn.instructions()
+                 if isinstance(i, Call) and i.called_function is not None
+                 and i.called_function.name.startswith("fact")]
+        assert sorted(calls) == [("fact", body.name), (body.name, body.name),
+                                 ("main", "fact")]
+        # the table, and the address the body stores, still name the
+        # target, which is now the stub
+        assert repr(mobile.global_("table").initializer) == "agg([&fact])"
+        assert [i.value for i in body.instructions()
+                if isinstance(i, irinst.Store)
+                and i.value.name.startswith("fact")] == [stub]
+        verify_module(mobile)
 
     def test_unused_server_functions_removed(self):
         src = r"""
@@ -248,7 +276,6 @@ class TestPartition:
         module = compiled(HOT_KERNEL_SRC)
         result = partition(module, ["crunch"])
         assert result.target_by_id(1).name == "crunch"
-        assert result.target_named("crunch").id == 1
 
 
 class TestServerOptimizations:

@@ -10,27 +10,22 @@ reads the same verdicts, so a hot loop that cannot be outlined loses to
 its function.
 """
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 import pytest
 
-from repro.ir import (Call, Function, FunctionType, GlobalVariable, I32,
-                      IRBuilder, Module, array)
+from repro.frontend import compile_c
+from repro.ir import (Function, FunctionType, GlobalVariable, I32, IRBuilder,
+                      Module, array)
 from repro.offload import (CompilerOptions, NativeOffloaderCompiler,
                            TargetRefused)
 from repro.profiler import profile_module
 from repro.runtime import FAST_WIFI, OffloadSession, SessionOptions, run_local
-from repro.targets import ARM32, X86_64
+from repro.targets import ARM32, MIPS32BE, X86_64
 from repro.workloads import WorkloadSpec, workload
 
 # Every invocation of a forced target goes to the server.
 ALWAYS_OFFLOAD = SessionOptions(enable_dynamic_estimation=False)
-
-
-def _called_directly(module: Module) -> Set[str]:
-    return {i.called_function.name for fn in module.defined_functions()
-            for i in fn.instructions()
-            if isinstance(i, Call) and i.called_function is not None}
 
 
 def sweep(spec: WorkloadSpec, options: CompilerOptions
@@ -40,9 +35,9 @@ def sweep(spec: WorkloadSpec, options: CompilerOptions
     output equal to local execution; any other must be refused with its
     verdict's reasons.  Returns the number forced and the refusals.
 
-    Only direct call sites reach a target's stub, so a function called
-    solely through a pointer (chess ``evalPawn``) runs on the phone; every
-    other target must be offloaded at least once."""
+    Every forced target must be offloaded at least once: its stub takes
+    its place, so a function called solely through a pointer (chess
+    ``evalPawn``) reaches the decision as a directly called one does."""
     module = spec.module(options.mobile_arch)
     stdin, files = spec.profile_stdin, spec.profile_files
     profile = profile_module(module, arch=options.mobile_arch,
@@ -51,7 +46,6 @@ def sweep(spec: WorkloadSpec, options: CompilerOptions
                       files=files).output
     candidates = NativeOffloaderCompiler(options).compile(
         module, profile).selection.candidates
-    direct = _called_directly(module)
     forced, refusals = 0, {}
     for name, candidate in sorted(candidates.items()):
         compiler = NativeOffloaderCompiler(
@@ -69,8 +63,7 @@ def sweep(spec: WorkloadSpec, options: CompilerOptions
         assert program.target_names() == [name]
         result = OffloadSession(program, FAST_WIFI, ALWAYS_OFFLOAD,
                                 stdin=stdin, files=files).run()
-        offloads = candidate.kind == "loop" or name in direct
-        assert (result.offloaded_invocations > 0) == offloads, name
+        assert result.offloaded_invocations > 0, name
         assert result.output.differences(local) == [], name
         forced += 1
     return forced, refusals
@@ -95,6 +88,42 @@ def test_every_filter_passing_candidate_offloads_equal_to_local(
     assert count == forced
     assert refusals == {target: f"cannot offload {target}: {reason}"
                         for target, reason in refused.items()}
+
+
+POINTERS_SRC = r"""
+int sq(int x) { return x * x; }
+int (*table[2])(int) = {sq, sq};
+int (*saved)(int);
+void keep(void) { saved = sq; }
+int main() {
+    int i, total = 0;
+    for (i = 0; i < 2; i++) total += table[i](i + 3);
+    keep();
+    total += saved(7);
+    printf("%d\n", total);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mobile", [ARM32, MIPS32BE], ids=lambda a: a.name)
+def test_every_pointer_to_a_target_reaches_the_decision(mobile):
+    """``sq`` is never called directly: twice through a table entry, once
+    through the address ``keep`` stores on the server, which s2m maps to
+    the phone's stub.  Every one of those calls is offloaded."""
+    module = compile_c(POINTERS_SRC, "pointers")
+    program = NativeOffloaderCompiler(CompilerOptions(
+        mobile, X86_64, forced_targets=["sq", "keep"])).compile(
+            module, profile_module(module, arch=mobile))
+    session = OffloadSession(program, FAST_WIFI, ALWAYS_OFFLOAD)
+    result = session.run()
+    assert [(r.target, r.offloaded) for r in result.invocations] == [
+        ("sq", True), ("sq", True), ("keep", True), ("sq", True)]
+    assert result.offloaded_invocations == 4
+    assert session.fcn_table.s2m_lookups == 1
+    local = run_local(module, arch=mobile).output
+    assert local.stdout == b"74\n"
+    assert result.output.differences(local) == []
 
 
 # -- every kind of refusal --------------------------------------------------

@@ -33,7 +33,7 @@ from repro.ir import (Constant, F32, F64, Function, FunctionType, I8, I16,
                       I32, I64, IRBuilder, Module, VOID, array, ptr)
 from repro.machine import (AddressSpace, Interpreter, SegmentationFault,
                            UVA_HEAP_BASE, boot)
-from repro.machine.interpreter import Observer
+from repro.machine.interpreter import Observer, _Decoder
 from repro.machine.memory import PageViews
 from repro.machine.values import (decode_scalar, encode_scalar, scalar_size,
                                   scalar_struct)
@@ -469,6 +469,63 @@ def test_a_refused_value_raises_what_the_codec_raises(layout, kind):
         assert _state(memory)[1:] == before
 
 
+#: The kinds of stored value whose store keeps the range check: every
+#: other kind's instruction masks its result to its type's width.
+CHECKED = {"and", "or", "xor", "lshr", "argument", "call"}
+
+
+def _one_store_per_kind():
+    """``stores`` stores one value of each kind: each integer binop and
+    masking cast, a ``gep``, a ``cmp``, a load, an argument and a call
+    result; returns the module and the kind each store stores."""
+    module = Module()
+    ident = module.add_function(Function("ident", FunctionType(I32, [I32]),
+                                         ["x"]))
+    IRBuilder(ident.add_block("entry")).ret(ident.args[0])
+    fn = module.add_function(Function(
+        "stores", FunctionType(VOID, [I32, ptr(I32), ptr(ptr(I32)), F64]),
+        ["a", "p", "pp", "d"]))
+    b = IRBuilder(fn.add_block("entry"))
+    a, p, pp, d = fn.args
+    values = {op: b.binop(op, a, b.i32(3)) for op in (
+        "add", "sub", "mul", "sdiv", "udiv", "srem", "urem", "shl", "ashr",
+        "and", "or", "xor", "lshr")}
+    values.update(
+        trunc=b.trunc(a, I8), zext=b.zext(b.trunc(a, I16), I32),
+        sext=b.sext(b.trunc(a, I8), I32), ptrtoint=b.cast("ptrtoint", p, I32),
+        inttoptr=b.cast("inttoptr", a, ptr(I32)),
+        fptosi=b.fptosi(d, I32), fptoui=b.cast("fptoui", d, I32),
+        gep=b.index(p, a), cmp=b.cmp("slt", a, b.i32(0)), load=b.load(p),
+        argument=a, call=b.call(ident, [a]))
+    kinds = {}
+    for kind, value in values.items():
+        slot = (pp if value.type.is_pointer
+                else b.bitcast(p, ptr(value.type)))
+        kinds[b.store(value, slot)] = kind
+    b.ret()
+    return module, kinds
+
+
+@pytest.mark.parametrize("arch", [ARM32, MIPS32BE], ids=lambda a: a.name)
+def test_a_value_its_instruction_masked_is_stored_unchecked(arch):
+    """A store of a value whose own instruction masked it to its type's
+    width writes no ``too_wide`` check, and on the typed-view path no
+    ``try`` either; any other value keeps both."""
+    module, kinds = _one_store_per_kind()
+    assert CHECKED < set(kinds.values())
+    machine = boot(module, arch)
+    decoder = _Decoder(Interpreter(machine), module.function("stores"))
+    chunks = {}
+    for (_, _, instructions), (_, texts) in zip(decoder.stretches,
+                                                decoder.write()):
+        chunks.update(zip(instructions, texts))
+    for store, kind in kinds.items():
+        checked = kind in CHECKED
+        assert ("too_wide" in chunks[store]) == checked, kind
+        if machine.memory.native_views:
+            assert ("try:" in chunks[store]) == checked, kind
+
+
 def test_a_dropped_machine_frees_its_pages_and_views():
     """A page's views reference the page and nothing references them but
     its ``PageViews``: with the collector off, dropping the machine
@@ -592,7 +649,7 @@ def test_runtime_clean_marks_reach_generated_stores():
 
     assert stored(on_server, 6)
     refilling = UVAManager(mobile, server, CommunicationManager(FAST_WIFI),
-                           enable_page_cache=False)
+                           enable_incremental_uva=False)
     refilling.prefetch([page])
     assert page not in server.memory.dirty
     assert stored(on_server, 7)

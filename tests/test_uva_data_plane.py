@@ -96,9 +96,7 @@ class TestPageCache:
         finish_cycle(uva)
 
     def test_naive_mode_invalidates_everything(self):
-        mobile, server, comm, uva = make_pair(
-            enable_page_cache=False, enable_delta_transfer=False,
-            enable_adaptive_prefetch=False)
+        mobile, server, comm, uva = make_pair(enable_incremental_uva=False)
         mobile.map_range(PAGE0, 8)
         mobile.memory.write(PAGE0, b"whatever")
         pidx = mobile.memory.page_index(PAGE0)
@@ -155,7 +153,7 @@ class TestSubPageDeltas:
         finish_cycle(uva)
 
     def test_delta_disabled_ships_full_pages(self):
-        mobile, server, comm, uva = make_pair(enable_delta_transfer=False)
+        mobile, server, comm, uva = make_pair(enable_incremental_uva=False)
         mobile.map_range(PAGE0, uva.page_size)
         pidx = mobile.memory.page_index(PAGE0)
         offload_cycle(uva, [pidx])
@@ -396,8 +394,7 @@ int main() {
 """
 MULTI_STDIN = b"1500\n"
 
-NAIVE_FLAGS = dict(enable_page_cache=False, enable_delta_transfer=False,
-                   enable_adaptive_prefetch=False)
+NAIVE_FLAGS = dict(enable_incremental_uva=False)
 
 
 @pytest.fixture(scope="module")
