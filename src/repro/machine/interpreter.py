@@ -568,6 +568,7 @@ class _Decoder:
         # the stretch that follows the call this one ends with, else None
         self.continues: Optional[int] = None
         self.chunk: List[str] = []
+        self.ranges: Dict[Value, bool] = {}  # ``in_range``, memoised
 
     def decode(self) -> tuple:
         """(the template, each stretch's (header, chunks))."""
@@ -682,12 +683,7 @@ class _Decoder:
     def read(self, value: Value, depth: int = 1) -> str:
         """An expression for ``value``; the first read of a frame value in
         a block is written as a load into its local."""
-        if isinstance(value, Constant):
-            immediate = value.value
-            if isinstance(immediate, float) and not math.isfinite(immediate):
-                return ("nan" if immediate != immediate
-                        else "inf" if immediate > 0 else "(-inf)")
-        elif isinstance(value, (inst.Instruction, Argument)):
+        if isinstance(value, (inst.Instruction, Argument)):
             name = self.names[value]
             if value not in self.local:
                 self.emit(f"{name} = frame[{self.slots[value]}]", depth)
@@ -702,16 +698,117 @@ class _Decoder:
                               depth + 1)
                 self.local.add(value)
             return name
-        elif isinstance(value, GlobalVariable):
-            immediate = self.machine.global_addresses[value.name]
-        elif isinstance(value, Function):
-            immediate = self.machine.function_addresses[value.name]
-        elif isinstance(value, UndefValue):
-            immediate = 0
-        else:
-            raise _Unrunnable(f"cannot evaluate {value!r}")
-        text = repr(immediate)
-        return f"({text})" if text.startswith("-") else text
+        immediate = self.immediate(value)
+        if isinstance(immediate, float) and not math.isfinite(immediate):
+            return ("nan" if immediate != immediate
+                    else "inf" if immediate > 0 else "(-inf)")
+        return _literal(immediate)
+
+    def immediate(self, value: Value):
+        """What ``value``, which is no instruction or argument, reads as:
+        known when the function is decoded."""
+        if isinstance(value, Constant):
+            return value.value
+        if isinstance(value, GlobalVariable):
+            return self.machine.global_addresses[value.name]
+        if isinstance(value, Function):
+            return self.machine.function_addresses[value.name]
+        if isinstance(value, UndefValue):
+            return 0
+        raise _Unrunnable(f"cannot evaluate {value!r}")
+
+    # -- value ranges --------------------------------------------------------
+    def width(self, type_) -> Optional[int]:
+        """The bits of an integer or (at the layout's width) a pointer
+        ``type_``; None for any other type."""
+        if isinstance(type_, IntType):
+            return type_.bits
+        if isinstance(type_, PointerType):
+            return self.layout.pointer_bytes * 8
+        return None
+
+    def in_range(self, value: Value) -> bool:
+        """Whether the code written for ``value`` leaves it in
+        ``[0, 2**bits)`` of its type, whatever it is given
+        (docs/architecture.md, "Value ranges").  An argument or a call
+        result is whatever a caller or a builtin passes."""
+        known = self.ranges.get(value)
+        if known is None:
+            # A value among its own operands (the verifier does not check
+            # dominance) is not.
+            self.ranges[value] = False
+            known = self.ranges[value] = self._in_range(value)
+        return known
+
+    def _in_range(self, value: Value) -> bool:
+        bits = self.width(value.type)
+        if bits is None or isinstance(value, Argument):
+            return False
+        if not isinstance(value, inst.Instruction):
+            immediate = self.immediate(value)
+            return (isinstance(immediate, int)
+                    and 0 <= immediate < 1 << bits)
+        opcode, operands = value.opcode, value.operands
+        if opcode == "load":  # a slot of the type's width, if whole bytes
+            return bits % 8 == 0
+        if opcode in ("gep", "cmp"):
+            return True
+        if opcode == "alloca":
+            return self.machine.stack_top <= 1 << bits
+        if opcode == "select":
+            return all(map(self.in_range, operands[1:]))
+        op = value.op if opcode in ("binop", "cast") else None
+        if op in _MASKING_OPS:
+            return True
+        if op == "and":
+            return any(map(self.in_range, operands))
+        if op in ("or", "xor"):
+            return all(map(self.in_range, operands))
+        if op in ("lshr", "bitcast"):  # a bitcast of one width
+            return (self.width(operands[0].type) == bits
+                    and self.in_range(operands[0]))
+        return False
+
+    def bounded(self, value: Value, bits: int) -> bool:
+        """Whether ``value`` is in range and its type no wider than
+        ``bits``, so in ``[0, 2**bits)``."""
+        width = self.width(value.type)
+        return width is not None and width <= bits and self.in_range(value)
+
+    def signed(self, value: Value, bits: int,
+               into: Optional[int] = None) -> str:
+        """An expression for ``value`` read as a signed ``bits``-bit
+        number — or, given ``into``, that number as an unsigned ``into``
+        bits (``sext``).  A constant is folded; a value in range needs
+        no mask."""
+        mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+        if not isinstance(value, (inst.Instruction, Argument)):
+            immediate = self.immediate(value)
+            if isinstance(immediate, int):
+                number = to_signed(immediate, bits)
+                return _literal(number if into is None
+                                else number & (1 << into) - 1)
+        x = self.read(value)
+        if self.bounded(value, bits):
+            low = (f"{x} - {1 << bits}" if into is None
+                   else f"{x} + {(1 << into) - (1 << bits)}")
+            return f"({x} if {x} < {sign} else {low})"
+        signed = f"((({x} & {mask}) ^ {sign}) - {sign})"
+        return signed if into is None else f"({signed} & {(1 << into) - 1})"
+
+    def flipped(self, value: Value, bits: int) -> str:
+        """``value``'s low ``bits`` bits with the sign bit flipped: signed
+        order as unsigned order.  A constant is folded; a value in range
+        needs no mask."""
+        mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+        if not isinstance(value, (inst.Instruction, Argument)):
+            immediate = self.immediate(value)
+            if isinstance(immediate, int):
+                return _literal((immediate & mask) ^ sign)
+        x = self.read(value)
+        if self.bounded(value, bits):
+            return f"({x} ^ {sign})"
+        return f"(({x} & {mask}) ^ {sign})"
 
     # -- one method per opcode: the leading charge, then the statements ----
     def emit_binop(self, instruction: inst.BinOp) -> None:
@@ -729,33 +826,36 @@ class _Decoder:
         if name not in _INT_BINOPS:
             raise _Unrunnable(f"unknown int binop {name}")
         bits = instruction.type.bits
-        mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+        mask = (1 << bits) - 1
         if name in _DIV_OPS:
-            self.emit(f"if {rhs} & {mask} == 0:")
+            self.emit(f"if not {rhs}:" if self.bounded(instruction.rhs, bits)
+                      else f"if {rhs} & {mask} == 0:")
             what = "division" if name.endswith("div") else "remainder"
             self.fail("InterpreterError", f"integer {what} by zero", 2)
             if name.startswith("s"):
-                self.emit(f"a = (({lhs} & {mask}) ^ {sign}) - {sign}")
-                self.emit(f"b = (({rhs} & {mask}) ^ {sign}) - {sign}")
+                self.emit(f"a = {self.signed(instruction.lhs, bits)}")
+                self.emit(f"b = {self.signed(instruction.rhs, bits)}")
+        elif name == "ashr":
+            lhs = self.signed(instruction.lhs, bits)
         self.define(instruction, _INT_BINOPS[name].format(
-            lhs=lhs, rhs=rhs, mask=mask, sign=sign, bits=bits))
+            lhs=lhs, rhs=rhs, mask=mask, bits=bits))
 
     def emit_cmp(self, instruction: inst.Cmp) -> None:
         pred = instruction.pred
         kind = "float" if pred.startswith("f") else "int"
         self.charge(self.costs["fpu" if kind == "float" else "alu"])
-        lhs = self.read(instruction.lhs)
-        rhs = self.read(instruction.rhs)
-        if pred not in _COMPARISONS:
-            raise _Unrunnable(f"unknown {kind} predicate {pred}")
         if pred in _SIGNED_PREDS:
             type_ = instruction.lhs.type  # pointers compare at their width
             bits = (type_.bits if isinstance(type_, IntType)
                     else self.layout.pointer_bytes * 8)
             # Flipping the sign bit maps signed order onto unsigned order.
-            mask, sign = (1 << bits) - 1, 1 << (bits - 1)
-            lhs = f"(({lhs} & {mask}) ^ {sign})"
-            rhs = f"(({rhs} & {mask}) ^ {sign})"
+            lhs = self.flipped(instruction.lhs, bits)
+            rhs = self.flipped(instruction.rhs, bits)
+        else:
+            lhs = self.read(instruction.lhs)
+            rhs = self.read(instruction.rhs)
+            if pred not in _COMPARISONS:
+                raise _Unrunnable(f"unknown {kind} predicate {pred}")
         self.define(instruction,
                     f"1 if {lhs} {_COMPARISONS[pred]} {rhs} else 0")
 
@@ -866,18 +966,12 @@ class _Decoder:
         value = self.read(stored)
         self.translate(convert_cost, swap_cost)
         # A value every codec takes: a float constant, a rounded single,
-        # an integer constant that fits, a value its own instruction
-        # masked to its type's width.
-        taken = isinstance(stored, Constant)
+        # an integer or pointer in range (of no more than ``size`` bytes).
         if type_.is_float:
+            taken = isinstance(stored, Constant)
             if size == 4:  # ``struct`` raises where IEEE 754 rounds
                 value, taken = f"round_to_single({value})", True
-        elif isinstance(stored, (inst.Gep, inst.Cmp, inst.Load)) or (
-                isinstance(stored, (inst.BinOp, inst.Cast))
-                and stored.op in _MASKING_OPS):
-            taken = True
-        elif not (taken and 0 <= stored.value < 1 << (size * 8)):
-            taken = False
+        elif not (taken := self.in_range(stored)):
             self.emit(f"if {value} >= {1 << (size * 8)}:")
             self.emit("interp.cycles = c", 2)
             self.emit(f"raise too_wide({value}, {size})", 2)
@@ -903,7 +997,7 @@ class _Decoder:
         layout = self.layout
         current = instruction.base.type.pointee
         constant = 0  # struct field offsets and constant indices, folded
-        scaled = []   # (index, mask, sign bit, scale)
+        scaled = []   # (index, its bits, scale)
         for position, index in enumerate(instruction.indices):
             if position and isinstance(current, StructType):
                 field = int(index.value)  # verified constant
@@ -919,14 +1013,18 @@ class _Decoder:
             if isinstance(index, Constant):
                 constant += to_signed(index.value, bits) * scale
             else:
-                scaled.append((index, (1 << bits) - 1, 1 << (bits - 1),
-                               scale))
+                scaled.append((index, bits, scale))
         address = self.read(instruction.base)
         if constant:
             address += f" + {constant}"
-        for index, mask, sign, scale in scaled:
-            address += (f" + ((({self.read(index)} & {mask}) ^ {sign})"
-                        f" - {sign}) * {scale}")
+        for index, bits, scale in scaled:
+            # An index at least as wide as a pointer and in range needs no
+            # sign: it would subtract a multiple of 2**bits, which the
+            # pointer's mask drops.
+            term = (self.read(index) if bits >= self.layout.pointer_bytes * 8
+                    and self.bounded(index, bits)
+                    else self.signed(index, bits))
+            address += f" + {term} * {scale}"
         self.define(instruction, f"({address}) & {self.pointer_mask}")
 
     def emit_cast(self, instruction: inst.Cast) -> None:
@@ -947,22 +1045,21 @@ class _Decoder:
             self.emit("interp.cycles = c", 2)
             self.emit(f"raise InterpreterError({message!r} % {value}) "
                       "from None", 2)
-        elif name in ("trunc", "zext", "ptrtoint"):
-            self.define(instruction, f"{value} & {(1 << dst.bits) - 1}")
+        elif name in ("trunc", "zext", "ptrtoint", "inttoptr"):
+            mask = (self.pointer_mask if name == "inttoptr"
+                    else (1 << dst.bits) - 1)
+            self.define(instruction, value if self.bounded(
+                instruction.value, mask.bit_length()) else f"{value} & {mask}")
         elif name == "sext":
-            narrow, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
-            self.define(instruction, f"((({value} & {narrow}) ^ {sign})"
-                                     f" - {sign}) & {(1 << dst.bits) - 1}")
+            self.define(instruction,
+                        self.signed(instruction.value, src.bits, dst.bits))
         elif name == "fptrunc" and dst.bits == 32:
             self.define(instruction, f"round_to_single({value})")
         elif name in ("fptrunc", "fpext", "uitofp"):
             self.define(instruction, f"float({value})")
         elif name == "sitofp":
-            mask, sign = (1 << src.bits) - 1, 1 << (src.bits - 1)
             self.define(instruction,
-                        f"float((({value} & {mask}) ^ {sign}) - {sign})")
-        elif name == "inttoptr":
-            self.define(instruction, f"{value} & {self.pointer_mask}")
+                        f"float({self.signed(instruction.value, src.bits)})")
         elif name == "bitcast":
             self.define(instruction, value)
         else:
@@ -1063,7 +1160,9 @@ class _Decoder:
         for const, block in instruction.cases:  # the first match wins
             targets.setdefault(const & _MASK64, self.block_index[block])
         table = self.bind("switch_" + self.names[instruction], targets)
-        self.leave(f"{table}.get({value} & {_MASK64}, "
+        if not self.bounded(instruction.value, 64):
+            value = f"{value} & {_MASK64}"
+        self.leave(f"{table}.get({value}, "
                    f"{self.block_index[instruction.default]})")
 
     def emit_ret(self, instruction: inst.Ret) -> None:
@@ -1076,9 +1175,15 @@ class _Decoder:
 
 
 # -- what an operation is, as the expression the decoder writes ------------
-# ``a`` and ``b`` are the operands as signed numbers.  C truncates toward
-# zero and a remainder's sign follows the dividend; ``int(a / b)`` goes
-# through a float and is wrong above 2**53.
+def _literal(number) -> str:
+    """``number`` as an operand: a negative one in parentheses."""
+    text = repr(number)
+    return f"({text})" if text.startswith("-") else text
+
+
+# ``a`` and ``b`` are the operands as signed numbers, and so is ``lhs`` of
+# ``ashr``.  C truncates toward zero and a remainder's sign follows the
+# dividend; ``int(a / b)`` goes through a float and is wrong above 2**53.
 _INT_BINOPS = {
     "add": "({lhs} + {rhs}) & {mask}",
     "sub": "({lhs} - {rhs}) & {mask}",
@@ -1091,12 +1196,11 @@ _INT_BINOPS = {
     "and": "{lhs} & {rhs}", "or": "{lhs} | {rhs}", "xor": "{lhs} ^ {rhs}",
     "shl": "({lhs} << ({rhs} % {bits})) & {mask}",
     "lshr": "{lhs} >> ({rhs} % {bits})",
-    "ashr": "(((({lhs} & {mask}) ^ {sign}) - {sign}) >> ({rhs} % {bits}))"
-            " & {mask}",
+    "ashr": "({lhs} >> ({rhs} % {bits})) & {mask}",
 }
-#: The integer binops and casts whose generated code masks the result to
-#: its type's width (``gep``, ``cmp`` and a load, which decodes a slot of
-#: the stored width, always do): a store of one needs no range check.
+#: The integer binops and casts whose generated code leaves the result in
+#: range (``_Decoder.in_range``): it masks it to its type's width, or — a
+#: widening cast of a value in range — has no bits to mask.
 _MASKING_OPS = {"add", "sub", "mul", "sdiv", "udiv", "srem", "urem", "shl",
                 "ashr", "trunc", "zext", "sext", "ptrtoint", "inttoptr",
                 "fptosi", "fptoui"}

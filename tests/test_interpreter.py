@@ -4,11 +4,12 @@ import pytest
 
 from repro.frontend import compile_c
 from repro.ir import (Constant, Function, FunctionType, IRBuilder, Module,
-                      I1, I8, I32, I64, F64)
+                      I1, I8, I16, I32, I64, F64, ptr)
 from repro.machine import (GLOBAL_BASES, NATIVE_HEAP_BASES,
                            BadFunctionPointer, ExecutionLimitExceeded,
-                           Interpreter, Machine, OutOfMemoryError,
-                           StackOverflow, boot, to_signed)
+                           Interpreter, InterpreterError, Machine,
+                           OutOfMemoryError, StackOverflow, boot, to_signed)
+from repro.machine.interpreter import _Decoder
 from repro.targets import (ARM32, CYCLE_TIME_SCALE, UNIFIED_ORDER_KEY,
                            UNIFIED_POINTER_KEY, X86_64)
 
@@ -72,6 +73,103 @@ class TestIntegerSemantics:
         from repro.machine import InterpreterError
         with pytest.raises(InterpreterError, match="zero"):
             eval_expr("sdiv", 1, 0)
+
+
+# -- signed reads -------------------------------------------------------
+# The decoder reads an operand as signed without a mask where it knows the
+# operand is in [0, 2**n) (an ``and`` with a constant is), and through the
+# mask where it does not (an argument).  Both must give what
+# ``values.to_signed`` of the operand's low n bits gives.
+WIDTHS = {8: I8, 16: I16, 32: I32, 64: I64}
+OUT_OF_RANGE = (2**40 + 5, -3)
+BASE = 0x1000  # the ``gep`` base
+
+
+def _inputs(n):
+    return ((0, 1, (1 << (n - 1)) - 1, 1 << (n - 1), (1 << n) - 1)
+            + OUT_OF_RANGE)
+
+
+def _trunc_div(a, b):
+    """C's quotient and remainder: truncated toward zero."""
+    quotient = abs(a) // abs(b) * (-1 if (a < 0) != (b < 0) else 1)
+    return quotient, a - quotient * b
+
+
+def _reference(op, n, x, y, arch):
+    """What ``op`` gives on ``x`` and ``y`` read as signed ``n`` bits."""
+    mask = (1 << n) - 1
+    a, b = to_signed(x, n), to_signed(y, n)
+    if op == "sext":
+        return a & (1 << 64) - 1
+    if op == "gep":
+        return (BASE + a * 4) & (1 << arch.pointer_bytes * 8) - 1
+    if op in ("slt", "sge"):
+        return int(a < b if op == "slt" else a >= b)
+    if op == "ashr":
+        return (a >> (y % n)) & mask
+    if op in ("sdiv", "srem"):
+        return _trunc_div(a, b)[op == "srem"] & mask
+    return float(a)  # sitofp
+
+
+def _signed_read(op, n, masked):
+    """``f(x, y, p)``: ``op`` on its two ``i<n>`` arguments — first each
+    ``and``-ed with ``2**n - 1`` when ``masked`` — and ``p``.  Returns the
+    module and the operands ``op`` reads."""
+    type_ = WIDTHS[n]
+    result = {"sext": I64, "gep": ptr(I32), "slt": I1, "sge": I1,
+              "sitofp": F64}.get(op, type_)
+    module = Module()
+    fn = module.add_function(Function(
+        "f", FunctionType(result, [type_, type_, ptr(I32)]),
+        ["x", "y", "p"]))
+    b = IRBuilder(fn.add_block("entry"))
+    x, y, p = fn.args
+    if masked:
+        x, y = (b.binop("and", v, Constant(type_, (1 << n) - 1))
+                for v in (x, y))
+    if op == "sext":
+        value = b.sext(x, I64)
+    elif op == "gep":
+        value = b.index(p, x)
+    elif op in ("slt", "sge"):
+        value = b.cmp(op, x, y)
+    elif op == "sitofp":
+        value = b.sitofp(x, F64)
+    else:
+        value = b.binop(op, x, y)
+    b.ret(value)
+    return module, (x, y)
+
+
+SIGNED_READS = ([("sext", n, ARM32) for n in (8, 16, 32)]
+                + [("gep", n, arch) for n in WIDTHS
+                   for arch in (ARM32, X86_64)]
+                + [(op, n, ARM32) for op in ("slt", "sge", "ashr", "sdiv",
+                                              "srem", "sitofp")
+                   for n in WIDTHS])
+
+
+class TestSignedReads:
+    @pytest.mark.parametrize("masked", [True, False],
+                             ids=["in-range", "argument"])
+    @pytest.mark.parametrize("op, n, arch", SIGNED_READS,
+                             ids=[f"{op}-i{n}-{arch.name}"
+                                  for op, n, arch in SIGNED_READS])
+    def test_signed_read_equals_to_signed(self, op, n, arch, masked):
+        module, operands = _signed_read(op, n, masked)
+        interp = Interpreter(boot(module, arch))
+        decoder = _Decoder(interp, module.function("f"))
+        assert all(decoder.in_range(v) == masked for v in operands)
+        for x in _inputs(n):
+            for y in _inputs(n):
+                if op in ("sdiv", "srem") and y & (1 << n) - 1 == 0:
+                    with pytest.raises(InterpreterError, match="by zero"):
+                        interp.call_by_name("f", [x, y, BASE])
+                    continue
+                assert interp.call_by_name("f", [x, y, BASE]) == _reference(
+                    op, n, x, y, arch), (x, y)
 
 
 class TestFloatSemantics:

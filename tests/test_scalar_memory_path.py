@@ -470,14 +470,17 @@ def test_a_refused_value_raises_what_the_codec_raises(layout, kind):
 
 
 #: The kinds of stored value whose store keeps the range check: every
-#: other kind's instruction masks its result to its type's width.
-CHECKED = {"and", "or", "xor", "lshr", "argument", "call"}
+#: other kind is in range (``_Decoder.in_range``).
+CHECKED = {"and-argument", "or-argument", "xor-argument", "lshr-argument",
+           "bitcast-argument", "argument", "call"}
 
 
 def _one_store_per_kind():
     """``stores`` stores one value of each kind: each integer binop and
-    masking cast, a ``gep``, a ``cmp``, a load, an argument and a call
-    result; returns the module and the kind each store stores."""
+    masking cast, a ``gep``, a ``cmp``, a load, a ``select``, an
+    argument and a call result; ``and``/``or``/``xor``/``lshr`` and a
+    bitcast once of in-range operands and once (``-argument``) of
+    arguments.  Returns the module and the kind each store stores."""
     module = Module()
     ident = module.add_function(Function("ident", FunctionType(I32, [I32]),
                                          ["x"]))
@@ -487,16 +490,25 @@ def _one_store_per_kind():
         ["a", "p", "pp", "d"]))
     b = IRBuilder(fn.add_block("entry"))
     a, p, pp, d = fn.args
-    values = {op: b.binop(op, a, b.i32(3)) for op in (
+    three, load = b.i32(3), b.load(p)
+    values = {op: b.binop(op, a, three) for op in (
         "add", "sub", "mul", "sdiv", "udiv", "srem", "urem", "shl", "ashr",
-        "and", "or", "xor", "lshr")}
+        "and")}
+    values.update({op: b.binop(op, load, three) for op in (
+        "or", "xor", "lshr")})
+    values.update({f"{op}-argument": b.binop(op, a, a if op == "and"
+                                             else three)
+                   for op in ("and", "or", "xor", "lshr")})
     values.update(
         trunc=b.trunc(a, I8), zext=b.zext(b.trunc(a, I16), I32),
         sext=b.sext(b.trunc(a, I8), I32), ptrtoint=b.cast("ptrtoint", p, I32),
         inttoptr=b.cast("inttoptr", a, ptr(I32)),
         fptosi=b.fptosi(d, I32), fptoui=b.cast("fptoui", d, I32),
-        gep=b.index(p, a), cmp=b.cmp("slt", a, b.i32(0)), load=b.load(p),
+        gep=b.index(p, a), cmp=b.cmp("slt", a, three), load=load,
+        bitcast=b.bitcast(load, I32),
+        select=b.select(b.cmp("slt", a, three), load, three),
         argument=a, call=b.call(ident, [a]))
+    values["bitcast-argument"] = b.bitcast(a, I32)
     kinds = {}
     for kind, value in values.items():
         slot = (pp if value.type.is_pointer
@@ -507,8 +519,8 @@ def _one_store_per_kind():
 
 
 @pytest.mark.parametrize("arch", [ARM32, MIPS32BE], ids=lambda a: a.name)
-def test_a_value_its_instruction_masked_is_stored_unchecked(arch):
-    """A store of a value whose own instruction masked it to its type's
+def test_a_value_in_range_is_stored_unchecked(arch):
+    """A store of a value the decoder knows to be in range of its type's
     width writes no ``too_wide`` check, and on the typed-view path no
     ``try`` either; any other value keeps both."""
     module, kinds = _one_store_per_kind()
