@@ -15,7 +15,7 @@ documented in docs/simulator.md.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class SimClock:
@@ -57,12 +57,6 @@ class EventQueue:
 
     def pop(self) -> Tuple[float, int, object]:
         t, key, _, payload = heapq.heappop(self._heap)
-        return t, key, payload
-
-    def peek(self) -> Optional[Tuple[float, int, object]]:
-        if not self._heap:
-            return None
-        t, key, _, payload = self._heap[0]
         return t, key, payload
 
     def __len__(self) -> int:

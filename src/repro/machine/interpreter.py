@@ -139,8 +139,7 @@ class Interpreter:
     def charge(self, inst_class: str, count: float = 1.0) -> None:
         self.cycles += self._cycle_table[inst_class] * count
 
-    def charge_raw_cycles(self, cycles: float,
-                          inst_class: str = "alu") -> None:
+    def charge_raw_cycles(self, cycles: float) -> None:
         """Charge unscaled cycles — for runtime services whose cost is a
         real machine-cycle figure (e.g. a hash-table lookup), not an
         IR-operation bundle."""
@@ -520,8 +519,9 @@ class _Decoder:
         self.costs = interp._cycle_table
         self.page_shift = memory.page_size.bit_length() - 1
         self.offset_mask = memory.page_size - 1
-        # Whether ``loadable``/``storable`` hand out ``PageViews``.
-        self.views = memory.native_views
+        # Whether the layout's scalars read as the page's typed views
+        # index them: a layout in the host's byte order.
+        self.views = self.layout.byte_order == sys.byteorder
         # The generated code's globals and what ``bind`` adds; given those
         # of an earlier decode, every name binds as it did there.
         self.globals = dict(_GLOBALS if bound is None else bound)
@@ -896,22 +896,18 @@ class _Decoder:
 
     def locate(self, lookup: str, address: str, shift: int, size: int,
                cold: str, hot: List[str]) -> None:
-        """The two arms of a load or store.  ``p`` is what ``lookup`` —
-        ``loadable``, keyed by page, or ``storable``, keyed by dirty
-        block — holds for an access whose bookkeeping is already done;
-        ``hot`` makes the access on it.  ``cold`` runs with the cycles
-        flushed when there is no entry (a fault, or a first access since
-        the space last forgot one) or the scalar crosses the entry's page
-        or block — or, on a space that hands out ``PageViews``, is not
-        aligned: an aligned scalar crosses neither."""
+        """The two arms of a load or store.  ``p`` is the ``PageViews``
+        ``lookup`` — ``loadable``, keyed by page, or ``storable``, keyed
+        by dirty block — holds for an access whose bookkeeping is already
+        done; ``hot`` makes the access on it.  ``cold`` runs with the
+        cycles flushed when there is no entry (a fault, or a first access
+        since the space last forgot one) or the scalar is not aligned: an
+        aligned scalar crosses neither the entry's page nor its block."""
         self.emit(f"p = {lookup}({address} >> {shift})")
         if size == 1:
             self.emit("if p is None:")
-        elif self.views:
+        else:
             self.emit(f"if p is None or {address} & {size - 1}:")
-        else:  # against the last offset that fits
-            self.emit(f"if p is None or {address} & {(1 << shift) - 1} > "
-                      f"{(1 << shift) - size}:")
         for line in ("interp.cycles = c", cold, "c = interp.cycles"):
             self.emit(line, 2)
         self.emit("else:")
@@ -946,14 +942,12 @@ class _Decoder:
         size, convert_cost, swap_cost = self._access(type_)
         address = self.read(instruction.pointer)
         target = self.target(instruction)
+        cold = f"{self.cold(type_, 'load')}(p, {address}, read)"
         if self.views:
-            cold = f"{self.cold(type_, 'load')}(p, {address}, read)"
             hot = self.viewed(type_, address, size)
         else:
-            cold = (f"{self.accessor(type_, 'unpack')}"
-                    f"(read({address}, {size}))[0]")
             hot = (f"{self.accessor(type_, 'unpack_from')}"
-                   f"(p, {address} & {self.offset_mask})[0]")
+                   f"(p.u8, {address} & {self.offset_mask})[0]")
         self.locate("loadable", address, self.page_shift, size,
                     f"{target} = {cold}", [f"{target} = {hot}"])
         self.translate(convert_cost, swap_cost)
@@ -975,9 +969,8 @@ class _Decoder:
             self.emit(f"if {value} >= {1 << (size * 8)}:")
             self.emit("interp.cycles = c", 2)
             self.emit(f"raise too_wide({value}, {size})", 2)
+        cold = f"{self.cold(type_, 'store')}(p, {address}, {value}, write)"
         if self.views:
-            cold = (f"{self.cold(type_, 'store')}"
-                    f"(p, {address}, {value}, write)")
             hot = [f"{self.viewed(type_, address, size)} = {value}"]
             if not taken:
                 # What a view refuses (a negative, a float where an
@@ -985,10 +978,8 @@ class _Decoder:
                 hot = ["try:", f" {hot[0]}",
                        "except (TypeError, ValueError):", f" {cold}"]
         else:
-            cold = (f"write({address}, {self.accessor(type_, 'pack')}"
-                    f"({value}))")
             hot = [f"{self.accessor(type_, 'pack_into')}"
-                   f"(p, {address} & {self.offset_mask}, {value})"]
+                   f"(p.u8, {address} & {self.offset_mask}, {value})"]
         self.locate("storable", address, self.memory.block_shift, size,
                     cold, hot)
 
@@ -1229,12 +1220,12 @@ def _frem(lhs: float, rhs: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _cold_access(codec, page_size: int, block_size: int) -> tuple:
-    """(load, store) for the accesses the view arm of a ``PageViews``
-    space leaves: with ``codec`` on the page ``p`` when the scalar lies
-    in it (a load) or in one dirty block (a store), else — no entry, or
-    crossing — through ``read``/``write``, which record it.  One pair per
-    codec and geometry, so a template binds the same functions every
-    time it is written."""
+    """(load, store) for the accesses a hot arm leaves: with ``codec`` on
+    the page of ``PageViews`` ``p`` when the scalar lies in it (a load)
+    or in one dirty block (a store), else — no entry, or crossing —
+    through ``read``/``write``, which record it.  One pair per codec and
+    geometry, so a template binds the same functions every time it is
+    written."""
     size, unpack, unpack_from = codec.size, codec.unpack, codec.unpack_from
     pack, pack_into = codec.pack, codec.pack_into
     offset, block = page_size - 1, block_size - 1

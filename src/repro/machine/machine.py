@@ -10,7 +10,6 @@ what the memory-unification passes must neutralize for shared data.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Dict, Optional
 
 from ..ir.module import Module
@@ -90,10 +89,6 @@ class Machine:
         memory."""
         self.module = module
         self.layout = unified_data_layout(module, self.arch)
-        # Data in the host's byte order is read through typed views of
-        # its pages; the decoder writes its loads and stores for them.
-        self.memory.native_views = (self.layout.byte_order == sys.byteorder
-                                    and self.memory.block_size >= 8)
         self._assign_function_addresses(module)
         self._assign_global_addresses(module)
         self._initialize_globals(module)

@@ -80,13 +80,14 @@ class AddressSpace:
     and ``storable`` look up the accesses whose bookkeeping is already
     done, and only this class changes what was recorded, so only it
     decides when such an entry stops being true (docs/architecture.md,
-    "The memory path").  They hand out a page's ``bytearray``, or its
-    ``PageViews`` once ``native_views`` is on.
+    "The memory path").  They hand out a page's ``PageViews``.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         if page_size <= 0 or page_size & (page_size - 1):
             raise ValueError("page size must be a positive power of two")
+        if page_size < 8:  # a ``PageViews`` casts the page to 8-byte items
+            raise ValueError("page size must be at least 8")
         self.page_size = page_size
         self.pages: Dict[int, bytearray] = {}
         # An insertion-ordered set; read through ``dirty``.
@@ -109,17 +110,15 @@ class AddressSpace:
         # They never own the same space: the profiler runs on
         # ``run_local``'s machine, UVA on a session's server.
         self._touched: Optional[Set[int]] = None
-        # What the maps below hold for a page: the page itself, or with
-        # ``native_views`` on, its views.
+        # What the maps below hold for a page: its views.
         self._views = _ViewsOf(self.pages)
-        self._entries: Dict[int, object] = self.pages
-        # Page index -> entry: the page is mapped to that bytearray (or
-        # the views of one) and, with a ``touched`` set installed, in it.
-        self._loadable: Dict[int, object] = {}
-        # Dirty-block index (address >> block_shift) -> entry: the page is
+        # Page index -> views: the page is mapped to the bytearray they
+        # view and, with a ``touched`` set installed, in it.
+        self._loadable: Dict[int, PageViews] = {}
+        # Dirty-block index (address >> block_shift) -> views: the page is
         # loadable and dirty and, with ``track_subpage`` on, the block's
         # bit is set in its mask.  Every page here is in ``_loadable``.
-        self._storable: Dict[int, object] = {}
+        self._storable: Dict[int, PageViews] = {}
         # Generated code binds these; the maps are emptied and trimmed in
         # place, never replaced.
         self.loadable = self._loadable.get
@@ -160,22 +159,6 @@ class AddressSpace:
         if on and not self._track_subpage:
             self._storable.clear()  # no entry had its block bit set
         self._track_subpage = on
-
-    @property
-    def native_views(self) -> bool:
-        """Whether ``loadable`` and ``storable`` hand out ``PageViews``:
-        on for a space that holds data in the host's byte order (the
-        loader's choice), which the views read as the layout wrote it."""
-        return self._entries is self._views
-
-    @native_views.setter
-    def native_views(self, on: bool) -> None:
-        if on and self.block_size < 8:
-            raise ValueError("an aligned 8-byte scalar must fit one block")
-        if on != self.native_views:
-            self._loadable.clear()  # every entry is of the other kind
-            self._storable.clear()
-            self._entries = self._views if on else self.pages
 
     # -- page management ----------------------------------------------------
     def page_index(self, address: int) -> int:
@@ -235,7 +218,7 @@ class AddressSpace:
                 page = self._page_for(pidx, address, size)
             if self._touched is not None:
                 self._touched.add(pidx)
-            self._loadable[pidx] = self._entries[pidx]
+            self._loadable[pidx] = self._views[pidx]
             return bytes(page[off:off + size])
         # Page by page through the fast path; a missing page faults as
         # the whole access, before its part is read.
@@ -267,7 +250,7 @@ class AddressSpace:
                     (2 << ((off + size - 1) >> shift)) - (1 << (off >> shift)))
             if self._touched is not None:
                 self._touched.add(pidx)
-            entry = self._loadable[pidx] = self._entries[pidx]
+            entry = self._loadable[pidx] = self._views[pidx]
             block = address >> shift
             if (address + size - 1) >> shift == block:  # as a scalar's
                 self._storable[block] = entry

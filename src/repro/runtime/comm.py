@@ -33,6 +33,8 @@ COMPRESS_CYCLES_PER_BYTE = 12.0     # server-side deflate
 DECOMPRESS_CYCLES_PER_BYTE = 3.0    # mobile-side inflate
 PER_ITEM_HEADER_BYTES = 16          # per-batched-item framing
 STREAM_OP_OVERHEAD_S = 25e-6        # per-op cost of pipelined output I/O
+INPUT_OP_OVERHEAD_S = 100e-6        # least per-op cost of pipelined input
+INPUT_REQUEST_BYTES = 24            # the request a pipelined input answers
 
 # Per-record framing of one (offset, length) sub-page delta record
 # (docs/uva-data-plane.md).  The framing lives here with the rest of the
@@ -84,7 +86,6 @@ class CommunicationManager:
                  server_clock_hz: float = 3.6e9,
                  mobile_clock_hz: float = 2.5e9,
                  tracer: Optional[Tracer] = None,
-                 transport: Optional[Transport] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None):
         self.network = network
@@ -93,10 +94,8 @@ class CommunicationManager:
         self.server_clock_hz = server_clock_hz
         self.mobile_clock_hz = mobile_clock_hz
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if transport is None:
-            transport = Transport(Link(network, fault_plan),
-                                  policy=retry_policy, tracer=self.tracer)
-        self.transport = transport
+        self.transport = Transport(Link(network, fault_plan),
+                                   policy=retry_policy, tracer=self.tracer)
         self.stats = CommStats()
         self._active_batch = None  # (to_server, payload list) or None
 
@@ -241,9 +240,44 @@ class CommunicationManager:
                         pipelined=self.enable_batching)
         return TransferResult(seconds, wire, len(payload))
 
+    def stream_to_server(self, payload_bytes: int) -> TransferResult:
+        """Pipelined remote *input* I/O: the phone's file data, read for
+        the server.  File input is remotely executable because the
+        runtime prefetches file data and pipelines requests (paper,
+        Section 3.4 / Rio [23]), so a read pays no network round trip —
+        one delivery on the established stream with a pipelined-RPC
+        overhead, its retries included.  The data is booked to_server
+        and the request that asked for it to_mobile."""
+        request_bytes = INPUT_REQUEST_BYTES
+        overhead = max(INPUT_OP_OVERHEAD_S, self.network.latency_s / 8.0)
+        try:
+            seconds = self.transport.deliver(payload_bytes, "to_server",
+                                             pipelined=True,
+                                             overhead_s=overhead)
+        except LinkDownError as err:
+            self._charge_failure(err.elapsed_seconds, "to_server",
+                                 payload_bytes + request_bytes)
+            raise
+        wire = payload_bytes + PER_ITEM_HEADER_BYTES
+        wire_request = request_bytes + PER_ITEM_HEADER_BYTES
+        self.stats.messages += 1
+        self.stats.bytes_to_server += payload_bytes
+        self.stats.bytes_to_mobile += request_bytes
+        self.stats.wire_bytes_to_server += wire
+        self.stats.wire_bytes_to_mobile += wire_request
+        self.stats.comm_seconds += seconds
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit("comm.stream", "to_server", dur=seconds,
+                        payload_bytes=payload_bytes, wire_bytes=wire,
+                        request_bytes=request_bytes,
+                        wire_request_bytes=wire_request, pipelined=True)
+        return TransferResult(seconds, wire + wire_request,
+                              payload_bytes + request_bytes)
+
     def round_trip(self, request_bytes: int,
                    response_bytes: int) -> TransferResult:
-        """A small control round trip (offload request, remote input)."""
+        """A small control round trip (offload request, control I/O)."""
         seconds = 0.0
         try:
             seconds += self.transport.deliver(request_bytes, "to_server")
@@ -286,12 +320,3 @@ class CommunicationManager:
                         payload_bytes=payload_bytes, wire_bytes=0,
                         items=0, messages=0, saved_bytes=0,
                         compression_seconds=0.0, failed=True)
-
-    def adjust_seconds(self, delta: float, reason: str = "adjust") -> None:
-        """Apply a signed correction to the accumulated communication
-        time (used when a recorded transfer's latency-bound timing is
-        replaced by a pipelined figure, e.g. remote *input* I/O)."""
-        self.stats.comm_seconds += delta
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit("comm.adjust", reason, delta_seconds=delta)

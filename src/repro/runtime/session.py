@@ -511,7 +511,7 @@ class OffloadSession:
             self._fnptr_lookups += 1
         if self.options.zero_overhead:
             return
-        interp.charge_raw_cycles(MAP_LOOKUP_CYCLES, "alu")
+        interp.charge_raw_cycles(MAP_LOOKUP_CYCLES)
         self.fnptr_seconds += (MAP_LOOKUP_CYCLES
                                / self.server.arch.clock_hz)
 
@@ -524,24 +524,6 @@ class OffloadSession:
         return self.fcn_table.map_s2m(int(args[0]))
 
     # -- remote I/O ------------------------------------------------------
-    def _remote_input_cost(self, nbytes: int) -> float:
-        """Cost of one remote *input* operation.
-
-        File input is remotely executable because the runtime prefetches
-        file data and pipelines requests (paper, Section 3.4 / Rio [23]),
-        so an individual read does not pay a full network round trip —
-        just a pipelined-RPC overhead plus serialization.  It is still far
-        more expensive than local I/O, which is why 300.twolf, 445.gobmk
-        and 464.h264ref show large remote-I/O overheads in Figure 7."""
-        result = self.comm.round_trip(24, nbytes)
-        pipelined = (max(100e-6, self.network.latency_s / 8.0)
-                     + nbytes / self.network.bandwidth_bytes_per_s)
-        # round_trip() recorded the traffic; replace its latency-bound
-        # timing with the pipelined figure.
-        self.comm.adjust_seconds(pipelined - result.seconds,
-                                 "pipelined_input")
-        return pipelined
-
     def _remote_io(self, name: str, op: StdioOp, interp: Interpreter, args):
         """Execute an I/O call of the server partition on the mobile
         device: libc's one definition of the op, run on the server's
@@ -559,7 +541,7 @@ class OffloadSession:
             seconds = self.comm.round_trip(moved + 16, 16).seconds
             moved += 32     # the 16-byte request and reply headers
         else:
-            seconds = self._remote_input_cost(moved)
+            seconds = self.comm.stream_to_server(moved).seconds
         if self.options.zero_overhead:
             seconds = 0.0
         else:

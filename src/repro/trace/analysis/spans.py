@@ -94,8 +94,9 @@ class InvocationSpan:
     def wall_seconds(self) -> float:
         """The invocation's span on the device timeline.  An upper
         bound: ``end`` extends to ``t + dur`` of the last event, and a
-        dur later re-attributed by ``comm.adjust`` (pipelined remote
-        input) can overstate the charged time."""
+        dur that attributes time rather than places it (the serial
+        server time of a k-shard plan's ``offload.exec``) can overstate
+        the charged time."""
         return max(self.end - self.start, 0.0)
 
 
@@ -320,11 +321,8 @@ def validate_sessions(sessions: List[SessionSpan],
                 issues.append(f"{label}: invocation {inv.index} has "
                               f"unknown status {inv.status!r}")
             # Bound-check on event *timestamps* only: ``dur`` is an
-            # attribution quantity, not a placement — a ``comm.rtt``
-            # later re-attributed by a negative ``comm.adjust``
-            # (pipelined remote input) can carry a dur far beyond its
-            # charged wall time, so ``t + dur`` may legitimately pass
-            # the session end.
+            # attribution quantity, not a placement, so ``t + dur`` may
+            # legitimately pass the session end.
             last_t = inv.tally.last_t
             if inv.start < session.start - tolerance or \
                     last_t > session.end + tolerance:

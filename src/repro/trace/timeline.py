@@ -36,7 +36,6 @@ _LEAD_KEYS: Dict[str, Sequence[str]] = {
     "comm.send": ("payload_bytes", "wire_bytes", "saved_bytes"),
     "comm.stream": ("payload_bytes", "wire_bytes"),
     "comm.rtt": ("request_bytes", "response_bytes"),
-    "comm.adjust": ("delta_seconds",),
     "rio.op": ("bytes",),
     "fnptr.window": ("lookups", "seconds"),
 }
@@ -126,7 +125,7 @@ class Tally:
     end: float = 0.0            # latest t + dur
     last_t: float = 0.0         # latest t
     # seconds
-    comm_seconds: float = 0.0   # comm-manager charges, signed adjusts in
+    comm_seconds: float = 0.0   # comm-manager charges
     remote_io_seconds: float = 0.0
     fnptr_seconds: float = 0.0
     server_seconds: float = 0.0     # raw server execution, aborts' too
@@ -205,6 +204,9 @@ def _adds(**sources) -> Callable[[Tally, TraceEvent], None]:
 
 
 def _comm_send(tally: Tally, event: TraceEvent) -> None:
+    """A ``comm.send`` or ``comm.stream``: its bytes go the way its name
+    says, the request a remote input answers (``request_bytes``) the
+    other way; a stream is one message."""
     tally.comm_seconds += event.dur
     p = event.payload
     if p.get("failed"):
@@ -213,10 +215,12 @@ def _comm_send(tally: Tally, event: TraceEvent) -> None:
     if event.name == "to_server":
         tally.payload_bytes_to_server += p.get("payload_bytes", 0)
         tally.wire_bytes_to_server += p.get("wire_bytes", 0)
+        tally.payload_bytes_to_mobile += p.get("request_bytes", 0)
+        tally.wire_bytes_to_mobile += p.get("wire_request_bytes", 0)
     else:
         tally.payload_bytes_to_mobile += p.get("payload_bytes", 0)
         tally.wire_bytes_to_mobile += p.get("wire_bytes", 0)
-    tally.messages += p.get("messages", 0)
+    tally.messages += p.get("messages", 1)
     tally.compression_saved_bytes += p.get("saved_bytes", 0)
 
 
@@ -253,16 +257,13 @@ def _uva_cache(tally: Tally, event: TraceEvent) -> None:
 #: "Adding a category").
 _CONTRIBUTIONS: Dict[str, Callable[[Tally, TraceEvent], None]] = {
     "comm.send": _comm_send,
-    "comm.stream": _adds(comm_seconds=_DUR,
-                         payload_bytes_to_mobile="payload_bytes",
-                         wire_bytes_to_mobile="wire_bytes", messages=1),
+    "comm.stream": _comm_send,
     "comm.rtt": _adds(comm_seconds=_DUR,
                       payload_bytes_to_server="request_bytes",
                       payload_bytes_to_mobile="response_bytes",
                       wire_bytes_to_server="wire_request_bytes",
                       wire_bytes_to_mobile="wire_response_bytes",
                       messages=2),
-    "comm.adjust": _adds(comm_seconds="delta_seconds"),
     "rio.op": _adds(remote_io_seconds=_DUR, rio_bytes="bytes"),
     "fnptr.window": _adds(fnptr_seconds="seconds"),
     # one per surviving shard of a plan: the sum is *serial* server
@@ -304,9 +305,8 @@ def phase_totals(events: Iterable[TraceEvent]) -> Dict[str, float]:
     Mirrors :meth:`SessionResult.breakdown` exactly, on any link:
 
     * ``communication`` — every second the communication manager
-      charged: message sends (failed ones too), output streams, control
-      round trips, plus the signed pipelined-remote-input corrections
-      (``comm.adjust``).
+      charged: message sends (failed ones too), remote I/O streams and
+      control round trips.
     * ``remote_io`` — the forwarding cost of each ``rio.op``.
     * ``fn_ptr_translation`` — the per-invocation ``fnptr.window`` sums.
     * ``computation`` — mobile compute (from ``session.end``) plus raw

@@ -56,9 +56,8 @@ CATEGORIES = tuple(map(intern, (
     "uva.cache",          # page-cache sync summary / adaptive hit-waste
     "uva.delta",          # sub-page delta transfer (prefetch/CoD/writeback)
     "comm.send",          # one batched/unbatched message transfer
-    "comm.stream",        # pipelined one-way output forwarding
+    "comm.stream",        # pipelined one-way remote I/O forwarding
     "comm.rtt",           # a control round trip
-    "comm.adjust",        # pipelined remote-input timing correction
     "rio.op",             # one forwarded remote I/O operation
     "fnptr.window",       # fn-ptr translations of one invocation
     "transport.retry",    # one dropped/timed-out delivery being retried
@@ -73,7 +72,7 @@ CATEGORIES = tuple(map(intern, (
 # Categories every offloading run emits (workload-independent).  The
 # remainder depend on program structure: uva.fault needs CoD misses,
 # rio.op/comm.stream need server-side I/O, fnptr.window needs function
-# pointers, comm.adjust needs remote *input* (fread/fgets/fgetc/feof).
+# pointers.
 CORE_CATEGORIES = (
     "session.start", "session.end", "estimate", "decision",
     "offload.init", "offload.exec", "offload.finalize",

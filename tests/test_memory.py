@@ -6,8 +6,10 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine import AddressSpace, SegmentationFault
+from repro.frontend import compile_c
+from repro.machine import AddressSpace, SegmentationFault, boot
 from repro.machine.memory import PageViews
+from repro.targets import MIPS32BE
 
 
 class TestBasicAccess:
@@ -377,11 +379,11 @@ class TestRecordOnce:
         mem = self.make()
         assert mem.loadable(0) is None and mem.storable(0) is None
         mem.read(10, 4)
-        assert mem.loadable(0) is mem.pages[0] and mem.storable(0) is None
+        assert mem.loadable(0).u8 is mem.pages[0] and mem.storable(0) is None
         mem.write(130, b"abcd")                 # block 1 of page 0
-        assert mem.storable(1) is mem.pages[0] and mem.storable(0) is None
+        assert mem.storable(1).u8 is mem.pages[0] and mem.storable(0) is None
         mem.write(256 + 126, b"abcd")           # crosses a block: no entry
-        assert mem.loadable(1) is mem.pages[1]
+        assert mem.loadable(1).u8 is mem.pages[1]
         assert mem.storable(2) is None and mem.storable(3) is None
 
     def test_touched_forgets_unless_a_superset(self):
@@ -417,8 +419,8 @@ class TestRecordOnce:
         mem.mark_clean(0)
         assert mem.dirty == {1} and mem.dirty_blocks == {1: 1}
         assert mem.storable(0) is None and mem.storable(1) is None
-        assert mem.storable(2) is mem.pages[1]
-        assert mem.loadable(0) is mem.pages[0]
+        assert mem.storable(2).u8 is mem.pages[1]
+        assert mem.loadable(0).u8 is mem.pages[0]
         assert mem.read(0, 1) == b"a"           # the content stays
         mem.mark_clean(5)                       # neither mapped nor dirty
 
@@ -446,32 +448,28 @@ class TestRecordOnce:
         mem.install_pages({0: b"\x02" * 256}, mark_dirty=True)
         mem.apply_delta(0, [(0, b"\x03")])
         assert mem.pages[0] is page
-        assert mem.storable(0) is page and mem.loadable(0) is page
+        assert mem.storable(0).u8 is page and mem.loadable(0).u8 is page
 
-    def test_native_views_hand_out_typed_views_of_the_page(self):
-        mem = self.make()
-        mem.write(0, b"a")
-        mem.native_views = True                 # entries of the other kind
-        assert mem.loadable(0) is None and mem.storable(0) is None
+    def test_a_big_endian_space_hands_out_typed_views_of_the_page(self):
+        mem = boot(compile_c("int main(void) { return 0; }"),
+                   MIPS32BE).memory
+        mem.map_page(0)
+        mem.map_page(1)
         mem.write(8, struct.pack("=I", 0x01020304))
         views = mem.storable(0)
         assert type(views) is PageViews and mem.loadable(0) is views
         assert views.u8 is mem.pages[0] and views.u32[2] == 0x01020304
-        mem.read(256, 8)                        # one PageViews a page
+        mem.read(mem.page_size, 8)              # one PageViews a page
         assert mem.loadable(1).u8 is mem.pages[1]
-        mem.map_page(0, b"\x02" * 256)          # refilled in place
+        mem.map_page(0, b"\x02" * mem.page_size)  # refilled in place
         mem.apply_delta(0, [(16, struct.pack("=d", 1.5))])
         assert views.u64[0] == 0x0202020202020202 and views.f64[2] == 1.5
         mem.unmap_page(0)
         mem.map_page(0)
         mem.read(0, 1)                          # a new page, new views
         assert mem.loadable(0) is not views and mem.loadable(0).u64[0] == 0
-        mem.native_views = False
-        assert mem.loadable(1) is None
-        mem.read(256, 1)
-        assert mem.loadable(1) is mem.pages[1]
 
-    def test_native_views_need_a_block_an_8_byte_scalar_fits(self):
+    def test_a_page_holds_an_8_byte_item(self):
         with pytest.raises(ValueError):
-            AddressSpace(page_size=4).native_views = True
-        assert not AddressSpace(page_size=4).native_views
+            AddressSpace(page_size=4)
+        assert AddressSpace(page_size=8).page_size == 8

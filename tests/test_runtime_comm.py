@@ -10,7 +10,7 @@ from repro.runtime import (CommunicationManager, FAST_WIFI,
                            FunctionAddressTable, IDEAL_NETWORK,
                            MESSAGE_HEADER_BYTES, NetworkModel,
                            SLOW_WIFI, UnmappableFunctionPointer)
-from repro.runtime.comm import PER_ITEM_HEADER_BYTES
+from repro.runtime.comm import INPUT_REQUEST_BYTES, PER_ITEM_HEADER_BYTES
 from repro.targets import ARM32, X86_64
 
 
@@ -182,6 +182,18 @@ class TestStreamAndRoundTrip:
     def test_stream_without_batching_pays_latency(self):
         comm = CommunicationManager(SLOW_WIFI, enable_batching=False)
         assert comm.stream_to_mobile(b"x").seconds >= SLOW_WIFI.latency_s
+
+    def test_input_stream_is_one_pipelined_delivery(self):
+        """The data goes to the server, the request that asked for it to
+        the phone, and the seconds are the pipelined figure."""
+        comm = CommunicationManager(SLOW_WIFI)
+        seconds = comm.stream_to_server(1000).seconds
+        assert seconds == (max(100e-6, SLOW_WIFI.latency_s / 8.0)
+                           + 1000 / SLOW_WIFI.bandwidth_bytes_per_s)
+        assert comm.stats.messages == 1
+        assert (comm.stats.bytes_to_server,
+                comm.stats.bytes_to_mobile) == (1000, INPUT_REQUEST_BYTES)
+        assert comm.stats.wire_bytes_to_server == 1000 + PER_ITEM_HEADER_BYTES
 
     def test_round_trip_counts_two_messages(self):
         comm = CommunicationManager(FAST_WIFI)

@@ -14,8 +14,8 @@ import pytest
 
 from repro.eval.runner import run_program
 from repro.runtime import SessionOptions
-from repro.runtime.comm import PER_ITEM_HEADER_BYTES
-from repro.runtime.network import MESSAGE_HEADER_BYTES
+from repro.runtime.comm import INPUT_REQUEST_BYTES, PER_ITEM_HEADER_BYTES
+from repro.runtime.network import MESSAGE_HEADER_BYTES, FaultPlan
 from repro.trace import (CATEGORIES, CORE_CATEGORIES, NULL_TRACER,
                          Histogram, TraceEvent, Tracer,
                          events_from_jsonl, events_to_chrome_json,
@@ -28,7 +28,7 @@ from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, offload_c
 TRACED = SessionOptions(enable_tracing=True)
 
 # A program whose offloaded target reads a file: remote *input* I/O
-# exercises the pipelined comm.adjust path.
+# exercises the pipelined comm.stream to_server path.
 REMOTE_INPUT_SRC = r"""
 int *data;
 int kernel(int n, void *f) {
@@ -347,17 +347,52 @@ class TestSessionTracing:
         for key, value in result.breakdown().items():
             assert derived[key] == pytest.approx(value, abs=1e-9), key
 
-    def test_remote_input_adjustments_traced(self):
+    def test_remote_input_streams_traced(self):
         _, result, program = offload_c(
             REMOTE_INPUT_SRC, stdin=b"5000\n",
             files=dict(REMOTE_INPUT_FILES),
             session_options=SessionOptions(enable_tracing=True))
         assert program.remote_io_sites > 0
         assert result.remote_io_seconds > 0
-        assert len(result.trace.events("comm.adjust")) > 0
-        assert len(result.trace.events("rio.op")) > 0
+        inputs = [event for event in result.trace.events("comm.stream")
+                  if event.name == "to_server"]
+        reads = [event for event in result.trace.events("rio.op")
+                 if event.name == "fgets"]
+        assert len(inputs) == len(reads) > 0
+        for event, read in zip(inputs, reads):
+            p = event.payload
+            assert p["pipelined"] and event.dur == read.dur
+            assert p["wire_bytes"] == p["payload_bytes"] \
+                + PER_ITEM_HEADER_BYTES
+            assert p["request_bytes"] == INPUT_REQUEST_BYTES
+        totals = traffic_totals(result.trace_events())
+        assert totals["payload_bytes_to_server"] == result.bytes_to_server
+        assert totals["payload_bytes_to_mobile"] == result.bytes_to_mobile
         derived = phase_totals(result.trace_events())
         for key, value in result.breakdown().items():
+            assert derived[key] == pytest.approx(value, abs=1e-9), key
+
+    def test_remote_input_pays_its_retries(self):
+        """A dropped input delivery is retried, and the read that waited
+        for it is charged the timeout and backoff."""
+        def run(plan):
+            _, result, _ = offload_c(
+                REMOTE_INPUT_SRC, stdin=b"5000\n",
+                files=dict(REMOTE_INPUT_FILES),
+                session_options=SessionOptions(enable_tracing=True,
+                                               fault_plan=plan))
+            reads = sum(event.dur for event in result.trace.events("rio.op")
+                        if event.name == "fgets")
+            return result, reads
+
+        clean, clean_reads = run(None)
+        faulty, faulty_reads = run(FaultPlan(seed=2, drop_rate=0.3))
+        assert faulty.offloaded_invocations == clean.offloaded_invocations
+        assert faulty.transport_stats.retries > 0
+        assert faulty_reads > clean_reads
+        assert faulty.remote_io_seconds > clean.remote_io_seconds
+        derived = phase_totals(faulty.trace_events())
+        for key, value in faulty.breakdown().items():
             assert derived[key] == pytest.approx(value, abs=1e-9), key
 
 
