@@ -97,13 +97,13 @@ def _allocator(prefix: str, heap_of, setup_cycles: int) -> dict:
 
 def _memcpy(interp: Interpreter, args: List) -> int:
     dst, src, n = int(args[0]), int(args[1]), int(args[2])
-    interp.machine.memory.write(dst, interp.machine.memory.read(src, n))
+    interp.machine.memory.copy(dst, src, n)
     interp.charge("mem", n / 8 + 2)
     return dst
 
 
 def _memmove(interp: Interpreter, args: List) -> int:
-    return _memcpy(interp, args)  # reads fully before writing
+    return _memcpy(interp, args)  # copy reads fully before writing
 
 
 def _memset(interp: Interpreter, args: List) -> int:

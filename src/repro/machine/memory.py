@@ -9,8 +9,8 @@ finalization).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import (Callable, Dict, Iterable, KeysView, List, Mapping,
-                    Optional, Set, Tuple)
+from typing import (AbstractSet, Callable, Dict, Iterable, KeysView, List,
+                    Mapping, Optional, Set, Tuple)
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -80,7 +80,9 @@ class AddressSpace:
     and ``storable`` look up the accesses whose bookkeeping is already
     done, and only this class changes what was recorded, so only it
     decides when such an entry stops being true (docs/architecture.md,
-    "The memory path").  They hand out a page's ``PageViews``.
+    "The memory path").  They hand out a page's ``PageViews``.  A scope
+    (:meth:`open_scope` / :meth:`close_scope`) records into a set of its
+    own and keeps the entries its caller says need no recording.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
@@ -103,17 +105,20 @@ class AddressSpace:
         self.blocks_per_page = self.page_size // self.block_size
         self._dirty_blocks: Dict[int, int] = {}
         self.block_shift = self.block_size.bit_length() - 1
+        # block index >> this = its page index
+        self._blocks_shift = self.blocks_per_page.bit_length() - 1
         # Optional touched-page recording (reads and writes).  None means
         # no tracking.  The UVA manager installs a set for the duration of
         # one offloaded invocation to drive adaptive prefetch; the
-        # profiler installs one per live function or loop activation.
+        # profiler opens a scope per live function or loop activation.
         # They never own the same space: the profiler runs on
         # ``run_local``'s machine, UVA on a session's server.
         self._touched: Optional[Set[int]] = None
         # What the maps below hold for a page: its views.
         self._views = _ViewsOf(self.pages)
         # Page index -> views: the page is mapped to the bytearray they
-        # view and, with a ``touched`` set installed, in it.
+        # view and, with a ``touched`` set installed, in it or in the
+        # ``known`` set of the scope that kept the entry.
         self._loadable: Dict[int, PageViews] = {}
         # Dirty-block index (address >> block_shift) -> views: the page is
         # loadable and dirty and, with ``track_subpage`` on, the block's
@@ -123,6 +128,10 @@ class AddressSpace:
         # place, never replaced.
         self.loadable = self._loadable.get
         self.storable = self._storable.get
+        # Grows whenever entries stop being true for a reason other than
+        # their page leaving ``touched``: a scope puts back the entries
+        # it set aside only while this is what it was at the open.
+        self._generation = 0
         self._dirty_view = self._dirty.keys()
         self._dirty_blocks_view = MappingProxyType(self._dirty_blocks)
 
@@ -144,11 +153,54 @@ class AddressSpace:
     @touched.setter
     def touched(self, pages: Optional[Set[int]]) -> None:
         # A set that lacks a loadable page would miss it: forget them all.
-        # A superset (the profiler restoring an outer scope) keeps them.
+        # A superset keeps them.
         if pages is not None and not pages.issuperset(self._loadable):
             self._loadable.clear()
             self._storable.clear()
         self._touched = pages
+
+    # -- scopes ---------------------------------------------------------
+    def open_scope(self, known: AbstractSet[int]) -> tuple:
+        """Install an empty ``touched`` set until :meth:`close_scope` is
+        given what this returns; scopes nest.  The entries of pages in
+        ``known`` stay: the caller credits what the scope touches to a
+        set that holds them already, so the scope need not record them
+        (the profiler passes its candidate's ``pages_touched``).  Every
+        other entry is set aside."""
+        loadable, storable = self._loadable, self._storable
+        pages = {pidx: views for pidx, views in loadable.items()
+                 if pidx not in known}
+        blocks = {}
+        if pages:
+            for pidx in pages:
+                del loadable[pidx]
+            shift = self._blocks_shift
+            blocks = {block: views for block, views in storable.items()
+                      if block >> shift in pages}
+            for block in blocks:
+                del storable[block]
+        scope = (self._touched, pages, blocks, self._generation)
+        self._touched = set()
+        return scope
+
+    def close_scope(self, scope: tuple) -> Set[int]:
+        """End ``scope``: union the pages it touched into the set it
+        replaced, reinstall that set and put back the entries the open
+        set aside, unless something made entries untrue in between
+        (``unmap_page``, ``mark_clean``, a write-back, ``track_subpage``
+        turned on).  Returns the scope's pages."""
+        outer, pages, blocks, generation = scope
+        touched = self._touched
+        if touched is None:  # recording was switched off inside the scope
+            self.touched = outer  # which forgets the entries it lacks
+            return set()
+        if outer is not None:
+            outer |= touched
+        self._touched = outer
+        if generation == self._generation:
+            self._loadable.update(pages)
+            self._storable.update(blocks)
+        return touched
 
     @property
     def track_subpage(self) -> bool:
@@ -158,6 +210,7 @@ class AddressSpace:
     def track_subpage(self, on: bool) -> None:
         if on and not self._track_subpage:
             self._storable.clear()  # no entry had its block bit set
+            self._generation += 1
         self._track_subpage = on
 
     # -- page management ----------------------------------------------------
@@ -186,6 +239,7 @@ class AddressSpace:
         self.pages.pop(page_index, None)
         self._views.pop(page_index, None)
         self._loadable.pop(page_index, None)
+        self._generation += 1
 
     def mapped_pages(self) -> List[int]:
         return sorted(self.pages)
@@ -263,6 +317,25 @@ class AddressSpace:
             self.write(at, data[at - address:at - address + chunk])
             at += chunk
 
+    def copy(self, dst: int, src: int, size: int) -> None:
+        """``write(dst, read(src, size))``, as ``memcpy`` and ``memmove``
+        move bytes.  A source in one loadable page and a destination in
+        one storable block have their bookkeeping done, so the bytes go
+        page to page; any other copy reads and writes."""
+        mask = self.page_size - 1
+        at = src & mask
+        if 0 < size and at + size <= self.page_size:
+            source = self._loadable.get(src // self.page_size)
+            block = dst >> self.block_shift
+            if (source is not None
+                    and (dst + size - 1) >> self.block_shift == block):
+                target = self._storable.get(block)
+                if target is not None:
+                    to = dst & mask
+                    target.u8[to:to + size] = source.u8[at:at + size]
+                    return
+        self.write(dst, self.read(src, size))
+
     def read_cstring(self, address: int, limit: int = 1 << 20) -> bytes:
         """Read a NUL-terminated byte string, a page at a time."""
         out = bytearray()
@@ -295,6 +368,7 @@ class AddressSpace:
             return  # and so has no storable block
         del self._dirty[page_index]
         self._dirty_blocks.pop(page_index, None)
+        self._generation += 1
         first = page_index * self.blocks_per_page
         for block in range(first, first + self.blocks_per_page):
             self._storable.pop(block, None)
@@ -303,6 +377,7 @@ class AddressSpace:
         self._dirty.clear()
         self._dirty_blocks.clear()
         self._storable.clear()
+        self._generation += 1
 
     def dirty_pages(self) -> List[int]:
         return sorted(self._dirty)

@@ -249,7 +249,7 @@ class _TargetTimer(Observer):
     the dynamic estimator can refine each target's Tm with observed
     run-time values (paper, Section 4: "target execution time information")."""
 
-    wants_blocks = False
+    watched = frozenset()
 
     def __init__(self, session: "OffloadSession"):
         # the session keeps the interpreter that keeps this: no way back

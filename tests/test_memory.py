@@ -473,3 +473,214 @@ class TestRecordOnce:
         with pytest.raises(ValueError):
             AddressSpace(page_size=4)
         assert AddressSpace(page_size=8).page_size == 8
+
+
+class TestScopes:
+    """A scope records into a set of its own; the entries of pages its
+    opener knows stay, the rest are set aside and come back at the close
+    unless something made entries untrue in between."""
+
+    def make(self):
+        mem = AddressSpace(page_size=256)       # two 128-byte blocks a page
+        for pidx in (0, 1, 2):
+            mem.map_page(pidx)
+        mem.write(0, b"a")                      # page 0, block 0
+        mem.write(256 + 130, b"b")              # page 1, block 3
+        mem.read(512, 1)                        # page 2
+        return mem
+
+    @staticmethod
+    def entries(mem):
+        return sorted(mem._loadable), sorted(mem._storable)
+
+    def test_entries_set_aside_come_back_on_close(self):
+        mem = self.make()
+        before = self.entries(mem)
+        scope = mem.open_scope(set())
+        assert self.entries(mem) == ([], []) and mem.touched == set()
+        mem.map_page(0, b"\x01" * 256)          # refilled in place
+        mem.track_subpage = False               # already off
+        assert mem.close_scope(scope) == set()
+        assert self.entries(mem) == before and mem.touched is None
+        assert mem.storable(3).u8 is mem.pages[1]
+
+    @pytest.mark.parametrize("event", [
+        lambda mem: mem.unmap_page(2),
+        lambda mem: mem.mark_clean(1),
+        AddressSpace.clear_dirty,
+        AddressSpace.collect_dirty_pages,
+        lambda mem: setattr(mem, "track_subpage", True),
+    ], ids=["unmap_page", "mark_clean", "clear_dirty", "collect_dirty_pages",
+            "track_subpage-on"])
+    def test_entries_do_not_come_back_after_an_event_that_untrues_them(
+            self, event):
+        mem = self.make()
+        scope = mem.open_scope(set())
+        event(mem)
+        mem.close_scope(scope)
+        assert self.entries(mem) == ([], [])
+
+    def test_a_known_page_stays_loadable(self):
+        mem = self.make()
+        scope = mem.open_scope({0, 7})
+        assert self.entries(mem) == ([0], [0])
+        assert mem.loadable(0).u8 is mem.pages[0]
+        mem.read(256, 1)                        # a miss is recorded
+        assert mem.touched == {1}
+        assert mem.close_scope(scope) == {1}
+        assert self.entries(mem) == ([0, 1, 2], [0, 3])
+
+    def test_nested_scopes_close_to_the_set_each_replaced(self):
+        mem = self.make()
+        outer = mem.open_scope(set())
+        mem.read(0, 1)
+        inner = mem.open_scope({0})
+        mem.read(256, 1)
+        assert mem.touched == {1}
+        assert mem.close_scope(inner) == {1}
+        assert mem.touched == {0, 1}
+        assert mem.close_scope(outer) == {0, 1}
+        assert mem.touched is None
+        assert self.entries(mem) == ([0, 1, 2], [0, 3])
+        mine = mem.touched = {9}                # an installed outer set
+        scope = mem.open_scope(set())
+        mem.write(512, b"c")
+        mem.close_scope(scope)
+        assert mem.touched is mine and mine == {2, 9}
+
+    def test_recording_switched_off_inside_a_scope_forgets_on_close(self):
+        mem = self.make()
+        mine = mem.touched = {0, 1}
+        scope = mem.open_scope(set())
+        mem.touched = None
+        mem.read(768 - 1, 1)                    # page 2: recorded nowhere
+        assert mem.close_scope(scope) == set()
+        assert mem.touched is mine and self.entries(mem) == ([], [])
+
+    @pytest.mark.parametrize("known", [set(), {0}])
+    def test_a_store_after_a_write_back_in_a_scope_marks_dirty_again(
+            self, known):
+        mem = self.make()
+        scope = mem.open_scope(known)
+        assert mem.collect_dirty_pages().keys() == {0, 1}
+        mem.close_scope(scope)
+        assert mem.storable(0) is None and mem.storable(3) is None
+        mem.write(1, b"z")
+        assert mem.dirty == {0} and mem.storable(0) is not None
+
+
+def _twins(track_subpage=True):
+    """Two equal spaces of 256-byte pages, 0..3 mapped with distinct
+    bytes, ``touched`` recording, and entries made by a few accesses."""
+    spaces = []
+    for _ in range(2):
+        mem = AddressSpace(page_size=256)
+        mem.track_subpage = track_subpage
+        mem.touched = set()
+        for pidx in range(4):
+            mem.map_page(pidx, bytes((pidx * 37 + i) & 0xFF
+                                     for i in range(256)))
+        mem.read(4, 4)
+        mem.write(256 + 8, b"ab")
+        mem.write(512 + 200, b"cd")
+        mem.read(768 + 100, 1)
+        spaces.append(mem)
+    return spaces
+
+
+def _recorded(mem):
+    return ({pidx: bytes(page) for pidx, page in mem.pages.items()},
+            list(mem.dirty), dict(mem.dirty_blocks), set(mem.touched),
+            mem.fault_count, sorted(mem._loadable), sorted(mem._storable))
+
+
+def _copy_both(ours, theirs, dst, src, size):
+    """``copy`` on ``ours``, ``write(read())`` on ``theirs``: the same
+    outcome and the same record."""
+    def outcome(action):
+        try:
+            action()
+        except SegmentationFault as fault:
+            return ("fault", fault.address, fault.size)
+        return None
+
+    assert (outcome(lambda: ours.copy(dst, src, size)) ==
+            outcome(lambda: theirs.write(dst, theirs.read(src, size))))
+    assert _recorded(ours) == _recorded(theirs)
+
+
+class TestCopy:
+    """``copy`` is ``write(dst, read(src, n))``: it leaves what that
+    leaves, and moves bytes itself only where both are already
+    recorded."""
+
+    @staticmethod
+    def counting(mem):
+        calls = []
+        read, write = mem.read, mem.write
+        mem.read = lambda *a: calls.append("read") or read(*a)
+        mem.write = lambda *a: calls.append("write") or write(*a)
+        return calls
+
+    @given(st.lists(st.tuples(st.integers(0, 1023), st.integers(0, 1023),
+                              st.integers(0, 300)),
+                    min_size=1, max_size=12),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_copies_match_write_of_read(self, copies, subpage):
+        ours, theirs = _twins(subpage)
+        for dst, src, size in copies:
+            size = min(size, 1024 - max(dst, src))
+            _copy_both(ours, theirs, dst, src, size)
+
+    def test_overlap_within_a_page_is_a_memmove(self):
+        ours, theirs = _twins()
+        calls = self.counting(ours)
+        expected = bytearray(ours.pages[1])
+        expected[10:40] = expected[0:30]
+        _copy_both(ours, theirs, 256 + 10, 256, 30)
+        assert calls == [] and bytes(ours.pages[1]) == bytes(expected)
+        _copy_both(ours, theirs, 256, 256 + 10, 30)   # backwards too
+        assert calls == []
+
+    @pytest.mark.parametrize("dst,src,size", [
+        (256 + 120, 4, 16),                     # destination crosses a block
+        (256 + 8, 250, 12),                     # source crosses a page
+        (200, 600, 100),                        # both cross
+    ])
+    def test_a_copy_across_a_boundary_reads_and_writes(self, dst, src, size):
+        ours, theirs = _twins()
+        calls = self.counting(ours)
+        _copy_both(ours, theirs, dst, src, size)
+        assert calls[0] == "read" and "write" in calls
+
+    @pytest.mark.parametrize("address", [0, 300, 4096])
+    def test_zero_bytes_touch_nothing(self, address):
+        ours, theirs = _twins()
+        calls = []
+        for mem in (ours, theirs):
+            mem.fault_handler = lambda pidx: calls.append(pidx) or False
+        _copy_both(ours, theirs, address, address + 17, 0)
+        assert calls == []
+
+    def test_a_clean_destination_block_is_dirtied(self):
+        ours, theirs = _twins()
+        assert ours.storable(6) is None         # page 3: read, not written
+        _copy_both(ours, theirs, 768 + 4, 8, 16)
+        assert 3 in ours.dirty and ours.storable(6) is not None
+        calls = self.counting(ours)
+        _copy_both(ours, theirs, 768 + 40, 8, 16)   # now in place
+        assert calls == []
+
+    def test_an_unmapped_source_faults_first(self):
+        ours, theirs = _twins()
+        faults = {id(ours): [], id(theirs): []}
+        for mem in (ours, theirs):
+            mem.fault_handler = (lambda mem: lambda pidx: faults[
+                id(mem)].append(pidx) or bool(mem.map_page(pidx)))(mem)
+        _copy_both(ours, theirs, 9 * 256 + 4, 8 * 256 + 4, 32)
+        assert faults[id(ours)] == faults[id(theirs)] == [8, 9]
+        for mem in (ours, theirs):
+            mem.fault_handler = None
+        _copy_both(ours, theirs, 8, 12 * 256, 4)      # refused: no handler
+        assert ours.fault_count == 3

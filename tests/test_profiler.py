@@ -1,11 +1,17 @@
 """Tests for the hot function/loop profiler."""
 
+from typing import Iterable, List, Optional
+
 import pytest
 
 from repro.frontend import compile_c
-from repro.profiler import profile_module
+from repro.ir import (Function, FunctionType, GlobalVariable, I32, IRBuilder,
+                      Module)
+from repro.profiler import ProfilingObserver, profile_module
 from repro.profiler import profiler as profiler_module
-from repro.workloads import workload
+from repro.runtime.local import run_local
+from repro.targets import ARM32, TargetArch
+from repro.workloads import WORKLOADS, workload
 
 SRC = r"""
 int light(int x) { return x + 1; }
@@ -397,3 +403,75 @@ def test_profile_is_bit_identical(program, monkeypatch):
     if program == "scopes":
         assert prof.output.exit_code == 81
         assert prof.output.stdout == b"654139\n"
+
+
+class Reference(ProfilingObserver):
+    """The profiler with nothing skipped: it watches every block, and each
+    scope installs an empty ``touched`` set through the setter, which
+    empties the record-once maps, and restores nothing at its pop."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.watched = None
+
+    def _push_scope(self, profile):
+        memory = self._memory
+        self._touch_scopes.append(memory.touched)
+        memory.touched = set()
+
+    def _pop_scope(self, profile):
+        memory = self._memory
+        pages, outer = memory.touched, self._touch_scopes.pop()
+        profile.pages_touched |= pages
+        if outer is not None:
+            outer |= pages
+        memory.touched = outer
+
+
+def _profiled(observer_class, module, arch, stdin=b"", files=None) -> dict:
+    observer = observer_class(module, arch)
+    run_local(module, arch=arch, stdin=stdin, files=files, observer=observer)
+    return {name: (c.invocations, c.total_seconds.hex(),
+                   sorted(c.pages_touched))
+            for name, c in observer.profiles.items()}
+
+
+def differential(arch: TargetArch,
+                 names: Optional[Iterable[str]] = None) -> List[str]:
+    """Profiles every registry program (or those ``names``) on its
+    profiling input on ``arch`` with ``ProfilingObserver`` and with
+    ``Reference``; asserts every candidate's invocations, time and pages
+    agree.  Returns what it ran."""
+    ran = []
+    for name in WORKLOADS if names is None else names:
+        spec = WORKLOADS[name]
+        module = spec.module(arch)
+        inputs = spec.profile_stdin, spec.profile_files
+        assert (_profiled(ProfilingObserver, module, arch, *inputs) ==
+                _profiled(Reference, module, arch, *inputs)), name
+        ran.append(name)
+    return ran
+
+
+def test_profiles_match_the_reference_profiler():
+    assert differential(ARM32) == list(WORKLOADS)
+
+
+def test_an_entry_block_inside_a_loop_is_watched():
+    """``main``'s entry block heads a loop, which no function mini-C
+    compiles has: the profiler must see its first entry."""
+    module = Module("entry-loop")
+    count = module.add_global(GlobalVariable("count", I32))
+    main = Function("main", FunctionType(I32, []), [])
+    module.add_function(main)
+    top, done = main.add_block("top"), main.add_block("done")
+    b = IRBuilder(top)
+    b.store(b.add(b.load(count), b.i32(1)), count)
+    b.condbr(b.cmp("slt", b.load(count), b.i32(3)), top, done)
+    b = IRBuilder(done)
+    b.ret(b.load(count))
+    assert top in ProfilingObserver(module, ARM32).watched
+    ours = _profiled(ProfilingObserver, module, ARM32)
+    assert ours == _profiled(Reference, module, ARM32)
+    assert [invocations for name, (invocations, _, _) in ours.items()
+            if name != "main"] == [1]
