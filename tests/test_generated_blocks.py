@@ -4,7 +4,8 @@
 file pins how the interpreter gets there now that a basic block is one
 generated Python function (docs/architecture.md, "Interpreter: decode
 once, then run generated blocks"): the count and cycles are exact
-whichever instruction of a block a run unwinds from, malformed IR is
+whichever instruction of a block a run unwinds from — also across an
+unconditional branch a stretch runs on through — malformed IR is
 reported when it is reached, blocks are compiled lazily and shared by
 text through one bounded cache, and nothing generated keeps an
 interpreter — or anything but code — alive.
@@ -19,6 +20,7 @@ import threading
 import types
 import weakref
 from pathlib import Path
+from typing import Iterable, List, Optional
 
 import pytest
 
@@ -37,10 +39,11 @@ from repro.machine import (AddressSpace, ExecutionLimitExceeded, ExitProgram,
 from repro.machine import interpreter as interpreter_module
 from repro.machine.fs import IOEnvironment
 from repro.offload import CompilerOptions
+from repro.profiler import ProfilingObserver
 from repro.runtime import FAST_WIFI, run_local
 from repro.targets import (ARM32, UNIFIED_LAYOUTS_KEY, UNIFIED_ORDER_KEY,
-                           UNIFIED_POINTER_KEY, X86_64)
-from repro.workloads import workload
+                           UNIFIED_POINTER_KEY, X86_64, TargetArch)
+from repro.workloads import WORKLOADS, workload
 
 from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c
 
@@ -49,7 +52,8 @@ from conftest import HOT_KERNEL_SRC, HOT_KERNEL_STDIN, build_c
 
 #: Ends the classes of a program whose last listed instruction raises.
 RAISES = "raises"
-ORDINARY = ["store", "load", "udiv", "call", "external", "add"]
+# ``asm`` is one line of code, as a ``br`` that runs on is
+ORDINARY = ["store", "load", "asm", "udiv", "call", "external", "add"]
 RAISING = {
     "udiv by zero": InterpreterError,
     "fptosi of infinity": InterpreterError,
@@ -59,13 +63,14 @@ RAISING = {
 }
 
 
-def _program(kinds):
+def _program(kinds, split=False):
     """A module whose ``main`` is one block: an ``alloca``, one
-    instruction per kind and a ``ret``.  Returns it with the cost class
-    of every instruction a run executes, in execution order — a direct
-    call is the ``call`` and then its callee's instructions — with
-    ``RAISES`` behind an instruction that does not complete: nothing
-    listed after it runs."""
+    instruction per kind and a ``ret``; ``split``, one more block per
+    kind, each entered by a ``br`` that ends the one before.  Returns it
+    with the cost class of every instruction a run executes, in
+    execution order — a direct call is the ``call`` and then its
+    callee's instructions — with ``RAISES`` behind an instruction that
+    does not complete: nothing listed after it runs."""
     module = Module()
     helper = module.add_function(
         Function("helper", FunctionType(I32, [I32]), ["x"]))
@@ -86,7 +91,12 @@ def _program(kinds):
     b = IRBuilder(main.add_block("entry"))
     slot, value = b.alloca(I32), b.i32(40)
     classes = ["alu"]
-    for kind in kinds:
+    for position, kind in enumerate(kinds):
+        if split:
+            block = main.add_block(f"kind{position}")
+            b.br(block)
+            b = IRBuilder(block)
+            classes += ["branch"]
         if kind == "store":
             b.store(value, slot)
             classes += ["mem"]
@@ -98,6 +108,9 @@ def _program(kinds):
             classes += ["div"]
         elif kind == "add":
             value = b.add(value, b.i32(5))
+            classes += ["alu"]
+        elif kind == "asm":
+            b.asm("nop")
             classes += ["alu"]
         elif kind == "call":
             value = b.call(helper, [value])
@@ -157,17 +170,29 @@ def _unwound(interp):
     return interp.call_depth == 0 and interp.sp == interp.machine.stack_top
 
 
+def _runs_on(interp, fn):
+    """Whether a stretch of ``fn`` runs on into another block."""
+    decoder = interpreter_module._Decoder(interp, fn)
+    return any(len(decoder.chain(index)) > 1
+               for index in range(len(decoder.stretches)))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-block", "split"])
 @pytest.mark.parametrize("block_observer", [False, True])
 def test_limit_fires_exactly_at_every_instruction_of_a_block(
-        block_observer):
-    module, classes = _program(ORDINARY)
+        block_observer, split):
+    """Split, ``main``'s stretches run on through every ``br`` without a
+    block observer; ``Observer()`` watches every block, so none does."""
+    module, classes = _program(ORDINARY, split)
     sums = _reference(_interp(module), classes)
-    assert len(classes) == 10
+    assert len(classes) == 11 + 7 * split
 
     interp = _interp(module, block_observer)
     assert interp.run_main() == (40 // 3 + 1) + 5
     assert (interp.instruction_count, interp.cycles.hex()) == (
         len(classes), sums[-1].hex())
+    assert _runs_on(interp, module.function("main")) == (
+        split and not block_observer)
 
     for limit in range(len(classes)):
         interp = _interp(module, block_observer)
@@ -181,13 +206,14 @@ def test_limit_fires_exactly_at_every_instruction_of_a_block(
         assert _unwound(interp)
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["one-block", "split"])
 @pytest.mark.parametrize("block_observer", [False, True])
 @pytest.mark.parametrize("raising", sorted(RAISING))
-def test_whatever_unwinds_a_block_leaves_exact_accounting(raising,
-                                                          block_observer):
+def test_whatever_unwinds_a_block_leaves_exact_accounting(
+        raising, block_observer, split):
     for position in range(len(ORDINARY) + 1):
         kinds = ORDINARY[:position] + [raising] + ORDINARY[position:]
-        module, classes = _program(kinds)
+        module, classes = _program(kinds, split)
         interp = _interp(module, block_observer)
         sums = _reference(interp, classes)
         with pytest.raises(RAISING[raising]):
@@ -197,6 +223,65 @@ def test_whatever_unwinds_a_block_leaves_exact_accounting(raising,
         assert (interp.instruction_count, interp.cycles.hex()) == (
             len(sums) - 1, sums[-1].hex()), position
         assert _unwound(interp)
+
+
+def _counting_loop():
+    """``main`` counts ``i`` to 3: ``cond`` branches to ``body`` or
+    ``done``, and ``body``, ``mid`` and ``tail`` are joined by ``br``s,
+    ``tail``'s back to ``cond``."""
+    module = Module()
+    main = module.add_function(Function("main", FunctionType(I32, [])))
+    entry, cond, body, mid, tail, done = (main.add_block(name) for name in (
+        "entry", "cond", "body", "mid", "tail", "done"))
+    b = IRBuilder(entry)
+    i = b.alloca(I32)
+    b.store(b.i32(0), i)
+    b.br(cond)
+    b = IRBuilder(cond)
+    b.condbr(b.cmp("slt", b.load(i), b.i32(3)), body, done)
+    IRBuilder(body).br(mid)
+    b = IRBuilder(mid)
+    b.store(b.add(b.load(i), b.i32(1)), i)
+    b.br(tail)
+    IRBuilder(tail).br(cond)
+    b = IRBuilder(done)
+    b.ret(b.load(i))
+    return module
+
+
+class _Entries(Observer):
+    def __init__(self, watched):
+        self.watched = watched
+        self.entries = []
+
+    def enter_block(self, block, cycles):
+        self.entries.append((block.name, cycles.hex()))
+
+
+def test_a_watched_br_target_still_fires():
+    """A stretch does not run on into a block its observer watches: the
+    observer is told of every entry of ``mid``, with the cycles an
+    observer of every block sees, while ``body``'s stretch stops at it
+    and ``mid``'s runs on through ``tail`` into ``cond``."""
+    runs = []
+    for watch_all in (True, False):
+        module = _counting_loop()
+        mid = module.function("main").blocks[3]
+        observer = _Entries(None if watch_all else {mid})
+        interp = Interpreter(boot(module, ARM32), observer=observer)
+        assert interp.run_main() == 3
+        runs.append((interp, observer.entries))
+    (every, all_entries), (one, mid_entries) = runs
+    assert (one.instruction_count, one.cycles.hex()) == (
+        every.instruction_count, every.cycles.hex())
+    assert mid_entries == [entry for entry in all_entries
+                           if entry[0] == "mid"]
+    assert len(mid_entries) == 3
+    decoder = interpreter_module._Decoder(one, module.function("main"))
+    assert [[decoder.stretches[part][0].name for part in decoder.chain(index)]
+            for index in range(len(decoder.stretches))] == [
+        ["entry", "cond"], ["cond"], ["body"], ["mid", "tail", "cond"],
+        ["tail", "cond"], ["done"]]
 
 
 def test_a_raising_line_maps_to_its_instruction_beyond_255():
@@ -210,6 +295,41 @@ def test_a_raising_line_maps_to_its_instruction_beyond_255():
         interp.run_main()
     assert (interp.instruction_count, interp.cycles.hex()) == (
         282, sums[-1].hex())
+
+
+# -- running on changes nothing simulated, over the registry -----------------
+
+def _observed_run(module, arch: TargetArch, stdin: bytes, files,
+                  observer: Optional[Observer]) -> tuple:
+    machine = boot(module, arch, io=IOEnvironment(files=files, stdin=stdin))
+    interp = Interpreter(machine, observer=observer)
+    exit_code = interp.run_main()
+    return (bytes(machine.io.stdout), exit_code, interp.instruction_count,
+            interp.cycles.hex(), machine.pointer_conversions,
+            machine.endian_swaps)
+
+
+def run_on_differential(arch: TargetArch,
+                        names: Optional[Iterable[str]] = None) -> List[str]:
+    """Runs every registry program (or those ``names``) on its profiling
+    input on ``arch`` with no observer, whose stretches run on through
+    every ``br``, and with ``Observer()``, which watches every block so
+    none does; asserts stdout, exit code, instruction count, cycles and
+    the translation counters agree.  Returns what it ran."""
+    ran = []
+    for name in WORKLOADS if names is None else names:
+        spec = WORKLOADS[name]
+        inputs = spec.profile_stdin, spec.profile_files
+        # each run its own clone, so neither can reuse the other's code
+        assert (_observed_run(spec.module(arch), arch, *inputs, None) ==
+                _observed_run(spec.module(arch), arch, *inputs,
+                              Observer())), name
+        ran.append(name)
+    return ran
+
+
+def test_running_on_changes_nothing_simulated():
+    assert run_on_differential(ARM32) == list(WORKLOADS)
 
 
 # -- malformed IR is reported if and when it is reached ----------------------
@@ -351,7 +471,7 @@ def test_a_block_is_compiled_when_it_first_runs(compiles):
 def test_compiled_blocks_are_shared_by_text(compiles):
     spec = workload("chess")
     first = _fresh_run(spec.source, spec.profile_stdin)
-    assert len(compiles) == len(set(compiles)) > 100
+    assert len(compiles) == len(set(compiles)) > 60
     # a fresh compile_c of the same source on a fresh machine writes the
     # same text, so nothing is compiled again
     del compiles[:]
@@ -488,14 +608,35 @@ def test_interpreters_of_one_machine_shape_decode_once(decodes):
     for fn, (blocks, frame_size) in first._decoded.items():
         built, built_frame = second._decoded[fn]
         assert built_frame == frame_size
-        # the code the first compiled, run by the second without text
-        assert [b.run.__code__ for b in built] == [
-            b.run.__code__ for b in blocks]
+        # the code the first compiled, run by the second without text; a
+        # stretch that only ran inside the one before it never compiled
+        ran = [index for index, b in enumerate(blocks)
+               if isinstance(b.run, types.FunctionType)]
+        assert ran and ran == [index for index, b in enumerate(built)
+                               if isinstance(b.run, types.FunctionType)]
+        assert [built[index].run.__code__ for index in ran] == [
+            blocks[index].run.__code__ for index in ran]
         assert all(b.chunks is None for b in built)
         texts = [_text(interpreter_module._with_text(second, fn, index))
                  for index in range(len(built))]
         assert texts == [_text(b) for b in blocks]
     assert len(decodes) == 3
+
+
+def test_the_profiler_decodes_its_own_and_shares_with_its_kind(decodes):
+    """The profiler's interpreter runs on only through blocks it does not
+    watch, so it is written other code than ``run_local``'s: on one
+    module and shape each decodes once, and shares with later
+    interpreters of its own kind."""
+    module = compile_c(SHARED_SRC, "shared")
+    for _ in range(2):
+        assert run_local(module, stdin=b"7\n").stdout == "91\n"
+        assert run_local(module, stdin=b"7\n", observer=ProfilingObserver(
+            module, ARM32)).stdout == "91\n"
+    assert sorted(fn.name for fn, _ in decodes) == sorted(
+        ["main", "sum", "square"] * 2)
+    assert len({shape for _, shape in decodes}) == 1
+    assert len(module.templates) == 2
 
 
 def test_another_arch_role_or_layout_decodes_again(decodes):

@@ -5,14 +5,16 @@
                                  [--arch NAME] [--server NAME]
 
 The interpreter runs a guest function as generated Python functions, one
-per basic block or — a call ends a stretch — per part of one
-(docs/architecture.md, "Interpreter: decode once, then run generated
-blocks").  A traceback through ``<guest block>`` code has
-line numbers but no source lines; this prints the source, each
-instruction's lines under the IR instruction they execute and numbered
-as a traceback numbers them.  ``--arch`` picks the machine (a preset
-name, default ``arm32``: costs, addresses and pointer width are written
-into the source as literals).  ``--server NAME`` builds the program for
+per basic block or — a call ends a stretch — per part of one, and a
+stretch that ends in an unconditional ``br`` runs on into the block it
+jumps to (docs/architecture.md, "Interpreter: decode once, then run
+generated blocks").  A traceback through ``<guest block>`` code has line
+numbers but no source lines; this prints the source, each instruction's
+lines under the IR instruction they execute, labelled with its block,
+and numbered as a traceback numbers them; a stretch's header names the
+blocks it runs on through.  ``--arch`` picks the machine (a preset name,
+default ``arm32``: costs, addresses and pointer width are written into
+the source as literals).  ``--server NAME`` builds the program for
 ``--arch`` → NAME and prints the function as that session's server
 decodes it: the unified pointer width and byte order, with the
 translation counters they cost.
@@ -27,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.frontend import compile_c  # noqa: E402
 from repro.ir.printer import print_function  # noqa: E402
 from repro.machine import Interpreter, boot  # noqa: E402
-from repro.machine.interpreter import _decode, _with_text  # noqa: E402
+from repro.machine.interpreter import (  # noqa: E402
+    _Decoder, _decode, _with_text)
 from repro.offload import CompilerOptions  # noqa: E402
 from repro.targets import PRESETS  # noqa: E402
 from repro.workloads import WORKLOADS, WorkloadSpec, workload  # noqa: E402
@@ -82,26 +85,29 @@ def main(argv=None) -> int:
                         for _ in ir_block.instructions]
     print(f"# {fn.name} on {machine!r}: {len(fn.blocks)} blocks in "
           f"{len(blocks)} stretches, a frame of {frame_size} slots")
-    start = 0
-    for index, block in enumerate(blocks):
-        if block.ir is not None:  # a basic block's first stretch
-            ir_block, start = block.ir, 0
+    decoder = _Decoder(interp, fn)
+    for index in range(len(blocks)):
         block = _with_text(interp, fn, index)
+        parts = [decoder.stretches[part] for part in decoder.chain(index)]
+        (ir_block, start, _), *on = parts
         behind = f" from instruction {start}" if start else ""
-        print(f"\n# {index}: block {ir_block.name}{behind} "
+        through = (" running on through " + ", ".join(
+            part_block.name for part_block, _, _ in on) if on else "")
+        print(f"\n# {index}: block {ir_block.name}{behind}{through} "
               f"({block.count} instructions)")
+        what = [f"{part_block.name}: {ir[part_block][part_start + position]}"
+                for part_block, part_start, instructions in parts
+                for position in range(len(instructions))]
         line = 1
         for text in block.header.splitlines():
             print(f"{line:5} {text}")
             line += 1
         for position, chunk in enumerate(block.chunks):
-            what = (ir[ir_block][start + position]
-                    if position < block.count else "(no terminator)")
-            print(f"      #   {what}")
+            print("      #   " + (what[position] if position < len(what)
+                                  else "(no terminator)"))
             for text in chunk.splitlines():
                 print(f"{line:5} {text}")
                 line += 1
-        start += block.count
     return 0
 
 
