@@ -31,19 +31,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..runtime.backend import Admission
-from ..trace.analysis.slo import (Finding, Observation, SloRule,
-                                  window_metric, window_slice)
+from ..trace.analysis.slo import (DEFAULT_RULES, Finding, Observation,
+                                  SloRule, window_metric, window_slice)
 from .pool import ServerPool, ServerSpec
 
 #: The contention subset of the report's DEFAULT_RULES: the two
-#: findings a pool can actually act on by adding capacity.  Same
-#: metrics and thresholds as repro.trace.analysis.slo.DEFAULT_RULES.
-DEFAULT_AUTOSCALE_RULES: Tuple[SloRule, ...] = (
-    SloRule("queue_pressure", "mean_queue_wait_s", ">", 0.005,
-            window_s=0.05, min_samples=4),
-    SloRule("decline_rate_spike", "decline_rate", ">", 0.6,
-            window_s=0.05, min_samples=6),
-)
+#: findings a pool can actually act on by adding capacity.  Queue
+#: pressure comes first: a tick acts on the first violated rule.
+DEFAULT_AUTOSCALE_RULES: Tuple[SloRule, ...] = tuple(
+    rule for name in ("queue_pressure", "decline_rate_spike")
+    for rule in DEFAULT_RULES if rule.name == name)
 #: Healthy ticks in a row before the newest added server is retired.
 SCALE_DOWN_AFTER = 4
 

@@ -45,7 +45,6 @@ COMPILE_BANDWIDTH_MBPS = 1000.0
 class CompilerOptions:
     mobile_arch: TargetArch = ARM32
     server_arch: TargetArch = X86_64
-    enable_remote_io: bool = True
     enable_heap_replacement: bool = True
     enable_global_realloc: bool = True
     enable_layout_realignment: bool = True
@@ -131,8 +130,7 @@ class NativeOffloaderCompiler:
 
         selection = TargetSelector(
             work, profile, self._estimator(),
-            FunctionFilter(work, enable_remote_io=opts.enable_remote_io)
-        ).select(opts.forced_targets)
+            FunctionFilter(work)).select(opts.forced_targets)
 
         target_names: List[str] = []
         target_kinds: Dict[str, str] = {}
@@ -162,9 +160,7 @@ class NativeOffloaderCompiler:
                            server_roots=[spec.wrapper
                                          for spec in shard_specs.values()])
 
-        remote_io_sites = 0
-        if opts.enable_remote_io:
-            remote_io_sites = apply_remote_io(result.server_module)
+        remote_io_sites = apply_remote_io(result.server_module)
         fn_ptr_sites = apply_function_pointer_mapping(result.server_module)
         verify_module(result.mobile_module)
         verify_module(result.server_module)

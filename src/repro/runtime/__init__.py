@@ -15,8 +15,7 @@ from .fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES,
 from .uva import PrefetchAdvisor, UVAManager, UVAStats
 from .dynamic_estimator import DynamicPerformanceEstimator, TargetRuntimeState
 from .backend import (Admission, DirectDispatcher, InvocationRecord,
-                      LocalBackend, OffloadDispatcher, Rejection,
-                      RemoteBackend)
+                      OffloadDispatcher, Rejection, RemoteBackend)
 from .session import OffloadSession, SessionOptions, SessionResult
 from .local import LocalRunResult, run_local
 
@@ -34,8 +33,8 @@ __all__ = [
     "UnmappableFunctionPointer",
     "PrefetchAdvisor", "UVAManager", "UVAStats",
     "DynamicPerformanceEstimator", "TargetRuntimeState",
-    "Admission", "DirectDispatcher", "LocalBackend", "OffloadDispatcher",
-    "Rejection", "RemoteBackend",
+    "Admission", "DirectDispatcher", "OffloadDispatcher", "Rejection",
+    "RemoteBackend",
     "InvocationRecord", "OffloadSession", "SessionOptions", "SessionResult",
     "LocalRunResult", "run_local",
 ]

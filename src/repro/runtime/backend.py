@@ -1,21 +1,12 @@
-"""Execution backends: the seam between *deciding* where an offload
+"""The execution backend: the seam between *deciding* where an offload
 target runs and the machinery that actually runs it.
 
-Historically :class:`repro.runtime.session.OffloadSession` hard-wired the
-whole offload protocol — initialization, server execution, finalization,
-abort-and-replay — inside one private method, which made it impossible to
-point the same session logic at anything other than its single dedicated
-server.  This module extracts that machinery into two backends, each
-with an ``execute`` that runs one invocation of a target (they share no
-code and are never called polymorphically, so there is no base class):
-
-* :class:`LocalBackend` — executes the target on the mobile device using
-  a sub-interpreter that shares the suspended caller's stack.  Used for
-  the replay after a mid-invocation link failure and for invocations the
-  server pool refuses to admit.
-* :class:`RemoteBackend` — the full offload protocol over the
-  transport/UVA/communication stack, bit-identical to the pre-seam
-  session (guarded by the differential test in ``tests/test_fleet.py``).
+:class:`RemoteBackend` runs one invocation of a target through the full
+offload protocol over the session's transport/UVA/communication stack,
+and owns the one way back to the mobile device: a sub-interpreter that
+shares the suspended caller's stack, used for the replay after a
+mid-invocation link failure, for invocations the server pool refuses to
+admit and for a plan's abandoned shards.
 
 Every invocation the remote backend starts flows through one skeleton:
 admit → request phase → server execution → return phase → complete,
@@ -30,7 +21,7 @@ free; a fleet run substitutes a dispatcher wired to a shared
 :class:`repro.fleet.pool.ServerPool`, so admission can carry a queueing
 delay (charged to the device timeline and battery exactly as link time
 is) or be refused outright, in which case the invocation degrades to
-:class:`LocalBackend` (docs/fleet.md).  The event-driven
+local execution (docs/fleet.md).  The event-driven
 :class:`repro.fleet.scheduler.FleetScheduler` supplies a
 :class:`repro.fleet.replay.ScriptedDispatcher` that replays recorded
 pool outcomes into the session; sessions only ever read the
@@ -182,53 +173,10 @@ class DirectDispatcher(OffloadDispatcher):
         pass
 
 
-class LocalBackend:
-    """Execute the target on the mobile device itself.
-
-    The invocation runs on a sub-interpreter sharing the suspended
-    interpreter's stack pointer — a fresh interpreter would start at
-    stack_top and clobber the live frames of the suspended caller.  Its
-    cycles are charged (unscaled) to the main interpreter so the run is
-    ordinary mobile compute time on the timeline and in the energy
-    model, and its observer feeds the dynamic estimator an observed
-    local execution time for the target.
-    """
-
-    def __init__(self, session: "OffloadSession"):
-        self.session = session
-
-    def replay(self, fn_name: str, interp: Interpreter, args: List):
-        """Run one function of the mobile module on the sub-interpreter
-        and charge it to ``interp``; returns ``(sub-interpreter,
-        return value)``.  Shared by whole-target fallbacks and the
-        per-range replay of a plan's abandoned shards."""
-        session = self.session
-        fn = session.mobile.module.function(fn_name)
-        sub = Interpreter(session.mobile, observer=interp.observer)
-        sub.sp = interp.sp
-        result = sub.call_function(fn, args)
-        interp.charge_raw_cycles(sub.cycles)
-        session._replay_instructions += sub.instruction_count
-        return sub, result
-
-    def execute(self, target: OffloadTarget, interp: Interpreter,
-                args: List, record: Optional[InvocationRecord] = None):
-        session = self.session
-        sub, result = self.replay(target.body, interp, args)
-        if record is not None:
-            record.fallback_local = True
-            record.local_seconds = sub.time_seconds
-        tr = session.tracer
-        if tr.enabled:
-            tr.emit("offload.fallback", target.name,
-                    seconds=sub.time_seconds,
-                    instructions=sub.instruction_count)
-        return result
-
-
 class RemoteBackend:
     """The full offload protocol of the paper's Figure 5, over the
-    session's transport/UVA/communication stack."""
+    session's transport/UVA/communication stack, with local execution on
+    the mobile device as its degradation path."""
 
     def __init__(self, session: "OffloadSession",
                  dispatcher: Optional[OffloadDispatcher] = None):
@@ -285,16 +233,15 @@ class RemoteBackend:
 
         # ---- tier network override (docs/placement.md) ------------
         # A cloud-tier admission carries the WAN NetworkModel the
-        # device must talk through for this invocation.  Swap it in
-        # for the protocol body and restore the device's own link
-        # afterwards — the finally runs even when the body returns
-        # through the abort/local-fallback paths.
-        if override is None or override is session.network:
-            return self._protocol(target, interp, args, record, spec,
-                                  shards)
+        # device must talk through for this invocation (without one the
+        # device keeps its own).  Swap it in for the protocol body and
+        # restore the device's own link afterwards — the finally runs
+        # even when the body returns through the abort/local-fallback
+        # paths.
         saved = session.network
-        session.network = override
-        session.comm.set_network(override)
+        network = override or saved
+        session.network = network
+        session.comm.set_network(network)
         try:
             return self._protocol(target, interp, args, record, spec,
                                   shards)
@@ -638,8 +585,8 @@ class RemoteBackend:
         # synchronization invalidates any stale server copy.
         for index in stragglers:
             lo, hi = shards[index][1]
-            sub, _ = session.local_backend.replay(
-                spec.wrapper, interp, list(args) + [lo, hi])
+            sub, _ = self._replay(spec.wrapper, interp,
+                                  list(args) + [lo, hi])
             record.local_seconds += sub.time_seconds
             if tr.enabled:
                 tr.emit("offload.straggler", target.name,
@@ -714,7 +661,7 @@ class RemoteBackend:
                     estimated_wait_s=rejection.estimated_wait_s,
                     probe_seconds=probe)
         session.invocations.append(record)
-        return session.local_backend.execute(target, interp, args, record)
+        return self._fall_back(target, interp, args, record)
 
     # -- mid-invocation failure: abort and replay locally --------------
     def _abort(self, target: OffloadTarget, interp: Interpreter,
@@ -767,7 +714,43 @@ class RemoteBackend:
                 payload["overlap_seconds"] = overlap_seconds
             tr.emit("offload.abort", target.name, **payload)
         session.invocations.append(record)
-        return session.local_backend.execute(target, interp, args, record)
+        return self._fall_back(target, interp, args, record)
+
+    # -- local execution on the mobile device --------------------------
+    def _replay(self, fn_name: str, interp: Interpreter, args: List):
+        """Run one function of the mobile module on a sub-interpreter and
+        charge it to ``interp``; returns ``(sub-interpreter, return
+        value)``.  Shared by whole-target fallbacks and the per-range
+        replay of a plan's abandoned shards.
+
+        The sub-interpreter shares the suspended interpreter's stack
+        pointer — a fresh interpreter would start at stack_top and
+        clobber the live frames of the suspended caller.  Its cycles are
+        charged (unscaled) to the main interpreter so the run is
+        ordinary mobile compute time on the timeline and in the energy
+        model, and its observer feeds the dynamic estimator an observed
+        local execution time for the target."""
+        session = self.session
+        fn = session.mobile.module.function(fn_name)
+        sub = Interpreter(session.mobile, observer=interp.observer)
+        sub.sp = interp.sp
+        result = sub.call_function(fn, args)
+        interp.charge_raw_cycles(sub.cycles)
+        session._replay_instructions += sub.instruction_count
+        return sub, result
+
+    def _fall_back(self, target: OffloadTarget, interp: Interpreter,
+                   args: List, record: InvocationRecord):
+        """Run a refused or aborted invocation's whole target locally."""
+        sub, result = self._replay(target.body, interp, args)
+        record.fallback_local = True
+        record.local_seconds = sub.time_seconds
+        tr = self.session.tracer
+        if tr.enabled:
+            tr.emit("offload.fallback", target.name,
+                    seconds=sub.time_seconds,
+                    instructions=sub.instruction_count)
+        return result
 
     def _trace_fnptr_window(self, target: OffloadTarget, lookups0: int,
                             seconds0: float) -> None:

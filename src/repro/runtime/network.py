@@ -14,8 +14,10 @@ Two layers live here (docs/fault-model.md):
   a zero-byte message is not free.
 * :class:`Link` — the raw simulated medium used by
   :class:`repro.runtime.transport.Transport`: a :class:`NetworkModel`
-  plus an optional seeded :class:`FaultPlan` injecting latency jitter,
-  transient drops, hard disconnects and bandwidth collapse.
+  plus a seeded :class:`FaultPlan` injecting latency jitter, transient
+  drops, hard disconnects and bandwidth collapse.  Every link holds a
+  plan and transmits through one path; the empty plan draws nothing and
+  its arithmetic reduces to :meth:`NetworkModel.one_way_time` exactly.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class FaultPlan:
     All stochastic faults are driven by one ``random.Random(seed)``
     advanced per transmission attempt, so a (plan, message sequence)
     pair always reproduces the same fault schedule.  An empty plan (the
-    default) is a strict no-op: the link's timing is bit-identical to
-    the plain :class:`NetworkModel` formula.
+    default) is a strict no-op: it draws no random number, and the
+    link's timing is bit-identical to the plain :class:`NetworkModel`
+    formula (``latency + 0.0 == latency``, ``bandwidth * 1.0 ==
+    bandwidth``).
     """
 
     seed: int = 0
@@ -117,8 +121,8 @@ class LinkAttempt:
 
 
 class Link:
-    """The raw simulated medium: one :class:`NetworkModel` plus an
-    optional :class:`FaultPlan`.
+    """The raw simulated medium: one :class:`NetworkModel` plus a
+    :class:`FaultPlan` (``None`` is :data:`NO_FAULTS`).
 
     The link is *dumb*: it transmits, drops, jitters or dies, and it
     never retries — reliability is the transport layer's job
@@ -128,16 +132,15 @@ class Link:
     def __init__(self, network: NetworkModel,
                  plan: Optional[FaultPlan] = None):
         self.network = network
-        self.plan = plan if plan is not None and not plan.is_empty else None
-        self._rng = (random.Random(self.plan.seed)
-                     if self.plan is not None else None)
+        self.plan = plan if plan is not None else NO_FAULTS
+        self._rng = random.Random(self.plan.seed)
         self.alive = True
         self.attempts = 0
         self.disconnects = 0
 
     @property
     def faultless(self) -> bool:
-        return self.plan is None
+        return self.plan.is_empty
 
     def expected_time(self, payload_bytes: int,
                       pipelined: bool = False,
@@ -145,14 +148,11 @@ class Link:
         """The fault-free time of one attempt at the link's *current*
         effective bandwidth — what the transport sizes timeouts from."""
         net = self.network
-        factor = self.plan.bandwidth_factor if self.plan is not None else 1.0
+        bandwidth = net.bandwidth_bytes_per_s * self.plan.bandwidth_factor
         if pipelined:
-            return (overhead_s + payload_bytes
-                    / (net.bandwidth_bytes_per_s * factor))
-        if factor == 1.0:
-            return net.one_way_time(payload_bytes)
-        return (net.latency_s + (payload_bytes + MESSAGE_HEADER_BYTES)
-                / (net.bandwidth_bytes_per_s * factor))
+            return overhead_s + payload_bytes / bandwidth
+        return (net.latency_s
+                + (payload_bytes + MESSAGE_HEADER_BYTES) / bandwidth)
 
     def transmit(self, payload_bytes: int, pipelined: bool = False,
                  overhead_s: float = 0.0) -> LinkAttempt:
@@ -161,17 +161,12 @@ class Link:
         ``pipelined`` models an operation riding an established stream:
         no per-message latency or header, just a small fixed overhead —
         exactly the batched-output formula of the communication manager.
+        Each fault kind draws only when its rate is set, so the empty
+        plan consumes no randomness.
         """
-        net = self.network
-        if self.plan is None:
-            if pipelined:
-                return LinkAttempt(
-                    True, overhead_s
-                    + payload_bytes / net.bandwidth_bytes_per_s)
-            return LinkAttempt(True, net.one_way_time(payload_bytes))
         if not self.alive:
             return LinkAttempt(False, 0.0, disconnected=True)
-        plan, rng = self.plan, self._rng
+        net, plan, rng = self.network, self.plan, self._rng
         self.attempts += 1
         if (plan.disconnect_after_messages is not None
                 and self.attempts > plan.disconnect_after_messages):
@@ -210,7 +205,7 @@ class Link:
     def can_reconnect(self) -> bool:
         """Whether a dead link could ever come back: a reconnect rate is
         configured and the hard kill point has not been passed."""
-        if self.plan is None or self.plan.reconnect_rate <= 0.0:
+        if self.plan.reconnect_rate <= 0.0:
             return False
         if (self.plan.disconnect_after_messages is not None
                 and self.attempts > self.plan.disconnect_after_messages):

@@ -29,8 +29,8 @@ from ..offload.partition import OffloadTarget, OFFLOAD_PREFIX, SHOULD_OFFLOAD
 from ..offload.pipeline import OffloadProgram
 from ..offload.server_opt import (M2S_FCN_MAP, REMOTE_IO_FUNCTIONS,
                                   REMOTE_IO_PREFIX, S2M_FCN_MAP)
-from ..runtime.backend import (InvocationRecord, LocalBackend,
-                               OffloadDispatcher, RemoteBackend)
+from ..runtime.backend import (InvocationRecord, OffloadDispatcher,
+                               RemoteBackend)
 from ..runtime.comm import CommunicationManager
 from ..runtime.dynamic_estimator import DynamicPerformanceEstimator
 from ..runtime.fcn_table import (FunctionAddressTable, MAP_LOOKUP_CYCLES)
@@ -305,11 +305,10 @@ class OffloadSession:
             tracer=self.tracer,
             fault_plan=opts.fault_plan,
             retry_policy=opts.retry_policy)
-        # Snapshot/rollback machinery only engages on a faulty link; the
-        # fault-free path must stay bit-identical to the pre-fault runtime
-        # (the zero-fault no-op invariant, DESIGN.md §5).
-        self._faulty = (opts.fault_plan is not None
-                        and not opts.fault_plan.is_empty)
+        # Snapshot/rollback machinery only engages on a faulty link:
+        # IOEnvironment.snapshot copies every file, and a fault-free
+        # invocation can never roll back.
+        self._faulty = not self.comm.transport.link.faultless
         self._replay_instructions = 0
         self.uva = UVAManager(
             self.mobile, self.server, self.comm,
@@ -324,10 +323,9 @@ class OffloadSession:
             transport=self.comm.transport)
         self.meter = EnergyMeter()
         # The execution-backend seam (repro.runtime.backend), made by
-        # _wire: the remote backend owns the offload protocol over the
-        # stack built above; the local backend is the degradation path
-        # (aborts, pool rejections).
-        self.local_backend: Optional[LocalBackend] = None
+        # _wire: the backend owns the offload protocol over the stack
+        # built above and its local degradation path (aborts, pool
+        # rejections, straggler shards).
         self.remote_backend: Optional[RemoteBackend] = None
 
         # Timeline bookkeeping (see _advance / _mark_compute).
@@ -354,14 +352,13 @@ class OffloadSession:
 
     def _wire(self) -> None:
         """Point the runtime's services back at this session for one run:
-        the tracer's clock, the copy-on-demand fault handler, the two
-        backends and the runtime builtins.  Construction makes none of
+        the tracer's clock, the copy-on-demand fault handler, the
+        backend and the runtime builtins.  Construction makes none of
         these references, so a session that is never run is freed by
         reference counting as well."""
         if self.tracer.enabled:         # never the shared NULL_TRACER
             self.tracer.clock = self.now
         self.uva.attach()
-        self.local_backend = LocalBackend(self)
         # a fleet scheduler passes a pooled dispatcher through
         # SessionOptions; None is the dedicated server
         self.remote_backend = RemoteBackend(
@@ -379,7 +376,7 @@ class OffloadSession:
         self.mobile.builtins.clear()
         self.server.builtins.clear()
         self.uva.detach()
-        self.local_backend = self.remote_backend = None
+        self.remote_backend = None
 
     def _execute(self, argv: tuple) -> SessionResult:
         tr = self.tracer

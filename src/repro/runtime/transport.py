@@ -17,9 +17,11 @@ every simulated second burned on the failed delivery, so the session can
 charge the wasted time to the timeline and the energy model before
 falling back to local execution.
 
-On a faultless link the transport is a strict pass-through: ``deliver``
-returns exactly ``NetworkModel.one_way_time`` and consumes no
-randomness, preserving the zero-fault no-op invariant (DESIGN.md §5).
+Every link, faulty or not, goes through the one ``deliver`` loop.  On an
+empty :class:`~repro.runtime.network.FaultPlan` the first attempt always
+lands, draws no random number and costs exactly
+``NetworkModel.one_way_time`` (``0.0 + s == s``), which is the zero-fault
+no-op invariant of DESIGN.md §5.
 """
 
 from __future__ import annotations
@@ -143,12 +145,6 @@ class Transport:
         re-established.
         """
         link = self.link
-        if link.faultless:
-            # Strict pass-through: bit-identical to the pre-transport
-            # closed-form path.
-            self.stats.messages += 1
-            return link.transmit(payload_bytes, pipelined=pipelined,
-                                 overhead_s=overhead_s).seconds
         policy = self.policy
         elapsed = 0.0
         attempts = 0

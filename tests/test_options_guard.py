@@ -45,6 +45,22 @@ ALLOWLIST = {
 FIELDS = {record.__name__: [f.name for f in dataclasses.fields(record)]
           for record in RECORDS}
 
+#: ``Record.field`` for every field without a default: each constructor
+#: call sets it, so it needs no caller of its own.
+REQUIRED = {f"{record.__name__}.{f.name}"
+            for record in RECORDS for f in dataclasses.fields(record)
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING}
+
+#: Every class defined under ``src/``: a keyword passed to one that is
+#: not a record (``FunctionFilter(enable_remote_io=...)``) sets that
+#: class's parameter, not a record field of the same name.
+SRC_CLASSES = {node.name
+               for path in sorted((REPO / "src").rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(
+                   encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)}
+
 
 def _forwards(keyword: ast.keyword) -> bool:
     """``x=x`` or ``x=opts.x``: a value handed on, not chosen.  A flag
@@ -60,9 +76,9 @@ def _forwards(keyword: ast.keyword) -> bool:
 def _set_fields() -> set:
     """``Record.field`` for every field some call under CALLERS passes a
     value of its own.  A call of the record itself sets its positional
-    and keyword fields; any other call (``dataclasses.replace``, a
-    helper that passes ``**flags`` on) sets the fields of that name of
-    every record."""
+    and keyword fields; a call of another class under ``src/`` sets
+    none; any other call (``dataclasses.replace``, a helper that passes
+    ``**flags`` on) sets the fields of that name of every record."""
     found = set()
     for folder in CALLERS:
         for path in sorted((REPO / folder).rglob("*.py")):
@@ -73,6 +89,8 @@ def _set_fields() -> set:
                 func = call.func
                 callee = (func.attr if isinstance(func, ast.Attribute)
                           else getattr(func, "id", None))
+                if callee in SRC_CLASSES and callee not in FIELDS:
+                    continue
                 owners = [callee] if callee in FIELDS else list(FIELDS)
                 if callee in FIELDS:
                     found |= {f"{callee}.{name}" for name, arg
@@ -89,7 +107,7 @@ def _set_fields() -> set:
 def test_every_option_has_a_caller_or_a_reason():
     every = {f"{record}.{name}" for record, names in FIELDS.items()
              for name in names}
-    unset = every - _set_fields()
+    unset = every - REQUIRED - _set_fields()
     assert sorted(unset - set(ALLOWLIST)) == []
     # an entry whose field gained a caller, or is gone, is stale
     assert sorted(set(ALLOWLIST) - unset) == []
@@ -98,7 +116,7 @@ def test_every_option_has_a_caller_or_a_reason():
 
 def test_the_records_hold_what_the_audit_left():
     assert {name: len(fields) for name, fields in FIELDS.items()} == {
-        "SessionOptions": 17, "CompilerOptions": 7, "PoolOptions": 4,
+        "SessionOptions": 17, "CompilerOptions": 6, "PoolOptions": 4,
         "ServerSpec": 5, "DeviceSpec": 8, "EstimatorParams": 2,
         "NetworkModel": 4, "FaultPlan": 7, "RetryPolicy": 1,
         "AutoscalerOptions": 3}

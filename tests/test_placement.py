@@ -17,7 +17,9 @@ from repro.fleet import (DECISION_ENGINES, ENGINES, Autoscaler,
                          FleetResult, FleetScheduler, PlacementRequest, PoolOptions,
                          ServerPool, ServerSpec, ServerStats,
                          behavior_key)
-from repro.fleet.autoscaler import SCALE_DOWN_AFTER
+from repro.fleet.autoscaler import (DEFAULT_AUTOSCALE_RULES,
+                                    SCALE_DOWN_AFTER)
+from repro.trace.analysis import DEFAULT_RULES
 from repro.workloads import workload
 
 # The built-in fleet kernel on a small input.
@@ -467,6 +469,14 @@ class TestAutoscaler:
     def _admission(self, wait):
         return Admission(server_id=0, queue_seconds=wait, start_s=0.0,
                          token=(0, 0, 0.0))
+
+    def test_rules_are_the_reports_own(self):
+        # stated once: the autoscaler acts on the report's rule objects,
+        # queue pressure first
+        assert [rule.name for rule in DEFAULT_AUTOSCALE_RULES] == [
+            "queue_pressure", "decline_rate_spike"]
+        assert all(any(rule is own for own in DEFAULT_RULES)
+                   for rule in DEFAULT_AUTOSCALE_RULES)
 
     def test_scale_up_on_queue_pressure(self):
         pool = ServerPool(PoolOptions(servers=1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.machine import STACK_SIZE
 from repro.runtime import (FAST_WIFI, FaultPlan, Link, LinkDownError,
-                           NO_FAULTS, NetworkModel, OffloadSession,
+                           NETWORKS, NO_FAULTS, NetworkModel, OffloadSession,
                            RetryPolicy, SessionOptions, Transport)
 from repro.runtime.transport import BACKOFF_BASE_S
 
@@ -185,6 +185,27 @@ class TestTransport:
         assert t.stats.disconnects > 0
         assert t.stats.reconnects == t.stats.disconnects
         assert t.stats.reconnect_seconds > 0
+
+
+@given(net=st.sampled_from(sorted(NETWORKS.values(), key=lambda n: n.name)),
+       seed=st.integers(0, 2**32 - 1),
+       payload=st.integers(0, 10**6),
+       pipelined=st.booleans(),
+       overhead=st.floats(0.0, 1e-3))
+def test_empty_plan_delivers_the_closed_form(net, seed, payload, pipelined,
+                                             overhead):
+    """The one delivery path, run on an empty plan of any seed, costs
+    exactly the closed-form message time and draws nothing."""
+    link = Link(net, FaultPlan(seed=seed))
+    state = link._rng.getstate()
+    t = Transport(link)
+    seconds = t.deliver(payload, pipelined=pipelined, overhead_s=overhead)
+    closed = (overhead + payload / net.bandwidth_bytes_per_s if pipelined
+              else net.one_way_time(payload))
+    assert seconds.hex() == closed.hex()
+    assert t.stats.messages == 1 and t.stats.retries == 0
+    assert link._rng.getstate() == state
+    assert Link(net, None).plan is NO_FAULTS
 
 
 # ---------------------------------------------------------------------------
