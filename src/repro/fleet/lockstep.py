@@ -35,11 +35,10 @@ engine").
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import List, Optional
 
 from ..runtime.backend import Admission, OffloadDispatcher, Rejection
-from ..runtime.session import OffloadSession, SessionOptions, SessionResult
+from ..runtime.session import OffloadSession, SessionResult
 from .clock import EventQueue, SimClock
 from .pool import ServerPool
 from .result import DeviceOutcome, FleetResult
@@ -91,14 +90,11 @@ class _DeviceWorker:
     # -- device thread -------------------------------------------------
     def _run(self) -> None:
         try:
-            base = self.spec.options or SessionOptions()
-            options = replace(base,
-                              dispatcher=_PooledDispatcher(self),
-                              session_id=self.spec.device_id)
             session = OffloadSession(self.spec.program, self.spec.network,
-                                     options=options,
+                                     options=self.spec.options,
                                      stdin=self.spec.stdin,
-                                     files=self.spec.files)
+                                     files=self.spec.files,
+                                     dispatcher=_PooledDispatcher(self))
             self.result = session.run()
         except BaseException as exc:    # surfaced by the scheduler
             self.error = exc

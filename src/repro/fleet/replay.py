@@ -24,10 +24,13 @@ trace, same estimator state.
 Naively this costs O(k^2) interpreter work for a device with k
 admissions.  The :class:`SegmentCache` removes that in the common case:
 devices whose specs agree on everything behavior-relevant (program,
-network, stdin, files, options minus identity fields) form a *behavior
-class*, and within a class a segment replay is a pure function of the
-outcome script — so N identical devices with identical scripts cost
-k+1 session runs **total**, not per device.
+network, stdin, files, deadline, options) form a *behavior class*, and
+within a class a segment replay is a pure function of the outcome
+script — so N identical devices with identical scripts cost k+1
+session runs **total**, not per device, traced or not: a session's
+trace names no device (:meth:`~repro.fleet.result.FleetResult.
+merged_events` stamps the ids), so a finished result is as shareable
+as a request boundary.
 
 The cache does O(1) work per event whatever the option count or script
 length.  A device's class is *interned* once, when it arrives:
@@ -38,17 +41,14 @@ Serving a request steps the device one edge down; the node it lands on
 holds the segment every device of the class executes after that
 history.  A script is therefore never stored per device and never
 re-hashed: it *is* the path from the root, rebuilt by walking parents
-only when a node has to be run (``TrieNode.script``).  Traced devices
-share the intermediate nodes (a request boundary carries no trace) but
-always run their final segment privately, because the finished result
-embeds the device's session id in every trace event.
+only when a node has to be run (``TrieNode.script``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.backend import Admission, OffloadDispatcher, Rejection
@@ -172,16 +172,10 @@ class Segment:
         return self.result is not None
 
 
-#: SessionOptions fields that do not influence a session's behavior
-#: given a fixed outcome script — identity tags and fleet wiring.
-_IDENTITY_FIELDS = ("session_id", "dispatcher")
-
-#: Every other SessionOptions field is behavior-relevant.  The names are
-#: fixed at import, so one C-level attrgetter reads them all.
-_BEHAVIOR_FIELDS = tuple(field.name
-                         for field in dataclasses.fields(SessionOptions)
-                         if field.name not in _IDENTITY_FIELDS)
-_behavior_values = operator.attrgetter(*_BEHAVIOR_FIELDS)
+#: Every SessionOptions field is behavior-relevant.  The names are fixed
+#: at import, so one C-level attrgetter reads them all.
+_option_values = operator.attrgetter(
+    *(field.name for field in dataclasses.fields(SessionOptions)))
 
 
 def _hashable(value):
@@ -207,7 +201,7 @@ def behavior_key(spec: DeviceSpec, engine: str = "fifo") -> tuple:
     ever make the key *finer*, never coarser — a too-fine key costs
     speed, a too-coarse one would cost correctness.
     """
-    parts = _behavior_values(spec.options or SessionOptions())
+    parts = _option_values(spec.options or SessionOptions())
     try:
         hash(parts)
     except TypeError:       # rare: some option value needs converting
@@ -225,11 +219,9 @@ def run_segment(spec: DeviceSpec, script: Script) -> Segment:
     """Run one fresh session for ``spec`` under ``script`` and capture
     where it stops."""
     dispatcher = ScriptedDispatcher(script)
-    base = spec.options or SessionOptions()
-    options = replace(base, dispatcher=dispatcher,
-                      session_id=spec.device_id)
-    session = OffloadSession(spec.program, spec.network, options=options,
-                             stdin=spec.stdin, files=spec.files)
+    session = OffloadSession(spec.program, spec.network,
+                             options=spec.options, stdin=spec.stdin,
+                             files=spec.files, dispatcher=dispatcher)
     try:
         result = session.run()
     except SegmentBoundary as boundary:
@@ -247,9 +239,9 @@ class TrieNode:
     it.
 
     ``segment`` is what such a device executes next, once some device
-    has run it and it is shareable (None until then); ``children`` maps
-    the outcome tuple of the next admission request to the node that
-    history continues at.  ``parent``/``edge`` lead back to the root,
+    has run it (None until then); ``children`` maps the outcome tuple
+    of the next admission request to the node that history continues
+    at.  ``parent``/``edge`` lead back to the root,
     so the script is the path and is stored nowhere else.
     """
 
@@ -283,13 +275,11 @@ class TrieNode:
 class SegmentCache:
     """Cross-device memoization of replayed segments.
 
-    One outcome trie per behavior class.  Request boundaries are always
-    shareable (they carry no per-device identity); finished results are
-    shareable only for untraced devices — a traced result embeds the
-    session id in every event, so traced devices always run their final
-    segment themselves.  Tracing is a behavior-relevant option, so a
-    class is traced or it is not: a node's segment is only ever stored
-    when every device that can reach the node may share it.
+    One outcome trie per behavior class, and every segment run is
+    stored on its node: neither a request boundary nor a finished
+    result carries per-device identity, so every device that reaches
+    the node shares it — a finished result, its trace included, is one
+    object for all of them.
     """
 
     def __init__(self, engine: str = "fifo") -> None:
@@ -297,7 +287,6 @@ class SegmentCache:
         self.engine = engine
         self.session_runs = 0
         self.shared_hits = 0
-        self.distinct_segments = 0
 
     @property
     def behavior_classes(self) -> int:
@@ -321,12 +310,8 @@ class SegmentCache:
         if hit is not None:
             self.shared_hits += 1
             return hit
-        segment = run_segment(spec, node.script())
+        segment = node.segment = run_segment(spec, node.script())
         self.session_runs += 1
-        traced = (spec.options or SessionOptions()).enable_tracing
-        if not (segment.done and traced):
-            node.segment = segment
-            self.distinct_segments += 1
         return segment
 
     def stats(self) -> dict:
@@ -335,5 +320,6 @@ class SegmentCache:
         return {
             "session_runs": self.session_runs,
             "shared_hits": self.shared_hits,
-            "distinct_segments": self.distinct_segments,
+            # every run is stored on its own node
+            "distinct_segments": self.session_runs,
         }

@@ -141,8 +141,10 @@ class FleetResult:
 
     def merged_events(self) -> List[TraceEvent]:
         """One fleet-wide trace: every device's events shifted onto the
-        global timeline, ordered by (time, device index, seq).  Events
-        already carry the device's session id (``sid``)."""
+        global timeline, ordered by (time, device index, seq), each
+        stamped with its device's id (``sid``).  This is the one place a
+        fleet trace names its sources: a session's tracer stamps none,
+        so identical devices can share one finished session."""
         merged = []
         for device in self.devices:
             tracer = device.result.trace
@@ -150,9 +152,9 @@ class FleetResult:
                 continue
             for e in tracer.events():
                 merged.append((e.t + device.start_offset_s, device.index,
-                               e.seq, e))
+                               e.seq, e, device.device_id))
         merged.sort(key=lambda item: item[:3])
         return [TraceEvent(t=t, seq=e.seq, category=e.category,
                            name=e.name, dur=e.dur, payload=e.payload,
-                           sid=e.sid)
-                for t, _, _, e in merged]
+                           sid=sid)
+                for t, _, _, e, sid in merged]

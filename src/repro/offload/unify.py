@@ -120,12 +120,12 @@ def reallocate_referenced_globals(module: Module,
                                   callgraph: Optional[CallGraph] = None
                                   ) -> int:
     """Mark every global referenced by the offloaded tasks (transitively,
-    including functions reachable through taken addresses) as
-    UVA-allocated."""
+    including functions they reach through taken addresses — the call
+    graph links every indirect caller to every address-taken function)
+    as UVA-allocated.  A function only the phone calls through a
+    pointer never runs on the server, so its globals stay local."""
     callgraph = callgraph or CallGraph(module)
-    reachable: Set[str] = set()
-    roots = list(target_names) + sorted(callgraph.address_taken)
-    reachable |= callgraph.reachable_from(roots)
+    reachable = callgraph.reachable_from(target_names)
     referenced: Set[str] = set()
     for name in reachable:
         fn = module.get_function(name)

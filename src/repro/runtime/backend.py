@@ -14,14 +14,15 @@ with one abort path around it.  Admission goes through an
 :class:`OffloadDispatcher` and is list-shaped: a grant is a list of
 :class:`Admission` objects, one per index-range shard of a
 scatter/gather plan (docs/parallel-offload.md), and the paper's
-single-server invocation is the plan of one.  The default
-(``dispatcher=None`` — the paper's one-device/one-server world)
-resolves to :class:`DirectDispatcher`, whose grants are immediate and
-free; a fleet run substitutes a dispatcher wired to a shared
-:class:`repro.fleet.pool.ServerPool`, so admission can carry a queueing
-delay (charged to the device timeline and battery exactly as link time
-is) or be refused outright, in which case the invocation degrades to
-local execution (docs/fleet.md).  The event-driven
+single-server invocation is the plan of one.  The dispatcher is the
+session's constructor argument, not an option: the default
+(``OffloadSession(..., dispatcher=None)`` — the paper's
+one-device/one-server world) resolves to :class:`DirectDispatcher`,
+whose grants are immediate and free; a fleet run passes a dispatcher
+wired to a shared :class:`repro.fleet.pool.ServerPool`, so admission
+can carry a queueing delay (charged to the device timeline and battery
+exactly as link time is) or be refused outright, in which case the
+invocation degrades to local execution (docs/fleet.md).  The event-driven
 :class:`repro.fleet.scheduler.FleetScheduler` supplies a
 :class:`repro.fleet.replay.ScriptedDispatcher` that replays recorded
 pool outcomes into the session; sessions only ever read the
@@ -339,7 +340,7 @@ class RemoteBackend:
         if tr.enabled:
             prefetch_pages0 = session.uva.stats.prefetched_pages
             fnptr_seconds0 = session.fnptr_seconds
-            fnptr_lookups0 = session._fnptr_lookups
+            fnptr_lookups0 = session.fcn_table.total_lookups
             writeback_pages0 = session.uva.stats.written_back_pages
             writeback_bytes0 = session.uva.stats.written_back_bytes
 
@@ -756,9 +757,12 @@ class RemoteBackend:
                             seconds0: float) -> None:
         """One ``fnptr.window`` event for the look-ups the server made
         since the invocation began, whether its window completed or was
-        aborted mid-execution."""
+        aborted mid-execution.  Lookups are nanosecond-scale and
+        frequent, so they are traced per invocation, not one by one;
+        the function address table counts them whether or not anyone
+        traces."""
         session = self.session
-        lookups = session._fnptr_lookups - lookups0
+        lookups = session.fcn_table.total_lookups - lookups0
         if lookups:
             session.tracer.emit("fnptr.window", target.name,
                                 lookups=lookups,

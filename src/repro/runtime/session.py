@@ -75,14 +75,6 @@ class SessionOptions:
     fault_plan: Optional[FaultPlan] = None
     # Transport retry/backoff/reconnect budget; None uses the defaults.
     retry_policy: Optional[RetryPolicy] = None
-    # Fleet wiring (docs/fleet.md).  `dispatcher` is where the remote
-    # backend asks for servers before each invocation — None (the
-    # default) is the paper's dedicated server, whose grants are
-    # immediate and free; a fleet scheduler substitutes a pooled
-    # dispatcher so admission can queue or refuse.  `session_id` tags
-    # every trace event so one merged timeline can cover a whole fleet.
-    dispatcher: Optional[OffloadDispatcher] = None
-    session_id: Optional[str] = None
     # Scatter/gather parallel offload (docs/parallel-offload.md).
     # ``shards`` is the *desired* plan width k: a shardable target's
     # invocation is split into up to k index-range shards scattered
@@ -270,15 +262,24 @@ class _TargetTimer(Observer):
 
 
 class OffloadSession:
-    """Executes one offloading-enabled program over one network."""
+    """Executes one offloading-enabled program over one network.
+
+    ``dispatcher`` is where the remote backend asks for servers before
+    each invocation (docs/fleet.md): None is the paper's dedicated
+    server, whose grants are immediate and free; a fleet scheduler
+    passes a pooled or scripted one so admission can queue or refuse.
+    Like ``stdin`` and ``files`` it is wiring, not behaviour, so it is
+    not a :class:`SessionOptions` field."""
 
     def __init__(self, program: OffloadProgram, network: NetworkModel,
                  options: Optional[SessionOptions] = None,
                  stdin: bytes = b"",
-                 files: Optional[Dict[str, bytes]] = None):
+                 files: Optional[Dict[str, bytes]] = None,
+                 dispatcher: Optional[OffloadDispatcher] = None):
         self.program = program
         self.network = network
         self.options = options or SessionOptions()
+        self.dispatcher = dispatcher
         opts = self.options
 
         mobile_arch = program.options.mobile_arch
@@ -293,8 +294,7 @@ class OffloadSession:
         # The structured tracer observes every runtime service; the
         # shared NULL_TRACER keeps the disabled path free of new work.
         # Its clock is this session's, set by _wire.
-        self.tracer = (Tracer(capacity=opts.trace_capacity,
-                              sid=opts.session_id)
+        self.tracer = (Tracer(capacity=opts.trace_capacity)
                        if opts.enable_tracing else NULL_TRACER)
         self.comm = CommunicationManager(
             network,
@@ -335,7 +335,6 @@ class OffloadSession:
         self.server_instructions = 0
         self.server_compute_seconds = 0.0
         self.fnptr_seconds = 0.0
-        self._fnptr_lookups = 0   # only maintained while tracing
         self.invocations: List[InvocationRecord] = []
         self.mobile_interp: Optional[Interpreter] = None
         self._rio_pending = 0.0
@@ -359,10 +358,7 @@ class OffloadSession:
         if self.tracer.enabled:         # never the shared NULL_TRACER
             self.tracer.clock = self.now
         self.uva.attach()
-        # a fleet scheduler passes a pooled dispatcher through
-        # SessionOptions; None is the dedicated server
-        self.remote_backend = RemoteBackend(
-            self, dispatcher=self.options.dispatcher)
+        self.remote_backend = RemoteBackend(self, dispatcher=self.dispatcher)
         self._register_runtime_builtins()
 
     def _release(self) -> None:
@@ -501,11 +497,6 @@ class OffloadSession:
 
     # -- fn-ptr mapping ---------------------------------------------------
     def _charge_fnptr(self, interp: Interpreter) -> None:
-        if self.tracer.enabled:
-            # Individual lookups are nanosecond-scale and extremely
-            # frequent; they are aggregated into one fnptr.window event
-            # per invocation instead of traced one by one.
-            self._fnptr_lookups += 1
         if self.options.zero_overhead:
             return
         interp.charge_raw_cycles(MAP_LOOKUP_CYCLES)

@@ -105,7 +105,10 @@ class TraceEvent:
     name: str
     dur: float = 0.0         # modeled duration in seconds (0 = instant)
     payload: Dict[str, object] = field(default_factory=dict)
-    sid: Optional[str] = None  # session id, set only in fleet runs
+    # The device a fleet trace attributes the event to: stamped by
+    # FleetResult.merged_events and carried by loaded traces, never by a
+    # session's own tracer.
+    sid: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -123,7 +126,7 @@ class TraceEvent:
         TypeError for a field of the wrong type (``t`` and ``dur`` are
         finite numbers, ``seq`` an int, ``cat`` and ``name`` strings,
         ``sid`` a string or absent, ``args`` an object).  The
-        vocabulary — category, name, session id and payload keys — is
+        vocabulary — category, name, device id and payload keys — is
         interned: a trace repeats a few dozen distinct strings, and a
         parsed one would otherwise hold a fresh copy of each per
         event."""
@@ -167,15 +170,13 @@ class Tracer:
     enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 clock: Optional[Callable[[], float]] = None,
-                 sid: Optional[str] = None):
+                 clock: Optional[Callable[[], float]] = None):
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         if capacity > maxsize:      # the longest deque there can be
             raise ValueError(f"tracer capacity must be at most {maxsize}; "
                              f"got {capacity}")
         self.capacity = capacity
-        self.sid = sid
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self._events: deque = deque(maxlen=capacity)
         self._seq = 0
@@ -199,8 +200,7 @@ class Tracer:
         if len(self._events) == self.capacity:
             self.dropped += 1
         event = TraceEvent(t=t, seq=self._seq, category=category,
-                           name=name, dur=dur, payload=payload,
-                           sid=self.sid)
+                           name=name, dur=dur, payload=payload)
         self._seq += 1
         self._events.append(event)
         return event

@@ -175,6 +175,40 @@ class TestMemoryUnification:
         reallocate_referenced_globals(module, ["target"])
         assert module.global_("table").uva_allocated
 
+    def test_functions_a_target_calls_through_a_table_keep_their_globals(
+            self):
+        """The call graph links every function holding an indirect call
+        to every address-taken function, so the table's functions are
+        reachable from the target and their globals are UVA."""
+        src = r"""
+        typedef int (*FN)(int);
+        int gf; int gg;
+        int f(int x) { return x + gf; }
+        int g(int x) { return x * gg; }
+        FN table[2] = { f, g };
+        int target(int i) { return table[i & 1](i); }
+        int main() { gf = 1; gg = 2; return target(2); }
+        """
+        module = compiled(src)
+        reallocate_referenced_globals(module, ["target"])
+        assert all(module.global_(name).uva_allocated
+                   for name in ("table", "gf", "gg"))
+
+    def test_a_function_only_main_takes_stays_on_the_phone(self):
+        """``&f`` taken by ``main`` alone: no target can reach ``f``, so
+        it never runs on the server and its global is not UVA."""
+        src = r"""
+        typedef int (*FN)(int);
+        int gf; int used;
+        int f(int x) { return x + gf; }
+        int target(int x) { return x * used; }
+        int main() { FN p = f; gf = 1; used = 2; return p(target(2)); }
+        """
+        module = compiled(src)
+        assert reallocate_referenced_globals(module, ["target"]) == 1
+        assert module.global_("used").uva_allocated
+        assert not module.global_("gf").uva_allocated
+
     def test_unified_layout_metadata(self):
         src = r"""
         typedef struct { char c; double d; } S;

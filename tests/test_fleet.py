@@ -132,14 +132,15 @@ class TestBackendSeamDifferential:
 
     def test_trace_stream_identical_modulo_sid(self, solo_traced,
                                                fleet_of_one):
+        """The device's own events equal the solo run's, ``sid``
+        included: only the merge names the device."""
         solo_events = solo_traced.trace.events()
-        fleet_events = fleet_of_one.devices[0].result.trace.events()
-        assert len(solo_events) == len(fleet_events)
-        for a, b in zip(solo_events, fleet_events):
-            assert (a.t, a.seq, a.category, a.name, a.dur, a.payload) == \
-                   (b.t, b.seq, b.category, b.name, b.dur, b.payload)
+        assert fleet_of_one.devices[0].result.trace.events() == \
+            solo_events
         assert all(e.sid is None for e in solo_events)
-        assert all(e.sid == "dev00" for e in fleet_events)
+        merged = fleet_of_one.merged_events()
+        assert len(merged) == len(solo_events)
+        assert all(e.sid == "dev00" for e in merged)
 
     def test_direct_dispatcher_is_also_identical(self, fleet_program):
         """``dispatcher=None`` resolves to the dedicated-server
@@ -148,8 +149,7 @@ class TestBackendSeamDifferential:
         plain = OffloadSession(program, FAST_WIFI, stdin=STDIN).run()
         direct = OffloadSession(
             program, FAST_WIFI,
-            options=SessionOptions(dispatcher=DirectDispatcher()),
-            stdin=STDIN).run()
+            stdin=STDIN, dispatcher=DirectDispatcher()).run()
         assert direct.output == plain.output
         assert direct.total_seconds == plain.total_seconds
         assert direct.energy_mj == plain.energy_mj

@@ -102,10 +102,14 @@ class TestDifferential:
         event, lockstep = _both(program, 2, faults=True)
         assert _fingerprint(event) == _fingerprint(lockstep)
 
-    def test_byte_identity_untraced(self, program):
-        # No tracing: the event core shares finished segments across
-        # identical devices; observables must not change.
-        event, lockstep = _both(program, 4, tracing=False,
+    @pytest.mark.parametrize("tracing", [False, True],
+                             ids=["untraced", "traced"])
+    def test_byte_identity_untraced(self, program, tracing):
+        # Uniform arrivals: the event core shares finished segments
+        # across identical devices, traced or not, while the lockstep
+        # reference runs every device privately; observables must not
+        # change.
+        event, lockstep = _both(program, 4, tracing=tracing,
                                 arrival="uniform")
         assert _fingerprint(event) == _fingerprint(lockstep)
 
@@ -301,7 +305,7 @@ class TestSegmentSharing:
         assert all(d.result.offloaded_invocations == 3
                    for d in result.devices)
 
-    def test_traced_devices_rerun_their_final_segment(self, program):
+    def test_traced_devices_share_their_final_segment(self, program):
         specs = [DeviceSpec(device_id=f"dev{i:02d}", program=program,
                             network=FAST_WIFI, stdin=STDIN,
                             start_offset_s=i * 0.1,
@@ -312,9 +316,9 @@ class TestSegmentSharing:
         scheduler = FleetScheduler(specs, pool)
         result = scheduler.run()
         stats = scheduler.replay.stats()
-        # Intermediate segments (scripts 0..2) shared; the finished
-        # segment runs per device so each trace carries its own sid.
-        assert stats["session_runs"] == 3 + 3
-        sids = {e.sid for d in result.devices
-                for e in d.result.trace.events()}
+        # Every segment (scripts 0..3) runs once: the finished one is
+        # shared too, because the merge, not the session, names the
+        # device.
+        assert stats["session_runs"] == 3 + 1
+        sids = {e.sid for e in result.merged_events()}
         assert sids == {"dev00", "dev01", "dev02"}

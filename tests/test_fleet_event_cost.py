@@ -13,7 +13,8 @@ docs/fleet.md, "Cost per admit") to deterministic observables:
   pinned to digests taken at the last commit that had the flat cache
   (ed8160b);
 * a device's behavior key is built once, when it arrives, never per
-  event;
+  event, and a traced device shares its finished segment as an
+  untraced one does;
 * SLO windows are bisected slices of a time-ordered list and must equal
   the filter they replaced, for both bound conventions.
 """
@@ -181,9 +182,8 @@ class TestTupleRecords:
                 pass
 
         with pytest.raises(TypeError, match="a grant is a list"):
-            OffloadSession(crunch, FAST_WIFI,
-                           options=SessionOptions(dispatcher=Bare()),
-                           stdin=b"20\n").run()
+            OffloadSession(crunch, FAST_WIFI, stdin=b"20\n",
+                           dispatcher=Bare()).run()
 
 
 # -- (b) trie vs. the flat cache ---------------------------------------------
@@ -226,7 +226,9 @@ FAULTS = FaultPlan(drop_rate=0.35, max_jitter_s=0.0003,
 class TestTrieGoldens:
     """Four fleets through the event core.  ``stats`` is the replay
     accounting, the digest is sha256(summary JSON + merged trace JSONL);
-    both were captured from the flat-cache implementation at ed8160b."""
+    both were captured from the flat-cache implementation at ed8160b.
+    Every segment run is stored, so ``distinct_segments`` equals
+    ``session_runs``."""
 
     GOLDENS = {
         "shared-untraced": (
@@ -236,7 +238,7 @@ class TestTrieGoldens:
             "a860775e33d20529216c415b42523544"),
         "contended-traced": (
             {"session_runs": 25, "shared_hits": 7,
-             "distinct_segments": 17},
+             "distinct_segments": 25},
             "e0ca44efd44b003b73e810bcf201e615"
             "f2372ed19586966b8f98441c65efda68"),
         "faulty": (
@@ -246,7 +248,7 @@ class TestTrieGoldens:
             "1022072117d3be9292a6253eef527d4a"),
         "sharded-traced": (
             {"session_runs": 7, "shared_hits": 5,
-             "distinct_segments": 1},
+             "distinct_segments": 7},
             "784746900065a732029aaced41b20884"
             "b3bb6d722ca0beab53864fa5f1667650"),
     }
@@ -284,10 +286,11 @@ class TestTrieGoldens:
 
 
 class TestTracedFinalSegment:
-    def test_revisited_finished_node_runs_privately(self, crunch):
-        """Traced devices share request boundaries, never a finished
-        result: the second device to reach the class's finished node
-        re-runs it under its own session id and stores nothing."""
+    def test_revisited_finished_node_is_shared(self, crunch):
+        """A session's trace names no device, so traced devices share
+        the finished result as they share request boundaries: the second
+        device to reach the class's finished node gets the first
+        device's result object, trace included."""
         cache = SegmentCache()
         granted = (Admission(),)
         results = []
@@ -300,14 +303,29 @@ class TestTracedFinalSegment:
             while not segment.done:
                 node = node.child(granted)
                 segment = cache.advance(spec, node)
-            assert node.segment is None and len(node.script()) == 3
+            assert node.segment is segment and len(node.script()) == 3
             results.append(segment.result)
-            assert {e.sid for e in segment.result.trace.events()} == \
-                {device_id}
-        assert results[0] is not results[1]
+            assert {e.sid for e in segment.result.trace.events()} == {None}
+        assert results[0] is results[1]
         assert cache.behavior_classes == 1
-        assert cache.stats() == {"session_runs": 4 + 1, "shared_hits": 3,
-                                 "distinct_segments": 3}
+        assert cache.stats() == {"session_runs": 4, "shared_hits": 4,
+                                 "distinct_segments": 4}
+
+    def test_a_traced_fleet_runs_what_an_untraced_one_does(self, crunch):
+        """200 traced devices on 1 x 64 slots: 4 session runs, as
+        untraced, and the merged trace names every device."""
+        specs = _fleet(crunch, b"8\n", 200, 0.002,
+                       SessionOptions(enable_tracing=True), jitter_s=0.0)
+        scheduler = FleetScheduler(specs, ServerPool(
+            PoolOptions(servers=1, capacity=64, queue_limit=8)))
+        result = scheduler.run()
+        assert scheduler.replay.stats() == {
+            "session_runs": 4, "shared_hits": 4 * 200 - 4,
+            "distinct_segments": 4}
+        merged = result.merged_events()
+        per_device = len(result.devices[0].result.trace)
+        assert len(merged) == 200 * per_device
+        assert {e.sid for e in merged} == {s.device_id for s in specs}
 
 
 # -- (c) one key per device ----------------------------------------------------

@@ -20,6 +20,9 @@ anything moved.  Exit 0 means bit-identical.
   from those same results;
 * ``compile`` text and the sha256 of the printed mobile and server IR
   for every name;
+* the session leaves of one MIPS32BE → X86_64 run of each of chess,
+  429.mcf and 464.h264ref over 802.11ac: the server byte-swaps every
+  shared access, so these pin what endianness translation costs;
 * the JSONL of two traced runs, two fleets' summaries and merged JSONL,
   and CI's two seeded reports, ``warnings`` included.
 
@@ -71,6 +74,9 @@ FLEETS = {
     "seed7-poisson-faulty": ["--seed", "7", "--arrival", "poisson",
                              "--drop-rate", "0.3"],
 }
+#: Programs run once across byte orders (big-endian phone, little-endian
+#: server): their session leaves price endianness translation.
+CROSS_ENDIAN = ("chess", "429.mcf", "464.h264ref")
 #: CI's FLEET and FAULTY_FLEET (.github/workflows/ci.yml).
 REPORTS = {
     "ci": ("--devices 6 --servers 2 --capacity 1 --queue-limit 4 "
@@ -208,6 +214,19 @@ def compile_leaves(name: str) -> Dict[str, object]:
     return leaves
 
 
+def cross_endian_leaves(name: str) -> Dict[str, object]:
+    """One MIPS32BE → X86_64 session of ``name`` on 802.11ac."""
+    from repro import CompilerOptions
+    from repro.runtime import FAST_WIFI
+    from repro.targets.presets import MIPS32BE, X86_64
+    from repro.workloads import workload
+    built = workload(name).build(
+        CompilerOptions(mobile_arch=MIPS32BE, server_arch=X86_64))
+    return record_leaves(
+        built.session(FAST_WIFI).run(),
+        f"session.{name}.{MIPS32BE.name}-{X86_64.name}.{FAST_WIFI.name}")
+
+
 def manifest() -> Dict[str, object]:
     """Every leaf ``PINNED.json`` holds."""
     from repro.eval.runner import evaluate
@@ -218,6 +237,8 @@ def manifest() -> Dict[str, object]:
         # these same results.
         leaves.update(run_leaves(evaluate(spec.name)))
         leaves.update(compile_leaves(spec.name))
+    for name in CROSS_ENDIAN:
+        leaves.update(cross_endian_leaves(name))
     for number in TABLES:
         leaves.update(_text_leaves(f"table.{number}", ["table", number]))
     for name in FIGURES:
