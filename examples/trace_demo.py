@@ -36,7 +36,7 @@ def main() -> None:
 
     # The offload decisions, one line per invocation.
     print("decisions:")
-    print(render_timeline(events, categories=["estimate", "decision"]))
+    print(render_timeline(events, categories=["decision"]))
 
     # The last few events: write-back, final transfer, session summary.
     print("\ntail of the timeline:")

@@ -106,6 +106,16 @@ class InvocationRecord:
     def traffic_bytes(self) -> int:
         return self.bytes_to_server + self.bytes_to_mobile
 
+    @property
+    def status(self) -> str:
+        """The outcome, in the trace spans' vocabulary
+        (``repro.trace.analysis.spans.STATUSES``)."""
+        if self.offloaded:
+            return "offloaded"
+        if self.rejected:
+            return "rejected"
+        return "aborted" if self.aborted else "declined"
+
 
 class Admission(NamedTuple):
     """A granted server slot for one offload invocation (an immutable
@@ -694,7 +704,7 @@ class RemoteBackend:
                             0.9, session.network.slow)
                         if power_state == "transmit" else None)
             session._advance(wasted_seconds, power_state, power_mw)
-        session.estimator.record_offload_failure(target.name)
+        backoff = session.estimator.record_offload_failure(target.name)
         self._release(admissions)
         tr = session.tracer
         if tr.enabled:
@@ -705,11 +715,14 @@ class RemoteBackend:
             # in the return phase reports none: the offload.exec events
             # already emitted carry the compute.  A plan abort also
             # reports the parallel overlap so the critical-path buckets
-            # still sum to charged wall.
+            # still sum to charged wall.  failures / failure_cooldown
+            # are the target's decision backoff after this abort.
             payload = dict(
                 phase=phase, wasted_seconds=wasted_seconds,
                 server_seconds=(record.server_seconds
-                                if phase == "exec" else 0.0))
+                                if phase == "exec" else 0.0),
+                failures=backoff.failures,
+                failure_cooldown=backoff.cooldown)
             if record.shards > 1:
                 payload["shards"] = record.shards
                 payload["overlap_seconds"] = overlap_seconds

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 from ..offload.estimator import Estimate, equation1
 from ..offload.partition import OffloadTarget
 from ..profiler.profile_data import ProfileData
-from ..trace import NULL_TRACER, Tracer
 from .network import NetworkModel
 from .transport import Transport
 
@@ -50,12 +49,10 @@ class DynamicPerformanceEstimator:
     def __init__(self, profile: ProfileData,
                  performance_ratio: float,
                  network: NetworkModel,
-                 tracer: Optional[Tracer] = None,
                  transport: Optional[Transport] = None):
         self.profile = profile
         self.performance_ratio = performance_ratio
         self.network = network
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # Failure awareness: when the transport reports the link dead
         # with no prospect of reconnecting, every decision is a decline —
         # Equation 1 is moot on a link that cannot carry the traffic.
@@ -100,18 +97,16 @@ class DynamicPerformanceEstimator:
             state.warm_traffic_bytes = (
                 0.5 * state.warm_traffic_bytes + 0.5 * bytes_moved)
 
-    def record_offload_failure(self, name: str) -> None:
+    def record_offload_failure(self, name: str) -> TargetRuntimeState:
         """An invocation of this target aborted on a dead link; sit out
-        an exponentially growing number of decisions before retrying."""
+        an exponentially growing number of decisions before retrying.
+        Returns the target's state, whose backoff the abort reports."""
         state = self._state(name)
         state.failures += 1
         state.cold_restart = True
         state.cooldown = min(2 ** (state.failures - 1),
                              MAX_FAILURE_COOLDOWN)
-        if self.tracer.enabled:
-            self.tracer.emit("estimate", name, gain_seconds=None,
-                             failure_cooldown=state.cooldown,
-                             failures=state.failures)
+        return state
 
     def record_queue_delay(self, server_id: int, seconds: float,
                            speed: float = 1.0) -> None:
@@ -227,15 +222,6 @@ class DynamicPerformanceEstimator:
             state.cooldown -= 1
             return False, "failure_backoff", None
         est = self.estimate(target)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "estimate", target.name, gain_seconds=est.gain,
-                t_mobile=est.t_mobile, t_ideal=est.t_ideal,
-                t_comm=est.t_comm, t_queue=est.t_queue,
-                memory_bytes=est.memory_bytes,
-                bandwidth_bytes_per_s=est.bandwidth,
-                observed_time=state.observed_local_seconds is not None,
-                observed_traffic=state.observed_traffic_bytes is not None)
         if est.gain > 0:
             return True, "positive_gain", est
         # Tell contention apart from a plain bad trade: the offload

@@ -60,7 +60,6 @@ class SessionOptions:
     # Ideal-offloading mode: overheads (communication, remote I/O,
     # function-pointer translation) cost zero time; Figure 6's "Ideal".
     zero_overhead: bool = False
-    force_local: bool = False
     # Structured tracing (repro.trace): off by default and strictly
     # observational — with tracing disabled the session performs exactly
     # the arithmetic it performs without the subsystem (the
@@ -142,11 +141,6 @@ class SessionResult(GuestRun):
     @property
     def offloaded_invocations(self) -> int:
         return sum(1 for r in self.invocations if r.offloaded)
-
-    @property
-    def declined_invocations(self) -> int:
-        return sum(1 for r in self.invocations
-                   if not r.offloaded and not r.aborted and not r.rejected)
 
     @property
     def queue_seconds(self) -> float:
@@ -319,7 +313,6 @@ class OffloadSession:
         self.estimator = DynamicPerformanceEstimator(
             program.profile,
             performance_ratio(server_arch, mobile_arch), network,
-            tracer=self.tracer,
             transport=self.comm.transport)
         self.meter = EnergyMeter()
         # The execution-backend seam (repro.runtime.backend), made by
@@ -380,8 +373,7 @@ class OffloadSession:
             tr.emit("session.start", self.program.name,
                     network=self.network.name,
                     targets=[t.name for t in self.program.targets],
-                    zero_overhead=self.options.zero_overhead,
-                    force_local=self.options.force_local)
+                    zero_overhead=self.options.zero_overhead)
         interp = Interpreter(self.mobile, observer=_TargetTimer(self))
         self.mobile_interp = interp
         exit_code = interp.run_main(argv)
@@ -477,9 +469,7 @@ class OffloadSession:
     def _bi_should_offload(self, interp: Interpreter, args) -> int:
         target = self.program.partition.target_by_id(int(args[0]))
         interp.charge("alu", 40)  # estimation cost
-        if self.options.force_local:
-            offload, reason, est = False, "force_local", None
-        elif not self.options.enable_dynamic_estimation:
+        if not self.options.enable_dynamic_estimation:
             offload, reason, est = True, "estimation_disabled", None
         else:
             offload, reason, est = self.estimator.decide(target)
@@ -491,8 +481,19 @@ class OffloadSession:
             # A gain is reported only when its sign decided.
             gain = (est.gain if reason in ("positive_gain", "negative_gain")
                     else None)
+            terms = {}
+            if est is not None:     # Equation 1 was evaluated
+                state = self.estimator.state[target.name]
+                terms = dict(
+                    t_mobile=est.t_mobile, t_ideal=est.t_ideal,
+                    t_comm=est.t_comm, t_queue=est.t_queue,
+                    memory_bytes=est.memory_bytes,
+                    bandwidth_bytes_per_s=est.bandwidth,
+                    observed_time=state.observed_local_seconds is not None,
+                    observed_traffic=(state.observed_traffic_bytes
+                                      is not None))
             tr.emit("decision", target.name, offloaded=offload,
-                    reason=reason, gain_seconds=gain)
+                    reason=reason, gain_seconds=gain, **terms)
         return 1 if offload else 0
 
     # -- fn-ptr mapping ---------------------------------------------------

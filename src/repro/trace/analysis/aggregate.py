@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from ..metrics import Histogram
 from .critical_path import (BUCKETS, attribute_session, bucket_totals,
                             dominant_counts)
-from .spans import SessionSpan
+from .spans import STATUSES, SessionSpan
 
 #: Histogram metrics the aggregate tracks, in serialization order.
 DISTRIBUTIONS = ("invocation_seconds", "queue_wait_seconds",
@@ -37,27 +37,18 @@ def nearest_rank_percentile(values: List[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def invocation_counts(records) -> Dict[str, int]:
-    """Outcome counts over :class:`InvocationRecord`-shaped objects
-    (``offloaded`` / ``rejected`` / ``aborted`` / ``fallback_local``
-    attributes).  The one counting definition behind
-    ``SessionResult``'s summary lines, ``FleetResult.summary()`` and the
-    report — the CLI and ``repro report`` cannot drift apart because
-    they both call this."""
-    counts = {"total": 0, "offloaded": 0, "declined": 0, "rejected": 0,
-              "aborted": 0, "local_fallbacks": 0}
-    for record in records:
+def invocation_counts(invocations) -> Dict[str, int]:
+    """Outcome counts over invocations that have a ``status`` (one of
+    :data:`~.spans.STATUSES`) and a ``fallback_local`` flag: a session's
+    :class:`InvocationRecord` list or a span tree's
+    :class:`~.spans.InvocationSpan` list.  The one counting definition
+    behind the CLI's summary lines, ``FleetResult.summary()`` and
+    ``repro report``, so they cannot drift apart."""
+    counts = dict.fromkeys(("total",) + STATUSES + ("local_fallbacks",), 0)
+    for invocation in invocations:
         counts["total"] += 1
-        if record.offloaded:
-            counts["offloaded"] += 1
-        elif record.rejected:
-            counts["rejected"] += 1
-        elif record.aborted:
-            counts["aborted"] += 1
-        else:
-            counts["declined"] += 1
-        if record.fallback_local:
-            counts["local_fallbacks"] += 1
+        counts[invocation.status] += 1
+        counts["local_fallbacks"] += invocation.fallback_local
     return counts
 
 
@@ -170,8 +161,7 @@ class FleetAggregate:
 def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
     """Roll every session's spans up into one :class:`FleetAggregate`."""
     agg = FleetAggregate()
-    agg.invocations = {"total": 0, "offloaded": 0, "declined": 0,
-                       "rejected": 0, "aborted": 0, "local_fallbacks": 0}
+    agg.invocations = invocation_counts(())
     agg.histograms = {name: Histogram(name) for name in DISTRIBUTIONS}
     agg.critical_path = {name: 0.0 for name in BUCKETS}
     totals = {"total_seconds": 0.0, "energy_mj": 0.0,
@@ -183,8 +173,9 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
         agg.sessions += 1
         if session.partial:
             agg.partial_sessions += 1
-        counts = {"offloaded": 0, "declined": 0, "rejected": 0,
-                  "aborted": 0}
+        counts = invocation_counts(session.invocations)
+        for key, n in counts.items():
+            agg.invocations[key] += n
         paths = attribute_session(session)
         for name, value in bucket_totals(paths).items():
             agg.critical_path[name] += value
@@ -192,15 +183,12 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
             agg.dominant[name] = agg.dominant.get(name, 0) + n
 
         for inv in session.invocations:
-            agg.invocations["total"] += 1
-            counts[inv.status] = counts.get(inv.status, 0) + 1
             if inv.status == "declined" and inv.reason:
                 agg.decline_reasons[inv.reason] = \
                     agg.decline_reasons.get(inv.reason, 0) + 1
             tally = inv.tally
             wire = tally.wire_bytes_to_server + tally.wire_bytes_to_mobile
             totals["wire_bytes"] += wire
-            agg.invocations["local_fallbacks"] += tally.fallbacks
             totals["retries"] += tally.retries
             totals["reconnects"] += tally.reconnects
             totals["disconnects"] += tally.disconnects
@@ -217,8 +205,6 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
             if tally.queue_seconds > 0.0:
                 agg.histograms["queue_wait_seconds"].observe(
                     tally.queue_seconds)
-        for key in ("offloaded", "declined", "rejected", "aborted"):
-            agg.invocations[key] += counts.get(key, 0)
 
         t = session.totals
         totals["total_seconds"] += float(t.get("total_seconds", 0.0))
@@ -230,11 +216,11 @@ def aggregate_sessions(sessions: List[SessionSpan]) -> FleetAggregate:
             t.get("server_compute_seconds", 0.0))
         agg.devices.append(DeviceRow(
             sid=session.sid, program=session.program,
-            invocations=len(session.invocations),
-            offloaded=counts.get("offloaded", 0),
-            declined=counts.get("declined", 0),
-            rejected=counts.get("rejected", 0),
-            aborted=counts.get("aborted", 0),
+            invocations=counts["total"],
+            offloaded=counts["offloaded"],
+            declined=counts["declined"],
+            rejected=counts["rejected"],
+            aborted=counts["aborted"],
             total_seconds=float(t.get("total_seconds", 0.0)),
             energy_mj=float(t.get("energy_mj", 0.0)),
             partial=session.partial))

@@ -74,8 +74,8 @@ class CriticalPath:
     def dominant(self) -> str:
         """The bucket that dominates the invocation's wall time (the
         "bottleneck" column of the report).  Ties break in canonical
-        bucket order; an all-zero split (e.g. a declined invocation
-        under ``--zero-overhead``) reports ``idle``."""
+        bucket order; an all-zero split (e.g. a declined invocation,
+        which claims only its ``decision``) reports ``idle``."""
         best = max(BUCKETS, key=lambda b: self.buckets.get(b, 0.0))
         return best if self.buckets.get(best, 0.0) > 0.0 else "idle"
 

@@ -14,7 +14,7 @@ Reconstruction is a deterministic state machine fed the per-``sid``
 stream in emission (``seq``) order, mirroring the runtime's control flow
 in ``repro/runtime/backend.py``:
 
-* an invocation opens at its first ``estimate`` or ``decision`` event;
+* an invocation opens at its ``decision`` event;
 * a declined decision closes it immediately (the local run of a declined
   target is ordinary mobile compute, not an offload span);
 * an offloaded decision advances through ``queue`` (fleet admission
@@ -23,7 +23,10 @@ in ``repro/runtime/backend.py``:
   marker but belongs to the window), ``finalize`` (up to
   ``offload.finalize``);
 * ``offload.reject`` / ``offload.abort`` divert to their own phases and
-  the closing ``offload.fallback`` ends the invocation.
+  the closing ``offload.fallback`` ends the invocation;
+* a decision while an invocation is open is nested in it (a local replay
+  reached another target): the new invocation runs to its close, then
+  the interrupted one resumes in the phase it was in.
 
 This module only *routes*: which phase of which invocation an event
 belongs to.  What the event is worth — seconds, bytes, counts — is the
@@ -44,7 +47,7 @@ tolerance as :func:`repro.trace.phase_totals` —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..timeline import Tally
 from ..tracer import TraceEvent
@@ -81,6 +84,10 @@ class InvocationSpan:
     def claim(self, phase: str, event: TraceEvent) -> None:
         self.phases[phase] = self.phases.get(phase, 0) + 1
         self.tally.add(event)
+
+    @property
+    def fallback_local(self) -> bool:
+        return self.tally.fallbacks > 0
 
     @property
     def start(self) -> float:
@@ -134,6 +141,10 @@ class _SessionFolder:
         self.session = SessionSpan(sid=sid)
         self.inv: Optional[InvocationSpan] = None
         self.phase = "decide"
+        # What a nested decision interrupted: a local replay (fallback,
+        # straggler shard) that calls another target decides that
+        # target's invocation inside its own.
+        self.interrupted: List[Tuple[InvocationSpan, str]] = []
         self.saw_start = False
         self.last_seq: Optional[int] = None
 
@@ -158,6 +169,7 @@ class _SessionFolder:
             # Truncation or a protocol break may have left an
             # invocation open: it keeps what it claimed.
             self.inv = None
+            self.interrupted.clear()
             session.program = session.program or event.name
             session.end = event.t + event.dur
             session.totals = dict(event.payload)
@@ -165,30 +177,24 @@ class _SessionFolder:
             return
 
         inv = self.inv
-        if inv is None:
-            if cat in ("estimate", "decision"):
-                inv = self.inv = InvocationSpan(
-                    index=len(session.invocations), target=event.name,
-                    sid=session.sid)
-                session.invocations.append(inv)
-                self.phase = "decide"
-            else:
-                # No open invocation: pre-invocation noise (possible on
-                # a truncated stream) is owned by the session span.
-                session.tally.add(event)
-                return
-
         if cat == "decision":
-            inv.target = event.name
-            inv.reason = event.payload.get("reason")
-            inv.gain_seconds = event.payload.get("gain_seconds")
+            if inv is not None:
+                self.interrupted.append((inv, self.phase))
+            inv = self.inv = InvocationSpan(
+                index=len(session.invocations), target=event.name,
+                sid=session.sid, reason=event.payload.get("reason"),
+                gain_seconds=event.payload.get("gain_seconds"))
+            session.invocations.append(inv)
             inv.claim("decide", event)
             if event.payload.get("offloaded"):
                 inv.status = "offloaded"
                 self.phase = "init"
             else:
-                inv.status = "declined"
-                self.inv = None
+                self._close()
+        elif inv is None:
+            # No open invocation: pre-invocation noise (possible on a
+            # truncated stream) is owned by the session span.
+            session.tally.add(event)
         elif cat == "offload.queue":
             inv.claim("queue", event)
         elif cat in ("offload.init", "offload.scatter"):
@@ -209,7 +215,7 @@ class _SessionFolder:
             # closes a classic invocation; the plan's straggler-replay
             # events (offload.straggler) precede it by construction.
             inv.claim("finalize", event)
-            self.inv = None
+            self._close()
         elif cat == "offload.reject":
             inv.status = "rejected"
             inv.claim("reject", event)
@@ -221,17 +227,16 @@ class _SessionFolder:
             self.phase = "fallback"
         elif cat == "offload.fallback":
             inv.claim("fallback", event)
-            self.inv = None
-        elif cat == "estimate" and self.phase != "decide":
-            # record_offload_failure re-estimates mid-abort: the event
-            # belongs to the failing invocation, not a new one.
-            inv.status = "aborted"
-            inv.claim("abort", event)
-            self.phase = "fallback"
+            self._close()
         else:
-            # Everything else (uva.*, comm.*, transport.*, rio.op,
-            # estimate in the decide window) rides the current phase.
+            # Everything else (uva.*, comm.*, transport.*, rio.op)
+            # rides the current phase.
             inv.claim(self.phase, event)
+
+    def _close(self) -> None:
+        """End the open invocation and resume the one it interrupted."""
+        self.inv, self.phase = (self.interrupted.pop() if self.interrupted
+                                else (None, "decide"))
 
     def finish(self) -> SessionSpan:
         """The tree of what was fed.  Tolerant of a ring-buffer-

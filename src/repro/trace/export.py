@@ -25,7 +25,7 @@ from .tracer import TraceEvent
 # Chrome trace viewers group slices by (pid, tid); we map the runtime's
 # logical actors onto fixed "threads" of one simulated process.
 _CHROME_TRACKS: Dict[str, int] = {
-    "session": 0, "decision": 1, "estimate": 1, "offload": 2,
+    "session": 0, "decision": 1, "offload": 2,
     "uva": 3, "comm": 4, "rio": 5, "fnptr": 6, "transport": 7,
 }
 

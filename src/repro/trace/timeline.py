@@ -24,7 +24,6 @@ from .tracer import CATEGORIES, TraceEvent, _slotted
 # Payload keys promoted to the front of a timeline line, per category.
 _LEAD_KEYS: Dict[str, Sequence[str]] = {
     "decision": ("offloaded", "reason", "gain_seconds"),
-    "estimate": ("gain_seconds", "t_mobile", "t_comm"),
     "offload.init": ("prefetch_pages", "bytes_to_server"),
     "offload.exec": ("instructions", "cod_faults"),
     "offload.finalize": ("writeback_pages", "bytes_to_mobile"),
@@ -294,7 +293,7 @@ _CONTRIBUTIONS: Dict[str, Callable[[Tally, TraceEvent], None]] = {
 #: Categories that carry no accounted quantity: markers and summaries
 #: whose seconds and bytes the events above already carried.
 UNACCOUNTED = frozenset({
-    "session.start", "estimate", "decision",
+    "session.start", "decision",
     "offload.init", "offload.scatter", "offload.finalize",
 })
 

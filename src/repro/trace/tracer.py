@@ -42,8 +42,7 @@ DEFAULT_CAPACITY = 262_144
 CATEGORIES = tuple(map(intern, (
     "session.start",      # one per OffloadSession.run()
     "session.end",        # final accounting totals
-    "estimate",           # dynamic estimator: Equation 1 inputs/output
-    "decision",           # offload / decline, with the reason
+    "decision",           # offload / decline: reason, Equation 1 terms
     "offload.init",       # initialization phase of one invocation
     "offload.exec",       # server execution window of one invocation
     "offload.finalize",   # finalization phase of one invocation
@@ -74,7 +73,7 @@ CATEGORIES = tuple(map(intern, (
 # rio.op/comm.stream need server-side I/O, fnptr.window needs function
 # pointers.
 CORE_CATEGORIES = (
-    "session.start", "session.end", "estimate", "decision",
+    "session.start", "session.end", "decision",
     "offload.init", "offload.exec", "offload.finalize",
     "uva.prefetch", "uva.writeback", "comm.send",
 )

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet import DeviceSpec, FleetScheduler, PoolOptions, ServerPool
+from repro.offload import CompilerOptions
 from repro.runtime import (FAST_WIFI, FaultPlan, OffloadSession,
                            SessionOptions)
 from repro.trace import Tally, phase_totals, traffic_totals
@@ -98,6 +99,30 @@ int main() {
 }
 """
 FNPTR_STDIN = b"900\n"
+
+# Two targets, one calling the other: when ``outer`` falls back to the
+# phone, its local replay reaches ``inner``'s decision twelve times
+# before the fallback closes ``outer``.
+NESTED_SRC = r"""
+int *data;
+int inner(int r0) {
+    int i, acc = 0;
+    for (i = 0; i < 400; i++) acc += (data[i] * 31 + r0) ^ (acc >> 3);
+    return acc;
+}
+int outer(int r0) {
+    int r, acc = 0;
+    for (r = 0; r < 12; r++) acc += inner(r + r0);
+    return acc;
+}
+int main() {
+    int i;
+    data = (int*) malloc(400 * sizeof(int));
+    for (i = 0; i < 400; i++) data[i] = i * 7 + 3;
+    printf("%d\n", outer(1));
+    return 0;
+}
+"""
 
 _PROGRAMS = {}
 
@@ -202,10 +227,7 @@ class TestSingleSession:
         _, res = _run("span", SPAN_SRC, SPAN_STDIN, SPAN_FILES)
         [session] = reconstruct_sessions(res.trace.events())
         for span, rec in zip(session.invocations, res.invocations):
-            expected = ("offloaded" if rec.offloaded
-                        else "rejected" if rec.rejected
-                        else "aborted" if rec.aborted else "declined")
-            assert span.status == expected
+            assert span.status == rec.status
             assert span.target == rec.target
 
     def test_offloaded_invocation_has_the_protocol_phases(self):
@@ -222,7 +244,8 @@ class TestSingleSession:
     def test_dead_link_abort_path(self):
         """disconnect_after_messages=0 guarantees an init-phase abort
         with a local fallback (tests/test_transport.py) — the hardest
-        stream for the state machine (mid-abort re-estimate events)."""
+        stream for the state machine (an abort mid-init, then the
+        fallback that closes the invocation)."""
         _, res = _run("span", SPAN_SRC, SPAN_STDIN, SPAN_FILES,
                       fault_plan=FaultPlan(disconnect_after_messages=0))
         assert res.aborted_invocations >= 1
@@ -232,6 +255,23 @@ class TestSingleSession:
         assert aborted
         assert all("fallback" in i.phases for i in aborted)
         assert aborted[0].abort_phase == "init"
+
+    def test_decisions_nested_in_a_fallback(self):
+        """The inner declines nest in the aborted outer invocation,
+        which keeps its fallback: span counts equal record counts."""
+        if "nested" not in _PROGRAMS:
+            built = build_c(NESTED_SRC, name="nested",
+                            compiler_options=CompilerOptions(
+                                forced_targets=["outer", "inner"]))
+            _PROGRAMS["nested"] = (built.program, built.local())
+        _, res = _run("nested", NESTED_SRC, b"",
+                      fault_plan=FaultPlan(disconnect_after_messages=0))
+        [session] = _assert_lossless(res.trace.events(), res)
+        outer, *inner = session.invocations
+        assert (outer.target, outer.status) == ("outer", "aborted")
+        assert outer.fallback_local and outer.tally.replay_seconds > 0.0
+        assert [(i.target, i.reason) for i in inner] == (
+            [("inner", "link_down")] * 12)
 
     def test_hot_kernel_session(self):
         _, res = _run("hot", HOT_KERNEL_SRC, HOT_KERNEL_STDIN)
@@ -250,8 +290,8 @@ def test_lossless_under_any_fault_schedule(program, seed, disconnect_after,
                                            drop_rate, jitter,
                                            reconnect_rate, prefetch):
     """Whatever fault schedule the transport injects — disconnects
-    landing mid-init, mid-CoD, mid-finalize, retry storms, aborts with
-    their mid-stream re-estimates — the span tree stays lossless and
+    landing mid-init, mid-CoD, mid-finalize, retry storms, aborts and
+    their local fallbacks — the span tree stays lossless and
     every trace-derived number reconciles with the session's own.
     Three programs, because each reaches protocol the others cannot:
     remote I/O in both directions (``span``), fn-ptr windows cut short

@@ -181,8 +181,8 @@ class TestDynamicEstimator:
                 enable_tracing=True,
                 fault_plan=FaultPlan(bandwidth_factor=0.25)))
         assert result.offloaded_invocations == 4
-        estimates = [event for event in result.trace_events()
-                     if event.category == "estimate"]
-        assert len(estimates) == 4
+        decisions = [event for event in result.trace_events()
+                     if event.category == "decision"]
+        assert len(decisions) == 4
         assert {event.payload["bandwidth_bytes_per_s"]
-                for event in estimates} == {FAST_WIFI.bandwidth_bytes_per_s}
+                for event in decisions} == {FAST_WIFI.bandwidth_bytes_per_s}

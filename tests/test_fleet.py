@@ -18,6 +18,7 @@ from repro.fleet import (DeviceSpec, FleetScheduler, PoolOptions,
                          SeedFanout, ServerPool, arrival_offsets,
                          derive_seed, identical_devices)
 from repro.trace import write_jsonl
+from repro.trace.analysis import invocation_counts
 from repro.trace.tracer import CATEGORIES, TraceEvent
 from repro.workloads import workload
 
@@ -371,9 +372,9 @@ class TestQueueingAwareEstimator:
     def test_saturated_fleet_declines_offload(self, saturated_untraced):
         """End to end: devices arriving into a saturated pool start
         declining (the generalized Equation 1 at work)."""
-        declined = sum(d.result.declined_invocations
-                       for d in saturated_untraced.devices)
-        assert declined > 0
+        counts = invocation_counts(r for d in saturated_untraced.devices
+                                   for r in d.result.invocations)
+        assert counts["declined"] > 0
 
 
 class TestSeedFanout:

@@ -19,6 +19,7 @@ import math
 
 import pytest
 
+from repro.offload import CompilerOptions
 from repro.runtime import FAST_WIFI, FaultPlan, SessionOptions
 from repro.fleet import (ADMISSION_REQUEST, COMPLETION, DeviceSpec,
                          DeviceState, EventQueue, FleetScheduler,
@@ -235,12 +236,15 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="at least one device"):
             LockstepFleetScheduler([], ServerPool(PoolOptions()))
 
-    def test_single_event_device_never_offloads(self, program):
-        # force_local: the session never asks for admission, so the
-        # device's whole lifecycle is ARRIVAL -> COMPLETION.
-        spec = DeviceSpec(device_id="solo", program=program,
-                          network=FAST_WIFI, stdin=STDIN,
-                          options=SessionOptions(force_local=True))
+    def test_single_event_device_never_offloads(self):
+        # No offload targets: the session never asks for admission,
+        # so the device's whole lifecycle is ARRIVAL -> COMPLETION.
+        local_only = dataclasses.replace(
+            workload("fleet-micro"), profile_stdin=STDIN,
+            eval_stdin=STDIN).build(
+                CompilerOptions(forced_targets=[])).program
+        spec = DeviceSpec(device_id="solo", program=local_only,
+                          network=FAST_WIFI, stdin=STDIN)
         pool = ServerPool(PoolOptions())
         scheduler = FleetScheduler([spec], pool)
         result = scheduler.run()

@@ -227,6 +227,9 @@ class TestTrieGoldens:
     """Four fleets through the event core.  ``stats`` is the replay
     accounting, the digest is sha256(summary JSON + merged trace JSONL);
     both were captured from the flat-cache implementation at ed8160b.
+    The traced digests were re-captured when the ``estimate`` event
+    folded into ``decision``: the summaries did not move, and each
+    trace equals the old one with that fold applied.
     Every segment run is stored, so ``distinct_segments`` equals
     ``session_runs``."""
 
@@ -239,8 +242,8 @@ class TestTrieGoldens:
         "contended-traced": (
             {"session_runs": 25, "shared_hits": 7,
              "distinct_segments": 25},
-            "e0ca44efd44b003b73e810bcf201e615"
-            "f2372ed19586966b8f98441c65efda68"),
+            "7e40a6234848e6fb4ff3c40c7b590bc7"
+            "4ab633a78f41942ad3e4d8c36015208b"),
         "faulty": (
             {"session_runs": 20, "shared_hits": 0,
              "distinct_segments": 20},
@@ -249,8 +252,8 @@ class TestTrieGoldens:
         "sharded-traced": (
             {"session_runs": 7, "shared_hits": 5,
              "distinct_segments": 7},
-            "784746900065a732029aaced41b20884"
-            "b3bb6d722ca0beab53864fa5f1667650"),
+            "b2bb3f1c7359e324a6b3b53029373cf6"
+            "57cb3accfa2d0c7b1a280650f73d4feb"),
     }
 
     @staticmethod

@@ -32,9 +32,6 @@ CALLERS = ("src", "benchmarks", "bench", "tools")
 
 #: Fields nothing under CALLERS sets, kept on purpose: field -> reason.
 ALLOWLIST = {
-    "SessionOptions.force_local":
-        "emitted in session.start, so its value is part of pinned trace "
-        "bytes",
     "SessionOptions.straggler_factor":
         "the documented straggler policy (docs/parallel-offload.md)",
     "FaultPlan.bandwidth_factor":
@@ -116,7 +113,7 @@ def test_every_option_has_a_caller_or_a_reason():
 
 def test_the_records_hold_what_the_audit_left():
     assert {name: len(fields) for name, fields in FIELDS.items()} == {
-        "SessionOptions": 15, "CompilerOptions": 6, "PoolOptions": 4,
+        "SessionOptions": 14, "CompilerOptions": 6, "PoolOptions": 4,
         "ServerSpec": 5, "DeviceSpec": 8, "EstimatorParams": 2,
         "NetworkModel": 4, "FaultPlan": 7, "RetryPolicy": 1,
         "AutoscalerOptions": 3}

@@ -650,20 +650,21 @@ class TestPlanGoldens:
     it is pinned by fingerprints instead: sha256 of the summary JSON
     plus the merged trace JSONL of ``parallel-micro`` fleets, captured
     at the last commit that carried a separate plan protocol body
-    (29be705).  A digest moves only if a simulated number or a trace
-    byte moves."""
+    (29be705) and re-captured when the ``estimate`` event folded into
+    ``decision`` (the summaries did not move).  A digest moves only if
+    a simulated number or a trace byte moves."""
 
     GOLDENS = {
         "k2": (SessionOptions(shards=2),
-               "6b6f7ef3bcea4db14219fd96083eea20"
-               "7c3286d8e8ea4414dddd4d1365a86c19"),
+               "3dd6e7570cb541507b4d53f46361f5bb"
+               "a8556f8b2104ffbe14466794527db2ba"),
         "k4": (SessionOptions(shards=4),
-               "6834c14e774e940a767711e67615372b"
-               "5f242265d198b0f878b7f0d3420342ff"),
+               "e4146cd8c6e5089ae333bdff48fca65b"
+               "5177d2d92f9b89cabb0f8912f6b8812d"),
         "k4-shard-fault": (
             SessionOptions(shards=4, shard_faults=(1,)),
-            "c8b8436b033072a1f4448a530ff58b42"
-            "960a51809f4bc67678292775d589a656"),
+            "6f7d8e161a1b367c17af01e79cbef492"
+            "b4c57c875cefb58540988f93de4f7350"),
         # No prefetch, so every page is a copy-on-demand message: the
         # ninth one finds the link dead after device 0's first shard
         # finished (a plan abort with overlap) and in the middle of
@@ -672,8 +673,8 @@ class TestPlanGoldens:
             SessionOptions(shards=4, enable_prefetch=False,
                            fault_plan=FaultPlan(
                                seed=5, disconnect_after_messages=9)),
-            "5c004dbfb7b8cc48dee5b2c068e621cd"
-            "d98050363ae352177d92589af23428cd"),
+            "b774e47811087638f43a98fd8257f34f"
+            "4c221ee4d711433d5e3059a99af8d9f3"),
     }
 
     @pytest.fixture(scope="class")

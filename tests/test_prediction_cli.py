@@ -70,7 +70,8 @@ class TestCLI:
         "trace chess --capacity 0",
         "trace chess --tail -2",
         "trace chess --categories nosuch",
-        "trace chess --categories decision,,estimate",
+        "trace chess --categories decision,,offload.abort",
+        "trace chess --categories estimate",
         "fleet --devices 2 --deadline -1",
         "table 9",
         "figure 9",

@@ -329,8 +329,9 @@ class TestSessionTracing:
         decisions = render_timeline(events, categories=["decision"])
         assert len(decisions.splitlines()) == len(result.invocations)
         assert render_timeline(
-            events, categories=[" decision", "estimate "]) == \
-            render_timeline(events, categories=["decision", "estimate"])
+            events, categories=[" decision", "offload.abort "]) == \
+            render_timeline(events,
+                            categories=["decision", "offload.abort"])
         with pytest.raises(ValueError, match="nosuch.*known: session.start"):
             render_timeline(events, categories=["decision", "nosuch"])
 

@@ -218,11 +218,12 @@ class TestRecords:
     def test_render_metrics_of_the_chess_trace_did_not_move(
             self, chess_jsonl):
         """sha256 of the block, captured at 88d11d1 — the commit before
-        ``render_metrics`` stopped reading ``vars(tally)``."""
+        ``render_metrics`` stopped reading ``vars(tally)`` — and
+        re-captured when the ``estimate`` count line left it."""
         block = render_metrics(load_jsonl(str(chess_jsonl)))
         assert hashlib.sha256(block.encode()).hexdigest() == (
-            "86b34e9015079b397fba210052861835"
-            "c88cb512ec78c412d0e78a815a757021")
+            "be5cb0fdc16dceb91357c180f7b0db8e"
+            "6fb44ab36f8605e0c5721026427e89a5")
 
 
 # -- (e) the stream's contract -------------------------------------------
@@ -259,7 +260,7 @@ def test_the_error_names_the_line_behind_blank_and_comment_lines(
 
 
 class TestEmissionOrder:
-    MESSAGE = ("sid None: seq 0 after seq 72 — not in emission order (two "
+    MESSAGE = ("sid None: seq 0 after seq 69 — not in emission order (two "
                "sessions sharing an id, or a re-sorted file)")
 
     def test_two_sessions_under_one_sid_are_refused(
@@ -305,23 +306,23 @@ def test_a_file_shorter_than_its_header_says_is_reported_partial(
     assert main(["fleet", "--devices", "4", "--spacing", "5", "--seed", "0",
                  "--jsonl", str(full)]) == 0
     lines = full.read_text().splitlines(keepends=True)
-    assert lines[0] == "# repro-trace v1 events=124 dropped=0\n"
-    assert '"cat":"session.end"' in lines[62]
+    assert lines[0] == "# repro-trace v1 events=112 dropped=0\n"
+    assert '"cat":"session.end"' in lines[56]
     capsys.readouterr()
 
     cut = tmp_path / "cut.jsonl"
-    cut.write_text("".join(lines[:63]))
-    warning = ("trace header declares 124 events, file holds 62; every "
+    cut.write_text("".join(lines[:57]))
+    warning = ("trace header declares 112 events, file holds 56; every "
                "figure below is PARTIAL")
     assert main(["report", "--from-jsonl", str(cut)]) == 0
     captured = capsys.readouterr()
     assert captured.err == f"warning: {warning}\n"
     report = json.loads(captured.out)
-    assert (report["events"], report["fleet"]["sessions"]) == (62, 2)
+    assert (report["events"], report["fleet"]["sessions"]) == (56, 2)
     assert report["warnings"] == [warning]
 
     # header-less: the count is unknown, not wrong
-    cut.write_text("".join(lines[1:63]))
+    cut.write_text("".join(lines[1:57]))
     assert main(["report", "--from-jsonl", str(cut)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -330,7 +331,7 @@ def test_a_file_shorter_than_its_header_says_is_reported_partial(
     assert main(["report", "--from-jsonl", str(full)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert json.loads(captured.out)["events"] == 124
+    assert json.loads(captured.out)["events"] == 112
 
 
 def test_a_reader_accepts_the_fields_a_writer_may_leave_out_or_widen():

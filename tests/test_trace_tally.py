@@ -146,27 +146,31 @@ def _split_metrics_block(stdout):
 # before the six event walkers became one tally.  None of these fleets
 # reaches a path the walkers disagreed on, so the fold must not move a
 # byte of them: if a digest changes in the last digit of a float, the
-# fold's addition order is wrong, not the golden.
+# fold's addition order is wrong, not the golden.  Re-captured when the
+# ``estimate`` event folded into ``decision``: of every report leaf only
+# the ``events`` count moved.
 _GOLDEN = {
     "contended-fifo": (
-        "a78b11eeb32a990a4e15ed67913cc4ce07a94eb1db11f8541b1eba19556bd2c2",
-        "f2f8d2fc82d8748d68fb81ab72d7a19c8dc394f71cc0ea89b36b7320464c157b"),
+        "cf1d7cf2c8abdfe7411a8d7332e74d2426e836a3300e5a1d4058aa6961b3898d",
+        "079488ac0978a4daa0efeb0fa4ecdf5f1351d15c21f7302cb57d37855ddb8eed"),
     "faulty-links": (
-        "5d55c225ef8b720deb09312845e339fdacfac790bdbffc0e905777354ee1ebc7",
-        "f5787ab59b8b4d9f6e18543c781b867cd593c47b9e35dba4200d9bf01f646f76"),
+        "231930bb75d413a5ed997b917014ae9139a41cc76a0ac0d961d939b86eed5589",
+        "b257bf7aecf1283630cb44391d97386bdd2be2c2073f833a97921f5080e0002d"),
     "sharded-shard-fault": (
-        "e6da050d89dba2309f635796548f32cf44bc1fd4d6ac6cb03b2ab45cfb4e5e2d",
-        "e8bc3b86bea6d90742921a126f0f05916c81dd82a7a88da7500a0d3450b333f7"),
+        "9e61c0bcd1bcd446079798ca5cda9d6b30091aa29386dd2f44178fed532a3296",
+        "ed45fb2f479f646a5e184c3f94c34d8d2573d154ef53a5ecdf1a7ee73f0decb3"),
     "tiered-autoscaled": (
-        "c3231574ed3c9ca0343b7eb731699a7b7ae2e2a3207fa18eb4835408398d6297",
-        "5c4b0dd00f70397e83791abade7f3648411e4811367faf8993891a4df9a41d1d"),
+        "8a01ab8d84db2cbd4e90a23ae9054a8ec85a028ce51b4cf7792a7d3564170e12",
+        "70f85353a4e8349c931f59c091224d54f8f84001c47b4fae31b4d86cb5409891"),
 }
 # sha256 of `python -m repro trace chess` stdout outside its "metrics"
 # block (that line through the blank one before "phase totals"),
 # captured at 3f27918 — the commit before the block became a fold of the
-# printed events instead of a registry the runtime updated beside them.
+# printed events instead of a registry the runtime updated beside them —
+# and re-captured when each ``estimate`` line folded into its
+# ``decision`` line.
 _TRACE_CHESS_STDOUT = (
-    "8e948d1fd5bbcdf2073ada2cb4f030a5d43789a1dcf8554b4c765ba7c21e6beb")
+    "5ce0debc5da881de561174530e949678b31ed86892f3c01f31181a41cbc31329")
 
 
 class TestPinnedReports:

@@ -225,7 +225,7 @@ class TestMetricsBlock:
 
     def test_truncated_run_says_so_and_tail_zero_is_the_marker(
             self, tmp_path, capsys):
-        """``--capacity 4`` keeps four events of fleet-micro's 31: the
+        """``--capacity 4`` keeps four events of fleet-micro's 28: the
         block folds those four, is labelled partial, comes back from
         the run's own ``--jsonl`` file, and the phase-totals header
         says which column to believe."""
@@ -235,19 +235,19 @@ class TestMetricsBlock:
         out = capsys.readouterr().out
         head = out.splitlines()
         assert head[0].endswith(
-            "4 trace events (27 dropped by the ring buffer)")
+            "4 trace events (24 dropped by the ring buffer)")
         assert head[1].startswith("... (4 earlier events omitted")
         assert head[2] == ""                # --tail 0: the marker alone
         _, block = _split_metrics_block(out)
         assert block.splitlines()[0] == (
-            "metrics (folded from 4 events; partial — 27 earlier "
+            "metrics (folded from 4 events; partial — 24 earlier "
             "events dropped by the ring buffer)")
         assert block == render_metrics(
             load_jsonl(path), dropped=read_jsonl_meta(path)["dropped"])
         _, full = _ran("fleet-micro-warm-cache")
         assert block != render_metrics(full.trace_events())
         assert ("phase totals (trace-derived vs session accounting) — "
-                "trace-derived column is partial: 27 events dropped"
+                "trace-derived column is partial: 24 events dropped"
                 in out)
 
 

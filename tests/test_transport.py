@@ -347,18 +347,16 @@ class TestAbortAndReplay:
         assert rec.fallback_local
 
     def test_wasted_time_lands_on_the_timeline_and_battery(self):
-        local, _, ok = _run("fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES,
-                            force_local=True)
-        _, _, res = _run(
+        local, _, res = _run(
             "fault", FAULT_SRC, FAULT_STDIN, FAULT_FILES,
             fault_plan=FaultPlan(disconnect_after_messages=0))
-        # a dead link costs strictly more than never trying: the local
-        # work is identical (modulo one builtin-dispatch call charge),
-        # plus the wasted retry/timeout budget
-        assert res.total_seconds > ok.total_seconds
+        # a dead link costs strictly more than never trying (the
+        # phone-only run): the local work is identical (modulo the
+        # decision and stub calls), plus the wasted retry/timeout budget
+        assert res.total_seconds > local.seconds
         assert res.total_seconds == pytest.approx(
-            ok.total_seconds + res.wasted_seconds, rel=1e-3)
-        assert res.energy_mj > ok.energy_mj
+            local.seconds + res.wasted_seconds, rel=1e-3)
+        assert res.energy_mj > local.energy_mj
 
     def test_dead_link_declines_subsequent_invocations(self):
         local, session, res = _run(
@@ -370,10 +368,30 @@ class TestAbortAndReplay:
         assert res.offloaded_invocations == 0
         # the estimator saw transport.usable == False and declined the
         # rest without burning another retry budget
-        assert res.declined_invocations == len(res.invocations) - 1
+        assert [r.status for r in res.invocations].count("declined") == (
+            len(res.invocations) - 1)
         assert len(res.invocations) >= 2
         assert session.estimator.decide(session.program.targets[0]) == (
             False, "link_down", None)
+
+    def test_abort_reports_the_backoff_the_next_decision_obeys(self):
+        # every delivery is lost: each offload attempt aborts in init,
+        # but the link stays usable, so the backoff alone declines
+        _, session, res = _run("multi", MULTI_SRC, b"", enable_tracing=True,
+                               fault_plan=FaultPlan(drop_rate=1.0))
+        events = [e for e in res.trace_events()
+                  if e.category in ("decision", "offload.abort")]
+        assert [e.payload.get("reason", e.category) for e in events] == [
+            "positive_gain", "offload.abort", "failure_backoff",
+            "positive_gain", "offload.abort", "failure_backoff"]
+        aborts = events[1::3]
+        assert [(e.payload["failures"], e.payload["failure_cooldown"])
+                for e in aborts] == [(1, 1), (2, 2)]
+        # the estimator's state after the run: the last abort's backoff,
+        # less the one decision it has since declined
+        state = session.estimator.state[session.program.targets[0].name]
+        assert state.failures == aborts[-1].payload["failures"]
+        assert state.cooldown == aborts[-1].payload["failure_cooldown"] - 1
 
     def test_failure_cooldown_backs_off_exponentially(self):
         program, _ = _compiled("multi", MULTI_SRC, b"")
