@@ -20,7 +20,7 @@ from json.scanner import make_scanner
 from typing import (Callable, Dict, Iterable, Iterator, List, Sequence,
                     Tuple)
 
-from .tracer import TraceEvent
+from .tracer import TraceEvent, check_envelope
 
 # Chrome trace viewers group slices by (pid, tid); we map the runtime's
 # logical actors onto fixed "threads" of one simulated process.
@@ -36,18 +36,24 @@ def _track(category: str) -> int:
 
 # -- JSONL ---------------------------------------------------------------
 # Compact separators, sorted keys and ASCII escapes are the format, not
-# a per-call choice: every line is what this stdlib encoder writes.
+# a per-call choice: every line is what this stdlib encoder writes for
+# ``event.to_dict()``.
 _FORMAT = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 # One scanner for every line read.  It keeps no state between calls.
 _scan = make_scanner(json.JSONDecoder())
 
 _HEADER = "# repro-trace"
 
+# Entries one write keeps per memo (payload texts, vocabulary strings)
+# before it starts over: a stream of fresh payloads, which never hits,
+# then holds a bounded number of them.
+MEMO_BOUND = 2048
+
 
 def _line_encoder() -> Callable[[object, int], Sequence[str]]:
     """``encode(obj, 0)``: the chunks of ``_FORMAT.encode(obj)``.
 
-    One C encoder for every line of one call, built per call because
+    One C encoder for every payload of one call, built per call because
     its markers dict is the circular-reference check: an encode that
     raises (a ``set`` in a payload) leaves stale ids there.  Only an
     interpreter without ``_json`` takes the stdlib's own path."""
@@ -59,10 +65,70 @@ def _line_encoder() -> Callable[[object, int], Sequence[str]]:
                 True, False, True)
 
 
+class _Quoted(dict):
+    """``quoted[word]``: ``word`` as a JSON string, escaped on its first
+    use in one call."""
+
+    __slots__ = ()
+
+    def __missing__(self, word: str) -> str:
+        if len(self) >= MEMO_BOUND:
+            self.clear()
+        text = self[word] = json.encoder.encode_basestring_ascii(word)
+        return text
+
+
+def _lines(events: Iterable[TraceEvent], end: str) -> Iterator[str]:
+    """Each event's line, then ``end``: the bytes of
+    ``_FORMAT.encode(event.to_dict())``, with the envelope's keys
+    (``args, cat, dur, name, seq, [sid,] t``) written here and each
+    distinct payload object and vocabulary string encoded once.
+
+    A payload is memoised by ``id``, and its memo entry holds it, so the
+    id cannot be reused while the entry lives; the memo lives for one
+    call, so a payload mutated between two calls is encoded afresh.  An
+    envelope :func:`check_envelope` refuses — a line the reader would
+    refuse — raises its ValueError or TypeError naming the event's
+    position."""
+    encode = _line_encoder()
+    number = _FORMAT.encode
+    quoted = _Quoted()
+    payloads: Dict[int, Tuple[dict, str]] = {}
+    for position, event in enumerate(events):
+        t, seq, dur, args, sid = (event.t, event.seq, event.dur,
+                                  event.payload, event.sid)
+        category, name = event.category, event.name
+        if (type(t) is float and not t - t and type(dur) is float
+                and not dur - dur and type(seq) is int
+                and type(category) is str and type(name) is str
+                and type(args) is dict
+                and (sid is None or type(sid) is str)):
+            t, dur, seq = repr(t), repr(dur), repr(seq)
+        else:
+            try:
+                check_envelope(t, seq, category, name, dur, args, sid)
+            except (ValueError, TypeError) as exc:
+                raise type(exc)(
+                    f"event {position} is not a trace event: {exc}"
+                ) from None
+            t, dur, seq = number(t), number(dur), number(seq)
+        hit = payloads.get(id(args))
+        if hit is None:
+            if len(payloads) >= MEMO_BOUND:
+                payloads.clear()
+            hit = payloads[id(args)] = args, "".join(encode(args, 0))
+        if sid is None:
+            yield (f'{{"args":{hit[1]},"cat":{quoted[category]},"dur":{dur},'
+                   f'"name":{quoted[name]},"seq":{seq},"t":{t}}}{end}')
+        else:
+            yield (f'{{"args":{hit[1]},"cat":{quoted[category]},"dur":{dur},'
+                   f'"name":{quoted[name]},"seq":{seq},'
+                   f'"sid":{quoted[sid]},"t":{t}}}{end}')
+
+
 def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     """Serialize events, one compact JSON object per line."""
-    encode = _line_encoder()
-    return "\n".join("".join(encode(e.to_dict(), 0)) for e in events)
+    return "\n".join(_lines(events, ""))
 
 
 def _decode(line: str) -> object:
@@ -116,9 +182,7 @@ def write_jsonl(events: Iterable[TraceEvent], path: str,
     events = list(events)       # the header states the count up front
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER} v1 events={len(events)} dropped={dropped}\n")
-        encode = _line_encoder()
-        fh.writelines("".join(encode(e.to_dict(), 0)) + "\n"
-                      for e in events)
+        fh.writelines(_lines(events, "\n"))
     return len(events)
 
 

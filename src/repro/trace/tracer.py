@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, fields
 from sys import intern, maxsize
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 DEFAULT_CAPACITY = 262_144
 
@@ -122,9 +122,7 @@ class TraceEvent:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
         """The event a ``to_dict`` mapping describes; ValueError or
-        TypeError for a field of the wrong type (``t`` and ``dur`` are
-        finite numbers, ``seq`` an int, ``cat`` and ``name`` strings,
-        ``sid`` a string or absent, ``args`` an object).  The
+        TypeError for a field that breaks :func:`check_envelope`.  The
         vocabulary — category, name, device id and payload keys — is
         interned: a trace repeats a few dozen distinct strings, and a
         parsed one would otherwise hold a fresh copy of each per
@@ -133,31 +131,46 @@ class TraceEvent:
             data["name"]
         dur, args, sid = data.get("dur", 0.0), data.get("args", {}), \
             data.get("sid")
-        if type(t) is not float or t - t:       # not a finite float
-            t = _seconds("t", t)
-        if type(dur) is not float or dur - dur:
-            dur = _seconds("dur", dur)
-        if (type(seq) is not int or type(category) is not str
-                or type(name) is not str or type(args) is not dict
-                or not (sid is None or type(sid) is str)):
-            raise TypeError(
-                "seq must be an int, cat and name strings, sid a string "
-                f"or absent, args an object; got seq={seq!r}, "
-                f"cat={category!r}, name={name!r}, sid={sid!r}, "
-                f"args of type {type(args).__name__}")
+        if not (type(t) is float and not t - t and type(dur) is float
+                and not dur - dur and type(seq) is int
+                and type(category) is str and type(name) is str
+                and type(args) is dict
+                and (sid is None or type(sid) is str)):
+            t, dur = check_envelope(t, seq, category, name, dur, args, sid)
         return cls(t, seq, intern(category), intern(name), dur,
                    dict(zip(map(intern, args), args.values())),
                    None if sid is None else intern(sid))
 
 
+def check_envelope(t: object, seq: object, category: object, name: object,
+                   dur: object, args: object, sid: object
+                   ) -> Tuple[float, float]:
+    """The one rule for a trace line's envelope, read or written: ``t``
+    and ``dur`` are finite numbers, ``seq`` an int, ``cat`` and ``name``
+    strings, ``sid`` a string or absent, ``args`` an object.  Returns
+    ``t`` and ``dur`` as float seconds; ValueError or TypeError for the
+    first field that breaks the rule.  Payload values are free."""
+    t, dur = _seconds("t", t), _seconds("dur", dur)
+    if (type(seq) is not int or type(category) is not str
+            or type(name) is not str or type(args) is not dict
+            or not (sid is None or type(sid) is str)):
+        raise TypeError(
+            "seq must be an int, cat and name strings, sid a string "
+            f"or absent, args an object; got seq={seq!r}, "
+            f"cat={category!r}, name={name!r}, sid={sid!r}, "
+            f"args of type {type(args).__name__}")
+    return t, dur
+
+
 def _seconds(key: str, value: object) -> float:
     """``value`` as the float seconds a ``t`` or ``dur`` field holds:
-    a finite int or float, never a bool, a string or a NaN."""
+    a finite int or float, never a bool, a string or a NaN.  A float
+    subclass counts: the JSON encoder writes it as a float."""
     try:
         if type(value) is int:
             return float(value)
-        if type(value) is float and not value - value:
-            return value
+        if isinstance(value, float) and not value - value:
+            return float(value)
     except OverflowError:       # an int beyond the float range
         pass
     raise ValueError(f"{key} must be a finite number; got {value!r}")

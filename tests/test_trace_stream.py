@@ -18,8 +18,11 @@ tallies instead of events.  These tests hold that in place:
   error for a bad line or a field of the wrong type, a warning for a
   file shorter than its header says;
 * the codec is the stdlib's: the bytes ``json.dumps`` writes, with or
-  without the C accelerator, read back as equal events, the errors
-  ``json.loads`` raises, and no state left behind by a failed write.
+  without the C accelerator, whether payload objects are shared, more
+  than the memo holds, or freed after each line, read back as equal
+  events; the errors ``json.loads`` raises; no state left behind by a
+  failed write or kept past one; a bounded payload memo; and no
+  envelope written that the reader would refuse.
 """
 
 import dataclasses
@@ -35,10 +38,11 @@ from repro.__main__ import main
 from repro.fleet import PoolOptions
 from repro.runtime import FaultPlan
 from repro.trace import (CATEGORIES, Tally, TraceEvent, events_from_jsonl,
-                         events_to_jsonl, iter_jsonl, load_jsonl,
+                         events_to_jsonl, export, iter_jsonl, load_jsonl,
                          read_jsonl_meta, render_metrics, write_jsonl)
 from repro.trace.analysis import (build_report, reconstruct_sessions,
                                   report_to_json)
+from repro.trace.export import MEMO_BOUND
 
 from test_trace_tally import _fleet, _fleet_result
 
@@ -348,7 +352,15 @@ def _stdlib_jsonl(events):
                                 sort_keys=True) for e in events)
 
 
+class _Seconds(float):
+    """A float subclass, which the writer's fast path leaves to the
+    stdlib encoder."""
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# An int t or dur is written as an int and read back as the equal float.
+_NUMBERS = (_FINITE | st.integers(min_value=-2 ** 53, max_value=2 ** 53)
+            | _FINITE.map(_Seconds))
 _VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(),
               st.integers(min_value=-2 ** 70, max_value=2 ** 70),
@@ -360,27 +372,44 @@ _VALUES = st.recursive(
                    | st.dictionaries(st.text(max_size=4), inner,
                                      max_size=3)),
     max_leaves=8)
-_EVENTS = st.lists(st.builds(
-    TraceEvent, t=_FINITE, seq=st.integers(min_value=0, max_value=2 ** 40),
-    category=st.sampled_from(CATEGORIES), name=st.text(max_size=6),
-    dur=_FINITE, payload=st.dictionaries(st.text(max_size=6), _VALUES,
-                                         max_size=4),
-    sid=st.none() | st.text(max_size=6)), max_size=4)
+_PAYLOADS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=4)
+_WORDS = st.text(max_size=6) | st.sampled_from(["caf\u00e9", "\U0001f600"])
+
+
+@st.composite
+def _streams(draw):
+    """Events whose payloads come from a small pool of shared objects
+    (nested lists and dicts among them) or are their own."""
+    pool = draw(st.lists(_PAYLOADS, min_size=1, max_size=3))
+    return draw(st.lists(st.builds(
+        TraceEvent, t=_NUMBERS, seq=st.integers(min_value=0,
+                                                max_value=2 ** 40),
+        category=st.sampled_from(CATEGORIES) | _WORDS, name=_WORDS,
+        dur=_NUMBERS, payload=st.sampled_from(pool) | _PAYLOADS,
+        sid=st.none() | _WORDS), max_size=6))
 
 
 @pytest.mark.parametrize("c_encoder", [True, False],
                          ids=["c-encoder", "without-_json"])
 @settings(max_examples=150, deadline=None)
-@given(events=_EVENTS)
+@given(events=_streams(), bound=st.sampled_from([MEMO_BOUND, 1, 2]))
 def test_written_lines_are_the_stdlib_encoders_and_read_back_equal(
-        c_encoder, events):
-    expected = _stdlib_jsonl(events)
+        c_encoder, events, bound):
+    """Written twice over, so every payload and word repeats after up
+    to ``bound`` distinct ones have filled the memo; and once more from
+    a generator whose fresh payload dicts die after each line, so their
+    ids are free for the next one's."""
+    stream = events * 2
+    expected = _stdlib_jsonl(stream)
     with pytest.MonkeyPatch.context() as patch:
         if not c_encoder:
             patch.setattr(json.encoder, "c_make_encoder", None)
-        text = events_to_jsonl(events)
-    assert text == expected
-    assert events_from_jsonl(text) == events
+        patch.setattr(export, "MEMO_BOUND", bound)
+        text = events_to_jsonl(stream)
+        fresh = events_to_jsonl(dataclasses.replace(e, payload=dict(e.payload))
+                                for e in stream)
+    assert text == fresh == expected
+    assert events_from_jsonl(text) == stream
 
 
 @pytest.mark.parametrize("bad", ["{", "nul", '{"t":0} x', "[1] ]"])
@@ -408,3 +437,66 @@ def test_a_failed_write_leaves_nothing_behind_for_the_next(tmp_path):
     assert write_jsonl(events, str(path)) == 3
     assert path.read_text() == ("# repro-trace v1 events=3 dropped=0\n"
                                 + _stdlib_jsonl(events) + "\n")
+
+
+def test_the_payload_memo_lives_for_one_write(tmp_path):
+    """A payload shared by every event, changed between two writes:
+    the second file holds the change."""
+    payload = {"pages": [1, 2], "hit": True}
+    events = [TraceEvent(t=0.5 * i, seq=i, category="uva.prefetch",
+                         name="f", payload=payload, sid="d0")
+              for i in range(3)]
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_jsonl(events, str(first))
+    payload["pages"].append(3)
+    payload["hit"] = False
+    write_jsonl(events, str(second))
+    assert [e.payload for e in load_jsonl(str(first))] == \
+        [{"pages": [1, 2], "hit": True}] * 3
+    assert [e.payload for e in load_jsonl(str(second))] == [payload] * 3
+    assert second.read_text() == ("# repro-trace v1 events=3 dropped=0\n"
+                                  + _stdlib_jsonl(events) + "\n")
+
+
+class _Watched(list):
+    """A JSON array that a weak reference can watch."""
+
+
+def test_the_payload_memo_holds_at_most_its_bound(monkeypatch):
+    """A stream of fresh payloads never hits the memo: it holds the
+    last ``MEMO_BOUND`` of them at most, then starts over."""
+    monkeypatch.setattr(export, "MEMO_BOUND", 4)
+    watched, alive = [], []
+
+    def events():
+        for i in range(20):
+            alive.append(sum(ref() is not None for ref in watched))
+            value = _Watched([i])
+            watched.append(weakref.ref(value))
+            yield TraceEvent(t=float(i), seq=i, category="decision",
+                             name="f", payload={"v": value})
+
+    assert events_to_jsonl(events()).count("\n") == 19
+    assert max(alive) == 4
+
+
+# One envelope the reader refuses per field: the writer refuses it too,
+# naming the event, instead of writing a line its own reader fails on.
+_UNWRITABLE = {
+    "t": dict(t=float("nan")), "dur": dict(dur=float("inf")),
+    "seq": dict(seq=True), "category": dict(category=5),
+    "name": dict(name=None), "sid": dict(sid=7), "payload": dict(payload=[]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_UNWRITABLE))
+def test_an_envelope_the_reader_refuses_is_not_written(field, tmp_path):
+    good = TraceEvent(t=0.0, seq=0, category="decision", name="f")
+    bad = dataclasses.replace(good, **{"seq": 1, **_UNWRITABLE[field]})
+    with pytest.raises(ValueError, match="line 1 is not a trace event"):
+        events_from_jsonl(_stdlib_jsonl([bad]))
+    for write in (events_to_jsonl,
+                  lambda events: write_jsonl(events, str(tmp_path / "t"))):
+        with pytest.raises((ValueError, TypeError),
+                           match="event 1 is not a trace event"):
+            write([good, bad])

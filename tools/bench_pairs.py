@@ -7,23 +7,26 @@
 Exports ``<parent-ref>`` into a temporary directory, then makes N pairs
 of complete ``bench/run.py`` sets — the parent's committed files against
 this checkout's, pair *i* on seed *i*, alternating which side goes first
-— plus one traced pair on seed 0 for the per-layer counts.  It prints
-``bench/run.py --compare`` for both and, per workload and end-to-end
-metric, how many pairs the change won, lost and tied beside each side's
-median and quartiles (the choosing-metrics rule: a gain needs nine pairs
-in ten and a median shift beyond the parent's inter-quartile distance).
-Last, per workload, it prints each per-layer ``_s`` metric of the
-traced pair, parent → change, with the counts of its layer: the trace
-shows which layer a saving sits in.  ``--workload NAME`` (repeatable)
-measures only the named workloads — a one-workload claim then costs
-minutes, not the half hour of complete sets; everything printed keeps
-its form.
+— plus three traced pairs on seeds 0–2, alternating too, for the
+per-layer seconds and counts.  It prints ``bench/run.py --compare`` for
+both and, per workload and end-to-end metric, how many pairs the change
+won, lost and tied beside each side's median and quartiles (the
+choosing-metrics rule: a gain needs nine pairs in ten and a median
+shift beyond the parent's inter-quartile distance).  Last, per
+workload, it prints each per-layer ``_s`` metric as its median over the
+traced pairs, parent → change, with each side's min–max and the counts
+of its layer on seed 0: the trace shows which layer a saving sits in,
+and one traced sample can swing by 20 %.  ``--workload NAME``
+(repeatable) measures only the named workloads — a one-workload claim
+then costs minutes, not the half hour of complete sets; everything
+printed keeps its form.
 
-Exit status 1 when a same-seed pair disagrees on a simulated fingerprint
-or a count, or an op failed; 0 otherwise — timing verdicts are for the
-reader.  ``--smoke`` shrinks every run (self-test sizes, half a second)
-so CI can keep the tool working; its numbers mean nothing.  Each side
-runs its own ``bench/``; nothing under ``bench/`` is touched.
+Exit status 1 when a same-seed pair (traced or not) disagrees on a
+simulated fingerprint or a count, or an op failed; 0 otherwise — timing
+verdicts are for the reader.  ``--smoke`` shrinks every run (self-test
+sizes, half a second) so CI can keep the tool working; its numbers mean
+nothing.  Each side runs its own ``bench/``; nothing under ``bench/`` is
+touched.
 """
 
 import argparse
@@ -36,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Traced pairs, on seeds 0, 1, 2: the per-layer seconds are their medians.
+TRACED_PAIRS = 3
 
 
 def export(ref: str, into: Path) -> None:
@@ -118,30 +123,38 @@ def wins_table(contract: dict, parent: list, change: list) -> None:
                   f"({statistics.median(new) / statistics.median(old) - 1:+.1%})")
 
 
-def layers_table(contract: dict, parent: dict, change: dict) -> None:
-    """Each per-layer ``_s`` metric of the traced pair, parent -> change,
-    with its layer's counts beside it: where a saving sits."""
+def layers_table(contract: dict, parent: list, change: list) -> None:
+    """Each per-layer ``_s`` metric over the traced pairs, parent ->
+    change, as the median with each side's min-max, and its layer's
+    counts on the first traced pair beside it: where a saving sits."""
     per_layer = [m["name"] for m in contract["per_layer"]]
-    print("\nper-layer seconds of the traced pair, parent -> change, and "
-          "each layer's counts")
+    print(f"\nper-layer seconds over {len(parent)} traced pairs, parent -> "
+          "change: median [min-max], and each layer's counts on seed 0")
     for workload in (w["name"] for w in contract["workloads"]):
-        if workload not in parent or workload not in change:
+        if not all(workload in s for s in parent + change):
             continue
-        old, new = (sets[workload]["metrics"] for sets in (parent, change))
+        old, new = ([s[workload]["metrics"] for s in sets]
+                    for sets in (parent, change))
         print(workload)
         for layer in dict.fromkeys(name.split(".")[0] for name in per_layer):
             names = [name for name in per_layer
-                     if name.split(".")[0] == layer and name in old]
+                     if name.split(".")[0] == layer and name in old[0]]
+            values = {name: ([m[name]["value"] for m in old],
+                             [m[name]["value"] for m in new])
+                      for name in names}
             # a layer the workload does not run shows a few microseconds
-            timed = [name for name in names if name.endswith("_s") and max(
-                old[name]["value"], new[name]["value"]) >= 5e-5]
+            timed = [name for name in names if name.endswith("_s")
+                     and max(map(max, values[name])) >= 5e-5]
             for name in timed:
-                a, b = old[name]["value"], new[name]["value"]
+                a, b = map(statistics.median, values[name])
                 shift = f"({b / a - 1:+.1%})" if a else ""
-                print(f"  {name:<28s}{a:10.4f} -> {b:10.4f}  {shift}")
-            counts = [f"{name.split('.', 1)[1]} {old[name]['value']} -> "
-                      f"{new[name]['value']}" for name in names
-                      if old[name]["unit"] == "count"]
+                low_high = ["{:.4f}-{:.4f}".format(min(v), max(v))
+                            for v in values[name]]
+                print(f"  {name:<28s}{a:10.4f} [{low_high[0]}] -> "
+                      f"{b:10.4f} [{low_high[1]}]  {shift}")
+            counts = [f"{name.split('.', 1)[1]} {old[0][name]['value']} -> "
+                      f"{new[0][name]['value']}" for name in names
+                      if old[0][name]["unit"] == "count"]
             if timed and counts:
                 print(f"    {', '.join(counts)}")
 
@@ -188,9 +201,10 @@ def main() -> int:
     files = {(side, trace): work / f"{side}{'-traced' if trace else ''}.json"
              for side in checkouts for trace in (0, 1)}
     try:
-        for pair in range(args.pairs + 1):
-            # the last pair is the traced one
-            trace, seed = (1, 0) if pair == args.pairs else (0, pair)
+        for pair in range(args.pairs + TRACED_PAIRS):
+            # the last pairs are the traced ones, on seeds 0, 1, ...
+            trace, seed = ((1, pair - args.pairs) if pair >= args.pairs
+                           else (0, pair))
             order = ("parent", "change") if pair % 2 == 0 else ("change",
                                                                 "parent")
             print(f"pair {pair}: seed {seed}, "
@@ -211,7 +225,7 @@ def main() -> int:
                         "--compare", str(files["parent", trace]),
                         str(files["change", trace])])
         if trace:
-            layers_table(contract, old[-1], new[-1])
+            layers_table(contract, old, new)
         else:
             wins_table(contract, old, new)
         problems += drifted(old, new)
