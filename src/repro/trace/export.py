@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import json
 import json.encoder
+import os
+import stat
 from contextlib import contextmanager
 from itertools import chain
 from json.decoder import WHITESPACE
 from json.scanner import make_scanner
+from sys import intern
 from typing import (Callable, Dict, Iterable, Iterator, List, Sequence,
                     Tuple)
 
@@ -147,17 +150,71 @@ def _decode(line: str) -> object:
     return value
 
 
+# The memo state of a payload text the memo cannot hold.
+_WHOLE = object()
+
+
+def _memo_payload(line: str, cut: int) -> object:
+    """The payload of ``line`` — ``{"args":`` + text + ``,"cat":…`` —
+    as the memo holds it, its keys interned: an object that ends
+    exactly at ``cut`` and holds no array or object, so that a shallow
+    copy is a payload its event owns.  ``_WHOLE`` for any other text."""
+    try:
+        payload, end = _scan(line, 8)
+    except (StopIteration, ValueError, RecursionError):
+        return _WHOLE
+    if end != cut or type(payload) is not dict or any(
+            type(value) is list or type(value) is dict
+            for value in payload.values()):
+        return _WHOLE
+    return dict(zip(map(intern, payload), payload.values()))
+
+
 def _parse_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
     """The one line parser: blank and ``#`` lines are skipped, every
     other line is one event; ValueError naming the first line that is
-    not one."""
+    not one.
+
+    A line ``{"args":`` + text + ``,"cat":…`` (the last ``,"cat":``),
+    as the writer writes every line, is read through a memo keyed by
+    that payload text.  Its first sight is only recorded; its second
+    stores the parsed payload; from then on only the envelope
+    ``{"cat":…`` is decoded and the event gets a copy of the stored
+    payload.  Every other line, and any line the memo route fails on,
+    is decoded whole, so the events and the errors are those of
+    ``TraceEvent.from_dict`` over ``json.loads``.  The memo lives for
+    one call and starts over past ``MEMO_BOUND`` texts."""
+    from_dict = TraceEvent.from_dict
+    # A text seen once maps to the number of the line it was seen on.
+    memo: Dict[str, object] = {}
     for number, line in enumerate(lines, 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
+        cut = line.rfind(',"cat":')
+        if cut > 8:
+            text = line[8:cut]      # the payload text if {"args": leads
+            payload = memo.setdefault(text, number)
+            if payload is number:                   # its first sight
+                if len(memo) > MEMO_BOUND:
+                    memo.clear()
+                    memo[text] = number
+            elif line.startswith('{"args":'):
+                if type(payload) is int:            # its second sight
+                    payload = memo[text] = _memo_payload(line, cut)
+                if payload is not _WHOLE:
+                    try:
+                        envelope = _decode("{" + line[cut + 1:])
+                        if "args" not in envelope:
+                            yield from_dict(envelope, dict(payload))
+                            continue
+                    except (ValueError, KeyError, TypeError,
+                            RecursionError):
+                        pass                        # decoded whole below
         try:
-            event = TraceEvent.from_dict(_decode(line))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            event = from_dict(_decode(line))
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise ValueError(
                 f"line {number} is not a trace event ({exc!r})") from exc
         yield event
@@ -177,12 +234,23 @@ def write_jsonl(events: Iterable[TraceEvent], path: str,
     event count and the tracer's ring-buffer drop counter — so a reader
     can tell a complete trace from a truncated one without the live
     :class:`~repro.trace.tracer.Tracer`.  ``events_from_jsonl`` skips
-    ``#`` lines, keeping the format round-trippable.
+    ``#`` lines, keeping the format round-trippable.  A write that
+    raises removes the regular file it was writing, which would
+    otherwise declare every event and hold only those before the
+    failure; any other path (``/dev/null``, a pipe) is left alone.
     """
     events = list(events)       # the header states the count up front
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER} v1 events={len(events)} dropped={dropped}\n")
-        fh.writelines(_lines(events, "\n"))
+    regular = False
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            fh.write(f"{_HEADER} v1 events={len(events)} "
+                     f"dropped={dropped}\n")
+            fh.writelines(_lines(events, "\n"))
+    except BaseException:
+        if regular:
+            os.remove(path)
+        raise
     return len(events)
 
 

@@ -120,25 +120,29 @@ class TraceEvent:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
+    def from_dict(cls, data: Dict[str, object],
+                  payload: Optional[Dict[str, object]] = None
+                  ) -> "TraceEvent":
         """The event a ``to_dict`` mapping describes; ValueError or
         TypeError for a field that breaks :func:`check_envelope`.  The
         vocabulary — category, name, device id and payload keys — is
         interned: a trace repeats a few dozen distinct strings, and a
         parsed one would otherwise hold a fresh copy of each per
-        event."""
+        event.  A ``payload`` read apart from ``data`` (which then holds
+        no ``args``), its keys interned already, is the event's own."""
         t, seq, category, name = data["t"], data["seq"], data["cat"], \
             data["name"]
-        dur, args, sid = data.get("dur", 0.0), data.get("args", {}), \
-            data.get("sid")
+        dur, sid = data.get("dur", 0.0), data.get("sid")
+        args = data.get("args", {}) if payload is None else payload
         if not (type(t) is float and not t - t and type(dur) is float
                 and not dur - dur and type(seq) is int
                 and type(category) is str and type(name) is str
                 and type(args) is dict
                 and (sid is None or type(sid) is str)):
             t, dur = check_envelope(t, seq, category, name, dur, args, sid)
-        return cls(t, seq, intern(category), intern(name), dur,
-                   dict(zip(map(intern, args), args.values())),
+        if payload is None:
+            args = dict(zip(map(intern, args), args.values()))
+        return cls(t, seq, intern(category), intern(name), dur, args,
                    None if sid is None else intern(sid))
 
 

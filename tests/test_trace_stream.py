@@ -22,13 +22,19 @@ tallies instead of events.  These tests hold that in place:
   than the memo holds, or freed after each line, read back as equal
   events; the errors ``json.loads`` raises; no state left behind by a
   failed write or kept past one; a bounded payload memo; and no
-  envelope written that the reader would refuse.
+  envelope written that the reader would refuse;
+* the reader's payload memo: a line read through it, however unusual,
+  reads as ``from_dict`` over ``json.loads`` does, or fails with the
+  same line-numbered error; each event owns its payload; the memo is
+  bounded.
 """
 
 import dataclasses
 import hashlib
 import json
 import json.encoder
+import os
+import stat
 import weakref
 
 import pytest
@@ -398,7 +404,9 @@ def test_written_lines_are_the_stdlib_encoders_and_read_back_equal(
     """Written twice over, so every payload and word repeats after up
     to ``bound`` distinct ones have filled the memo; and once more from
     a generator whose fresh payload dicts die after each line, so their
-    ids are free for the next one's."""
+    ids are free for the next one's.  Read back under the same bound,
+    every payload text is seen twice or more, so the reader's memo
+    route runs, and reads what ``from_dict`` over ``json.loads`` does."""
     stream = events * 2
     expected = _stdlib_jsonl(stream)
     with pytest.MonkeyPatch.context() as patch:
@@ -408,8 +416,10 @@ def test_written_lines_are_the_stdlib_encoders_and_read_back_equal(
         text = events_to_jsonl(stream)
         fresh = events_to_jsonl(dataclasses.replace(e, payload=dict(e.payload))
                                 for e in stream)
+        loaded = events_from_jsonl(text)
     assert text == fresh == expected
-    assert events_from_jsonl(text) == stream
+    assert loaded == stream == [TraceEvent.from_dict(json.loads(line))
+                                for line in text.splitlines()]
 
 
 @pytest.mark.parametrize("bad", ["{", "nul", '{"t":0} x', "[1] ]"])
@@ -500,3 +510,167 @@ def test_an_envelope_the_reader_refuses_is_not_written(field, tmp_path):
         with pytest.raises((ValueError, TypeError),
                            match="event 1 is not a trace event"):
             write([good, bad])
+
+
+def test_a_failed_write_removes_the_file_it_was_writing(tmp_path):
+    """The header declares five events before the NaN at position 3 is
+    reached: a file left behind would load three of them without an
+    error."""
+    events = [TraceEvent(t=float("nan") if i == 3 else 0.5 * i, seq=i,
+                         category="decision", name="f") for i in range(5)]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("an older trace\n")
+    with pytest.raises(ValueError, match="event 3 is not a trace event"):
+        write_jsonl(events, str(path))
+    assert not path.exists()
+
+
+def test_a_failed_write_leaves_a_path_that_is_not_a_file(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match="event 0 is not a trace event"):
+            write_jsonl([TraceEvent(t=float("inf"), seq=0,
+                                    category="decision", name="f")],
+                        str(fifo))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 100) == b"# repro-trace v1 events=1 dropped=0\n"
+    finally:
+        os.close(reader)
+
+
+# -- (g) the reader's payload memo ---------------------------------------
+_ENVELOPE = '"cat":"decision","dur":1.5,"name":"f","seq":0,"t":0.5'
+_FLAT = '{"hit":true,"pages":3}'
+_DEEP = 100_000
+
+
+def _line(payload, envelope=_ENVELOPE, first='"args"'):
+    return f"{{{first}:{payload},{envelope}}}"
+
+
+def _parent_read(lines):
+    """The reference: ``from_dict`` over ``json.loads``, line by line,
+    or the error naming the first line that is not an event."""
+    events = []
+    for number, line in enumerate(lines, 1):
+        try:
+            events.append(TraceEvent.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            return f"line {number} is not a trace event ({exc!r})"
+    return events
+
+
+def _read(lines):
+    try:
+        return events_from_jsonl("\n".join(lines))
+    except ValueError as exc:
+        return str(exc)
+
+
+# Each payload text is seen twice before the line that matters, so that
+# line takes the memo route; the comment names the reader's check that
+# the case needs.
+_MEMO_CASES = {
+    # the end of the payload's scan is the line's last ,"cat": — here
+    # the payload's own key, the envelope's being spaced — and then a
+    # truncated line holding the same text must not read as an event
+    "payload-with-a-nested-cat-key":
+        ['{"args":{"a":1,"cat":"x"}, ' + _ENVELOPE + '}'] * 2
+        + ['{"args":{"a":1,"cat":"x","dur":1.5,"name":"g","seq":1,"t":0.5}'],
+    "payload-string-holding-an-escaped-cat-key":
+        [_line('{"s":"a,\\"cat\\":b","n":1}')] * 3,
+    # the memo route decodes the envelope, which must hold no "args"
+    "duplicate-args-after-the-envelope":
+        [_line(_FLAT)] * 2 + [_line(_FLAT, _ENVELOPE + ',"args":{"b":2}')],
+    # the scan of the payload ends at the first "cat", not the last
+    "duplicate-cat-among-the-envelope":
+        [_line(_FLAT, '"cat":"x","dur":1.5,"cat":"y","name":"f",'
+                      '"seq":0,"t":0.5')] * 3,
+    "duplicate-dur-after-the-envelope":
+        [_line(_FLAT, _ENVELOPE + ',"dur":2.5')] * 3,
+    "duplicate-sid-after-the-envelope":
+        [_line(_FLAT, _ENVELOPE + ',"sid":"d0","sid":"d1"')] * 3,
+    # a payload that does not start at column 8 is not scanned there
+    "spaces-after-colons":
+        ['{"args": {"a": 1},"cat": "decision","dur": 1.5,"name": "f",'
+         '"seq": 0,"t": 0.5}'] * 3,
+    "spaces-after-commas":
+        ['{"args":{"a":1}, "cat":"decision", "dur":1.5, "name":"f", '
+         '"seq":0, "t":0.5}'] * 3,
+    "unsorted-keys":
+        ['{"t":0.5,"seq":0,"name":"f","dur":1.5,"cat":"decision",'
+         '"args":{"a":1}}'] * 3,
+    # only a line that starts {"args": holds its payload at column 8
+    "args-not-first":
+        [_line(_FLAT)] * 2 + [_line(_FLAT, first='"xtra"')]
+        + [_line(_FLAT, _ENVELOPE + ',"args":{}', first='"xtra"')],
+    # a payload that is not an object is never held
+    "args-as-a-list":
+        [_line("[1,2]", first='"xtra"')] * 2 + [_line("[1,2]")],
+    # an envelope the memo route cannot decode is decoded whole, so the
+    # error's column is the line's
+    "truncated-envelope": [_line(_FLAT)] * 2 + [_line(_FLAT)[:-4]],
+    "t-as-a-string":
+        [_line(_FLAT)] * 2
+        + [_line(_FLAT, _ENVELOPE.replace('"t":0.5', '"t":"0.5"'))],
+    "deeply-nested-envelope":
+        [_line(_FLAT)] * 2
+        + [_line(_FLAT, _ENVELOPE.replace(
+            '"name":"f"', '"name":' + "[" * _DEEP + "]" * _DEEP))],
+}
+
+
+@pytest.mark.parametrize("lines", _MEMO_CASES.values(), ids=_MEMO_CASES)
+def test_a_line_read_through_the_memo_reads_as_json_loads_does(lines):
+    assert _read(lines) == _parent_read(lines)
+
+
+def test_a_deeply_nested_line_is_a_line_numbered_error(tmp_path, capsys):
+    """A RecursionError from the C scanner used to escape as a
+    traceback (exit 1) where every other bad line exits 2."""
+    deep = _line("[" * _DEEP + "]" * _DEEP)
+    with pytest.raises(RecursionError) as expected:
+        json.loads(deep)
+    message = f"line 2 is not a trace event ({expected.value!r})"
+    with pytest.raises(ValueError) as raised:
+        events_from_jsonl(f"{_line(_FLAT)}\n{deep}")
+    assert str(raised.value) == message
+
+    path = tmp_path / "deep.jsonl"
+    path.write_text(f"# repro-trace v1 events=1 dropped=0\n{deep}\n")
+    capsys.readouterr()
+    assert main(["report", "--from-jsonl", str(path),
+                 "--json", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"repro: error: {path}: {message}\n"
+
+
+def test_each_loaded_event_owns_its_payload(chess_jsonl):
+    flat = events_from_jsonl("\n".join([_line(_FLAT)] * 4))
+    flat[1].payload["pages"] = 4
+    flat[2].payload.clear()
+    assert flat[3].payload == {"hit": True, "pages": 3}
+
+    start = next(line for line in chess_jsonl.read_text().splitlines()
+                 if '"cat":"session.start"' in line)
+    starts = events_from_jsonl("\n".join([start] * 4))
+    assert starts[1].payload["targets"]
+    starts[1].payload["targets"].append("extra")
+    starts[2].payload["targets"].clear()
+    assert starts[3].payload == json.loads(start)["args"]
+
+
+def test_the_reader_memo_holds_at_most_its_bound(monkeypatch):
+    """Texts that repeat, then fresh ones: the parser's memo starts over
+    each time it would pass the bound."""
+    monkeypatch.setattr(export, "MEMO_BOUND", 4)
+    lines = ([_line(f'{{"i":{i % 3}}}') for i in range(12)]
+             + [_line(f'{{"i":{i}}}') for i in range(20)])
+    parser = export._parse_lines(lines)
+    sizes, events = [], []
+    for event in parser:
+        sizes.append(len(parser.gi_frame.f_locals["memo"]))
+        events.append(event)
+    assert max(sizes) == 4
+    assert events == _parent_read(lines)
